@@ -87,15 +87,6 @@ std::vector<Arrival> make_arrivals(int tenants, int per_tenant, SimTime mean_gap
   return all;
 }
 
-SimTime percentile(std::vector<SimTime> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  double rank = p * static_cast<double>(v.size());
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank + 0.5) - 1;
-  if (idx >= v.size()) idx = v.size() - 1;
-  return v[idx];
-}
-
 struct Outcome {
   double throughput = 0;  // requests per simulated second
   SimTime p50 = 0, p99 = 0;
@@ -124,8 +115,8 @@ Outcome run_serial(const std::vector<Arrival>& arrivals, std::ostringstream& rep
   o.completed = arrivals.size();
   o.throughput = static_cast<double>(arrivals.size()) /
                  (static_cast<double>(last_done) / static_cast<double>(kSecond));
-  o.p50 = percentile(latencies, 0.50);
-  o.p99 = percentile(latencies, 0.99);
+  o.p50 = serve::ServiceMetrics::percentile(latencies, 0.50);
+  o.p99 = serve::ServiceMetrics::percentile(latencies, 0.99);
   rep << "  serial: pcie " << to_seconds(pcie.elapsed()) * 1e3 << " ms, retries "
       << retries.count() << "\n";
   return o;

@@ -37,8 +37,11 @@ std::string Table::fmt(double v, int precision) {
     os.precision(precision);
     os << std::fixed << v;
     std::string s = os.str();
-    // Trim trailing zeros but keep at least one decimal digit.
-    while (s.size() > 1 && s.back() == '0' && s[s.size() - 2] != '.') s.pop_back();
+    // Trim trailing zeros after the decimal point but keep at least one
+    // decimal digit. Precision 0 prints no point, and its zeros are digits.
+    if (s.find('.') != std::string::npos) {
+      while (s.back() == '0' && s[s.size() - 2] != '.') s.pop_back();
+    }
     return s;
   }
   return os.str();

@@ -270,7 +270,11 @@ struct ServiceMetrics {
   std::uint64_t sharded_segments = 0;    ///< group launches across those
   std::uint64_t sharded_link_bytes = 0;  ///< halo bytes over chip links
 
-  /// Latency percentile over every completed request (0 when none).
+  /// Nearest-rank percentile: the smallest sample with at least p·n samples
+  /// at or below it, so the p95 of 200 samples leaves ten above (0 when
+  /// there are none).
+  static SimTime percentile(std::vector<SimTime> samples, double p);
+  /// percentile() over every completed request.
   SimTime latency_percentile(double p) const;
   SimTime p50() const { return latency_percentile(0.50); }
   SimTime p99() const { return latency_percentile(0.99); }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -40,16 +41,19 @@ const char* to_string(CardHealth health) {
 // ---------------------------------------------------------------------------
 // ServiceMetrics
 
+SimTime ServiceMetrics::percentile(std::vector<SimTime> samples, double p) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(p * static_cast<double>(samples.size())));
+  return samples[std::clamp<std::size_t>(rank, 1, samples.size()) - 1];
+}
+
 SimTime ServiceMetrics::latency_percentile(double p) const {
   std::vector<SimTime> all;
   for (const auto& [tenant, stats] : tenants)
     all.insert(all.end(), stats.latencies.begin(), stats.latencies.end());
-  if (all.empty()) return 0;
-  std::sort(all.begin(), all.end());
-  double rank = p * static_cast<double>(all.size());
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank + 0.5) - 1;
-  if (idx >= all.size()) idx = all.size() - 1;
-  return all[idx];
+  return percentile(std::move(all), p);
 }
 
 std::uint64_t ServiceMetrics::total_completed() const {

@@ -1,6 +1,86 @@
 #include "ttsim/sim/fiber.hpp"
 
 #include <cstdint>
+#include <new>
+
+#if !defined(__x86_64__) || defined(_WIN32)
+#error "src/sim/engine/fiber.cpp: the fiber context switch is written for the x86-64 System V ABI only"
+#endif
+
+// The context switch. ttsim_fiber_switch(save_sp, load_sp) pushes the
+// callee-saved state onto the current stack, stores the stack pointer to
+// *save_sp, loads load_sp and pops the same state from that stack, so its
+// `ret` lands wherever the other side last called it. The System V ABI makes
+// rbx, rbp, r12-r15, the MXCSR control bits and the x87 control word
+// callee-saved; the compiler already treats everything else as clobbered by
+// a call. The signal mask is not fiber state (nothing changes it per fiber),
+// so unlike swapcontext no switch enters the kernel.
+//
+// ttsim_fiber_start is where a new fiber's first switch returns to (see the
+// frame resume() builds): it calls the entry function in r12 with the Fiber*
+// from rbx on a 16-byte-aligned stack. Its CFI marks rip undefined so
+// unwinders and debuggers stop at the fiber's outermost frame.
+extern "C" {
+void ttsim_fiber_switch(void** save_sp, void* load_sp) noexcept;
+void ttsim_fiber_start() noexcept;
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .type ttsim_fiber_switch, @function
+ttsim_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size ttsim_fiber_switch, .-ttsim_fiber_switch
+
+  .p2align 4
+  .type ttsim_fiber_start, @function
+ttsim_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %rbx, %rdi
+  call *%r12
+  ud2
+  .cfi_endproc
+  .size ttsim_fiber_start, .-ttsim_fiber_start
+  .popsection
+)");
 
 // ASan tracks one stack per thread; without annotations, a context switch
 // onto a fiber stack (or an exception thrown on one — __asan_handle_no_return
@@ -28,7 +108,7 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 
 // TSan's model is different: one shadow context per fiber, created/destroyed
 // explicitly, with __tsan_switch_to_fiber called immediately before each
-// swapcontext. Without it TSan attributes the fiber's accesses to the
+// switch. Without it TSan attributes the fiber's accesses to the
 // scheduler's stack and dies on its own bookkeeping. The simulator is
 // single-threaded; the annotations only keep TSan's per-"thread" state
 // coherent so the rest of the build (host code, future threaded frontends)
@@ -53,7 +133,25 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 namespace ttsim::sim {
 namespace {
 thread_local Fiber* t_current_fiber = nullptr;
-}
+
+/// What ttsim_fiber_switch leaves at the saved stack pointer, lowest address
+/// first.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t pad = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void* r13 = nullptr;
+  void* r12 = nullptr;
+  void* rbx = nullptr;
+  void* rbp = nullptr;
+  void* ret = nullptr;
+};
+// Popping a whole frame off a 16-byte-aligned slot leaves the stack pointer
+// 16-byte aligned, as ttsim_fiber_start's call needs.
+static_assert(sizeof(SwitchFrame) % 16 == 0);
+}  // namespace
 
 Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
     : entry_(std::move(entry)),
@@ -73,14 +171,6 @@ Fiber::~Fiber() {
 }
 
 Fiber* Fiber::current() { return t_current_fiber; }
-
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
-  self->run();
-  // Not reached: run() exits via an explicit swapcontext (uc_link stays set
-  // as a belt-and-braces fallback).
-}
 
 void Fiber::run() {
 #ifdef TTSIM_ASAN_FIBERS
@@ -107,27 +197,33 @@ void Fiber::run() {
   // context is destroyed with the Fiber object.
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-  // Leave via an explicit switch rather than returning through the
-  // trampoline and uc_link: the sanitizer annotations above must sit at the
-  // real switch point. TSan in particular maintains a per-context shadow
-  // call stack via function entry/exit hooks — unwinding run() and the
-  // trampoline after the switch annotation would pop those frames on the
-  // *resumer's* shadow stack and corrupt it.
-  swapcontext(&ctx_, &return_ctx_);
+  // Leave by switching away, never by returning into ttsim_fiber_start: the
+  // sanitizer annotations above must sit at the real switch point. TSan in
+  // particular maintains a per-context shadow call stack via function
+  // entry/exit hooks — unwinding run() after the switch annotation would pop
+  // its frame on the *resumer's* shadow stack and corrupt it.
+  ttsim_fiber_switch(&sp_, return_sp_);
 }
 
 void Fiber::resume() {
   TTSIM_CHECK_MSG(!running_, "fiber resumed re-entrantly");
   TTSIM_CHECK_MSG(!finished_, "resume() on a finished fiber");
   if (!started_) {
-    TTSIM_CHECK(getcontext(&ctx_) == 0);
-    ctx_.uc_stack.ss_sp = stack_.get();
-    ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = &return_ctx_;
-    const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                static_cast<unsigned>(ptr >> 32),
-                static_cast<unsigned>(ptr & 0xFFFFFFFFu));
+    // The first switch pops this frame and returns into ttsim_fiber_start.
+    // The fiber starts with the resumer's floating-point control state
+    // (rounding mode, exception masks); rbp = 0 ends frame-pointer walks.
+    const std::uintptr_t top =
+        (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes_) &
+        ~std::uintptr_t{15};
+    auto* frame = new (reinterpret_cast<void*>(top - sizeof(SwitchFrame)))
+        SwitchFrame{};
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
+    void (*entry)(Fiber*) = [](Fiber* self) { self->run(); };
+    frame->r12 = reinterpret_cast<void*>(entry);
+    frame->rbx = this;
+    frame->ret = reinterpret_cast<void*>(&ttsim_fiber_start);
+    sp_ = frame;
     started_ = true;
   }
   Fiber* prev = t_current_fiber;
@@ -145,7 +241,7 @@ void Fiber::resume() {
   tsan_caller_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  TTSIM_CHECK(swapcontext(&return_ctx_, &ctx_) == 0);
+  ttsim_fiber_switch(&return_sp_, sp_);
 #ifdef TTSIM_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
@@ -162,7 +258,7 @@ void Fiber::yield() {
 #ifdef TTSIM_TSAN_FIBERS
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-  TTSIM_CHECK(swapcontext(&ctx_, &return_ctx_) == 0);
+  ttsim_fiber_switch(&sp_, return_sp_);
 #ifdef TTSIM_ASAN_FIBERS
   // Re-entered: refresh the resumer's bounds (the next yield switches back
   // to wherever resume() is running now).

@@ -1,15 +1,15 @@
 #pragma once
 /// \file fiber.hpp
-/// Cooperative fibers (ucontext-based) underpinning the simulator. Each
-/// simulated baby-core kernel runs on its own fiber; the scheduler switches
-/// between fibers only at simulation API calls, making runs fully
-/// deterministic and independent of host thread timing.
+/// Cooperative fibers underpinning the simulator. Each simulated baby-core
+/// kernel runs on its own fiber; the scheduler switches between fibers only
+/// at simulation API calls, making runs fully deterministic and independent
+/// of host thread timing. A switch swaps the callee-saved registers and the
+/// stack pointer in user space (x86-64 only; see fiber.cpp).
 
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
 
 #include "ttsim/common/check.hpp"
 
@@ -17,11 +17,11 @@ namespace ttsim::sim {
 
 /// Thrown through a parked fiber's yield point by Fiber::cancel() so the
 /// fiber's stack unwinds (destructors run) at teardown. Caught and discarded
-/// by the fiber trampoline; never escapes to the scheduler.
+/// at the bottom of the fiber; never escapes to the scheduler.
 struct FiberCancelled {};
 
-/// A single cooperative fiber. Not movable once started (the context captures
-/// the stack address).
+/// A single cooperative fiber. Not movable once started (the saved stack
+/// pointers address its stack).
 class Fiber {
  public:
   /// \param entry    Function executed on the fiber's stack.
@@ -57,14 +57,13 @@ class Fiber {
   static Fiber* current();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
   void run();
 
   std::function<void()> entry_;
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+  void* sp_ = nullptr;         // fiber's stack pointer while switched out
+  void* return_sp_ = nullptr;  // resumer's stack pointer while the fiber runs
   bool started_ = false;
   bool finished_ = false;
   bool running_ = false;

@@ -41,6 +41,9 @@ struct KernelMetrics {
   int core = -1;           ///< worker index
   SimTime start = 0;       ///< first kernel_start on the track
   SimTime end = 0;         ///< last kernel_end on the track
+  /// Sum over the track's launches of kernel_end - kernel_start (a launch
+  /// that never ended adds nothing), so gaps between launches do not count.
+  SimTime launched = 0;
   SimTime issue = 0;       ///< NoC read/write issue overhead
   SimTime memcpy_time = 0; ///< baby-core software memcpy
   SimTime fpu = 0;         ///< FPU math/pack occupancy
@@ -54,7 +57,7 @@ struct KernelMetrics {
   std::uint64_t bytes_written = 0;  ///< NoC write payload issued
   std::uint64_t memcpy_bytes = 0;
 
-  SimTime lifetime() const { return end - start; }
+  SimTime lifetime() const { return launched; }
   /// Time attributable to the mover's own CPU: issue overhead + memcpy.
   SimTime self_busy() const { return issue + memcpy_time + fpu; }
   SimTime total_wait() const {

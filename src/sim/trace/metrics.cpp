@@ -26,6 +26,7 @@ MetricsReport build_metrics(const TraceSink& sink, int num_banks) {
   // Kernel tracks are discovered on the fly: any track that records a
   // kernel_start. Keyed by track id; emitted in track order for determinism.
   std::map<int, KernelMetrics> kernels;
+  std::map<int, SimTime> launch_start;  // per track, while a launch is open
   bool have_kernel_window = false;
   SimTime first_start = 0, last_end = 0, first_ts = 0, last_ts = 0;
   bool have_any = false;
@@ -56,14 +57,19 @@ MetricsReport build_metrics(const TraceSink& sink, int num_banks) {
                                           // pruned below if never started
     switch (e.kind) {
       case TraceEventKind::kKernelStart:
+        if (k.name.empty()) k.start = e.ts;
         k.name = sink.track_name(e.track);
         k.core = e.core;
-        k.start = e.ts;
+        launch_start[e.track] = e.ts;
         if (!have_kernel_window || e.ts < first_start) first_start = e.ts;
         have_kernel_window = true;
         break;
       case TraceEventKind::kKernelEnd:
         k.end = e.ts;
+        if (const auto it = launch_start.find(e.track); it != launch_start.end()) {
+          k.launched += e.ts - it->second;
+          launch_start.erase(it);
+        }
         last_end = std::max(last_end, e.ts);
         break;
       case TraceEventKind::kMoverReadIssue:

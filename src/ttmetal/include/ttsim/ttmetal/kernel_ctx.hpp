@@ -120,6 +120,11 @@ class KernelCtxBase {
   /// `sem_id` on `dst_core` (Device friendship does not extend to the
   /// derived mover context, hence the base-class forwarder).
   void note_remote_sem_post(int dst_core, int sem_id);
+  /// Register this kernel as a producer/consumer of `cb_id` in the device's
+  /// wait-for registry. Only the first call per CB reaches the device: the
+  /// registry keeps each kernel once, and this runs on every CB operation.
+  void note_cb_producer(int cb_id);
+  void note_cb_consumer(int cb_id);
 
   Device& device_;
   sim::TensixCore& core_;
@@ -131,6 +136,8 @@ class KernelCtxBase {
   std::string kernel_name_;          ///< process name ("<kernel>@<core>")
   verify::Verifier* verify_ = nullptr;  ///< nullptr unless enable_verify
   int vtid_ = -1;                       ///< detector thread id
+  std::uint32_t cb_produced_ = 0;  ///< bit i: CB i already noted as produced
+  std::uint32_t cb_consumed_ = 0;  ///< bit i: CB i already noted as consumed
 };
 
 /// API surface for the two data mover baby cores.

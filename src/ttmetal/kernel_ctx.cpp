@@ -8,6 +8,19 @@
 #include "ttsim/verify/race.hpp"
 
 namespace ttsim::ttmetal {
+namespace {
+
+/// Sets CB `cb_id`'s bit in `noted`; true when it was clear. An id outside
+/// the bitmask always reads as new (core_.cb() rejects it right after).
+bool first_use(std::uint32_t& noted, int cb_id) {
+  if (cb_id < 0 || cb_id >= 32) return true;
+  const std::uint32_t bit = std::uint32_t{1} << cb_id;
+  if ((noted & bit) != 0) return false;
+  noted |= bit;
+  return true;
+}
+
+}  // namespace
 
 KernelCtxBase::KernelCtxBase(Device& device, sim::TensixCore& core,
                              std::vector<std::uint32_t> args, int position,
@@ -72,9 +85,21 @@ void KernelCtxBase::note_remote_sem_post(int dst_core, int sem_id) {
   device_.note_sem_poster(dst_core, sem_id, kernel_name_);
 }
 
+void KernelCtxBase::note_cb_producer(int cb_id) {
+  if (first_use(cb_produced_, cb_id)) {
+    device_.note_cb_producer(core_.id(), cb_id, kernel_name_);
+  }
+}
+
+void KernelCtxBase::note_cb_consumer(int cb_id) {
+  if (first_use(cb_consumed_, cb_id)) {
+    device_.note_cb_consumer(core_.id(), cb_id, kernel_name_);
+  }
+}
+
 void KernelCtxBase::cb_reserve_back(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
-  device_.note_cb_producer(core_.id(), cb_id, kernel_name_);
+  note_cb_producer(cb_id);
   const SimTime t0 = now();
   core_.cb(cb_id).reserve_back(pages);
   note_cb_wait(now() - t0);
@@ -87,7 +112,7 @@ void KernelCtxBase::cb_reserve_back(int cb_id, std::uint32_t pages) {
 
 void KernelCtxBase::cb_push_back(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
-  device_.note_cb_producer(core_.id(), cb_id, kernel_name_);
+  note_cb_producer(cb_id);
   // Publish the filled pages: consumers acquiring the data clock after their
   // wait_front are ordered behind every write this producer made.
   if (verify_ != nullptr) {
@@ -98,7 +123,7 @@ void KernelCtxBase::cb_push_back(int cb_id, std::uint32_t pages) {
 
 void KernelCtxBase::cb_wait_front(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
-  device_.note_cb_consumer(core_.id(), cb_id, kernel_name_);
+  note_cb_consumer(cb_id);
   const SimTime t0 = now();
   core_.cb(cb_id).wait_front(pages);
   note_cb_wait(now() - t0);
@@ -109,7 +134,7 @@ void KernelCtxBase::cb_wait_front(int cb_id, std::uint32_t pages) {
 
 void KernelCtxBase::cb_pop_front(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
-  device_.note_cb_consumer(core_.id(), cb_id, kernel_name_);
+  note_cb_consumer(cb_id);
   // Return the pages: producers acquiring the space clock in reserve_back
   // are ordered behind every read this consumer made.
   if (verify_ != nullptr) {

@@ -26,9 +26,24 @@ TEST(Table, FmtTrimsTrailingZeros) {
   EXPECT_EQ(Table::fmt(0.014), "0.014");
 }
 
+TEST(Table, FmtTrimsOnlyAfterADecimalPoint) {
+  // Precision 0 prints an integer: its trailing zeros are significant.
+  EXPECT_EQ(Table::fmt(159.68, 0), "160");
+  EXPECT_EQ(Table::fmt(100.0, 0), "100");
+  EXPECT_EQ(Table::fmt(0.0, 0), "0");
+  EXPECT_EQ(Table::fmt(-160.0, 0), "-160");
+  EXPECT_EQ(Table::fmt(10.0, 2), "10.0");
+  EXPECT_EQ(Table::fmt(-2.50, 2), "-2.5");
+  EXPECT_EQ(Table::fmt(-100.0, 1), "-100.0");
+}
+
 TEST(Table, FmtUsesScientificForExtremes) {
   const std::string tiny = Table::fmt(1.2e-7);
   EXPECT_NE(tiny.find('e'), std::string::npos);
+  // The scientific branch is never trimmed: the exponent's zeros are digits.
+  EXPECT_EQ(Table::fmt(1.5e8, 2), "1.50e+08");
+  EXPECT_EQ(Table::fmt(-2.0e-5, 1), "-2.0e-05");
+  EXPECT_EQ(Table::fmt(3.0e10, 0), "3e+10");
 }
 
 TEST(Table, MixedColumnWidthsAligned) {

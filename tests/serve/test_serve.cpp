@@ -410,5 +410,26 @@ TEST(Serve, MultiCardPoolSharesLoad) {
   EXPECT_NE(std::count(cards_used.begin(), cards_used.end(), 1), 0);
 }
 
+TEST(ServiceMetrics, PercentileIsNearestRank) {
+  // Samples n..1, unsorted: the nearest-rank p-th percentile is ceil(p*n).
+  const auto samples = [](int n) {
+    std::vector<SimTime> v;
+    for (int i = n; i >= 1; --i) v.push_back(i);
+    return v;
+  };
+  // 0.99 * 64 = 63.36: rounding the rank to nearest gave the 63rd sample.
+  EXPECT_EQ(ServiceMetrics::percentile(samples(64), 0.99), 64);
+  EXPECT_EQ(ServiceMetrics::percentile(samples(200), 0.95), 190);
+  EXPECT_EQ(ServiceMetrics::percentile(samples(200), 0.50), 100);
+  EXPECT_EQ(ServiceMetrics::percentile(samples(1), 0.01), 1);
+  EXPECT_EQ(ServiceMetrics::percentile({}, 0.5), 0);
+
+  // latency_percentile pools every tenant's completed requests.
+  ServiceMetrics m;
+  for (SimTime t : samples(64)) m.tenants[static_cast<int>(t % 3)].latencies.push_back(t);
+  EXPECT_EQ(m.p99(), 64);
+  EXPECT_EQ(m.p50(), 32);
+}
+
 }  // namespace
 }  // namespace ttsim::serve

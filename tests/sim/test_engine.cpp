@@ -1,8 +1,17 @@
 #include "ttsim/sim/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <immintrin.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "ttsim/common/rng.hpp"
 
 namespace ttsim::sim {
 namespace {
@@ -46,6 +55,206 @@ TEST(Fiber, CurrentTracksExecution) {
   f.resume();
   EXPECT_EQ(observed, &f);
   EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+/// Address of a 16-byte-aligned local in a fresh frame. The compiler places
+/// it by trusting the ABI's 16-byte stack alignment at every call, so code
+/// entered on a misaligned stack shows a nonzero remainder here.
+[[gnu::noinline]] std::uintptr_t aligned_local_address() {
+  alignas(16) volatile char probe[16] = {};
+  return reinterpret_cast<std::uintptr_t>(&probe[0]);
+}
+
+/// Aligned 256-bit loads and stores fault on an address that is not 32-byte
+/// aligned.
+[[gnu::noinline, gnu::target("avx")]] float avx_double_sum(const float* p) {
+  alignas(32) float out[8];
+  const __m256 v = _mm256_load_ps(p);
+  _mm256_store_ps(out, _mm256_add_ps(v, v));
+  return std::accumulate(out, out + 8, 0.0f);
+}
+
+TEST(Fiber, StackIsAlignedForVectorCode) {
+  std::uintptr_t probe = 1, local32 = 1;
+  float sse = 0, avx = 0;
+  Fiber f([&] {
+    probe = aligned_local_address();
+    alignas(32) float buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    local32 = reinterpret_cast<std::uintptr_t>(buf);
+    const __m128 v = _mm_load_ps(buf);  // faults unless 16-byte aligned
+    alignas(16) float out[4];
+    _mm_store_ps(out, _mm_mul_ps(v, v));
+    sse = out[0] + out[1] + out[2] + out[3];
+    if (__builtin_cpu_supports("avx")) avx = avx_double_sum(buf);
+  });
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_EQ(probe % 16, 0u);
+  EXPECT_EQ(local32 % 32, 0u);
+  EXPECT_EQ(sse, 30.0f);
+  if (__builtin_cpu_supports("avx")) EXPECT_EQ(avx, 72.0f);
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  // MXCSR rounding-control bits; fegetround() reads the x87 control word.
+  constexpr unsigned kRc = 0x6000, kRcDown = 0x2000, kRcUp = 0x4000;
+  struct RestoreNearest {
+    ~RestoreNearest() { std::fesetround(FE_TONEAREST); }
+  } restore;
+  int initial = -1, after_switches = -1;
+  unsigned initial_rc = 0, after_switches_rc = 0;
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    initial = std::fegetround();
+    initial_rc = _mm_getcsr() & kRc;
+    std::fesetround(FE_UPWARD);
+    self->yield();
+    after_switches = std::fegetround();
+    after_switches_rc = _mm_getcsr() & kRc;
+  });
+  self = &f;
+  // A new fiber starts with its first resumer's mode.
+  ASSERT_EQ(std::fesetround(FE_DOWNWARD), 0);
+  f.resume();
+  EXPECT_EQ(initial, FE_DOWNWARD);
+  EXPECT_EQ(initial_rc, kRcDown);
+  // The fiber's mode does not leak out to the resumer...
+  EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+  EXPECT_EQ(_mm_getcsr() & kRc, kRcDown);
+  // ...and the resumer's does not leak in.
+  std::fesetround(FE_TOWARDZERO);
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_EQ(after_switches, FE_UPWARD);
+  EXPECT_EQ(after_switches_rc, kRcUp);
+  EXPECT_EQ(std::fegetround(), FE_TOWARDZERO);
+}
+
+TEST(Fiber, CancelUnwindsParkedStack) {
+  struct CountsDestruction {
+    int* count;
+    ~CountsDestruction() { ++*count; }
+  };
+  int destroyed = 0;
+  bool ran_past_yield = false;
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    CountsDestruction guard{&destroyed};
+    self->yield();
+    ran_past_yield = true;
+  });
+  self = &f;
+  f.resume();
+  EXPECT_EQ(destroyed, 0);
+  f.cancel();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(ran_past_yield);
+  EXPECT_NO_THROW(f.rethrow_if_failed());
+}
+
+/// Recurses `depth` frames, then throws; the addition after the call keeps
+/// every frame live (no tail call).
+[[gnu::noinline]] int throw_at_depth(int depth) {
+  if (depth == 0) throw std::runtime_error("thrown at the bottom");
+  volatile int keep = depth;
+  return throw_at_depth(depth - 1) + keep;
+}
+
+TEST(Fiber, ExceptionFromFiftyFramesDeepReachesRethrow) {
+  Fiber f([] { (void)throw_at_depth(50); });
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  try {
+    f.rethrow_if_failed();
+    FAIL() << "no exception captured";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thrown at the bottom");
+  }
+  EXPECT_NO_THROW(f.rethrow_if_failed());  // consumed by the first rethrow
+}
+
+TEST(Fiber, ThousandFibersInterleaveDeterministically) {
+  constexpr int kFibers = 1000;
+  constexpr int kSteps = 4;
+  struct Run {
+    std::vector<int> schedule;               // fiber resumed, in order
+    std::vector<std::pair<int, int>> trace;  // (fiber, step) as recorded
+  };
+  const auto run = [](std::uint64_t seed) {
+    Run r;
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    for (int i = 0; i < kFibers; ++i) {
+      fibers.push_back(std::make_unique<Fiber>(
+          [&r, &fibers, i] {
+            for (int s = 0; s < kSteps; ++s) {
+              r.trace.emplace_back(i, s);
+              fibers[static_cast<std::size_t>(i)]->yield();
+            }
+          },
+          64 * 1024));
+    }
+    std::vector<int> live(kFibers);
+    std::iota(live.begin(), live.end(), 0);
+    Rng rng(seed);
+    while (!live.empty()) {
+      const auto pick = static_cast<std::size_t>(rng.next_below(live.size()));
+      const int id = live[pick];
+      r.schedule.push_back(id);
+      Fiber& f = *fibers[static_cast<std::size_t>(id)];
+      f.resume();
+      EXPECT_EQ(Fiber::current(), nullptr);
+      if (f.finished()) {
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    return r;
+  };
+
+  const Run a = run(0x5eed);
+  ASSERT_EQ(a.schedule.size(), static_cast<std::size_t>(kFibers * (kSteps + 1)));
+  // Every resume ran the fiber it named, which continued where it left off.
+  std::vector<int> next_step(kFibers, 0);
+  std::vector<std::pair<int, int>> expected;
+  for (const int id : a.schedule) {
+    int& step = next_step[static_cast<std::size_t>(id)];
+    if (step < kSteps) expected.emplace_back(id, step++);
+  }
+  EXPECT_EQ(a.trace, expected);
+  // Same seed, same trace; another seed, another interleaving.
+  EXPECT_EQ(run(0x5eed).trace, a.trace);
+  EXPECT_NE(run(0x5eee).trace, a.trace);
+}
+
+TEST(Fiber, NestedResumeRestoresCurrentOnBothSides) {
+  std::vector<Fiber*> observed;
+  Fiber* inner_self = nullptr;
+  Fiber* outer_self = nullptr;
+  Fiber inner([&] {
+    observed.push_back(Fiber::current());
+    inner_self->yield();  // back to the outer fiber that resumed it
+    observed.push_back(Fiber::current());
+  });
+  Fiber outer([&] {
+    observed.push_back(Fiber::current());
+    inner.resume();
+    observed.push_back(Fiber::current());
+    outer_self->yield();
+    observed.push_back(Fiber::current());
+  });
+  inner_self = &inner;
+  outer_self = &outer;
+  outer.resume();
+  EXPECT_EQ(Fiber::current(), nullptr);
+  inner.resume();  // this time the scheduler is the inner fiber's resumer
+  EXPECT_TRUE(inner.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  outer.resume();
+  EXPECT_TRUE(outer.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_EQ(observed,
+            (std::vector<Fiber*>{&outer, &inner, &outer, &inner, &outer}));
 }
 
 TEST(Engine, TimeAdvancesWithDelay) {

@@ -17,6 +17,7 @@
 #include <map>
 
 #include "ttsim/core/jacobi_device.hpp"
+#include "ttsim/sim/engine.hpp"
 #include "ttsim/sim/metrics.hpp"
 #include "ttsim/sim/trace.hpp"
 #include "ttsim/stream/stream_bench.hpp"
@@ -154,6 +155,30 @@ TEST(Attribution, FaultInjectionsMirrorThePlanExactly) {
     EXPECT_EQ(faults2[i].core, faults[i].core);
     EXPECT_EQ(faults2[i].addr, faults[i].addr);
   }
+}
+
+/// A track that hosts several launches (one per sharded epoch, say) counts
+/// the time inside each launch, not the gaps between them.
+TEST(Attribution, KernelLifetimeSumsEveryLaunch) {
+  sim::Engine engine;
+  sim::TraceSink sink(engine);
+  const int track = sink.track("reader@0");
+  const auto mark = [&](sim::TraceEventKind kind, SimTime ts) {
+    sink.record(kind, ts, 0, {.core = 0}, track);
+  };
+  mark(sim::TraceEventKind::kKernelStart, 10);
+  mark(sim::TraceEventKind::kKernelEnd, 50);
+  mark(sim::TraceEventKind::kKernelStart, 150);
+  mark(sim::TraceEventKind::kKernelEnd, 180);
+
+  const sim::MetricsReport m = sim::build_metrics(sink, 0);
+  ASSERT_EQ(m.kernels.size(), 1u);
+  const sim::KernelMetrics& k = m.kernels[0];
+  EXPECT_EQ(k.name, "reader@0");
+  EXPECT_EQ(k.start, 10);
+  EXPECT_EQ(k.end, 180);
+  EXPECT_EQ(k.lifetime(), 40 + 30);
+  EXPECT_EQ(m.span(), 170);
 }
 
 /// metrics() is an API error without enable_trace — the failure mode is a
