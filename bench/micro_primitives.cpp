@@ -9,6 +9,7 @@
 
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/common/rng.hpp"
+#include "ttsim/sim/fpu.hpp"
 #include "ttsim/sim/sync.hpp"
 #include "ttsim/stream/stream_bench.hpp"
 
@@ -96,17 +97,31 @@ void BM_Bf16RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_Bf16RoundTrip);
 
-void BM_Bf16TileAdd(benchmark::State& state) {
-  std::vector<bfloat16_t> a(1024, bfloat16_t{1.5f}), b(1024, bfloat16_t{2.5f}),
-      c(1024);
-  for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) c[static_cast<std::size_t>(i)] =
-        a[static_cast<std::size_t>(i)] + b[static_cast<std::size_t>(i)];
-    benchmark::DoNotOptimize(c.data());
+// The FPU's tile kernel as the simulator runs it, one instantiation at a
+// time. Items are BF16 elements.
+void BM_Bf16Tile(benchmark::State& state, sim::Fpu::BinaryOp op, bool avx2) {
+  if (avx2 && !sim::Fpu::cpu_has_avx2()) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
   }
-  state.SetItemsProcessed(state.iterations() * 1024);
+  const sim::Fpu::TileKernel kernel =
+      avx2 ? &sim::Fpu::tile_kernel_avx2 : &sim::Fpu::tile_kernel_baseline;
+  Rng rng{42};
+  std::vector<bfloat16_t> a(sim::Fpu::kTileElems), b(sim::Fpu::kTileElems),
+      c(sim::Fpu::kTileElems);
+  for (auto& v : a) v = bfloat16_t{static_cast<float>(rng.next_double(-100, 100))};
+  for (auto& v : b) v = bfloat16_t{static_cast<float>(rng.next_double(-100, 100))};
+  for (auto _ : state) {
+    kernel(op, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * sim::Fpu::kTileElems);
 }
-BENCHMARK(BM_Bf16TileAdd);
+BENCHMARK_CAPTURE(BM_Bf16Tile, add_baseline, sim::Fpu::BinaryOp::kAdd, false);
+BENCHMARK_CAPTURE(BM_Bf16Tile, add_avx2, sim::Fpu::BinaryOp::kAdd, true);
+BENCHMARK_CAPTURE(BM_Bf16Tile, mul_baseline, sim::Fpu::BinaryOp::kMul, false);
+BENCHMARK_CAPTURE(BM_Bf16Tile, mul_avx2, sim::Fpu::BinaryOp::kMul, true);
 
 void BM_StreamingBenchmarkHostCost(benchmark::State& state) {
   // Host seconds per simulated streaming row — the simulator's "speed".

@@ -9,6 +9,12 @@
 /// from float uses round-to-nearest-even (matching Grayskull packing
 /// behaviour); arithmetic is performed in float and rounded back, which is
 /// the standard software model for BF16 FMA-free element-wise units.
+///
+/// NaN rule: every NaN — from a conversion or an operator, whatever its sign
+/// or payload — becomes the canonical quiet NaN 0x7FC0. x86 returns the
+/// first source operand's NaN when both operands are NaN, and the compiler
+/// may commute `+` and `*`, so a propagated sign or payload would depend on
+/// code generation. The FPU's vectorised tile kernel applies the same rule.
 
 #include <cmath>
 #include <compare>
@@ -76,15 +82,12 @@ class bfloat16_t {
   }
   bool is_inf() const { return (bits_ & 0x7FFFu) == 0x7F80u; }
 
-  /// Round a binary32 to the nearest bfloat16 (ties to even). NaN payloads
-  /// are quieted to preserve NaN-ness after truncation.
+  /// Round a binary32 to the nearest bfloat16 (ties to even). Every NaN
+  /// becomes the canonical quiet NaN 0x7FC0 (see the NaN rule above).
   static std::uint16_t round_from_float(float f) {
     std::uint32_t x;
     std::memcpy(&x, &f, sizeof(x));
-    if ((x & 0x7FFFFFFFu) > 0x7F800000u) {
-      // NaN: keep sign, force a quiet NaN mantissa bit that survives the shift.
-      return static_cast<std::uint16_t>(((x >> 16) & 0x8000u) | 0x7FC0u);
-    }
+    if ((x & 0x7FFFFFFFu) > 0x7F800000u) return 0x7FC0u;
     const std::uint32_t lsb = (x >> 16) & 1u;
     const std::uint32_t rounding_bias = 0x7FFFu + lsb;
     x += rounding_bias;

@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/sim/circular_buffer.hpp"
@@ -20,33 +22,48 @@ class Fpu {
   static constexpr std::uint32_t kTileElems = 1024;  ///< 16384 bits of BF16
   static constexpr std::uint32_t kTileBytes = kTileElems * sizeof(bfloat16_t);
 
-  Fpu(Engine& engine, const GrayskullSpec& spec) : engine_(engine), spec_(spec) {
-    regs_.resize(static_cast<std::size_t>(spec.dst_registers));
-  }
+  /// The element-wise binary ops of the tile kernel.
+  enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul };
+
+  /// One tile of BF16 math: out[i] = a[i] op b[i] for i < kTileElems, bit
+  /// for bit what the scalar bfloat16_t operators give (float op under the
+  /// caller's MXCSR, round to nearest even, canonical NaN). `a`, `b` and
+  /// `out` need only bfloat16_t alignment.
+  using TileKernel = void (*)(BinaryOp op, const bfloat16_t* a, const bfloat16_t* b,
+                              bfloat16_t* out);
+  /// The kernel for the x86-64 baseline ISA (SSE2, 4 lanes).
+  static void tile_kernel_baseline(BinaryOp op, const bfloat16_t* a, const bfloat16_t* b,
+                                   bfloat16_t* out);
+  /// The same kernel body built for AVX2 (8 lanes). Call it only when
+  /// cpu_has_avx2().
+  static void tile_kernel_avx2(BinaryOp op, const bfloat16_t* a, const bfloat16_t* b,
+                               bfloat16_t* out);
+  static bool cpu_has_avx2();
+
+  Fpu(Engine& engine, const GrayskullSpec& spec);
 
   /// dst[i] = a[tile ia][i] + b[tile ib][i]
   void add_tiles(const CircularBuffer& a, const CircularBuffer& b,
                  std::uint32_t ia, std::uint32_t ib, int dst) {
-    binary_op(a, b, ia, ib, dst, [](bfloat16_t x, bfloat16_t y) { return x + y; });
+    binary_op(BinaryOp::kAdd, a, b, ia, ib, dst);
   }
 
   /// dst[i] = a[tile ia][i] - b[tile ib][i]
   void sub_tiles(const CircularBuffer& a, const CircularBuffer& b,
                  std::uint32_t ia, std::uint32_t ib, int dst) {
-    binary_op(a, b, ia, ib, dst, [](bfloat16_t x, bfloat16_t y) { return x - y; });
+    binary_op(BinaryOp::kSub, a, b, ia, ib, dst);
   }
 
   /// dst[i] = a[tile ia][i] * b[tile ib][i]
   void mul_tiles(const CircularBuffer& a, const CircularBuffer& b,
                  std::uint32_t ia, std::uint32_t ib, int dst) {
-    binary_op(a, b, ia, ib, dst, [](bfloat16_t x, bfloat16_t y) { return x * y; });
+    binary_op(BinaryOp::kMul, a, b, ia, ib, dst);
   }
 
   /// Unpack one tile from a CB straight into a dst register.
   void copy_tile(const CircularBuffer& src, std::uint32_t idx, int dst) {
     charge(spec_.tile_math_cost);
-    const auto* in = tile_data(src, idx);
-    for (std::uint32_t i = 0; i < kTileElems; ++i) reg(dst)[i] = in[i];
+    std::memcpy(static_cast<void*>(reg(dst)), tile_data(src, idx), kTileBytes);
   }
 
   /// Pack a dst register into the producer page of `out` (`page_offset`
@@ -105,15 +122,8 @@ class Fpu {
   }
 
  private:
-  template <typename Op>
-  void binary_op(const CircularBuffer& a, const CircularBuffer& b,
-                 std::uint32_t ia, std::uint32_t ib, int dst, Op op) {
-    charge(spec_.tile_math_cost);
-    const auto* pa = tile_data(a, ia);
-    const auto* pb = tile_data(b, ib);
-    auto* out = reg(dst);
-    for (std::uint32_t i = 0; i < kTileElems; ++i) out[i] = op(pa[i], pb[i]);
-  }
+  void binary_op(BinaryOp op, const CircularBuffer& a, const CircularBuffer& b,
+                 std::uint32_t ia, std::uint32_t ib, int dst);
 
   const bfloat16_t* tile_data(const CircularBuffer& cb, std::uint32_t idx) const {
     // `idx` selects a tile within the committed front page(s): tile t starts
@@ -126,6 +136,7 @@ class Fpu {
 
   Engine& engine_;
   const GrayskullSpec& spec_;
+  TileKernel kernel_;  // tile_kernel_avx2 where the CPU has it, else the baseline
   std::vector<std::array<bfloat16_t, kTileElems>> regs_;
 };
 

@@ -6,6 +6,7 @@
 /// processes are attached by the ttmetal layer; this class owns the
 /// per-core hardware state.
 
+#include <array>
 #include <map>
 #include <memory>
 
@@ -21,6 +22,9 @@ namespace ttsim::sim {
 
 class TensixCore {
  public:
+  /// tt-metal indexes CBs 0..kMaxCbs-1.
+  static constexpr int kMaxCbs = 32;
+
   TensixCore(Engine& engine, const GrayskullSpec& spec, int core_id, NocCoord coord);
 
   int id() const { return id_; }
@@ -29,11 +33,14 @@ class TensixCore {
   Sram& sram() { return sram_; }
   Fpu& fpu() { return fpu_; }
 
-  /// Create circular buffer `cb_id` backed by core SRAM. tt-metal indexes
-  /// CBs 0..31; page geometry is fixed by the host code (paper Section II-A).
+  /// Create circular buffer `cb_id` backed by core SRAM. Page geometry is
+  /// fixed by the host code (paper Section II-A).
   CircularBuffer& create_cb(int cb_id, std::uint32_t page_size, std::uint32_t num_pages);
+  /// Throws ApiError unless `cb_id` was created.
   CircularBuffer& cb(int cb_id);
-  bool has_cb(int cb_id) const { return cbs_.count(cb_id) != 0; }
+  bool has_cb(int cb_id) const {
+    return cb_id >= 0 && cb_id < kMaxCbs && cbs_[static_cast<std::size_t>(cb_id)] != nullptr;
+  }
 
   /// Create/fetch an inter-baby-core semaphore (paper Fig. 3's green line).
   SimSemaphore& create_semaphore(int sem_id, std::int64_t initial);
@@ -64,7 +71,7 @@ class TensixCore {
   NocCoord coord_;
   Sram sram_;
   Fpu fpu_;
-  std::map<int, std::unique_ptr<CircularBuffer>> cbs_;
+  std::array<std::unique_ptr<CircularBuffer>, kMaxCbs> cbs_;  // indexed by CB id
   std::map<int, std::unique_ptr<SimSemaphore>> semaphores_;
   ResourceTimeline dma_[2];
   std::unique_ptr<WaitQueue> halt_queue_;  // created on first halt

@@ -13,24 +13,21 @@ TensixCore::TensixCore(Engine& engine, const GrayskullSpec& spec, int core_id,
 
 CircularBuffer& TensixCore::create_cb(int cb_id, std::uint32_t page_size,
                                       std::uint32_t num_pages) {
-  TTSIM_CHECK_MSG(cb_id >= 0 && cb_id < 32, "tt-metal CB ids are 0..31");
-  TTSIM_CHECK_MSG(cbs_.count(cb_id) == 0,
-                  "CB " << cb_id << " already exists on core " << id_);
+  TTSIM_CHECK_MSG(cb_id >= 0 && cb_id < kMaxCbs, "tt-metal CB ids are 0..31");
+  auto& slot = cbs_[static_cast<std::size_t>(cb_id)];
+  TTSIM_CHECK_MSG(slot == nullptr, "CB " << cb_id << " already exists on core " << id_);
   const std::uint32_t offset =
       sram_.allocate(static_cast<std::uint64_t>(page_size) * num_pages);
-  auto cb = std::make_unique<CircularBuffer>(engine_, sram_.data(offset), page_size,
-                                             num_pages, trace_, id_, cb_id);
-  auto& ref = *cb;
-  cbs_.emplace(cb_id, std::move(cb));
-  return ref;
+  slot = std::make_unique<CircularBuffer>(engine_, sram_.data(offset), page_size, num_pages,
+                                          trace_, id_, cb_id);
+  return *slot;
 }
 
 CircularBuffer& TensixCore::cb(int cb_id) {
-  const auto it = cbs_.find(cb_id);
-  if (it == cbs_.end()) {
+  if (!has_cb(cb_id)) {
     TTSIM_THROW_API("CB " << cb_id << " was not configured on core " << id_);
   }
-  return *it->second;
+  return *cbs_[static_cast<std::size_t>(cb_id)];
 }
 
 SimSemaphore& TensixCore::create_semaphore(int sem_id, std::int64_t initial) {
@@ -57,7 +54,7 @@ ResourceTimeline& TensixCore::dma(int noc_id) {
 }
 
 void TensixCore::reset() {
-  cbs_.clear();
+  for (auto& cb : cbs_) cb.reset();
   semaphores_.clear();
   sram_.reset();
 }

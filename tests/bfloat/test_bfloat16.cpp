@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "ttsim/bfloat/convert.hpp"
 #include "ttsim/common/rng.hpp"
@@ -63,6 +65,30 @@ TEST(Bfloat16, InfinityAndNaN) {
   // NaN != NaN
   const bfloat16_t n{std::nanf("")};
   EXPECT_FALSE(n == n);
+}
+
+TEST(Bfloat16, EveryNanIsTheCanonicalQuietNan) {
+  const auto bf = [](std::uint16_t bits) { return bfloat16_t::from_bits(bits); };
+  const bfloat16_t pos_nan = bf(0x7FC0), neg_nan = bf(0xFFC0);
+  const bfloat16_t payload = bf(0xFF81);  // signalling, negative, payload 1
+  const bfloat16_t inf = bf(0x7F80), zero = bf(0x0000), one = bf(0x3F80);
+  // Opposite-sign NaN pairs in both orders: x86 keeps the first source
+  // operand's NaN, so without the rule the sign would follow codegen.
+  for (const auto& [x, y] : {std::pair{pos_nan, neg_nan}, std::pair{neg_nan, pos_nan},
+                             std::pair{payload, one}, std::pair{one, payload},
+                             std::pair{payload, neg_nan}}) {
+    EXPECT_EQ((x + y).bits(), 0x7FC0);
+    EXPECT_EQ((x - y).bits(), 0x7FC0);
+    EXPECT_EQ((x * y).bits(), 0x7FC0);
+  }
+  EXPECT_EQ((inf - inf).bits(), 0x7FC0);
+  EXPECT_EQ((inf + -inf).bits(), 0x7FC0);
+  EXPECT_EQ((zero * inf).bits(), 0x7FC0);
+  EXPECT_EQ((-zero * inf).bits(), 0x7FC0);
+  // Conversions follow the same rule, whatever the float NaN's sign or payload.
+  EXPECT_EQ(bfloat16_t{-std::nanf("")}.bits(), 0x7FC0);
+  EXPECT_EQ(bfloat16_t{std::bit_cast<float>(0xFF800001u)}.bits(), 0x7FC0);
+  EXPECT_EQ(bfloat16_t{std::bit_cast<float>(0x7FBFFFFFu)}.bits(), 0x7FC0);
 }
 
 TEST(Bfloat16, OverflowToInfinity) {

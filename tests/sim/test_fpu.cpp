@@ -2,12 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfenv>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "ttsim/common/rng.hpp"
 #include "ttsim/sim/tensix_core.hpp"
 
 namespace ttsim::sim {
 namespace {
+
+using BinaryOp = Fpu::BinaryOp;
+
+/// The oracle: the scalar bfloat16_t operators.
+bfloat16_t scalar_op(BinaryOp op, bfloat16_t x, bfloat16_t y) {
+  switch (op) {
+    case BinaryOp::kAdd: return x + y;
+    case BinaryOp::kSub: return x - y;
+    case BinaryOp::kMul: return x * y;
+  }
+  return {};
+}
 
 /// Fills one committed CB page with a constant BF16 value.
 void fill_page(CircularBuffer& cb, float value) {
@@ -142,6 +159,71 @@ TEST_F(FpuTest, RespectsReadPtrOverride) {
   EXPECT_EQ(static_cast<float>(core_.fpu().reg(0)[0]), 7.0f);
 }
 
+TEST_F(FpuTest, UnalignedOperandMatchesScalarOperators) {
+  // A read-pointer override can put a tile at any even L1 address; this one
+  // sits at an odd multiple of 2 bytes.
+  std::vector<bfloat16_t> local(Fpu::kTileElems + 1);
+  Rng rng{5};
+  for (auto& v : local) v = bfloat16_t{static_cast<float>(rng.next_double(-8, 8))};
+  const bfloat16_t* a = local.data() + 1;
+  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(a) % 4, 2u);
+  run_compute([&] {
+    cb_a_.reserve_back(1);
+    cb_a_.push_back(1);
+    cb_b_.reserve_back(1);
+    auto* pb = reinterpret_cast<bfloat16_t*>(cb_b_.write_ptr());
+    for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) pb[i] = bfloat16_t{0.375f * (i % 11)};
+    cb_b_.push_back(1);
+    cb_a_.set_read_ptr(reinterpret_cast<const std::byte*>(a));
+    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);
+    core_.fpu().sub_tiles(cb_b_, cb_a_, 0, 0, 1);
+    core_.fpu().mul_tiles(cb_a_, cb_b_, 0, 0, 2);
+  });
+  const auto* b = reinterpret_cast<const bfloat16_t*>(cb_b_.read_ptr());
+  for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+    EXPECT_EQ(core_.fpu().reg(0)[i].bits(), (a[i] + b[i]).bits()) << "lane " << i;
+    EXPECT_EQ(core_.fpu().reg(1)[i].bits(), (b[i] - a[i]).bits()) << "lane " << i;
+    EXPECT_EQ(core_.fpu().reg(2)[i].bits(), (a[i] * b[i]).bits()) << "lane " << i;
+  }
+}
+
+TEST_F(FpuTest, NanResultsAreCanonicalInEitherOperandOrder) {
+  // Lane pairs: opposite-sign NaNs both ways round, a NaN with a payload,
+  // Inf and -Inf (Inf-Inf), 0 and Inf (0*Inf).
+  const std::uint16_t lhs[] = {0x7FC0, 0xFFC0, 0xFF81, 0x7F80, 0x0000};
+  const std::uint16_t rhs[] = {0xFFC0, 0x7FC0, 0x3F80, 0xFF80, 0x7F80};
+  constexpr std::uint32_t kPairs = 5;
+  run_compute([&] {
+    for (auto* cb : {&cb_a_, &cb_b_}) {
+      cb->reserve_back(1);
+      const std::uint16_t* src = cb == &cb_a_ ? lhs : rhs;
+      auto* p = reinterpret_cast<bfloat16_t*>(cb->write_ptr());
+      for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+        p[i] = bfloat16_t::from_bits(src[i % kPairs]);
+      }
+      cb->push_back(1);
+    }
+    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);
+    core_.fpu().add_tiles(cb_b_, cb_a_, 0, 0, 1);
+    core_.fpu().sub_tiles(cb_a_, cb_a_, 0, 0, 2);  // NaN-NaN, Inf-Inf
+    core_.fpu().mul_tiles(cb_a_, cb_b_, 0, 0, 3);
+    core_.fpu().mul_tiles(cb_b_, cb_a_, 0, 0, 4);
+  });
+  for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+    const std::uint32_t pair = i % kPairs;
+    SCOPED_TRACE("lane " + std::to_string(i));
+    if (pair != 4) {  // 0 + Inf is Inf and 0 - 0 is 0
+      EXPECT_EQ(core_.fpu().reg(0)[i].bits(), 0x7FC0);
+      EXPECT_EQ(core_.fpu().reg(1)[i].bits(), 0x7FC0);
+      EXPECT_EQ(core_.fpu().reg(2)[i].bits(), 0x7FC0);
+    }
+    if (pair != 3) {  // Inf * -Inf is -Inf
+      EXPECT_EQ(core_.fpu().reg(3)[i].bits(), 0x7FC0);
+      EXPECT_EQ(core_.fpu().reg(4)[i].bits(), 0x7FC0);
+    }
+  }
+}
+
 TEST_F(FpuTest, AbsTile) {
   run_compute([&] {
     cb_a_.reserve_back(1);
@@ -243,6 +325,135 @@ TEST(TensixCore, CbIdRangeEnforced) {
   EXPECT_THROW(core.create_cb(32, 64, 2), CheckError);
   EXPECT_THROW(core.create_cb(-1, 64, 2), CheckError);
 }
+
+TEST(TensixCore, CbLookupOutsideTheIdRangeIsAnApiError) {
+  GrayskullSpec spec;
+  Engine e;
+  TensixCore core(e, spec, 0, NocCoord{1, 1});
+  for (const int id : {-1, 32}) {
+    EXPECT_FALSE(core.has_cb(id));
+    try {
+      core.cb(id);
+      ADD_FAILURE() << "cb(" << id << ") did not throw";
+    } catch (const ApiError& err) {
+      EXPECT_EQ(std::string(err.what()),
+                "CB " + std::to_string(id) + " was not configured on core 0");
+    }
+  }
+}
+
+/// The `b` operands of the kernel conformance sweep: every special class,
+/// operands that make round-to-even ties against the `a` sweep, and seeded
+/// random patterns.
+std::vector<std::uint16_t> conformance_b_set() {
+  std::vector<std::uint16_t> set = {
+      0x0000, 0x8000,                  // +-0
+      0x0001, 0x8001, 0x007F, 0x807F,  // smallest and largest denormals
+      0x0080, 0x8080,                  // smallest normals
+      0x7F7F, 0xFF7F,                  // +-max
+      0x7F80, 0xFF80,                  // +-Inf
+      0x7FC0, 0xFFC0, 0x7F81, 0xFFFF,  // quiet, negative, signalling, payload NaNs
+      0x3F80, 0xBF80, 0x4040, 0x3F81,  // +-1, 3, 1 + 2^-7
+  };
+  Rng rng{20241017};
+  while (set.size() < 64) set.push_back(static_cast<std::uint16_t>(rng.next_u64()));
+  return set;
+}
+
+struct SweepResult {
+  long mismatches = 0;
+  long ties = 0;  // lanes whose float result sat exactly halfway between two BF16s
+};
+
+/// Runs `kernel` for `op` on all 65,536 `a` bit patterns against every `b`
+/// in the set (rotating `b` across lanes so each `a` meets each `b` once)
+/// and compares every lane bit for bit with the scalar operators. Both
+/// operands sit at an odd multiple of 2 bytes.
+SweepResult sweep(Fpu::TileKernel kernel, BinaryOp op) {
+  const auto bset = conformance_b_set();
+  std::vector<bfloat16_t> a_buf(Fpu::kTileElems + 1), b_buf(Fpu::kTileElems + 1),
+      out(Fpu::kTileElems);
+  bfloat16_t* a = a_buf.data() + 1;
+  bfloat16_t* b = b_buf.data() + 1;
+  SweepResult result;
+  for (std::uint32_t tile = 0; tile < 65536 / Fpu::kTileElems; ++tile) {
+    for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+      a[i] = bfloat16_t::from_bits(static_cast<std::uint16_t>(tile * Fpu::kTileElems + i));
+    }
+    for (std::size_t rot = 0; rot < bset.size(); ++rot) {
+      for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+        b[i] = bfloat16_t::from_bits(bset[(i + rot) % bset.size()]);
+      }
+      kernel(op, a, b, out.data());
+      for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+        const bfloat16_t want = scalar_op(op, a[i], b[i]);
+        if (out[i].bits() != want.bits()) {
+          if (++result.mismatches <= 5) {
+            ADD_FAILURE() << std::hex << "a=0x" << a[i].bits() << " b=0x" << b[i].bits()
+                          << " kernel=0x" << out[i].bits() << " scalar=0x" << want.bits();
+          }
+        }
+        const float x = a[i];
+        const float y = b[i];
+        const float wide = op == BinaryOp::kAdd ? x + y : op == BinaryOp::kSub ? x - y : x * y;
+        if (!want.is_nan() && (std::bit_cast<std::uint32_t>(wide) & 0xFFFFu) == 0x8000u) {
+          ++result.ties;
+        }
+      }
+    }
+  }
+  return result;
+}
+
+/// Parameter: whether to test the AVX2 instantiation (else the baseline).
+class TileKernelConformance : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam() && !Fpu::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  Fpu::TileKernel kernel() const {
+    return GetParam() ? &Fpu::tile_kernel_avx2 : &Fpu::tile_kernel_baseline;
+  }
+};
+
+TEST_P(TileKernelConformance, BitExactAgainstScalarOperators) {
+  for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul}) {
+    SCOPED_TRACE("op " + std::to_string(static_cast<int>(op)));
+    const SweepResult r = sweep(kernel(), op);
+    EXPECT_EQ(r.mismatches, 0);
+    EXPECT_GT(r.ties, 0) << "the sweep must exercise round-to-even ties";
+  }
+}
+
+TEST_P(TileKernelConformance, HonoursTheComputeFibersRoundingMode) {
+  // The float op runs under the MXCSR of the fiber that calls it. For BF16
+  // operands only the sign of an exact zero sum can show the mode (x - x is
+  // -0 rounding downward), so FE_DOWNWARD is the mode that proves it;
+  // FE_UPWARD and FE_TOWARDZERO must still agree with the scalar operators.
+  for (const int mode : {FE_UPWARD, FE_TOWARDZERO, FE_DOWNWARD}) {
+    SCOPED_TRACE("rounding mode " + std::to_string(mode));
+    Engine engine;
+    std::vector<bfloat16_t> ones(Fpu::kTileElems, bfloat16_t{1.0f}), diff(Fpu::kTileElems);
+    SweepResult add, sub;
+    engine.spawn("compute", [&] {
+      ASSERT_EQ(std::fesetround(mode), 0);
+      add = sweep(kernel(), BinaryOp::kAdd);
+      sub = sweep(kernel(), BinaryOp::kSub);
+      kernel()(BinaryOp::kSub, ones.data(), ones.data(), diff.data());
+      std::fesetround(FE_TONEAREST);
+    });
+    engine.run();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the fiber's mode stayed in the fiber
+    EXPECT_EQ(add.mismatches, 0);
+    EXPECT_EQ(sub.mismatches, 0);
+    EXPECT_EQ(diff[0].bits(), mode == FE_DOWNWARD ? 0x8000 : 0x0000);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, TileKernelConformance, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "avx2" : "baseline");
+                         });
 
 TEST(Grayskull, WorkerGridGeometry) {
   Grayskull gs;
