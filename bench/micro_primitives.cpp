@@ -1,17 +1,19 @@
 /// \file micro_primitives.cpp
 /// google-benchmark microbenchmarks of the simulator's primitives: these
 /// measure *host* cost of the simulation machinery (events/second, fiber
-/// switches, BF16 arithmetic), which bounds how large an experiment the
-/// reproduction can run. They complement the table benches, which report
-/// *simulated* time.
+/// switches, BF16 arithmetic, PCIe staging), which bounds how large an
+/// experiment the reproduction can run. They complement the table benches,
+/// which report *simulated* time.
 
 #include <benchmark/benchmark.h>
 
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/common/rng.hpp"
+#include "ttsim/core/problem.hpp"
 #include "ttsim/sim/fpu.hpp"
 #include "ttsim/sim/sync.hpp"
 #include "ttsim/stream/stream_bench.hpp"
+#include "ttsim/ttmetal/device.hpp"
 
 namespace {
 
@@ -135,6 +137,27 @@ void BM_StreamingBenchmarkHostCost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_StreamingBenchmarkHostCost);
+
+// The host staging cost of one Table VIII device image (the padded
+// 9216x1024 BF16 grid): a blocking write then read, as a whole solve does
+// around its kernels. Bytes count both directions.
+void BM_PcieRoundTrip(benchmark::State& state, bool checksum) {
+  ttmetal::DeviceConfig config;
+  config.checksum_transfers = checksum;
+  auto dev = ttmetal::Device::open({}, config);
+  const std::uint64_t bytes = core::PaddedLayout(9216, 1024).bytes();
+  auto buf = dev->create_buffer({.size = bytes});
+  std::vector<std::byte> image(bytes, std::byte{0x3F});
+  std::vector<std::byte> back(bytes);
+  for (auto _ : state) {
+    dev->write_buffer(*buf, image);
+    dev->read_buffer(*buf, back);
+    benchmark::DoNotOptimize(back.data());
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_off, false);
+BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_on, true);
 
 }  // namespace
 

@@ -1,8 +1,9 @@
 #pragma once
 /// \file crc32.hpp
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used by the
-/// checksummed host<->device transfer path. Header-only, table-driven; the
-/// table is built once at first use.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). It checks
+/// host<->device transfers under DeviceConfig::checksum_transfers and seals
+/// serve::SessionCheckpoint images. Header-only, table-driven; the table is
+/// built once at first use.
 
 #include <array>
 #include <cstddef>

@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ttsim/sim/engine.hpp"
@@ -140,6 +141,9 @@ class DramModel {
   /// Functional-only host access (PCIe timing handled by the caller).
   void host_write(std::uint64_t addr, const std::byte* src, std::uint64_t size);
   void host_read(std::uint64_t addr, std::byte* dst, std::uint64_t size) const;
+  /// Read-only view of [addr, addr+size) in the backing storage, valid while
+  /// the region stays mapped.
+  std::span<const std::byte> host_view(std::uint64_t addr, std::uint64_t size) const;
 
   const DramStats& stats() const { return stats_; }
   void reset_stats() { stats_ = DramStats{}; }

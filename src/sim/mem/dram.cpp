@@ -390,4 +390,9 @@ void DramModel::host_read(std::uint64_t addr, std::byte* dst, std::uint64_t size
   std::memcpy(dst, p.region->storage + p.offset, size);
 }
 
+std::span<const std::byte> DramModel::host_view(std::uint64_t addr, std::uint64_t size) const {
+  const Placement p = place(addr, size);
+  return {p.region->storage + p.offset, size};
+}
+
 }  // namespace ttsim::sim

@@ -24,8 +24,7 @@ void CommandQueue::enqueue_write_buffer(Buffer& buffer, std::span<const std::byt
   c->buffer = &buffer;
   c->offset = offset;
   c->data.assign(data.begin(), data.end());
-  c->landed.assign(data.begin(), data.end());
-  c->sent_crc = crc32(data);
+  if (device_.config_.checksum_transfers) c->sent_crc = crc32(data);
   c->duration = device_.spec().pcie_latency +
                 transfer_time(data.size(), device_.spec().pcie_gbs);
   commands_.push_back(std::move(c));
@@ -147,11 +146,12 @@ void CommandQueue::complete_head() {
 }
 
 // --- transfers -------------------------------------------------------------
-// These callbacks replicate the historical blocking Device::write_buffer /
-// read_buffer loops step for step (same simulated delays, same pcie_time_
-// accounting, same trace records at the same timestamps and on the host
-// track, same retry/backoff/error text), so the blocking wrappers stay
-// bit-identical while queued transfers can overlap kernel execution.
+// One transfer is a chain of engine callbacks: acquire the PCIe bus, spend
+// the attempt's duration on it, land the bytes (rolling the FaultPlan for a
+// corruption), and, with checksum_transfers, verify one ack latency later
+// and retry with exponential backoff on a mismatch. Blocking transfers are
+// the same chain followed by finish(), so queued transfers overlap kernel
+// execution with the same delays, trace records and error text.
 
 void CommandQueue::start_transfer(Command& c) {
   device_.acquire_pcie([this, &c] { transfer_attempt(c); });
@@ -163,7 +163,9 @@ void CommandQueue::transfer_attempt(Command& c) {
 
 void CommandQueue::transfer_landed(Command& c) {
   auto& engine = device_.hw().engine();
+  auto& dram = device_.hw().dram();
   const bool is_write = c.kind == Command::Kind::kWrite;
+  const bool checksum = device_.config_.checksum_transfers;
   const std::uint64_t addr = c.buffer->address() + c.offset;
   const std::size_t size = is_write ? c.data.size() : c.out.size();
   device_.pcie_time_ += c.duration;
@@ -172,30 +174,40 @@ void CommandQueue::transfer_landed(Command& c) {
                c.duration, {-1, c.attempt, is_write ? 1 : 0, addr, size});
   }
   sim::FaultPlan* plan = device_.hw().fault_plan();
+  std::uint64_t corrupt_at = 0;
+  const auto corrupted = [&] {
+    if (plan == nullptr || !plan->pcie_corrupt(engine.now(), size, &corrupt_at)) return false;
+    if (c.first_fault.empty()) c.first_fault = sim::to_string(*plan->last_event());
+    return true;
+  };
   if (is_write) {
-    std::copy(c.data.begin(), c.data.end(), c.landed.begin());
-    std::uint64_t corrupt_at = 0;
-    if (plan != nullptr && plan->pcie_corrupt(engine.now(), size, &corrupt_at)) {
-      c.landed[corrupt_at] ^= std::byte{0x40};
-      if (c.first_fault.empty()) c.first_fault = sim::to_string(*plan->last_event());
+    dram.host_write(addr, c.data.data(), size);
+    if (corrupted()) {
+      const std::byte flipped = c.data[corrupt_at] ^ std::byte{0x40};
+      dram.host_write(addr + corrupt_at, &flipped, 1);
     }
-    device_.hw().dram().host_write(addr, c.landed.data(), c.landed.size());
+    // Nothing runs between this callback's statements, so these are exactly
+    // the bytes this attempt landed.
+    if (checksum) c.landed_crc = crc32(dram.host_view(addr, size));
   } else {
     if (c.attempt == 0) {
       // True device-side contents, captured once the transfer's simulated
       // time has elapsed.
-      c.landed.resize(size);
-      device_.hw().dram().host_read(addr, c.landed.data(), c.landed.size());
-      c.sent_crc = crc32(c.landed);
+      dram.host_read(addr, c.out.data(), size);
+      if (checksum) c.sent_crc = crc32(c.out);
+    } else if (c.out_flip) {
+      // Undo the previous attempt's corruption: `out` is back to the
+      // device contents captured at attempt 0.
+      c.out[*c.out_flip] ^= std::byte{0x40};
+      c.out_flip.reset();
     }
-    std::copy(c.landed.begin(), c.landed.end(), c.out.begin());
-    std::uint64_t corrupt_at = 0;
-    if (plan != nullptr && plan->pcie_corrupt(engine.now(), size, &corrupt_at)) {
+    if (corrupted()) {
       c.out[corrupt_at] ^= std::byte{0x40};
-      if (c.first_fault.empty()) c.first_fault = sim::to_string(*plan->last_event());
+      c.out_flip = corrupt_at;
     }
+    if (checksum) c.landed_crc = crc32(c.out);
   }
-  if (!device_.config_.checksum_transfers) {
+  if (!checksum) {
     finish_transfer(c);
     return;
   }
@@ -208,8 +220,7 @@ void CommandQueue::transfer_verify(Command& c) {
   auto& engine = device_.hw().engine();
   const bool is_write = c.kind == Command::Kind::kWrite;
   device_.pcie_time_ += device_.spec().pcie_latency;
-  const std::uint32_t got_crc = is_write ? crc32(c.landed) : crc32(c.out);
-  if (got_crc == c.sent_crc) {
+  if (c.landed_crc == c.sent_crc) {
     finish_transfer(c);
     return;
   }

@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "ttsim/common/crc32.hpp"
 #include "ttsim/common/log.hpp"
 
 namespace ttsim::ttmetal {

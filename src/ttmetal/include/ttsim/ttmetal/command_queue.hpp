@@ -12,9 +12,7 @@
 /// queue machinery is a set of scheduler callbacks, never a thread, so the
 /// same enqueue order always produces the same simulated timeline. The
 /// blocking Device::write_buffer / read_buffer / run_program APIs are thin
-/// wrappers over one enqueue + Finish on queue 0 and remain bit-identical to
-/// the historical synchronous implementation (same traces, same times, same
-/// error messages).
+/// wrappers over one enqueue + Finish on queue 0.
 ///
 /// Lifetime: the caller keeps the Buffer (and, for reads, the destination
 /// span; for programs, the Program) alive until the command completes —
@@ -24,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -124,9 +123,15 @@ class CommandQueue {
     std::span<std::byte> out;     // read destination (caller-owned)
     SimTime duration = 0;         // per-attempt PCIe time
     int attempt = 0;
+    // checksum_transfers only: CRC of the bytes sent (write: the payload;
+    // read: the device contents at attempt 0) and of the bytes the latest
+    // attempt delivered (write: as landed in DRAM; read: `out`).
     std::uint32_t sent_crc = 0;
-    std::vector<std::byte> landed;  // write: as-landed bytes; read: device copy
-    std::string first_fault;
+    std::uint32_t landed_crc = 0;
+    // Read: offset of the byte the latest attempt corrupted in `out`; the
+    // next attempt flips it back before rolling again.
+    std::optional<std::uint64_t> out_flip;
+    std::string first_fault;  // first injected fault, for TransferError
     // Program.
     Program* program = nullptr;
     // Events.
@@ -139,8 +144,8 @@ class CommandQueue {
   /// Async completion: pop the head and pump the rest.
   void complete_head();
 
-  // Transfer command chain (scheduler callbacks; see device.cpp for the
-  // blocking original this replicates step for step).
+  // Transfer command chain (scheduler callbacks: bus acquire, attempt,
+  // landing, checksum verify and retry; see command_queue.cpp).
   void start_transfer(Command& c);
   void transfer_attempt(Command& c);
   void transfer_landed(Command& c);

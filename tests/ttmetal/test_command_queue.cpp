@@ -1,11 +1,15 @@
 /// Async command queues: overlap, event ordering, error surfacing on the
-/// enqueued (non-blocking) paths, and timeline determinism.
+/// enqueued (non-blocking) paths, timeline determinism, and the PCIe
+/// transfer chain's checksum/retry contract.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "ttsim/sim/fault.hpp"
 #include "ttsim/ttmetal/device.hpp"
 
 namespace ttsim::ttmetal {
@@ -247,6 +251,131 @@ TEST(CommandQueue, CancelQueuesDropsUnstartedWorkOnStuckDevice) {
   // With the backlog gone the other queues are empty: finish() returns
   // without replaying the hang.
   cq1.finish();
+}
+
+// --- PCIe staging -----------------------------------------------------------
+// The transfer state machine's checksum/retry contract and payload
+// ownership, pinned byte for byte. Device contents are seeded and inspected
+// through the DRAM model's functional host access, so the only FaultPlan
+// rolls in each test are those of the transfer under test.
+
+constexpr std::size_t kStagedBytes = 64 * KiB;
+
+// With pcie_corrupt_prob = 0.5 this seed corrupts the first transfer
+// attempt and spares the second.
+constexpr std::uint64_t kCorruptOnceSeed = 5;
+
+std::unique_ptr<Device> open_faulty(std::uint64_t seed, double corrupt_prob,
+                                    bool checksum) {
+  sim::FaultConfig fc;
+  fc.seed = seed;
+  fc.pcie_corrupt_prob = corrupt_prob;
+  DeviceConfig dc;
+  dc.checksum_transfers = checksum;
+  dc.fault_plan = std::make_shared<sim::FaultPlan>(fc);
+  return Device::open({}, dc);
+}
+
+std::vector<const sim::FaultEvent*> pcie_corruptions(const sim::FaultPlan& plan) {
+  std::vector<const sim::FaultEvent*> hits;
+  for (const auto& e : plan.trace()) {
+    if (e.kind == sim::FaultKind::kPcieCorrupt) hits.push_back(&e);
+  }
+  return hits;
+}
+
+// One attempt on the bus: setup latency plus the payload at PCIe bandwidth.
+SimTime attempt_time(const Device& dev, std::size_t bytes) {
+  return dev.spec().pcie_latency + transfer_time(bytes, dev.spec().pcie_gbs);
+}
+
+std::vector<std::byte> device_bytes(Device& dev, const Buffer& buf) {
+  std::vector<std::byte> v(buf.size());
+  dev.hw().dram().host_read(buf.address(), v.data(), v.size());
+  return v;
+}
+
+std::vector<std::size_t> differing_offsets(const std::vector<std::byte>& a,
+                                           const std::vector<std::byte>& b) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) at.push_back(i);
+  }
+  return at;
+}
+
+TEST(PcieTransfer, ChecksummedWriteRetriesPastOneCorruption) {
+  auto dev = open_faulty(kCorruptOnceSeed, 0.5, /*checksum=*/true);
+  const auto data = pattern(kStagedBytes);
+  auto buf = dev->create_buffer({.size = kStagedBytes});
+  dev->write_buffer(*buf, data);
+
+  ASSERT_EQ(pcie_corruptions(*dev->fault_plan()).size(), 1u)
+      << dev->fault_plan()->trace_string();
+  EXPECT_EQ(dev->transfer_retries(), 1u);
+  // Two acknowledged attempts with the first backoff between them.
+  const SimTime acked = attempt_time(*dev, kStagedBytes) + dev->spec().pcie_latency;
+  EXPECT_EQ(dev->pcie_time(), 2 * acked + dev->config().transfer_retry_backoff);
+  EXPECT_EQ(device_bytes(*dev, *buf), data);
+}
+
+TEST(PcieTransfer, ChecksummedReadRetriesPastOneCorruption) {
+  auto dev = open_faulty(kCorruptOnceSeed, 0.5, /*checksum=*/true);
+  const auto data = pattern(kStagedBytes);
+  auto buf = dev->create_buffer({.size = kStagedBytes});
+  dev->hw().dram().host_write(buf->address(), data.data(), data.size());
+  std::vector<std::byte> out(kStagedBytes);
+  dev->read_buffer(*buf, out);
+
+  ASSERT_EQ(pcie_corruptions(*dev->fault_plan()).size(), 1u)
+      << dev->fault_plan()->trace_string();
+  EXPECT_EQ(dev->transfer_retries(), 1u);
+  // Two acknowledged attempts with the first backoff between them.
+  const SimTime acked = attempt_time(*dev, kStagedBytes) + dev->spec().pcie_latency;
+  EXPECT_EQ(dev->pcie_time(), 2 * acked + dev->config().transfer_retry_backoff);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(device_bytes(*dev, *buf), data);
+}
+
+// Without checksums a corrupted transfer is delivered as is: one byte off by
+// 0x40, at the offset the fault trace names, and no retry.
+TEST(PcieTransfer, UncheckedTransfersDeliverTheCorruptedByte) {
+  auto dev = open_faulty(/*seed=*/9, 1.0, /*checksum=*/false);
+  const auto data = pattern(kStagedBytes);
+  auto buf = dev->create_buffer({.size = kStagedBytes});
+
+  dev->write_buffer(*buf, data);
+  const auto landed = device_bytes(*dev, *buf);
+  const auto write_diff = differing_offsets(landed, data);
+  ASSERT_EQ(write_diff.size(), 1u);
+  EXPECT_EQ(landed[write_diff[0]] ^ data[write_diff[0]], std::byte{0x40});
+
+  std::vector<std::byte> out(kStagedBytes);
+  dev->read_buffer(*buf, out);
+  const auto read_diff = differing_offsets(out, landed);
+  ASSERT_EQ(read_diff.size(), 1u);
+  EXPECT_EQ(out[read_diff[0]] ^ landed[read_diff[0]], std::byte{0x40});
+  EXPECT_EQ(device_bytes(*dev, *buf), landed);  // a read leaves the card alone
+
+  const auto hits = pcie_corruptions(*dev->fault_plan());
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0]->addr, write_diff[0]);
+  EXPECT_EQ(hits[1]->addr, read_diff[0]);
+  EXPECT_EQ(dev->transfer_retries(), 0u);
+  EXPECT_EQ(dev->pcie_time(), 2 * attempt_time(*dev, kStagedBytes));
+}
+
+TEST(PcieTransfer, NonBlockingWriteLandsThePayloadAsEnqueued) {
+  auto dev = Device::open();
+  auto data = pattern(kStagedBytes);
+  const auto original = data;
+  auto buf = dev->create_buffer({.size = kStagedBytes});
+  auto& cq = dev->command_queue(0);
+  cq.enqueue_write_buffer(*buf, data, /*blocking=*/false);
+  std::fill(data.begin(), data.end(), std::byte{0});
+  ASSERT_EQ(cq.pending(), 1u);  // still on the bus when the source changed
+  cq.finish();
+  EXPECT_EQ(device_bytes(*dev, *buf), original);
 }
 
 }  // namespace
