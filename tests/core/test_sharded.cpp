@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "ttsim/common/check.hpp"
@@ -15,6 +17,7 @@
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
+#include "ttsim/sim/fault.hpp"
 #include "ttsim/ttmetal/device.hpp"
 
 namespace ttsim {
@@ -191,6 +194,46 @@ TEST(Sharded, TracedFabricNamesCards) {
   ASSERT_GE(sink->track_count(), 2u);
   EXPECT_EQ(sink->track_name(0), "eth/card0->card1");
   EXPECT_EQ(sink->track_name(1), "eth/card1->card0");
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Sharded, SharedFaultPlanReplaysInCardOrder) {
+  // One FaultPlan shared by both cards rolls a single Rng at every decision
+  // point of either card, so the fault story depends on the order in which
+  // the cards run. The pins below are that story for card-order execution:
+  // stalls, delays and corrupted-then-retried PCIe transfers that change
+  // timing but never the solution.
+  const auto p = small_problem(4);
+  sim::FaultConfig fc;
+  fc.seed = 7;
+  fc.mover_stall_prob = 0.02;
+  fc.noc_delay_prob = 0.02;
+  fc.pcie_corrupt_prob = 0.25;
+  const auto plan = std::make_shared<sim::FaultPlan>(fc);
+  ttmetal::DeviceConfig dc;
+  dc.checksum_transfers = true;
+  dc.fault_plan = plan;
+  auto cluster = core::ShardedCluster::open(2, {}, dc);
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 2;
+  cfg.exchange_every = 2;
+  const auto devs = cluster.devices();
+  const auto r = core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg);
+
+  EXPECT_EQ(r.solution, single_card_solution(p, cfg.run));
+  EXPECT_EQ(plan->trace().size(), 12u);
+  EXPECT_EQ(fnv1a(plan->trace_string()), 9030628765422980538ull);
+  EXPECT_EQ(r.kernel_time, 151497078);
+  EXPECT_EQ(r.exchange_time, 10019200);
+  EXPECT_EQ(r.total_time, 1292207478);
 }
 
 TEST(Sharded, RejectsInfeasibleDecompositions) {
