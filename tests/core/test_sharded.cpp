@@ -3,10 +3,14 @@
 /// the single-card run (classic Jacobi and single-pass gallery programs,
 /// row-chunk and temporal strategies, k in {1, 4}, 2..3 cards, uneven
 /// splits, checkpoint-style segment resume), verifier cleanliness on every
-/// card, link traffic accounting, and the decomposition error cases.
+/// card, link traffic accounting, the decomposition error cases, and the
+/// host-thread contract: card-order fault replay under a shared FaultPlan,
+/// the caller's rounding mode on every card, repeatable traces.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfenv>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,11 +215,15 @@ TEST(Sharded, SharedFaultPlanReplaysInCardOrder) {
   // the cards run. The pins below are that story for card-order execution:
   // stalls, delays and corrupted-then-retried PCIe transfers that change
   // timing but never the solution.
-  const auto p = small_problem(4);
+  // The grid is large enough that two cards running at once would
+  // interleave their rolls.
+  core::JacobiProblem p = small_problem(4);
+  p.width = 256;
+  p.height = 512;
   sim::FaultConfig fc;
   fc.seed = 7;
-  fc.mover_stall_prob = 0.02;
-  fc.noc_delay_prob = 0.02;
+  fc.mover_stall_prob = 0.05;
+  fc.noc_delay_prob = 0.05;
   fc.pcie_corrupt_prob = 0.25;
   const auto plan = std::make_shared<sim::FaultPlan>(fc);
   ttmetal::DeviceConfig dc;
@@ -223,17 +231,90 @@ TEST(Sharded, SharedFaultPlanReplaysInCardOrder) {
   dc.fault_plan = plan;
   auto cluster = core::ShardedCluster::open(2, {}, dc);
   core::ShardedRunConfig cfg;
-  cfg.run.cores_y = 2;
+  cfg.run.cores_y = 4;
   cfg.exchange_every = 2;
   const auto devs = cluster.devices();
   const auto r = core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg);
 
   EXPECT_EQ(r.solution, single_card_solution(p, cfg.run));
-  EXPECT_EQ(plan->trace().size(), 12u);
-  EXPECT_EQ(fnv1a(plan->trace_string()), 9030628765422980538ull);
-  EXPECT_EQ(r.kernel_time, 151497078);
-  EXPECT_EQ(r.exchange_time, 10019200);
-  EXPECT_EQ(r.total_time, 1292207478);
+  EXPECT_EQ(plan->trace().size(), 411u);
+  EXPECT_EQ(fnv1a(plan->trace_string()), 17198436813738895156ull);
+  EXPECT_EQ(r.kernel_time, 921799232);
+  EXPECT_EQ(r.exchange_time, 10057600);
+  EXPECT_EQ(r.total_time, 2014234432);
+}
+
+/// Bit patterns of a solution, so that -0 and +0 compare unequal.
+std::vector<std::uint32_t> bits_of(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out;
+  for (const float x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+TEST(Sharded, CardThreadsRunInTheCallersRoundingMode) {
+  // A uniform field under a zero-sum stencil cancels exactly: x + (-x) is
+  // -0 when rounding toward negative infinity and +0 in every other mode.
+  // That sign is the one place the float rounding mode shows in BF16 tile
+  // math (add, sub and mul of BF16 operands are otherwise exact or round
+  // the same way in every mode), so FE_DOWNWARD proves that each card's
+  // kernels run under the caller's MXCSR, whichever host thread runs them.
+  core::StencilProblem sp;
+  sp.width = 64;
+  sp.height = 30;
+  sp.iterations = 3;
+  sp.stencil = {1.0f, -0.25f, -0.25f, -0.25f, -0.25f};
+  sp.initial = 0.5f;
+  sp.bc_left = sp.bc_right = sp.bc_top = sp.bc_bottom = 0.5f;
+  const auto g = core::to_general(sp);
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 1;
+  struct RestoreNearest {
+    ~RestoreNearest() { std::fesetround(FE_TONEAREST); }
+  } restore;
+  auto solve = [&](int mode, int cards) {
+    EXPECT_EQ(std::fesetround(mode), 0);
+    const auto r = core::run_general_sharded(g, cards, cfg);
+    std::fesetround(FE_TONEAREST);
+    return bits_of(r.solution);
+  };
+  const auto nearest = solve(FE_TONEAREST, 1);
+  for (const int mode : {FE_UPWARD, FE_DOWNWARD}) {
+    SCOPED_TRACE("rounding mode " + std::to_string(mode));
+    const auto one = solve(mode, 1);
+    EXPECT_EQ(solve(mode, 2), one);
+    EXPECT_EQ(solve(mode, 3), one);
+    if (mode == FE_DOWNWARD) {
+      EXPECT_NE(one, nearest);
+    } else {
+      EXPECT_EQ(one, nearest);
+    }
+  }
+}
+
+TEST(Sharded, TracedFourCardSolveRepeatsExactly) {
+  // The cards' host threads interleave differently on every run; nothing
+  // they record may depend on it.
+  const auto p = small_problem(3);
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 2;
+  ttmetal::DeviceConfig dc;
+  dc.enable_trace = true;
+  sim::ChipLinkConfig link;
+  link.enable_trace = true;
+  std::vector<std::uint64_t> first;
+  for (int rep = 0; rep < 20; ++rep) {
+    auto cluster = core::ShardedCluster::open(4, {}, dc, link);
+    const auto devs = cluster.devices();
+    core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg);
+    std::vector<std::uint64_t> hashes;
+    for (auto* dev : devs) hashes.push_back(dev->trace()->hash());
+    hashes.push_back(cluster.fabric->trace()->hash());
+    if (rep == 0) {
+      first = hashes;
+    } else {
+      ASSERT_EQ(hashes, first) << "repeat " << rep;
+    }
+  }
 }
 
 TEST(Sharded, RejectsInfeasibleDecompositions) {
