@@ -1,15 +1,16 @@
 /// \file micro_primitives.cpp
 /// google-benchmark microbenchmarks of the simulator's primitives: these
 /// measure *host* cost of the simulation machinery (events/second, fiber
-/// switches, BF16 arithmetic, PCIe staging), which bounds how large an
-/// experiment the reproduction can run. They complement the table benches,
-/// which report *simulated* time.
+/// switches, BF16 arithmetic, PCIe staging, a sharded solve over host
+/// threads), which bounds how large an experiment the reproduction can run.
+/// They complement the table benches, which report *simulated* time.
 
 #include <benchmark/benchmark.h>
 
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/common/rng.hpp"
 #include "ttsim/core/problem.hpp"
+#include "ttsim/core/sharded.hpp"
 #include "ttsim/sim/fpu.hpp"
 #include "ttsim/sim/sync.hpp"
 #include "ttsim/stream/stream_bench.hpp"
@@ -158,6 +159,34 @@ void BM_PcieRoundTrip(benchmark::State& state, bool checksum) {
 }
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_off, false);
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_on, true);
+
+// Host cost of one small deep-halo sharded Jacobi solve (cluster open,
+// staging, 4 epochs with halo exchanges, readback) over N cards, each card
+// on its own host thread. Items are grid-point updates per wall second.
+void BM_ShardedSolve(benchmark::State& state) {
+  const int cards = static_cast<int>(state.range(0));
+  core::JacobiProblem p;
+  p.width = 512;
+  p.height = 256;
+  p.iterations = 4;
+  p.bc_left = 1.0f;
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_x = 4;
+  cfg.run.cores_y = 4;
+  cfg.exchange_every = 1;
+  for (auto _ : state) {
+    const auto r = core::run_jacobi_sharded(p, cards, cfg);
+    benchmark::DoNotOptimize(r.total_time);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.total_updates()));
+}
+BENCHMARK(BM_ShardedSolve)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

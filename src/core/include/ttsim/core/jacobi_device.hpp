@@ -152,7 +152,8 @@ DeviceRunResult run_jacobi_on_device(const JacobiProblem& p, const DeviceRunConf
 /// Multi-card scaling (paper Section VII, e150 x2 / x4): the domain is split
 /// in Y across independent cards. Cards cannot exchange halos (the paper
 /// notes the answer is therefore not strictly correct); each card treats its
-/// cut edges as fixed boundaries. Returns per-card maximum runtime.
+/// cut edges as fixed boundaries. Returns per-card maximum runtime. Each
+/// card runs on its own host thread.
 struct MultiCardResult {
   SimTime kernel_time = 0;  ///< max over cards
   SimTime total_time = 0;

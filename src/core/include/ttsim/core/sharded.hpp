@@ -23,6 +23,12 @@
 /// fast-forwarded to the cluster clock before its launch), the epoch ends at
 /// the slowest card, link transfers serialise on the fabric's per-link
 /// timelines from that point, and the delivery time starts the next epoch.
+///
+/// Host execution: staging, each epoch's launches and readback run one host
+/// thread per card; clock maxima and the exchange run on the caller's
+/// thread after the join. Cards with a fault plan or a watchdog run in card
+/// order on the caller's thread instead (DESIGN.md, *Host threads*). Results,
+/// times and traces are identical either way.
 
 #include <cstdint>
 #include <memory>

@@ -1,8 +1,10 @@
 #include "ttsim/core/jacobi_device.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
+#include "card_threads.hpp"
 #include "ir_frontend.hpp"
 #include "jacobi_internal.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
@@ -324,20 +326,30 @@ MultiCardResult run_jacobi_multicard(const JacobiProblem& p, int cards,
   }
   MultiCardResult result;
   result.cards = cards;
+  std::vector<std::unique_ptr<ttmetal::Device>> owned;
+  std::vector<ttmetal::Device*> devices;
+  for (int card = 0; card < cards; ++card) {
+    owned.push_back(ttmetal::Device::open(spec));
+    devices.push_back(owned.back().get());
+  }
+  std::vector<SimTime> kernel(static_cast<std::size_t>(cards));
+  std::vector<SimTime> total(static_cast<std::size_t>(cards));
   const std::uint32_t base = p.height / static_cast<std::uint32_t>(cards);
   const std::uint32_t extra = p.height % static_cast<std::uint32_t>(cards);
-  for (int card = 0; card < cards; ++card) {
+  detail::for_each_card(devices, [&](int card) {
     JacobiProblem slab = p;
     slab.height = base + (static_cast<std::uint32_t>(card) < extra ? 1 : 0);
     // Cards cannot exchange halos (paper Section VII): interior cut edges
     // see the frozen initial guess as their boundary condition.
     if (card > 0) slab.bc_top = p.initial;
     if (card < cards - 1) slab.bc_bottom = p.initial;
-    auto device = ttmetal::Device::open(spec);
-    const auto r = run_jacobi_on_device(*device, slab, cfg);
-    result.kernel_time = std::max(result.kernel_time, r.kernel_time);
-    result.total_time = std::max(result.total_time, r.total_time);
-  }
+    const auto r = run_jacobi_on_device(*devices[static_cast<std::size_t>(card)],
+                                        slab, cfg);
+    kernel[static_cast<std::size_t>(card)] = r.kernel_time;
+    total[static_cast<std::size_t>(card)] = r.total_time;
+  });
+  result.kernel_time = *std::max_element(kernel.begin(), kernel.end());
+  result.total_time = *std::max_element(total.begin(), total.end());
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "card_threads.hpp"
 #include "ttsim/common/check.hpp"
 #include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/stencil.hpp"
@@ -153,6 +154,8 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   // "this call occupied the group for total_time" reading.
   SimTime begin = 0;
   for (auto* dev : devices) begin = std::max(begin, dev->now());
+  // Every card is checked before any is touched, so a rejected run leaves
+  // the whole cluster as it was.
   std::vector<CardState> state(static_cast<std::size_t>(cards));
   for (int c = 0; c < cards; ++c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
@@ -166,7 +169,9 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
                       << " usable workers but the run config needs " << ncores);
     }
     cs.cores.assign(usable.begin(), usable.begin() + ncores);
-
+  }
+  detail::for_each_card(devices, [&](int c) {
+    CardState& cs = state[static_cast<std::size_t>(c)];
     const ttmetal::BufferConfig bc =
         job.general != nullptr
             ? batch_grid_buffer_config(cfg.run, slab_general(cs, 1).geometry())
@@ -193,7 +198,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
         cs.b.push_back(nullptr);
       }
     }
-  }
+  });
 
   ShardedRunResult result;
   result.cards = cards;
@@ -208,8 +213,8 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     const int klaunch = std::min(k, job.iterations - done);
     ++result.epochs;
 
-    SimTime epoch_kernel = 0;
-    for (auto& cs : state) {
+    detail::for_each_card(devices, [&](int c) {
+      CardState& cs = state[static_cast<std::size_t>(c)];
       cs.dev->hw().engine().run_until(cluster);
       ttmetal::Program prog;
       const DeviceRunConfig lc = launch_cfg(klaunch);
@@ -250,12 +255,14 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
                                        {slot});
       }
       cs.dev->run_program(prog);
+    });
+    SimTime epoch_kernel = 0;
+    SimTime epoch_end = 0;
+    for (const auto& cs : state) {
       epoch_kernel = std::max(epoch_kernel, cs.dev->last_kernel_duration());
+      epoch_end = std::max(epoch_end, cs.dev->now());
     }
     result.kernel_time += epoch_kernel;
-
-    SimTime epoch_end = 0;
-    for (auto& cs : state) epoch_end = std::max(epoch_end, cs.dev->now());
 
     // Parity: a row-chunk launch flips buffers once per iteration; a
     // temporal launch is a single DRAM pass however deep the chain is.
@@ -322,7 +329,9 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   }
 
   // --- readback (PCIe, per card in parallel) and assembly ---
-  for (auto& cs : state) {
+  // Each card copies its own owned rows: disjoint ranges of the image.
+  detail::for_each_card(devices, [&](int c) {
+    CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev->hw().engine().run_until(cluster);
     const int f = job.written;
     auto* res = (swapped ? cs.b[static_cast<std::size_t>(f)]
@@ -338,7 +347,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
                 out.data() +
                     static_cast<std::size_t>(cs.slab.e_top + 1) * global.row_elems(),
                 static_cast<std::size_t>(owned) * row_bytes);
-  }
+  });
   SimTime end = cluster;
   for (auto& cs : state) end = std::max(end, cs.dev->now());
   result.total_time = end - begin;

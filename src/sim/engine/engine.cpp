@@ -33,11 +33,19 @@ Process* Engine::spawn(std::string name, std::function<void()> fn,
 
 void Engine::schedule_at(SimTime t, std::function<void()> cb) {
   TTSIM_CHECK_MSG(t >= now_, "cannot schedule an event in the simulated past");
-  queue_.push(Event{t, next_seq_++, nullptr, std::move(cb)});
+  auto slot = static_cast<std::uint32_t>(callbacks_.size());
+  if (free_slots_.empty()) {
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+  }
+  queue_.push(Event{t, next_seq_++, nullptr, slot});
 }
 
 void Engine::push_wakeup(Process* p, SimTime t) {
-  queue_.push(Event{t, next_seq_++, p, nullptr});
+  queue_.push(Event{t, next_seq_++, p, 0});
 }
 
 Process& Engine::current() {
@@ -60,7 +68,7 @@ void Engine::block_current() {
   // Woken: dispatch() restored current_ and state before resuming us.
 }
 
-void Engine::dispatch(Event& ev) {
+void Engine::dispatch(const Event& ev) {
   now_ = ev.time;
   ++events_processed_;
   if (ev.process != nullptr) {
@@ -79,14 +87,18 @@ void Engine::dispatch(Event& ev) {
       p->state_ = Process::State::kBlocked;
     }
   } else {
-    ev.callback();
+    // Moved out first: the callback may schedule callbacks, which can reuse
+    // the slot or grow callbacks_.
+    const std::function<void()> cb = std::move(callbacks_[ev.slot]);
+    free_slots_.push_back(ev.slot);
+    cb();
   }
 }
 
 void Engine::run() {
   TTSIM_CHECK_MSG(current_ == nullptr, "Engine::run() called from inside a process");
   while (!queue_.empty()) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Event ev = queue_.top();
     queue_.pop();
     dispatch(ev);
   }
@@ -101,7 +113,7 @@ SimTime Engine::next_event_time() const {
 bool Engine::step() {
   TTSIM_CHECK_MSG(current_ == nullptr, "Engine::step() called from inside a process");
   if (queue_.empty()) return false;
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  const Event ev = queue_.top();
   queue_.pop();
   dispatch(ev);
   return true;
@@ -119,7 +131,7 @@ void Engine::throw_deadlock(const std::string& diagnosis) const {
 bool Engine::run_until(SimTime deadline) {
   TTSIM_CHECK_MSG(current_ == nullptr, "Engine::run_until() called from inside a process");
   while (!queue_.empty() && queue_.top().time <= deadline) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Event ev = queue_.top();
     queue_.pop();
     dispatch(ev);
   }
@@ -131,7 +143,7 @@ bool Engine::run_until_done(SimTime deadline) {
   TTSIM_CHECK_MSG(current_ == nullptr,
                   "Engine::run_until_done() called from inside a process");
   while (!queue_.empty() && queue_.top().time <= deadline) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    const Event ev = queue_.top();
     queue_.pop();
     dispatch(ev);
   }

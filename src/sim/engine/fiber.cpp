@@ -109,10 +109,10 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 // TSan's model is different: one shadow context per fiber, created/destroyed
 // explicitly, with __tsan_switch_to_fiber called immediately before each
 // switch. Without it TSan attributes the fiber's accesses to the
-// scheduler's stack and dies on its own bookkeeping. The simulator is
-// single-threaded; the annotations only keep TSan's per-"thread" state
-// coherent so the rest of the build (host code, future threaded frontends)
-// can be checked.
+// scheduler's stack and dies on its own bookkeeping. Each engine runs on
+// one host thread at a time (a sharded solve runs each card's engine on its
+// own thread); the annotations keep TSan's per-"thread" state coherent so
+// the host code around the engines can be checked.
 #if defined(__SANITIZE_THREAD__)
 #define TTSIM_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -247,6 +247,9 @@ void Fiber::resume() {
 #endif
   running_ = false;
   t_current_fiber = prev;
+  // A finished fiber never runs again: its stack goes back now, not when the
+  // Fiber is destroyed (an engine keeps every process it has spawned).
+  if (finished_) stack_.reset();
 }
 
 void Fiber::yield() {

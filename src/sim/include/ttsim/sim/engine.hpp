@@ -7,13 +7,15 @@
 /// primitives in sync.hpp; hardware resources (DRAM banks, NoC links)
 /// schedule plain callbacks. The scheduler is single-threaded and orders
 /// events by (time, insertion sequence), so identical inputs always produce
-/// identical simulated timelines.
+/// identical simulated timelines. Distinct engines share no state, so each
+/// may run on its own host thread.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ttsim/common/units.hpp"
@@ -148,12 +150,16 @@ class Engine {
  private:
   friend class WaitQueue;
 
+  /// A queued event is a plain 32-byte record, so heap sifts copy it
+  /// cheaply: a wakeup names its process; a callback names a slot in
+  /// callbacks_, which dispatch() frees before invoking the callback.
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    Process* process;                 // wakeup if non-null ...
-    std::function<void()> callback;   // ... else callback
+    Process* process;    // wakeup if non-null ...
+    std::uint32_t slot;  // ... else index into callbacks_
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -162,7 +168,7 @@ class Engine {
   };
 
   void push_wakeup(Process* p, SimTime t);
-  void dispatch(Event& ev);
+  void dispatch(const Event& ev);
   /// Block the current process; returns when another event wakes it.
   void block_current();
 
@@ -172,6 +178,8 @@ class Engine {
   Process* current_ = nullptr;
   std::vector<std::unique_ptr<Process>> processes_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace ttsim::sim

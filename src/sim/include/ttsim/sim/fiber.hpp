@@ -26,6 +26,7 @@ class Fiber {
  public:
   /// \param entry    Function executed on the fiber's stack.
   /// \param stack_bytes Stack size; kernels using deep recursion should raise it.
+  ///        The stack is freed as soon as the fiber finishes.
   explicit Fiber(std::function<void()> entry, std::size_t stack_bytes = 128 * 1024);
   ~Fiber();
 
