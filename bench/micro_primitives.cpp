@@ -1,14 +1,16 @@
 /// \file micro_primitives.cpp
 /// google-benchmark microbenchmarks of the simulator's primitives: these
 /// measure *host* cost of the simulation machinery (events/second, fiber
-/// switches, BF16 arithmetic, PCIe staging, a sharded solve over host
-/// threads), which bounds how large an experiment the reproduction can run.
-/// They complement the table benches, which report *simulated* time.
+/// switches, BF16 arithmetic, PCIe staging, a solve on a fresh card, a
+/// sharded solve over host threads), which bounds how large an experiment
+/// the reproduction can run. They complement the table benches, which
+/// report *simulated* time.
 
 #include <benchmark/benchmark.h>
 
 #include "ttsim/bfloat/bfloat16.hpp"
 #include "ttsim/common/rng.hpp"
+#include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/problem.hpp"
 #include "ttsim/core/sharded.hpp"
 #include "ttsim/sim/fpu.hpp"
@@ -159,6 +161,32 @@ void BM_PcieRoundTrip(benchmark::State& state, bool checksum) {
 }
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_off, false);
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_on, true);
+
+// Host cost of a solve on a fresh card: open an e150 and run the 108-core
+// row-chunk Jacobi (Table VIII's full-card decomposition) on a grid only 24
+// rows tall, so each core's first touch of its SRAM and the card's setup
+// weigh as much as the sweep itself. Items are grid-point updates.
+void BM_FreshCardSolve(benchmark::State& state) {
+  core::JacobiProblem p;
+  p.width = 9216;
+  p.height = 24;
+  p.iterations = 1;
+  p.bc_left = 1.0f;
+  core::DeviceRunConfig cfg;
+  cfg.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.cores_y = 12;
+  cfg.cores_x = 9;
+  cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
+  cfg.verify = false;
+  for (auto _ : state) {
+    auto dev = ttmetal::Device::open();
+    const auto r = core::run_jacobi_on_device(*dev, p, cfg);
+    benchmark::DoNotOptimize(r.kernel_time);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(p.total_updates()));
+}
+BENCHMARK(BM_FreshCardSolve)->Unit(benchmark::kMillisecond);
 
 // Host cost of one small deep-halo sharded Jacobi solve (cluster open,
 // staging, 4 epochs with halo exchanges, readback) over N cards, each card

@@ -355,12 +355,16 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto fabric_after = fabric.totals();
   result.link_bytes = fabric_after.bytes - fabric_before.bytes;
 
-  for (int f = 0; f < job.nfields; ++f) {
-    result.fields.push_back(
-        global.extract_interior(images[static_cast<std::size_t>(f)]));
+  const auto written = static_cast<std::size_t>(job.written);
+  if (job.general == nullptr) {
+    // Classic Jacobi returns only its solution: extract just that image.
+    result.solution = global.extract_interior(images[written]);
+    return result;
   }
-  result.solution = result.fields[static_cast<std::size_t>(job.written)];
-  if (job.general == nullptr) result.fields.clear();
+  for (const auto& image : images) {
+    result.fields.push_back(global.extract_interior(image));
+  }
+  result.solution = result.fields[written];
   return result;
 }
 

@@ -249,6 +249,8 @@ struct ServiceMetrics {
   std::uint64_t session_cache_hits = 0;
   std::uint64_t session_cache_misses = 0;
   std::uint64_t card_reopens = 0;  ///< devices lost to faults and reopened
+  /// Most requests waiting at once on the simulated timeline, each counted
+  /// from its arrival to its first departure from the queue.
   std::size_t max_queue_depth = 0;
 
   // -- resilience --
@@ -308,7 +310,7 @@ class StencilService {
   /// Final state of a submitted request (ApiError for unknown ids).
   const RequestResult& result(std::uint64_t ticket_id) const;
 
-  const ServiceMetrics& metrics() const { return metrics_; }
+  const ServiceMetrics& metrics() const;
 
   /// Per-request span trace (kServeAdmit .. kServeD2H), when
   /// ServiceConfig::record_spans. Deterministic: byte-identical canonical()
@@ -357,6 +359,9 @@ class StencilService {
   void probe_card(Card& card);
   void note_clean_harvest(Card& card);
   void fail_request(std::uint64_t id, const std::string& why);
+  /// Take `id` out of the pending queue at simulated time `t`; its first
+  /// departure ends the wait that max_queue_depth counts.
+  void dequeue(std::uint64_t id, SimTime t);
   /// Batch slots currently fielded by cards the scheduler may use.
   int active_slots() const;
   /// EWMA-based estimate of when a request admitted now would complete; 0
@@ -390,7 +395,10 @@ class StencilService {
   /// programs already cost a fraction of a Jacobi batch — the hash half of
   /// the key). Estimates read the OPTIMISTIC (minimum) cost across specs.
   std::map<std::pair<std::uint64_t, std::string>, SimTime> ewma_batch_;
-  ServiceMetrics metrics_;
+  /// Net change, by simulated time, in the requests waiting for their first
+  /// dispatch: +1 at arrival, -1 at first departure from the queue.
+  std::map<SimTime, std::int64_t> wait_edges_;
+  mutable ServiceMetrics metrics_;  // max_queue_depth is derived on read
 
   sim::Engine span_engine_;  // never run; clock source for the span sink
   sim::TraceSink spans_;

@@ -81,6 +81,7 @@ struct StencilService::Pending {
   /// previous segment (a different group counts as a migration).
   int shard_cards = 0;
   std::vector<int> group;
+  bool waiting = true;  ///< not yet out of the queue since admission
 };
 
 struct StencilService::Session {
@@ -501,7 +502,7 @@ Ticket StencilService::submit(const Request& request) {
       }
     }
     if (victim != 0) {
-      pending_.erase(std::find(pending_.begin(), pending_.end(), victim));
+      dequeue(victim, service_now_);
       auto& vr = results_.at(victim);
       vr.status = RequestStatus::kRejected;
       vr.retry_after = service_now_ + backpressure_hint();
@@ -532,7 +533,7 @@ Ticket StencilService::submit(const Request& request) {
   p.shard_cards = shard_n;
   requests_.emplace(ticket.id, std::move(p));
   pending_.push_back(ticket.id);
-  metrics_.max_queue_depth = std::max(metrics_.max_queue_depth, pending_.size());
+  ++wait_edges_[request.arrival];
   return ticket;
 }
 
@@ -660,6 +661,16 @@ void StencilService::fail_request(std::uint64_t id, const std::string& why) {
   requests_.erase(id);
 }
 
+void StencilService::dequeue(std::uint64_t id, SimTime t) {
+  pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+  Pending& p = requests_.at(id);
+  if (!p.waiting) return;
+  p.waiting = false;
+  // Leaving at or before arrival (a request shed or failed ahead of its
+  // arrival time) never counted as waiting.
+  --wait_edges_[std::max(t, p.req.arrival)];
+}
+
 bool StencilService::dispatch_on(Card& card) {
   if (pending_.empty() || card.inflight.size() >= kPipelineDepth) return false;
   SimTime t = card.device->now();
@@ -739,7 +750,7 @@ bool StencilService::dispatch_on(Card& card) {
       }
     }
     if (!anyone) {
-      pending_.erase(std::find(pending_.begin(), pending_.end(), head));
+      dequeue(head, t);
       fail_request(head, "no card has enough usable workers for this shape");
       return true;
     }
@@ -765,7 +776,7 @@ bool StencilService::dispatch_on(Card& card) {
   }
   std::vector<std::uint64_t> batch;
   for (std::uint64_t id : members) {
-    pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+    dequeue(id, t);
     const Pending& p = requests_.at(id);
     if (p.req.deadline != 0 && p.req.deadline < t) {
       auto& r = results_.at(id);
@@ -994,7 +1005,7 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     }
   }
   if (possible < n) {
-    pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+    dequeue(id, now());
     fail_request(id, "not enough usable cards left for the sharded group");
     return true;
   }
@@ -1024,7 +1035,7 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   for (Card* c : group) t0 = std::max(t0, c->device->now());
   for (Card* c : group) c->device->hw().engine().run_until(t0);
 
-  pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+  dequeue(id, t0);
   auto& rr = results_.at(id);
   if (p.req.deadline != 0 && p.req.deadline < t0) {
     rr.deadline_missed = true;
@@ -1481,7 +1492,7 @@ bool StencilService::step() {
       if (!any_usable) {
         while (!pending_.empty()) {
           const std::uint64_t id = pending_.front();
-          pending_.pop_front();
+          dequeue(id, now());
           fail_request(id, "no usable card left in the pool");
         }
         progress = true;
@@ -1501,6 +1512,17 @@ const RequestResult& StencilService::result(std::uint64_t ticket_id) const {
   auto it = results_.find(ticket_id);
   if (it == results_.end()) TTSIM_THROW_API("unknown ticket id " << ticket_id);
   return it->second;
+}
+
+const ServiceMetrics& StencilService::metrics() const {
+  // Only requests that have arrived wait: an open-loop trace submitted up
+  // front sits in pending_ long before most of it arrives. Departures and
+  // arrivals at one instant net out, so the peak is a prefix-sum maximum.
+  std::int64_t depth = 0;
+  std::int64_t peak = 0;
+  for (const auto& [t, delta] : wait_edges_) peak = std::max(peak, depth += delta);
+  metrics_.max_queue_depth = static_cast<std::size_t>(peak);
+  return metrics_;
 }
 
 SimTime StencilService::now() const {

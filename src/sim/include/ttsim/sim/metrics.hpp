@@ -25,7 +25,7 @@ struct BankMetrics {
   std::uint64_t requests = 0;    ///< service intervals (one per segment)
   std::uint64_t row_misses = 0;  ///< row re-activations charged
   std::uint64_t bytes = 0;       ///< payload serviced
-  SimTime busy = 0;              ///< total service occupancy
+  SimTime busy = 0;              ///< service occupancy inside the window
   SimTime queue_wait = 0;        ///< total time requests sat queued
   /// Command-stage occupancy under pipelined bank service (zero when the
   /// model runs serialised): processing + row activation overlapping the
@@ -73,7 +73,7 @@ struct MetricsReport {
   SimTime span() const { return window_end - window_begin; }
 
   std::vector<BankMetrics> banks;  ///< indexed by bank id
-  SimTime aggregate_busy = 0;      ///< DDR aggregate-bus occupancy
+  SimTime aggregate_busy = 0;      ///< DDR aggregate-bus occupancy in the window
   std::vector<KernelMetrics> kernels;  ///< in track order (deterministic)
 
   /// NoC traffic, indexed by NoC id.

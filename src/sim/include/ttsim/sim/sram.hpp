@@ -5,9 +5,9 @@
 /// (mirroring tt-metal's L1 allocation): the paper's optimised kernel
 /// allocates a four-batch local buffer here (Section VI).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "ttsim/common/check.hpp"
 #include "ttsim/common/units.hpp"
@@ -17,6 +17,9 @@ namespace ttsim::sim {
 class Sram {
  public:
   explicit Sram(std::uint64_t bytes) : capacity_(bytes) {}
+  ~Sram();
+  Sram(const Sram&) = delete;
+  Sram& operator=(const Sram&) = delete;
 
   /// Allocate `size` bytes aligned to `align`; throws ApiError when the
   /// core's SRAM is exhausted (a real failure mode when sizing CBs).
@@ -40,7 +43,7 @@ class Sram {
   std::byte* data(std::uint32_t offset = 0) {
     ensure_backing();
     TTSIM_CHECK(offset < capacity_);
-    return storage_.data() + offset;
+    return storage_ + offset;
   }
 
   std::uint64_t capacity() const { return capacity_; }
@@ -49,15 +52,17 @@ class Sram {
 
  private:
   void ensure_backing() {
-    // Lazily allocate host memory: a 4-card simulation has 432 cores and we
-    // only pay for those actually used.
-    if (storage_.empty()) storage_.resize(capacity_);
+    if (storage_ == nullptr) map_backing();
   }
+  /// Back the SRAM with its own demand-zero anonymous mapping followed by
+  /// one inaccessible guard page (see sram.cpp).
+  void map_backing();
 
   std::uint64_t capacity_;
   std::uint64_t top_ = 0;
   std::uint64_t high_water_ = 0;
-  std::vector<std::byte> storage_;
+  std::byte* storage_ = nullptr;
+  std::size_t mapped_bytes_ = 0;  // backing plus guard page, for munmap
 };
 
 }  // namespace ttsim::sim

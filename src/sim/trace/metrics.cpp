@@ -116,7 +116,6 @@ MetricsReport build_metrics(const TraceSink& sink, int num_banks) {
         if (BankMetrics* bm = bank(e.a)) {
           bm->requests += 1;
           bm->bytes += e.bytes;
-          bm->busy += e.dur;
         }
         break;
       case TraceEventKind::kDramRowMiss:
@@ -127,9 +126,6 @@ MetricsReport build_metrics(const TraceSink& sink, int num_banks) {
           bm->pipe_busy += e.dur;
           bm->pipe_segments += 1;
         }
-        break;
-      case TraceEventKind::kDramAggregate:
-        rep.aggregate_busy += e.dur;
         break;
       case TraceEventKind::kNocTransfer: {
         const std::size_t n = noc(e.a);
@@ -156,6 +152,20 @@ MetricsReport build_metrics(const TraceSink& sink, int num_banks) {
   } else if (have_any) {
     rep.window_begin = first_ts;
     rep.window_end = last_ts;
+  }
+
+  // Occupancy counts only inside the window it is divided by: service still
+  // draining after the last kernel ends would read a bank above 100% busy.
+  const auto inside = [&rep](const TraceEvent& e) {
+    return std::max<SimTime>(0, std::min(e.ts + e.dur, rep.window_end) -
+                                    std::max(e.ts, rep.window_begin));
+  };
+  for (const TraceEvent& e : sink.events()) {
+    if (e.kind == TraceEventKind::kDramService) {
+      if (BankMetrics* bm = bank(e.a)) bm->busy += inside(e);
+    } else if (e.kind == TraceEventKind::kDramAggregate) {
+      rep.aggregate_busy += inside(e);
+    }
   }
 
   for (auto& [track, k] : kernels) {

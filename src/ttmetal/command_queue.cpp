@@ -23,13 +23,32 @@ void CommandQueue::enqueue_write_buffer(Buffer& buffer, std::span<const std::byt
   c->kind = Command::Kind::kWrite;
   c->buffer = &buffer;
   c->offset = offset;
-  c->data.assign(data.begin(), data.end());
+  if (blocking) {
+    c->data = data;
+  } else {
+    c->owned.assign(data.begin(), data.end());
+    c->data = c->owned;
+  }
   if (device_.config_.checksum_transfers) c->sent_crc = crc32(data);
   c->duration = device_.spec().pcie_latency +
                 transfer_time(data.size(), device_.spec().pcie_gbs);
+  Command* const write = c.get();
   commands_.push_back(std::move(c));
   pump();
-  if (blocking) finish();
+  if (!blocking) return;
+  try {
+    finish();
+  } catch (...) {
+    // Another command's error surfaced while this write was still queued or
+    // on the bus. It outlives this call, so it must stop reading the
+    // caller's bytes: hand it a copy, exactly as a non-blocking write holds.
+    if (std::any_of(commands_.begin(), commands_.end(),
+                    [write](const auto& queued) { return queued.get() == write; })) {
+      write->owned.assign(data.begin(), data.end());
+      write->data = write->owned;
+    }
+    throw;
+  }
 }
 
 void CommandQueue::enqueue_read_buffer(Buffer& buffer, std::span<std::byte> out,

@@ -16,8 +16,10 @@
 ///
 /// Lifetime: the caller keeps the Buffer (and, for reads, the destination
 /// span; for programs, the Program) alive until the command completes —
-/// i.e. until finish()/synchronize() returns. Write payloads are copied at
-/// enqueue time and need not outlive the call.
+/// i.e. until finish()/synchronize() returns. A non-blocking write copies
+/// its payload at enqueue time, so the source need not outlive the call; a
+/// blocking write lands straight from the caller's bytes, which it only
+/// reads, and returns once they are no longer needed.
 
 #include <cstdint>
 #include <deque>
@@ -68,8 +70,9 @@ class CommandQueue {
   CommandQueue(const CommandQueue&) = delete;
   CommandQueue& operator=(const CommandQueue&) = delete;
 
-  /// Copy `data` into buffer at `offset` (payload captured at enqueue).
-  /// blocking = true waits for this queue to drain (enqueue + finish).
+  /// Copy `data` into buffer at `offset`. blocking = true waits for this
+  /// queue to drain (enqueue + finish) and reads `data` in place; a
+  /// non-blocking write captures a copy of it at enqueue.
   void enqueue_write_buffer(Buffer& buffer, std::span<const std::byte> data,
                             bool blocking, std::uint64_t offset = 0);
   /// Read into `out` (which must stay alive until the command completes).
@@ -119,7 +122,9 @@ class CommandQueue {
     // Transfers.
     Buffer* buffer = nullptr;
     std::uint64_t offset = 0;
-    std::vector<std::byte> data;  // write payload (copied at enqueue)
+    // Write payload: the caller's bytes for a blocking write, else `owned`.
+    std::span<const std::byte> data;
+    std::vector<std::byte> owned;  // the payload, when it may outlive the caller's
     std::span<std::byte> out;     // read destination (caller-owned)
     SimTime duration = 0;         // per-attempt PCIe time
     int attempt = 0;

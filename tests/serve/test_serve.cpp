@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
 #include "ttsim/serve/serve.hpp"
+#include "ttsim/sim/trace.hpp"
 
 namespace ttsim::serve {
 namespace {
@@ -408,6 +410,43 @@ TEST(Serve, MultiCardPoolSharesLoad) {
   for (const auto& t : tickets) cards_used.push_back(svc.result(t.id).card);
   EXPECT_NE(std::count(cards_used.begin(), cards_used.end(), 0), 0);
   EXPECT_NE(std::count(cards_used.begin(), cards_used.end(), 1), 0);
+}
+
+// Most requests waiting at once on the simulated timeline, from the
+// queue-wait spans (admission -> dispatch); departures first at equal times.
+std::size_t most_waiting(const sim::TraceSink& spans) {
+  std::vector<std::pair<SimTime, int>> edges;
+  for (const sim::TraceEvent& e : spans.events()) {
+    if (e.kind != sim::TraceEventKind::kServeQueueWait) continue;
+    edges.emplace_back(e.ts, 1);
+    edges.emplace_back(e.ts + e.dur, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int depth = 0;
+  int peak = 0;
+  for (const auto& [t, d] : edges) peak = std::max(peak, depth += d);
+  return static_cast<std::size_t>(peak);
+}
+
+TEST(ServiceMetrics, MaxQueueDepthCountsOnlyArrivedRequests) {
+  // An open-loop trace submitted up front: every request is in the queue
+  // before the first dispatch, but a request waits only from its arrival.
+  ServiceConfig cfg = base_config();
+  cfg.record_spans = true;
+  StencilService svc(cfg);
+  constexpr int kRequests = 40;
+  for (int i = 0; i < kRequests; ++i) {
+    Request req;
+    req.problem = small_problem(0.25f + 0.01f * static_cast<float>(i));
+    req.tenant = i % 4;
+    req.arrival = static_cast<SimTime>(i) * 40 * kMicrosecond;
+    ASSERT_EQ(svc.submit(req).status, RequestStatus::kQueued);
+  }
+  svc.drain();
+  const std::size_t from_spans = most_waiting(svc.spans());
+  ASSERT_GT(from_spans, 1u);
+  ASSERT_LT(from_spans, static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(svc.metrics().max_queue_depth, from_spans);
 }
 
 TEST(ServiceMetrics, PercentileIsNearestRank) {

@@ -54,6 +54,34 @@ TEST(Sram, HighWaterTracksPeak) {
   EXPECT_EQ(s.high_water(), 512u);
 }
 
+TEST(Sram, FreshSramReadsZeroAtBothEnds) {
+  Sram s(1 * MiB);
+  s.allocate(64);
+  EXPECT_EQ(s.data(0)[0], std::byte{0});
+  EXPECT_EQ(s.data(static_cast<std::uint32_t>(s.capacity() - 1))[0], std::byte{0});
+}
+
+TEST(Sram, ContentsSurviveReset) {
+  Sram s(1 * MiB);
+  const auto off = s.allocate(64);
+  s.data(off)[7] = std::byte{0xA5};
+  s.reset();
+  EXPECT_EQ(s.allocate(64), off);
+  EXPECT_EQ(s.data(off)[7], std::byte{0xA5});
+}
+
+TEST(SramDeathTest, ReadPastTheTopHitsTheGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Sram s(1 * MiB);
+  const std::byte* top = s.data(static_cast<std::uint32_t>(s.capacity() - 1)) + 1;
+  EXPECT_DEATH(
+      {
+        const volatile std::byte* p = top;
+        static_cast<void>(*p);
+      },
+      "");
+}
+
 TEST(Sram, DataIsWritable) {
   Sram s(1024);
   const auto off = s.allocate(64);

@@ -105,6 +105,37 @@ TEST(Attribution, Table7SingleBankSaturatesAtTwoCores) {
   EXPECT_GT(bank_util(2), 0.85);
 }
 
+// Paper Table VIII's 108-core row saturates its busiest bank. Service that
+// drains after the last kernel ends lies outside the window the busy time is
+// divided by, so it must not count: every utilisation is a fraction.
+TEST(Attribution, Table8FullCardUtilisationsAreFractions) {
+  auto dev = ttmetal::Device::open({}, traced_config());
+  core::JacobiProblem p;
+  p.width = 9216;
+  p.height = 1024;
+  p.iterations = 1;
+  p.bc_left = 1.0f;
+  core::DeviceRunConfig cfg;
+  cfg.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.cores_y = 12;
+  cfg.cores_x = 9;
+  cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
+  cfg.verify = false;
+  dev->trace()->clear();
+  core::run_jacobi_on_device(*dev, p, cfg);
+
+  const sim::MetricsReport m = dev->metrics();
+  ASSERT_EQ(m.banks.size(), static_cast<std::size_t>(dev->spec().dram_banks));
+  for (std::size_t b = 0; b < m.banks.size(); ++b) {
+    EXPECT_GE(m.bank_utilization(b), 0.0) << "bank " << b;
+    EXPECT_LE(m.bank_utilization(b), 1.0) << "bank " << b;
+  }
+  EXPECT_GE(m.aggregate_utilization(), 0.0);
+  EXPECT_LE(m.aggregate_utilization(), 1.0);
+  // The row is DRAM-bound: its busiest bank is nearly always busy.
+  EXPECT_GT(m.max_bank_utilization(), 0.95);
+}
+
 TEST(Attribution, FaultInjectionsMirrorThePlanExactly) {
   sim::FaultConfig fc;
   fc.seed = 23;

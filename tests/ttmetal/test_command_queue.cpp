@@ -3,10 +3,12 @@
 /// transfer chain's checksum/retry contract.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ttsim/sim/fault.hpp"
@@ -304,11 +306,20 @@ std::vector<std::size_t> differing_offsets(const std::vector<std::byte>& a,
   return at;
 }
 
+// A blocking write lands straight from the caller's bytes and only reads
+// them: here they sit on a read-only page, so a write into them (say, of the
+// corrupted byte) would fault.
 TEST(PcieTransfer, ChecksummedWriteRetriesPastOneCorruption) {
   auto dev = open_faulty(kCorruptOnceSeed, 0.5, /*checksum=*/true);
   const auto data = pattern(kStagedBytes);
+  void* page = mmap(nullptr, kStagedBytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  std::memcpy(page, data.data(), kStagedBytes);
+  ASSERT_EQ(mprotect(page, kStagedBytes, PROT_READ), 0);
   auto buf = dev->create_buffer({.size = kStagedBytes});
-  dev->write_buffer(*buf, data);
+  dev->write_buffer(*buf, {static_cast<const std::byte*>(page), kStagedBytes});
+  munmap(page, kStagedBytes);
 
   ASSERT_EQ(pcie_corruptions(*dev->fault_plan()).size(), 1u)
       << dev->fault_plan()->trace_string();
@@ -363,6 +374,51 @@ TEST(PcieTransfer, UncheckedTransfersDeliverTheCorruptedByte) {
   EXPECT_EQ(hits[1]->addr, read_diff[0]);
   EXPECT_EQ(dev->transfer_retries(), 0u);
   EXPECT_EQ(dev->pcie_time(), 2 * attempt_time(*dev, kStagedBytes));
+}
+
+// Once a blocking write has thrown, nothing holds the caller's bytes: they
+// are freed before the queues are cancelled and the card is torn down (a
+// stray read is a heap-use-after-free under the sanitize preset).
+TEST(PcieTransfer, FailedBlockingWriteKeepsNoHoldOnTheCallersBytes) {
+  auto dev = open_faulty(/*seed=*/9, 1.0, /*checksum=*/true);
+  auto buf = dev->create_buffer({.size = kStagedBytes});
+  auto data = std::make_unique<std::vector<std::byte>>(pattern(kStagedBytes));
+  EXPECT_THROW(dev->write_buffer(*buf, *data), TransferError);
+  EXPECT_EQ(dev->transfer_retries(),
+            static_cast<std::uint64_t>(dev->config().transfer_max_retries));
+  data.reset();
+  EXPECT_EQ(dev->cancel_queues(), 0u);
+  EXPECT_EQ(dev->command_queue(0).pending(), 0u);
+  buf.reset();
+  dev.reset();
+}
+
+// Another command's error can surface while a blocking write is still on the
+// bus. The write then outlives the call, so it lands a copy of the payload,
+// not whatever the caller's memory holds afterwards.
+TEST(PcieTransfer, BlockingWriteCutShortByAnotherErrorLandsItsPayload) {
+  auto dev = Device::open();
+  // Longer on the bus than the program's dispatch delay plus its spin.
+  const std::size_t bytes = 16 * MiB;
+  ASSERT_GT(attempt_time(*dev, bytes), dev->spec().program_dispatch + kMicrosecond);
+  auto data = pattern(bytes);
+  const auto original = data;
+  auto buf = dev->create_buffer({.size = bytes});
+  Program faulty;
+  faulty.create_kernel(
+      KernelKind::kDataMover0, {0},
+      [](DataMoverCtx& ctx) {
+        ctx.spin(1 * kMicrosecond);
+        throw std::runtime_error("kernel fault");
+      },
+      "faulty");
+  dev->command_queue(1).enqueue_program(faulty, /*blocking=*/false);
+  EXPECT_THROW(dev->write_buffer(*buf, data), std::runtime_error);
+  auto& cq = dev->command_queue(0);
+  ASSERT_EQ(cq.pending(), 1u);  // the write is still in flight
+  std::fill(data.begin(), data.end(), std::byte{0});
+  cq.finish();
+  EXPECT_EQ(device_bytes(*dev, *buf), original);
 }
 
 TEST(PcieTransfer, NonBlockingWriteLandsThePayloadAsEnqueued) {
