@@ -66,6 +66,30 @@ void BM_ProcessDelayLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessDelayLoop);
 
+// N processes that all delay by the same cost: the lockstep pattern of the
+// convection and Table VIII kernels (324 = 108 cores x reader, compute and
+// writer). Every wakeup but the last of a round hands off from one process
+// to the next. Items are wakeups, spawning included.
+void BM_EngineLockstep(benchmark::State& state) {
+  const int processes = static_cast<int>(state.range(0));
+  constexpr int kDelays = 100;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int p = 0; p < processes; ++p) {
+      engine.spawn(
+          "p",
+          [&engine] {
+            for (int i = 0; i < kDelays; ++i) engine.delay(10);
+          },
+          64 * 1024);
+    }
+    engine.run();
+    benchmark::DoNotOptimize(engine.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * processes * kDelays);
+}
+BENCHMARK(BM_EngineLockstep)->Arg(16)->Arg(324);
+
 void BM_CbProducerConsumer(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

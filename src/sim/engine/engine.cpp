@@ -1,6 +1,7 @@
 #include "ttsim/sim/engine.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace ttsim::sim {
 
@@ -63,60 +64,69 @@ void Engine::delay(SimTime dt) {
 void Engine::block_current() {
   Process& p = current();
   p.state_ = Process::State::kBlocked;
-  current_ = nullptr;
+  // The loop's step, taken here: a wakeup next in line is popped and run
+  // without going back through the scheduler.
+  if (!queue_.empty() && !stop_()) {
+    const Event ev = queue_.top();
+    Process* next = ev.process;
+    if (next != nullptr && !next->finished()) {
+      queue_.pop();
+      now_ = ev.time;
+      ++events_processed_;
+      next->state_ = Process::State::kRunning;
+      current_ = next;
+      if (next != &p) p.fiber_.switch_to(next->fiber_);
+      return;  // woken: whoever resumed us set current_ and our state
+    }
+  }
+  // A callback, a stale wakeup, a true stop condition or an empty queue:
+  // back to the loop, with current_ still naming this process.
   p.fiber_.yield();
-  // Woken: dispatch() restored current_ and state before resuming us.
 }
 
-void Engine::dispatch(const Event& ev) {
-  now_ = ev.time;
-  ++events_processed_;
-  if (ev.process != nullptr) {
+void Engine::run_until_stopped(StopCondition stop) {
+  TTSIM_CHECK_MSG(current_ == nullptr,
+                  "Engine dispatch loop entered from inside a process");
+  struct Install {
+    Engine& engine;
+    StopCondition saved;
+    ~Install() { engine.stop_ = saved; }
+  } install{*this, std::exchange(stop_, stop)};
+  while (!queue_.empty() && !stop()) {
+    const Event ev = queue_.top();
+    queue_.pop();
+    now_ = ev.time;
+    ++events_processed_;
+    if (ev.process == nullptr) {
+      // Moved out first: the callback may schedule callbacks, which can
+      // reuse the slot or grow callbacks_.
+      const std::function<void()> cb = std::move(callbacks_[ev.slot]);
+      free_slots_.push_back(ev.slot);
+      cb();
+      continue;
+    }
     Process* p = ev.process;
-    if (p->finished()) return;  // stale wakeup after completion
+    if (p->finished()) continue;  // stale wakeup after completion
     p->state_ = Process::State::kRunning;
     current_ = p;
     p->fiber_.resume();
-    current_ = nullptr;
-    if (p->fiber_.finished()) {
-      p->state_ = Process::State::kFinished;
-      p->fiber_.rethrow_if_failed();
-    } else if (p->state_ == Process::State::kRunning) {
-      // The fiber yielded without blocking (e.g. via WaitQueue it was already
-      // re-queued); a process that yields must have arranged its own wakeup.
-      p->state_ = Process::State::kBlocked;
+    // Back from p or from a process the handoffs reached since.
+    Process* back = std::exchange(current_, nullptr);
+    if (back->fiber_.finished()) {
+      back->state_ = Process::State::kFinished;
+      back->fiber_.rethrow_if_failed();
     }
-  } else {
-    // Moved out first: the callback may schedule callbacks, which can reuse
-    // the slot or grow callbacks_.
-    const std::function<void()> cb = std::move(callbacks_[ev.slot]);
-    free_slots_.push_back(ev.slot);
-    cb();
   }
 }
 
 void Engine::run() {
-  TTSIM_CHECK_MSG(current_ == nullptr, "Engine::run() called from inside a process");
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
-  }
+  run_until_stopped([]() noexcept { return false; });
   if (unfinished_process_count() > 0) throw_deadlock();
 }
 
 SimTime Engine::next_event_time() const {
   TTSIM_CHECK_MSG(!queue_.empty(), "next_event_time() with no pending events");
   return queue_.top().time;
-}
-
-bool Engine::step() {
-  TTSIM_CHECK_MSG(current_ == nullptr, "Engine::step() called from inside a process");
-  if (queue_.empty()) return false;
-  const Event ev = queue_.top();
-  queue_.pop();
-  dispatch(ev);
-  return true;
 }
 
 void Engine::throw_deadlock(const std::string& diagnosis) const {
@@ -129,24 +139,13 @@ void Engine::throw_deadlock(const std::string& diagnosis) const {
 }
 
 bool Engine::run_until(SimTime deadline) {
-  TTSIM_CHECK_MSG(current_ == nullptr, "Engine::run_until() called from inside a process");
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
-  }
+  const bool done = run_until_done(deadline);
   if (now_ < deadline) now_ = deadline;
-  return unfinished_process_count() == 0;
+  return done;
 }
 
 bool Engine::run_until_done(SimTime deadline) {
-  TTSIM_CHECK_MSG(current_ == nullptr,
-                  "Engine::run_until_done() called from inside a process");
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
-  }
+  run_until_stopped([&]() noexcept { return queue_.top().time > deadline; });
   return unfinished_process_count() == 0;
 }
 

@@ -1,6 +1,7 @@
 #include "ttsim/sim/fiber.hpp"
 
 #include <cstdint>
+#include <cstring>
 #include <new>
 
 #if !defined(__x86_64__) || defined(_WIN32)
@@ -172,13 +173,27 @@ Fiber::~Fiber() {
 
 Fiber* Fiber::current() { return t_current_fiber; }
 
-void Fiber::run() {
+void Fiber::finish_switch_in(void* fake_stack) {
 #ifdef TTSIM_ASAN_FIBERS
-  // First activation: complete the resumer's start_switch and remember its
-  // stack bounds for the switches back.
-  __sanitizer_finish_switch_fiber(nullptr, &asan_caller_bottom_,
-                                  &asan_caller_size_);
+  // Complete the switcher's start_switch. After a resume() the switcher is
+  // the driver, whose stack bounds the next yield switches back to. After a
+  // switch_to the switcher is another fiber, which already handed on its
+  // driver's bounds, so the switcher's own are dropped.
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (!asan_handed_off_) {
+    asan_caller_bottom_ = bottom;
+    asan_caller_size_ = size;
+  }
+  asan_handed_off_ = false;
+#else
+  (void)fake_stack;
 #endif
+}
+
+void Fiber::run() {
+  finish_switch_in(nullptr);  // first activation: no fake stack yet
   try {
     entry_();
   } catch (const FiberCancelled&) {
@@ -193,7 +208,7 @@ void Fiber::run() {
                                  asan_caller_size_);
 #endif
 #ifdef TTSIM_TSAN_FIBERS
-  // Final exit switches back to the resumer's context; the fiber's own
+  // Final exit switches back to the driver's context; the fiber's own
   // context is destroyed with the Fiber object.
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
@@ -201,30 +216,38 @@ void Fiber::run() {
   // sanitizer annotations above must sit at the real switch point. TSan in
   // particular maintains a per-context shadow call stack via function
   // entry/exit hooks — unwinding run() after the switch annotation would pop
-  // its frame on the *resumer's* shadow stack and corrupt it.
+  // its frame on the *driver's* shadow stack and corrupt it.
   ttsim_fiber_switch(&sp_, return_sp_);
+}
+
+void Fiber::prepare_start(std::uint32_t mxcsr, std::uint16_t x87_cw) {
+  // The first switch pops this frame and returns into ttsim_fiber_start;
+  // rbp = 0 ends frame-pointer walks.
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes_) &
+      ~std::uintptr_t{15};
+  auto* frame =
+      new (reinterpret_cast<void*>(top - sizeof(SwitchFrame))) SwitchFrame{};
+  frame->mxcsr = mxcsr;
+  frame->x87_cw = x87_cw;
+  void (*entry)(Fiber*) = [](Fiber* self) { self->run(); };
+  frame->r12 = reinterpret_cast<void*>(entry);
+  frame->rbx = this;
+  frame->ret = reinterpret_cast<void*>(&ttsim_fiber_start);
+  sp_ = frame;
+  started_ = true;
 }
 
 void Fiber::resume() {
   TTSIM_CHECK_MSG(!running_, "fiber resumed re-entrantly");
   TTSIM_CHECK_MSG(!finished_, "resume() on a finished fiber");
   if (!started_) {
-    // The first switch pops this frame and returns into ttsim_fiber_start.
-    // The fiber starts with the resumer's floating-point control state
-    // (rounding mode, exception masks); rbp = 0 ends frame-pointer walks.
-    const std::uintptr_t top =
-        (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes_) &
-        ~std::uintptr_t{15};
-    auto* frame = new (reinterpret_cast<void*>(top - sizeof(SwitchFrame)))
-        SwitchFrame{};
-    asm volatile("stmxcsr %0\n\tfnstcw %1"
-                 : "=m"(frame->mxcsr), "=m"(frame->x87_cw));
-    void (*entry)(Fiber*) = [](Fiber* self) { self->run(); };
-    frame->r12 = reinterpret_cast<void*>(entry);
-    frame->rbx = this;
-    frame->ret = reinterpret_cast<void*>(&ttsim_fiber_start);
-    sp_ = frame;
-    started_ = true;
+    // A new fiber starts with its resumer's floating-point control state
+    // (rounding mode, exception masks).
+    std::uint32_t mxcsr = 0;
+    std::uint16_t x87_cw = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_cw));
+    prepare_start(mxcsr, x87_cw);
   }
   Fiber* prev = t_current_fiber;
   t_current_fiber = this;
@@ -242,14 +265,17 @@ void Fiber::resume() {
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   ttsim_fiber_switch(&return_sp_, sp_);
+  // Control came back from this fiber or from one it handed off to; either
+  // way the fiber that yielded or finished is still marked current.
+  Fiber* back = t_current_fiber;
 #ifdef TTSIM_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
-  running_ = false;
+  back->running_ = false;
   t_current_fiber = prev;
   // A finished fiber never runs again: its stack goes back now, not when the
   // Fiber is destroyed (an engine keeps every process it has spawned).
-  if (finished_) stack_.reset();
+  if (back->finished_) back->stack_.reset();
 }
 
 void Fiber::yield() {
@@ -262,12 +288,40 @@ void Fiber::yield() {
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
   ttsim_fiber_switch(&sp_, return_sp_);
+  finish_switch_in(asan_fake_stack_);
+  if (cancel_requested_) throw FiberCancelled{};
+}
+
+void Fiber::switch_to(Fiber& next) {
+  TTSIM_CHECK_MSG(t_current_fiber == this,
+                  "switch_to() called from outside the fiber");
+  TTSIM_DCHECK(&next != this && !next.running_ && !next.finished_);
+  if (!next.started_) {
+    // Start `next` with the driver's control words, which the driver's
+    // switch into this fiber saved at return_sp_, not with this fiber's.
+    SwitchFrame driver;
+    std::memcpy(&driver, return_sp_, sizeof driver);
+    next.prepare_start(driver.mxcsr, driver.x87_cw);
+  }
+  // `next` inherits the driver: its yield or finish returns there.
+  next.return_sp_ = return_sp_;
+  running_ = false;
+  next.running_ = true;
+  t_current_fiber = &next;
 #ifdef TTSIM_ASAN_FIBERS
-  // Re-entered: refresh the resumer's bounds (the next yield switches back
-  // to wherever resume() is running now).
-  __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_caller_bottom_,
-                                  &asan_caller_size_);
+  next.asan_caller_bottom_ = asan_caller_bottom_;
+  next.asan_caller_size_ = asan_caller_size_;
+  next.asan_handed_off_ = true;
+  __sanitizer_start_switch_fiber(&asan_fake_stack_, next.stack_.get(),
+                                 next.stack_bytes_);
 #endif
+#ifdef TTSIM_TSAN_FIBERS
+  if (!next.tsan_fiber_) next.tsan_fiber_ = __tsan_create_fiber(0);
+  next.tsan_caller_ = tsan_caller_;
+  __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+  ttsim_fiber_switch(&sp_, next.sp_);
+  finish_switch_in(asan_fake_stack_);
   if (cancel_requested_) throw FiberCancelled{};
 }
 

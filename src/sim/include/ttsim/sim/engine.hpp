@@ -47,6 +47,29 @@ struct WaitSite {
   int id = -1;    ///< cb/semaphore/barrier id or NoC tag, when applicable
 };
 
+/// A non-owning reference to a dispatch loop's stop condition, like a
+/// function_ref to `bool() noexcept`. The loop checks it before every event,
+/// in the scheduler and inside a blocking process about to hand off, so it
+/// must be cheap, must not throw and must outlive the loop. It is only
+/// checked while an event is queued. A default-constructed one always holds.
+class StopCondition {
+ public:
+  StopCondition() = default;
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, StopCondition> &&
+             std::is_nothrow_invocable_r_v<bool, const F&>)
+  StopCondition(const F& f) noexcept  // NOLINT(google-explicit-constructor)
+      : ctx_(&f), fn_([](const void* ctx) noexcept {
+          return (*static_cast<const F*>(ctx))();
+        }) {}
+
+  bool operator()() const noexcept { return fn_(ctx_); }
+
+ private:
+  const void* ctx_ = nullptr;
+  bool (*fn_)(const void*) noexcept = [](const void*) noexcept { return true; };
+};
+
 /// A simulated sequential execution context (one baby-core kernel).
 class Process {
  public:
@@ -95,6 +118,15 @@ class Engine {
     schedule_at(now_ + dt, std::move(cb));
   }
 
+  /// The engine's one dispatch loop: run events in (time, seq) order until
+  /// the queue drains or `stop` holds before the next event. When a process
+  /// blocks and the next event wakes another process, the blocking fiber
+  /// pops it and switches straight to that process (one fiber switch per
+  /// wakeup); when it wakes the blocking process itself, no switch happens
+  /// at all. Callbacks run here, in scheduler context. Rethrows the first
+  /// exception escaping any process, which is then finished.
+  void run_until_stopped(StopCondition stop);
+
   /// Run until every spawned process has finished and no callbacks remain.
   /// Throws CheckError on deadlock (blocked processes with an empty queue)
   /// and rethrows the first exception escaping any process.
@@ -110,17 +142,10 @@ class Engine {
   /// completes keeps an accurate finish time.
   bool run_until_done(SimTime deadline);
 
-  /// --- single-step driving (the ttmetal command-queue layer) ---
   /// Whether any event (wakeup or callback) is queued.
   bool has_pending() const { return !queue_.empty(); }
   /// Simulated time of the next queued event; CHECK-fails when none pending.
   SimTime next_event_time() const;
-  /// Dispatch exactly one event (advancing now() to its time). Returns false
-  /// without doing anything when the queue is empty. Lets a host-side driver
-  /// interleave its own bookkeeping (watchdog deadlines, cross-queue
-  /// ordering) between events while preserving the engine's (time, seq)
-  /// order exactly.
-  bool step();
   /// Throw the same deadlock error run() raises when the queue drains with
   /// unfinished processes: a DeadlockError (a retryable CheckError — see
   /// common/error.hpp). Exposed so external drivers report blocked kernels
@@ -152,7 +177,7 @@ class Engine {
 
   /// A queued event is a plain 32-byte record, so heap sifts copy it
   /// cheaply: a wakeup names its process; a callback names a slot in
-  /// callbacks_, which dispatch() frees before invoking the callback.
+  /// callbacks_, which the loop frees before invoking the callback.
   struct Event {
     SimTime time;
     std::uint64_t seq;
@@ -168,14 +193,19 @@ class Engine {
   };
 
   void push_wakeup(Process* p, SimTime t);
-  void dispatch(const Event& ev);
-  /// Block the current process; returns when another event wakes it.
+  /// Block the current process; returns when another event wakes it. Hands
+  /// off to the next process directly when the next event is a wakeup and
+  /// the stop condition does not hold; otherwise yields to the loop.
   void block_current();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  /// The running process. While the loop's resume() is out, every handoff
+  /// updates it, so when control comes back it names the process that
+  /// yielded or finished.
   Process* current_ = nullptr;
+  StopCondition stop_;  ///< the running loop's; holds outside any loop
   std::vector<std::unique_ptr<Process>> processes_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<std::function<void()>> callbacks_;

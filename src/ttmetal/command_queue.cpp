@@ -100,7 +100,7 @@ void CommandQueue::wait_for_event(const Event& event) {
 }
 
 void CommandQueue::finish() {
-  device_.drive([this] { return commands_.empty(); });
+  device_.drive([this]() noexcept { return commands_.empty(); });
 }
 
 std::size_t CommandQueue::cancel_pending() {

@@ -222,45 +222,44 @@ void Device::synchronize(const Event& event) {
   TTSIM_CHECK_MSG(event.state_->device == this,
                   "synchronize: the event belongs to another device");
   auto state = event.state_;
-  drive([state] { return state->completed; });
+  drive([&state]() noexcept { return state->completed; });
 }
 
-void Device::drive(const std::function<bool()>& done) {
+void Device::drive(sim::StopCondition done) {
   auto& engine = hw_.engine();
-  for (;;) {
-    if (pending_host_error_ != nullptr) {
-      std::exception_ptr error = std::exchange(pending_host_error_, nullptr);
-      std::rethrow_exception(error);
-    }
-    if (done()) return;
-    if (running_ != nullptr && running_->deadline > 0 &&
-        (!engine.has_pending() || engine.next_event_time() > running_->deadline)) {
-      // Watchdog: the next event (if any) lies beyond the deadline, so the
-      // program cannot finish in time — exactly run_until_done's verdict,
-      // with now() left at the last processed event.
-      throw_program_timeout();
-    }
-    if (!engine.has_pending()) {
-      if (running_ != nullptr) {
-        // Unbounded program wedged: report the blocked kernels exactly as
-        // Engine::run() does, plus the wait-for cycle diagnosis (the queue
-        // has drained, so the structural edges are sound).
-        const std::string diagnosis = diagnose_blocked(/*quiescent=*/true).text;
-        fail_running_program();
-        engine.throw_deadlock(diagnosis);
-      }
-      TTSIM_THROW_API(
-          "command queues stalled: commands pending but no simulator events "
-          "remain (waiting on an event that is never recorded?)");
-    }
-    try {
-      engine.step();
-    } catch (...) {
-      // A kernel exception unwound out of the engine.
-      if (running_ != nullptr) fail_running_program();
-      throw;
-    }
+  // Past the watchdog deadline: the program cannot finish in time, exactly
+  // run_until_done's verdict, with now() left at the last processed event.
+  const auto overdue = [&]() noexcept {
+    return running_ != nullptr && running_->deadline > 0 &&
+           (!engine.has_pending() || engine.next_event_time() > running_->deadline);
+  };
+  try {
+    engine.run_until_stopped([&]() noexcept {
+      return pending_host_error_ != nullptr || done() || overdue();
+    });
+  } catch (...) {
+    // A kernel exception unwound out of the engine.
+    if (running_ != nullptr) fail_running_program();
+    throw;
   }
+  if (pending_host_error_ != nullptr) {
+    std::exception_ptr error = std::exchange(pending_host_error_, nullptr);
+    std::rethrow_exception(error);
+  }
+  if (done()) return;
+  if (overdue()) throw_program_timeout();
+  // The queue drained first.
+  if (running_ != nullptr) {
+    // Unbounded program wedged: report the blocked kernels exactly as
+    // Engine::run() does, plus the wait-for cycle diagnosis (the queue has
+    // drained, so the structural edges are sound).
+    const std::string diagnosis = diagnose_blocked(/*quiescent=*/true).text;
+    fail_running_program();
+    engine.throw_deadlock(diagnosis);
+  }
+  TTSIM_THROW_API(
+      "command queues stalled: commands pending but no simulator events "
+      "remain (waiting on an event that is never recorded?)");
 }
 
 void Device::post_host_error(std::exception_ptr error) {
@@ -327,7 +326,7 @@ void Device::run_program(Program& program) {
   // last_kernel_duration included that drain.
   const SimTime deadline =
       config_.sim_time_limit > 0 ? last_launch_start_ + config_.sim_time_limit : 0;
-  drive([&] {
+  drive([&]() noexcept {
     return !engine.has_pending() ||
            (deadline > 0 && engine.next_event_time() > deadline);
   });

@@ -20,6 +20,7 @@
 #include <stdexcept>
 
 #include "ttsim/common/error.hpp"
+#include "ttsim/sim/engine.hpp"
 #include "ttsim/sim/fault.hpp"
 #include "ttsim/sim/metrics.hpp"
 #include "ttsim/sim/tensix_core.hpp"
@@ -239,13 +240,15 @@ class Device {
   void validate_transfer(const Buffer& buffer, std::uint64_t offset, std::size_t size,
                          bool is_write) const;
 
-  /// The central host-side driver: dispatch engine events one at a time
-  /// until `done()` — surfacing queued async errors, enforcing the program
+  /// The central host-side driver: run the engine's dispatch loop until
+  /// `done()` — surfacing queued async errors, enforcing the program
   /// watchdog deadline, and turning a drained queue with a running program
-  /// into the same deadlock CheckError Engine::run() throws. Everything
-  /// (finish, synchronize, the blocking wrappers) funnels through here so
-  /// error semantics are identical on every path.
-  void drive(const std::function<bool()>& done);
+  /// into the same deadlock CheckError Engine::run() throws. The loop stops
+  /// before the first event at which any of those holds; the verdict is
+  /// taken after it returns. Everything (finish, synchronize, the blocking
+  /// wrappers) funnels through here so error semantics are identical on
+  /// every path.
+  void drive(sim::StopCondition done);
   /// Record an async command failure; the first error wins and is rethrown
   /// by the next drive().
   void post_host_error(std::exception_ptr error);

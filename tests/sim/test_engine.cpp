@@ -8,13 +8,20 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ttsim/common/rng.hpp"
+#include "ttsim/sim/sync.hpp"
 
 namespace ttsim::sim {
 namespace {
+
+struct CountsDestruction {
+  int* count;
+  ~CountsDestruction() { ++*count; }
+};
 
 TEST(Fiber, RunsToCompletion) {
   int x = 0;
@@ -131,10 +138,6 @@ TEST(Fiber, RoundingModeStaysWithItsFiber) {
 }
 
 TEST(Fiber, CancelUnwindsParkedStack) {
-  struct CountsDestruction {
-    int* count;
-    ~CountsDestruction() { ++*count; }
-  };
   int destroyed = 0;
   bool ran_past_yield = false;
   Fiber* self = nullptr;
@@ -228,12 +231,21 @@ TEST(Fiber, ThousandFibersInterleaveDeterministically) {
 }
 
 TEST(Fiber, NestedResumeRestoresCurrentOnBothSides) {
+  // resume() returns once control comes back from the fiber it resumed or
+  // from any fiber that one handed off to: here the outer fiber resumes the
+  // inner one, which hands off to a third, whose yield lands in the outer.
   std::vector<Fiber*> observed;
   Fiber* inner_self = nullptr;
   Fiber* outer_self = nullptr;
+  Fiber* third_self = nullptr;
+  Fiber third([&] {
+    observed.push_back(Fiber::current());
+    third_self->yield();  // back to the outer fiber, the inner one's resumer
+    observed.push_back(Fiber::current());
+  });
   Fiber inner([&] {
     observed.push_back(Fiber::current());
-    inner_self->yield();  // back to the outer fiber that resumed it
+    inner_self->switch_to(third);
     observed.push_back(Fiber::current());
   });
   Fiber outer([&] {
@@ -245,16 +257,39 @@ TEST(Fiber, NestedResumeRestoresCurrentOnBothSides) {
   });
   inner_self = &inner;
   outer_self = &outer;
+  third_self = &third;
   outer.resume();
   EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_FALSE(inner.finished());
+  EXPECT_FALSE(third.finished());
   inner.resume();  // this time the scheduler is the inner fiber's resumer
   EXPECT_TRUE(inner.finished());
+  EXPECT_EQ(Fiber::current(), nullptr);
+  third.resume();
+  EXPECT_TRUE(third.finished());
   EXPECT_EQ(Fiber::current(), nullptr);
   outer.resume();
   EXPECT_TRUE(outer.finished());
   EXPECT_EQ(Fiber::current(), nullptr);
-  EXPECT_EQ(observed,
-            (std::vector<Fiber*>{&outer, &inner, &outer, &inner, &outer}));
+  EXPECT_EQ(observed, (std::vector<Fiber*>{&outer, &inner, &third, &outer,
+                                           &inner, &third, &outer}));
+}
+
+TEST(Fiber, HandedOffFiberThatThrowsReturnsToTheDriver) {
+  Fiber* first_self = nullptr;
+  Fiber second([] { throw std::runtime_error("thrown after a handoff"); });
+  Fiber first([&] { first_self->switch_to(second); });
+  first_self = &first;
+  first.resume();
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_TRUE(second.finished());
+  EXPECT_FALSE(second.has_stack());  // freed by the resume() it returned to
+  EXPECT_THROW(second.rethrow_if_failed(), std::runtime_error);
+  EXPECT_FALSE(first.finished());
+  EXPECT_TRUE(first.has_stack());
+  first.resume();  // parked in switch_to: resumes there and finishes
+  EXPECT_TRUE(first.finished());
+  EXPECT_FALSE(first.has_stack());
 }
 
 TEST(Engine, TimeAdvancesWithDelay) {
@@ -401,6 +436,117 @@ TEST(Engine, SpawnFromInsideProcess) {
 TEST(Engine, CurrentOutsideProcessThrows) {
   Engine e;
   EXPECT_THROW(e.current(), CheckError);
+}
+
+TEST(Engine, HandoffStartsANewProcessWithTheDriversRoundingMode) {
+  // MXCSR rounding-control bits; fegetround() reads the x87 control word.
+  constexpr unsigned kRc = 0x6000, kRcUp = 0x4000;
+  struct RestoreNearest {
+    ~RestoreNearest() { std::fesetround(FE_TONEAREST); }
+  } restore;
+  Engine e;
+  int b_round = -1, a_after_delay = -1;
+  unsigned b_rc = 0;
+  e.spawn("a", [&] {
+    std::fesetround(FE_DOWNWARD);
+    e.delay(10);  // b's wakeup is next: a hands off to b, which is new
+    a_after_delay = std::fegetround();
+  });
+  e.spawn("b", [&] {
+    b_round = std::fegetround();
+    b_rc = _mm_getcsr() & kRc;
+  });
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  e.run();
+  EXPECT_EQ(b_round, FE_UPWARD);
+  EXPECT_EQ(b_rc, kRcUp);
+  EXPECT_EQ(a_after_delay, FE_DOWNWARD);
+  EXPECT_EQ(std::fegetround(), FE_UPWARD);
+}
+
+TEST(Engine, ExceptionInHandedOffProcessSurfacesFromRun) {
+  Engine e;
+  bool a_done = false;
+  Process* a = e.spawn("a", [&] {
+    e.delay(10);  // hands off to b
+    a_done = true;
+  });
+  Process* b = e.spawn("b", [] { throw std::runtime_error("kernel fault"); });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_TRUE(b->finished());
+  EXPECT_FALSE(a->finished());
+  EXPECT_EQ(e.now(), 0);
+  // The engine is still usable: a wakes where it would have.
+  e.run();
+  EXPECT_TRUE(a_done);
+  EXPECT_EQ(e.now(), 10);
+}
+
+TEST(Engine, WakeupsAndCallbacksKeepTheirOrderAndCount) {
+  // Each wakeup is one event whether it is reached by a handoff, a self-wake
+  // (p0 at t=10 is next in line again) or the scheduler; the callback at
+  // t=20 runs in (time, seq) order between them.
+  Engine e;
+  std::vector<std::pair<SimTime, int>> order;
+  for (int i = 0; i < 3; ++i) {
+    e.spawn("p" + std::to_string(i), [&, i] {
+      for (int j = 0; j < 4; ++j) {
+        e.delay(i == 0 ? 5 : 10);
+        order.emplace_back(e.now(), i);
+      }
+    });
+  }
+  e.schedule_at(20, [&] { order.emplace_back(e.now(), -1); });
+  e.run();
+  EXPECT_EQ(e.events_processed(), 3u + 3u * 4u + 1u);
+  EXPECT_EQ(e.now(), 40);
+  EXPECT_EQ(order, (std::vector<std::pair<SimTime, int>>{
+                       {5, 0}, {10, 1}, {10, 2}, {10, 0}, {15, 0}, {20, -1},
+                       {20, 1}, {20, 2}, {20, 0}, {30, 1}, {30, 2}, {40, 1},
+                       {40, 2}}));
+}
+
+TEST(Engine, TeardownCancelsAProcessParkedInSwitchTo) {
+  int destroyed = 0;
+  {
+    Engine e;
+    WaitQueue never_a(e), never_b(e);
+    e.spawn("a", [&] {
+      CountsDestruction guard{&destroyed};
+      never_a.wait();  // b's wakeup is next: a parks in switch_to
+    });
+    e.spawn("b", [&] {
+      CountsDestruction guard{&destroyed};
+      never_b.wait();  // the queue is empty: b yields to the loop
+    });
+    EXPECT_THROW(e.run(), DeadlockError);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(Engine, RunUntilStopsBetweenHandedOffDelays) {
+  Engine e;
+  std::vector<SimTime> a_wakes, b_wakes;
+  e.spawn("a", [&] {
+    for (int i = 0; i < 4; ++i) {
+      e.delay(10);
+      a_wakes.push_back(e.now());
+    }
+  });
+  e.spawn("b", [&] {
+    for (int i = 0; i < 4; ++i) {
+      e.delay(10);
+      b_wakes.push_back(e.now());
+    }
+  });
+  EXPECT_FALSE(e.run_until_done(25));
+  EXPECT_EQ(e.now(), 20);
+  EXPECT_EQ(a_wakes, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(b_wakes, (std::vector<SimTime>{10, 20}));
+  EXPECT_TRUE(e.run_until(100));
+  EXPECT_EQ(a_wakes, (std::vector<SimTime>{10, 20, 30, 40}));
+  EXPECT_EQ(e.now(), 100);
 }
 
 }  // namespace

@@ -434,5 +434,107 @@ TEST(PcieTransfer, NonBlockingWriteLandsThePayloadAsEnqueued) {
   EXPECT_EQ(device_bytes(*dev, *buf), original);
 }
 
+// The engine hands each wakeup straight from the blocking kernel to the next
+// one. The host driver must not notice: errors, watchdog verdicts, teardown
+// and every simulated time stay as they were with one switch back to the
+// scheduler per event.
+
+TEST(EngineHandoff, KernelFaultAfterAHandoffSurfacesFromSynchronize) {
+  auto dev = Device::open();
+  Program prog;
+  prog.create_kernel(
+      KernelKind::kDataMover0, {0},
+      [](DataMoverCtx& ctx) { ctx.spin(2 * kMicrosecond); }, "spinner");
+  // Started by the spinner's handoff, then woken by its own delay.
+  prog.create_kernel(
+      KernelKind::kDataMover0, {1},
+      [](DataMoverCtx& ctx) {
+        ctx.spin(1 * kMicrosecond);
+        throw std::runtime_error("kernel fault");
+      },
+      "faulty");
+  auto& cq = dev->command_queue(0);
+  cq.enqueue_program(prog, /*blocking=*/false);
+  const Event done = cq.record_event();
+  EXPECT_THROW(dev->synchronize(done), std::runtime_error);
+  // The failed program's partial profile: neither kernel ran to its end.
+  ASSERT_EQ(dev->last_profile().size(), 2u);
+  EXPECT_FALSE(dev->last_profile()[0].finished);
+  EXPECT_FALSE(dev->last_profile()[1].finished);
+  EXPECT_EQ(dev->now(), dev->spec().program_dispatch + 1 * kMicrosecond);
+}
+
+TEST(EngineHandoff, WedgedDeviceTeardownUnwindsEveryParkedKernel) {
+  struct CountsDestruction {
+    int* count;
+    ~CountsDestruction() { ++*count; }
+  };
+  int destroyed = 0;
+  {
+    auto dev = Device::open({}, {.sim_time_limit = 50 * kMillisecond});
+    Program hang;
+    hang.create_semaphore(0, {0, 1}, 0);
+    // The first kernel to block hands off to the second and stays parked
+    // in that switch; the second finds nothing left to run and yields.
+    for (const int core : {0, 1}) {
+      hang.create_kernel(
+          KernelKind::kDataMover0, {core},
+          [&destroyed](DataMoverCtx& ctx) {
+            const CountsDestruction guard{&destroyed};
+            ctx.semaphore_wait(0);
+          },
+          "hang");
+    }
+    EXPECT_THROW(dev->run_program(hang), DeviceTimeoutError);
+    EXPECT_TRUE(dev->wedged());
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(EngineHandoff, WatchdogBetweenLockstepDelaysFiresAtThePinnedTime) {
+  // Two kernels delay in lockstep, so every wakeup is a handoff; the
+  // deadline falls half-way between two of their delays.
+  auto dev = Device::open({}, {.sim_time_limit = 10 * kMicrosecond + 500});
+  Program prog;
+  for (const int core : {0, 1}) {
+    prog.create_kernel(
+        KernelKind::kDataMover0, {core},
+        [](DataMoverCtx& ctx) {
+          for (int i = 0; i < 100; ++i) ctx.spin(1 * kMicrosecond);
+        },
+        "lockstep");
+  }
+  EXPECT_THROW(dev->run_program(prog), DeviceTimeoutError);
+  EXPECT_EQ(dev->now(), 510 * kMicrosecond);
+  EXPECT_EQ(dev->hw().engine().events_processed(), 23u);
+}
+
+TEST(EngineHandoff, MixedTimelineIsPinned) {
+  // Kernel wakeups (lockstep and staggered delays, self-wakes) interleave
+  // with the PCIe transfer's callbacks on another queue.
+  auto dev = Device::open();
+  const auto data = pattern(1 * MiB);
+  auto buf = dev->create_buffer({.size = data.size()});
+  Program prog;
+  prog.create_kernel(
+      KernelKind::kDataMover0, {0, 1, 2, 3},
+      [](DataMoverCtx& ctx) {
+        const SimTime step = (1 + ctx.core_id() % 2) * 10 * kMicrosecond;
+        for (int i = 0; i < 8; ++i) ctx.spin(step);
+      },
+      "mixed");
+  auto& cq_write = dev->command_queue(0);
+  auto& cq_kernel = dev->command_queue(1);
+  cq_write.enqueue_write_buffer(*buf, data, /*blocking=*/false);
+  const Event written = cq_write.record_event();
+  cq_kernel.enqueue_program(prog, /*blocking=*/false);
+  const Event ran = cq_kernel.record_event();
+  dev->synchronize(ran);
+  EXPECT_EQ(dev->now(), 660 * kMicrosecond);
+  EXPECT_EQ(dev->hw().engine().events_processed(), 38u);
+  EXPECT_TRUE(written.completed());
+}
+
 }  // namespace
 }  // namespace ttsim::ttmetal
