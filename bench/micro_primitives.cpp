@@ -127,7 +127,8 @@ void BM_Bf16RoundTrip(benchmark::State& state) {
 BENCHMARK(BM_Bf16RoundTrip);
 
 // The FPU's tile kernel as the simulator runs it, one instantiation at a
-// time. Items are BF16 elements.
+// time, over a tile's first range(0) elements: 1024 is a full tile, 64 the
+// live extent of a 64-wide row chunk. Items are BF16 elements.
 void BM_Bf16Tile(benchmark::State& state, sim::Fpu::BinaryOp op, bool avx2) {
   if (avx2 && !sim::Fpu::cpu_has_avx2()) {
     state.SkipWithError("CPU lacks AVX2");
@@ -135,22 +136,23 @@ void BM_Bf16Tile(benchmark::State& state, sim::Fpu::BinaryOp op, bool avx2) {
   }
   const sim::Fpu::TileKernel kernel =
       avx2 ? &sim::Fpu::tile_kernel_avx2 : &sim::Fpu::tile_kernel_baseline;
+  const auto n = static_cast<std::uint32_t>(state.range(0));
   Rng rng{42};
   std::vector<bfloat16_t> a(sim::Fpu::kTileElems), b(sim::Fpu::kTileElems),
       c(sim::Fpu::kTileElems);
   for (auto& v : a) v = bfloat16_t{static_cast<float>(rng.next_double(-100, 100))};
   for (auto& v : b) v = bfloat16_t{static_cast<float>(rng.next_double(-100, 100))};
   for (auto _ : state) {
-    kernel(op, a.data(), b.data(), c.data());
+    kernel(op, a.data(), b.data(), c.data(), n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * sim::Fpu::kTileElems);
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_Bf16Tile, add_baseline, sim::Fpu::BinaryOp::kAdd, false);
-BENCHMARK_CAPTURE(BM_Bf16Tile, add_avx2, sim::Fpu::BinaryOp::kAdd, true);
-BENCHMARK_CAPTURE(BM_Bf16Tile, mul_baseline, sim::Fpu::BinaryOp::kMul, false);
-BENCHMARK_CAPTURE(BM_Bf16Tile, mul_avx2, sim::Fpu::BinaryOp::kMul, true);
+BENCHMARK_CAPTURE(BM_Bf16Tile, add_baseline, sim::Fpu::BinaryOp::kAdd, false)->Arg(1024)->Arg(64);
+BENCHMARK_CAPTURE(BM_Bf16Tile, add_avx2, sim::Fpu::BinaryOp::kAdd, true)->Arg(1024)->Arg(64);
+BENCHMARK_CAPTURE(BM_Bf16Tile, mul_baseline, sim::Fpu::BinaryOp::kMul, false)->Arg(1024)->Arg(64);
+BENCHMARK_CAPTURE(BM_Bf16Tile, mul_avx2, sim::Fpu::BinaryOp::kMul, true)->Arg(1024)->Arg(64);
 
 void BM_StreamingBenchmarkHostCost(benchmark::State& state) {
   // Host seconds per simulated streaming row — the simulator's "speed".

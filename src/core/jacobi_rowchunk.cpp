@@ -195,8 +195,9 @@ void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared
             const std::uint32_t off =
                 static_cast<std::uint32_t>(L.byte_offset(0, c0 - 1) % 32);
             // A redirected tile covers only the chunk's elements, not a full
-            // 2 KiB page — declare that so tooling reasoning about the FPU's
-            // fetch window stays within this batch's slots.
+            // 2 KiB page — declare that so the race detector's view of the
+            // FPU's fetch window stays within this batch's slots, and so the
+            // host computes only the chunk's lanes.
             const std::uint32_t valid = grid.chunk * 2;
             for (std::int64_t j = grid.rg.row_lo; j < grid.rg.row_hi; ++j) {
               const std::uint32_t sj =

@@ -16,9 +16,10 @@
 /// Layout of a slab row (one 32-byte alignment prefix keeps the initial
 /// DRAM loads aligned; data begins at `off` inside it):
 ///   [prefix][L][interior W elems][R][tile-spill pad]
-/// The pack of the last chunk spills its unused FPU lanes past the interior
-/// (clobbering R when W < 1024); the writing mover restores R with a single
-/// scalar store per row before the slab is read again.
+/// On the simulated clock the pack of the last chunk spills its unused FPU
+/// lanes past the interior (clobbering R when W < 1024); the writing mover
+/// restores R with a single charged scalar store per row before the slab is
+/// read again. The host itself stores only the chunk's lanes.
 
 #include "jacobi_internal.hpp"
 
@@ -74,10 +75,11 @@ void build_sram_resident_program(ttmetal::Program& prog,
   sh->ranges = base->ranges;
   const std::uint32_t W = base->layout.width();
   // Chunks are full width (or 1024 on wider multiples) so the tile-pack
-  // spill stays inside the row's pad: a narrower chunk's pack would spill
-  // into the *next* slab row's L column, poisoning the following sweep's
-  // xm reads. cfg.chunk_elems is deliberately not honoured here (as in the
-  // general SRAM lowering); the per-element op chain is chunk-independent.
+  // spill stays inside the row's pad: a narrower chunk's simulated pack
+  // would spill into the *next* slab row's L column, poisoning the
+  // following sweep's xm reads. cfg.chunk_elems is deliberately not
+  // honoured here (as in the general SRAM lowering); the per-element op
+  // chain is chunk-independent.
   sh->chunk = std::min<std::uint32_t>(1024, W);
   TTSIM_CHECK(W % sh->chunk == 0);
   sh->row_data_elems = W + 2;
@@ -183,6 +185,9 @@ void build_sram_resident_program(ttmetal::Program& prog,
           }
           const std::uint32_t src = sh->slab(k % 2);
           const std::uint32_t dst = sh->slab((k + 1) % 2);
+          // Lanes past the chunk are don't-care; declaring that keeps the
+          // host from computing them.
+          const std::uint32_t valid = sh->chunk * 2;
           for (std::uint32_t lr = 1; lr <= rows; ++lr) {
             for (std::uint32_t c0 = 0; c0 < sh->layout.width(); c0 += sh->chunk) {
               const std::uint32_t row_c = sh->row_data(src, lr) + c0 * 2;
@@ -190,20 +195,20 @@ void build_sram_resident_program(ttmetal::Program& prog,
               const std::uint32_t row_s = sh->row_data(src, lr + 1) + c0 * 2;
               // Same operation order as the other strategies:
               // ((xm + xp) + ym + yp) * 0.25, all aliased from the slab.
-              ctx.cb_set_rd_ptr(kCbOut, row_c);  // reuse out cb as xm vehicle
+              ctx.cb_set_rd_ptr(kCbOut, row_c, valid);  // reuse out cb as xm vehicle
               // xm at elem c0 (global col c0-1), xp at elem c0+2.
               // We need two distinct CB handles for the first add: use the
               // inter CB's read override for xp.
               ctx.cb_reserve_back(kCbInter, 1);
               ctx.cb_push_back(kCbInter, 1);
-              ctx.cb_set_rd_ptr(kCbInter, row_c + 4);
+              ctx.cb_set_rd_ptr(kCbInter, row_c + 4, valid);
               ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
               ctx.cb_pop_front(kCbInter, 1);
 
               ctx.cb_reserve_back(kCbInter, 1);
               ctx.pack_tile(dst0, kCbInter);
               ctx.cb_push_back(kCbInter, 1);
-              ctx.cb_set_rd_ptr(kCbOut, row_n + 2);  // ym
+              ctx.cb_set_rd_ptr(kCbOut, row_n + 2, valid);  // ym
               ctx.cb_wait_front(kCbInter, 1);
               ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
               ctx.cb_pop_front(kCbInter, 1);
@@ -211,7 +216,7 @@ void build_sram_resident_program(ttmetal::Program& prog,
               ctx.cb_reserve_back(kCbInter, 1);
               ctx.pack_tile(dst0, kCbInter);
               ctx.cb_push_back(kCbInter, 1);
-              ctx.cb_set_rd_ptr(kCbOut, row_s + 2);  // yp
+              ctx.cb_set_rd_ptr(kCbOut, row_s + 2, valid);  // yp
               ctx.cb_wait_front(kCbInter, 1);
               ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
               ctx.cb_pop_front(kCbInter, 1);
@@ -255,8 +260,10 @@ void build_sram_resident_program(ttmetal::Program& prog,
         for (int k = 1; k < n; ++k) {
           ctx.semaphore_wait(kSemComputeDm1);  // iteration k-1 finished
           const std::uint32_t src_slab = sh->slab(k % 2);
-          // The last chunk's pack spilled past the interior when W < 1024:
-          // restore the R boundary element of every computed row.
+          // A simulated pack of the last chunk spills past the interior
+          // when W < 1024, so restore the R boundary element of every
+          // computed row. The host stores only the chunk, but these are
+          // charged stores that model the hardware's traffic.
           if (width < 1024) {
             for (std::uint32_t lr = 1; lr <= rows; ++lr) {
               ctx.l1_store_u16(sh->row_data(src_slab, lr) + (width + 1) * 2, r_bits);

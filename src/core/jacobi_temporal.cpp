@@ -149,20 +149,21 @@ void emit_classic_point(ttmetal::ComputeCtx& ctx, const TemporalShared& sh,
                         std::uint32_t src, std::uint32_t dst, std::uint32_t lr,
                         std::uint32_t c0) {
   constexpr int dst0 = 0;
+  const std::uint32_t valid = sh.chunk * 2;
   const std::uint32_t row_c = sh.row_data(src, lr) + c0 * 2;
   const std::uint32_t row_n = sh.row_data(src, lr - 1) + c0 * 2;
   const std::uint32_t row_s = sh.row_data(src, lr + 1) + c0 * 2;
-  ctx.cb_set_rd_ptr(kCbOut, row_c);  // reuse out cb as xm vehicle
+  ctx.cb_set_rd_ptr(kCbOut, row_c, valid);  // reuse out cb as xm vehicle
   ctx.cb_reserve_back(kCbInter, 1);
   ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbInter, row_c + 4);  // xp
+  ctx.cb_set_rd_ptr(kCbInter, row_c + 4, valid);  // xp
   ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
   ctx.cb_pop_front(kCbInter, 1);
 
   ctx.cb_reserve_back(kCbInter, 1);
   ctx.pack_tile(dst0, kCbInter);
   ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_n + 2);  // ym
+  ctx.cb_set_rd_ptr(kCbOut, row_n + 2, valid);  // ym
   ctx.cb_wait_front(kCbInter, 1);
   ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
   ctx.cb_pop_front(kCbInter, 1);
@@ -170,7 +171,7 @@ void emit_classic_point(ttmetal::ComputeCtx& ctx, const TemporalShared& sh,
   ctx.cb_reserve_back(kCbInter, 1);
   ctx.pack_tile(dst0, kCbInter);
   ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_s + 2);  // yp
+  ctx.cb_set_rd_ptr(kCbOut, row_s + 2, valid);  // yp
   ctx.cb_wait_front(kCbInter, 1);
   ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
   ctx.cb_pop_front(kCbInter, 1);
@@ -183,8 +184,9 @@ void emit_classic_point(ttmetal::ComputeCtx& ctx, const TemporalShared& sh,
   ctx.mul_tiles(kCbScalar, kCbInter, 0, 0, dst0);
   ctx.cb_pop_front(kCbInter, 1);
 
-  // Interior col c0 = data elem c0+1; the pack's unused lanes spill past
-  // the interior (clobbering R when W < 1024 — restored between steps).
+  // Interior col c0 = data elem c0+1. On the simulated clock the pack's
+  // unused lanes spill past the interior into R and the pad; the host stores
+  // only the chunk, so R keeps its loaded value.
   ctx.cb_set_wr_ptr(kCbOut, sh.row_data(dst, lr) + (c0 + 1) * 2);
   ctx.pack_tile(dst0, kCbOut);
 }
@@ -193,9 +195,10 @@ void build_temporal_kernels(ttmetal::Program& prog,
                             std::shared_ptr<TemporalShared> sh) {
   const std::uint32_t W = sh->layout.width();
   // Chunks are full width (or 1024 on wider multiples) so the tile-pack
-  // spill stays inside the row's pad. A pack stores a full 1024-lane tile,
-  // so a chunk narrower than the row would spill into the *next* slab
-  // row's L column — poison that later sub-steps' dc=-1 taps would read.
+  // spill stays inside the row's pad. A simulated pack stores a full
+  // 1024-lane tile, so a chunk narrower than the row would spill into the
+  // *next* slab row's L column — poison that later sub-steps' dc=-1 taps
+  // would read.
   // cfg.chunk_elems is deliberately not honoured here (as in the general
   // SRAM lowering); the per-element op chain is chunk-independent, so this
   // never affects results.
@@ -350,7 +353,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
         const int pos = ctx.position();
         const CoreRange rg = sh->ranges[static_cast<std::size_t>(pos)];
         const std::uint32_t width = sh->layout.width();
-        const auto& wfld = sh->fields[static_cast<std::size_t>(sh->wf)];
         if (sh->classic) {
           fill_scalar_page(ctx, kCbScalar, 0.25f);
         } else {
@@ -365,17 +367,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
             const auto bk = sh->block(
                 b0, std::min<std::int64_t>(b0 + sh->block_rows, rg.row_hi), de);
             ctx.semaphore_wait(kSemLoaded);
-            // Right-boundary bits for the between-step restores: any
-            // interior row of the freshly loaded slab carries them.
-            std::uint16_t r_bits = 0;
-            if (width < 1024) {
-              const auto lr0 = static_cast<std::uint32_t>(
-                  std::max<std::int64_t>(bk.glo, 0) - bk.glo);
-              std::memcpy(&r_bits,
-                          ctx.l1_ptr(sh->row_data(wfld.slab_a, lr0) +
-                                     (width + 1) * 2),
-                          2);
-            }
             for (int s = 1; s <= de; ++s) {
               const std::uint32_t dst = sh->dst_slab(s);
               const std::int64_t lo = sh->step_lo(bk, s);
@@ -416,18 +407,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
                                    });
                   }
                   ctx.loop_tick();
-                }
-              }
-              // The last chunk's pack spilled past the interior when
-              // W < 1024: restore R on every computed row before the next
-              // sub-step's taps read it. Host-side stores through l1_ptr —
-              // free on the simulated clock, like fill_weight_table.
-              if (s < de && width < 1024) {
-                for (std::int64_t gr = lo; gr < hi; ++gr) {
-                  const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
-                  std::memcpy(
-                      ctx.l1_ptr(sh->row_data(dst, lr) + (width + 1) * 2),
-                      &r_bits, 2);
                 }
               }
             }

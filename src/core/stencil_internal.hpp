@@ -123,7 +123,7 @@ inline void fill_weight_table(ttmetal::KernelCtxBase& ctx, std::uint32_t addr,
 struct TapAddr {
   int cb = 0;               ///< field stream/alias CB id
   std::uint32_t addr = 0;   ///< L1 address of the tap's first element
-  std::uint32_t valid = 0;  ///< meaningful bytes behind it (race detector)
+  std::uint32_t valid = 0;  ///< meaningful bytes behind it (valid_bytes)
   int widx = 0;             ///< weight-table index
 };
 

@@ -12,8 +12,10 @@
 ///
 /// Slab row layout (32-byte alignment prefix, data begins at `off`):
 ///   [prefix][L][interior W elems][R][tile-spill pad]
-/// Chunks are full width (or 1024 on wider multiples) so the spill stays
-/// inside the row's pad; cfg.chunk_elems is deliberately not honoured here.
+/// Chunks are full width (or 1024 on wider multiples) so the simulated
+/// pack's full-tile spill stays inside the row's pad; cfg.chunk_elems is
+/// deliberately not honoured here. The host stores only the chunk's lanes,
+/// but the R restores are charged work that models the hardware.
 
 #include <cstring>
 
@@ -233,8 +235,10 @@ void build_general_sram_program(ttmetal::Program& prog,
         for (int k = 1; k < n; ++k) {
           ctx.semaphore_wait(kSemComputeDm1);  // iteration k-1 finished
           const std::uint32_t src_slab = sh->slab(k % 2);
-          // The last chunk's pack spilled past the interior when W < 1024:
-          // restore the R boundary element of every computed row.
+          // A simulated pack of the last chunk spills past the interior
+          // when W < 1024, so restore the R boundary element of every
+          // computed row. The host stores only the chunk, but these are
+          // charged stores that model the hardware's traffic.
           if (width < 1024) {
             for (std::uint32_t lr = 1; lr <= rows; ++lr) {
               ctx.l1_store_u16(sh->row_data(src_slab, lr) + (width + 1) * 2, r_bits);

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "ttsim/sim/sync.hpp"
 #include "ttsim/sim/trace.hpp"
@@ -31,6 +32,7 @@ class CircularBuffer {
       : storage_(storage),
         page_size_(page_size),
         num_pages_(num_pages),
+        live_(num_pages, 0),
         space_(engine),
         data_(engine),
         trace_(trace),
@@ -73,7 +75,7 @@ class CircularBuffer {
     check_pages(pages);
     TTSIM_CHECK_MSG(pages_free() >= pages,
                     "cb_push_back without a matching cb_reserve_back");
-    wr_page_ = (wr_page_ + pages) % num_pages_;
+    wr_page_ = ring(wr_page_, pages);
     committed_ += pages;
     override_wr_ptr_ = nullptr;  // an override is only valid for one page
     if (trace_ != nullptr) {
@@ -88,8 +90,7 @@ class CircularBuffer {
   /// or the override if set).
   std::byte* write_ptr(std::uint32_t page_offset = 0) {
     if (override_wr_ptr_ != nullptr && page_offset == 0) return override_wr_ptr_;
-    return storage_ + static_cast<std::size_t>((wr_page_ + page_offset) % num_pages_) *
-                          page_size_;
+    return storage_ + static_cast<std::size_t>(ring(wr_page_, page_offset)) * page_size_;
   }
 
   // --- consumer side ---
@@ -112,7 +113,8 @@ class CircularBuffer {
     check_pages(pages);
     TTSIM_CHECK_MSG(committed_ >= pages, "cb_pop_front past the committed pages");
     committed_ -= pages;
-    rd_page_ = (rd_page_ + pages) % num_pages_;
+    for (std::uint32_t p = 0; p < pages; ++p) live_[ring(rd_page_, p)] = 0;
+    rd_page_ = ring(rd_page_, pages);
     clear_read_ptr();  // an override is only valid for the front page
     if (trace_ != nullptr) {
       trace_->record(TraceEventKind::kCbPop, trace_->now(), 0,
@@ -125,16 +127,16 @@ class CircularBuffer {
   /// Pointer to the current consumer page (or the override, if set).
   const std::byte* read_ptr(std::uint32_t page_offset = 0) const {
     if (override_rd_ptr_ != nullptr && page_offset == 0) return override_rd_ptr_;
-    return storage_ + static_cast<std::size_t>((rd_page_ + page_offset) % num_pages_) *
-                          page_size_;
+    return storage_ + static_cast<std::size_t>(ring(rd_page_, page_offset)) * page_size_;
   }
 
   /// The paper's cb_set_rd_ptr / llk_set_read_ptr extension: alias the front
   /// page at arbitrary local memory. Cleared by the next pop_front.
   /// `valid_bytes` bounds how much of the aliased page carries meaningful
-  /// data (FPU tile ops always fetch a full tile, but lanes past the chunk
-  /// width are don't-care): purely an annotation for the race detector — 0
-  /// means "the whole page". No effect on behaviour or timing.
+  /// data (0 means "the whole page"). FPU tile ops fetch a full tile on the
+  /// simulated clock, but lanes past `valid_bytes` are never computed on the
+  /// host. Timing does not depend on it; the race detector bounds the read
+  /// it records by it (read_valid_bytes()).
   void set_read_ptr(const std::byte* p, std::uint32_t valid_bytes = 0) {
     TTSIM_CHECK(p != nullptr);
     override_rd_ptr_ = p;
@@ -146,10 +148,24 @@ class CircularBuffer {
   }
   bool has_read_ptr_override() const { return override_rd_ptr_ != nullptr; }
   /// Meaningful bytes behind the current read pointer (override annotation,
-  /// else the page size).
+  /// else the page size): the span the race detector records.
   std::uint32_t read_valid_bytes() const {
     if (override_rd_ptr_ != nullptr && override_rd_valid_ > 0) return override_rd_valid_;
     return page_size_;
+  }
+
+  /// Leading bytes of front page `page_offset` whose values can reach an
+  /// output, 0 meaning the whole page: the override's `valid_bytes` for the
+  /// aliased front page, else what set_live_bytes() recorded for the page
+  /// since it was last popped.
+  std::uint32_t live_bytes(std::uint32_t page_offset = 0) const {
+    if (override_rd_ptr_ != nullptr && page_offset == 0) return override_rd_valid_;
+    return live_[ring(rd_page_, page_offset)];
+  }
+  /// Producer side: only the first `bytes` of the page `page_offset` past
+  /// the reserve point are meaningful (pack_tile of a narrow register).
+  void set_live_bytes(std::uint32_t page_offset, std::uint32_t bytes) {
+    live_[ring(wr_page_, page_offset)] = bytes;
   }
 
   /// Producer-side counterpart (the paper's API recommendation: "enabling
@@ -163,6 +179,13 @@ class CircularBuffer {
   bool has_write_ptr_override() const { return override_wr_ptr_ != nullptr; }
 
  private:
+  /// The ring index `offset` pages past `page`. Offsets are almost always
+  /// below num_pages_, so the division is kept off the common path.
+  std::uint32_t ring(std::uint32_t page, std::uint32_t offset) const {
+    const std::uint32_t p = page + offset;
+    return p < num_pages_ ? p : p % num_pages_;
+  }
+
   void check_pages(std::uint32_t pages) const {
     TTSIM_CHECK(pages > 0);
     TTSIM_CHECK_MSG(pages <= num_pages_,
@@ -177,6 +200,7 @@ class CircularBuffer {
   std::uint32_t committed_ = 0;
   std::uint32_t pending_ = 0;  // reserved-not-yet-pushed (kept 0: tt-metal
                                // tracks reservation implicitly via wr ptr)
+  std::vector<std::uint32_t> live_;  // per page: live_bytes(), 0 = whole page
   const std::byte* override_rd_ptr_ = nullptr;
   std::uint32_t override_rd_valid_ = 0;
   std::byte* override_wr_ptr_ = nullptr;

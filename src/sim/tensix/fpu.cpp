@@ -21,17 +21,18 @@ struct Vec {
 /// result recombine with a shift and an OR: no lane shuffles at all. The
 /// NaN blend is a bitwise select, because GCC scalarises `?:` on vectors.
 /// Loads and stores go through memcpy: a CB read-pointer override can put
-/// a tile at any even address.
+/// a tile at any even address. It covers the first `n` elements in steps
+/// of 2N, so `n` rounds up to a step and never past the tile.
 template <int N, BinaryOp Op>
 [[gnu::always_inline]] inline void tile_body(const bfloat16_t* a, const bfloat16_t* b,
-                                             bfloat16_t* out) {
+                                             bfloat16_t* out, std::uint32_t n) {
   using U32 = typename Vec<std::uint32_t, N>::type;
   using I32 = typename Vec<std::int32_t, N>::type;
   using F32 = typename Vec<float, N>::type;
   constexpr std::uint32_t kHigh = 0xFFFF0000u;
   static_assert(Fpu::kTileElems % (2 * N) == 0);
 
-  for (std::uint32_t i = 0; i < Fpu::kTileElems; i += 2 * N) {
+  for (std::uint32_t i = 0; i < n; i += 2 * N) {
     U32 wa;
     U32 wb;
     std::memcpy(&wa, a + i, sizeof(wa));
@@ -62,11 +63,12 @@ template <int N, BinaryOp Op>
 
 template <int N>
 [[gnu::always_inline]] inline void tile_kernel(BinaryOp op, const bfloat16_t* a,
-                                               const bfloat16_t* b, bfloat16_t* out) {
+                                               const bfloat16_t* b, bfloat16_t* out,
+                                               std::uint32_t n) {
   switch (op) {
-    case BinaryOp::kAdd: return tile_body<N, BinaryOp::kAdd>(a, b, out);
-    case BinaryOp::kSub: return tile_body<N, BinaryOp::kSub>(a, b, out);
-    case BinaryOp::kMul: return tile_body<N, BinaryOp::kMul>(a, b, out);
+    case BinaryOp::kAdd: return tile_body<N, BinaryOp::kAdd>(a, b, out, n);
+    case BinaryOp::kSub: return tile_body<N, BinaryOp::kSub>(a, b, out, n);
+    case BinaryOp::kMul: return tile_body<N, BinaryOp::kMul>(a, b, out, n);
   }
 }
 
@@ -82,14 +84,14 @@ Fpu::TileKernel selected_kernel() {
 // Generic 8-lane vectors lowered to SSE2 are slower than 4 lanes, so only
 // the AVX2 build widens.
 void Fpu::tile_kernel_baseline(BinaryOp op, const bfloat16_t* a, const bfloat16_t* b,
-                               bfloat16_t* out) {
-  tile_kernel<4>(op, a, b, out);
+                               bfloat16_t* out, std::uint32_t n) {
+  tile_kernel<4>(op, a, b, out, n);
 }
 
 __attribute__((target("avx2"))) void Fpu::tile_kernel_avx2(BinaryOp op, const bfloat16_t* a,
                                                            const bfloat16_t* b,
-                                                           bfloat16_t* out) {
-  tile_kernel<8>(op, a, b, out);
+                                                           bfloat16_t* out, std::uint32_t n) {
+  tile_kernel<8>(op, a, b, out, n);
 }
 
 bool Fpu::cpu_has_avx2() {
@@ -99,15 +101,18 @@ bool Fpu::cpu_has_avx2() {
 
 Fpu::Fpu(Engine& engine, const GrayskullSpec& spec)
     : engine_(engine), spec_(spec), kernel_(selected_kernel()) {
+  TTSIM_CHECK_MSG(spec.dst_registers <= kMaxDstRegisters,
+                  "at most " << kMaxDstRegisters << " dst registers are modelled");
   regs_.resize(static_cast<std::size_t>(spec.dst_registers));
+  extents_.fill(kTileElems);
 }
 
 void Fpu::binary_op(BinaryOp op, const CircularBuffer& a, const CircularBuffer& b,
                     std::uint32_t ia, std::uint32_t ib, int dst) {
   charge(spec_.tile_math_cost);
-  const auto* pa = tile_data(a, ia);
-  const auto* pb = tile_data(b, ib);
-  kernel_(op, pa, pb, reg(dst));
+  const std::size_t r = index(dst);
+  extents_[r] = std::min(tile_extent(a, ia), tile_extent(b, ib));
+  kernel_(op, tile_data(a, ia), tile_data(b, ib), regs_[r].data(), extents_[r]);
 }
 
 }  // namespace ttsim::sim

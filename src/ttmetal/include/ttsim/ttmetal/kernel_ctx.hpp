@@ -255,10 +255,11 @@ class ComputeCtx : public KernelCtxBase {
   /// The paper's Section VI extension (added to tt-metal's cb_api.h /
   /// llk_set_read_ptr): repoint the consumer read pointer of `cb_id` at an
   /// arbitrary L1 address so FPU ops consume data in place. `valid_bytes`
-  /// annotates how much of the aliased page carries meaningful data (FPU
-  /// tile ops always fetch a full tile, but lanes past the chunk width are
-  /// don't-care) — used by the race detector to bound the recorded read;
-  /// 0 means the whole page. No effect on behaviour or timing.
+  /// says how much of the aliased page carries meaningful data (0: the whole
+  /// page). FPU tile ops fetch a full tile on the simulated clock, but lanes
+  /// past `valid_bytes` are don't-care and are never computed on the host.
+  /// The race detector bounds the recorded read by it; timing does not
+  /// depend on it.
   void cb_set_rd_ptr(int cb_id, std::uint32_t l1_addr, std::uint32_t valid_bytes = 0);
 
   /// Producer-side counterpart (the paper's API recommendation: CBs that

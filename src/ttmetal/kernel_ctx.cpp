@@ -612,9 +612,10 @@ void ComputeCtx::copy_tile(int cb, std::uint32_t idx, int dst) {
 
 void ComputeCtx::pack_tile(int dst, int cb, std::uint32_t page_offset) {
   if (verify_ != nullptr) {
-    // pack_tile stores a full tile; the spill past a narrow logical row is
-    // real SRAM traffic (callers size their strides for it), so record the
-    // honest span.
+    // A simulated pack_tile stores a full tile; the spill past a narrow
+    // logical row is real SRAM traffic (callers size their strides for it),
+    // so record the honest span even though the host stores only the
+    // register's live extent.
     verify_->on_write(vtid_, core_.id(),
                       l1_address_of(core_.cb(cb).write_ptr(page_offset)),
                       sim::Fpu::kTileBytes, "pack_tile");

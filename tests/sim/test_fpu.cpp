@@ -187,6 +187,140 @@ TEST_F(FpuTest, UnalignedOperandMatchesScalarOperators) {
   }
 }
 
+// --- live extents: the host computes only the lanes an output can read ---
+
+constexpr std::uint16_t kSentinel = 0x7FC1;  // a NaN the tile kernel never produces
+
+/// Fills `p[0, n)` with seeded values in [-8, 8).
+void fill_random(bfloat16_t* p, std::uint32_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    p[i] = bfloat16_t{static_cast<float>(rng.next_double(-8, 8))};
+  }
+}
+
+/// Puts the sentinel in every lane of `dst`.
+void poison(bfloat16_t* dst) {
+  for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) dst[i] = bfloat16_t::from_bits(kSentinel);
+}
+
+TEST_F(FpuTest, OverrideValidBytesBoundTheComputedLanes) {
+  std::vector<bfloat16_t> local(Fpu::kTileElems);
+  fill_random(local.data(), Fpu::kTileElems, 7);
+  const BinaryOp ops[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul};
+  for (int r = 0; r < 3; ++r) poison(core_.fpu().reg(r));
+  run_compute([&] {
+    cb_b_.reserve_back(1);
+    fill_random(reinterpret_cast<bfloat16_t*>(cb_b_.write_ptr()), Fpu::kTileElems, 8);
+    cb_b_.push_back(1);
+    cb_a_.reserve_back(1);
+    cb_a_.push_back(1);
+    cb_a_.set_read_ptr(reinterpret_cast<const std::byte*>(local.data()), 128);
+    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);
+    core_.fpu().sub_tiles(cb_a_, cb_b_, 0, 0, 1);
+    core_.fpu().mul_tiles(cb_b_, cb_a_, 0, 0, 2);
+  });
+  const auto* b = reinterpret_cast<const bfloat16_t*>(cb_b_.read_ptr());
+  for (int r = 0; r < 3; ++r) {
+    SCOPED_TRACE("register " + std::to_string(r));
+    EXPECT_EQ(core_.fpu().extent(r), 64u);
+    for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+      const bfloat16_t want = i >= 64 ? bfloat16_t::from_bits(kSentinel)
+                              : r == 2 ? scalar_op(ops[r], b[i], local[i])
+                                       : scalar_op(ops[r], local[i], b[i]);
+      EXPECT_EQ(core_.fpu().reg(r)[i].bits(), want.bits()) << "lane " << i;
+    }
+  }
+}
+
+TEST_F(FpuTest, NarrowPackStoresOnlyItsExtentAndPassesItOn) {
+  std::vector<bfloat16_t> local(Fpu::kTileElems);
+  fill_random(local.data(), Fpu::kTileElems, 9);
+  poison(core_.fpu().reg(1));
+  run_compute([&] {
+    cb_a_.reserve_back(1);
+    fill_page(cb_a_, 1.0f);
+    cb_a_.push_back(1);
+    cb_b_.reserve_back(1);
+    cb_b_.push_back(1);
+    cb_b_.set_read_ptr(reinterpret_cast<const std::byte*>(local.data()), 128);
+    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);  // extent 64
+    cb_out_.reserve_back(1);
+    poison(reinterpret_cast<bfloat16_t*>(cb_out_.write_ptr()));
+    core_.fpu().pack_tile(0, cb_out_);
+    cb_out_.push_back(1);
+    EXPECT_EQ(cb_out_.live_bytes(), 128u);
+    core_.fpu().mul_tiles(cb_a_, cb_out_, 0, 0, 1);  // reads the packed page
+  });
+  const auto* page = reinterpret_cast<const bfloat16_t*>(cb_out_.read_ptr());
+  for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+    const std::uint16_t want = i < 64 ? (bfloat16_t{1.0f} + local[i]).bits() : kSentinel;
+    EXPECT_EQ(page[i].bits(), want) << "page lane " << i;
+    EXPECT_EQ(core_.fpu().reg(1)[i].bits(), want) << "register lane " << i;
+  }
+  EXPECT_EQ(core_.fpu().extent(1), 64u);
+}
+
+TEST_F(FpuTest, PoppedPageIsAFullTileAgain) {
+  std::vector<bfloat16_t> local(Fpu::kTileElems);
+  fill_random(local.data(), Fpu::kTileElems, 10);
+  auto& ring = core_.create_cb(2, Fpu::kTileBytes, 1);
+  run_compute([&] {
+    cb_a_.reserve_back(1);
+    fill_page(cb_a_, 2.0f);
+    cb_a_.push_back(1);
+    cb_b_.reserve_back(1);
+    cb_b_.push_back(1);
+    cb_b_.set_read_ptr(reinterpret_cast<const std::byte*>(local.data()), 128);
+    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);
+    ring.reserve_back(1);
+    core_.fpu().pack_tile(0, ring);
+    ring.push_back(1);
+    ring.pop_front(1);
+    // The page comes round again, now filled in full as a data mover does.
+    ring.reserve_back(1);
+    fill_random(reinterpret_cast<bfloat16_t*>(ring.write_ptr()), Fpu::kTileElems, 11);
+    ring.push_back(1);
+    EXPECT_EQ(ring.live_bytes(), 0u);
+    core_.fpu().copy_tile(ring, 0, 1);
+  });
+  EXPECT_EQ(core_.fpu().extent(1), Fpu::kTileElems);
+  const auto* page = reinterpret_cast<const bfloat16_t*>(ring.read_ptr());
+  for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+    EXPECT_EQ(core_.fpu().reg(1)[i].bits(), page[i].bits()) << "lane " << i;
+  }
+}
+
+TEST_F(FpuTest, UnaryOpsAndReduceMaxStopAtTheExtent) {
+  std::vector<bfloat16_t> local(Fpu::kTileElems, bfloat16_t{-1.0f});
+  local[40] = bfloat16_t{-3.0f};  // |x| makes this the live maximum
+  local[500] = bfloat16_t{1000.0f};
+  local[900] = std::numeric_limits<bfloat16_t>::quiet_NaN();
+  bfloat16_t max_abs{};
+  poison(core_.fpu().reg(0));
+  poison(core_.fpu().reg(1));
+  run_compute([&] {
+    cb_a_.reserve_back(1);
+    cb_a_.push_back(1);
+    cb_a_.set_read_ptr(reinterpret_cast<const std::byte*>(local.data()), 128);
+    core_.fpu().copy_tile(cb_a_, 0, 0);
+    core_.fpu().abs_tile(0);
+    max_abs = core_.fpu().reduce_max(0);
+    core_.fpu().copy_tile(cb_a_, 0, 1);
+    core_.fpu().eq_scalar_tile(1, bfloat16_t{-1.0f});
+  });
+  EXPECT_EQ(core_.fpu().extent(0), 64u);
+  EXPECT_EQ(static_cast<float>(max_abs), 3.0f);
+  EXPECT_EQ(static_cast<float>(core_.fpu().reg(0)[0]), 1.0f);
+  EXPECT_EQ(static_cast<float>(core_.fpu().reg(1)[40]), 0.0f);
+  EXPECT_EQ(static_cast<float>(core_.fpu().reg(1)[63]), 1.0f);
+  // Lanes past the extent were never copied, and neither op touched them.
+  for (std::uint32_t i = 64; i < Fpu::kTileElems; ++i) {
+    EXPECT_EQ(core_.fpu().reg(0)[i].bits(), kSentinel) << "lane " << i;
+    EXPECT_EQ(core_.fpu().reg(1)[i].bits(), kSentinel) << "lane " << i;
+  }
+}
+
 TEST_F(FpuTest, NanResultsAreCanonicalInEitherOperandOrder) {
   // Lane pairs: opposite-sign NaNs both ways round, a NaN with a payload,
   // Inf and -Inf (Inf-Inf), 0 and Inf (0*Inf).
@@ -363,29 +497,32 @@ std::vector<std::uint16_t> conformance_b_set() {
 struct SweepResult {
   long mismatches = 0;
   long ties = 0;  // lanes whose float result sat exactly halfway between two BF16s
+  long written_past_n = 0;  // lanes at or past `n` the kernel changed
 };
 
-/// Runs `kernel` for `op` on all 65,536 `a` bit patterns against every `b`
-/// in the set (rotating `b` across lanes so each `a` meets each `b` once)
-/// and compares every lane bit for bit with the scalar operators. Both
-/// operands sit at an odd multiple of 2 bytes.
-SweepResult sweep(Fpu::TileKernel kernel, BinaryOp op) {
+/// Runs `kernel` for `op` over the first `n` elements of a tile, sliding the
+/// `a` window through all 65,536 bit patterns, against every `b` in the set
+/// (rotating `b` across lanes so each `a` meets each `b` once), and compares
+/// every computed lane bit for bit with the scalar operators. Lanes from
+/// `n` on must keep the sentinel. Both operands sit at an odd multiple of 2
+/// bytes.
+SweepResult sweep(Fpu::TileKernel kernel, BinaryOp op, std::uint32_t n = Fpu::kTileElems) {
   const auto bset = conformance_b_set();
   std::vector<bfloat16_t> a_buf(Fpu::kTileElems + 1), b_buf(Fpu::kTileElems + 1),
-      out(Fpu::kTileElems);
+      out(Fpu::kTileElems, bfloat16_t::from_bits(kSentinel));
   bfloat16_t* a = a_buf.data() + 1;
   bfloat16_t* b = b_buf.data() + 1;
   SweepResult result;
-  for (std::uint32_t tile = 0; tile < 65536 / Fpu::kTileElems; ++tile) {
-    for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
-      a[i] = bfloat16_t::from_bits(static_cast<std::uint16_t>(tile * Fpu::kTileElems + i));
+  for (std::uint32_t base = 0; base < 65536; base += n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      a[i] = bfloat16_t::from_bits(static_cast<std::uint16_t>(base + i));
     }
     for (std::size_t rot = 0; rot < bset.size(); ++rot) {
-      for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+      for (std::uint32_t i = 0; i < n; ++i) {
         b[i] = bfloat16_t::from_bits(bset[(i + rot) % bset.size()]);
       }
-      kernel(op, a, b, out.data());
-      for (std::uint32_t i = 0; i < Fpu::kTileElems; ++i) {
+      kernel(op, a, b, out.data(), n);
+      for (std::uint32_t i = 0; i < n; ++i) {
         const bfloat16_t want = scalar_op(op, a[i], b[i]);
         if (out[i].bits() != want.bits()) {
           if (++result.mismatches <= 5) {
@@ -401,6 +538,11 @@ SweepResult sweep(Fpu::TileKernel kernel, BinaryOp op) {
         }
       }
     }
+  }
+  // The kernel never produces the sentinel NaN, so one look at the end
+  // catches a write past `n` by any call.
+  for (std::uint32_t i = n; i < Fpu::kTileElems; ++i) {
+    if (out[i].bits() != kSentinel) ++result.written_past_n;
   }
   return result;
 }
@@ -425,6 +567,19 @@ TEST_P(TileKernelConformance, BitExactAgainstScalarOperators) {
   }
 }
 
+TEST_P(TileKernelConformance, PartialTilesComputeExactlyTheirFirstNElements) {
+  // Live extents of narrow row chunks: multiples of both kernels' steps, so
+  // the kernel must stop at exactly `n`.
+  for (const std::uint32_t n : {16u, 64u, 1008u}) {
+    for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " op " + std::to_string(static_cast<int>(op)));
+      const SweepResult r = sweep(kernel(), op, n);
+      EXPECT_EQ(r.mismatches, 0);
+      EXPECT_EQ(r.written_past_n, 0);
+    }
+  }
+}
+
 TEST_P(TileKernelConformance, HonoursTheComputeFibersRoundingMode) {
   // The float op runs under the MXCSR of the fiber that calls it. For BF16
   // operands only the sign of an exact zero sum can show the mode (x - x is
@@ -439,7 +594,7 @@ TEST_P(TileKernelConformance, HonoursTheComputeFibersRoundingMode) {
       ASSERT_EQ(std::fesetround(mode), 0);
       add = sweep(kernel(), BinaryOp::kAdd);
       sub = sweep(kernel(), BinaryOp::kSub);
-      kernel()(BinaryOp::kSub, ones.data(), ones.data(), diff.data());
+      kernel()(BinaryOp::kSub, ones.data(), ones.data(), diff.data(), Fpu::kTileElems);
       std::fesetround(FE_TONEAREST);
     });
     engine.run();
