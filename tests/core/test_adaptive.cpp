@@ -96,6 +96,25 @@ TEST(AdaptiveJacobi, MultiCoreResidualIsGlobalMax) {
                   static_cast<float>(four.final_residual));
 }
 
+// Pins the exact simulated result of a multi-chunk, multi-core adaptive
+// solve: the launch sequence, the residual readbacks between launches and
+// the final readback all land on the simulated clock, so a refactor of the
+// driver that changes any launch, buffer or transfer moves these figures.
+TEST(AdaptiveJacobi, PinnedSimulatedResult) {
+  auto p = wide_problem(32, 400);
+  AdaptiveOptions opt;
+  opt.tolerance = 4e-3;
+  opt.check_every = 30;
+  DeviceRunConfig cfg;
+  cfg.cores_y = 2;
+  const auto r = run_jacobi_adaptive(p, opt, cfg);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations_run, 240);
+  EXPECT_EQ(r.final_residual, 0.00390625);
+  EXPECT_EQ(r.kernel_time, 4936769112);
+  EXPECT_EQ(r.total_time, 9057565912);
+}
+
 TEST(AdaptiveJacobi, InvalidConfigsRejected) {
   auto p = wide_problem(16, 100);
   AdaptiveOptions opt;

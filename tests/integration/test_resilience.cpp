@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "ttsim/core/resilience.hpp"
 #include "ttsim/sim/fault.hpp"
 
@@ -18,6 +21,15 @@ JacobiProblem small_problem(std::uint32_t w, std::uint32_t h, int iters) {
   p.height = h;
   p.iterations = iters;
   return p;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// The acceptance scenario: a Table-VIII-shaped solve (contiguous X strips,
@@ -134,6 +146,56 @@ TEST(Resilience, SramResidentSolveSurvivesCoreFailure) {
   EXPECT_EQ(r.cores_used, 3);
   EXPECT_NE(r.fault_summary.find("core-failure"), std::string::npos);
   EXPECT_NE(r.fault_summary.find(" core=2"), std::string::npos);
+}
+
+/// Pins the exact simulated result of a seeded, faulted row-chunk solve: a
+/// core kill mid-solve costs a device generation, PCIe corruption costs
+/// retries, and the replay from the last checkpoint runs on a shrunk grid.
+/// Every launch, checkpoint readback and reopen lands on the simulated
+/// clock, so a change to how the driver stages, launches or reads back
+/// grids moves these figures.
+TEST(Resilience, PinnedFaultedRowChunkRun) {
+  const auto p = small_problem(256, 48, 12);
+  DeviceRunConfig cfg;
+  cfg.cores_y = 4;
+  cfg.verify = true;
+  ResilienceOptions opts;
+  opts.checkpoint_every = 5;
+  sim::GrayskullSpec spec;
+  spec.worker_cores = 4;
+  sim::FaultConfig fc;
+  fc.seed = 7;
+  fc.pcie_corrupt_prob = 0.2;
+  fc.core_kills = {{.core = 1, .at = 888914222}};
+  const auto r = run_jacobi_resilient(p, cfg, opts,
+                                      std::make_shared<sim::FaultPlan>(fc), spec);
+  EXPECT_TRUE(r.verified_ok);
+  EXPECT_EQ(r.cores_used, 3);
+  EXPECT_EQ(r.restarts, 1);
+  EXPECT_EQ(r.iterations_replayed, 5);
+  EXPECT_EQ(r.transfer_retries, 1);
+  EXPECT_EQ(r.kernel_time, 193307552);
+  EXPECT_EQ(r.total_time, 2428662757);
+  EXPECT_EQ(fnv1a(r.fault_summary), 248274171002684218ull);
+}
+
+/// Pins a zero-fault SRAM-resident resilient solve: three launches (odd
+/// chunk lengths flip which grid is fresh) with a checkpoint readback after
+/// each.
+TEST(Resilience, PinnedZeroFaultSramResidentRun) {
+  const auto p = small_problem(64, 64, 8);
+  DeviceRunConfig cfg;
+  cfg.strategy = DeviceStrategy::kSramResident;
+  cfg.cores_y = 4;
+  cfg.verify = true;
+  ResilienceOptions opts;
+  opts.checkpoint_every = 3;
+  const auto r = run_jacobi_resilient(p, cfg, opts, nullptr);
+  EXPECT_TRUE(r.verified_ok);
+  EXPECT_EQ(r.restarts, 0);
+  EXPECT_EQ(r.cores_used, 4);
+  EXPECT_EQ(r.kernel_time, 154492524);
+  EXPECT_EQ(r.total_time, 1757660524);
 }
 
 /// Unrecoverable corruption (every transfer corrupted) exhausts the bounded
