@@ -4,9 +4,9 @@
 /// graph a device run of the given problem/config would execute, without
 /// opening a device. The graphs carry real geometry (decomposition,
 /// chunking, slot-ring and slab sizing) but placeholder DRAM addresses,
-/// so they are for static checking (ir::check) and inspection (ir::dump)
-/// — the device drivers install graphs with live addresses themselves
-/// when DeviceRunConfig::lowering == LoweringPath::kIr.
+/// so they are for static checking (ir::check) and inspection (ir::dump).
+/// The device drivers build the same graphs over live addresses and lower
+/// every row-chunk, SRAM-resident and temporal launch through them.
 
 #include <cstdint>
 
@@ -20,7 +20,9 @@ namespace ttsim::core {
 /// strategies: kRowChunk, kSramResident, kTemporal (the Section-IV tiled
 /// programs predate the flow-controlled protocol the IR models); anything
 /// else throws ApiError, as do configs the device driver itself would
-/// reject (bad decomposition, temporal depth that overflows L1, ...).
+/// reject — the graph runs the driver's own launch-config check (bad
+/// decomposition, read-ahead out of range, temporal depth that overflows
+/// L1, ...).
 ir::Graph jacobi_ir_graph(const JacobiProblem& p, const DeviceRunConfig& cfg,
                           std::int64_t sram_bytes = std::int64_t{1} << 20);
 

@@ -38,11 +38,13 @@ void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem&
                                     const std::vector<BatchSlot>& slots);
 
 /// Validate that `p` decomposes onto one batch slot under `cfg` — the exact
-/// checks a batched launch applies (row-chunk or temporal, iterations >= 1,
-/// read_ahead in [2, 64], width divisible across cores_x into 16-aligned
-/// strips, cores_y <= height). Throws ApiError naming the violation; the
-/// serving layer calls this at admission so bad shapes fail fast instead of
-/// poisoning a batch.
+/// checks a batched launch applies: the single-solve driver's launch-config
+/// check (iterations >= 1, read_ahead in [2, 64], temporal_depth in [1, 8],
+/// the slab strategies' cores_x == 1 and width rules, width divisible
+/// across cores_x into 16-aligned strips, cores_y <= height) restricted to
+/// the row-chunk and temporal strategies. Throws ApiError naming the
+/// violation; the serving layer calls this at admission so bad shapes fail
+/// fast instead of poisoning a batch.
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg);
 
 /// BufferConfig for one slot's grid buffers — the same layout policy

@@ -14,8 +14,18 @@
 ///                         aliases CB read pointers into the mover's local
 ///                         buffer via the cb_set_rd_ptr SDK extension, with
 ///                         reads issued two batches ahead.
+///   * kSramResident     — the paper's concluding proposal: the domain
+///                         stays in core SRAM, halos cross the NoC.
+///   * kTemporal         — temporal tiling: k sweeps per DRAM pass.
 /// Component toggles reproduce the Table II breakdown. Multi-core runs
 /// decompose the domain in 2-D over the worker grid (Section VII).
+///
+/// Every Jacobi driver (the plain, adaptive and multi-card ones here, and
+/// the resilient one in resilience.hpp) validates its config with one
+/// launch-config check and runs on one chunked launch loop. The
+/// row-chunk, SRAM-resident and temporal programs are certified race- and
+/// deadlock-free by the dataflow IR's static checker before they launch;
+/// the tiled Section-IV programs are built directly.
 
 #include <memory>
 #include <string>
@@ -54,18 +64,6 @@ enum class DeviceStrategy {
 
 std::string to_string(DeviceStrategy s);
 
-/// How the driver produces the kernel program. kIr (the default) builds the
-/// dataflow-IR graph of the run, proves the protocol race/deadlock-free with
-/// the static checker (src/ir) and then lowers it — the graph's emit closure
-/// invokes the hand-wired builder, so the emitted Program is bit-identical
-/// to kHandWired. kHandWired calls the builder directly, skipping the proof
-/// (the pre-IR behaviour; also what strategies without an IR model — the
-/// tiled Section-IV programs, batched multi-group launches — always use).
-enum class LoweringPath {
-  kIr,
-  kHandWired,
-};
-
 /// Table II switches: selectively disable pipeline stages while keeping the
 /// CB structure and synchronisation intact. Only honoured by the tiled
 /// (Section IV) strategies, matching the paper's methodology.
@@ -94,12 +92,14 @@ struct DeviceRunConfig {
   /// per-core strip width).
   std::uint32_t chunk_elems = 1024;
   /// Read-ahead depth of the row-chunk reading mover: how many row batches
-  /// it keeps in flight (issued but not yet consumed). 2 is the paper's
-  /// Section VI scheme and the default; deeper values grow the local row
-  /// window (2N+1 slots) and input CBs (N pages each) so more DRAM reads
-  /// overlap, which is what lifts the 64+ core runs off the bank-queueing
-  /// wall (see bench/ablation_read_ahead). Honoured by kRowChunk (and the
-  /// stencil runner); other strategies read as the paper describes them.
+  /// it keeps in flight (issued but not yet consumed), in [2, 64]. 2 is the
+  /// paper's Section VI scheme and the default; deeper values grow the
+  /// input CBs (N pages each) and the local row window — 2N+3 slots for
+  /// Jacobi, 2N+3+2*ceil(N/nrows_min) for the general frontend (nrows_min:
+  /// the fewest rows any core owns) — so more DRAM reads overlap, which is
+  /// what lifts the 64+ core runs off the bank-queueing wall (see
+  /// bench/ablation_read_ahead). Honoured by kRowChunk (and the stencil
+  /// runner); other strategies read as the paper describes them.
   int read_ahead = 2;
   /// kTemporal only: how many iterations one DRAM pass chains through SRAM
   /// (k in [1, 8]). 1 degenerates to a blocked single-sweep; the DRAM-bytes
@@ -116,10 +116,6 @@ struct DeviceRunConfig {
   bool balanced_stripes = false;
   /// Verify against the BF16-exact CPU reference after the run.
   bool verify = false;
-  /// Program production path: prove-then-lower through the dataflow IR
-  /// (default) or call the hand-wired builder directly. Both emit the same
-  /// bits; kIr additionally rejects protocol-unsound programs before launch.
-  LoweringPath lowering = LoweringPath::kIr;
 };
 
 struct DeviceRunResult {

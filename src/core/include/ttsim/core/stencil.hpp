@@ -23,7 +23,7 @@ namespace ttsim::core {
 /// Run a weighted stencil with the Section VI row-chunk machinery (aliased
 /// CB read pointers, two-batch read-ahead). Lowers through the general
 /// frontend (to_general); config field `toggles` is ignored and `strategy`
-/// selects kSramResident when asked, row-chunk otherwise.
+/// selects kSramResident or kTemporal when asked, row-chunk otherwise.
 DeviceRunResult run_stencil_on_device(ttmetal::Device& device, const StencilProblem& p,
                                       const DeviceRunConfig& config);
 DeviceRunResult run_stencil_on_device(const StencilProblem& p,
@@ -43,9 +43,12 @@ struct GeneralRunResult {
 };
 
 /// Run a general radius-1 stencil program. `config.strategy` must be
-/// kRowChunk (any problem) or kSramResident (single-field single-pass,
-/// cores_x == 1); throws ApiError otherwise. With config.verify the result
-/// is checked bit-exact against cpu::general_reference_bf16.
+/// kRowChunk (any problem), kSramResident (single-field single-pass,
+/// cores_x == 1) or kTemporal (single-pass, cores_x == 1); the launch-config
+/// checks are the Jacobi driver's, and the program is certified by the
+/// dataflow IR before it launches. Throws ApiError on a config it rejects.
+/// With config.verify the result is checked bit-exact against
+/// cpu::general_reference_bf16.
 GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
                                                const GeneralStencilProblem& p,
                                                const DeviceRunConfig& config);
@@ -71,8 +74,9 @@ void build_batched_stencil_program(ttmetal::Program& prog,
                                    const std::vector<GeneralBatchSlot>& slots);
 
 /// Admission-time validation of a general-stencil batch slot: structural
-/// problem validity plus the row-chunk decomposition checks of
-/// validate_batch_request. Throws ApiError naming the violation.
+/// problem validity, the launch-config checks of validate_batch_request,
+/// and temporal tiling's single-pass limit. Throws ApiError naming the
+/// violation.
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg);
 

@@ -44,7 +44,6 @@ constexpr int kCbLoadBarrier = 0;  // jacobi_sram ignores sh->barrier_id
 constexpr int kSemLoaded = 0;
 constexpr int kSemComputed = 1;
 constexpr int kSemFree = 2;
-constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
 
 Op make_op(OpKind k, int id, Count c, int pages = 1,
            Guard g = Guard::kAlways, Peer peer = Peer::kSelf,
@@ -62,10 +61,6 @@ Op flow_op(OpKind k, Count c, std::string note) {
   return o;
 }
 
-std::uint32_t slot_bytes_of(std::uint32_t chunk) {
-  return static_cast<std::uint32_t>(align_up((chunk + 2) * 2 + 32, 64));
-}
-
 /// Core-0 chunk grid (the representative instance bound to the graph's
 /// "points"/"columns" symbols) plus the across-cores maxima the builders
 /// size shared buffers with.
@@ -77,30 +72,18 @@ struct StripGeom {
 StripGeom strip_geom(const std::vector<CoreRange>& ranges,
                      std::uint32_t chunk_elems) {
   StripGeom g;
-  const CoreRange& r0 = ranges.front();
-  const std::uint32_t strip = r0.col_hi - r0.col_lo;
-  std::uint32_t chunk = std::min(chunk_elems, strip);
-  while (chunk > 16 && (strip % chunk != 0 || chunk % 16 != 0)) --chunk;
-  TTSIM_CHECK_MSG(chunk > 0 && strip % chunk == 0,
-                  "no valid chunk width for strip " << strip);
-  g.chunk0 = chunk;
-  g.ncols0 = strip / chunk;
-  g.nrows0 = r0.row_hi - r0.row_lo;
+  const ChunkGrid grid0(ranges.front(), chunk_elems, 1);
+  g.chunk0 = grid0.chunk;
+  g.ncols0 = grid0.ncols;
+  g.nrows0 = grid0.nrows;
+  g.max_chunk = max_chunk(ranges, chunk_elems);
   std::uint32_t min_rows = UINT32_MAX;
   for (const CoreRange& rg : ranges) {
-    g.max_chunk = std::max(g.max_chunk,
-                           std::min(chunk_elems, rg.col_hi - rg.col_lo));
     g.max_rows = std::max(g.max_rows, rg.row_hi - rg.row_lo);
     min_rows = std::min(min_rows, rg.row_hi - rg.row_lo);
   }
   g.min_rows = std::max(min_rows, 1u);
   return g;
-}
-
-/// SRAM/temporal slab row stride (32-byte-aligned prefix + data span).
-std::uint32_t slab_row_stride(std::uint32_t width) {
-  const std::uint32_t data_span = std::max<std::uint32_t>(width + 2, 1026) * 2;
-  return static_cast<std::uint32_t>(align_up(32 + data_span, 32));
 }
 
 void declare_cb(Graph& g, int id, Count pages, std::uint32_t page_size,
@@ -113,10 +96,10 @@ void declare_cb(Graph& g, int id, Count pages, std::uint32_t page_size,
 
 /// Replays the simulator's bump allocator over the graph's regions at the
 /// concrete bindings. When the *launched* configuration would exhaust core
-/// SRAM, the hand-wired path raises ApiError from the allocator at launch;
-/// raise the same error here so LoweringPath::kIr reports identical
-/// diagnostics instead of a static-checker sram-overflow finding. (The
-/// checker still sweeps the declared symbol ranges for non-launched depths.)
+/// SRAM, the program's allocator would raise ApiError at launch; raise the
+/// same error here so a certified launch reports the allocator's diagnostic
+/// instead of a static-checker sram-overflow finding. (The checker still
+/// sweeps the declared symbol ranges for non-launched depths.)
 void require_sram_fit(const Graph& g) {
   std::int64_t top = 0;
   for (const auto& r : g.regions) {
@@ -164,7 +147,7 @@ Graph jacobi_rowchunk_graph(const std::shared_ptr<KernelShared>& sh,
   const int ncores = static_cast<int>(sh->ranges.size());
   const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
   const StripGeom geo = strip_geom(sh->ranges, sh->chunk_elems);
-  const std::uint32_t sbytes = slot_bytes_of(geo.max_chunk);
+  const std::uint32_t sbytes = slot_bytes(geo.max_chunk);
   const bool residual = sh->residual_addr != 0;
 
   Graph g;
@@ -253,7 +236,6 @@ Graph jacobi_rowchunk_graph(const std::shared_ptr<KernelShared>& sh,
   }
   g.kernels.push_back(std::move(writer));
 
-  g.emit = [sh](ttmetal::Program& prog) { build_rowchunk_program(prog, sh); };
   return g;
 }
 
@@ -267,8 +249,7 @@ Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
   const int ncores = static_cast<int>(sh->ranges.size());
   const std::uint32_t W = sh->layout.width();
   const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "SRAM-slab domains must be <= 1024 wide or a multiple of 1024");
+  TTSIM_CHECK(W % chunk == 0);
   const StripGeom geo = strip_geom(sh->ranges, chunk);
   const std::uint32_t row_stride = slab_row_stride(W);
   const std::uint32_t slab_bytes = (geo.max_rows + 2) * row_stride;
@@ -347,9 +328,6 @@ Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
                             "final slab -> DRAM writeback"));
   g.kernels.push_back(std::move(dm1));
 
-  g.emit = [sh](ttmetal::Program& prog) {
-    build_sram_resident_program(prog, sh);
-  };
   return g;
 }
 
@@ -426,13 +404,10 @@ void temporal_protocol(Graph& g, int ncores, int barrier_id,
 
 Graph jacobi_temporal_graph(const std::shared_ptr<KernelShared>& sh,
                             std::int64_t sram_bytes) {
-  TTSIM_CHECK_MSG(sh->temporal_depth >= 1 && sh->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
   const int ncores = static_cast<int>(sh->ranges.size());
   const std::uint32_t W = sh->layout.width();
   const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "temporal domains must be <= 1024 wide or a multiple of 1024");
+  TTSIM_CHECK(W % chunk == 0);
   const StripGeom geo = strip_geom(sh->ranges, chunk);
   // Classic Jacobi: one written+streamed field (2 slabs), v = reach = 1.
   const TemporalSizing siz =
@@ -471,7 +446,6 @@ Graph jacobi_temporal_graph(const std::shared_ptr<KernelShared>& sh,
   temporal_protocol(g, ncores, sh->barrier_id, std::move(prologue),
                     std::move(chain));
 
-  g.emit = [sh](ttmetal::Program& prog) { build_temporal_program(prog, sh); };
   return g;
 }
 
@@ -488,7 +462,7 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
   const StripGeom geo = strip_geom(sh->ranges, sh->chunk_elems);
   const std::uint32_t extra = 2 * ((depth + geo.min_rows - 1) / geo.min_rows);
   const std::uint32_t nslots = 2 * depth + 3 + extra;
-  const std::uint32_t sbytes = slot_bytes_of(geo.max_chunk);
+  const std::uint32_t sbytes = slot_bytes(geo.max_chunk);
 
   std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
   bool needs_inter = false, needs_post = false;
@@ -588,16 +562,12 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
   g.kernels.push_back(std::move(compute));
   g.kernels.push_back(std::move(writer));
 
-  g.emit = [sh](ttmetal::Program& prog) {
-    build_general_rowchunk_group(prog, sh);
-  };
   return g;
 }
 
 Graph general_sram_graph(const std::shared_ptr<GeneralShared>& sh,
                          std::int64_t sram_bytes) {
-  TTSIM_CHECK_MSG(sh->nfields() == 1 && sh->passes.size() == 1,
-                  "SRAM lowering handles single-field single-pass programs");
+  TTSIM_CHECK(sh->nfields() == 1 && sh->passes.size() == 1);
   const int ncores = static_cast<int>(sh->ranges.size());
   const LoweredPass& pass = sh->passes.front();
   const std::uint32_t W = sh->layout.width();
@@ -685,26 +655,19 @@ Graph general_sram_graph(const std::shared_ptr<GeneralShared>& sh,
                             "final slab -> DRAM writeback"));
   g.kernels.push_back(std::move(dm1));
 
-  g.emit = [sh](ttmetal::Program& prog) {
-    build_general_sram_program(prog, sh);
-  };
   return g;
 }
 
 Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
                              std::int64_t sram_bytes) {
-  TTSIM_CHECK_MSG(sh->passes.size() == 1,
-                  "temporal tiling chains single-pass programs");
-  TTSIM_CHECK_MSG(sh->temporal_depth >= 1 && sh->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
+  TTSIM_CHECK(sh->passes.size() == 1);
   const int ncores = static_cast<int>(sh->ranges.size());
   const int nfields = sh->nfields();
   const LoweredPass& pass = sh->passes.front();
   const int wf = pass.target;
   const std::uint32_t W = sh->layout.width();
   const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "temporal domains must be <= 1024 wide or a multiple of 1024");
+  TTSIM_CHECK(W % chunk == 0);
   const StripGeom geo = strip_geom(sh->ranges, chunk);
 
   std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
@@ -773,9 +736,6 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
   append_chain_ops(chain, pass, P);
   temporal_protocol(g, ncores, sh->barrier_id, {}, std::move(chain));
 
-  g.emit = [sh](ttmetal::Program& prog) {
-    build_general_temporal_group(prog, sh);
-  };
   return g;
 }
 
@@ -795,19 +755,17 @@ ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
       g = jacobi_temporal_graph(sh, sram_bytes);
       break;
     default:
-      TTSIM_THROW_API("the dataflow IR models the row-chunk, SRAM-resident "
-                      "and temporal lowerings (got "
-                      << to_string(sh->strategy) << ")");
+      TTSIM_CHECK_MSG(false, "no IR model of " << to_string(sh->strategy));
   }
   require_sram_fit(g);
+  g.emit = [sh](ttmetal::Program& prog) { build_jacobi_program(prog, sh); };
   return g;
 }
 
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
-                             DeviceStrategy strategy,
                              std::int64_t sram_bytes) {
   Graph g;
-  switch (strategy) {
+  switch (sh->strategy) {
     case DeviceStrategy::kRowChunk:
       g = general_rowchunk_graph(sh, sram_bytes);
       break;
@@ -818,11 +776,10 @@ ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
       g = general_temporal_graph(sh, sram_bytes);
       break;
     default:
-      TTSIM_THROW_API("the dataflow IR models the row-chunk, SRAM-resident "
-                      "and temporal lowerings (got " << to_string(strategy)
-                      << ")");
+      TTSIM_CHECK_MSG(false, "no IR model of " << to_string(sh->strategy));
   }
   require_sram_fit(g);
+  g.emit = [sh](ttmetal::Program& prog) { build_general_program(prog, sh); };
   return g;
 }
 
@@ -838,58 +795,32 @@ namespace {
 constexpr std::uint64_t kDummyBase = 0x100000;
 constexpr std::uint64_t kDummyStep = 0x100000;
 
-void require_ir_strategy(DeviceStrategy s) {
-  if (s != DeviceStrategy::kRowChunk && s != DeviceStrategy::kSramResident &&
-      s != DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("the dataflow IR models the row-chunk, SRAM-resident and "
-                    "temporal lowerings (got " << to_string(s) << ")");
-  }
-}
-
 }  // namespace
 
 ir::Graph jacobi_ir_graph(const JacobiProblem& p, const DeviceRunConfig& cfg,
                           std::int64_t sram_bytes) {
-  require_ir_strategy(cfg.strategy);
-  const PaddedLayout layout(p.width, p.height);
-  auto sh = std::make_shared<detail::KernelShared>(layout);
-  sh->d1 = kDummyBase;
-  sh->d2 = kDummyBase + kDummyStep;
-  sh->iterations = p.iterations;
-  sh->strategy = cfg.strategy;
-  sh->toggles = cfg.toggles;
-  sh->chunk_elems = cfg.chunk_elems;
-  sh->read_ahead = cfg.read_ahead;
-  sh->temporal_depth = cfg.temporal_depth;
-  sh->ranges = detail::decompose(p, cfg.cores_x, cfg.cores_y, 16);
-  return detail::make_jacobi_graph(std::move(sh), sram_bytes);
+  detail::validate_launch(p, cfg, detail::Surface::kCertified, 0);
+  return detail::make_jacobi_graph(
+      detail::resolve_jacobi(p, cfg, detail::requested_cores(cfg), kDummyBase,
+                             kDummyBase + kDummyStep),
+      sram_bytes);
 }
 
 ir::Graph general_ir_graph(const GeneralStencilProblem& p,
                            const DeviceRunConfig& cfg,
                            std::int64_t sram_bytes) {
-  p.validate();
-  require_ir_strategy(cfg.strategy);
-  const PaddedLayout layout(p.width, p.height);
-  auto sh = std::make_shared<detail::GeneralShared>(layout);
-  detail::lower_program(p, *sh);
-  sh->chunk_elems = cfg.chunk_elems;
-  sh->read_ahead = cfg.read_ahead;
-  sh->temporal_depth = cfg.temporal_depth;
-  sh->ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
-  const int nfields = sh->nfields() > 0 ? sh->nfields()
-                                        : static_cast<int>(p.fields.size());
-  sh->d1.assign(static_cast<std::size_t>(nfields), 0);
-  sh->d2.assign(static_cast<std::size_t>(nfields), 0);
-  for (int f = 0; f < nfields; ++f) {
-    sh->d1[static_cast<std::size_t>(f)] =
-        kDummyBase + static_cast<std::uint64_t>(2 * f) * kDummyStep;
-    if (p.written_pass(f) >= 0) {
-      sh->d2[static_cast<std::size_t>(f)] =
-          kDummyBase + static_cast<std::uint64_t>(2 * f + 1) * kDummyStep;
-    }
+  detail::validate_general_launch(p, cfg, detail::Surface::kCertified, 0);
+  std::vector<std::uint64_t> d1, d2;
+  for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
+    d1.push_back(kDummyBase + static_cast<std::uint64_t>(2 * f) * kDummyStep);
+    d2.push_back(p.written_pass(f) >= 0
+                     ? kDummyBase + static_cast<std::uint64_t>(2 * f + 1) * kDummyStep
+                     : 0);
   }
-  return detail::make_general_graph(std::move(sh), cfg.strategy, sram_bytes);
+  return detail::make_general_graph(
+      detail::resolve_general(p, cfg, detail::requested_cores(cfg), std::move(d1),
+                              std::move(d2)),
+      sram_bytes);
 }
 
 }  // namespace ttsim::core

@@ -1,14 +1,15 @@
 #pragma once
 /// \file ir_frontend.hpp (internal)
 /// Builders that model an already-resolved kernel-shared state as a
-/// dataflow-IR Graph. Each returned graph carries an emit closure invoking
-/// the very hand-wired builder it models, so ir::lower(graph, prog) first
-/// proves the protocol sound and then produces a Program bit-identical to
-/// calling the builder directly.
+/// dataflow-IR Graph. Each returned graph's emit closure is the kind's
+/// strategy -> builder switch (build_jacobi_program /
+/// build_general_program), so ir::lower(graph, prog) first proves the
+/// protocol sound and then produces exactly the Program that switch
+/// builds.
 ///
-/// Paths that stay hand-wired (no IR graph): the Section-IV tiled
-/// programs, and the batched builders — several independent solves share
-/// one Program there, which the single-group graphs don't model.
+/// Programs with no IR graph: the Section-IV tiled programs, and the
+/// batched launches — several independent solves share one Program there,
+/// which the single-group graphs don't model.
 
 #include <cstdint>
 #include <memory>
@@ -29,10 +30,8 @@ ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
                             std::int64_t sram_bytes);
 
 /// Same for the general radius-1 frontend: the row-chunk group, the
-/// SRAM-resident program or the temporal group, keyed on `strategy`
-/// (GeneralShared does not carry one).
+/// SRAM-resident program or the temporal group, keyed on sh->strategy.
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
-                             DeviceStrategy strategy,
                              std::int64_t sram_bytes);
 
 }  // namespace ttsim::core::detail

@@ -1,7 +1,5 @@
 #include "ttsim/core/jacobi_batch.hpp"
 
-#include <set>
-
 #include "jacobi_internal.hpp"
 
 namespace ttsim::core {
@@ -9,74 +7,23 @@ namespace ttsim::core {
 void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem& p,
                                     const DeviceRunConfig& cfg,
                                     const std::vector<BatchSlot>& slots) {
-  if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
   validate_batch_request(p, cfg);
-
-  const PaddedLayout layout(p.width, p.height);
-  const auto ranges = detail::decompose(p, cfg.cores_x, cfg.cores_y, 16);
-
-  std::set<int> used;
+  detail::check_batch_slots(slots, static_cast<std::size_t>(cfg.cores_x * cfg.cores_y));
+  // One resolve for the batch: the slots differ only in their grids,
+  // workers and barrier.
+  const auto base = detail::resolve_jacobi(p, cfg, detail::requested_cores(cfg), 0, 0);
   for (std::size_t g = 0; g < slots.size(); ++g) {
-    const BatchSlot& slot = slots[g];
-    if (slot.core_ids.size() != ranges.size()) {
-      TTSIM_THROW_API("batch slot " << g << " supplies " << slot.core_ids.size()
-                      << " cores but the decomposition needs " << ranges.size());
-    }
-    for (int id : slot.core_ids) {
-      if (!used.insert(id).second) {
-        TTSIM_THROW_API("batch slots must use disjoint cores (worker " << id
-                        << " appears twice)");
-      }
-    }
-  }
-
-  for (std::size_t g = 0; g < slots.size(); ++g) {
-    const BatchSlot& slot = slots[g];
-    auto shared = std::make_shared<detail::KernelShared>(layout);
-    shared->d1 = slot.d1;
-    shared->d2 = slot.d2;
-    shared->iterations = p.iterations;
-    shared->strategy = cfg.strategy;
-    shared->toggles = cfg.toggles;
-    shared->chunk_elems = cfg.chunk_elems;
-    shared->read_ahead = cfg.read_ahead;
-    shared->temporal_depth = cfg.temporal_depth;
-    shared->ranges = ranges;
-    shared->core_ids = slot.core_ids;
+    auto shared = std::make_shared<detail::KernelShared>(*base);
+    shared->d1 = slots[g].d1;
+    shared->d2 = slots[g].d2;
+    shared->core_ids = slots[g].core_ids;
     shared->barrier_id = static_cast<int>(g);
-    if (cfg.strategy == DeviceStrategy::kTemporal) {
-      detail::build_temporal_program(prog, shared);
-    } else {
-      detail::build_rowchunk_program(prog, shared);
-    }
+    detail::build_jacobi_program(prog, std::move(shared));
   }
 }
 
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg) {
-  if (cfg.strategy != DeviceStrategy::kRowChunk &&
-      cfg.strategy != DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("batched launches are built on the row-chunk or temporal "
-                    "strategies");
-  }
-  if (cfg.strategy == DeviceStrategy::kTemporal) {
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API("temporal tiling decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-    if (cfg.temporal_depth < 1 || cfg.temporal_depth > 8) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-  }
-  if (p.iterations < 1) TTSIM_THROW_API("need at least one iteration");
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
-  }
-  (void)detail::decompose(p, cfg.cores_x, cfg.cores_y, 16);
+  detail::validate_launch(p, cfg, detail::Surface::kBatch, 0);
 }
 
 ttmetal::BufferConfig batch_grid_buffer_config(const DeviceRunConfig& cfg,

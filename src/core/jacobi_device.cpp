@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "card_threads.hpp"
 #include "ir_frontend.hpp"
@@ -14,6 +15,57 @@
 namespace ttsim::core {
 
 namespace detail {
+
+void validate_launch(const JacobiProblem& geometry, const DeviceRunConfig& cfg,
+                     Surface surface, int workers) {
+  const DeviceStrategy s = cfg.strategy;
+  if (surface == Surface::kCertified && is_tiled(s)) {
+    TTSIM_THROW_API("the dataflow IR models the row-chunk, SRAM-resident and "
+                    "temporal lowerings (got " << to_string(s) << ")");
+  }
+  if (surface == Surface::kBatch && s != DeviceStrategy::kRowChunk &&
+      s != DeviceStrategy::kTemporal) {
+    TTSIM_THROW_API("batched launches are built on the row-chunk or temporal "
+                    "strategies (got " << to_string(s) << ")");
+  }
+  const int ncores = cfg.cores_x * cfg.cores_y;
+  if (workers > 0 && ncores > workers) {
+    TTSIM_THROW_API("decomposition needs " << ncores << " cores but the e150 has "
+                                           << workers << " workers");
+  }
+  (void)decompose(geometry, cfg.cores_x, cfg.cores_y, is_tiled(s) ? kTile : 16);
+  if (geometry.iterations < 1) TTSIM_THROW_API("need at least one iteration");
+  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
+    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
+                    << "); 2 is the paper's two-batch scheme");
+  }
+  if (s == DeviceStrategy::kTemporal &&
+      (cfg.temporal_depth < 1 || cfg.temporal_depth > 8)) {
+    TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
+                    << cfg.temporal_depth << ")");
+  }
+  if (is_slab(s)) {
+    if (cfg.cores_x != 1) {
+      TTSIM_THROW_API(to_string(s) << " decomposes in Y only (cores_x == 1)");
+    }
+    if (geometry.width > 1024 && geometry.width % 1024 != 0) {
+      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
+                      "1024 (FPU tile packs write straight into the slab)");
+    }
+  }
+  if (is_tiled(s)) {
+    if (geometry.width % kTile != 0 || geometry.height % kTile != 0) {
+      TTSIM_THROW_API("tiled strategies need 32x32-divisible domains");
+    }
+    if (geometry.height / static_cast<std::uint32_t>(cfg.cores_y) % kTile != 0 ||
+        geometry.height % static_cast<std::uint32_t>(cfg.cores_y) != 0) {
+      TTSIM_THROW_API("tiled strategies need 32-divisible rows per core");
+    }
+  } else if (!cfg.toggles.all_enabled()) {
+    TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
+                    "(Section IV) designs");
+  }
+}
 
 std::vector<CoreRange> decompose(const JacobiProblem& p, int cores_x, int cores_y,
                                  std::uint32_t col_align) {
@@ -87,131 +139,130 @@ ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
   return bc;
 }
 
-}  // namespace detail
+std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
+                                             const DeviceRunConfig& cfg,
+                                             const CoreSelection& sel,
+                                             std::uint64_t d1, std::uint64_t d2) {
+  auto sh = std::make_shared<KernelShared>(PaddedLayout(p.width, p.height));
+  sh->d1 = d1;
+  sh->d2 = d2;
+  sh->iterations = p.iterations;
+  sh->strategy = cfg.strategy;
+  sh->toggles = cfg.toggles;
+  sh->chunk_elems = cfg.chunk_elems;
+  sh->read_ahead = cfg.read_ahead;
+  sh->temporal_depth = cfg.temporal_depth;
+  sh->ranges = decompose(p, sel.cores_x, sel.cores_y,
+                         is_tiled(cfg.strategy) ? kTile : 16);
+  sh->core_ids = sel.core_ids;
+  return sh;
+}
 
-namespace {
-
-void validate_config(const ttmetal::Device& device, const JacobiProblem& p,
-                     const DeviceRunConfig& cfg) {
-  const int ncores = cfg.cores_x * cfg.cores_y;
-  if (ncores > device.num_workers()) {
-    TTSIM_THROW_API("decomposition needs " << ncores << " cores but the e150 has "
-                                           << device.num_workers() << " workers");
-  }
-  if (p.iterations < 1) TTSIM_THROW_API("need at least one iteration");
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
-  }
-  if (cfg.strategy == DeviceStrategy::kSramResident ||
-      cfg.strategy == DeviceStrategy::kTemporal) {
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API(to_string(cfg.strategy)
-                      << " decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-    if (!cfg.toggles.all_enabled()) {
-      TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
-                      "(Section IV) designs");
-    }
-    if (cfg.strategy == DeviceStrategy::kTemporal &&
-        (cfg.temporal_depth < 1 || cfg.temporal_depth > 8)) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-    return;
-  }
-  const bool tiled = cfg.strategy != DeviceStrategy::kRowChunk;
-  if (tiled) {
-    if (p.width % detail::kTile != 0 || p.height % detail::kTile != 0) {
-      TTSIM_THROW_API("tiled strategies need 32x32-divisible domains");
-    }
-    if (p.height / static_cast<std::uint32_t>(cfg.cores_y) % detail::kTile != 0 ||
-        p.height % static_cast<std::uint32_t>(cfg.cores_y) != 0) {
-      TTSIM_THROW_API("tiled strategies need 32-divisible rows per core");
-    }
-  }
-  if (!cfg.toggles.all_enabled() && !tiled) {
-    TTSIM_THROW_API("component toggles are a Table II instrument of the tiled "
-                    "(Section IV) designs");
+void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh) {
+  switch (sh->strategy) {
+    case DeviceStrategy::kInitial:
+    case DeviceStrategy::kWriteOptimised:
+    case DeviceStrategy::kDoubleBuffered:
+      build_tiled_program(prog, std::move(sh));
+      return;
+    case DeviceStrategy::kRowChunk:
+      build_rowchunk_program(prog, std::move(sh));
+      return;
+    case DeviceStrategy::kSramResident:
+      build_sram_resident_program(prog, std::move(sh));
+      return;
+    case DeviceStrategy::kTemporal:
+      build_temporal_program(prog, std::move(sh));
+      return;
   }
 }
 
-}  // namespace
+bool reads_d2_first(DeviceStrategy s, int sweeps, int temporal_depth) {
+  if (s != DeviceStrategy::kTemporal) return false;
+  const int epochs = (sweeps + temporal_depth - 1) / temporal_depth;
+  return (epochs + sweeps) % 2 == 1;
+}
+
+bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution) {
+  const auto ref = cpu::jacobi_reference_bf16(p);
+  if (ref.size() != solution.size()) return false;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (static_cast<float>(ref[i]) != solution[i]) return false;
+  }
+  return true;
+}
+
+JacobiLaunchLoop::JacobiLaunchLoop(ttmetal::Device& device, const JacobiProblem& p,
+                                   const DeviceRunConfig& cfg, CoreSelection sel)
+    : device_(device), p_(p), cfg_(cfg), sel_(std::move(sel)) {
+  const ttmetal::BufferConfig bc =
+      grid_buffer_config(cfg, PaddedLayout(p.width, p.height));
+  d1_ = device.create_buffer(bc);
+  d2_ = device.create_buffer(bc);
+}
+
+void JacobiLaunchLoop::stage(std::span<const bfloat16_t> image) {
+  device_.write_buffer(*d1_, std::as_bytes(image));
+  device_.write_buffer(*d2_, std::as_bytes(image));
+  fresh_ = nullptr;
+}
+
+SimTime JacobiLaunchLoop::launch(int sweeps, std::uint64_t residual_addr) {
+  ttmetal::Buffer* first = d1_.get();
+  ttmetal::Buffer* second = d2_.get();
+  if (fresh_ != nullptr &&
+      (fresh_ == second) !=
+          reads_d2_first(cfg_.strategy, sweeps, cfg_.temporal_depth)) {
+    std::swap(first, second);
+  }
+  JacobiProblem chunk = p_;
+  chunk.iterations = sweeps;
+  auto sh = resolve_jacobi(chunk, cfg_, sel_, first->address(), second->address());
+  sh->residual_addr = residual_addr;
+
+  ttmetal::Program prog;
+  if (is_tiled(cfg_.strategy)) {
+    // The Section-IV programs predate the flow-controlled protocol the IR
+    // models: built directly.
+    build_jacobi_program(prog, std::move(sh));
+  } else {
+    // Prove the protocol race/deadlock-free, then lower; the graph's emit
+    // closure is build_jacobi_program.
+    ir::lower(make_jacobi_graph(
+                  std::move(sh), static_cast<std::int64_t>(device_.spec().sram_bytes)),
+              prog);
+  }
+  device_.run_program(prog);
+  fresh_ = sweeps % 2 == 1 ? second : first;
+  return device_.last_kernel_duration();
+}
+
+std::vector<bfloat16_t> JacobiLaunchLoop::read_fresh() {
+  std::vector<bfloat16_t> image(PaddedLayout(p_.width, p_.height).elems());
+  device_.read_buffer(fresh_ != nullptr ? *fresh_ : *d1_,
+                      std::as_writable_bytes(std::span{image}));
+  return image;
+}
+
+}  // namespace detail
 
 DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProblem& p,
                                      const DeviceRunConfig& cfg) {
-  validate_config(device, p, cfg);
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
+  detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
+  detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
   const ttmetal::RetryScope retries(device);
   const PaddedLayout layout(p.width, p.height);
-  const bool tiled = cfg.strategy != DeviceStrategy::kRowChunk &&
-                     cfg.strategy != DeviceStrategy::kSramResident &&
-                     cfg.strategy != DeviceStrategy::kTemporal;
-
-  const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
-  auto d1 = device.create_buffer(bc);
-  auto d2 = device.create_buffer(bc);
 
   const SimTime t_start = device.now();
-  const auto image = layout.initial_image(p);
-  device.write_buffer(*d1, std::as_bytes(std::span{image}));
-  device.write_buffer(*d2, std::as_bytes(std::span{image}));
-
-  auto shared = std::make_shared<detail::KernelShared>(layout);
-  shared->d1 = d1->address();
-  shared->d2 = d2->address();
-  shared->iterations = p.iterations;
-  shared->strategy = cfg.strategy;
-  shared->toggles = cfg.toggles;
-  shared->chunk_elems = cfg.chunk_elems;
-  shared->read_ahead = cfg.read_ahead;
-  shared->temporal_depth = cfg.temporal_depth;
-  shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y,
-                                     tiled ? detail::kTile : 16);
-  shared->core_ids = sel.core_ids;
-
-  ttmetal::Program prog;
-  if (tiled) {
-    // The Section-IV programs predate the flow-controlled protocol the IR
-    // models: always hand-wired.
-    detail::build_tiled_program(prog, shared);
-  } else if (cfg.lowering == LoweringPath::kIr) {
-    // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure calls the same builder the kHandWired branch does.
-    ir::lower(detail::make_jacobi_graph(
-                  shared, static_cast<std::int64_t>(device.spec().sram_bytes)),
-              prog);
-  } else if (cfg.strategy == DeviceStrategy::kRowChunk) {
-    detail::build_rowchunk_program(prog, shared);
-  } else if (cfg.strategy == DeviceStrategy::kTemporal) {
-    detail::build_temporal_program(prog, shared);
-  } else {
-    detail::build_sram_resident_program(prog, shared);
-  }
-  device.run_program(prog);
-
-  // After `iterations` sweeps the freshest grid is d2 for odd counts.
-  auto& final_buf = (p.iterations % 2 == 1) ? *d2 : *d1;
-  std::vector<bfloat16_t> out(layout.elems());
-  device.read_buffer(final_buf, std::as_writable_bytes(std::span{out}));
-
+  loop.stage(layout.initial_image(p));
   DeviceRunResult result;
-  result.kernel_time = device.last_kernel_duration();
+  result.kernel_time = loop.launch(p.iterations);
+  result.solution = layout.extract_interior(loop.read_fresh());
   result.total_time = device.now() - t_start;
-  result.cores_used = sel.ncores();
+  result.cores_used = loop.cores().ncores();
   result.transfer_retries = static_cast<int>(retries.count());
-  result.solution = layout.extract_interior(out);
-
   if (cfg.verify && cfg.toggles.all_enabled()) {
-    const auto ref = cpu::jacobi_reference_bf16(p);
-    result.verified_ok = ref.size() == result.solution.size();
-    for (std::size_t i = 0; result.verified_ok && i < ref.size(); ++i) {
-      if (static_cast<float>(ref[i]) != result.solution[i]) result.verified_ok = false;
-    }
+    result.verified_ok = detail::matches_reference(p, result.solution);
   }
   return result;
 }
@@ -231,59 +282,27 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
   if (options.check_every < 1 || options.tolerance <= 0.0) {
     TTSIM_THROW_API("adaptive solving needs check_every >= 1 and tolerance > 0");
   }
+  detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
   const std::uint32_t strip = p.width / static_cast<std::uint32_t>(cfg.cores_x);
-  if (p.width % static_cast<std::uint32_t>(cfg.cores_x) != 0 || strip % 1024 != 0) {
+  if (strip % 1024 != 0) {
     TTSIM_THROW_API("device-side residuals need full 1024-element chunks "
                     "(strip width " << strip << ")");
   }
-  validate_config(device, p, cfg);
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
-
-  const PaddedLayout layout(p.width, p.height);
-  const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
-  auto d1 = device.create_buffer(bc);
-  auto d2 = device.create_buffer(bc);
-  const int ncores = sel.ncores();
+  detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
+  const int ncores = loop.cores().ncores();
   ttmetal::BufferConfig res_cfg;
   res_cfg.size = static_cast<std::uint64_t>(ncores) * 32;
   auto residuals = device.create_buffer(res_cfg);
+  const PaddedLayout layout(p.width, p.height);
 
   const SimTime t_start = device.now();
-  const auto image = layout.initial_image(p);
-  device.write_buffer(*d1, std::as_bytes(std::span{image}));
-  device.write_buffer(*d2, std::as_bytes(std::span{image}));
-
+  loop.stage(layout.initial_image(p));
   AdaptiveRunResult result;
   result.final_residual = std::numeric_limits<double>::infinity();
-  bool swapped = false;
-  int remaining = p.iterations;
-  while (remaining > 0) {
-    const int chunk = std::min(options.check_every, remaining);
-    auto shared = std::make_shared<detail::KernelShared>(layout);
-    shared->d1 = swapped ? d2->address() : d1->address();
-    shared->d2 = swapped ? d1->address() : d2->address();
-    shared->iterations = chunk;
-    shared->strategy = cfg.strategy;
-    shared->chunk_elems = cfg.chunk_elems;
-    shared->read_ahead = cfg.read_ahead;
-    shared->residual_addr = residuals->address();
-    shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y, 16);
-    shared->core_ids = sel.core_ids;
-
-    ttmetal::Program prog;
-    if (cfg.lowering == LoweringPath::kIr) {
-      ir::lower(detail::make_jacobi_graph(
-                    shared,
-                    static_cast<std::int64_t>(device.spec().sram_bytes)),
-                prog);
-    } else {
-      detail::build_rowchunk_program(prog, shared);
-    }
-    device.run_program(prog);
-    result.kernel_time += device.last_kernel_duration();
+  while (result.iterations_run < p.iterations) {
+    const int chunk = std::min(options.check_every, p.iterations - result.iterations_run);
+    result.kernel_time += loop.launch(chunk, residuals->address());
     result.iterations_run += chunk;
-    remaining -= chunk;
-    if (chunk % 2 == 1) swapped = !swapped;
 
     std::vector<std::byte> raw(static_cast<std::size_t>(ncores) * 32);
     device.read_buffer(*residuals, raw);
@@ -299,12 +318,7 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
       break;
     }
   }
-
-  // After `iterations_run` sweeps the freshest grid is the current "d2".
-  auto& final_buf = swapped ? *d2 : *d1;
-  std::vector<bfloat16_t> out(layout.elems());
-  device.read_buffer(final_buf, std::as_writable_bytes(std::span{out}));
-  result.solution = layout.extract_interior(out);
+  result.solution = layout.extract_interior(loop.read_fresh());
   result.total_time = device.now() - t_start;
   return result;
 }

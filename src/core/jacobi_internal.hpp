@@ -1,11 +1,18 @@
 #pragma once
 /// \file jacobi_internal.hpp
 /// Shared internals of the device Jacobi solvers: the per-core domain
-/// decomposition and the program-builder entry points used by the driver.
+/// decomposition, the one launch-config validator, the (problem, config) ->
+/// kernel-state resolve, the strategy -> builder switch, the chunked launch
+/// loop every Jacobi driver runs on, and the row-chunk geometry both
+/// row-chunk builders and their IR models share.
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "ttsim/common/check.hpp"
+#include "ttsim/common/units.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/ttmetal/program.hpp"
 
@@ -32,6 +39,36 @@ struct CoreRange {
   std::uint32_t row_lo, row_hi, col_lo, col_hi;
 };
 
+/// The Section-IV strategies (kInitial / kWriteOptimised / kDoubleBuffered):
+/// 32x32 batches, hand-wired programs the dataflow IR does not model.
+inline bool is_tiled(DeviceStrategy s) {
+  return s != DeviceStrategy::kRowChunk && s != DeviceStrategy::kSramResident &&
+         s != DeviceStrategy::kTemporal;
+}
+
+/// Slab strategies hold whole rows in L1: Y-only decompositions.
+inline bool is_slab(DeviceStrategy s) {
+  return s == DeviceStrategy::kSramResident || s == DeviceStrategy::kTemporal;
+}
+
+/// What a launch config is validated for; each surface admits a subset of
+/// the strategies.
+enum class Surface {
+  kSolve,      ///< a single Jacobi solve: every strategy
+  kCertified,  ///< a lowering the dataflow IR models: row-chunk, SRAM, temporal
+  kBatch,      ///< one slot of a batched launch: row-chunk or temporal
+};
+
+/// The one launch-config check, shared by every solve, batch, IR and
+/// admission entry point: strategy eligibility for `surface`, iterations
+/// >= 1, read_ahead in [2, 64], temporal_depth in [1, 8] (kTemporal),
+/// cores_x == 1 and the SRAM-slab width rule (slab strategies), the tiled
+/// 32-divisibility rule, toggles only on tiled strategies, and a
+/// decomposition of `geometry` that needs at most `workers` cores (0: no
+/// device to check against). Throws ApiError naming the violation.
+void validate_launch(const JacobiProblem& geometry, const DeviceRunConfig& cfg,
+                     Surface surface, int workers);
+
 /// Balanced 2-D decomposition. Columns split evenly (width must divide by
 /// cores_x into multiples of `col_align`); rows split as evenly as possible.
 std::vector<CoreRange> decompose(const JacobiProblem& p, int cores_x, int cores_y,
@@ -51,8 +88,14 @@ struct CoreSelection {
 CoreSelection select_cores(ttmetal::Device& device, const JacobiProblem& p,
                            const DeviceRunConfig& cfg);
 
-/// Grid BufferConfig for the run's buffer-layout choice (shared by the
-/// plain, adaptive and resilient drivers).
+/// The requested grid with the identity worker mapping (no degradation):
+/// what batched slots, IR graphs and general solves launch on.
+inline CoreSelection requested_cores(const DeviceRunConfig& cfg) {
+  return CoreSelection{cfg.cores_x, cfg.cores_y, {}};
+}
+
+/// Grid BufferConfig for the run's buffer-layout choice (shared by every
+/// Jacobi driver, the batched slots and the general frontend).
 ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
                                          const PaddedLayout& layout);
 
@@ -100,6 +143,152 @@ struct KernelShared {
     return ids;
   }
 };
+
+/// The one (problem, config) -> kernel-state step: `p.iterations` sweeps of
+/// the configured strategy over grids `d1`/`d2`, decomposed onto `sel`.
+std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
+                                             const DeviceRunConfig& cfg,
+                                             const CoreSelection& sel,
+                                             std::uint64_t d1, std::uint64_t d2);
+
+/// The one strategy -> builder switch of classic Jacobi, keyed on
+/// sh->strategy. The IR emit closures and the batched builder call it.
+void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
+
+/// True when a launch of `sweeps` sweeps reads its first source grid from
+/// d2. Every launch ends in d2 for odd sweep counts and in d1 for even
+/// ones. Every strategy but kTemporal starts from d1; a temporal chain
+/// anchors its epochs at that final grid, so its first epoch reads d2 when
+/// the epoch count and the sweep count differ in parity.
+bool reads_d2_first(DeviceStrategy s, int sweeps, int temporal_depth);
+
+/// Bit-exact comparison of a device solution against the BF16 CPU
+/// reference.
+bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution);
+
+/// The one Jacobi launch loop: a d1/d2 grid pair staged once, then
+/// launched k sweeps at a time. Each launch reads the fresh grid and
+/// leaves its result in one of the pair; the plain, adaptive and resilient
+/// drivers differ only in how they chunk the sweeps and what they read
+/// back between launches. Launches are certified through the dataflow IR
+/// where it models the strategy; the tiled Section-IV programs are built
+/// directly.
+class JacobiLaunchLoop {
+ public:
+  /// Allocates the grid pair (d1, then d2) on `device`.
+  JacobiLaunchLoop(ttmetal::Device& device, const JacobiProblem& p,
+                   const DeviceRunConfig& cfg, CoreSelection sel);
+
+  /// Write `image` into both grids: either may be the first source.
+  void stage(std::span<const bfloat16_t> image);
+  /// Run `sweeps` more sweeps in one program. A non-zero `residual_addr`
+  /// has every core store its final-sweep max |unew - u| there. Returns
+  /// the program's kernel time.
+  SimTime launch(int sweeps, std::uint64_t residual_addr = 0);
+  /// The padded BF16 image of the fresh grid.
+  std::vector<bfloat16_t> read_fresh();
+  const CoreSelection& cores() const { return sel_; }
+
+ private:
+  ttmetal::Device& device_;
+  JacobiProblem p_;
+  DeviceRunConfig cfg_;
+  CoreSelection sel_;
+  std::shared_ptr<ttmetal::Buffer> d1_, d2_;
+  /// The grid holding the latest state; null while both hold the staged
+  /// image (a launch then keeps d1 as d1, whichever grid it reads first).
+  ttmetal::Buffer* fresh_ = nullptr;
+};
+
+/// Checks shared by both batched builders: every slot supplies exactly
+/// `ncores` workers and no worker appears in two slots.
+template <typename Slot>
+void check_batch_slots(const std::vector<Slot>& slots, std::size_t ncores) {
+  if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
+  std::vector<int> used;
+  for (std::size_t g = 0; g < slots.size(); ++g) {
+    if (slots[g].core_ids.size() != ncores) {
+      TTSIM_THROW_API("batch slot " << g << " supplies " << slots[g].core_ids.size()
+                      << " cores but the decomposition needs " << ncores);
+    }
+    for (int id : slots[g].core_ids) {
+      if (std::find(used.begin(), used.end(), id) != used.end()) {
+        TTSIM_THROW_API("batch slots must use disjoint cores (worker " << id
+                        << " appears twice)");
+      }
+      used.push_back(id);
+    }
+  }
+}
+
+/// Bytes of one row-chunk slot: chunk + 2 halo elements, plus up to 32
+/// alignment-prefix bytes.
+inline std::uint32_t slot_bytes(std::uint32_t chunk) {
+  return static_cast<std::uint32_t>(align_up((chunk + 2) * 2 + 32, 64));
+}
+
+/// Largest chunk that tiles a strip exactly and keeps writes aligned
+/// (multiple of 16 elements). X-decompositions whose strips don't divide
+/// by 1024 thus run with narrower chunks — wasting FPU lanes, which is the
+/// cost the paper's Table VIII shows for cores-in-X scaling.
+inline std::uint32_t chunk_width(std::uint32_t strip, std::uint32_t chunk_elems) {
+  std::uint32_t chunk = std::min(chunk_elems, strip);
+  while (chunk > 16 && (strip % chunk != 0 || chunk % 16 != 0)) --chunk;
+  TTSIM_CHECK_MSG(strip % chunk == 0 && chunk % 16 == 0,
+                  "no valid chunk width for strip " << strip);
+  return chunk;
+}
+
+/// Widest chunk any core uses: the row-slot size every core's buffer is
+/// allocated for.
+inline std::uint32_t max_chunk(const std::vector<CoreRange>& ranges,
+                               std::uint32_t chunk_elems) {
+  std::uint32_t widest = 16;
+  for (const auto& rg : ranges) {
+    widest = std::max(widest, std::min(chunk_elems, rg.col_hi - rg.col_lo));
+  }
+  return widest;
+}
+
+/// One core's row-chunk geometry and its continuous slot rotation.
+struct ChunkGrid {
+  CoreRange rg;
+  std::uint32_t chunk;   ///< elements per batch
+  std::uint32_t ncols;   ///< column strips of `chunk` elements
+  std::uint32_t nrows;
+  std::uint32_t nslots;  ///< row-slot rotation length
+
+  ChunkGrid(const CoreRange& r, std::uint32_t chunk_elems, std::uint32_t slots)
+      : rg(r),
+        chunk(chunk_width(r.col_hi - r.col_lo, chunk_elems)),
+        ncols((r.col_hi - r.col_lo) / chunk),
+        nrows(r.row_hi - r.row_lo),
+        nslots(slots) {}
+  /// Slot index for input row y of column strip `col`. The rotation runs
+  /// continuously across column strips (each strip touches nrows+2 rows:
+  /// the strip plus one halo row per side), so the first rows of a new
+  /// column take the slots *after* the previous column's tail instead of
+  /// wrapping back onto slots its in-flight batches may still reference.
+  std::uint32_t slot_of(std::uint32_t col, std::int64_t y) const {
+    const std::int64_t t =
+        static_cast<std::int64_t>(col) * (nrows + 2) +
+        (y - (static_cast<std::int64_t>(rg.row_lo) - 1));
+    return static_cast<std::uint32_t>(t % nslots);
+  }
+};
+
+/// Bytes per L1 slab row of the SRAM-resident and temporal programs: a
+/// 32-byte alignment prefix plus the row's W+2 elements, with room for the
+/// FPU tile spill past the interior (a full 1024-element pack never writes
+/// into the next row).
+inline std::uint32_t slab_row_stride(std::uint32_t width) {
+  const std::uint32_t data_span = std::max<std::uint32_t>(width + 2, 1026) * 2;
+  return static_cast<std::uint32_t>(align_up(32 + data_span, 32));
+}
+
+/// L1 slab budget per core of the temporal program: the e150's 1 MiB minus
+/// a reserve for the CBs, the weight table and program scratch.
+inline constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
 
 /// Section IV program (kInitial / kWriteOptimised / kDoubleBuffered).
 void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);

@@ -15,9 +15,9 @@
 #include "ttsim/core/resilience.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "jacobi_internal.hpp"
-#include "ttsim/cpu/jacobi_cpu.hpp"
 
 namespace ttsim::core {
 
@@ -42,22 +42,15 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
                                         const ResilienceOptions& options,
                                         std::shared_ptr<sim::FaultPlan> fault_plan,
                                         sim::GrayskullSpec spec) {
+  detail::validate_launch(p, cfg, detail::Surface::kSolve, spec.worker_cores);
   if (options.checkpoint_every < 1) {
     TTSIM_THROW_API("checkpoint_every must be >= 1");
   }
   if (options.max_restarts < 0) TTSIM_THROW_API("max_restarts must be >= 0");
-  if (p.iterations < 1) TTSIM_THROW_API("need at least one iteration");
-  if (cfg.cores_x * cfg.cores_y > spec.worker_cores) {
-    TTSIM_THROW_API("decomposition needs " << cfg.cores_x * cfg.cores_y
-                                           << " cores but the e150 has "
-                                           << spec.worker_cores << " workers");
-  }
   if (!cfg.toggles.all_enabled()) {
     TTSIM_THROW_API("resilient solving runs the full pipeline (the Table II "
                     "toggles are a measurement instrument)");
   }
-  const bool tiled = cfg.strategy != DeviceStrategy::kRowChunk &&
-                     cfg.strategy != DeviceStrategy::kSramResident;
   const PaddedLayout layout(p.width, p.height);
 
   ResilientRunResult res;
@@ -77,48 +70,20 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     auto device = ttmetal::Device::open(spec, dc);
 
     // Shrink onto the workers that survived earlier generations.
-    const detail::CoreSelection sel = detail::select_cores(*device, p, cfg);
+    detail::CoreSelection sel = detail::select_cores(*device, p, cfg);
     res.cores_used = sel.ncores();
 
     int in_flight = 0;
     try {
-      const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
-      auto d1 = device->create_buffer(bc);
-      auto d2 = device->create_buffer(bc);
-      device->write_buffer(*d1, std::as_bytes(std::span{checkpoint}));
-      device->write_buffer(*d2, std::as_bytes(std::span{checkpoint}));
-      bool swapped = false;
+      detail::JacobiLaunchLoop loop(*device, p, cfg, std::move(sel));
+      loop.stage(checkpoint);
       while (remaining > 0) {
-        const int chunk = std::min(options.checkpoint_every, remaining);
-        in_flight = chunk;
-        auto shared = std::make_shared<detail::KernelShared>(layout);
-        shared->d1 = swapped ? d2->address() : d1->address();
-        shared->d2 = swapped ? d1->address() : d2->address();
-        shared->iterations = chunk;
-        shared->strategy = cfg.strategy;
-        shared->toggles = cfg.toggles;
-        shared->chunk_elems = cfg.chunk_elems;
-        shared->read_ahead = cfg.read_ahead;
-        shared->ranges = detail::decompose(p, sel.cores_x, sel.cores_y,
-                                           tiled ? detail::kTile : 16);
-        shared->core_ids = sel.core_ids;
-
-        ttmetal::Program prog;
-        if (tiled) {
-          detail::build_tiled_program(prog, shared);
-        } else if (cfg.strategy == DeviceStrategy::kRowChunk) {
-          detail::build_rowchunk_program(prog, shared);
-        } else {
-          detail::build_sram_resident_program(prog, shared);
-        }
-        device->run_program(prog);
-        res.kernel_time += device->last_kernel_duration();
-        remaining -= chunk;
+        in_flight = std::min(options.checkpoint_every, remaining);
+        res.kernel_time += loop.launch(in_flight);
+        remaining -= in_flight;
         in_flight = 0;
-        if (chunk % 2 == 1) swapped = !swapped;
         // Snapshot the freshest grid as the new checkpoint.
-        auto& fresh = swapped ? *d2 : *d1;
-        device->read_buffer(fresh, std::as_writable_bytes(std::span{checkpoint}));
+        checkpoint = loop.read_fresh();
       }
       res.total_time += device->now();
       res.transfer_retries += static_cast<int>(device->transfer_retries());
@@ -136,13 +101,7 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
 
   res.solution = layout.extract_interior(checkpoint);
   if (fault_plan != nullptr) res.fault_summary = fault_plan->trace_string();
-  if (cfg.verify) {
-    const auto ref = cpu::jacobi_reference_bf16(p);
-    res.verified_ok = ref.size() == res.solution.size();
-    for (std::size_t i = 0; res.verified_ok && i < ref.size(); ++i) {
-      if (static_cast<float>(ref[i]) != res.solution[i]) res.verified_ok = false;
-    }
-  }
+  if (cfg.verify) res.verified_ok = detail::matches_reference(p, res.solution);
   return res;
 }
 

@@ -20,48 +20,6 @@
 #include "jacobi_internal.hpp"
 
 namespace ttsim::core::detail {
-namespace {
-
-std::uint32_t slot_bytes(std::uint32_t chunk) {
-  // chunk + 2 halo elements, plus up to 32 alignment-prefix bytes.
-  return static_cast<std::uint32_t>(align_up((chunk + 2) * 2 + 32, 64));
-}
-
-struct ChunkGrid {
-  CoreRange rg;
-  std::uint32_t chunk;   ///< elements per batch
-  std::uint32_t ncols;   ///< column strips of `chunk` elements
-  std::uint32_t nrows;
-  std::uint32_t nslots;  ///< row-slot rotation length, 2N+3
-
-  ChunkGrid(const CoreRange& r, std::uint32_t chunk_elems, std::uint32_t slots)
-      : rg(r), nslots(slots) {
-    const std::uint32_t strip = rg.col_hi - rg.col_lo;
-    // Largest chunk that tiles the strip exactly and keeps writes aligned
-    // (multiple of 16 elements). X-decompositions whose strips don't divide
-    // by 1024 thus run with narrower chunks — wasting FPU lanes, which is
-    // the cost the paper's Table VIII shows for cores-in-X scaling.
-    chunk = std::min(chunk_elems, strip);
-    while (chunk > 16 && (strip % chunk != 0 || chunk % 16 != 0)) --chunk;
-    TTSIM_CHECK_MSG(strip % chunk == 0 && chunk % 16 == 0,
-                    "no valid chunk width for strip " << strip);
-    ncols = strip / chunk;
-    nrows = rg.row_hi - rg.row_lo;
-  }
-  /// Slot index for input row y of column strip `col`. The rotation runs
-  /// continuously across column strips (each strip touches nrows+2 rows:
-  /// the strip plus one halo row per side), so the first rows of a new
-  /// column take the slots *after* the previous column's tail instead of
-  /// wrapping back onto slots its in-flight batches may still reference.
-  std::uint32_t slot_of(std::uint32_t col, std::int64_t y) const {
-    const std::int64_t t =
-        static_cast<std::int64_t>(col) * (nrows + 2) +
-        (y - (static_cast<std::int64_t>(rg.row_lo) - 1));
-    return static_cast<std::uint32_t>(t % nslots);
-  }
-};
-
-}  // namespace
 
 void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh) {
   const int ncores = static_cast<int>(sh->ranges.size());
@@ -94,11 +52,7 @@ void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared
   if (sh->residual_addr != 0) prog.create_cb(kCbRes, cores, 32, 1);
 
   // nslots-deep local row buffer, sized for the widest chunk any core uses.
-  std::uint32_t max_chunk = 16;
-  for (const auto& rg : sh->ranges) {
-    max_chunk = std::max(max_chunk, std::min(sh->chunk_elems, rg.col_hi - rg.col_lo));
-  }
-  const std::uint32_t sbytes = slot_bytes(max_chunk);
+  const std::uint32_t sbytes = slot_bytes(max_chunk(sh->ranges, sh->chunk_elems));
   const auto slots = prog.create_l1_buffer(cores, nslots * sbytes);
   const std::uint32_t slots_addr = prog.l1_buffer_address(slots);
   prog.create_global_barrier(sh->barrier_id, 2 * ncores);

@@ -83,9 +83,7 @@ void build_sram_resident_program(ttmetal::Program& prog,
   sh->chunk = std::min<std::uint32_t>(1024, W);
   TTSIM_CHECK(W % sh->chunk == 0);
   sh->row_data_elems = W + 2;
-  // Room for the alignment prefix and the FPU tile spill past the interior.
-  const std::uint32_t data_span = std::max<std::uint32_t>(W + 2, 1026) * 2;
-  sh->row_stride = static_cast<std::uint32_t>(align_up(32 + data_span, 32));
+  sh->row_stride = slab_row_stride(W);
   sh->off = static_cast<std::uint32_t>(base->layout.byte_offset(0, -1) % 32);
 
   const int ncores = static_cast<int>(sh->ranges.size());

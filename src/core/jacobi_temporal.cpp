@@ -44,10 +44,6 @@ constexpr int kSemLoaded = 0;    // dm0 -> compute: slabs loaded and patched
 constexpr int kSemComputed = 1;  // compute -> dm1: final generation packed
 constexpr int kSemFree = 2;      // dm1 -> dm0: slab reusable (initial 1)
 
-/// L1 slab budget per core: the e150's 1 MiB minus a reserve for the CBs,
-/// the weight table and program scratch.
-constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
-
 struct TemporalField {
   std::uint64_t fin = 0;     ///< DRAM buffer holding the field's final state
   std::uint64_t oth = 0;     ///< parity partner; 0 for read-only fields
@@ -203,13 +199,10 @@ void build_temporal_kernels(ttmetal::Program& prog,
   // SRAM lowering); the per-element op chain is chunk-independent, so this
   // never affects results.
   const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK_MSG(W % chunk == 0,
-                  "temporal domains must be <= 1024 wide or a multiple of 1024");
+  TTSIM_CHECK(W % chunk == 0);
   sh->chunk = chunk;
   sh->row_data_elems = W + 2;
-  // Room for the alignment prefix and the FPU tile spill past the interior.
-  const std::uint32_t data_span = std::max<std::uint32_t>(W + 2, 1026) * 2;
-  sh->row_stride = static_cast<std::uint32_t>(align_up(32 + data_span, 32));
+  sh->row_stride = slab_row_stride(W);
   sh->off = static_cast<std::uint32_t>(sh->layout.byte_offset(0, -1) % 32);
 
   // Block sizing against the slab budget: the written field needs two
@@ -455,8 +448,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
 
 void build_temporal_program(ttmetal::Program& prog,
                             std::shared_ptr<KernelShared> base) {
-  TTSIM_CHECK_MSG(base->temporal_depth >= 1 && base->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
   auto sh = std::make_shared<TemporalShared>(base->layout);
   sh->iterations = base->iterations;
   sh->depth = base->temporal_depth;
@@ -478,10 +469,7 @@ void build_temporal_program(ttmetal::Program& prog,
 
 void build_general_temporal_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> base) {
-  TTSIM_CHECK_MSG(base->passes.size() == 1,
-                  "temporal tiling chains single-pass programs");
-  TTSIM_CHECK_MSG(base->temporal_depth >= 1 && base->temporal_depth <= 8,
-                  "temporal_depth must be in [1, 8]");
+  TTSIM_CHECK(base->passes.size() == 1);
   auto sh = std::make_shared<TemporalShared>(base->layout);
   sh->iterations = base->iterations;
   sh->depth = base->temporal_depth;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "card_threads.hpp"
+#include "jacobi_internal.hpp"
 #include "ttsim/common/check.hpp"
 #include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/stencil.hpp"
@@ -106,25 +107,9 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     TTSIM_THROW_API("fabric cables " << fabric.cards() << " cards but "
                     << cards << " were supplied");
   }
-  if (cfg.run.strategy != DeviceStrategy::kRowChunk &&
-      cfg.run.strategy != DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("sharded runs support kRowChunk and kTemporal only");
-  }
   const bool temporal = cfg.run.strategy == DeviceStrategy::kTemporal;
   const int k = cfg.exchange_every > 0 ? cfg.exchange_every
                                        : (temporal ? cfg.run.temporal_depth : 1);
-  if (k < 1) TTSIM_THROW_API("exchange_every must be >= 1");
-  if (temporal && k > 8) {
-    TTSIM_THROW_API("temporal sharding chains at most 8 generations per epoch");
-  }
-  if (job.iterations < 1) TTSIM_THROW_API("sharded run needs iterations >= 1");
-
-  const PaddedLayout global(static_cast<std::uint32_t>(job.width),
-                            static_cast<std::uint32_t>(job.rows));
-  const std::uint64_t row_bytes = global.row_elems() * sizeof(bfloat16_t);
-  const auto slabs = decompose_slabs(job.rows, cards, k);
-  const int ncores = cfg.run.cores_x * cfg.run.cores_y;
-
   // Per-launch run config: the per-card strategies as-is, with the epoch
   // length driving iterations (and, for temporal, the chained depth so one
   // launch is exactly one DRAM pass).
@@ -134,6 +119,19 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     if (temporal) lc.temporal_depth = klaunch;
     return lc;
   };
+  // Every epoch is one batched launch per card of at most k sweeps: reject
+  // what those launches would, before any card is touched.
+  JacobiProblem geometry;
+  geometry.width = static_cast<std::uint32_t>(job.width);
+  geometry.height = static_cast<std::uint32_t>(job.rows);
+  geometry.iterations = job.iterations;
+  detail::validate_launch(geometry, launch_cfg(k), detail::Surface::kBatch, 0);
+
+  const PaddedLayout global(static_cast<std::uint32_t>(job.width),
+                            static_cast<std::uint32_t>(job.rows));
+  const std::uint64_t row_bytes = global.row_elems() * sizeof(bfloat16_t);
+  const auto slabs = decompose_slabs(job.rows, cards, k);
+  const int ncores = cfg.run.cores_x * cfg.run.cores_y;
   auto slab_jacobi = [&](const CardState& cs, int klaunch) {
     JacobiProblem q = *job.jacobi;
     q.height = static_cast<std::uint32_t>(cs.slab.height);
@@ -218,12 +216,9 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       cs.dev->hw().engine().run_until(cluster);
       ttmetal::Program prog;
       const DeviceRunConfig lc = launch_cfg(klaunch);
-      // The builders anchor a launch's final grid by iteration parity
-      // (final_of: odd -> the d2 slot, even -> the d1 slot). A temporal
-      // launch is a single DRAM pass, so with an even chain depth it READS
-      // the d2 slot and writes d1 — the fresh grid must go in d2 then. A
-      // row-chunk launch always reads d1 first, whatever its length.
-      const bool reads_d2 = temporal && klaunch % 2 == 0;
+      // The fresh grid goes in whichever slot the launch reads first.
+      const bool reads_d2 =
+          detail::reads_d2_first(lc.strategy, klaunch, lc.temporal_depth);
       if (job.general != nullptr) {
         GeneralBatchSlot slot;
         for (int f = 0; f < job.nfields; ++f) {

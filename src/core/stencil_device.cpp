@@ -11,7 +11,7 @@
 /// instead of three.
 
 #include <algorithm>
-#include <set>
+#include <utility>
 
 #include "ir_frontend.hpp"
 #include "stencil_internal.hpp"
@@ -23,40 +23,10 @@ namespace ttsim::core {
 namespace detail {
 namespace {
 
-std::uint32_t slot_bytes_for(std::uint32_t chunk) {
-  // chunk + 2 halo elements, plus up to 32 alignment-prefix bytes.
-  return static_cast<std::uint32_t>(align_up((chunk + 2) * 2 + 32, 64));
-}
-
-/// Per-core chunk geometry with the continuous slot rotation of
-/// jacobi_rowchunk: nslots = 2N+3 so a new column's first rows never land
-/// in slots the previous column's in-flight batches still reference.
-struct ChunkGrid {
-  CoreRange rg;
-  std::uint32_t chunk, ncols, nrows, nslots;
-
-  ChunkGrid(const CoreRange& r, std::uint32_t chunk_elems, std::uint32_t slots)
-      : rg(r), nslots(slots) {
-    const std::uint32_t strip = rg.col_hi - rg.col_lo;
-    chunk = std::min(chunk_elems, strip);
-    while (chunk > 16 && (strip % chunk != 0 || chunk % 16 != 0)) --chunk;
-    TTSIM_CHECK_MSG(strip % chunk == 0 && chunk % 16 == 0,
-                    "no valid chunk width for strip " << strip);
-    ncols = strip / chunk;
-    nrows = rg.row_hi - rg.row_lo;
-  }
-  std::uint32_t slot_of(std::uint32_t col, std::int64_t y) const {
-    const std::int64_t t =
-        static_cast<std::int64_t>(col) * (nrows + 2) +
-        (y - (static_cast<std::int64_t>(rg.row_lo) - 1));
-    return static_cast<std::uint32_t>(t % nslots);
-  }
-};
-
-}  // namespace
-
+/// Resolve a validated GeneralStencilProblem into the lowered form:
+/// dedup'd weight table, per-pass referenced-field sets (including the
+/// Life self field) with vertical extents.
 void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
-  p.validate();
   const int nfields = static_cast<int>(p.fields.size());
   sh.iterations = p.iterations;
   sh.written_pass.assign(static_cast<std::size_t>(nfields), -1);
@@ -101,6 +71,8 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
     sh.passes.push_back(std::move(lp));
   }
 }
+
+}  // namespace
 
 void build_general_rowchunk_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh) {
@@ -147,11 +119,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
   prog.create_cb(kCbGOut, cores, kTileBytes, 4);
 
-  std::uint32_t max_chunk = 16;
-  for (const auto& rg : sh->ranges) {
-    max_chunk = std::max(max_chunk, std::min(sh->chunk_elems, rg.col_hi - rg.col_lo));
-  }
-  const std::uint32_t sbytes = slot_bytes_for(max_chunk);
+  const std::uint32_t sbytes = slot_bytes(max_chunk(sh->ranges, sh->chunk_elems));
   // Field f's rotation lives at slots_addr + f*nslots*sbytes.
   const std::uint32_t slots_addr = prog.l1_buffer_address(prog.create_l1_buffer(
       cores, static_cast<std::uint64_t>(nfields) * nslots * sbytes));
@@ -346,6 +314,51 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
       "stencil_writer");
 }
 
+void validate_general_launch(const GeneralStencilProblem& p,
+                             const DeviceRunConfig& cfg, Surface surface,
+                             int workers) {
+  p.validate();
+  validate_launch(p.geometry(), cfg, surface, workers);
+  if (cfg.strategy == DeviceStrategy::kSramResident &&
+      (p.fields.size() != 1 || p.passes.size() != 1)) {
+    TTSIM_THROW_API("the SRAM-resident strategy holds ONE field's slabs in "
+                    "L1: single-field single-pass programs only");
+  }
+  if (cfg.strategy == DeviceStrategy::kTemporal && p.passes.size() != 1) {
+    TTSIM_THROW_API("temporal tiling chains generations of ONE pass through "
+                    "L1: single-pass programs only (multi-pass leapfrogs "
+                    "would need every written field's skirt per sub-step)");
+  }
+}
+
+std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
+                                               const DeviceRunConfig& cfg,
+                                               const CoreSelection& sel,
+                                               std::vector<std::uint64_t> d1,
+                                               std::vector<std::uint64_t> d2) {
+  auto sh = std::make_shared<GeneralShared>(PaddedLayout(p.width, p.height));
+  lower_program(p, *sh);
+  sh->strategy = cfg.strategy;
+  sh->chunk_elems = cfg.chunk_elems;
+  sh->read_ahead = cfg.read_ahead;
+  sh->temporal_depth = cfg.temporal_depth;
+  sh->d1 = std::move(d1);
+  sh->d2 = std::move(d2);
+  sh->ranges = decompose(p.geometry(), sel.cores_x, sel.cores_y, 16);
+  sh->core_ids = sel.core_ids;
+  return sh;
+}
+
+void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared> sh) {
+  if (sh->strategy == DeviceStrategy::kSramResident) {
+    build_general_sram_program(prog, std::move(sh));
+  } else if (sh->strategy == DeviceStrategy::kTemporal) {
+    build_general_temporal_group(prog, std::move(sh));
+  } else {
+    build_general_rowchunk_group(prog, std::move(sh));
+  }
+}
+
 }  // namespace detail
 
 std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
@@ -374,86 +387,24 @@ std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
   return image;
 }
 
-namespace {
-
-void validate_run_config(const GeneralStencilProblem& p, const DeviceRunConfig& cfg) {
-  p.validate();
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
-  }
-  if (cfg.strategy != DeviceStrategy::kRowChunk &&
-      cfg.strategy != DeviceStrategy::kSramResident &&
-      cfg.strategy != DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("general stencils lower onto the row-chunk, SRAM-resident "
-                    "or temporal strategies (got " << to_string(cfg.strategy)
-                    << ")");
-  }
-  if (cfg.strategy == DeviceStrategy::kSramResident &&
-      (p.fields.size() != 1 || p.passes.size() != 1)) {
-    TTSIM_THROW_API("the SRAM-resident strategy holds ONE field's slabs in "
-                    "L1: single-field single-pass programs only");
-  }
-  if (cfg.strategy == DeviceStrategy::kTemporal) {
-    if (p.passes.size() != 1) {
-      TTSIM_THROW_API("temporal tiling chains generations of ONE pass through "
-                      "L1: single-pass programs only (multi-pass leapfrogs "
-                      "would need every written field's skirt per sub-step)");
-    }
-    if (cfg.temporal_depth < 1 || cfg.temporal_depth > 8) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-  }
-  if (cfg.strategy == DeviceStrategy::kSramResident ||
-      cfg.strategy == DeviceStrategy::kTemporal) {
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API(to_string(cfg.strategy)
-                      << " decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-  }
-}
-
-}  // namespace
-
 GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
                                                const GeneralStencilProblem& p,
                                                const DeviceRunConfig& cfg) {
-  validate_run_config(p, cfg);
-  const int ncores = cfg.cores_x * cfg.cores_y;
-  if (ncores > device.num_workers()) {
-    TTSIM_THROW_API("decomposition needs " << ncores << " cores but the e150 has "
-                                           << device.num_workers());
-  }
-
+  detail::validate_general_launch(p, cfg, detail::Surface::kCertified,
+                                  device.num_workers());
   const PaddedLayout layout(p.width, p.height);
   const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
   const int nfields = static_cast<int>(p.fields.size());
 
-  auto shared = std::make_shared<detail::GeneralShared>(layout);
-  detail::lower_program(p, *shared);
-  shared->chunk_elems = cfg.chunk_elems;
-  shared->read_ahead = cfg.read_ahead;
-  shared->temporal_depth = cfg.temporal_depth;
-  shared->ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
-
   // One buffer pair per field — read-only fields live in a single buffer
-  // (their "pair" slot stays 0 and src_of always resolves to d1).
-  std::vector<decltype(device.create_buffer(bc))> d1(static_cast<std::size_t>(nfields));
-  std::vector<decltype(device.create_buffer(bc))> d2(static_cast<std::size_t>(nfields));
-  shared->d1.assign(static_cast<std::size_t>(nfields), 0);
-  shared->d2.assign(static_cast<std::size_t>(nfields), 0);
+  // (their d2 address stays 0 and src_of always resolves to d1).
+  std::vector<std::shared_ptr<ttmetal::Buffer>> d1, d2;
+  std::vector<std::uint64_t> d1_addr, d2_addr;
   for (int f = 0; f < nfields; ++f) {
-    d1[static_cast<std::size_t>(f)] = device.create_buffer(bc);
-    shared->d1[static_cast<std::size_t>(f)] = d1[static_cast<std::size_t>(f)]->address();
-    if (p.written_pass(f) >= 0) {
-      d2[static_cast<std::size_t>(f)] = device.create_buffer(bc);
-      shared->d2[static_cast<std::size_t>(f)] = d2[static_cast<std::size_t>(f)]->address();
-    }
+    d1.push_back(device.create_buffer(bc));
+    d2.push_back(p.written_pass(f) >= 0 ? device.create_buffer(bc) : nullptr);
+    d1_addr.push_back(d1.back()->address());
+    d2_addr.push_back(d2.back() ? d2.back()->address() : 0);
   }
 
   const SimTime t_start = device.now();
@@ -467,21 +418,14 @@ GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
     }
   }
 
+  const auto shared = detail::resolve_general(p, cfg, detail::requested_cores(cfg),
+                                              std::move(d1_addr), std::move(d2_addr));
   ttmetal::Program prog;
-  if (cfg.lowering == LoweringPath::kIr) {
-    // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure calls the same strategy builder the kHandWired branch does.
-    ir::lower(detail::make_general_graph(
-                  shared, cfg.strategy,
-                  static_cast<std::int64_t>(device.spec().sram_bytes)),
-              prog);
-  } else if (cfg.strategy == DeviceStrategy::kSramResident) {
-    detail::build_general_sram_program(prog, shared);
-  } else if (cfg.strategy == DeviceStrategy::kTemporal) {
-    detail::build_general_temporal_group(prog, shared);
-  } else {
-    detail::build_general_rowchunk_group(prog, shared);
-  }
+  // Prove the protocol race/deadlock-free, then lower; the graph's emit
+  // closure is build_general_program.
+  ir::lower(detail::make_general_graph(
+                shared, static_cast<std::int64_t>(device.spec().sram_bytes)),
+            prog);
   device.run_program(prog);
 
   GeneralRunResult result;
@@ -496,7 +440,7 @@ GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
   }
   result.kernel_time = device.last_kernel_duration();
   result.total_time = device.now() - t_start;
-  result.cores_used = ncores;
+  result.cores_used = cfg.cores_x * cfg.cores_y;
   result.solution = result.fields[static_cast<std::size_t>(p.primary_field())];
 
   if (cfg.verify) {
@@ -525,88 +469,38 @@ void build_batched_stencil_program(ttmetal::Program& prog,
                                    const GeneralStencilProblem& p,
                                    const DeviceRunConfig& cfg,
                                    const std::vector<GeneralBatchSlot>& slots) {
-  if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
   validate_stencil_request(p, cfg);
-
-  const PaddedLayout layout(p.width, p.height);
-  const auto ranges = detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
+  detail::check_batch_slots(slots, static_cast<std::size_t>(cfg.cores_x * cfg.cores_y));
   const std::size_t nfields = p.fields.size();
-
-  std::set<int> used;
   for (std::size_t g = 0; g < slots.size(); ++g) {
-    const GeneralBatchSlot& slot = slots[g];
-    if (slot.core_ids.size() != ranges.size()) {
-      TTSIM_THROW_API("batch slot " << g << " supplies " << slot.core_ids.size()
-                      << " cores but the decomposition needs " << ranges.size());
-    }
-    if (slot.d1.size() != nfields || slot.d2.size() != nfields) {
+    if (slots[g].d1.size() != nfields || slots[g].d2.size() != nfields) {
       TTSIM_THROW_API("batch slot " << g << " must supply one buffer pair per "
                       "field (" << nfields << ")");
     }
-    for (int id : slot.core_ids) {
-      if (!used.insert(id).second) {
-        TTSIM_THROW_API("batch slots must use disjoint cores (worker " << id
-                        << " appears twice)");
-      }
-    }
   }
-
+  // One resolve for the batch: the slots differ only in their grids,
+  // workers and barrier.
+  const auto base = detail::resolve_general(p, cfg, detail::requested_cores(cfg), {}, {});
   for (std::size_t g = 0; g < slots.size(); ++g) {
-    const GeneralBatchSlot& slot = slots[g];
-    auto shared = std::make_shared<detail::GeneralShared>(layout);
-    detail::lower_program(p, *shared);
-    shared->chunk_elems = cfg.chunk_elems;
-    shared->read_ahead = cfg.read_ahead;
-    shared->temporal_depth = cfg.temporal_depth;
-    shared->d1 = slot.d1;
-    shared->d2 = slot.d2;
-    shared->ranges = ranges;
-    shared->core_ids = slot.core_ids;
+    auto shared = std::make_shared<detail::GeneralShared>(*base);
+    shared->d1 = slots[g].d1;
+    shared->d2 = slots[g].d2;
+    shared->core_ids = slots[g].core_ids;
     shared->barrier_id = static_cast<int>(g);
-    if (cfg.strategy == DeviceStrategy::kTemporal) {
-      detail::build_general_temporal_group(prog, shared);
-    } else {
-      detail::build_general_rowchunk_group(prog, shared);
-    }
+    detail::build_general_program(prog, std::move(shared));
   }
 }
 
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg) {
-  p.validate();
-  if (cfg.strategy != DeviceStrategy::kRowChunk &&
-      cfg.strategy != DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("batched launches are built on the row-chunk or temporal "
-                    "strategies");
-  }
-  if (cfg.strategy == DeviceStrategy::kTemporal) {
-    if (p.passes.size() != 1) {
-      TTSIM_THROW_API("temporal tiling chains generations of ONE pass through "
-                      "L1: single-pass programs only");
-    }
-    if (cfg.cores_x != 1) {
-      TTSIM_THROW_API("temporal tiling decomposes in Y only (cores_x == 1)");
-    }
-    if (p.width > 1024 && p.width % 1024 != 0) {
-      TTSIM_THROW_API("SRAM-slab domains must be <= 1024 wide or a multiple of "
-                      "1024 (FPU tile packs write straight into the slab)");
-    }
-    if (cfg.temporal_depth < 1 || cfg.temporal_depth > 8) {
-      TTSIM_THROW_API("temporal_depth must be in [1, 8] (got "
-                      << cfg.temporal_depth << ")");
-    }
-  }
-  if (cfg.read_ahead < 2 || cfg.read_ahead > 64) {
-    TTSIM_THROW_API("read_ahead must be in [2, 64] (got " << cfg.read_ahead
-                    << "); 2 is the paper's two-batch scheme");
-  }
-  (void)detail::decompose(p.geometry(), cfg.cores_x, cfg.cores_y, 16);
+  detail::validate_general_launch(p, cfg, detail::Surface::kBatch, 0);
 }
 
 DeviceRunResult run_stencil_on_device(ttmetal::Device& device, const StencilProblem& p,
                                       const DeviceRunConfig& cfg) {
   if (p.stencil.active_taps() == 0) TTSIM_THROW_API("stencil has no non-zero taps");
   DeviceRunConfig c = cfg;
+  c.toggles = {};
   if (c.strategy != DeviceStrategy::kSramResident &&
       c.strategy != DeviceStrategy::kTemporal) {
     c.strategy = DeviceStrategy::kRowChunk;

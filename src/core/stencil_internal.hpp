@@ -54,6 +54,7 @@ struct LoweredPass {
 struct GeneralShared {
   PaddedLayout layout;
   int iterations = 0;
+  DeviceStrategy strategy = DeviceStrategy::kRowChunk;
   std::uint32_t chunk_elems = 1024;
   int read_ahead = 2;
   /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
@@ -101,10 +102,26 @@ struct GeneralShared {
   }
 };
 
-/// Resolve a validated GeneralStencilProblem into the lowered form:
-/// dedup'd weight table, per-pass referenced-field sets (including the
-/// Life self field) with vertical extents.
-void lower_program(const GeneralStencilProblem& p, GeneralShared& sh);
+/// The general frontend's launch-config check: the problem's structural
+/// validity, validate_launch on its geometry, and the strategies' program
+/// limits (SRAM-resident: one field, one pass; temporal: one pass).
+void validate_general_launch(const GeneralStencilProblem& p,
+                             const DeviceRunConfig& cfg, Surface surface,
+                             int workers);
+
+/// The one (problem, config) -> kernel-state step of the general frontend:
+/// the lowered program (dedup'd weight table, per-pass referenced-field
+/// sets with vertical extents) over per-field grids `d1`/`d2` (d2 entries
+/// of read-only fields 0), decomposed onto `sel`.
+std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
+                                               const DeviceRunConfig& cfg,
+                                               const CoreSelection& sel,
+                                               std::vector<std::uint64_t> d1,
+                                               std::vector<std::uint64_t> d2);
+
+/// The one strategy -> builder switch of the general frontend, keyed on
+/// sh->strategy. The IR emit closures and the batched builder call it.
+void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared> sh);
 
 /// Write the weight table (one tile of 1024 copies per weight) at `addr`.
 /// Host-side stores through l1_ptr — free on the simulated clock, exactly

@@ -64,8 +64,7 @@ struct SramShared {
 
 void build_general_sram_program(ttmetal::Program& prog,
                                 std::shared_ptr<GeneralShared> base) {
-  TTSIM_CHECK_MSG(base->nfields() == 1 && base->passes.size() == 1,
-                  "SRAM lowering handles single-field single-pass programs");
+  TTSIM_CHECK(base->nfields() == 1 && base->passes.size() == 1);
   const auto sh = std::make_shared<SramShared>(base->layout);
   sh->d1 = base->d1[0];
   sh->d2 = base->d2[0];
@@ -79,9 +78,7 @@ void build_general_sram_program(ttmetal::Program& prog,
   while (sh->chunk > 16 && (W % sh->chunk != 0 || sh->chunk % 16 != 0)) --sh->chunk;
   TTSIM_CHECK(W % sh->chunk == 0);
   sh->row_data_elems = W + 2;
-  // Room for the alignment prefix and the FPU tile spill past the interior.
-  const std::uint32_t data_span = std::max<std::uint32_t>(W + 2, 1026) * 2;
-  sh->row_stride = static_cast<std::uint32_t>(align_up(32 + data_span, 32));
+  sh->row_stride = slab_row_stride(W);
   sh->off = static_cast<std::uint32_t>(base->layout.byte_offset(0, -1) % 32);
 
   const int ncores = static_cast<int>(sh->ranges.size());

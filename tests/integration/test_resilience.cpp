@@ -198,6 +198,63 @@ TEST(Resilience, PinnedZeroFaultSramResidentRun) {
   EXPECT_EQ(r.total_time, 1757660524);
 }
 
+/// A temporal resilient solve chains the sweeps it was asked to through
+/// L1, whatever the checkpoint interval: chunks of 3 and 5 sweeps at depth
+/// 4 make the first epoch of some launches read the second grid, and the
+/// solve still verifies bit-exactly. With one chunk it is the plain
+/// driver's solve, to the simulated nanosecond.
+TEST(Resilience, TemporalSolveVerifiesAndMatchesThePlainDriver) {
+  const auto p = small_problem(64, 32, 8);
+  DeviceRunConfig cfg;
+  cfg.strategy = DeviceStrategy::kTemporal;
+  cfg.temporal_depth = 4;
+  cfg.cores_y = 2;
+  cfg.verify = true;
+  for (const int every : {3, 5}) {
+    ResilienceOptions opts;
+    opts.checkpoint_every = every;
+    const auto r = run_jacobi_resilient(p, cfg, opts, nullptr);
+    EXPECT_TRUE(r.verified_ok) << "checkpoint_every " << every;
+    EXPECT_EQ(r.restarts, 0);
+  }
+  ResilienceOptions whole;
+  whole.checkpoint_every = p.iterations;
+  const auto r = run_jacobi_resilient(p, cfg, whole, nullptr);
+  const auto plain = run_jacobi_on_device(p, cfg);
+  EXPECT_TRUE(plain.verified_ok);
+  EXPECT_TRUE(r.verified_ok);
+  EXPECT_EQ(r.kernel_time, plain.kernel_time);
+  EXPECT_EQ(r.solution, plain.solution);
+}
+
+/// The resilient driver rejects exactly the launch configs the plain driver
+/// rejects, with the same diagnostic.
+TEST(Resilience, RejectsWhatThePlainDriverRejects) {
+  const auto p = small_problem(64, 32, 4);
+  const auto rejection = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const ApiError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  DeviceRunConfig sram;
+  sram.strategy = DeviceStrategy::kSramResident;
+  DeviceRunConfig bad[4] = {sram, sram, sram, {}};
+  bad[0].cores_x = 2;
+  bad[1].read_ahead = 1;
+  bad[2].read_ahead = 100;
+  bad[3].strategy = DeviceStrategy::kTemporal;
+  bad[3].temporal_depth = 0;
+  for (const DeviceRunConfig& cfg : bad) {
+    const std::string plain = rejection([&] { run_jacobi_on_device(p, cfg); });
+    EXPECT_NE(plain, "accepted");
+    EXPECT_EQ(rejection([&] { run_jacobi_resilient(p, cfg, {}, nullptr); }),
+              plain);
+  }
+}
+
 /// Unrecoverable corruption (every transfer corrupted) exhausts the bounded
 /// retries; the TransferError carries the original injected fault so the
 /// post-mortem sees the root cause, and the retry budget is honoured.

@@ -98,36 +98,27 @@ TEST(IrCross, GalleryGraphsCertifyCleanAcrossStrategies) {
 }
 
 TEST(IrCross, CertifiedLoweringRunsCleanUnderTheDynamicRaceDetector) {
-  for (const DeviceStrategy s :
-       {DeviceStrategy::kRowChunk, DeviceStrategy::kSramResident,
-        DeviceStrategy::kTemporal}) {
+  struct Case {
+    DeviceStrategy strategy;
+    int read_ahead, cores_y;
+  };
+  // Each strategy on two cores, plus a deep read-ahead on four.
+  for (const Case& c : {Case{DeviceStrategy::kRowChunk, 2, 2},
+                        Case{DeviceStrategy::kSramResident, 2, 2},
+                        Case{DeviceStrategy::kTemporal, 2, 2},
+                        Case{DeviceStrategy::kRowChunk, 4, 4}}) {
     ttmetal::DeviceConfig dc;
     dc.enable_verify = true;
     auto dev = ttmetal::Device::open({}, dc);
     DeviceRunConfig cfg;
-    cfg.strategy = s;
-    cfg.cores_y = 2;
-    cfg.lowering = core::LoweringPath::kIr;  // prove, then lower
-    core::run_jacobi_on_device(*dev, jacobi_problem(), cfg);
-    const auto fs = dev->verifier()->findings();
-    EXPECT_TRUE(fs.empty()) << core::to_string(s) << ":\n" << render(fs);
-  }
-}
-
-TEST(IrCross, IrAndHandWiredPathsAgreeUnderTheRaceDetector) {
-  // Same program bits, same (absent) findings: the IR path adds proof,
-  // not behaviour.
-  for (const core::LoweringPath path :
-       {core::LoweringPath::kIr, core::LoweringPath::kHandWired}) {
-    ttmetal::DeviceConfig dc;
-    dc.enable_verify = true;
-    auto dev = ttmetal::Device::open({}, dc);
-    DeviceRunConfig cfg;
-    cfg.read_ahead = 4;
-    cfg.cores_y = 4;
-    cfg.lowering = path;
+    cfg.strategy = c.strategy;
+    cfg.read_ahead = c.read_ahead;
+    cfg.cores_y = c.cores_y;
     const auto r = core::run_jacobi_on_device(*dev, jacobi_problem(), cfg);
-    EXPECT_TRUE(dev->verifier()->findings().empty());
+    const auto fs = dev->verifier()->findings();
+    EXPECT_TRUE(fs.empty()) << core::to_string(c.strategy) << " read_ahead "
+                            << c.read_ahead << " cores_y " << c.cores_y
+                            << ":\n" << render(fs);
     EXPECT_FALSE(r.solution.empty());
   }
 }
