@@ -412,6 +412,100 @@ TEST(Serve, MultiCardPoolSharesLoad) {
   EXPECT_NE(std::count(cards_used.begin(), cards_used.end(), 1), 0);
 }
 
+TEST(Serve, PinnedMixedTrafficOnTwoCards) {
+  // Classic row-chunk Jacobi, gallery hotspot (one written field beside a
+  // read-only power field), temporal Jacobi, and checkpoint_every = 2
+  // segments of both Jacobi and hotspot share a two-card pool. Every
+  // delivered solution is bit-exact; the simulated timeline (per-ticket
+  // completion, card and batch width, the batching and checkpoint counters,
+  // the span trace) is pinned exactly, so a change to how requests move
+  // through the service that moves any of it shows up here.
+  ServiceConfig cfg = base_config();
+  cfg.cards = 2;
+  cfg.checkpoint_every = 2;
+  cfg.record_spans = true;
+  StencilService svc(cfg);
+
+  struct Sent {
+    Ticket ticket;
+    Request req;
+  };
+  std::vector<Sent> sent;
+  auto send = [&](Request req, int tenant, SimTime arrival) {
+    req.tenant = tenant;
+    req.arrival = arrival;
+    sent.push_back({svc.submit(req), req});
+    ASSERT_EQ(sent.back().ticket.status, RequestStatus::kQueued);
+  };
+  for (int i = 0; i < 3; ++i) {
+    Request jacobi;
+    jacobi.problem = small_problem(0.25f * static_cast<float>(i + 1));
+    jacobi.problem.iterations = 2;
+    send(jacobi, i, 0);
+  }
+  Request hot;
+  hot.general = core::gallery::hotspot(64, 48, 2);
+  send(hot, 3, 0);
+  hot.general->fields[0].bc_left = 0.75f;
+  send(hot, 4, 20 * kMicrosecond);
+  Request temporal;
+  temporal.problem = small_problem(0.5f);
+  temporal.problem.iterations = 2;
+  temporal.strategy = core::DeviceStrategy::kTemporal;
+  temporal.temporal_depth = 2;
+  send(temporal, 5, 40 * kMicrosecond);
+  Request long_jacobi;
+  long_jacobi.problem = small_problem(0.75f);
+  long_jacobi.problem.iterations = 5;
+  send(long_jacobi, 6, 60 * kMicrosecond);
+  Request long_hot;
+  long_hot.general = core::gallery::hotspot(64, 48, 5);
+  send(long_hot, 7, 80 * kMicrosecond);
+  svc.drain();
+
+  for (const Sent& s : sent) {
+    const RequestResult& r = svc.result(s.ticket.id);
+    ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
+    if (!s.req.general) {
+      expect_matches_reference(r, s.req.problem);
+      continue;
+    }
+    const auto ref = cpu::general_reference_bf16(*s.req.general);
+    const auto& primary =
+        ref[static_cast<std::size_t>(s.req.general->primary_field())];
+    ASSERT_EQ(r.solution.size(), primary.size());
+    for (std::size_t e = 0; e < primary.size(); ++e) {
+      ASSERT_EQ(r.solution[e], static_cast<float>(primary[e])) << "elem " << e;
+    }
+  }
+
+  struct Pin {
+    SimTime completed;
+    int card;
+    int batch_size;
+  };
+  const std::vector<Pin> pins = {
+      {671945722, 0, 3},  {671945722, 0, 3},  {671945722, 0, 3},
+      {597272846, 1, 1},  {1311168568, 0, 2}, {1205659622, 1, 1},
+      {2934771427, 1, 1}, {2478037337, 0, 1},
+  };
+  ASSERT_EQ(sent.size(), pins.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const RequestResult& r = svc.result(sent[i].ticket.id);
+    EXPECT_EQ(r.completed, pins[i].completed) << "ticket " << i;
+    EXPECT_EQ(r.card, pins[i].card) << "ticket " << i;
+    EXPECT_EQ(r.batch_size, pins[i].batch_size) << "ticket " << i;
+  }
+  const ServiceMetrics& m = svc.metrics();
+  EXPECT_EQ(m.batches, 9u);
+  EXPECT_EQ(m.batched_requests, 12u);
+  EXPECT_EQ(m.checkpoints_taken, 4u);
+  EXPECT_EQ(m.checkpoint_bytes, 102400u);
+  EXPECT_EQ(m.session_cache_hits, 2u);
+  EXPECT_EQ(m.session_cache_misses, 7u);
+  EXPECT_EQ(svc.spans().hash(), 1991619158840936482u);
+}
+
 // Most requests waiting at once on the simulated timeline, from the
 // queue-wait spans (admission -> dispatch); departures first at equal times.
 std::size_t most_waiting(const sim::TraceSink& spans) {

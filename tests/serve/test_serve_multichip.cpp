@@ -297,5 +297,93 @@ TEST(ServeMultichip, KilledCardOfShardedGroupRecoversBitExact) {
   EXPECT_EQ(svc.card_health(2), CardHealth::kHealthy);
 }
 
+/// What a faulted sharded session is pinned to.
+struct ShardedPin {
+  SimTime completed;
+  int migrations;
+  int retries;
+  std::uint64_t sharded_segments;
+  std::uint64_t sharded_link_bytes;
+  std::uint64_t card_reopens;
+};
+
+/// Run `req` checkpointed on a sharded group of `cfg`'s pool, first
+/// fault-free, then with a core kill on card 0 halfway through the clean
+/// run; the faulted run must deliver `reference` bit for bit and match the
+/// pinned recovery figures exactly.
+void expect_pinned_sharded_recovery(ServiceConfig cfg, const Request& req,
+                                    const std::vector<float>& reference,
+                                    const ShardedPin& pin) {
+  cfg.card_devices.assign(static_cast<std::size_t>(cfg.cards), cfg.device);
+  StencilService clean(cfg);
+  const Ticket tc = clean.submit(req);
+  clean.drain();
+  const RequestResult& rc = clean.result(tc.id);
+  ASSERT_EQ(rc.status, RequestStatus::kCompleted) << rc.error;
+  ASSERT_GE(rc.group.size(), 2u);
+
+  sim::FaultConfig fc;
+  fc.core_kills.push_back({0, rc.completed / 2});
+  cfg.card_devices[0].fault_plan = std::make_shared<sim::FaultPlan>(fc);
+  StencilService svc(cfg);
+  const Ticket t = svc.submit(req);
+  svc.drain();
+  const RequestResult& r = svc.result(t.id);
+  ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
+  ASSERT_EQ(r.solution.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(r.solution[i], reference[i]) << "diverged at " << i;
+  }
+  EXPECT_EQ(r.completed, pin.completed);
+  EXPECT_EQ(r.migrations, pin.migrations);
+  EXPECT_EQ(r.retries, pin.retries);
+  EXPECT_EQ(svc.metrics().migrations, static_cast<std::uint64_t>(pin.migrations));
+  EXPECT_EQ(svc.metrics().sharded_segments, pin.sharded_segments);
+  EXPECT_EQ(svc.metrics().sharded_link_bytes, pin.sharded_link_bytes);
+  EXPECT_EQ(svc.metrics().card_reopens, pin.card_reopens);
+}
+
+ServiceConfig faulted_shard_config(int cards) {
+  ServiceConfig cfg;
+  cfg.cards = cards;
+  cfg.spec = tiny_dram_spec();
+  cfg.spec.worker_cores = 8;  // one dead core leaves the card short
+  cfg.run.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.run.cores_x = 1;
+  cfg.run.cores_y = 8;
+  cfg.max_batch = 1;
+  cfg.checkpoint_every = 4;
+  cfg.device.sim_time_limit = 20 * kMillisecond;
+  cfg.health.quarantine_after = 1;
+  cfg.health.probe_after = 10 * kSecond;  // stays quarantined for the test
+  return cfg;
+}
+
+TEST(ServeMultichip, PinnedShardedJacobiRecovery) {
+  Request req;
+  req.problem = huge_problem(12);  // 3 sharded segments of 4
+  std::vector<float> reference;
+  for (const auto v : cpu::jacobi_reference_bf16(req.problem))
+    reference.push_back(static_cast<float>(v));
+  expect_pinned_sharded_recovery(faulted_shard_config(3), req, reference,
+                                 {7560398870, 1, 1, 3, 10368, 2});
+}
+
+TEST(ServeMultichip, PinnedShardedGeneralRecovery) {
+  // Hotspot: one written field checkpointed per segment beside a read-only
+  // power field that restages from the spec.
+  ServiceConfig cfg = faulted_shard_config(4);
+  cfg.spec.dram_banks = 3;
+  cfg.spec.dram_bank_bytes = 80 * KiB;
+  Request req;
+  req.general = core::gallery::hotspot(256, 256, 12);
+  const auto ref = cpu::general_reference_bf16(*req.general);
+  std::vector<float> reference;
+  for (const auto v : ref[static_cast<std::size_t>(req.general->primary_field())])
+    reference.push_back(static_cast<float>(v));
+  expect_pinned_sharded_recovery(cfg, req, reference,
+                                 {7671988518, 1, 1, 3, 20736, 3});
+}
+
 }  // namespace
 }  // namespace ttsim::serve
