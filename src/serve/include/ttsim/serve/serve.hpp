@@ -2,14 +2,18 @@
 /// \file serve.hpp
 /// Asynchronous multi-tenant stencil serving on a pool of simulated cards.
 ///
-/// A StencilService accepts Jacobi solve requests from many tenants and runs
-/// them on N simulated Grayskull e150s. Three mechanisms buy throughput over
-/// serial blocking dispatch:
+/// A StencilService accepts stencil solve requests from many tenants —
+/// classic Jacobi, or any general radius-1 program (stencil_spec.hpp, the
+/// workload gallery) — and runs them on N simulated cards. Both kinds take
+/// one path through the service; only a private view of the request tells
+/// them apart. Three mechanisms buy throughput over serial blocking
+/// dispatch:
 ///
 ///   1. **Spatial batching** — up to max_batch same-shape requests launch as
-///      ONE program on disjoint core groups (jacobi_batch.hpp), paying the
-///      ~500 us program-dispatch cost once and running the solves in
-///      parallel across the grid.
+///      ONE program on disjoint core groups (jacobi_batch.hpp for classic
+///      Jacobi, build_batched_stencil_program in stencil.hpp for general
+///      programs), paying the ~500 us program-dispatch cost once and
+///      running the solves in parallel across the grid.
 ///   2. **Async overlap** — each card drives three command queues (writes,
 ///      programs, reads) ordered by events, so batch j+1's host->device
 ///      staging rides the PCIe bus while batch j's kernels occupy the cores
@@ -199,10 +203,12 @@ struct ServiceConfig {
   /// card its own fault plan so one card can storm while its pool-mates
   /// stay clean.
   std::vector<ttmetal::DeviceConfig> card_devices;
-  /// Per-slot solver config; strategy must be kRowChunk or kTemporal (a
-  /// per-request Request::strategy can override either way). cores_x *
-  /// cores_y workers serve one request; a card batches as many slots as its
-  /// usable workers allow (capped by max_batch).
+  /// Per-slot solver config. strategy is the default for requests that do
+  /// not set Request::strategy; admission checks each request's effective
+  /// strategy, so only kRowChunk and kTemporal requests are served, whatever
+  /// the default. cores_x * cores_y workers serve one request; a card
+  /// batches as many slots as its usable workers allow (capped by
+  /// max_batch).
   core::DeviceRunConfig run;
   int max_batch = 8;
   /// Bounded admission queue; submissions beyond this reject (backpressure).
@@ -321,9 +327,10 @@ class StencilService {
   SimTime now() const;
 
   int cards() const { return static_cast<int>(cards_.size()); }
-  /// Batch slots card `card` can currently field for `key`'s shape (shrinks
-  /// when the fault plan kills cores; 0 = the card cannot serve the shape).
-  int card_capacity(int card, const ShapeKey& key);
+  /// Batch slots card `card` can currently field: its usable workers over
+  /// the slot width, capped at max_batch (shrinks when the fault plan kills
+  /// cores; 0 = the card cannot serve a request).
+  int card_capacity(int card) const;
   /// Current health state of `card` (see health.hpp for the machine).
   CardHealth card_health(int card) const;
   /// The device-family spec card `card` was opened with.
@@ -341,9 +348,12 @@ class StencilService {
   struct Session;
   struct InFlight;
   struct Pending;
+  /// A request read through its problem kind (classic Jacobi or general);
+  /// the only code that tells the two apart.
+  class ProblemView;
 
-  Session& session(Card& card, const ShapeKey& key,
-                   const core::GeneralStencilProblem* general);
+  /// The (card, key) session, built on a miss with `head`'s field layout.
+  Session& session(Card& card, const ShapeKey& key, const ProblemView& head);
   /// The shape of `p`'s NEXT segment (remaining sweeps, capped at
   /// checkpoint_every when checkpointing is on).
   ShapeKey effective_key(const Pending& p) const;
@@ -358,7 +368,27 @@ class StencilService {
   /// check). Passing readmits as degraded; failing reschedules or retires.
   void probe_card(Card& card);
   void note_clean_harvest(Card& card);
+  /// A failed card's health penalty: degrade it, or quarantine it after a
+  /// streak (its readmission probe falls due `health.probe_after` past `at`).
+  void penalize(Card& card, SimTime at);
   void fail_request(std::uint64_t id, const std::string& why);
+  /// Fail `id` as a deadline miss when its deadline passed before dispatch
+  /// time `t`; returns whether it did.
+  bool fail_if_expired(std::uint64_t id, SimTime t);
+  /// Deliver `solution` for `id`, finished at `at` (status, latency, a
+  /// missed deadline, tenant stats).
+  void complete(std::uint64_t id, SimTime at, std::vector<float> solution);
+  /// Seal a finished segment's state (`images`: one padded image per field,
+  /// read-only ones ignored) as `id`'s checkpoint, taken on `card` at `at`,
+  /// and requeue the rest of the solve at the queue front.
+  void checkpoint_and_requeue(std::uint64_t id,
+                              std::vector<std::vector<bfloat16_t>> images,
+                              SimTime at, int card);
+  /// A fault at `at` took `id`'s segment down: requeue it at the queue
+  /// front, or fail it when the fault is not retryable, its retries are
+  /// spent or its deadline has passed.
+  void requeue_or_fail(std::uint64_t id, const std::string& why, bool retryable,
+                       SimTime at);
   /// Take `id` out of the pending queue at simulated time `t`; its first
   /// departure ends the wait that max_queue_depth counts.
   void dequeue(std::uint64_t id, SimTime t);
@@ -371,6 +401,9 @@ class StencilService {
   /// nor under-rejects expensive ones.
   SimTime estimate_completion(const Request& request) const;
   SimTime backpressure_hint() const;
+  /// Lowest EWMA batch cost for `program` across specs with history; 0 when
+  /// there is none.
+  SimTime cheapest_cost(std::uint64_t program) const;
   /// cfg_.run with the strategy / temporal depth the key's session compiled
   /// for (per-request overrides land in the key at admission).
   core::DeviceRunConfig run_for(const ShapeKey& key) const;

@@ -65,15 +65,108 @@ std::uint64_t ServiceMetrics::total_completed() const {
 // ---------------------------------------------------------------------------
 // Internal structures
 
+/// The one place a request's problem kind is decided. A general request is
+/// its own stencil program; a classic Jacobi request is the one-pass program
+/// over one written field, with program hash 0. Every other step of the
+/// service reads requests through this view, so none of them forks on kind.
+/// Non-owning: valid while the Request it was made from lives.
+class StencilService::ProblemView {
+ public:
+  explicit ProblemView(const Request& r)
+      : jacobi_(r.general ? nullptr : &r.problem),
+        general_(r.general ? &*r.general : nullptr) {}
+
+  std::uint32_t width() const { return general_ ? general_->width : jacobi_->width; }
+  std::uint32_t height() const {
+    return general_ ? general_->height : jacobi_->height;
+  }
+  int iterations() const {
+    return general_ ? general_->iterations : jacobi_->iterations;
+  }
+  /// transition_hash() of the program; 0 = classic Jacobi.
+  std::uint64_t program() const { return general_ ? general_->transition_hash() : 0; }
+  int fields() const {
+    return general_ ? static_cast<int>(general_->fields.size()) : 1;
+  }
+  int passes() const {
+    return general_ ? static_cast<int>(general_->passes.size()) : 1;
+  }
+  /// Does a pass write field `f`? Read-only fields never flip parity.
+  bool written(int f) const { return !general_ || general_->written_pass(f) >= 0; }
+  /// The field a completed solve delivers (the last pass's target).
+  int primary_field() const { return general_ ? general_->primary_field() : 0; }
+
+  /// Field `f`'s padded initial image from this request's physics.
+  std::vector<bfloat16_t> image(const core::PaddedLayout& layout, int f) const {
+    return general_ ? core::general_field_image(layout, *general_, f)
+                    : layout.initial_image(*jacobi_);
+  }
+
+  /// Admission: does the request decompose onto one batch slot under `run`?
+  /// Throws ApiError (or CheckError for a malformed general program).
+  void validate(const core::DeviceRunConfig& run) const {
+    if (general_) {
+      core::validate_stencil_request(*general_, run);
+    } else {
+      core::validate_batch_request(*jacobi_, run);
+    }
+  }
+
+  /// Compile `iterations` sweeps of this request's program onto every slot
+  /// (one d1/d2 address per field; d2 is 0 for read-only fields). Only the
+  /// structure counts: boundary values and initial fields are staged data.
+  void build(ttmetal::Program& prog, int iterations, const core::DeviceRunConfig& run,
+             const std::vector<core::GeneralBatchSlot>& slots) const {
+    if (general_) {
+      core::GeneralStencilProblem shape = *general_;
+      shape.iterations = iterations;
+      core::build_batched_stencil_program(prog, shape, run, slots);
+      return;
+    }
+    std::vector<core::BatchSlot> jslots;
+    for (const auto& s : slots) jslots.push_back({s.d1.front(), s.d2.front(), s.core_ids});
+    core::JacobiProblem shape;
+    shape.width = jacobi_->width;
+    shape.height = jacobi_->height;
+    shape.iterations = iterations;
+    core::build_batched_rowchunk_program(prog, shape, run, jslots);
+  }
+
+  /// Run `iterations` sweeps sharded over `cards`. `state` holds one global
+  /// padded image per field to resume from (empty = this request's initial
+  /// state) and receives the final images.
+  core::ShardedRunResult run_sharded(std::span<ttmetal::Device* const> cards,
+                                     sim::ChipLinkFabric& fabric, int iterations,
+                                     const core::ShardedRunConfig& cfg,
+                                     std::vector<std::vector<bfloat16_t>>& state) const {
+    if (general_) {
+      core::GeneralStencilProblem p = *general_;
+      p.iterations = iterations;
+      return core::run_general_sharded(cards, fabric, p, cfg, &state);
+    }
+    core::JacobiProblem p = *jacobi_;
+    p.iterations = iterations;
+    std::vector<bfloat16_t> image;
+    if (!state.empty()) image = std::move(state.front());
+    auto result = core::run_jacobi_sharded(cards, fabric, p, cfg, &image);
+    state.assign(1, std::move(image));
+    return result;
+  }
+
+ private:
+  const core::JacobiProblem* jacobi_;
+  const core::GeneralStencilProblem* general_;
+};
+
 struct StencilService::Pending {
   Request req;
   ShapeKey key;  ///< shape of the NEXT segment (tracks remaining sweeps)
   int iterations_done = 0;  ///< sweeps completed across prior segments
-  /// State after iterations_done sweeps: one checkpoint for classic Jacobi,
-  /// one per field for general programs (read-only fields stay empty — they
-  /// restage from the program spec). Sharded sessions seal the GLOBAL
-  /// padded image(s) here — the whole-domain numerical state, so the next
-  /// segment's group may be ANY set of cards.
+  /// State after iterations_done sweeps, one checkpoint per field (classic
+  /// Jacobi has one); read-only fields stay empty, since they restage from
+  /// the request. Sharded sessions seal the GLOBAL padded images here — the
+  /// whole-domain numerical state, so the next segment's group may be ANY
+  /// set of cards.
   std::vector<SessionCheckpoint> ckpt;
   int ckpt_card = -1;  ///< card that produced the checkpoint
   /// Sharded multi-card sessions: cards this request's slabs must spread
@@ -91,15 +184,13 @@ struct StencilService::Session {
   core::PaddedLayout layout;
   /// groups[g] = the physical workers serving batch slot g.
   std::vector<std::vector<int>> groups;
-  /// banks[bank][g] = {d1, d2} grid buffers for slot g. Two banks so batch
-  /// j+1's H2D staging can overlap batch j's kernels without a hazard.
-  std::array<std::vector<std::array<std::shared_ptr<ttmetal::Buffer>, 2>>, 2> banks;
-  /// General-frontend sessions only: the program structure the key's hash
-  /// pins (the first request's problem; same hash = same lowering), and
-  /// per-field double-banked buffers — gbanks[bank][g][f] is field f's d1,
-  /// gbanks[bank][g][nfields+f] its d2 (null for read-only fields).
-  std::optional<core::GeneralStencilProblem> general;
-  std::array<std::vector<std::vector<std::shared_ptr<ttmetal::Buffer>>>, 2> gbanks;
+  /// Fields of the key's program (classic Jacobi: 1).
+  int nfields = 0;
+  /// banks[bank][g][half * nfields + f] = field f's grid buffer d1 (half 0)
+  /// or d2 (half 1) for slot g; d2 is null for read-only fields, which never
+  /// flip parity. Two banks so batch j+1's H2D staging can overlap batch j's
+  /// kernels without a hazard.
+  std::array<std::vector<std::vector<std::shared_ptr<ttmetal::Buffer>>>, 2> banks;
   /// Compiled batch programs, keyed by (bank, batch width B). Programs are
   /// reusable across launches, so each (bank, B) compiles once.
   std::map<std::pair<int, int>, std::unique_ptr<ttmetal::Program>> programs;
@@ -112,9 +203,9 @@ struct StencilService::InFlight {
   int bank = 0;
   SimTime dispatched = 0;
   ttmetal::Event write_done, kernel_done, read_done;
-  /// Read destinations, per member: one image for a finishing member (the
-  /// delivered field) or, for a continuing general member, one per written
-  /// field in field order (the next segment's checkpoints).
+  /// Read destinations, outputs[member][field]: a finishing member reads
+  /// its primary field (the delivered solution), a continuing one every
+  /// written field (the next segment's checkpoints); the rest stay empty.
   std::vector<std::vector<std::vector<bfloat16_t>>> outputs;
   std::vector<std::uint8_t> continues;  ///< per member: more segments left
 };
@@ -148,10 +239,6 @@ struct StencilService::Card {
 StencilService::StencilService(ServiceConfig config)
     : cfg_(std::move(config)), spans_(span_engine_) {
   if (cfg_.cards < 1) TTSIM_THROW_API("service needs at least one card");
-  if (cfg_.run.strategy != core::DeviceStrategy::kRowChunk &&
-      cfg_.run.strategy != core::DeviceStrategy::kTemporal) {
-    TTSIM_THROW_API("serving is built on the row-chunk or temporal strategies");
-  }
   if (cfg_.run.cores_x < 1 || cfg_.run.cores_y < 1) {
     TTSIM_THROW_API("need at least a 1x1 core grid per batch slot");
   }
@@ -230,25 +317,15 @@ void StencilService::record_span(sim::TraceEventKind kind, SimTime ts, SimTime d
 // Admission
 
 ShapeKey StencilService::effective_key(const Pending& p) const {
+  const ProblemView view(p.req);
   ShapeKey key;
-  if (p.req.general) {
-    key.width = p.req.general->width;
-    key.height = p.req.general->height;
-    int remaining = p.req.general->iterations - p.iterations_done;
-    if (cfg_.checkpoint_every > 0) {
-      remaining = std::min(remaining, cfg_.checkpoint_every);
-    }
-    key.iterations = remaining;
-    key.program = p.req.general->transition_hash();
-  } else {
-    key.width = p.req.problem.width;
-    key.height = p.req.problem.height;
-    int remaining = p.req.problem.iterations - p.iterations_done;
-    if (cfg_.checkpoint_every > 0) {
-      remaining = std::min(remaining, cfg_.checkpoint_every);
-    }
-    key.iterations = remaining;
+  key.width = view.width();
+  key.height = view.height();
+  key.iterations = view.iterations() - p.iterations_done;
+  if (cfg_.checkpoint_every > 0) {
+    key.iterations = std::min(key.iterations, cfg_.checkpoint_every);
   }
+  key.program = view.program();
   key.chunk_elems = cfg_.run.chunk_elems;
   key.read_ahead = cfg_.run.read_ahead;
   const auto strat = p.req.strategy.value_or(cfg_.run.strategy);
@@ -270,13 +347,20 @@ core::DeviceRunConfig StencilService::run_for(const ShapeKey& key) const {
 
 int StencilService::active_slots() const {
   int slots = 0;
-  const int slot = cfg_.run.cores_x * cfg_.run.cores_y;
   for (const auto& c : cards_) {
     if (c->retired || c->health == CardHealth::kQuarantined) continue;
-    const int usable = static_cast<int>(c->device->usable_workers().size());
-    slots += std::min(usable / slot, cfg_.max_batch);
+    slots += card_capacity(c->index);
   }
   return slots;
+}
+
+SimTime StencilService::cheapest_cost(std::uint64_t program) const {
+  SimTime best = 0;
+  for (const auto& [key, e] : ewma_batch_) {
+    if (key.first != program || e == 0) continue;
+    if (best == 0 || e < best) best = e;
+  }
+  return best;
 }
 
 SimTime StencilService::estimate_completion(const Request& request) const {
@@ -289,17 +373,8 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   // the batch on the fastest family member, so rejecting against a slower
   // card's cost would turn admission pessimistic on exactly the requests a
   // mixed pool exists to serve.
-  const std::uint64_t prog =
-      request.general ? request.general->transition_hash() : 0;
-  auto cheapest = [&](std::uint64_t program) -> SimTime {
-    SimTime best = 0;
-    for (const auto& [key, e] : ewma_batch_) {
-      if (key.first != program || e == 0) continue;
-      if (best == 0 || e < best) best = e;
-    }
-    return best;
-  };
-  const SimTime own = cheapest(prog);
+  const ProblemView view(request);
+  const SimTime own = cheapest_cost(view.program());
   // No history for THIS program on ANY spec: admit optimistically.
   if (own == 0) return 0;
   const int slots = active_slots();
@@ -309,14 +384,12 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   // over the pool's slots; then the newcomer's own segments.
   SimTime queued = 0;
   for (std::uint64_t id : pending_) {
-    const SimTime e = cheapest(requests_.at(id).key.program);
+    const SimTime e = cheapest_cost(requests_.at(id).key.program);
     queued += e != 0 ? e : own;
   }
   SimTime segments = 1;
   if (cfg_.checkpoint_every > 0) {
-    const int total = request.general ? request.general->iterations
-                                      : request.problem.iterations;
-    segments = (total + cfg_.checkpoint_every - 1) / cfg_.checkpoint_every;
+    segments = (view.iterations() + cfg_.checkpoint_every - 1) / cfg_.checkpoint_every;
   }
   return std::max(service_now_, request.arrival) +
          queued / static_cast<SimTime>(slots) + own * segments;
@@ -339,13 +412,7 @@ SimTime StencilService::backpressure_hint() const {
   mean /= n;
   SimTime queued = 0;
   for (std::uint64_t id : pending_) {
-    // Cheapest spec with history for this program; pool mean otherwise.
-    const std::uint64_t prog = requests_.at(id).key.program;
-    SimTime best = 0;
-    for (const auto& [key, e] : ewma_batch_) {
-      if (key.first != prog || e == 0) continue;
-      if (best == 0 || e < best) best = e;
-    }
+    const SimTime best = cheapest_cost(requests_.at(id).key.program);
     queued += best != 0 ? best : mean;
   }
   return std::max<SimTime>(queued / static_cast<SimTime>(slots), kMicrosecond);
@@ -361,33 +428,31 @@ Ticket StencilService::submit(const Request& request) {
   RequestResult r;
   r.tenant = request.tenant;
   r.admit = request.arrival;
+  auto fail_now = [&](std::string why) {
+    r.status = RequestStatus::kFailed;
+    r.error = std::move(why);
+    ++ts.failed;
+    results_.emplace(ticket.id, std::move(r));
+    ticket.status = RequestStatus::kFailed;
+    return ticket;
+  };
 
   // Invalid shapes fail immediately — they would fail on every card.
   // (CheckError covers general-program structural faults such as an
   // initial_field of the wrong size.)
+  const ProblemView view(request);
   std::string invalid;
   try {
     core::DeviceRunConfig vrun = cfg_.run;
     if (request.strategy) vrun.strategy = *request.strategy;
     if (request.temporal_depth > 0) vrun.temporal_depth = request.temporal_depth;
-    if (request.general) {
-      core::validate_stencil_request(*request.general, vrun);
-    } else {
-      core::validate_batch_request(request.problem, vrun);
-    }
+    view.validate(vrun);
   } catch (const ApiError& e) {
     invalid = e.what();
   } catch (const CheckError& e) {
     invalid = e.what();
   }
-  if (!invalid.empty()) {
-    r.status = RequestStatus::kFailed;
-    r.error = invalid;
-    ++ts.failed;
-    results_.emplace(ticket.id, std::move(r));
-    ticket.status = RequestStatus::kFailed;
-    return ticket;
-  }
+  if (!invalid.empty()) return fail_now(std::move(invalid));
 
   // Capacity triage: a shape whose session buffers exceed every card's DRAM
   // is not a failure — it is a sharded multi-card session. Find the smallest
@@ -396,18 +461,12 @@ Ticket StencilService::submit(const Request& request) {
   // only when no group fits does the request fail.
   int shard_n = 0;
   {
-    const std::uint32_t w =
-        request.general ? request.general->width : request.problem.width;
-    const std::uint32_t h =
-        request.general ? request.general->height : request.problem.height;
-    // Grid images a session must hold per slot: both parities of the solve
-    // grid, or per general field one image plus a second for written fields.
-    std::uint64_t grids = 2;
-    if (request.general) {
-      grids = 0;
-      for (int f = 0; f < static_cast<int>(request.general->fields.size()); ++f)
-        grids += request.general->written_pass(f) >= 0 ? 2 : 1;
-    }
+    const std::uint32_t w = view.width();
+    const std::uint32_t h = view.height();
+    // Grid images a session must hold per slot: per field one image, plus a
+    // second parity for written fields.
+    std::uint64_t grids = 0;
+    for (int f = 0; f < view.fields(); ++f) grids += view.written(f) ? 2 : 1;
     std::uint64_t max_budget = 0;
     std::uint64_t min_budget = 0;
     int pool = 0;
@@ -429,7 +488,7 @@ Ticket StencilService::submit(const Request& request) {
       const bool shardable =
           (strat == core::DeviceStrategy::kRowChunk ||
            strat == core::DeviceStrategy::kTemporal) &&
-          (!request.general || request.general->passes.size() == 1);
+          view.passes() == 1;
       std::string why;
       if (!shardable) {
         why = "shape exceeds one card's DRAM and the program cannot shard "
@@ -452,14 +511,7 @@ Ticket StencilService::submit(const Request& request) {
         }
         if (shard_n == 0) why = "shape exceeds the pool's combined capacity";
       }
-      if (shard_n == 0) {
-        r.status = RequestStatus::kFailed;
-        r.error = why;
-        ++ts.failed;
-        results_.emplace(ticket.id, std::move(r));
-        ticket.status = RequestStatus::kFailed;
-        return ticket;
-      }
+      if (shard_n == 0) return fail_now(std::move(why));
       ++metrics_.sharded_sessions;
     }
   }
@@ -540,8 +592,7 @@ Ticket StencilService::submit(const Request& request) {
 // ---------------------------------------------------------------------------
 // Sessions
 
-int StencilService::card_capacity(int card, const ShapeKey& key) {
-  (void)key;  // slot width is a service-level constant today
+int StencilService::card_capacity(int card) const {
   TTSIM_CHECK(card >= 0 && card < static_cast<int>(cards_.size()));
   const int slot = cfg_.run.cores_x * cfg_.run.cores_y;
   const int usable = static_cast<int>(cards_[static_cast<std::size_t>(card)]
@@ -575,19 +626,21 @@ std::vector<verify::Finding> StencilService::verify_findings() const {
   return all;
 }
 
-StencilService::Session& StencilService::session(
-    Card& card, const ShapeKey& key, const core::GeneralStencilProblem* general) {
+StencilService::Session& StencilService::session(Card& card, const ShapeKey& key,
+                                                  const ProblemView& head) {
   auto it = card.sessions.find(key);
   if (it != card.sessions.end()) {
     ++metrics_.session_cache_hits;
     return *it->second;
   }
   ++metrics_.session_cache_misses;
+  TTSIM_CHECK_MSG(key.program == head.program(),
+                  "session key does not match the request's program");
 
   auto s = std::make_unique<Session>(key);
   const int slot = cfg_.run.cores_x * cfg_.run.cores_y;
   const auto usable = card.device->usable_workers();
-  const int groups = std::min(static_cast<int>(usable.size()) / slot, cfg_.max_batch);
+  const int groups = card_capacity(card.index);
   TTSIM_CHECK_MSG(groups >= 1, "session built on a card with no capacity");
   for (int g = 0; g < groups; ++g) {
     s->groups.emplace_back(usable.begin() + static_cast<std::ptrdiff_t>(g) * slot,
@@ -597,52 +650,26 @@ StencilService::Session& StencilService::session(
   core::JacobiProblem shape;
   shape.width = key.width;
   shape.height = key.height;
-  shape.iterations = key.iterations;
   const ttmetal::BufferConfig base = core::batch_grid_buffer_config(cfg_.run, shape);
-  if (general != nullptr) {
-    TTSIM_CHECK_MSG(key.program == general->transition_hash(),
-                    "session key does not match the general program");
-    s->general = *general;
-    const int nf = static_cast<int>(general->fields.size());
-    for (int bank = 0; bank < 2; ++bank) {
-      auto& vec = s->gbanks[static_cast<std::size_t>(bank)];
-      for (int g = 0; g < groups; ++g) {
-        std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(
-            static_cast<std::size_t>(2 * nf));
-        for (int f = 0; f < nf; ++f) {
-          for (int half = 0; half < 2; ++half) {
-            // Read-only fields never flip parity: one grid is enough.
-            if (half == 1 && general->written_pass(f) < 0) continue;
-            ttmetal::BufferConfig bc = base;
-            std::ostringstream name;
-            name << "serve-c" << card.index << '-' << key.width << 'x'
-                 << key.height << "-i" << key.iterations << "-p" << std::hex
-                 << key.program << std::dec << "-bank" << bank << "-slot" << g
-                 << "-f" << f << "-d" << (half + 1);
-            bc.name = name.str();
-            bufs[static_cast<std::size_t>(half * nf + f)] =
-                card.device->create_buffer(bc);
-          }
-        }
-        vec.push_back(std::move(bufs));
-      }
-    }
-  } else {
-    for (int bank = 0; bank < 2; ++bank) {
-      auto& vec = s->banks[static_cast<std::size_t>(bank)];
-      for (int g = 0; g < groups; ++g) {
-        std::array<std::shared_ptr<ttmetal::Buffer>, 2> pair;
+  const int nf = head.fields();
+  s->nfields = nf;
+  for (int bank = 0; bank < 2; ++bank) {
+    for (int g = 0; g < groups; ++g) {
+      std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(static_cast<std::size_t>(2 * nf));
+      for (int f = 0; f < nf; ++f) {
         for (int half = 0; half < 2; ++half) {
+          if (half == 1 && !head.written(f)) continue;
           ttmetal::BufferConfig bc = base;
           std::ostringstream name;
           name << "serve-c" << card.index << '-' << key.width << 'x' << key.height
-               << "-i" << key.iterations << "-bank" << bank << "-slot" << g << "-d"
+               << "-i" << key.iterations << "-p" << std::hex << key.program
+               << std::dec << "-bank" << bank << "-slot" << g << "-f" << f << "-d"
                << (half + 1);
           bc.name = name.str();
-          pair[static_cast<std::size_t>(half)] = card.device->create_buffer(bc);
+          bufs[static_cast<std::size_t>(half * nf + f)] = card.device->create_buffer(bc);
         }
-        vec.push_back(std::move(pair));
       }
+      s->banks[static_cast<std::size_t>(bank)].push_back(std::move(bufs));
     }
   }
   auto& ref = *s;
@@ -659,6 +686,93 @@ void StencilService::fail_request(std::uint64_t id, const std::string& why) {
   r.error = why;
   ++metrics_.tenants[r.tenant].failed;
   requests_.erase(id);
+}
+
+bool StencilService::fail_if_expired(std::uint64_t id, SimTime t) {
+  const Pending& p = requests_.at(id);
+  if (p.req.deadline == 0 || p.req.deadline >= t) return false;
+  results_.at(id).deadline_missed = true;
+  ++metrics_.tenants[p.req.tenant].deadline_missed;
+  fail_request(id, "deadline passed before dispatch");
+  return true;
+}
+
+void StencilService::complete(std::uint64_t id, SimTime at, std::vector<float> solution) {
+  auto& r = results_.at(id);
+  const Pending& p = requests_.at(id);
+  r.status = RequestStatus::kCompleted;
+  r.completed = at;
+  r.latency = at - r.admit;
+  TenantStats& ts = metrics_.tenants[r.tenant];
+  if (p.req.deadline != 0 && at > p.req.deadline) {
+    r.deadline_missed = true;
+    ++ts.deadline_missed;
+  }
+  r.solution = std::move(solution);
+  ++ts.completed;
+  ts.latencies.push_back(r.latency);
+  requests_.erase(id);
+}
+
+void StencilService::checkpoint_and_requeue(
+    std::uint64_t id, std::vector<std::vector<bfloat16_t>> images, SimTime at,
+    int card) {
+  Pending& p = requests_.at(id);
+  const ProblemView view(p.req);
+  p.ckpt.assign(static_cast<std::size_t>(view.fields()), SessionCheckpoint{});
+  for (int f = 0; f < view.fields(); ++f) {
+    if (!view.written(f)) continue;
+    p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
+        std::move(images[static_cast<std::size_t>(f)]), p.iterations_done, at);
+  }
+  p.ckpt_card = card;
+  p.key = effective_key(p);
+  // Causality across skewed card clocks: the next segment must not
+  // dispatch (on any card) before this one's state was read back.
+  p.req.arrival = std::max(p.req.arrival, at);
+  ++metrics_.checkpoints_taken;
+  for (const auto& c : p.ckpt) metrics_.checkpoint_bytes += c.bytes();
+  // The front of the queue, so a long solve is not starved by traffic that
+  // arrived while its segment ran.
+  pending_.push_front(id);
+}
+
+void StencilService::penalize(Card& card, SimTime at) {
+  // The first failure degrades the card; a streak quarantines it (the
+  // scheduler stops feeding it until a probe passes).
+  card.clean_streak = 0;
+  ++card.consecutive_failures;
+  if (card.consecutive_failures >= cfg_.health.quarantine_after) {
+    if (card.health != CardHealth::kQuarantined) ++metrics_.quarantines;
+    card.health = CardHealth::kQuarantined;
+    card.probe_at = at + cfg_.health.probe_after;
+  } else if (card.health == CardHealth::kHealthy) {
+    card.health = CardHealth::kDegraded;
+  }
+}
+
+void StencilService::requeue_or_fail(std::uint64_t id, const std::string& why,
+                                     bool retryable, SimTime at) {
+  auto& r = results_.at(id);
+  Pending& p = requests_.at(id);
+  const bool expired = p.req.deadline != 0 && p.req.deadline <= at;
+  if (!retryable || r.retries >= cfg_.max_retries || expired) {
+    if (expired) {
+      r.deadline_missed = true;
+      ++metrics_.tenants[p.req.tenant].deadline_missed;
+    }
+    fail_request(id, why);
+    return;
+  }
+  // A victim with a checkpoint resumes from it: only the lost segment
+  // re-runs.
+  ++r.retries;
+  metrics_.iterations_saved += static_cast<std::uint64_t>(p.iterations_done);
+  // The retried segment must not dispatch before the failure was observed.
+  p.req.arrival = std::max(p.req.arrival, at);
+  r.card = -1;
+  r.batch_size = 0;
+  pending_.push_front(id);
 }
 
 void StencilService::dequeue(std::uint64_t id, SimTime t) {
@@ -740,11 +854,11 @@ bool StencilService::dispatch_on(Card& card) {
   // Capacity: a card that cannot field even one slot of this shape leaves
   // it for a capable card; when no card can — now or after a readmission
   // probe — the request fails.
-  if (card_capacity(card.index, key) < 1) {
+  if (card_capacity(card.index) < 1) {
     bool anyone = false;
     for (const auto& other : cards_) {
       if (other->retired) continue;
-      if (card_capacity(other->index, key) >= 1 ||
+      if (card_capacity(other->index) >= 1 ||
           (other->health == CardHealth::kQuarantined && cfg_.health.heal_on_probe)) {
         anyone = true;
       }
@@ -757,9 +871,8 @@ bool StencilService::dispatch_on(Card& card) {
     return false;
   }
 
-  const Pending& head_req = requests_.at(head);
-  Session& s = session(card, key,
-                       head_req.req.general ? &*head_req.req.general : nullptr);
+  Session& s = session(card, key, ProblemView(requests_.at(head).req));
+  const int nf = s.nfields;
   const int max_slots =
       std::min(static_cast<int>(s.groups.size()), cfg_.max_batch);
 
@@ -777,15 +890,7 @@ bool StencilService::dispatch_on(Card& card) {
   std::vector<std::uint64_t> batch;
   for (std::uint64_t id : members) {
     dequeue(id, t);
-    const Pending& p = requests_.at(id);
-    if (p.req.deadline != 0 && p.req.deadline < t) {
-      auto& r = results_.at(id);
-      r.deadline_missed = true;
-      ++metrics_.tenants[p.req.tenant].deadline_missed;
-      fail_request(id, "deadline passed before dispatch");
-      continue;
-    }
-    batch.push_back(id);
+    if (!fail_if_expired(id, t)) batch.push_back(id);
   }
   if (batch.empty()) return true;  // everything expired; still progress
 
@@ -793,45 +898,28 @@ bool StencilService::dispatch_on(Card& card) {
   const int bank = s.next_bank;
   s.next_bank ^= 1;
 
-  // Compile (or reuse) the batch program for (bank, B).
+  // Compile (or reuse) the batch program for (bank, B). Any member stands in
+  // for the key's program: same key, same structure, same kernels. The
+  // launch runs the key's segment length (checkpointed solves dispatch
+  // shorter tails).
   const auto pkey = std::make_pair(bank, b);
   auto pit = s.programs.find(pkey);
   if (pit == s.programs.end()) {
-    auto prog = std::make_unique<ttmetal::Program>();
-    if (s.general) {
-      const int nf = static_cast<int>(s.general->fields.size());
-      std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(b));
-      for (int g = 0; g < b; ++g) {
-        auto& slot = slots[static_cast<std::size_t>(g)];
-        const auto& bufs =
-            s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-        for (int f = 0; f < nf; ++f) {
-          slot.d1.push_back(bufs[static_cast<std::size_t>(f)]->address());
-          const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-          slot.d2.push_back(d2 ? d2->address() : 0);
-        }
-        slot.core_ids = s.groups[static_cast<std::size_t>(g)];
+    std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(b));
+    for (int g = 0; g < b; ++g) {
+      auto& slot = slots[static_cast<std::size_t>(g)];
+      const auto& bufs =
+          s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
+      for (int f = 0; f < nf; ++f) {
+        slot.d1.push_back(bufs[static_cast<std::size_t>(f)]->address());
+        const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
+        slot.d2.push_back(d2 ? d2->address() : 0);
       }
-      // The session pins the program STRUCTURE; this launch runs the key's
-      // segment length (checkpointed solves dispatch shorter tails).
-      core::GeneralStencilProblem gshape = *s.general;
-      gshape.iterations = key.iterations;
-      core::build_batched_stencil_program(*prog, gshape, run_for(key), slots);
-    } else {
-      std::vector<core::BatchSlot> slots(static_cast<std::size_t>(b));
-      for (int g = 0; g < b; ++g) {
-        auto& slot = slots[static_cast<std::size_t>(g)];
-        const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-        slot.d1 = pair[0]->address();
-        slot.d2 = pair[1]->address();
-        slot.core_ids = s.groups[static_cast<std::size_t>(g)];
-      }
-      core::JacobiProblem shape;
-      shape.width = key.width;
-      shape.height = key.height;
-      shape.iterations = key.iterations;
-      core::build_batched_rowchunk_program(*prog, shape, run_for(key), slots);
+      slot.core_ids = s.groups[static_cast<std::size_t>(g)];
     }
+    auto prog = std::make_unique<ttmetal::Program>();
+    ProblemView(requests_.at(batch.front()).req)
+        .build(*prog, key.iterations, run_for(key), slots);
     pit = s.programs.emplace(pkey, std::move(prog)).first;
   }
 
@@ -851,65 +939,33 @@ bool StencilService::dispatch_on(Card& card) {
   for (int g = 0; g < b; ++g) {
     Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
     auto& rr = results_.at(batch[static_cast<std::size_t>(g)]);
-    if (s.general) {
-      // Per-field staging: every field's padded image from THIS request's
-      // physics (boundary constants / initial fields are per-request data;
-      // the session only pins the program structure). Written fields stage
-      // both parities so the first pass reads a defined halo everywhere.
-      const auto& bufs =
-          s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-      const int nf = static_cast<int>(p.req.general->fields.size());
-      for (int f = 0; f < nf; ++f) {
-        const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-        if (p.iterations_done > 0 && d2) {
-          // Resume a written field from its sealed checkpoint — the exact
-          // padded image after iterations_done sweeps — staged to both
-          // parities exactly like a fresh start stages the initial image,
-          // so the remaining sweeps continue the solve bit-exactly.
-          const auto& image = p.ckpt[static_cast<std::size_t>(f)].image();
-          TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
-                          "checkpoint image does not match the session layout");
-          const auto bytes = std::as_bytes(std::span{image});
-          cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
-                                        /*blocking=*/false);
-          cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
-          continue;
-        }
-        // Fresh start, or a read-only field (never flips parity: its image
-        // restages from the program spec on every segment).
-        const auto image = core::general_field_image(s.layout, *p.req.general, f);
-        const auto bytes = std::as_bytes(std::span{image});
-        cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
-                                      /*blocking=*/false);
-        if (d2) cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
-      }
-      if (p.iterations_done > 0 && p.ckpt_card != card.index) {
-        ++metrics_.migrations;
-        ++rr.migrations;
-      }
-      continue;
-    }
-    const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-    if (p.iterations_done == 0) {
-      // First segment: the initial image from the request's physics.
-      const auto image = s.layout.initial_image(p.req.problem);
-      const auto bytes = std::as_bytes(std::span{image});
-      cq_write.enqueue_write_buffer(*pair[0], bytes, /*blocking=*/false);
-      cq_write.enqueue_write_buffer(*pair[1], bytes, /*blocking=*/false);
-    } else {
-      // Resume: upload the CRC-verified checkpoint — the exact padded
-      // device image after iterations_done sweeps — so the segment
-      // continues the solve bit-exactly, on whichever card this is.
-      const auto& image = p.ckpt.front().image();
+    const ProblemView view(p.req);
+    const auto& bufs =
+        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
+    for (int f = 0; f < nf; ++f) {
+      // A written field resumes from its sealed, CRC-verified checkpoint —
+      // the exact padded image after iterations_done sweeps — so the
+      // remaining sweeps continue the solve bit-exactly on whichever card
+      // this is. A fresh start, or a read-only field (it never flips
+      // parity), stages its image from THIS request's physics: boundary
+      // constants and initial fields are per-request data. Written fields
+      // stage both parities so the first sweep reads a defined halo
+      // everywhere.
+      const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
+      const bool resume = p.iterations_done > 0 && d2;
+      std::vector<bfloat16_t> fresh;
+      if (!resume) fresh = view.image(s.layout, f);
+      const auto& image = resume ? p.ckpt[static_cast<std::size_t>(f)].image() : fresh;
       TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
-                      "checkpoint image does not match the session layout");
+                      "staged image does not match the session layout");
       const auto bytes = std::as_bytes(std::span{image});
-      cq_write.enqueue_write_buffer(*pair[0], bytes, /*blocking=*/false);
-      cq_write.enqueue_write_buffer(*pair[1], bytes, /*blocking=*/false);
-      if (p.ckpt_card != card.index) {
-        ++metrics_.migrations;
-        ++rr.migrations;
-      }
+      cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
+                                    /*blocking=*/false);
+      if (d2) cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
+    }
+    if (p.iterations_done > 0 && p.ckpt_card != card.index) {
+      ++metrics_.migrations;
+      ++rr.migrations;
     }
   }
   fl.write_done = cq_write.record_event();
@@ -922,49 +978,26 @@ bool StencilService::dispatch_on(Card& card) {
   const bool odd = key.iterations % 2 == 1;
   for (int g = 0; g < b; ++g) {
     const Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
-    const int total = p.req.general ? p.req.general->iterations
-                                    : p.req.problem.iterations;
-    const bool cont = p.iterations_done + key.iterations < total;
+    const ProblemView view(p.req);
+    const bool cont = p.iterations_done + key.iterations < view.iterations();
     fl.continues[static_cast<std::size_t>(g)] = cont ? 1 : 0;
+    // A mid-solve segment reads back EVERY written field — together they
+    // are the whole numerical state, the next segment's checkpoints; a
+    // final one reads the primary field it delivers. Each at the segment's
+    // final parity. (The outer vector is sized first so the async reads'
+    // destinations never move.)
+    const auto& bufs =
+        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
     auto& outs = fl.outputs[static_cast<std::size_t>(g)];
-    if (s.general) {
-      const int nf = static_cast<int>(s.general->fields.size());
-      const auto& bufs =
-          s.gbanks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-      if (cont) {
-        // Mid-solve segment: read back EVERY written field at the segment's
-        // final parity — together they are the whole numerical state, the
-        // next segment's per-field checkpoints. (Pre-size so the async
-        // reads' destinations never reallocate.)
-        int nw = 0;
-        for (int f = 0; f < nf; ++f)
-          if (s.general->written_pass(f) >= 0) ++nw;
-        outs.assign(static_cast<std::size_t>(nw),
-                    std::vector<bfloat16_t>(s.layout.elems()));
-        std::size_t j = 0;
-        for (int f = 0; f < nf; ++f) {
-          if (s.general->written_pass(f) < 0) continue;
-          cq_read.enqueue_read_buffer(
-              *bufs[static_cast<std::size_t>(odd ? nf + f : f)],
-              std::as_writable_bytes(std::span{outs[j]}), /*blocking=*/false);
-          ++j;
-        }
-        continue;
-      }
-      // Deliver the primary field (the last pass's target, always written:
-      // its final parity follows the iteration count).
-      const int pf = s.general->primary_field();
-      outs.assign(1, std::vector<bfloat16_t>(s.layout.elems()));
-      cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + pf : pf)],
-                                  std::as_writable_bytes(std::span{outs.front()}),
+    outs.resize(static_cast<std::size_t>(nf));
+    for (int f = 0; f < nf; ++f) {
+      if (cont ? !view.written(f) : f != view.primary_field()) continue;
+      auto& out = outs[static_cast<std::size_t>(f)];
+      out.resize(s.layout.elems());
+      cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + f : f)],
+                                  std::as_writable_bytes(std::span{out}),
                                   /*blocking=*/false);
-      continue;
     }
-    outs.assign(1, std::vector<bfloat16_t>(s.layout.elems()));
-    const auto& pair = s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-    cq_read.enqueue_read_buffer(*pair[odd ? 1 : 0],
-                                std::as_writable_bytes(std::span{outs.front()}),
-                                /*blocking=*/false);
   }
   fl.read_done = cq_read.record_event();
 
@@ -991,7 +1024,6 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   Pending& p = requests_.at(id);
   const int n = p.shard_cards;
   TTSIM_CHECK(n >= 2);
-  const int slot = cfg_.run.cores_x * cfg_.run.cores_y;
 
   // When the pool can never field the group again, fail now rather than
   // stalling drain() forever. A quarantined card still counts if a probe
@@ -999,7 +1031,7 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   int possible = 0;
   for (const auto& c : cards_) {
     if (c->retired) continue;
-    if (static_cast<int>(c->device->usable_workers().size()) >= slot ||
+    if (card_capacity(c->index) >= 1 ||
         (c->health == CardHealth::kQuarantined && cfg_.health.heal_on_probe)) {
       ++possible;
     }
@@ -1018,7 +1050,7 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   for (auto& c : cards_) {
     if (c->retired || c->health == CardHealth::kQuarantined) continue;
     if (!c->inflight.empty()) continue;
-    if (static_cast<int>(c->device->usable_workers().size()) < slot) continue;
+    if (card_capacity(c->index) < 1) continue;
     group.push_back(c.get());
   }
   std::stable_sort(group.begin(), group.end(),
@@ -1036,13 +1068,8 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   for (Card* c : group) c->device->hw().engine().run_until(t0);
 
   dequeue(id, t0);
+  if (fail_if_expired(id, t0)) return true;
   auto& rr = results_.at(id);
-  if (p.req.deadline != 0 && p.req.deadline < t0) {
-    rr.deadline_missed = true;
-    ++metrics_.tenants[p.req.tenant].deadline_missed;
-    fail_request(id, "deadline passed before dispatch");
-    return true;
-  }
 
   std::vector<int> gids;
   std::vector<ttmetal::Device*> devs;
@@ -1080,32 +1107,20 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     ++rr.migrations;
   }
 
-  const int total =
-      p.req.general ? p.req.general->iterations : p.req.problem.iterations;
+  const ProblemView view(p.req);
   try {
-    core::ShardedRunResult res;
-    std::vector<bfloat16_t> jstate;
-    std::vector<std::vector<bfloat16_t>> gstate;
-    if (p.req.general) {
-      core::GeneralStencilProblem gp = *p.req.general;
-      gp.iterations = key.iterations;
-      if (p.iterations_done > 0) {
-        const core::PaddedLayout global(gp.width, gp.height);
-        for (int f = 0; f < static_cast<int>(gp.fields.size()); ++f) {
-          // Written fields resume from their sealed checkpoints; read-only
-          // fields never change, so their images restage from the spec.
-          gstate.push_back(gp.written_pass(f) >= 0
-                               ? p.ckpt[static_cast<std::size_t>(f)].image()
-                               : core::general_field_image(global, gp, f));
-        }
+    // Resume: written fields from their sealed checkpoints; read-only
+    // fields never change, so their images restage from the request.
+    std::vector<std::vector<bfloat16_t>> state;
+    if (p.iterations_done > 0) {
+      const core::PaddedLayout global(view.width(), view.height());
+      for (int f = 0; f < view.fields(); ++f) {
+        state.push_back(view.written(f) ? p.ckpt[static_cast<std::size_t>(f)].image()
+                                        : view.image(global, f));
       }
-      res = core::run_general_sharded(devs, fabric, gp, scfg, &gstate);
-    } else {
-      core::JacobiProblem jp = p.req.problem;
-      jp.iterations = key.iterations;
-      if (p.iterations_done > 0) jstate = p.ckpt.front().image();
-      res = core::run_jacobi_sharded(devs, fabric, jp, scfg, &jstate);
     }
+    core::ShardedRunResult res =
+        view.run_sharded(devs, fabric, key.iterations, scfg, state);
 
     SimTime end = t0;
     for (ttmetal::Device* d : devs) end = std::max(end, d->now());
@@ -1119,43 +1134,13 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     rr.card = gids.front();
     rr.group = gids;
     rr.batch_size = 1;
-    if (p.iterations_done < total) {
-      // Seal the whole-domain state — one global padded image per written
-      // field — so the next segment may run on ANY group of idle cards.
-      if (p.req.general) {
-        const int nf = static_cast<int>(p.req.general->fields.size());
-        p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
-        for (int f = 0; f < nf; ++f) {
-          if (p.req.general->written_pass(f) < 0) continue;
-          p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
-              std::move(gstate[static_cast<std::size_t>(f)]),
-              p.iterations_done, end);
-        }
-      } else {
-        p.ckpt.assign(1, SessionCheckpoint{});
-        p.ckpt.front() = SessionCheckpoint::capture(std::move(jstate),
-                                                    p.iterations_done, end);
-      }
-      p.ckpt_card = gids.front();
-      p.key = effective_key(p);
-      p.req.arrival = std::max(p.req.arrival, end);
-      ++metrics_.checkpoints_taken;
-      for (const auto& c : p.ckpt) metrics_.checkpoint_bytes += c.bytes();
-      pending_.push_front(id);
-      return true;
+    if (p.iterations_done < view.iterations()) {
+      // Seal the whole-domain state, so the next segment may run on ANY
+      // group of idle cards.
+      checkpoint_and_requeue(id, std::move(state), end, gids.front());
+    } else {
+      complete(id, end, std::move(res.solution));
     }
-    rr.status = RequestStatus::kCompleted;
-    rr.completed = end;
-    rr.latency = end - rr.admit;
-    if (p.req.deadline != 0 && end > p.req.deadline) {
-      rr.deadline_missed = true;
-      ++metrics_.tenants[rr.tenant].deadline_missed;
-    }
-    rr.solution = std::move(res.solution);
-    TenantStats& ts = metrics_.tenants[rr.tenant];
-    ++ts.completed;
-    ts.latencies.push_back(rr.latency);
-    requests_.erase(id);
     return true;
   } catch (const SimError& e) {
     // Group-wide recovery: reopen EVERY card (the segment may have wedged
@@ -1167,33 +1152,9 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
       ++metrics_.card_reopens;
       metrics_.commands_cancelled += c->device->cancel_queues();
       reopen_card(*c, fail_now);
-      if (static_cast<int>(c->device->usable_workers().size()) >= slot)
-        continue;
-      c->clean_streak = 0;
-      ++c->consecutive_failures;
-      if (c->consecutive_failures >= cfg_.health.quarantine_after) {
-        if (c->health != CardHealth::kQuarantined) ++metrics_.quarantines;
-        c->health = CardHealth::kQuarantined;
-        c->probe_at = fail_now + cfg_.health.probe_after;
-      } else if (c->health == CardHealth::kHealthy) {
-        c->health = CardHealth::kDegraded;
-      }
+      if (card_capacity(c->index) < 1) penalize(*c, fail_now);
     }
-    const bool expired = p.req.deadline != 0 && p.req.deadline <= fail_now;
-    if (!e.retryable() || rr.retries >= cfg_.max_retries || expired) {
-      if (expired) {
-        rr.deadline_missed = true;
-        ++metrics_.tenants[p.req.tenant].deadline_missed;
-      }
-      fail_request(id, e.what());
-      return true;
-    }
-    ++rr.retries;
-    metrics_.iterations_saved += static_cast<std::uint64_t>(p.iterations_done);
-    p.req.arrival = std::max(p.req.arrival, fail_now);
-    rr.card = -1;
-    rr.batch_size = 0;
-    pending_.push_front(id);
+    requeue_or_fail(id, e.what(), e.retryable(), fail_now);
     return true;
   } catch (const ApiError& e) {
     // Structural rejection from the sharded runner (infeasible
@@ -1249,61 +1210,26 @@ void StencilService::harvest_one(Card& card) {
   SimTime& ewma = ewma_batch_[{fl.key.program, card.spec.name}];
   ewma = ewma == 0 ? sample : (3 * ewma + sample) / 4;
 
-  std::vector<std::uint64_t> continuations;
-  for (int g = 0; g < b; ++g) {
-    const std::uint64_t id = fl.members[static_cast<std::size_t>(g)];
+  // Finishing members complete in slot order; mid-solve ones seal their
+  // readback (every written field's full padded image) as their checkpoint
+  // and requeue, in reverse so the queue front keeps slot order. The next
+  // segment may land on any card (migration).
+  std::vector<std::size_t> continuing;
+  for (std::size_t g = 0; g < fl.members.size(); ++g) {
+    const std::uint64_t id = fl.members[g];
     Pending& p = requests_.at(id);
-    auto& r = results_.at(id);
     p.iterations_done += fl.key.iterations;
-    if (fl.continues[static_cast<std::size_t>(g)] != 0) {
-      // Mid-solve segment: seal the readback — the full padded device image,
-      // one per written field for general programs — as this request's
-      // checkpoint and requeue the remainder. The next segment may land on
-      // any card (migration).
-      auto& imgs = fl.outputs[static_cast<std::size_t>(g)];
-      if (p.req.general) {
-        const int nf = static_cast<int>(p.req.general->fields.size());
-        p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
-        std::size_t j = 0;
-        for (int f = 0; f < nf; ++f) {
-          if (p.req.general->written_pass(f) < 0) continue;
-          p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
-              std::move(imgs[j]), p.iterations_done, d2h_end);
-          ++j;
-        }
-      } else {
-        p.ckpt.assign(1, SessionCheckpoint{});
-        p.ckpt.front() = SessionCheckpoint::capture(
-            std::move(imgs.front()), p.iterations_done, d2h_end);
-      }
-      p.ckpt_card = card.index;
-      p.key = effective_key(p);
-      // Causality across skewed card clocks: the next segment must not
-      // dispatch (on any card) before this one's readback finished.
-      p.req.arrival = std::max(p.req.arrival, d2h_end);
-      ++metrics_.checkpoints_taken;
-      for (const auto& c : p.ckpt) metrics_.checkpoint_bytes += c.bytes();
-      continuations.push_back(id);
+    if (fl.continues[g] != 0) {
+      continuing.push_back(g);
       continue;
     }
-    r.status = RequestStatus::kCompleted;
-    r.completed = d2h_end;
-    r.latency = d2h_end - r.admit;
-    if (p.req.deadline != 0 && d2h_end > p.req.deadline) {
-      r.deadline_missed = true;
-      ++metrics_.tenants[r.tenant].deadline_missed;
-    }
-    r.solution = s.layout.extract_interior(
-        fl.outputs[static_cast<std::size_t>(g)].front());
-    TenantStats& ts = metrics_.tenants[r.tenant];
-    ++ts.completed;
-    ts.latencies.push_back(r.latency);
-    requests_.erase(id);
+    const auto& out =
+        fl.outputs[g][static_cast<std::size_t>(ProblemView(p.req).primary_field())];
+    complete(id, d2h_end, s.layout.extract_interior(out));
   }
-  // Continuations go to the FRONT in slot order so a long solve is not
-  // starved by traffic that arrived while its segment ran.
-  for (auto it = continuations.rbegin(); it != continuations.rend(); ++it) {
-    pending_.push_front(*it);
+  for (auto it = continuing.rbegin(); it != continuing.rend(); ++it) {
+    checkpoint_and_requeue(fl.members[*it], std::move(fl.outputs[*it]), d2h_end,
+                           card.index);
   }
 }
 
@@ -1325,18 +1251,7 @@ void StencilService::handle_card_failure(Card& card, const std::string& why,
                                          bool retryable) {
   ++metrics_.card_reopens;
   const SimTime old_now = card.device->now();
-
-  // Health bookkeeping: the first failure degrades the card; a streak
-  // quarantines it (the scheduler stops feeding it until a probe passes).
-  card.clean_streak = 0;
-  ++card.consecutive_failures;
-  if (card.consecutive_failures >= cfg_.health.quarantine_after) {
-    if (card.health != CardHealth::kQuarantined) ++metrics_.quarantines;
-    card.health = CardHealth::kQuarantined;
-    card.probe_at = old_now + cfg_.health.probe_after;
-  } else if (card.health == CardHealth::kHealthy) {
-    card.health = CardHealth::kDegraded;
-  }
+  penalize(card, old_now);
 
   std::vector<std::uint64_t> victims;
   for (const auto& fl : card.inflight)
@@ -1348,28 +1263,9 @@ void StencilService::handle_card_failure(Card& card, const std::string& why,
   reopen_card(card, old_now);
 
   // Oldest-first victims requeue to the *front* of the pending queue in
-  // their original order (reverse iteration + push_front). A victim with a
-  // checkpoint resumes from it — only the lost segment re-runs.
+  // their original order (reverse iteration + push_front).
   for (auto it = victims.rbegin(); it != victims.rend(); ++it) {
-    const std::uint64_t id = *it;
-    auto& r = results_.at(id);
-    Pending& p = requests_.at(id);
-    const bool expired = p.req.deadline != 0 && p.req.deadline <= old_now;
-    if (!retryable || r.retries >= cfg_.max_retries || expired) {
-      if (expired) {
-        r.deadline_missed = true;
-        ++metrics_.tenants[p.req.tenant].deadline_missed;
-      }
-      fail_request(id, why);
-      continue;
-    }
-    ++r.retries;
-    metrics_.iterations_saved += static_cast<std::uint64_t>(p.iterations_done);
-    // The retried segment must not dispatch before the failure was observed.
-    p.req.arrival = std::max(p.req.arrival, old_now);
-    r.card = -1;
-    r.batch_size = 0;
-    pending_.push_front(id);
+    requeue_or_fail(*it, why, retryable, old_now);
   }
 }
 
@@ -1382,9 +1278,7 @@ void StencilService::probe_card(Card& card) {
     card.dev_cfg.fault_plan->heal_dead_cores(at);
   }
   reopen_card(card, at);
-  const int slot = cfg_.run.cores_x * cfg_.run.cores_y;
-  const int usable = static_cast<int>(card.device->usable_workers().size());
-  if (usable >= slot) {
+  if (card_capacity(card.index) >= 1) {
     // Readmit on probation: degraded until readmit_successes clean harvests.
     card.health = CardHealth::kDegraded;
     card.consecutive_failures = 0;

@@ -296,7 +296,7 @@ TEST(ServeResilience, FlappingCardIsQuarantinedProbedHealedAndReadmitted) {
   cfg.health.heal_on_probe = true;
   cfg.max_batch = 64;
   StencilService svc(cfg);
-  const int full = svc.card_capacity(0, ShapeKey{});
+  const int full = svc.card_capacity(0);
 
   auto p = small_problem();
   p.iterations = 100;
@@ -311,7 +311,7 @@ TEST(ServeResilience, FlappingCardIsQuarantinedProbedHealedAndReadmitted) {
   EXPECT_EQ(svc.metrics().readmissions, 1u);
   // The heal restored the killed core: capacity is back to the full pool,
   // and the clean harvest promoted the card out of probation.
-  EXPECT_EQ(svc.card_capacity(0, ShapeKey{}), full);
+  EXPECT_EQ(svc.card_capacity(0), full);
   EXPECT_EQ(svc.card_health(0), CardHealth::kHealthy);
 }
 

@@ -212,7 +212,7 @@ TEST(Serve, CoreKillDegradesCardAndServiceRecovers) {
   cfg.max_retries = 2;
   cfg.max_batch = 64;  // uncapped so capacity tracks usable workers
   StencilService svc(cfg);
-  const int before = svc.card_capacity(0, ShapeKey{});
+  const int before = svc.card_capacity(0);
   EXPECT_EQ(before, 108 / 4);
 
   std::vector<Ticket> tickets;
@@ -229,7 +229,7 @@ TEST(Serve, CoreKillDegradesCardAndServiceRecovers) {
   EXPECT_GE(svc.metrics().card_reopens, 1u);
   // Degradation is local: the dead core shrinks this card's batch width by
   // one slot, and every request still completes bit-exact on the survivors.
-  EXPECT_EQ(svc.card_capacity(0, ShapeKey{}), before - 1);
+  EXPECT_EQ(svc.card_capacity(0), before - 1);
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     const auto& r = svc.result(tickets[i].id);
     ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
@@ -382,6 +382,31 @@ TEST(Serve, TemporalIneligibleRequestFailsFast) {
   const Ticket t = svc.submit(req);
   EXPECT_EQ(t.status, RequestStatus::kFailed);
   EXPECT_FALSE(svc.result(t.id).error.empty());
+}
+
+TEST(Serve, PerRequestStrategyOverridesANonBatchableServiceDefault) {
+  // The strategy is checked per request at admission, by the same core
+  // validator a batched launch applies: a service whose default strategy
+  // cannot batch still serves requests that override it, and rejects the
+  // rest at submit with the validator's message.
+  ServiceConfig cfg = base_config();
+  cfg.run.strategy = core::DeviceStrategy::kSramResident;
+  StencilService svc(cfg);
+  const auto p = small_problem();
+  Request row;
+  row.problem = p;
+  row.strategy = core::DeviceStrategy::kRowChunk;
+  const Ticket tr = svc.submit(row);
+  Request plain;
+  plain.problem = p;
+  const Ticket tp = svc.submit(plain);
+  EXPECT_EQ(tp.status, RequestStatus::kFailed);
+  EXPECT_NE(svc.result(tp.id).error.find("batched launches are built on the "
+                                         "row-chunk or temporal strategies"),
+            std::string::npos)
+      << svc.result(tp.id).error;
+  svc.drain();
+  expect_matches_reference(svc.result(tr.id), p);
 }
 
 TEST(Serve, InvalidGeneralProgramFailsFast) {
