@@ -108,16 +108,18 @@ GoldenRun faulty_run() {
 }
 
 /// One gallery workload from the generic-stencil frontend, lowered through
-/// the same row-chunk kernels the conformance sweep exercises. The suite's
-/// default shape (64x48, 6 iterations) on a 1x2 grid keeps multi-field CB
-/// maps, multi-pass barriers and the Life post-op all inside the pinned
-/// stream.
-GoldenRun gallery_run(const std::string& name) {
+/// the same kernels the conformance sweep exercises (row-chunk unless
+/// `strategy` says otherwise). The suite's default shape (64x48,
+/// 6 iterations) on a 1x2 grid keeps multi-field CB maps, multi-pass
+/// barriers and the Life post-op all inside the pinned stream; on the
+/// SRAM-resident program it also keeps the two-core halo exchange in it.
+GoldenRun gallery_run(const std::string& name,
+                      core::DeviceStrategy strategy = core::DeviceStrategy::kRowChunk) {
   return traced([&](ttmetal::Device& dev) {
     for (const auto& named : core::gallery::suite()) {
       if (named.name != name) continue;
       core::DeviceRunConfig cfg;
-      cfg.strategy = core::DeviceStrategy::kRowChunk;
+      cfg.strategy = strategy;
       cfg.cores_y = 2;
       core::run_general_stencil_on_device(dev, named.problem, cfg);
       return;
@@ -200,6 +202,9 @@ constexpr std::uint64_t kGoldenGalleryConvection = 0x626b6734c264ad2cull;      /
 constexpr std::uint64_t kGoldenGalleryLife = 0x7e37c045e2025bceull;            // 28149 events
 constexpr std::uint64_t kGoldenJacobiTemporal = 0x4dbb2e1396942c25ull;         // 6091 events
 constexpr std::uint64_t kGoldenJacobiSharded2Card = 0xa46130ea2462e6bfull;     // 11236 events
+constexpr std::uint64_t kGoldenJacobiSram = 0xb238a5fb731aba3aull;              // 3499 events
+constexpr std::uint64_t kGoldenGalleryConvectionSram = 0xb0619d1a8f09ecb6ull;   // 20193 events
+constexpr std::uint64_t kGoldenGalleryLifeSram = 0x42e19a8d447b6778ull;         // 23073 events
 
 TEST(GoldenTrace, JacobiTiled) {
   expect_golden(
@@ -227,6 +232,16 @@ TEST(GoldenTrace, JacobiRowChunkMulticore) {
       "kGoldenJacobiRowChunkMulticore",
       [] { return jacobi_run(core::DeviceStrategy::kRowChunk, /*cores_y=*/2); },
       kGoldenJacobiRowChunkMulticore);
+}
+
+/// SRAM-resident Jacobi on two cores: the slab loads, the classic point
+/// chain, one neighbour halo exchange with its R restores, and the
+/// writeback.
+TEST(GoldenTrace, JacobiSram) {
+  expect_golden(
+      "kGoldenJacobiSram",
+      [] { return jacobi_run(core::DeviceStrategy::kSramResident, /*cores_y=*/2); },
+      kGoldenJacobiSram);
 }
 
 TEST(GoldenTrace, JacobiTemporal) {
@@ -275,6 +290,22 @@ TEST(GoldenTrace, GalleryConvection) {
 TEST(GoldenTrace, GalleryLife) {
   expect_golden("kGoldenGalleryLife", [] { return gallery_run("life"); },
                 kGoldenGalleryLife);
+}
+
+/// The general SRAM-resident program: the plain tap chain (convection) and
+/// the Life post-op.
+TEST(GoldenTrace, GalleryConvectionSram) {
+  expect_golden(
+      "kGoldenGalleryConvectionSram",
+      [] { return gallery_run("convection", core::DeviceStrategy::kSramResident); },
+      kGoldenGalleryConvectionSram);
+}
+
+TEST(GoldenTrace, GalleryLifeSram) {
+  expect_golden(
+      "kGoldenGalleryLifeSram",
+      [] { return gallery_run("life", core::DeviceStrategy::kSramResident); },
+      kGoldenGalleryLifeSram);
 }
 
 /// The hash is a digest of the canonical text; make sure the two stay in
