@@ -1,0 +1,91 @@
+/// \file test_metrics_identities.cpp
+/// Cross-layer identities between the aggregated MetricsReport and the
+/// sources it is built from. Each workload runs on a fresh traced device,
+/// so the trace and the DRAM model's own counters cover the same requests:
+///
+///  - the per-bank row misses sum to DramStats::row_misses, and no bank
+///    re-activates a row more often than it serves requests;
+///  - each (core, CB) occupancy histogram holds exactly one sample per
+///    kCbPush / kCbPop event of that pair in the trace.
+///
+/// A doubled row-miss count or a doubled occupancy sample in the
+/// aggregation passes every solution and timing test; these identities
+/// catch both.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <utility>
+
+#include "ttsim/core/jacobi_device.hpp"
+#include "ttsim/sim/metrics.hpp"
+#include "ttsim/sim/trace.hpp"
+#include "ttsim/stream/stream_bench.hpp"
+#include "ttsim/ttmetal/device.hpp"
+
+namespace ttsim {
+namespace {
+
+std::unique_ptr<ttmetal::Device> traced_device() {
+  ttmetal::DeviceConfig dc;
+  dc.enable_trace = true;
+  return ttmetal::Device::open({}, dc);
+}
+
+void expect_identities(ttmetal::Device& dev, const char* what) {
+  const sim::MetricsReport m = dev.metrics();
+  const sim::DramStats& dram = dev.hw().dram().stats();
+
+  std::uint64_t bank_misses = 0;
+  for (std::size_t b = 0; b < m.banks.size(); ++b) {
+    bank_misses += m.banks[b].row_misses;
+    EXPECT_LE(m.banks[b].row_misses, m.banks[b].requests)
+        << what << ": bank " << b;
+  }
+  EXPECT_EQ(bank_misses, dram.row_misses) << what;
+
+  std::map<std::pair<int, int>, std::uint64_t> transitions;
+  for (const sim::TraceEvent& e : dev.trace()->events()) {
+    if (e.kind == sim::TraceEventKind::kCbPush ||
+        e.kind == sim::TraceEventKind::kCbPop) {
+      transitions[{e.core, e.a}] += 1;
+    }
+  }
+  ASSERT_FALSE(transitions.empty()) << what << ": no CB traffic traced";
+  std::map<std::pair<int, int>, std::uint64_t> samples;
+  for (const auto& [key, histogram] : m.cb_occupancy) {
+    for (const auto& [pages, count] : histogram) samples[key] += count;
+  }
+  EXPECT_EQ(samples, transitions) << what;
+}
+
+TEST(MetricsIdentities, StripedRowChunkSolve) {
+  auto dev = traced_device();
+  core::JacobiProblem p;
+  p.width = 128;
+  p.height = 64;
+  p.iterations = 2;
+  core::DeviceRunConfig cfg;
+  cfg.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.cores_y = 4;
+  cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
+  cfg.verify = true;
+  ASSERT_TRUE(core::run_jacobi_on_device(*dev, p, cfg).verified_ok);
+  expect_identities(*dev, "striped row-chunk");
+}
+
+TEST(MetricsIdentities, StreamingRun) {
+  auto dev = traced_device();
+  stream::StreamParams p;
+  p.rows = 32;
+  p.num_cores = 2;
+  p.contiguous = false;  // strided requests re-activate rows
+  stream::run_streaming_benchmark(*dev, p);
+  ASSERT_GT(dev->hw().dram().stats().row_misses, 0u)
+      << "the identity is vacuous without row misses";
+  expect_identities(*dev, "streaming");
+}
+
+}  // namespace
+}  // namespace ttsim

@@ -185,18 +185,32 @@ TEST(VerifyClean, ServeBatchedSmoke) {
 // generic-frontend lowering (multi-field CB maps, multi-pass barriers, the
 // Life post-op) and must come back with zero findings: the general reader /
 // compute / writer protocol is as clean as the hand-written Jacobi one.
+// Every gallery program on row-chunk; the single-field single-pass ones
+// (convection, Life) also on the SRAM-resident and temporal programs.
 TEST(VerifyClean, GalleryWorkloadsAreClean) {
   for (const auto& named : core::gallery::suite()) {
-    ttmetal::DeviceConfig dc;
-    dc.enable_verify = true;
-    auto dev = ttmetal::Device::open({}, dc);
-    core::DeviceRunConfig cfg;
-    cfg.strategy = core::DeviceStrategy::kRowChunk;
-    cfg.cores_y = 2;
-    cfg.read_ahead = 3;
-    core::run_general_stencil_on_device(*dev, named.problem, cfg);
-    const auto fs = dev->verifier()->findings();
-    EXPECT_TRUE(fs.empty()) << named.name << "\n" << render(fs);
+    for (const core::DeviceStrategy s :
+         {core::DeviceStrategy::kRowChunk, core::DeviceStrategy::kSramResident,
+          core::DeviceStrategy::kTemporal}) {
+      if (s != core::DeviceStrategy::kRowChunk &&
+          (named.problem.fields.size() > 1 || named.problem.passes.size() > 1)) {
+        continue;
+      }
+      ttmetal::DeviceConfig dc;
+      dc.enable_verify = true;
+      auto dev = ttmetal::Device::open({}, dc);
+      core::DeviceRunConfig cfg;
+      cfg.strategy = s;
+      cfg.cores_y = 2;
+      cfg.read_ahead = 3;
+      cfg.temporal_depth = 4;  // 6 iterations: one full epoch and a partial one
+      cfg.verify = true;
+      const auto res = core::run_general_stencil_on_device(*dev, named.problem, cfg);
+      EXPECT_TRUE(res.verified_ok) << named.name << " / " << core::to_string(s);
+      const auto fs = dev->verifier()->findings();
+      EXPECT_TRUE(fs.empty()) << named.name << " / " << core::to_string(s) << "\n"
+                              << render(fs);
+    }
   }
 }
 

@@ -38,6 +38,7 @@
 #include "ttsim/core/ir_frontend.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/sharded.hpp"
+#include "ttsim/core/stencil.hpp"
 #include "ttsim/ir/check.hpp"
 #include "ttsim/ir/lower.hpp"
 #include "ttsim/serve/serve.hpp"
@@ -117,6 +118,27 @@ int run_jacobi(const std::string& name, ttsim::core::DeviceStrategy strategy,
   cfg.read_ahead = opt.read_ahead;
   ttsim::core::run_jacobi_on_device(*dev, p, cfg);
   return print_findings(name, dev->verifier()->findings());
+}
+
+/// The SRAM-resident program through both of its entry points: classic
+/// Jacobi and a general single-field program (convection, whose diagonal
+/// taps read the halo rows' L and R columns).
+int run_sram(const Options& opt) {
+  int rc = run_jacobi("sram", ttsim::core::DeviceStrategy::kSramResident, opt);
+  ttsim::ttmetal::DeviceConfig dc;
+  dc.enable_verify = true;
+  auto dev = ttsim::ttmetal::Device::open({}, dc);
+  ttsim::core::DeviceRunConfig cfg;
+  cfg.strategy = ttsim::core::DeviceStrategy::kSramResident;
+  cfg.cores_y = opt.cores_y;
+  ttsim::core::run_general_stencil_on_device(
+      *dev,
+      ttsim::core::gallery::convection(static_cast<std::uint32_t>(opt.width),
+                                       static_cast<std::uint32_t>(opt.height),
+                                       opt.iterations),
+      cfg);
+  rc |= print_findings("sram convection", dev->verifier()->findings());
+  return rc;
 }
 
 /// Temporal tiling at every chained depth: the semaphore-ring/epoch-barrier
@@ -427,10 +449,7 @@ int main(int argc, char** argv) {
        }},
       {"rowchunk",
        [&] { return run_jacobi("rowchunk", ttsim::core::DeviceStrategy::kRowChunk, opt); }},
-      {"sram",
-       [&] {
-         return run_jacobi("sram", ttsim::core::DeviceStrategy::kSramResident, opt);
-       }},
+      {"sram", [&] { return run_sram(opt); }},
       {"temporal", [&] { return run_temporal(opt); }},
       {"stream", [&] { return run_stream(opt); }},
       {"serve", [&] { return run_serve(opt); }},
