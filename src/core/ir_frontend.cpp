@@ -33,14 +33,13 @@ using ir::Op;
 using ir::OpKind;
 using ir::Peer;
 
-// File-local ids of the SRAM-resident lowerings (jacobi_sram.cpp /
-// stencil_sram.cpp) and the temporal lowering (jacobi_temporal.cpp).
+// File-local ids of the SRAM-resident lowering (stencil_sram.cpp) and the
+// temporal lowering (jacobi_temporal.cpp).
 constexpr int kSemTopHalo = 0;
 constexpr int kSemBottomHalo = 1;
 constexpr int kSemComputeDm0 = 2;
 constexpr int kSemComputeDm1 = 3;
 constexpr int kSemRestored = 4;
-constexpr int kCbLoadBarrier = 0;  // jacobi_sram ignores sh->barrier_id
 constexpr int kSemLoaded = 0;
 constexpr int kSemComputed = 1;
 constexpr int kSemFree = 2;
@@ -134,6 +133,41 @@ void append_chain_ops(std::vector<Op>& ops, const LoweredPass& pass,
   quad(kCbGTmp, post ? t + 1 : t - 1);
   quad(kCbGInter, t - 1);
   quad(kCbGTmp2, post ? 2 : 0);
+}
+
+/// The CBs create_chain_cbs makes, declared after the field CBs.
+void declare_chain_cbs(Graph& g, bool inter, bool post, std::int64_t out_pages) {
+  declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");  // alias vehicle
+  if (inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
+  if (inter || post) declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
+  if (post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
+  declare_cb(g, kCbGOut, Count(out_pages), kTileBytes, "cb-gout");
+}
+
+/// The CBs create_classic_slab_cbs makes.
+void declare_classic_slab_cbs(Graph& g) {
+  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
+  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
+  declare_cb(g, kCbOut, Count(1), kTileBytes, "cb-out");  // alias vehicle
+}
+
+/// fill_scalar_page's reserve/push of the scalar page: the classic slab
+/// compute kernels' prologue.
+std::vector<Op> classic_prologue_ops() {
+  return {make_op(OpKind::kCbReserve, kCbScalar, Count(1)),
+          make_op(OpKind::kCbPush, kCbScalar, Count(1))};
+}
+
+/// Protocol ops of emit_classic_point, scaled by the per-point count P:
+/// 4 reserve/push/pop legs through cb-inter, 3 of them waited (the first
+/// add aliases the freshly pushed page without waiting); the last leg also
+/// waits the scalar page.
+std::vector<Op> classic_chain_ops(const Count& P) {
+  return {make_op(OpKind::kCbReserve, kCbInter, Count(4) * P),
+          make_op(OpKind::kCbPush, kCbInter, Count(4) * P),
+          make_op(OpKind::kCbWait, kCbInter, Count(3) * P),
+          make_op(OpKind::kCbWait, kCbScalar, P),
+          make_op(OpKind::kCbPop, kCbInter, Count(4) * P)};
 }
 
 // ---------------------------------------------------------------------------
@@ -240,46 +274,47 @@ Graph jacobi_rowchunk_graph(const std::shared_ptr<KernelShared>& sh,
 }
 
 // ---------------------------------------------------------------------------
-// Jacobi, kSramResident (jacobi_sram.cpp). Five semaphores choreograph the
-// halo exchange/restore between iterations; the iteration-(k-1) waits carry
-// iter_delta = -1 — the slack that makes the wait-for graph acyclic.
+// SRAM-resident (stencil_sram.cpp), classic and general. Five semaphores
+// choreograph the halo exchange/restore between iterations; the
+// iteration-(k-1) waits carry iter_delta = -1 — the slack that makes the
+// wait-for graph acyclic.
 // ---------------------------------------------------------------------------
-Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
-                        std::int64_t sram_bytes) {
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const std::uint32_t W = sh->layout.width();
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK(W % chunk == 0);
-  const StripGeom geo = strip_geom(sh->ranges, chunk);
-  const std::uint32_t row_stride = slab_row_stride(W);
-  const std::uint32_t slab_bytes = (geo.max_rows + 2) * row_stride;
 
-  Graph g;
-  g.name = "jacobi-sram";
-  g.ncores = Count(ncores);
-  g.sram_bytes = sram_bytes;
+/// Shared SRAM-resident skeleton. The caller names the graph and declares
+/// its CBs; this adds the two slabs, then the weight table when
+/// `table_bytes` > 0 (the general path), the five semaphores, the load
+/// barrier and the kernels <prefix>_dm0 / _compute / _dm1 around the
+/// caller's compute prologue and per-point chain ops.
+template <typename Shared>
+void sram_protocol(Graph& g, const Shared& sh, const std::string& prefix,
+                   std::int64_t table_bytes, std::vector<Op> compute_prologue,
+                   std::vector<Op> chain_ops) {
+  const int ncores = static_cast<int>(sh.ranges.size());
+  const SlabRows rows(sh.layout);
+  const StripGeom geo = strip_geom(sh.ranges, rows.chunk);
+  const Count slab_bytes(static_cast<std::int64_t>(geo.max_rows + 2) * rows.row_stride);
   const Count it = Count::sym("iters");
-  const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * (W / chunk);
+  g.ncores = Count(ncores);
+  g.bindings["iters"] = sh.iterations;
+  g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *
+                         (sh.layout.width() / rows.chunk);
 
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(1), kTileBytes, "cb-out");  // alias vehicle
-  g.regions.push_back(ir::RegionDecl{"slab-a", Count(slab_bytes)});
-  g.regions.push_back(ir::RegionDecl{"slab-b", Count(slab_bytes)});
+  g.regions.push_back(ir::RegionDecl{"slab-a", slab_bytes});
+  g.regions.push_back(ir::RegionDecl{"slab-b", slab_bytes});
+  if (table_bytes > 0) {
+    g.regions.push_back(ir::RegionDecl{"weight-table", Count(table_bytes)});
+  }
   g.sems = {ir::SemDecl{kSemTopHalo, 0, "sem-top-halo"},
             ir::SemDecl{kSemBottomHalo, 0, "sem-bottom-halo"},
             ir::SemDecl{kSemComputeDm0, 0, "sem-compute-dm0"},
             ir::SemDecl{kSemComputeDm1, 0, "sem-compute-dm1"},
             ir::SemDecl{kSemRestored, 0, "sem-restored"}};
-  g.barriers.push_back(ir::BarrierDecl{kCbLoadBarrier, Count(3 * ncores)});
+  g.barriers.push_back(ir::BarrierDecl{sh.barrier_id, Count(3 * ncores)});
 
-  KernelModel dm0{"jacobi_sram_dm0", 0, Count(ncores), {}};
+  KernelModel dm0{prefix + "_dm0", 0, Count(ncores), {}};
   dm0.ops.push_back(flow_op(OpKind::kReadRegion, Count(2),
                             "both parities' slabs, rows+2 rows each"));
-  dm0.ops.push_back(make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
+  dm0.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
   dm0.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm0, it - Count(1), 1,
                             Guard::kAlways, Peer::kSelf, -1));
   dm0.ops.push_back(flow_op(OpKind::kHaloExchange, it - Count(1),
@@ -288,11 +323,9 @@ Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
                             Guard::kHasUpper, Peer::kUpper));
   g.kernels.push_back(std::move(dm0));
 
-  KernelModel compute{"jacobi_sram_compute", 2, Count(ncores), {}};
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbScalar, Count(1)));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbScalar, Count(1)));
-  compute.ops.push_back(
-      make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
+  KernelModel compute{prefix + "_compute", 2, Count(ncores), {}};
+  compute.ops = std::move(compute_prologue);
+  compute.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemTopHalo, it - Count(1),
                                 1, Guard::kHasUpper, Peer::kSelf, -1));
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemBottomHalo,
@@ -300,22 +333,15 @@ Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
                                 Peer::kSelf, -1));
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemRestored, it - Count(1),
                                 1, Guard::kAlways, Peer::kSelf, -1));
-  compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                "slab-aliased 5-point chain per chunk"));
-  // Per point: 4 reserve/push/pop legs through cb-inter, 3 of them waited
-  // (the first add aliases the freshly pushed page without waiting), the
-  // last leg also waits the scalar page.
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbInter, Count(4) * P));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbInter, Count(4) * P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbInter, Count(3) * P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbScalar, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbInter, Count(4) * P));
+  compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
+                                "slab-aliased point chain per chunk"));
+  for (Op& op : chain_ops) compute.ops.push_back(std::move(op));
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm0, it));
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm1, it));
   g.kernels.push_back(std::move(compute));
 
-  KernelModel dm1{"jacobi_sram_dm1", 1, Count(ncores), {}};
-  dm1.ops.push_back(make_op(OpKind::kBarrierArrive, kCbLoadBarrier, Count(1)));
+  KernelModel dm1{prefix + "_dm1", 1, Count(ncores), {}};
+  dm1.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
   dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, it - Count(1),
                             1, Guard::kAlways, Peer::kSelf, -1));
   dm1.ops.push_back(make_op(OpKind::kSemPost, kSemRestored, it - Count(1)));
@@ -327,7 +353,16 @@ Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
   dm1.ops.push_back(flow_op(OpKind::kWriteRegion, Count(1),
                             "final slab -> DRAM writeback"));
   g.kernels.push_back(std::move(dm1));
+}
 
+Graph jacobi_sram_graph(const std::shared_ptr<KernelShared>& sh,
+                        std::int64_t sram_bytes) {
+  Graph g;
+  g.name = "jacobi-sram";
+  g.sram_bytes = sram_bytes;
+  declare_classic_slab_cbs(g);
+  sram_protocol(g, *sh, "jacobi_sram", 0, classic_prologue_ops(),
+                classic_chain_ops(Count::sym("points")));
   return g;
 }
 
@@ -406,8 +441,7 @@ Graph jacobi_temporal_graph(const std::shared_ptr<KernelShared>& sh,
                             std::int64_t sram_bytes) {
   const int ncores = static_cast<int>(sh->ranges.size());
   const std::uint32_t W = sh->layout.width();
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK(W % chunk == 0);
+  const std::uint32_t chunk = SlabRows(sh->layout).chunk;
   const StripGeom geo = strip_geom(sh->ranges, chunk);
   // Classic Jacobi: one written+streamed field (2 slabs), v = reach = 1.
   const TemporalSizing siz =
@@ -428,23 +462,11 @@ Graph jacobi_temporal_graph(const std::shared_ptr<KernelShared>& sh,
   g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
                          geo.nrows0 * (W / chunk);
 
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(1), kTileBytes, "cb-out");  // alias vehicle
+  declare_classic_slab_cbs(g);
   g.regions.push_back(ir::RegionDecl{"slab-a", Count(siz.slab_bytes)});
   g.regions.push_back(ir::RegionDecl{"slab-b", Count(siz.slab_bytes)});
-
-  const Count P = Count::sym("points");
-  std::vector<Op> prologue = {make_op(OpKind::kCbReserve, kCbScalar, Count(1)),
-                              make_op(OpKind::kCbPush, kCbScalar, Count(1))};
-  std::vector<Op> chain = {
-      make_op(OpKind::kCbReserve, kCbInter, Count(4) * P),
-      make_op(OpKind::kCbPush, kCbInter, Count(4) * P),
-      make_op(OpKind::kCbWait, kCbInter, Count(3) * P),
-      make_op(OpKind::kCbWait, kCbScalar, P),
-      make_op(OpKind::kCbPop, kCbInter, Count(4) * P)};
-  temporal_protocol(g, ncores, sh->barrier_id, std::move(prologue),
-                    std::move(chain));
+  temporal_protocol(g, ncores, sh->barrier_id, classic_prologue_ops(),
+                    classic_chain_ops(Count::sym("points")));
 
   return g;
 }
@@ -491,13 +513,7 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
                  "cb-field" + std::to_string(f));
     }
   }
-  declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");  // alias vehicle
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
-  declare_cb(g, kCbGOut, Count(4), kTileBytes, "cb-gout");
+  declare_chain_cbs(g, needs_inter, needs_post, 4);
   g.regions.push_back(ir::RegionDecl{
       "row-slots",
       Count(static_cast<std::int64_t>(nfields) * nslots * sbytes)});
@@ -568,93 +584,17 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
 Graph general_sram_graph(const std::shared_ptr<GeneralShared>& sh,
                          std::int64_t sram_bytes) {
   TTSIM_CHECK(sh->nfields() == 1 && sh->passes.size() == 1);
-  const int ncores = static_cast<int>(sh->ranges.size());
   const LoweredPass& pass = sh->passes.front();
-  const std::uint32_t W = sh->layout.width();
-  std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  while (chunk > 16 && (W % chunk != 0 || chunk % 16 != 0)) --chunk;
-  TTSIM_CHECK(W % chunk == 0);
-  const StripGeom geo = strip_geom(sh->ranges, chunk);
-  const std::uint32_t row_stride = slab_row_stride(W);
-  const std::uint32_t slab_bytes = (geo.max_rows + 2) * row_stride;
-  const bool needs_inter = pass.terms.size() > 1;
-  const bool needs_post = pass.post != PostOp::kNone;
-
   Graph g;
   g.name = "stencil-sram";
-  g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
-  const Count it = Count::sym("iters");
-  const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * (W / chunk);
-
   declare_cb(g, kCbFieldBase, Count(1), kTileBytes, "cb-field0");  // alias
-  declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");           // alias
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
-  declare_cb(g, kCbGOut, Count(1), kTileBytes, "cb-gout");  // alias vehicle
-  g.regions.push_back(ir::RegionDecl{"slab-a", Count(slab_bytes)});
-  g.regions.push_back(ir::RegionDecl{"slab-b", Count(slab_bytes)});
-  g.regions.push_back(ir::RegionDecl{
-      "weight-table",
-      Count(static_cast<std::int64_t>(sh->weights.size()) * kTileBytes)});
-  g.sems = {ir::SemDecl{kSemTopHalo, 0, "sem-top-halo"},
-            ir::SemDecl{kSemBottomHalo, 0, "sem-bottom-halo"},
-            ir::SemDecl{kSemComputeDm0, 0, "sem-compute-dm0"},
-            ir::SemDecl{kSemComputeDm1, 0, "sem-compute-dm1"},
-            ir::SemDecl{kSemRestored, 0, "sem-restored"}};
-  g.barriers.push_back(ir::BarrierDecl{sh->barrier_id, Count(3 * ncores)});
-
-  KernelModel dm0{"stencil_sram_dm0", 0, Count(ncores), {}};
-  dm0.ops.push_back(flow_op(OpKind::kReadRegion, Count(2),
-                            "both parities' slabs, rows+2 rows each"));
-  dm0.ops.push_back(
-      make_op(OpKind::kBarrierArrive, sh->barrier_id, Count(1)));
-  dm0.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm0, it - Count(1),
-                            1, Guard::kAlways, Peer::kSelf, -1));
-  dm0.ops.push_back(flow_op(OpKind::kHaloExchange, it - Count(1),
-                            "top edge row -> upper neighbour"));
-  dm0.ops.push_back(make_op(OpKind::kSemPost, kSemBottomHalo, it - Count(1),
-                            1, Guard::kHasUpper, Peer::kUpper));
-  g.kernels.push_back(std::move(dm0));
-
-  KernelModel compute{"stencil_sram_compute", 2, Count(ncores), {}};
-  compute.ops.push_back(
-      make_op(OpKind::kBarrierArrive, sh->barrier_id, Count(1)));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemTopHalo, it - Count(1),
-                                1, Guard::kHasUpper, Peer::kSelf, -1));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemBottomHalo,
-                                it - Count(1), 1, Guard::kHasLower,
-                                Peer::kSelf, -1));
-  compute.ops.push_back(make_op(OpKind::kSemWait, kSemRestored, it - Count(1),
-                                1, Guard::kAlways, Peer::kSelf, -1));
-  compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                "slab-aliased tap chain per chunk"));
-  append_chain_ops(compute.ops, pass, P);
-  compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm0, it));
-  compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm1, it));
-  g.kernels.push_back(std::move(compute));
-
-  KernelModel dm1{"stencil_sram_dm1", 1, Count(ncores), {}};
-  dm1.ops.push_back(
-      make_op(OpKind::kBarrierArrive, sh->barrier_id, Count(1)));
-  dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, it - Count(1),
-                            1, Guard::kAlways, Peer::kSelf, -1));
-  dm1.ops.push_back(make_op(OpKind::kSemPost, kSemRestored, it - Count(1)));
-  dm1.ops.push_back(flow_op(OpKind::kHaloExchange, it - Count(1),
-                            "bottom edge row -> lower neighbour"));
-  dm1.ops.push_back(make_op(OpKind::kSemPost, kSemTopHalo, it - Count(1), 1,
-                            Guard::kHasLower, Peer::kLower));
-  dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, Count(1)));
-  dm1.ops.push_back(flow_op(OpKind::kWriteRegion, Count(1),
-                            "final slab -> DRAM writeback"));
-  g.kernels.push_back(std::move(dm1));
-
+  declare_chain_cbs(g, pass.terms.size() > 1, pass.post != PostOp::kNone, 1);
+  std::vector<Op> chain;
+  append_chain_ops(chain, pass, Count::sym("points"));
+  sram_protocol(g, *sh, "stencil_sram",
+                static_cast<std::int64_t>(sh->weights.size()) * kTileBytes, {},
+                std::move(chain));
   return g;
 }
 
@@ -666,8 +606,7 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
   const LoweredPass& pass = sh->passes.front();
   const int wf = pass.target;
   const std::uint32_t W = sh->layout.width();
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK(W % chunk == 0);
+  const std::uint32_t chunk = SlabRows(sh->layout).chunk;
   const StripGeom geo = strip_geom(sh->ranges, chunk);
 
   std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
@@ -692,8 +631,6 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
   const std::int64_t E = (sh->iterations + depth - 1) / depth;
   const std::int64_t blocks =
       (geo.nrows0 + siz.block_rows - 1) / siz.block_rows;
-  const bool needs_inter = pass.terms.size() > 1;
-  const bool needs_post = pass.post != PostOp::kNone;
 
   Graph g;
   g.name = "stencil-temporal";
@@ -711,13 +648,7 @@ Graph general_temporal_graph(const std::shared_ptr<GeneralShared>& sh,
                  "cb-field" + std::to_string(f));  // alias vehicle
     }
   }
-  declare_cb(g, kCbWgt, Count(1), kTileBytes, "cb-wgt");  // alias vehicle
-  if (needs_inter) declare_cb(g, kCbGInter, Count(2), kTileBytes, "cb-ginter");
-  if (needs_inter || needs_post) {
-    declare_cb(g, kCbGTmp, Count(2), kTileBytes, "cb-gtmp");
-  }
-  if (needs_post) declare_cb(g, kCbGTmp2, Count(2), kTileBytes, "cb-gtmp2");
-  declare_cb(g, kCbGOut, Count(1), kTileBytes, "cb-gout");  // alias vehicle
+  declare_chain_cbs(g, pass.terms.size() > 1, pass.post != PostOp::kNone, 1);
   g.regions.push_back(ir::RegionDecl{
       "weight-table",
       Count(static_cast<std::int64_t>(sh->weights.size()) * kTileBytes)});

@@ -21,7 +21,7 @@
 namespace ttsim::core::detail {
 
 /// Protocol graph of the program build_rowchunk_program /
-/// build_sram_resident_program / build_temporal_program (keyed on
+/// build_classic_sram_program / build_temporal_program (keyed on
 /// sh->strategy) would emit for `sh`. The row-chunk graph keeps the
 /// read-ahead depth symbolic with range [2, max(8, depth)], so the checker
 /// proves the slot-ring and credit arithmetic for every depth, not just

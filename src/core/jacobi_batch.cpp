@@ -12,14 +12,7 @@ void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem&
   // One resolve for the batch: the slots differ only in their grids,
   // workers and barrier.
   const auto base = detail::resolve_jacobi(p, cfg, detail::requested_cores(cfg), 0, 0);
-  for (std::size_t g = 0; g < slots.size(); ++g) {
-    auto shared = std::make_shared<detail::KernelShared>(*base);
-    shared->d1 = slots[g].d1;
-    shared->d2 = slots[g].d2;
-    shared->core_ids = slots[g].core_ids;
-    shared->barrier_id = static_cast<int>(g);
-    detail::build_jacobi_program(prog, std::move(shared));
-  }
+  detail::build_batch_slots(prog, *base, slots, detail::build_jacobi_program);
 }
 
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg) {

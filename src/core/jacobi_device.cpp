@@ -169,7 +169,7 @@ void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> 
       build_rowchunk_program(prog, std::move(sh));
       return;
     case DeviceStrategy::kSramResident:
-      build_sram_resident_program(prog, std::move(sh));
+      build_classic_sram_program(prog, std::move(sh));
       return;
     case DeviceStrategy::kTemporal:
       build_temporal_program(prog, std::move(sh));

@@ -221,6 +221,22 @@ void check_batch_slots(const std::vector<Slot>& slots, std::size_t ncores) {
   }
 }
 
+/// The slot loop both batched builders share: the batch's one resolved
+/// state `base`, copied per slot with the slot's grids, workers and a
+/// barrier id of its own, each copy built by `build`.
+template <typename Shared, typename Slot, typename Build>
+void build_batch_slots(ttmetal::Program& prog, const Shared& base,
+                       const std::vector<Slot>& slots, Build&& build) {
+  for (std::size_t g = 0; g < slots.size(); ++g) {
+    auto shared = std::make_shared<Shared>(base);
+    shared->d1 = slots[g].d1;
+    shared->d2 = slots[g].d2;
+    shared->core_ids = slots[g].core_ids;
+    shared->barrier_id = static_cast<int>(g);
+    build(prog, std::move(shared));
+  }
+}
+
 /// Bytes of one row-chunk slot: chunk + 2 halo elements, plus up to 32
 /// alignment-prefix bytes.
 inline std::uint32_t slot_bytes(std::uint32_t chunk) {
@@ -277,10 +293,10 @@ struct ChunkGrid {
   }
 };
 
-/// Bytes per L1 slab row of the SRAM-resident and temporal programs: a
-/// 32-byte alignment prefix plus the row's W+2 elements, with room for the
-/// FPU tile spill past the interior (a full 1024-element pack never writes
-/// into the next row).
+/// Bytes per L1 slab row of the SRAM-resident and temporal programs (see
+/// SlabRows): a 32-byte alignment prefix plus the row's W+2 elements, with
+/// room for the FPU tile spill past the interior (a full 1024-element pack
+/// never writes into the next row).
 inline std::uint32_t slab_row_stride(std::uint32_t width) {
   const std::uint32_t data_span = std::max<std::uint32_t>(width + 2, 1026) * 2;
   return static_cast<std::uint32_t>(align_up(32 + data_span, 32));
@@ -297,9 +313,11 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
 void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
 
 /// Future-work program (kSramResident): domain resident in core SRAM with
-/// direct neighbour-to-neighbour halo exchange.
-void build_sram_resident_program(ttmetal::Program& prog,
-                                 std::shared_ptr<KernelShared> sh);
+/// direct neighbour-to-neighbour halo exchange. A thin adapter onto the one
+/// SRAM-resident skeleton in stencil_sram.cpp, running the classic point
+/// chain.
+void build_classic_sram_program(ttmetal::Program& prog,
+                                std::shared_ptr<KernelShared> sh);
 
 /// Temporal-tiling program (kTemporal): each core chains
 /// sh->temporal_depth Jacobi iterations per DRAM pass, computing a

@@ -26,10 +26,12 @@
 /// the writes-before-next-reads edge; inside an epoch the three kernels
 /// hand one block around a per-core semaphore ring.
 ///
-/// Slab rows use the jacobi_sram layout ([32 B prefix][L][W interior][R]
-/// [tile-spill pad]) and the compute chain replays the row-chunk /
-/// SRAM-resident op order exactly, so results are bit-exact with k
-/// sequential depth-1 sweeps (and with the CPU reference).
+/// Slab rows use the SRAM-resident program's SlabRows layout ([32 B
+/// prefix][L][W interior][R][tile-spill pad]), and the compute kernel runs
+/// the same per-point chains (emit_classic_point or emit_tap_chain), so
+/// results are bit-exact with k sequential depth-1 sweeps (and with the CPU
+/// reference). Classic Jacobi and general single-pass programs share this
+/// one skeleton through thin adapters.
 
 #include <algorithm>
 #include <cstring>
@@ -53,14 +55,10 @@ struct TemporalField {
   bool streamed = false;     ///< referenced by the pass (needs a slab)
 };
 
-struct TemporalShared {
+struct TemporalShared : SlabRows {
   PaddedLayout layout;
   int iterations = 0;
   int depth = 1;  ///< k: iterations chained per DRAM pass
-  std::uint32_t chunk = 1024;
-  std::uint32_t row_data_elems = 0;  // W + 2 (L, interior, R)
-  std::uint32_t row_stride = 0;      // bytes per slab row incl. prefix+pad
-  std::uint32_t off = 0;             // data offset inside a row (alignment)
   std::uint32_t nsr = 0;             // slab capacity in rows
   std::uint32_t block_rows = 0;      // B: final-generation rows per block
   int v = 1;      ///< written-field vertical reach: trapezoid shrink per step
@@ -74,7 +72,7 @@ struct TemporalShared {
   LoweredPass pass;            // general path only
   std::vector<float> weights;  // general path only
 
-  explicit TemporalShared(const PaddedLayout& l) : layout(l) {}
+  explicit TemporalShared(const PaddedLayout& l) : SlabRows(l), layout(l) {}
 
   int epochs() const { return (iterations + depth - 1) / depth; }
   /// Chained depth of epoch `e` (the last epoch may be partial).
@@ -93,9 +91,6 @@ struct TemporalShared {
     return dst_grid(e) == f.fin ? f.oth : f.fin;
   }
 
-  std::uint32_t row_data(std::uint32_t slab, std::uint32_t lr) const {
-    return slab + lr * row_stride + off;
-  }
   /// Source slab of field `f` during sub-step `s` (1-based): the written
   /// field ping-pongs a -> b -> a -> ..., read-only fields sit in one slab.
   std::uint32_t src_slab(int f, int s) const {
@@ -138,72 +133,9 @@ struct TemporalShared {
   }
 };
 
-/// The exact SRAM-resident Jacobi chain — ((xm + xp) + ym + yp) * 0.25,
-/// every intermediate through the kCbInter accumulator — so temporal
-/// results replay the other strategies bit for bit.
-void emit_classic_point(ttmetal::ComputeCtx& ctx, const TemporalShared& sh,
-                        std::uint32_t src, std::uint32_t dst, std::uint32_t lr,
-                        std::uint32_t c0) {
-  constexpr int dst0 = 0;
-  const std::uint32_t valid = sh.chunk * 2;
-  const std::uint32_t row_c = sh.row_data(src, lr) + c0 * 2;
-  const std::uint32_t row_n = sh.row_data(src, lr - 1) + c0 * 2;
-  const std::uint32_t row_s = sh.row_data(src, lr + 1) + c0 * 2;
-  ctx.cb_set_rd_ptr(kCbOut, row_c, valid);  // reuse out cb as xm vehicle
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbInter, row_c + 4, valid);  // xp
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_n + 2, valid);  // ym
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_s + 2, valid);  // yp
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_wait_front(kCbScalar, 1);
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.mul_tiles(kCbScalar, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  // Interior col c0 = data elem c0+1. On the simulated clock the pack's
-  // unused lanes spill past the interior into R and the pad; the host stores
-  // only the chunk, so R keeps its loaded value.
-  ctx.cb_set_wr_ptr(kCbOut, sh.row_data(dst, lr) + (c0 + 1) * 2);
-  ctx.pack_tile(dst0, kCbOut);
-}
-
 void build_temporal_kernels(ttmetal::Program& prog,
                             std::shared_ptr<TemporalShared> sh) {
   const std::uint32_t W = sh->layout.width();
-  // Chunks are full width (or 1024 on wider multiples) so the tile-pack
-  // spill stays inside the row's pad. A simulated pack stores a full
-  // 1024-lane tile, so a chunk narrower than the row would spill into the
-  // *next* slab row's L column — poison that later sub-steps' dc=-1 taps
-  // would read.
-  // cfg.chunk_elems is deliberately not honoured here (as in the general
-  // SRAM lowering); the per-element op chain is chunk-independent, so this
-  // never affects results.
-  const std::uint32_t chunk = std::min<std::uint32_t>(1024, W);
-  TTSIM_CHECK(W % chunk == 0);
-  sh->chunk = chunk;
-  sh->row_data_elems = W + 2;
-  sh->row_stride = slab_row_stride(W);
-  sh->off = static_cast<std::uint32_t>(sh->layout.byte_offset(0, -1) % 32);
 
   // Block sizing against the slab budget: the written field needs two
   // ping-pong slabs, each referenced read-only field one, each sized
@@ -236,25 +168,16 @@ void build_temporal_kernels(ttmetal::Program& prog,
   // CBs. Classic runs the Jacobi scalar/inter/out trio; the general path
   // mirrors the SRAM-resident lowering (alias CBs are never pushed).
   std::uint32_t wtab = 0;
-  bool needs_inter = false;
-  bool needs_post = false;
   if (sh->classic) {
-    prog.create_cb(kCbScalar, cores, kTileBytes, 1);
-    prog.create_cb(kCbInter, cores, kTileBytes, 2);
-    prog.create_cb(kCbOut, cores, kTileBytes, 1);
+    create_classic_slab_cbs(prog, cores);
   } else {
     for (std::size_t f = 0; f < sh->fields.size(); ++f) {
       if (sh->fields[f].streamed) {
         prog.create_cb(kCbFieldBase + static_cast<int>(f), cores, kTileBytes, 1);
       }
     }
-    prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-    needs_inter = sh->pass.terms.size() > 1;
-    needs_post = sh->pass.post != PostOp::kNone;
-    if (needs_inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-    if (needs_inter || needs_post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-    if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
-    prog.create_cb(kCbGOut, cores, kTileBytes, 1);
+    create_chain_cbs(prog, cores, sh->pass.terms.size() > 1,
+                     sh->pass.post != PostOp::kNone, 1);
     wtab = prog.l1_buffer_address(prog.create_l1_buffer(
         cores, static_cast<std::uint32_t>(sh->weights.size()) * kTileBytes));
   }

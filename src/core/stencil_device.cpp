@@ -113,11 +113,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
       prog.create_cb(kCbFieldBase + f, cores, kTileBytes, depth);
     }
   }
-  prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-  if (needs_inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-  if (needs_inter || needs_post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-  if (needs_post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
-  prog.create_cb(kCbGOut, cores, kTileBytes, 4);
+  create_chain_cbs(prog, cores, needs_inter, needs_post, 4);
 
   const std::uint32_t sbytes = slot_bytes(max_chunk(sh->ranges, sh->chunk_elems));
   // Field f's rotation lives at slots_addr + f*nslots*sbytes.
@@ -481,14 +477,7 @@ void build_batched_stencil_program(ttmetal::Program& prog,
   // One resolve for the batch: the slots differ only in their grids,
   // workers and barrier.
   const auto base = detail::resolve_general(p, cfg, detail::requested_cores(cfg), {}, {});
-  for (std::size_t g = 0; g < slots.size(); ++g) {
-    auto shared = std::make_shared<detail::GeneralShared>(*base);
-    shared->d1 = slots[g].d1;
-    shared->d2 = slots[g].d2;
-    shared->core_ids = slots[g].core_ids;
-    shared->barrier_id = static_cast<int>(g);
-    detail::build_general_program(prog, std::move(shared));
-  }
+  detail::build_batch_slots(prog, *base, slots, detail::build_general_program);
 }
 
 void validate_stencil_request(const GeneralStencilProblem& p,

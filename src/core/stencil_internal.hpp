@@ -4,7 +4,10 @@
 /// program state, the CB id map, and the tap-chain emitter every strategy
 /// uses. Keeping ONE emitter is what makes rowchunk-vs-SRAM agreement hold
 /// by construction — both strategies issue the identical FPU op sequence
-/// and differ only in where the aliased tap addresses point.
+/// and differ only in where the aliased tap addresses point. The slab
+/// strategies' row geometry (SlabRows) and their classic Jacobi point
+/// chain (emit_classic_point) live here too, so the one SRAM-resident
+/// skeleton and the one temporal skeleton serve both problem kinds.
 ///
 /// CB id map of a general stencil program (tt-metal convention: inputs
 /// 0..7, intermediates 8..15, outputs 16..23):
@@ -218,6 +221,118 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
   }
 }
 
+/// Create the tap chain's CBs, after the field CBs: the weight alias
+/// vehicle, the accumulators the chain uses (kCbGInter when a pass has
+/// more than one term, kCbGTmp2 with a post-op, kCbGTmp with either) and a
+/// `out_pages`-page output CB.
+inline void create_chain_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
+                             bool inter, bool post, std::uint32_t out_pages) {
+  prog.create_cb(kCbWgt, cores, kTileBytes, 1);
+  if (inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
+  if (inter || post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
+  if (post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
+  prog.create_cb(kCbGOut, cores, kTileBytes, out_pages);
+}
+
+/// Create the classic point chain's CBs on a slab program: the scalar
+/// page, the kCbInter accumulator pair and kCbOut, the alias vehicle of
+/// both the xm reads and the pack (never pushed).
+inline void create_classic_slab_cbs(ttmetal::Program& prog,
+                                    const std::vector<int>& cores) {
+  prog.create_cb(kCbScalar, cores, kTileBytes, 1);
+  prog.create_cb(kCbInter, cores, kTileBytes, 2);
+  prog.create_cb(kCbOut, cores, kTileBytes, 1);
+}
+
+/// Row geometry of the slab strategies' L1 slabs (SRAM-resident and
+/// temporal). A slab row is
+///   [32 B alignment prefix][L][interior W elems][R][tile-spill pad]
+/// with the data (the L element) `off` bytes into it, so the DRAM row
+/// loads stay aligned.
+///
+/// Chunks are full width (or 1024 on wider multiples) so the tile-pack
+/// spill stays inside the row's pad: a simulated pack stores a full
+/// 1024-lane tile, so a chunk narrower than the row would spill into the
+/// *next* slab row's L column, which a later sweep's dc = -1 taps read.
+/// cfg.chunk_elems is deliberately not honoured; the per-element op chain
+/// is chunk-independent, so this never affects results. The host stores
+/// only the chunk's lanes.
+struct SlabRows {
+  std::uint32_t chunk;           ///< elements per FPU op
+  std::uint32_t row_data_elems;  ///< W + 2 (L, interior, R)
+  std::uint32_t row_stride;      ///< bytes per slab row incl. prefix and pad
+  std::uint32_t off;             ///< data offset inside a row (alignment)
+
+  explicit SlabRows(const PaddedLayout& layout)
+      : chunk(std::min<std::uint32_t>(1024, layout.width())),
+        row_data_elems(layout.width() + 2),
+        row_stride(slab_row_stride(layout.width())),
+        off(static_cast<std::uint32_t>(layout.byte_offset(0, -1) % 32)) {
+    TTSIM_CHECK(layout.width() % chunk == 0);
+  }
+
+  /// L1 address of the data (the L element) of local row `lr` in a slab.
+  std::uint32_t row_data(std::uint32_t slab, std::uint32_t lr) const {
+    return slab + lr * row_stride + off;
+  }
+};
+
+/// The classic Jacobi point chain on slab rows, shared by the SRAM-resident
+/// and temporal programs: ((xm + xp) + ym + yp) * 0.25 for chunk `c0` of
+/// local row `lr`, every operand aliased out of slab `src` and every
+/// intermediate through the kCbInter accumulator, in the row-chunk
+/// program's op order, so every strategy agrees bit for bit. Needs
+/// create_classic_slab_cbs' CBs and the kCbScalar page filled with 0.25.
+inline void emit_classic_point(ttmetal::ComputeCtx& ctx, const SlabRows& s,
+                               std::uint32_t src, std::uint32_t dst,
+                               std::uint32_t lr, std::uint32_t c0) {
+  constexpr int dst0 = 0;
+  // Lanes past the chunk are don't-care; declaring that keeps the host
+  // from computing them.
+  const std::uint32_t valid = s.chunk * 2;
+  const std::uint32_t row_c = s.row_data(src, lr) + c0 * 2;
+  const std::uint32_t row_n = s.row_data(src, lr - 1) + c0 * 2;
+  const std::uint32_t row_s = s.row_data(src, lr + 1) + c0 * 2;
+  // xm at elem c0 (global col c0-1), xp at elem c0+2: the first add needs
+  // two distinct CB handles, so xp aliases through the inter CB.
+  ctx.cb_set_rd_ptr(kCbOut, row_c, valid);  // reuse out cb as xm vehicle
+  ctx.cb_reserve_back(kCbInter, 1);
+  ctx.cb_push_back(kCbInter, 1);
+  ctx.cb_set_rd_ptr(kCbInter, row_c + 4, valid);  // xp
+  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
+  ctx.cb_pop_front(kCbInter, 1);
+
+  ctx.cb_reserve_back(kCbInter, 1);
+  ctx.pack_tile(dst0, kCbInter);
+  ctx.cb_push_back(kCbInter, 1);
+  ctx.cb_set_rd_ptr(kCbOut, row_n + 2, valid);  // ym
+  ctx.cb_wait_front(kCbInter, 1);
+  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
+  ctx.cb_pop_front(kCbInter, 1);
+
+  ctx.cb_reserve_back(kCbInter, 1);
+  ctx.pack_tile(dst0, kCbInter);
+  ctx.cb_push_back(kCbInter, 1);
+  ctx.cb_set_rd_ptr(kCbOut, row_s + 2, valid);  // yp
+  ctx.cb_wait_front(kCbInter, 1);
+  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
+  ctx.cb_pop_front(kCbInter, 1);
+
+  ctx.cb_reserve_back(kCbInter, 1);
+  ctx.pack_tile(dst0, kCbInter);
+  ctx.cb_push_back(kCbInter, 1);
+  ctx.cb_wait_front(kCbScalar, 1);
+  ctx.cb_wait_front(kCbInter, 1);
+  ctx.mul_tiles(kCbScalar, kCbInter, 0, 0, dst0);
+  ctx.cb_pop_front(kCbInter, 1);
+
+  // Pack straight into the destination slab row (interior col c0 = data
+  // elem c0+1). On the simulated clock the pack's unused lanes spill past
+  // the interior into R and the pad; the host stores only the chunk.
+  ctx.cb_set_wr_ptr(kCbOut, s.row_data(dst, lr) + (c0 + 1) * 2);
+  ctx.pack_tile(dst0, kCbOut);
+}
+
 /// Row-chunk kernels for one core group (reader / compute / writer plus
 /// this group's CBs, slot buffers and barrier), on the physical workers
 /// sh->workers() names; called once per slot by the batched builder and
@@ -225,8 +340,9 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
 void build_general_rowchunk_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh);
 
-/// SRAM-resident program (single-field single-pass problems, cores_x==1):
-/// the jacobi_sram halo/restore machinery driving the shared tap chain.
+/// SRAM-resident program of a single-field single-pass problem
+/// (cores_x == 1): the one SRAM-resident skeleton (stencil_sram.cpp)
+/// driving the shared tap chain.
 void build_general_sram_program(ttmetal::Program& prog,
                                 std::shared_ptr<GeneralShared> sh);
 
