@@ -112,15 +112,19 @@ GoldenRun faulty_run() {
 /// `strategy` says otherwise). The suite's default shape (64x48,
 /// 6 iterations) on a 1x2 grid keeps multi-field CB maps, multi-pass
 /// barriers and the Life post-op all inside the pinned stream; on the
-/// SRAM-resident program it also keeps the two-core halo exchange in it.
+/// SRAM-resident program it also keeps the two-core halo exchange in it,
+/// and on the temporal program (`temporal_depth` 2: three epochs) the
+/// skirt loads, the semaphore ring and the epoch barrier.
 GoldenRun gallery_run(const std::string& name,
-                      core::DeviceStrategy strategy = core::DeviceStrategy::kRowChunk) {
+                      core::DeviceStrategy strategy = core::DeviceStrategy::kRowChunk,
+                      int temporal_depth = 1) {
   return traced([&](ttmetal::Device& dev) {
     for (const auto& named : core::gallery::suite()) {
       if (named.name != name) continue;
       core::DeviceRunConfig cfg;
       cfg.strategy = strategy;
       cfg.cores_y = 2;
+      cfg.temporal_depth = temporal_depth;
       core::run_general_stencil_on_device(dev, named.problem, cfg);
       return;
     }
@@ -205,6 +209,8 @@ constexpr std::uint64_t kGoldenJacobiSharded2Card = 0xa46130ea2462e6bfull;     /
 constexpr std::uint64_t kGoldenJacobiSram = 0xb238a5fb731aba3aull;              // 3499 events
 constexpr std::uint64_t kGoldenGalleryConvectionSram = 0xb0619d1a8f09ecb6ull;   // 20193 events
 constexpr std::uint64_t kGoldenGalleryLifeSram = 0x42e19a8d447b6778ull;         // 23073 events
+constexpr std::uint64_t kGoldenGalleryConvectionTemporal = 0x913dd3b98a840c5full;  // 21618 events
+constexpr std::uint64_t kGoldenGalleryHotspotTemporal = 0x5254e99bdea47320ull;     // 15698 events
 
 TEST(GoldenTrace, JacobiTiled) {
   expect_golden(
@@ -306,6 +312,22 @@ TEST(GoldenTrace, GalleryLifeSram) {
       "kGoldenGalleryLifeSram",
       [] { return gallery_run("life", core::DeviceStrategy::kSramResident); },
       kGoldenGalleryLifeSram);
+}
+
+/// The general temporal program: the written field's ping-pong slabs
+/// (convection) and, with hotspot, the read-only power field's single slab.
+TEST(GoldenTrace, GalleryConvectionTemporal) {
+  expect_golden(
+      "kGoldenGalleryConvectionTemporal",
+      [] { return gallery_run("convection", core::DeviceStrategy::kTemporal, 2); },
+      kGoldenGalleryConvectionTemporal);
+}
+
+TEST(GoldenTrace, GalleryHotspotTemporal) {
+  expect_golden(
+      "kGoldenGalleryHotspotTemporal",
+      [] { return gallery_run("hotspot", core::DeviceStrategy::kTemporal, 2); },
+      kGoldenGalleryHotspotTemporal);
 }
 
 /// The hash is a digest of the canonical text; make sure the two stay in
