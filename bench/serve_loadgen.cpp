@@ -32,7 +32,6 @@
 #include "ttsim/common/rng.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/serve/serve.hpp"
-#include "ttsim/ttmetal/counters.hpp"
 #include "ttsim/ttmetal/device.hpp"
 
 namespace {
@@ -98,8 +97,6 @@ struct Outcome {
 Outcome run_serial(const std::vector<Arrival>& arrivals, std::ostringstream& rep) {
   auto device = ttmetal::Device::open();
   const core::DeviceRunConfig cfg = slot_config();
-  const ttmetal::PcieScope pcie(*device);
-  const ttmetal::RetryScope retries(*device);
   std::vector<SimTime> latencies;
   SimTime last_done = 0;
   for (const Arrival& a : arrivals) {
@@ -117,8 +114,9 @@ Outcome run_serial(const std::vector<Arrival>& arrivals, std::ostringstream& rep
                  (static_cast<double>(last_done) / static_cast<double>(kSecond));
   o.p50 = serve::ServiceMetrics::percentile(latencies, 0.50);
   o.p99 = serve::ServiceMetrics::percentile(latencies, 0.99);
-  rep << "  serial: pcie " << to_seconds(pcie.elapsed()) * 1e3 << " ms, retries "
-      << retries.count() << "\n";
+  // A fresh device's counters start at 0: they count this run alone.
+  rep << "  serial: pcie " << to_seconds(device->pcie_time()) * 1e3 << " ms, retries "
+      << device->transfer_retries() << "\n";
   return o;
 }
 

@@ -21,18 +21,15 @@
 
 namespace ttsim::core {
 
+/// Every launched chunk runs under a watchdog bound derived from its update
+/// count (a true hang drains the event queue and is detected immediately
+/// regardless, so the bound only trips livelock), and every host<->device
+/// transfer is CRC-verified, transient corruption retried.
 struct ResilienceOptions {
   /// Iterations between host-side checkpoints (also the launch chunk size).
   int checkpoint_every = 100;
   /// Give up after this many device-generation restarts.
   int max_restarts = 3;
-  /// Watchdog bound per launched chunk, in simulated time measured from
-  /// kernel start. 0 = auto: a generous bound derived from the chunk's
-  /// update count (a true hang drains the event queue and is detected
-  /// immediately regardless, so the bound only trips livelock).
-  SimTime watchdog_limit = 0;
-  /// CRC-verify every host<->device transfer and retry transient corruption.
-  bool checksum_transfers = true;
 };
 
 struct ResilientRunResult {

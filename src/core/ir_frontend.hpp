@@ -20,12 +20,12 @@
 
 namespace ttsim::core::detail {
 
-/// Protocol graph of the program build_rowchunk_program /
-/// build_classic_sram_program / build_temporal_program (keyed on
-/// sh->strategy) would emit for `sh`. The row-chunk graph keeps the
-/// read-ahead depth symbolic with range [2, max(8, depth)], so the checker
-/// proves the slot-ring and credit arithmetic for every depth, not just
-/// the one being launched.
+/// Protocol graph of the program build_jacobi_program would emit for `sh`.
+/// The row-chunk graph keeps the read-ahead depth symbolic with range
+/// [2, max(8, depth)], so the checker proves the slot-ring and credit
+/// arithmetic for every depth, not just the one being launched. The slab
+/// strategies are modelled as the general program classic_slab_program
+/// makes (make_general_graph).
 ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
                             std::int64_t sram_bytes);
 

@@ -7,10 +7,9 @@
 
 #include "card_threads.hpp"
 #include "ir_frontend.hpp"
-#include "jacobi_internal.hpp"
+#include "stencil_internal.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/ir/lower.hpp"
-#include "ttsim/ttmetal/counters.hpp"
 
 namespace ttsim::core {
 
@@ -169,10 +168,8 @@ void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> 
       build_rowchunk_program(prog, std::move(sh));
       return;
     case DeviceStrategy::kSramResident:
-      build_classic_sram_program(prog, std::move(sh));
-      return;
     case DeviceStrategy::kTemporal:
-      build_temporal_program(prog, std::move(sh));
+      build_general_program(prog, classic_slab_program(*sh));
       return;
   }
 }
@@ -250,7 +247,7 @@ DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProble
                                      const DeviceRunConfig& cfg) {
   detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
   detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
-  const ttmetal::RetryScope retries(device);
+  const std::uint64_t retries_before = device.transfer_retries();
   const PaddedLayout layout(p.width, p.height);
 
   const SimTime t_start = device.now();
@@ -260,7 +257,8 @@ DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProble
   result.solution = layout.extract_interior(loop.read_fresh());
   result.total_time = device.now() - t_start;
   result.cores_used = loop.cores().ncores();
-  result.transfer_retries = static_cast<int>(retries.count());
+  result.transfer_retries =
+      static_cast<int>(device.transfer_retries() - retries_before);
   if (cfg.verify && cfg.toggles.all_enabled()) {
     result.verified_ok = detail::matches_reference(p, result.solution);
   }

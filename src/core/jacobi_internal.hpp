@@ -7,6 +7,7 @@
 /// row-chunk builders and their IR models share.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -293,6 +294,29 @@ struct ChunkGrid {
   }
 };
 
+/// Slot ring of the general row-chunk program at read-ahead depth N: the
+/// Jacobi ring's 2N+3 slots plus `extra` = 2*ceil(N/nrows_min). With every
+/// read issue gated behind a CB reserve (the prologue is folded into batch
+/// 0's reserve), at most N batches are reserved-but-unpopped, so the newest
+/// issued row is at most 2N rows past the oldest row a pending batch still
+/// reads — plus 2 halo rows for every column boundary inside that window.
+/// A window of N batches crosses at most ceil(N/nrows_min) boundaries,
+/// which matters when the decomposition leaves fewer rows per core than the
+/// read-ahead depth (jacobi_rowchunk never sees that regime; the general
+/// frontend's conformance sweep does).
+struct SlotRing {
+  std::uint32_t nslots;
+  std::uint32_t extra;
+};
+inline SlotRing general_slot_ring(std::uint32_t depth,
+                                  const std::vector<CoreRange>& ranges) {
+  std::uint32_t nrows_min = UINT32_MAX;
+  for (const auto& rg : ranges) nrows_min = std::min(nrows_min, rg.row_hi - rg.row_lo);
+  nrows_min = std::max(nrows_min, 1u);
+  const std::uint32_t extra = 2 * ((depth + nrows_min - 1) / nrows_min);
+  return {2 * depth + 3 + extra, extra};
+}
+
 /// Bytes per L1 slab row of the SRAM-resident and temporal programs (see
 /// SlabRows): a 32-byte alignment prefix plus the row's W+2 elements, with
 /// room for the FPU tile spill past the interior (a full 1024-element pack
@@ -311,21 +335,6 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
 
 /// Section VI program (kRowChunk).
 void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
-
-/// Future-work program (kSramResident): domain resident in core SRAM with
-/// direct neighbour-to-neighbour halo exchange. A thin adapter onto the one
-/// SRAM-resident skeleton in stencil_sram.cpp, running the classic point
-/// chain.
-void build_classic_sram_program(ttmetal::Program& prog,
-                                std::shared_ptr<KernelShared> sh);
-
-/// Temporal-tiling program (kTemporal): each core chains
-/// sh->temporal_depth Jacobi iterations per DRAM pass, computing a
-/// trapezoid of redundant skirt rows in L1 instead of exchanging halos
-/// between sub-iterations. Bit-exact with temporal_depth sequential
-/// row-chunk sweeps.
-void build_temporal_program(ttmetal::Program& prog,
-                            std::shared_ptr<KernelShared> sh);
 
 /// Fill a reserved CB page with 1024 copies of `value` (the cb_scalar trick).
 void fill_scalar_page(ttmetal::KernelCtxBase& ctx, int cb_id, float value);

@@ -62,10 +62,8 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
   for (;;) {
     ttmetal::DeviceConfig dc;
     dc.sim_time_limit =
-        options.watchdog_limit > 0
-            ? options.watchdog_limit
-            : auto_watchdog(p, std::min(options.checkpoint_every, remaining));
-    dc.checksum_transfers = options.checksum_transfers;
+        auto_watchdog(p, std::min(options.checkpoint_every, remaining));
+    dc.checksum_transfers = true;
     dc.fault_plan = fault_plan;
     auto device = ttmetal::Device::open(spec, dc);
 

@@ -28,10 +28,11 @@
 ///
 /// Slab rows use the SRAM-resident program's SlabRows layout ([32 B
 /// prefix][L][W interior][R][tile-spill pad]), and the compute kernel runs
-/// the same per-point chains (emit_classic_point or emit_tap_chain), so
+/// the program's SlabChain (classic Jacobi's chain or the tap chain), so
 /// results are bit-exact with k sequential depth-1 sweeps (and with the CPU
-/// reference). Classic Jacobi and general single-pass programs share this
-/// one skeleton through thin adapters.
+/// reference). Every launch is a single-pass general program, classic
+/// Jacobi's through classic_slab_program; the block sizing is
+/// temporal_geometry, which the IR model calls too.
 
 #include <algorithm>
 #include <cstring>
@@ -52,31 +53,41 @@ struct TemporalField {
   std::uint32_t slab_a = 0;  ///< load target / odd-step source
   std::uint32_t slab_b = 0;  ///< odd-step destination; 0 unless written
   bool written = false;
-  bool streamed = false;     ///< referenced by the pass (needs a slab)
+  bool streamed = false;     ///< held in a slab (read or written)
 };
 
-struct TemporalShared : SlabRows {
-  PaddedLayout layout;
-  int iterations = 0;
-  int depth = 1;  ///< k: iterations chained per DRAM pass
-  std::uint32_t nsr = 0;             // slab capacity in rows
-  std::uint32_t block_rows = 0;      // B: final-generation rows per block
-  int v = 1;      ///< written-field vertical reach: trapezoid shrink per step
-  int reach = 1;  ///< max vertical reach over all taps: skirt load extent
-  std::vector<TemporalField> fields;
+/// The program (one pass; cores_x == 1: one strip per core; k =
+/// temporal_depth iterations chained per DRAM pass) with its geometry,
+/// per-field slabs and weight table.
+struct TemporalShared : GeneralShared, SlabRows {
+  TemporalGeometry geo;
   int wf = 0;  ///< index of the written field
-  std::vector<CoreRange> ranges;  // cores_x == 1: one strip per core
-  std::vector<int> core_ids;
-  int barrier_id = kIterationBarrier;
-  bool classic = true;         ///< replicate the Jacobi op chain verbatim
-  LoweredPass pass;            // general path only
-  std::vector<float> weights;  // general path only
+  std::vector<TemporalField> fields;
+  std::uint32_t wtab = 0;  ///< L1 address of the chain's weight table
 
-  explicit TemporalShared(const PaddedLayout& l) : SlabRows(l), layout(l) {}
+  explicit TemporalShared(const GeneralShared& g)
+      : GeneralShared(g), SlabRows(g.layout), geo(temporal_geometry(g)),
+        wf(g.passes[0].target), fields(static_cast<std::size_t>(g.nfields())) {
+    core_ids = g.workers();
+    for (int f = 0; f < g.nfields(); ++f) {
+      const auto fi = static_cast<std::size_t>(f);
+      auto& tf = fields[fi];
+      tf.streamed = geo.streamed[fi] != 0;
+      if (f == wf) {
+        tf.written = true;
+        tf.fin = g.final_of(f);
+        tf.oth = tf.fin == g.d1[fi] ? g.d2[fi] : g.d1[fi];
+      } else {
+        tf.fin = g.d1[fi];
+      }
+    }
+  }
 
-  int epochs() const { return (iterations + depth - 1) / depth; }
+  int epochs() const { return (iterations + temporal_depth - 1) / temporal_depth; }
   /// Chained depth of epoch `e` (the last epoch may be partial).
-  int depth_of(int e) const { return std::min(depth, iterations - e * depth); }
+  int depth_of(int e) const {
+    return std::min(temporal_depth, iterations - e * temporal_depth);
+  }
 
   /// Written-field grids of epoch `e`, anchored at the end so the LAST
   /// epoch lands in the canonical final buffer (iterations odd ? d2 : d1 —
@@ -118,73 +129,39 @@ struct TemporalShared : SlabRows {
     bk.b1 = b1;
     bk.de = de;
     const auto H = static_cast<std::int64_t>(layout.height());
-    const std::int64_t lo1 = std::max<std::int64_t>(b0 - (de - 1) * v, 0);
-    const std::int64_t hi1 = std::min<std::int64_t>(b1 + (de - 1) * v, H);
-    bk.glo = std::max<std::int64_t>(lo1 - reach, -1);
-    bk.ghi = std::min<std::int64_t>(hi1 - 1 + reach, H) + 1;
+    const std::int64_t lo1 = std::max<std::int64_t>(b0 - (de - 1) * geo.v, 0);
+    const std::int64_t hi1 = std::min<std::int64_t>(b1 + (de - 1) * geo.v, H);
+    bk.glo = std::max<std::int64_t>(lo1 - geo.reach, -1);
+    bk.ghi = std::min<std::int64_t>(hi1 - 1 + geo.reach, H) + 1;
     return bk;
   }
   std::int64_t step_lo(const Block& bk, int s) const {
-    return std::max<std::int64_t>(bk.b0 - static_cast<std::int64_t>(bk.de - s) * v, 0);
+    return std::max<std::int64_t>(bk.b0 - static_cast<std::int64_t>(bk.de - s) * geo.v, 0);
   }
   std::int64_t step_hi(const Block& bk, int s) const {
-    return std::min<std::int64_t>(bk.b1 + static_cast<std::int64_t>(bk.de - s) * v,
+    return std::min<std::int64_t>(bk.b1 + static_cast<std::int64_t>(bk.de - s) * geo.v,
                                   static_cast<std::int64_t>(layout.height()));
   }
 };
 
-void build_temporal_kernels(ttmetal::Program& prog,
-                            std::shared_ptr<TemporalShared> sh) {
-  const std::uint32_t W = sh->layout.width();
+}  // namespace
 
-  // Block sizing against the slab budget: the written field needs two
-  // ping-pong slabs, each referenced read-only field one, each sized
-  // B + 2*((k-1)*v + reach) rows.
-  int nslabs = 0;
-  for (const auto& f : sh->fields) {
-    if (f.streamed || f.written) nslabs += f.written ? 2 : 1;
-  }
-  TTSIM_CHECK(nslabs >= 2);
-  const std::uint32_t fixed = 2 * static_cast<std::uint32_t>(
-      (sh->depth - 1) * sh->v + sh->reach);
-  const std::int64_t rows_budget =
-      static_cast<std::int64_t>(kSlabBudget / sh->row_stride) / nslabs -
-      static_cast<std::int64_t>(fixed);
-  const std::int64_t B =
-      std::min<std::int64_t>(rows_budget, sh->layout.height());
-  if (B < 1) {
-    TTSIM_THROW_API("temporal depth " << sh->depth << " on a " << W
-                    << "-wide domain leaves no room for a row block in the "
-                    "1 MiB L1 (" << nslabs << " slabs of "
-                    << fixed << "+ skirt rows); lower the depth");
-  }
-  sh->block_rows = static_cast<std::uint32_t>(B);
-  sh->nsr = sh->block_rows + fixed;
-
+void build_general_temporal_group(ttmetal::Program& prog,
+                                  std::shared_ptr<GeneralShared> base) {
+  auto sh = std::make_shared<TemporalShared>(*base);
   const int ncores = static_cast<int>(sh->ranges.size());
   const std::vector<int>& cores = sh->core_ids;
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
 
-  // CBs. Classic runs the Jacobi scalar/inter/out trio; the general path
-  // mirrors the SRAM-resident lowering (alias CBs are never pushed).
-  std::uint32_t wtab = 0;
-  if (sh->classic) {
-    create_classic_slab_cbs(prog, cores);
-  } else {
-    for (std::size_t f = 0; f < sh->fields.size(); ++f) {
-      if (sh->fields[f].streamed) {
-        prog.create_cb(kCbFieldBase + static_cast<int>(f), cores, kTileBytes, 1);
-      }
-    }
-    create_chain_cbs(prog, cores, sh->pass.terms.size() > 1,
-                     sh->pass.post != PostOp::kNone, 1);
-    wtab = prog.l1_buffer_address(prog.create_l1_buffer(
-        cores, static_cast<std::uint32_t>(sh->weights.size()) * kTileBytes));
+  // The chain's CBs, then its weight table, then the slabs.
+  create_cbs(prog, cores, sh->chain->cbs());
+  if (sh->chain->table_bytes() > 0) {
+    sh->wtab = prog.l1_buffer_address(
+        prog.create_l1_buffer(cores, sh->chain->table_bytes()));
   }
-
-  const std::uint32_t slab_bytes = sh->nsr * sh->row_stride;
+  const std::uint32_t slab_bytes = sh->geo.slab_rows * sh->row_stride;
   for (auto& f : sh->fields) {
-    if (!(f.streamed || f.written)) continue;
+    if (!f.streamed) continue;
     f.slab_a = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
     if (f.written) {
       f.slab_b = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
@@ -216,13 +193,13 @@ void build_temporal_kernels(ttmetal::Program& prog,
           const int de = sh->depth_of(e);
           const std::uint64_t wsrc = sh->src_grid(e);
           for (std::int64_t b0 = rg.row_lo; b0 < rg.row_hi;
-               b0 += sh->block_rows) {
+               b0 += sh->geo.block_rows) {
             const auto bk = sh->block(
-                b0, std::min<std::int64_t>(b0 + sh->block_rows, rg.row_hi), de);
+                b0, std::min<std::int64_t>(b0 + sh->geo.block_rows, rg.row_hi), de);
             ctx.semaphore_wait(kSemFree);
             for (std::size_t f = 0; f < sh->fields.size(); ++f) {
               const auto& tf = sh->fields[f];
-              if (!(tf.streamed || tf.written)) continue;
+              if (!tf.streamed) continue;
               // Read-only fields never flip parity: always read d1.
               const std::uint64_t src = tf.written ? wsrc : tf.fin;
               for (std::int64_t gr = bk.glo; gr < bk.ghi; ++gr) {
@@ -265,63 +242,30 @@ void build_temporal_kernels(ttmetal::Program& prog,
   // ---------------- compute ----------------
   prog.create_kernel(
       cores,
-      [sh, wtab, E](ttmetal::ComputeCtx& ctx) {
+      [sh, E](ttmetal::ComputeCtx& ctx) {
         const int pos = ctx.position();
         const CoreRange rg = sh->ranges[static_cast<std::size_t>(pos)];
         const std::uint32_t width = sh->layout.width();
-        if (sh->classic) {
-          fill_scalar_page(ctx, kCbScalar, 0.25f);
-        } else {
-          ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
-          fill_weight_table(ctx, wtab, sh->weights);
-        }
-        std::vector<TapAddr> taps;
+        sh->chain->prologue(ctx, sh->wtab);
+        std::vector<std::uint32_t> src(sh->fields.size());
         for (int e = 0; e < E; ++e) {
           const int de = sh->depth_of(e);
           for (std::int64_t b0 = rg.row_lo; b0 < rg.row_hi;
-               b0 += sh->block_rows) {
+               b0 += sh->geo.block_rows) {
             const auto bk = sh->block(
-                b0, std::min<std::int64_t>(b0 + sh->block_rows, rg.row_hi), de);
+                b0, std::min<std::int64_t>(b0 + sh->geo.block_rows, rg.row_hi), de);
             ctx.semaphore_wait(kSemLoaded);
             for (int s = 1; s <= de; ++s) {
+              for (std::size_t f = 0; f < src.size(); ++f) {
+                src[f] = sh->src_slab(static_cast<int>(f), s);
+              }
               const std::uint32_t dst = sh->dst_slab(s);
               const std::int64_t lo = sh->step_lo(bk, s);
               const std::int64_t hi = sh->step_hi(bk, s);
               for (std::int64_t gr = lo; gr < hi; ++gr) {
                 const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
                 for (std::uint32_t c0 = 0; c0 < width; c0 += sh->chunk) {
-                  if (sh->classic) {
-                    emit_classic_point(ctx, *sh, sh->src_slab(sh->wf, s), dst,
-                                       lr, c0);
-                  } else {
-                    const std::uint32_t valid = sh->chunk * 2;
-                    // Tap alias: field f's row gr+dr, elem c0+1+dc (elem 0
-                    // is the L boundary column).
-                    auto tap_at = [&](int f, int dr, int dc) {
-                      const auto lrt = static_cast<std::uint32_t>(
-                          gr + dr - bk.glo);
-                      return sh->row_data(sh->src_slab(f, s), lrt) +
-                             static_cast<std::uint32_t>(
-                                 static_cast<std::int64_t>(c0) * 2 + 2 +
-                                 2 * dc);
-                    };
-                    taps.clear();
-                    for (const auto& t : sh->pass.terms) {
-                      taps.push_back(TapAddr{kCbFieldBase + t.field,
-                                             tap_at(t.field, t.dr, t.dc),
-                                             valid, t.widx});
-                    }
-                    const TapAddr self{kCbFieldBase + sh->pass.self_field,
-                                       tap_at(sh->pass.self_field, 0, 0),
-                                       valid, 0};
-                    emit_tap_chain(ctx, wtab, taps, sh->pass.post, self,
-                                   [&](int reg) {
-                                     ctx.cb_set_wr_ptr(
-                                         kCbGOut,
-                                         sh->row_data(dst, lr) + (c0 + 1) * 2);
-                                     ctx.pack_tile(reg, kCbGOut);
-                                   });
-                  }
+                  sh->chain->emit_point(ctx, *sh, sh->wtab, src, dst, lr, c0);
                   ctx.loop_tick();
                 }
               }
@@ -344,9 +288,9 @@ void build_temporal_kernels(ttmetal::Program& prog,
           const std::uint64_t dst_dram = sh->dst_grid(e);
           const std::uint32_t out_slab = sh->dst_slab(de);
           for (std::int64_t b0 = rg.row_lo; b0 < rg.row_hi;
-               b0 += sh->block_rows) {
+               b0 += sh->geo.block_rows) {
             const auto bk = sh->block(
-                b0, std::min<std::int64_t>(b0 + sh->block_rows, rg.row_hi), de);
+                b0, std::min<std::int64_t>(b0 + sh->geo.block_rows, rg.row_hi), de);
             ctx.semaphore_wait(kSemComputed);
             for (std::int64_t gr = bk.b0; gr < bk.b1; ++gr) {
               const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
@@ -365,77 +309,6 @@ void build_temporal_kernels(ttmetal::Program& prog,
         }
       },
       "temporal_writer");
-}
-
-}  // namespace
-
-void build_temporal_program(ttmetal::Program& prog,
-                            std::shared_ptr<KernelShared> base) {
-  auto sh = std::make_shared<TemporalShared>(base->layout);
-  sh->iterations = base->iterations;
-  sh->depth = base->temporal_depth;
-  sh->ranges = base->ranges;
-  sh->core_ids = base->workers();
-  sh->barrier_id = base->barrier_id;
-  sh->classic = true;
-  sh->v = 1;
-  sh->reach = 1;
-  TemporalField f;
-  f.fin = base->iterations % 2 == 1 ? base->d2 : base->d1;
-  f.oth = base->iterations % 2 == 1 ? base->d1 : base->d2;
-  f.written = true;
-  f.streamed = true;
-  sh->fields = {f};
-  sh->wf = 0;
-  build_temporal_kernels(prog, sh);
-}
-
-void build_general_temporal_group(ttmetal::Program& prog,
-                                  std::shared_ptr<GeneralShared> base) {
-  TTSIM_CHECK(base->passes.size() == 1);
-  auto sh = std::make_shared<TemporalShared>(base->layout);
-  sh->iterations = base->iterations;
-  sh->depth = base->temporal_depth;
-  sh->ranges = base->ranges;
-  sh->core_ids = base->workers();
-  sh->barrier_id = base->barrier_id;
-  sh->classic = false;
-  sh->pass = base->passes[0];
-  sh->weights = base->weights;
-  sh->wf = sh->pass.target;
-
-  const int nfields = base->nfields();
-  sh->fields.resize(static_cast<std::size_t>(nfields));
-  for (int f = 0; f < nfields; ++f) {
-    auto& tf = sh->fields[static_cast<std::size_t>(f)];
-    if (f == sh->wf) {
-      tf.written = true;
-      tf.fin = base->final_of(f);
-      tf.oth = tf.fin == base->d1[static_cast<std::size_t>(f)]
-                   ? base->d2[static_cast<std::size_t>(f)]
-                   : base->d1[static_cast<std::size_t>(f)];
-    } else {
-      tf.fin = base->d1[static_cast<std::size_t>(f)];
-    }
-  }
-  for (const auto& pf : sh->pass.reads) {
-    sh->fields[static_cast<std::size_t>(pf.field)].streamed = true;
-  }
-  sh->fields[static_cast<std::size_t>(sh->wf)].streamed = true;
-
-  // Trapezoid shrink v: the written field's vertical reach (only its rows
-  // age between sub-steps). Skirt reach: the widest vertical tap of any
-  // field, so one load extent serves every slab.
-  int v = 0;
-  int reach = 0;
-  for (const auto& t : sh->pass.terms) {
-    const int adr = t.dr < 0 ? -t.dr : t.dr;
-    if (t.field == sh->wf) v = std::max(v, adr);
-    reach = std::max(reach, adr);
-  }
-  sh->v = v;
-  sh->reach = std::max(reach, v);
-  build_temporal_kernels(prog, sh);
 }
 
 }  // namespace ttsim::core::detail

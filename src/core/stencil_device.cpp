@@ -74,6 +74,17 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
 
 }  // namespace
 
+std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth) {
+  std::vector<char> streamed(static_cast<std::size_t>(sh.nfields()), 0);
+  bool inter = false, post = false;
+  for (const LoweredPass& pass : sh.passes) {
+    for (const PassField& pf : pass.reads) streamed[static_cast<std::size_t>(pf.field)] = 1;
+    if (pass.terms.size() > 1) inter = true;
+    if (pass.post != PostOp::kNone) post = true;
+  }
+  return general_cbs(streamed, depth, inter, post, 4);
+}
+
 void build_general_rowchunk_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh) {
   const int ncores = static_cast<int>(sh->ranges.size());
@@ -82,38 +93,8 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   const int nfields = sh->nfields();
 
   const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
-  // Continuous rotation bound. With every read issue gated behind a CB
-  // reserve (the prologue is folded into batch 0's reserve below), at most
-  // N batches are reserved-but-unpopped, so the newest issued row is at
-  // most 2N rows past the oldest row a pending batch still reads — plus 2
-  // halo rows for every column boundary inside that window. A window of N
-  // batches crosses at most ceil(N/nrows_min) boundaries, which matters
-  // when the decomposition leaves fewer rows per core than the read-ahead
-  // depth (jacobi_rowchunk never sees that regime; the general frontend's
-  // conformance sweep does).
-  std::uint32_t nrows_min = UINT32_MAX;
-  for (const auto& rg : sh->ranges) {
-    nrows_min = std::min(nrows_min, rg.row_hi - rg.row_lo);
-  }
-  nrows_min = std::max(nrows_min, 1u);
-  const std::uint32_t nslots =
-      2 * depth + 3 + 2 * ((depth + nrows_min - 1) / nrows_min);
-
-  // One stream CB per field any pass references; the accumulator CBs only
-  // when a chain is long enough to need them.
-  std::vector<char> streamed(static_cast<std::size_t>(nfields), 0);
-  bool needs_inter = false, needs_post = false;
-  for (const auto& pass : sh->passes) {
-    for (const auto& pf : pass.reads) streamed[static_cast<std::size_t>(pf.field)] = 1;
-    if (pass.terms.size() > 1) needs_inter = true;
-    if (pass.post != PostOp::kNone) needs_post = true;
-  }
-  for (int f = 0; f < nfields; ++f) {
-    if (streamed[static_cast<std::size_t>(f)]) {
-      prog.create_cb(kCbFieldBase + f, cores, kTileBytes, depth);
-    }
-  }
-  create_chain_cbs(prog, cores, needs_inter, needs_post, 4);
+  const std::uint32_t nslots = general_slot_ring(depth, sh->ranges).nslots;
+  create_cbs(prog, cores, rowchunk_cbs(*sh, depth));
 
   const std::uint32_t sbytes = slot_bytes(max_chunk(sh->ranges, sh->chunk_elems));
   // Field f's rotation lives at slots_addr + f*nslots*sbytes.
@@ -177,7 +158,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                 // longer referenced. EVERY issue of this column sits behind
                 // one of these reserves — including the first batch's
                 // prologue below — which is what bounds the reader's
-                // cross-column run-ahead (see the nslots derivation).
+                // cross-column run-ahead (see general_slot_ring).
                 for (std::size_t e = 0; e < nf; ++e) {
                   ctx.cb_reserve_back(kCbFieldBase + pass.reads[e].field, 1);
                 }
@@ -233,7 +214,6 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
         const PaddedLayout& L = sh->layout;
         ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
         fill_weight_table(ctx, wtab, sh->weights);
-        std::vector<TapAddr> taps;
         for (int it = 0; it < sh->iterations; ++it) {
           for (const LoweredPass& pass : sh->passes) {
             for (std::uint32_t col = 0; col < grid.ncols; ++col) {
@@ -241,10 +221,6 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                                       static_cast<std::int64_t>(col) * grid.chunk;
               const std::uint32_t off =
                   static_cast<std::uint32_t>(L.byte_offset(0, c0 - 1) % 32);
-              // A redirected tile covers only the chunk's elements, not a
-              // full 2 KiB page — declared so the race detector's read spans
-              // stay within this batch's slots.
-              const std::uint32_t valid = grid.chunk * 2;
               for (std::int64_t j = grid.rg.row_lo; j < grid.rg.row_hi; ++j) {
                 for (const auto& pf : pass.reads) {
                   ctx.cb_wait_front(kCbFieldBase + pf.field, 1);
@@ -257,14 +233,10 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                           grid.slot_of(col, j + dr)) * sbytes +
                          off + static_cast<std::uint32_t>(2 + 2 * dc);
                 };
-                taps.clear();
-                for (const auto& t : pass.terms) {
-                  taps.push_back(TapAddr{kCbFieldBase + t.field,
-                                         tap_at(t.field, t.dr, t.dc), valid, t.widx});
-                }
-                const TapAddr self{kCbFieldBase + pass.self_field,
-                                   tap_at(pass.self_field, 0, 0), valid, 0};
-                emit_tap_chain(ctx, wtab, taps, pass.post, self, [&](int reg) {
+                // A redirected tile covers only the chunk's elements, not a
+                // full 2 KiB page — declared so the race detector's read
+                // spans stay within this batch's slots.
+                emit_tap_chain(ctx, wtab, pass, grid.chunk * 2, tap_at, [&](int reg) {
                   ctx.cb_reserve_back(kCbGOut, 1);
                   ctx.pack_tile(reg, kCbGOut);
                   ctx.cb_push_back(kCbGOut, 1);
@@ -342,6 +314,7 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
   sh->d2 = std::move(d2);
   sh->ranges = decompose(p.geometry(), sel.cores_x, sel.cores_y, 16);
   sh->core_ids = sel.core_ids;
+  if (is_slab(cfg.strategy)) sh->chain = make_tap_chain(*sh);
   return sh;
 }
 

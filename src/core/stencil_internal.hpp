@@ -5,9 +5,10 @@
 /// uses. Keeping ONE emitter is what makes rowchunk-vs-SRAM agreement hold
 /// by construction — both strategies issue the identical FPU op sequence
 /// and differ only in where the aliased tap addresses point. The slab
-/// strategies' row geometry (SlabRows) and their classic Jacobi point
-/// chain (emit_classic_point) live here too, so the one SRAM-resident
-/// skeleton and the one temporal skeleton serve both problem kinds.
+/// strategies' row geometry (SlabRows), their per-point chain object
+/// (SlabChain: the tap chain, or classic Jacobi's chain) and the temporal
+/// geometry live here too, so the one SRAM-resident skeleton and the one
+/// temporal skeleton serve both problem kinds.
 ///
 /// CB id map of a general stencil program (tt-metal convention: inputs
 /// 0..7, intermediates 8..15, outputs 16..23):
@@ -20,8 +21,12 @@
 /// weight, written host-side by the compute kernel before the first sweep
 /// (the cb_scalar trick, without a CB).
 
+#include <span>
+#include <string>
+
 #include "jacobi_internal.hpp"
 #include "ttsim/core/stencil.hpp"
+#include "ttsim/ir/ir.hpp"
 
 namespace ttsim::core::detail {
 
@@ -53,6 +58,8 @@ struct LoweredPass {
   std::vector<PassField> reads;  ///< referenced fields, first-use order
 };
 
+class SlabChain;
+
 /// Everything the general kernels need, shared across the lambdas.
 struct GeneralShared {
   PaddedLayout layout;
@@ -69,10 +76,15 @@ struct GeneralShared {
   std::vector<CoreRange> ranges;
   std::vector<int> core_ids;
   int barrier_id = kIterationBarrier;
+  /// Slab strategies: the per-point chain (make_tap_chain, or the classic
+  /// chain of classic_slab_program).
+  std::shared_ptr<const SlabChain> chain;
 
   explicit GeneralShared(const PaddedLayout& l) : layout(l) {}
 
-  int nfields() const { return static_cast<int>(d1.size()); }
+  /// Known from the lowered program, before any grids are bound (a batch's
+  /// shared resolve has none).
+  int nfields() const { return static_cast<int>(written_pass.size()); }
 
   /// Source buffer of field `f` while running pass `p` of iteration `it`:
   /// each write flips the parity, and a pass sees the writes of every
@@ -139,33 +151,29 @@ inline void fill_weight_table(ttmetal::KernelCtxBase& ctx, std::uint32_t addr,
   }
 }
 
-/// One term of the chain, resolved to an L1 alias address.
-struct TapAddr {
-  int cb = 0;               ///< field stream/alias CB id
-  std::uint32_t addr = 0;   ///< L1 address of the tap's first element
-  std::uint32_t valid = 0;  ///< meaningful bytes behind it (valid_bytes)
-  int widx = 0;             ///< weight-table index
-};
-
 /// Emit the per-point FPU op sequence shared by every strategy: for each
-/// term, one weight-aliased multiply; the first product seeds the
+/// term of `pass`, one weight-aliased multiply; the first product seeds the
 /// accumulator, later ones are added left to right through the inter/tmp
 /// CB pair; the Life post-op masks the sum and recombines with the centre
-/// value. `pack_final(dst_reg)` lands the finished tile (managed kCbGOut
-/// page on row-chunk; write-pointer aliased slab row on SRAM).
-template <typename PackFinal>
+/// value. Every tap aliases its field's CB onto `tap_at(field, dr, dc)`,
+/// the L1 address of the tap's first element, with `valid` meaningful
+/// bytes behind it. `pack_final(dst_reg)` lands the finished tile (managed
+/// kCbGOut page on row-chunk; write-pointer aliased slab row on the slab
+/// strategies).
+template <typename TapAt, typename PackFinal>
 void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
-                    const std::vector<TapAddr>& terms, PostOp post,
-                    const TapAddr& self, PackFinal&& pack_final) {
+                    const LoweredPass& pass, std::uint32_t valid, TapAt&& tap_at,
+                    PackFinal&& pack_final) {
   constexpr int dst0 = 0;
   constexpr int dst1 = 1;
-  const std::size_t n = terms.size();
-  const bool has_post = post != PostOp::kNone;
+  const std::size_t n = pass.terms.size();
+  const bool has_post = pass.post != PostOp::kNone;
   for (std::size_t k = 0; k < n; ++k) {
-    const auto& t = terms[k];
+    const LoweredTerm& t = pass.terms[k];
+    const int cb = kCbFieldBase + t.field;
     ctx.cb_set_rd_ptr(kCbWgt, wtab + static_cast<std::uint32_t>(t.widx) * kTileBytes);
-    ctx.cb_set_rd_ptr(t.cb, t.addr, t.valid);
-    ctx.mul_tiles(kCbWgt, t.cb, 0, 0, dst0);
+    ctx.cb_set_rd_ptr(cb, tap_at(t.field, t.dr, t.dc), valid);
+    ctx.mul_tiles(kCbWgt, cb, 0, 0, dst0);
     const bool last = k + 1 == n;
     if (k > 0) {
       ctx.cb_reserve_back(kCbGTmp, 1);
@@ -191,6 +199,7 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
   if (has_post) {
     // Life: out = (S == 3) + (S == 2) * self, every step BF16-exact on
     // 0/1 states and integer neighbour counts.
+    const int self = kCbFieldBase + pass.self_field;
     ctx.cb_wait_front(kCbGTmp, 1);
     ctx.copy_tile(kCbGTmp, 0, dst0);
     ctx.eq_scalar_tile(dst0, bfloat16_t{3.0f});  // birth mask
@@ -201,9 +210,9 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
     ctx.cb_reserve_back(kCbGTmp2, 1);
     ctx.pack_tile(dst1, kCbGTmp2);
     ctx.cb_push_back(kCbGTmp2, 1);
-    ctx.cb_set_rd_ptr(self.cb, self.addr, self.valid);
+    ctx.cb_set_rd_ptr(self, tap_at(pass.self_field, 0, 0), valid);
     ctx.cb_wait_front(kCbGTmp2, 1);
-    ctx.mul_tiles(kCbGTmp2, self.cb, 0, 0, dst1);  // survive * self
+    ctx.mul_tiles(kCbGTmp2, self, 0, 0, dst1);  // survive * self
     ctx.cb_pop_front(kCbGTmp2, 1);
 
     ctx.cb_reserve_back(kCbGTmp, 1);
@@ -221,28 +230,37 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
   }
 }
 
-/// Create the tap chain's CBs, after the field CBs: the weight alias
-/// vehicle, the accumulators the chain uses (kCbGInter when a pass has
-/// more than one term, kCbGTmp2 with a post-op, kCbGTmp with either) and a
-/// `out_pages`-page output CB.
-inline void create_chain_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
-                             bool inter, bool post, std::uint32_t out_pages) {
-  prog.create_cb(kCbWgt, cores, kTileBytes, 1);
-  if (inter) prog.create_cb(kCbGInter, cores, kTileBytes, 2);
-  if (inter || post) prog.create_cb(kCbGTmp, cores, kTileBytes, 2);
-  if (post) prog.create_cb(kCbGTmp2, cores, kTileBytes, 2);
-  prog.create_cb(kCbGOut, cores, kTileBytes, out_pages);
+/// Protocol ops of `points` emit_tap_chain calls on `pass` (the IR
+/// transcript). Totals per point (t = #terms): kCbGInter: t-1 of each op;
+/// kCbGTmp: t+1 with a post-op else t-1; kCbGTmp2: 2 with a post-op. All
+/// traffic is compute-local.
+std::vector<ir::Op> tap_chain_ops(const LoweredPass& pass, const ir::Count& points);
+
+/// One CB of a program's list, in creation order: the builders create it
+/// (create_cbs) and the IR models declare it under `name`.
+struct CbSpec {
+  int id = 0;
+  std::uint32_t pages = 1;
+  std::string name;
+};
+
+inline void create_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
+                       const std::vector<CbSpec>& cbs) {
+  for (const CbSpec& cb : cbs) prog.create_cb(cb.id, cores, kTileBytes, cb.pages);
 }
 
-/// Create the classic point chain's CBs on a slab program: the scalar
-/// page, the kCbInter accumulator pair and kCbOut, the alias vehicle of
-/// both the xm reads and the pack (never pushed).
-inline void create_classic_slab_cbs(ttmetal::Program& prog,
-                                    const std::vector<int>& cores) {
-  prog.create_cb(kCbScalar, cores, kTileBytes, 1);
-  prog.create_cb(kCbInter, cores, kTileBytes, 2);
-  prog.create_cb(kCbOut, cores, kTileBytes, 1);
-}
+/// The general frontend's CBs: one `field_pages`-page CB per streamed
+/// field, then the tap chain's: the weight alias vehicle, the accumulators
+/// the chain uses (kCbGInter when a pass has more than one term, kCbGTmp2
+/// with a post-op, kCbGTmp with either) and an `out_pages`-page output CB.
+std::vector<CbSpec> general_cbs(const std::vector<char>& streamed,
+                                std::uint32_t field_pages, bool inter, bool post,
+                                std::uint32_t out_pages);
+
+/// The row-chunk program's CBs (general_cbs): a `depth`-page stream CB per
+/// field any pass reads, the accumulators any pass's chain needs and a
+/// 4-page output CB.
+std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth);
 
 /// Row geometry of the slab strategies' L1 slabs (SRAM-resident and
 /// temporal). A slab row is
@@ -277,61 +295,60 @@ struct SlabRows {
   }
 };
 
-/// The classic Jacobi point chain on slab rows, shared by the SRAM-resident
-/// and temporal programs: ((xm + xp) + ym + yp) * 0.25 for chunk `c0` of
-/// local row `lr`, every operand aliased out of slab `src` and every
-/// intermediate through the kCbInter accumulator, in the row-chunk
-/// program's op order, so every strategy agrees bit for bit. Needs
-/// create_classic_slab_cbs' CBs and the kCbScalar page filled with 0.25.
-inline void emit_classic_point(ttmetal::ComputeCtx& ctx, const SlabRows& s,
-                               std::uint32_t src, std::uint32_t dst,
-                               std::uint32_t lr, std::uint32_t c0) {
-  constexpr int dst0 = 0;
-  // Lanes past the chunk are don't-care; declaring that keeps the host
-  // from computing them.
-  const std::uint32_t valid = s.chunk * 2;
-  const std::uint32_t row_c = s.row_data(src, lr) + c0 * 2;
-  const std::uint32_t row_n = s.row_data(src, lr - 1) + c0 * 2;
-  const std::uint32_t row_s = s.row_data(src, lr + 1) + c0 * 2;
-  // xm at elem c0 (global col c0-1), xp at elem c0+2: the first add needs
-  // two distinct CB handles, so xp aliases through the inter CB.
-  ctx.cb_set_rd_ptr(kCbOut, row_c, valid);  // reuse out cb as xm vehicle
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbInter, row_c + 4, valid);  // xp
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
+/// The one thing the slab strategies (SRAM-resident and temporal) vary by
+/// problem kind: the per-point chain. The classic chain replays classic
+/// Jacobi's ((xm + xp) + ym + yp) * 0.25; the tap chain runs a general
+/// single-pass program through emit_tap_chain. Both replay the row-chunk
+/// program's op order, so every strategy agrees bit for bit. Each supplies
+/// its side of the builder and its IR transcript.
+class SlabChain {
+ public:
+  SlabChain() = default;
+  SlabChain(const SlabChain&) = delete;
+  SlabChain& operator=(const SlabChain&) = delete;
+  virtual ~SlabChain() = default;
+  /// "jacobi" or "stencil": the SRAM kernels are <label>_sram_dm0 /
+  /// _compute / _dm1 and the graphs <label>-sram / <label>-temporal.
+  virtual std::string label() const = 0;
+  /// The chain's CBs, created before the slabs.
+  virtual std::vector<CbSpec> cbs() const = 0;
+  /// Bytes of the L1 weight table the skeleton allocates for it (0: none).
+  virtual std::uint32_t table_bytes() const = 0;
+  /// The compute kernel's prologue: fill the chain's constants (the weight
+  /// table at `wtab`, when it has one).
+  virtual void prologue(ttmetal::ComputeCtx& ctx, std::uint32_t wtab) const = 0;
+  virtual std::vector<ir::Op> prologue_ops() const = 0;
+  /// One point: chunk `c0` of local slab row `lr`, field f's taps aliased
+  /// out of slab `src[f]`, the result packed straight into slab `dst`.
+  virtual void emit_point(ttmetal::ComputeCtx& ctx, const SlabRows& rows,
+                          std::uint32_t wtab, std::span<const std::uint32_t> src,
+                          std::uint32_t dst, std::uint32_t lr,
+                          std::uint32_t c0) const = 0;
+  /// Protocol ops of `points` emit_point calls.
+  virtual std::vector<ir::Op> point_ops(const ir::Count& points) const = 0;
+};
 
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_n + 2, valid);  // ym
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
+/// The tap chain of `sh`'s single pass over its weight table.
+std::shared_ptr<const SlabChain> make_tap_chain(const GeneralShared& sh);
 
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_set_rd_ptr(kCbOut, row_s + 2, valid);  // yp
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.add_tiles(kCbOut, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
+/// A classic Jacobi launch on a slab strategy as the one-field, one-pass
+/// general program it is: the four-neighbour taps (their reach sizes the
+/// temporal skirt) run by the classic chain.
+std::shared_ptr<GeneralShared> classic_slab_program(const KernelShared& sh);
 
-  ctx.cb_reserve_back(kCbInter, 1);
-  ctx.pack_tile(dst0, kCbInter);
-  ctx.cb_push_back(kCbInter, 1);
-  ctx.cb_wait_front(kCbScalar, 1);
-  ctx.cb_wait_front(kCbInter, 1);
-  ctx.mul_tiles(kCbScalar, kCbInter, 0, 0, dst0);
-  ctx.cb_pop_front(kCbInter, 1);
-
-  // Pack straight into the destination slab row (interior col c0 = data
-  // elem c0+1). On the simulated clock the pack's unused lanes spill past
-  // the interior into R and the pad; the host stores only the chunk.
-  ctx.cb_set_wr_ptr(kCbOut, s.row_data(dst, lr) + (c0 + 1) * 2);
-  ctx.pack_tile(dst0, kCbOut);
-}
+/// The temporal program's geometry, shared by the builder and its IR
+/// model. Block sizing against the slab budget: the written field needs
+/// two ping-pong slabs and each other held field one, each sized
+/// B + 2*((k-1)*v + reach) rows. Throws ApiError when no block fits.
+struct TemporalGeometry {
+  std::vector<char> streamed;    ///< per field: held in a slab (read or written)
+  int v = 0;      ///< written-field vertical reach: trapezoid shrink per step
+  int reach = 0;  ///< max vertical reach over all taps: skirt load extent
+  int nslabs = 0;
+  std::uint32_t block_rows = 0;  ///< B: final-generation rows per block
+  std::uint32_t slab_rows = 0;   ///< slab capacity in rows
+};
+TemporalGeometry temporal_geometry(const GeneralShared& sh);
 
 /// Row-chunk kernels for one core group (reader / compute / writer plus
 /// this group's CBs, slot buffers and barrier), on the physical workers
@@ -342,16 +359,16 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
 
 /// SRAM-resident program of a single-field single-pass problem
 /// (cores_x == 1): the one SRAM-resident skeleton (stencil_sram.cpp)
-/// driving the shared tap chain.
+/// driving sh->chain.
 void build_general_sram_program(ttmetal::Program& prog,
                                 std::shared_ptr<GeneralShared> sh);
 
 /// Temporal-tiling kernels for one core group (single-pass problems,
-/// cores_x==1): sh->temporal_depth sub-iterations per DRAM pass through
-/// ping-ponged L1 slabs, trapezoid skirt recompute instead of halo
-/// exchange, read-only fields held in single slabs per block. Called with
-/// the identity group by the driver and once per slot by the batched
-/// builder (each group's barrier_id must be distinct).
+/// cores_x==1) driving sh->chain: sh->temporal_depth sub-iterations per
+/// DRAM pass through ping-ponged L1 slabs, trapezoid skirt recompute
+/// instead of halo exchange, read-only fields held in single slabs per
+/// block. Called with the identity group by the driver and once per slot
+/// by the batched builder (each group's barrier_id must be distinct).
 void build_general_temporal_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh);
 

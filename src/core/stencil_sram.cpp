@@ -13,14 +13,14 @@
 /// synchronisation is neighbour-pairwise (no device-wide barrier) — the
 /// systolic structure the paper sketches.
 ///
-/// One skeleton serves both problem kinds. Classic Jacobi and single-field
-/// single-pass general programs (Y-only decompositions) reach it through
-/// thin adapters that supply only their CBs, their per-point chain
-/// (emit_classic_point or emit_tap_chain) and their kernel names. Both
-/// chains replay the row-chunk program's op order, so results are bit-exact
-/// across strategies. Diagonal taps are safe: the upward halo send's R
-/// exclusion only leaves the receiver's halo-row R at its initial value,
-/// and the R column is boundary-constant.
+/// One skeleton serves both problem kinds: every launch is a single-field
+/// single-pass general program (Y-only decompositions), classic Jacobi's
+/// through classic_slab_program. Only its SlabChain differs by kind: the
+/// chain's CBs, weight table, compute prologue, per-point chain and kernel
+/// names. Both chains replay the row-chunk program's op order, so results
+/// are bit-exact across strategies. Diagonal taps are safe: the upward halo
+/// send's R exclusion only leaves the receiver's halo-row R at its initial
+/// value, and the R column is boundary-constant.
 ///
 /// Slab rows follow SlabRows ([prefix][L][interior W][R][tile-spill pad]).
 /// On the simulated clock the pack of the last chunk spills its unused FPU
@@ -43,20 +43,15 @@ constexpr int kSemComputeDm0 = 2;  // compute -> dm0: iteration finished
 constexpr int kSemComputeDm1 = 3;  // compute -> dm1: iteration finished
 constexpr int kSemRestored = 4;    // dm1 -> compute: R columns restored
 
-struct SramShared : SlabRows {
-  PaddedLayout layout;
-  std::uint64_t d1 = 0, d2 = 0;
-  int iterations = 0;
-  int barrier_id = kIterationBarrier;  ///< initial-load rendezvous
-  std::vector<CoreRange> ranges;       // cores_x == 1: one strip per core
-  std::vector<int> core_ids;           // logical position -> physical worker
-  std::string name;  ///< kernel-name prefix: <name>_dm0 / _compute / _dm1
-  bool classic = true;         ///< the Jacobi point chain, else the tap chain
-  LoweredPass pass;            // general path only
-  std::vector<float> weights;  // general path only
+/// The program (one field, one pass; cores_x == 1: one strip per core,
+/// barrier_id the initial-load rendezvous) with its slab rows and L1
+/// addresses.
+struct SramShared : GeneralShared, SlabRows {
   std::uint32_t slab_a = 0, slab_b = 0, wtab = 0;  // L1 addresses
 
-  explicit SramShared(const PaddedLayout& l) : SlabRows(l), layout(l) {}
+  explicit SramShared(const GeneralShared& g) : GeneralShared(g), SlabRows(g.layout) {
+    core_ids = g.workers();  // logical position -> physical worker
+  }
 
   /// Physical worker running logical position `pos` (halo exchange targets
   /// its *positional* neighbours; the mapping survives core remapping).
@@ -68,7 +63,12 @@ struct SramShared : SlabRows {
   std::uint32_t slab(int parity) const { return parity == 0 ? slab_a : slab_b; }
 };
 
-void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) {
+}  // namespace
+
+void build_general_sram_program(ttmetal::Program& prog,
+                                std::shared_ptr<GeneralShared> base) {
+  TTSIM_CHECK(base->nfields() == 1 && base->passes.size() == 1);
+  auto sh = std::make_shared<SramShared>(*base);
   const int ncores = static_cast<int>(sh->ranges.size());
   const std::vector<int>& cores = sh->core_ids;
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
@@ -77,22 +77,13 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
   for (int c = 0; c < ncores; ++c) max_rows = std::max(max_rows, sh->rows_pc(c));
   const std::uint32_t slab_bytes = (max_rows + 2) * sh->row_stride;
 
-  // CBs, then the slabs, then the general weight table. Classic runs the
-  // Jacobi scalar/inter/out trio; the general path's field CB is a
-  // read-alias vehicle and kCbGOut the pack's write-alias vehicle. Alias
-  // CBs are never pushed; the accumulator CBs carry real pages.
-  if (sh->classic) {
-    create_classic_slab_cbs(prog, cores);
-  } else {
-    prog.create_cb(kCbFieldBase, cores, kTileBytes, 1);
-    create_chain_cbs(prog, cores, sh->pass.terms.size() > 1,
-                     sh->pass.post != PostOp::kNone, 1);
-  }
+  // The chain's CBs, then the slabs, then its weight table.
+  create_cbs(prog, cores, sh->chain->cbs());
   sh->slab_a = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
   sh->slab_b = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
-  if (!sh->classic) {
-    sh->wtab = prog.l1_buffer_address(prog.create_l1_buffer(
-        cores, static_cast<std::uint32_t>(sh->weights.size()) * kTileBytes));
+  if (sh->chain->table_bytes() > 0) {
+    sh->wtab = prog.l1_buffer_address(
+        prog.create_l1_buffer(cores, sh->chain->table_bytes()));
   }
   for (int sem = kSemTopHalo; sem <= kSemRestored; ++sem) {
     prog.create_semaphore(sem, cores, 0);
@@ -114,7 +105,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
         for (std::uint32_t parity = 0; parity < 2; ++parity) {
           for (std::uint32_t lr = 0; lr < rows + 2; ++lr) {
             const std::int64_t gr = static_cast<std::int64_t>(rg.row_lo) - 1 + lr;
-            const std::uint64_t addr = sh->d1 + sh->layout.byte_offset(gr, -1);
+            const std::uint64_t addr = sh->d1[0] + sh->layout.byte_offset(gr, -1);
             ctx.noc_async_read(ctx.get_noc_addr(addr - sh->off),
                                sh->slab(static_cast<int>(parity)) +
                                    lr * sh->row_stride,
@@ -147,7 +138,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
         }
         ctx.noc_async_write_barrier();
       },
-      sh->name + "_dm0");
+      sh->chain->label() + "_sram_dm0");
 
   // ---------------- compute ----------------
   prog.create_kernel(
@@ -159,17 +150,10 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
         const bool has_lower = pos + 1 < ctx.group_size();
         // The chain's constants are local to the compute core here: fill
         // them ourselves.
-        if (sh->classic) {
-          fill_scalar_page(ctx, kCbScalar, 0.25f);
-        } else {
-          ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
-          fill_weight_table(ctx, sh->wtab, sh->weights);
-        }
+        sh->chain->prologue(ctx, sh->wtab);
         // The slabs must be fully loaded before the first sweep reads (and
         // overwrites!) them.
         ctx.global_barrier(sh->barrier_id);
-        const std::uint32_t valid = sh->chunk * 2;
-        std::vector<TapAddr> taps(sh->pass.terms.size());
         for (int k = 0; k < n; ++k) {
           if (k > 0) {
             if (has_upper) ctx.semaphore_wait(kSemTopHalo);
@@ -180,31 +164,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
           const std::uint32_t dst = sh->slab((k + 1) % 2);
           for (std::uint32_t lr = 1; lr <= rows; ++lr) {
             for (std::uint32_t c0 = 0; c0 < sh->layout.width(); c0 += sh->chunk) {
-              if (sh->classic) {
-                emit_classic_point(ctx, *sh, src, dst, lr, c0);
-              } else {
-                // Tap alias: data elem c0+1+dc of slab row lr+dr (elem 0 is
-                // L, the boundary column).
-                for (std::size_t t = 0; t < sh->pass.terms.size(); ++t) {
-                  const LoweredTerm& term = sh->pass.terms[t];
-                  const std::uint32_t row = sh->row_data(
-                      src, static_cast<std::uint32_t>(static_cast<int>(lr) + term.dr));
-                  taps[t] = TapAddr{kCbFieldBase,
-                                    row + c0 * 2 +
-                                        static_cast<std::uint32_t>(2 + 2 * term.dc),
-                                    valid, term.widx};
-                }
-                const TapAddr self{kCbFieldBase,
-                                   sh->row_data(src, lr) + c0 * 2 + 2, valid, 0};
-                emit_tap_chain(ctx, sh->wtab, taps, sh->pass.post, self,
-                               [&](int reg) {
-                                 // Pack straight into the destination slab
-                                 // row (interior col c0 = data elem c0+1).
-                                 ctx.cb_set_wr_ptr(
-                                     kCbGOut, sh->row_data(dst, lr) + (c0 + 1) * 2);
-                                 ctx.pack_tile(reg, kCbGOut);
-                               });
-              }
+              sh->chain->emit_point(ctx, *sh, sh->wtab, {&src, 1}, dst, lr, c0);
               ctx.loop_tick();
             }
           }
@@ -212,7 +172,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
           ctx.semaphore_post(kSemComputeDm1);
         }
       },
-      sh->name + "_compute");
+      sh->chain->label() + "_sram_compute");
 
   // ---------------- dm1: restores, downward halo sends, final writeback ---
   prog.create_kernel(
@@ -260,7 +220,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
             ctx.l1_store_u16(sh->row_data(final_slab, lr) + (width + 1) * 2, r_bits);
           }
         }
-        const std::uint64_t dram = (n % 2 == 1) ? sh->d2 : sh->d1;
+        const std::uint64_t dram = sh->final_of(0);
         for (std::uint32_t lr = 1; lr <= rows; ++lr) {
           const std::int64_t gr = static_cast<std::int64_t>(rg.row_lo) - 1 + lr;
           ctx.noc_async_write(sh->row_data(final_slab, lr) + 2,
@@ -269,40 +229,7 @@ void build_sram_kernels(ttmetal::Program& prog, std::shared_ptr<SramShared> sh) 
         }
         ctx.noc_async_write_barrier();
       },
-      sh->name + "_dm1");
-}
-
-}  // namespace
-
-void build_classic_sram_program(ttmetal::Program& prog,
-                                std::shared_ptr<KernelShared> base) {
-  auto sh = std::make_shared<SramShared>(base->layout);
-  sh->d1 = base->d1;
-  sh->d2 = base->d2;
-  sh->iterations = base->iterations;
-  sh->barrier_id = base->barrier_id;
-  sh->ranges = base->ranges;
-  sh->core_ids = base->workers();
-  sh->name = "jacobi_sram";
-  sh->classic = true;
-  build_sram_kernels(prog, std::move(sh));
-}
-
-void build_general_sram_program(ttmetal::Program& prog,
-                                std::shared_ptr<GeneralShared> base) {
-  TTSIM_CHECK(base->nfields() == 1 && base->passes.size() == 1);
-  auto sh = std::make_shared<SramShared>(base->layout);
-  sh->d1 = base->d1[0];
-  sh->d2 = base->d2[0];
-  sh->iterations = base->iterations;
-  sh->barrier_id = base->barrier_id;
-  sh->ranges = base->ranges;
-  sh->core_ids = base->workers();
-  sh->name = "stencil_sram";
-  sh->classic = false;
-  sh->pass = base->passes[0];
-  sh->weights = base->weights;
-  build_sram_kernels(prog, std::move(sh));
+      sh->chain->label() + "_sram_dm1");
 }
 
 }  // namespace ttsim::core::detail
