@@ -23,9 +23,10 @@
 /// Every Jacobi driver (the plain, adaptive and multi-card ones here, and
 /// the resilient one in resilience.hpp) validates its config with one
 /// launch-config check and runs on one chunked launch loop. The
-/// row-chunk, SRAM-resident and temporal programs are certified race- and
-/// deadlock-free by the dataflow IR's static checker before they launch;
-/// the tiled Section-IV programs are built directly.
+/// row-chunk, SRAM-resident and temporal launches run as one-field,
+/// one-pass general stencil programs on the general frontend's programs,
+/// certified race- and deadlock-free by the dataflow IR's static checker
+/// before they launch; the tiled Section-IV programs are built directly.
 
 #include <memory>
 #include <string>

@@ -4,10 +4,11 @@
 /// calls the corresponding builder emits (same ids, same pages, same
 /// program order of first occurrence); every region list replays the
 /// builder's create_cb / create_l1_buffer calls in creation order, which
-/// is exactly Program::plan_allocate's bump order. When a builder changes
-/// its protocol, the conformance and cross-validation tests catch the
-/// drift — the emit closures guarantee the *lowered* program can never
-/// drift, because it is the builder's own output.
+/// is exactly Program::plan_allocate's bump order. The emit closures
+/// guarantee the *lowered* program can never drift, because it is the
+/// builder's own output; tests/ir/test_ir_program.cpp checks that each
+/// graph's CBs, L1 regions and per-CB push/pop counts match that program,
+/// and the conformance and cross-validation tests catch protocol drift.
 
 #include "ir_frontend.hpp"
 
@@ -64,7 +65,7 @@ Op flow_op(OpKind k, Count c, std::string note) {
 /// "points"/"columns" symbols) plus the across-cores maxima the builders
 /// size shared buffers with.
 struct StripGeom {
-  std::uint32_t chunk0 = 0, ncols0 = 0, nrows0 = 0;
+  std::uint32_t ncols0 = 0, nrows0 = 0;
   std::uint32_t max_chunk = 16, max_rows = 0;
 };
 
@@ -72,7 +73,6 @@ StripGeom strip_geom(const std::vector<CoreRange>& ranges,
                      std::uint32_t chunk_elems) {
   StripGeom g;
   const ChunkGrid grid0(ranges.front(), chunk_elems, 1);
-  g.chunk0 = grid0.chunk;
   g.ncols0 = grid0.ncols;
   g.nrows0 = grid0.nrows;
   g.max_chunk = max_chunk(ranges, chunk_elems);
@@ -82,20 +82,11 @@ StripGeom strip_geom(const std::vector<CoreRange>& ranges,
   return g;
 }
 
-void declare_cb(Graph& g, int id, Count pages, std::uint32_t page_size,
-                const std::string& name) {
-  g.cbs.push_back(ir::CbDecl{id, pages, page_size, name});
-  // create_cb allocates pages*page_size right away: mirror as a region.
-  g.regions.push_back(ir::RegionDecl{name, g.cbs.back().pages *
-                                               Count(page_size)});
-}
-
 /// Replays the simulator's bump allocator over the graph's regions at the
 /// concrete bindings. When the *launched* configuration would exhaust core
 /// SRAM, the program's allocator would raise ApiError at launch; raise the
 /// same error here so a certified launch reports the allocator's diagnostic
-/// instead of a static-checker sram-overflow finding. (The checker still
-/// sweeps the declared symbol ranges for non-launched depths.)
+/// instead of a static-checker sram-overflow finding.
 void require_sram_fit(const Graph& g) {
   std::int64_t top = 0;
   for (const auto& r : g.regions) {
@@ -111,163 +102,65 @@ void require_sram_fit(const Graph& g) {
   }
 }
 
-/// A builder's CB list (create_cbs), declared in the same order.
+/// A builder's CB list (create_cbs), declared in the same order. Each
+/// create_cb allocates pages*page_bytes right away: mirrored as a region.
 void declare_cbs(Graph& g, const std::vector<CbSpec>& cbs) {
   for (const CbSpec& cb : cbs) {
-    declare_cb(g, cb.id, Count(cb.pages), kTileBytes, cb.name);
+    g.cbs.push_back(ir::CbDecl{cb.id, Count(cb.pages), cb.page_bytes, cb.name});
+    g.regions.push_back(
+        ir::RegionDecl{cb.name, Count(cb.pages) * Count(cb.page_bytes)});
   }
 }
 
 // ---------------------------------------------------------------------------
-// Jacobi, kRowChunk (jacobi_rowchunk.cpp). Depth is kept symbolic: the CB
-// capacities, the slot count 2*depth+3 and the ring's reuse distance are
-// all polynomials in "depth", so the checker's verdict covers every depth
-// in the declared range, not just the launched one.
-// ---------------------------------------------------------------------------
-Graph jacobi_rowchunk_graph(const std::shared_ptr<KernelShared>& sh,
-                            std::int64_t sram_bytes) {
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
-  const StripGeom geo = strip_geom(sh->ranges, sh->chunk_elems);
-  const std::uint32_t sbytes = slot_bytes(geo.max_chunk);
-  const bool residual = sh->residual_addr != 0;
-
-  Graph g;
-  g.name = "jacobi-rowchunk";
-  g.ncores = Count(ncores);
-  g.sram_bytes = sram_bytes;
-  const Count d = Count::sym("depth");
-  const Count it = Count::sym("iters");
-  const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["depth"] = depth;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
-                         geo.nrows0 * geo.ncols0;
-  g.bindings["columns"] = geo.ncols0;
-  g.ranges["depth"] = {2, std::max<std::int64_t>(8, depth)};
-
-  declare_cb(g, kCbIn0, d, kTileBytes, "cb-in0");
-  declare_cb(g, kCbIn1, d, kTileBytes, "cb-in1");
-  declare_cb(g, kCbIn2, d, kTileBytes, "cb-in2");
-  declare_cb(g, kCbIn3, d, kTileBytes, "cb-in3");
-  declare_cb(g, kCbScalar, Count(1), kTileBytes, "cb-scalar");
-  declare_cb(g, kCbInter, Count(2), kTileBytes, "cb-inter");
-  declare_cb(g, kCbOut, Count(4), kTileBytes, "cb-out");
-  if (residual) declare_cb(g, kCbRes, Count(1), 32, "cb-res");
-  g.regions.push_back(
-      ir::RegionDecl{"row-slots", (2 * d + Count(3)) * Count(sbytes)});
-  g.barriers.push_back(ir::BarrierDecl{sh->barrier_id, Count(2 * ncores)});
-  // Continuous rotation: a new column strip continues after the previous
-  // one's tail. The reader runs at most depth-1 batches past the waited
-  // one plus the +1 halo row, and depth reserved-but-unpopped batches can
-  // still read their [-1, +1] windows.
-  g.rings.push_back(ir::RingDecl{"row-slots", 2 * d + Count(3), d, d, -1, +1,
-                                 Count(0), true, Count::sym("columns")});
-
-  KernelModel reader{"jacobi_reader", 0, Count(ncores), {}};
-  reader.ops.push_back(make_op(OpKind::kCbReserve, kCbScalar, Count(1)));
-  reader.ops.push_back(make_op(OpKind::kCbPush, kCbScalar, Count(1)));
-  reader.ops.push_back(flow_op(OpKind::kReadRegion, P,
-                               "one row batch per point, depth in flight"));
-  for (int cb = kCbIn0; cb <= kCbIn3; ++cb) {
-    reader.ops.push_back(make_op(OpKind::kCbReserve, cb, P));
-  }
-  reader.ops.push_back(make_op(OpKind::kRingWrite, 0, P));
-  for (int cb = kCbIn0; cb <= kCbIn3; ++cb) {
-    reader.ops.push_back(make_op(OpKind::kCbPush, cb, P));
-  }
-  reader.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
-  g.kernels.push_back(std::move(reader));
-
-  KernelModel compute{"jacobi_compute", 2, Count(ncores), {}};
-  compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                "((xm+xp)+ym+yp)*0.25 per chunk"));
-  compute.ops.push_back(make_op(OpKind::kRingRead, 0, P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbIn0, P));
-  compute.ops.push_back(make_op(OpKind::kCbWait, kCbIn1, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbIn1, P));
-  compute.ops.push_back(make_op(OpKind::kCbPop, kCbIn0, P));
-  for (int leg = 0; leg < 3; ++leg) {
-    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbInter, P));
-    compute.ops.push_back(make_op(OpKind::kCbPush, kCbInter, P));
-    const int in_cb = leg == 0 ? kCbIn2 : leg == 1 ? kCbIn3 : kCbScalar;
-    compute.ops.push_back(make_op(OpKind::kCbWait, in_cb, P));
-    compute.ops.push_back(make_op(OpKind::kCbWait, kCbInter, P));
-    compute.ops.push_back(make_op(OpKind::kCbPop, kCbInter, P));
-    if (in_cb != kCbScalar) {
-      compute.ops.push_back(make_op(OpKind::kCbPop, in_cb, P));
-    }
-  }
-  compute.ops.push_back(make_op(OpKind::kCbReserve, kCbOut, P));
-  compute.ops.push_back(make_op(OpKind::kCbPush, kCbOut, P));
-  if (residual) {
-    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbRes, Count(1)));
-    compute.ops.push_back(make_op(OpKind::kCbPush, kCbRes, Count(1)));
-  }
-  g.kernels.push_back(std::move(compute));
-
-  KernelModel writer{"jacobi_writer", 1, Count(ncores), {}};
-  writer.ops.push_back(make_op(OpKind::kCbWait, kCbOut, P));
-  writer.ops.push_back(flow_op(OpKind::kWriteRegion, P,
-                               "one interior chunk per point"));
-  writer.ops.push_back(make_op(OpKind::kCbPop, kCbOut, P));
-  writer.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
-  if (residual) {
-    writer.ops.push_back(make_op(OpKind::kCbWait, kCbRes, Count(1)));
-    writer.ops.push_back(make_op(OpKind::kCbPop, kCbRes, Count(1)));
-  }
-  g.kernels.push_back(std::move(writer));
-
-  return g;
-}
-
-// ---------------------------------------------------------------------------
-// General radius-1 stencils, kRowChunk (stencil_device.cpp). Depth stays
-// concrete here — the slot count's ceil(depth/nrows_min) term is not
+// The row-chunk program (stencil_device.cpp), classic Jacobi and general
+// alike: the program's PointChain supplies the CBs, the weight table, the
+// compute prologue and per-point ops, and the names. Depth is bound
+// concretely — the slot count's ceil(depth/nrows_min) term is not
 // polynomial.
 // ---------------------------------------------------------------------------
-Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
-                             std::int64_t sram_bytes) {
-  const int ncores = static_cast<int>(sh->ranges.size());
-  const int nfields = sh->nfields();
-  const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
-  const StripGeom geo = strip_geom(sh->ranges, sh->chunk_elems);
-  const SlotRing slots = general_slot_ring(depth, sh->ranges);
+Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
+  const PointChain& chain = *sh.chain;
+  const int ncores = static_cast<int>(sh.ranges.size());
+  const int nfields = sh.nfields();
+  const auto depth = static_cast<std::uint32_t>(std::max(2, sh.read_ahead));
+  const StripGeom geo = strip_geom(sh.ranges, sh.chunk_elems);
+  const SlotRing slots = general_slot_ring(depth, sh.ranges);
   const std::uint32_t sbytes = slot_bytes(geo.max_chunk);
+  const std::string label = chain.label();
 
   Graph g;
-  g.name = "stencil-rowchunk";
+  g.name = label + "-rowchunk";
   g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
   const Count it = Count::sym("iters");
   const Count P = Count::sym("points");
-  g.bindings["iters"] = sh->iterations;
-  g.bindings["points"] = static_cast<std::int64_t>(sh->iterations) *
+  g.bindings["iters"] = sh.iterations;
+  g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) *
                          geo.nrows0 * geo.ncols0;
   g.bindings["columns"] = geo.ncols0;
 
-  declare_cbs(g, rowchunk_cbs(*sh, depth));
+  declare_cbs(g, rowchunk_cbs(sh, depth));
   g.regions.push_back(ir::RegionDecl{
       "row-slots",
       Count(static_cast<std::int64_t>(nfields) * slots.nslots * sbytes)});
-  g.regions.push_back(ir::RegionDecl{
-      "weight-table",
-      Count(static_cast<std::int64_t>(sh->weights.size()) * kTileBytes)});
-  g.barriers.push_back(ir::BarrierDecl{sh->barrier_id, Count(2 * ncores)});
+  if (chain.table_bytes() > 0) {
+    g.regions.push_back(ir::RegionDecl{"weight-table", Count(chain.table_bytes())});
+  }
+  g.barriers.push_back(ir::BarrierDecl{sh.barrier_id, Count(2 * ncores)});
 
   // One ring per (pass, read field): same slot rotation, but each field's
   // window [lo, hi] bounds its own reuse distance. The +extra slots absorb
   // the reader's cross-column run-ahead when strips have fewer rows than
   // the read-ahead depth.
-  KernelModel reader{"stencil_reader", 0, Count(ncores), {}};
-  KernelModel compute{"stencil_compute", 2, Count(ncores), {}};
-  KernelModel writer{"stencil_writer", 1, Count(ncores), {}};
-  const auto npasses = static_cast<std::int64_t>(sh->passes.size());
-  for (std::int64_t p = 0; p < npasses; ++p) {
-    const LoweredPass& pass = sh->passes[static_cast<std::size_t>(p)];
+  KernelModel reader{label + "_reader", 0, Count(ncores), {}};
+  KernelModel compute{label + "_compute", 2, Count(ncores), chain.prologue_ops()};
+  KernelModel writer{label + "_writer", 1, Count(ncores), {}};
+  for (std::size_t p = 0; p < sh.passes.size(); ++p) {
+    const LoweredPass& pass = sh.passes[p];
+    const std::string pname = "pass " + std::to_string(p);
     reader.ops.push_back(flow_op(OpKind::kReadRegion, P,
-                                 "pass " + std::to_string(p) +
-                                     " row batches, depth in flight"));
+                                 pname + " row batches, depth in flight"));
     for (const PassField& pf : pass.reads) {
       const int ring = static_cast<int>(g.rings.size());
       g.rings.push_back(ir::RingDecl{
@@ -283,16 +176,15 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
       reader.ops.push_back(
           make_op(OpKind::kCbPush, kCbFieldBase + pf.field, P));
     }
-    reader.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
+    reader.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, it));
 
     for (const PassField& pf : pass.reads) {
       compute.ops.push_back(
           make_op(OpKind::kCbWait, kCbFieldBase + pf.field, P));
     }
     compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
-                                  "pass " + std::to_string(p) +
-                                      " tap chain per chunk"));
-    for (Op& op : tap_chain_ops(pass, P)) compute.ops.push_back(std::move(op));
+                                  pname + " point chain per chunk"));
+    for (Op& op : chain.point_ops(p, P)) compute.ops.push_back(std::move(op));
     compute.ops.push_back(make_op(OpKind::kCbReserve, kCbGOut, P));
     compute.ops.push_back(make_op(OpKind::kCbPush, kCbGOut, P));
     for (const PassField& pf : pass.reads) {
@@ -302,10 +194,15 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
 
     writer.ops.push_back(make_op(OpKind::kCbWait, kCbGOut, P));
     writer.ops.push_back(flow_op(OpKind::kWriteRegion, P,
-                                 "pass " + std::to_string(p) +
-                                     " interior chunks"));
+                                 pname + " interior chunks"));
     writer.ops.push_back(make_op(OpKind::kCbPop, kCbGOut, P));
-    writer.ops.push_back(make_op(OpKind::kBarrierArrive, sh->barrier_id, it));
+    writer.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, it));
+  }
+  if (sh.residual_addr != 0) {
+    compute.ops.push_back(make_op(OpKind::kCbReserve, kCbRes, Count(1)));
+    compute.ops.push_back(make_op(OpKind::kCbPush, kCbRes, Count(1)));
+    writer.ops.push_back(make_op(OpKind::kCbWait, kCbRes, Count(1)));
+    writer.ops.push_back(make_op(OpKind::kCbPop, kCbRes, Count(1)));
   }
   g.kernels.push_back(std::move(reader));
   g.kernels.push_back(std::move(compute));
@@ -316,7 +213,7 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
 
 // ---------------------------------------------------------------------------
 // The slab programs (stencil_sram.cpp, jacobi_temporal.cpp), classic Jacobi
-// and general alike: the program's SlabChain supplies the CBs, the weight
+// and general alike: the program's PointChain supplies the CBs, the weight
 // table, the compute prologue and per-point ops, and the names.
 // ---------------------------------------------------------------------------
 
@@ -324,7 +221,7 @@ Graph general_rowchunk_graph(const std::shared_ptr<GeneralShared>& sh,
 /// between iterations; the iteration-(k-1) waits carry iter_delta = -1 —
 /// the slack that makes the wait-for graph acyclic.
 Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
-  const SlabChain& chain = *sh.chain;
+  const PointChain& chain = *sh.chain;
   const int ncores = static_cast<int>(sh.ranges.size());
   const SlabRows rows(sh.layout);
   const StripGeom geo = strip_geom(sh.ranges, rows.chunk);
@@ -340,7 +237,7 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *
                          (sh.layout.width() / rows.chunk);
 
-  declare_cbs(g, chain.cbs());
+  declare_cbs(g, chain.cbs(1, 1));
   g.regions.push_back(ir::RegionDecl{"slab-a", slab_bytes});
   g.regions.push_back(ir::RegionDecl{"slab-b", slab_bytes});
   if (chain.table_bytes() > 0) {
@@ -376,7 +273,7 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
                                 1, Guard::kAlways, Peer::kSelf, -1));
   compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
                                 "slab-aliased point chain per chunk"));
-  for (Op& op : chain.point_ops(Count::sym("points"))) {
+  for (Op& op : chain.point_ops(0, Count::sym("points"))) {
     compute.ops.push_back(std::move(op));
   }
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm0, it));
@@ -402,7 +299,7 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
 /// Temporal tiling: Loaded / Computed / Free(initial 1) circulate per
 /// block; dm0+dm1 rendezvous on the epoch barrier.
 Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
-  const SlabChain& chain = *sh.chain;
+  const PointChain& chain = *sh.chain;
   const int ncores = static_cast<int>(sh.ranges.size());
   const int wf = sh.passes.front().target;
   const SlabRows rows(sh.layout);
@@ -424,7 +321,7 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *
                          (sh.layout.width() / rows.chunk);
 
-  declare_cbs(g, chain.cbs());
+  declare_cbs(g, chain.cbs(1, 1));
   if (chain.table_bytes() > 0) {
     g.regions.push_back(ir::RegionDecl{"weight-table", Count(chain.table_bytes())});
   }
@@ -452,7 +349,7 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemLoaded, EB));
   compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
                                 "depth chained sub-steps per block"));
-  for (Op& op : chain.point_ops(Count::sym("points"))) {
+  for (Op& op : chain.point_ops(0, Count::sym("points"))) {
     compute.ops.push_back(std::move(op));
   }
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputed, EB));
@@ -472,15 +369,7 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
 
 ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
                             std::int64_t sram_bytes) {
-  if (is_slab(sh->strategy)) {
-    return make_general_graph(classic_slab_program(*sh), sram_bytes);
-  }
-  TTSIM_CHECK_MSG(sh->strategy == DeviceStrategy::kRowChunk,
-                  "no IR model of " << to_string(sh->strategy));
-  Graph g = jacobi_rowchunk_graph(sh, sram_bytes);
-  require_sram_fit(g);
-  g.emit = [sh](ttmetal::Program& prog) { build_jacobi_program(prog, sh); };
-  return g;
+  return make_general_graph(classic_program(*sh), sram_bytes);
 }
 
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
@@ -488,7 +377,7 @@ ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
   Graph g;
   switch (sh->strategy) {
     case DeviceStrategy::kRowChunk:
-      g = general_rowchunk_graph(sh, sram_bytes);
+      g = rowchunk_graph(*sh, sram_bytes);
       break;
     case DeviceStrategy::kSramResident:
       g = sram_graph(*sh, sram_bytes);

@@ -158,19 +158,10 @@ std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
 }
 
 void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh) {
-  switch (sh->strategy) {
-    case DeviceStrategy::kInitial:
-    case DeviceStrategy::kWriteOptimised:
-    case DeviceStrategy::kDoubleBuffered:
-      build_tiled_program(prog, std::move(sh));
-      return;
-    case DeviceStrategy::kRowChunk:
-      build_rowchunk_program(prog, std::move(sh));
-      return;
-    case DeviceStrategy::kSramResident:
-    case DeviceStrategy::kTemporal:
-      build_general_program(prog, classic_slab_program(*sh));
-      return;
+  if (is_tiled(sh->strategy)) {
+    build_tiled_program(prog, std::move(sh));
+  } else {
+    build_general_program(prog, classic_program(*sh));
   }
 }
 
@@ -215,7 +206,6 @@ SimTime JacobiLaunchLoop::launch(int sweeps, std::uint64_t residual_addr) {
   JacobiProblem chunk = p_;
   chunk.iterations = sweeps;
   auto sh = resolve_jacobi(chunk, cfg_, sel_, first->address(), second->address());
-  sh->residual_addr = residual_addr;
 
   ttmetal::Program prog;
   if (is_tiled(cfg_.strategy)) {
@@ -224,9 +214,11 @@ SimTime JacobiLaunchLoop::launch(int sweeps, std::uint64_t residual_addr) {
     build_jacobi_program(prog, std::move(sh));
   } else {
     // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure is build_jacobi_program.
-    ir::lower(make_jacobi_graph(
-                  std::move(sh), static_cast<std::int64_t>(device_.spec().sram_bytes)),
+    // closure is build_general_program.
+    auto g = classic_program(*sh);
+    g->residual_addr = residual_addr;
+    ir::lower(make_general_graph(
+                  std::move(g), static_cast<std::int64_t>(device_.spec().sram_bytes)),
               prog);
   }
   device_.run_program(prog);
@@ -283,8 +275,9 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
   detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
   const std::uint32_t strip = p.width / static_cast<std::uint32_t>(cfg.cores_x);
   if (strip % 1024 != 0) {
-    TTSIM_THROW_API("device-side residuals need full 1024-element chunks "
-                    "(strip width " << strip << ")");
+    TTSIM_THROW_API("device-side residuals reduce whole 1024-lane tiles: the "
+                    "per-core strip width must be a multiple of 1024 (got "
+                    << strip << ")");
   }
   detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
   const int ncores = loop.cores().ncores();

@@ -3,8 +3,8 @@
 /// Shared internals of the device Jacobi solvers: the per-core domain
 /// decomposition, the one launch-config validator, the (problem, config) ->
 /// kernel-state resolve, the strategy -> builder switch, the chunked launch
-/// loop every Jacobi driver runs on, and the row-chunk geometry both
-/// row-chunk builders and their IR models share.
+/// loop every Jacobi driver runs on, and the row-chunk geometry the
+/// row-chunk builder and its IR model share.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,15 +19,15 @@
 
 namespace ttsim::core::detail {
 
-/// Circular-buffer ids shared by all strategies (tt-metal convention:
-/// inputs 0..7, intermediates 8..15, outputs 16..23).
+/// Circular-buffer ids of classic Jacobi's programs (tt-metal convention:
+/// inputs 0..7, intermediates 8..15, outputs 16..23): the tiled programs
+/// use all of them, the classic point chain the scalar, inter and out CBs.
 inline constexpr int kCbIn0 = 0;   // x-1 tile
 inline constexpr int kCbIn1 = 1;   // x+1 tile
 inline constexpr int kCbIn2 = 2;   // y-1 tile
 inline constexpr int kCbIn3 = 3;   // y+1 tile
 inline constexpr int kCbScalar = 4;
 inline constexpr int kCbInter = 5;
-inline constexpr int kCbRes = 7;
 inline constexpr int kCbOut = 16;
 inline constexpr int kIterationBarrier = 0;
 
@@ -100,7 +100,9 @@ inline CoreSelection requested_cores(const DeviceRunConfig& cfg) {
 ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
                                          const PaddedLayout& layout);
 
-/// Everything the kernels need, shared by reference across the lambdas.
+/// A resolved classic Jacobi launch: what the tiled kernels share by
+/// reference across their lambdas, and what classic_program turns into the
+/// general program every certified strategy runs.
 struct KernelShared {
   std::uint64_t d1 = 0;  ///< device address of grid buffer 1
   std::uint64_t d2 = 0;  ///< device address of grid buffer 2
@@ -114,12 +116,6 @@ struct KernelShared {
   int read_ahead = 2;
   /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
   int temporal_depth = 1;
-  /// When non-zero: on the final iteration the compute kernel tracks the
-  /// per-core max |unew - u| on the FPU and the writing mover stores it (one
-  /// BF16 value per core, 32-byte slots) at this DRAM address. Requires
-  /// full 1024-element chunks so no out-of-interior lanes pollute the
-  /// reduction.
-  std::uint64_t residual_addr = 0;
   std::vector<CoreRange> ranges;
   /// Physical worker ids: logical position i (= index into `ranges`) runs on
   /// worker core_ids[i]. Empty means the identity mapping. Graceful
@@ -152,8 +148,9 @@ std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
                                              const CoreSelection& sel,
                                              std::uint64_t d1, std::uint64_t d2);
 
-/// The one strategy -> builder switch of classic Jacobi, keyed on
-/// sh->strategy. The IR emit closures and the batched builder call it.
+/// The one builder of classic Jacobi: the tiled program, or the general
+/// program classic_program makes. The batched builder and the tiled
+/// launches call it.
 void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
 
 /// True when a launch of `sweeps` sweeps reads its first source grid from
@@ -294,16 +291,25 @@ struct ChunkGrid {
   }
 };
 
-/// Slot ring of the general row-chunk program at read-ahead depth N: the
-/// Jacobi ring's 2N+3 slots plus `extra` = 2*ceil(N/nrows_min). With every
-/// read issue gated behind a CB reserve (the prologue is folded into batch
-/// 0's reserve), at most N batches are reserved-but-unpopped, so the newest
+/// Slot ring of the row-chunk program at read-ahead depth N: 2N+3 slots
+/// plus `extra` = 2*ceil(N/nrows_min). The rotation (ChunkGrid::slot_of)
+/// runs continuously across column strips, so a column's first rows take
+/// the slots after the previous column's tail instead of wrapping onto
+/// slots its in-flight batches may still reference. Every read issue is
+/// gated behind a CB reserve (batch 0's window is issued only after its
+/// reserve), and a reserve for batch j proves only that batch j-N was
+/// popped, so at most N batches are reserved-but-unpopped: the newest
 /// issued row is at most 2N rows past the oldest row a pending batch still
-/// reads — plus 2 halo rows for every column boundary inside that window.
-/// A window of N batches crosses at most ceil(N/nrows_min) boundaries,
-/// which matters when the decomposition leaves fewer rows per core than the
-/// read-ahead depth (jacobi_rowchunk never sees that regime; the general
-/// frontend's conformance sweep does).
+/// reads, plus 2 halo rows for every column boundary inside that window
+/// (a strip touches its rows plus one halo row per side). A window of N
+/// batches crosses at most ceil(N/nrows_min) boundaries, which matters
+/// when the decomposition leaves fewer rows per core than the read-ahead
+/// depth (a pinned conformance corner runs one row per core at depth 8).
+/// No two live rows ever share a slot, so no drain or timing assumption is
+/// needed at any depth. Reads are tagged per slot, and a tag is reusable
+/// by the time its slot is: a row's read is waited by the first batch that
+/// needs it, and its slot is reissued only after every batch that reads it
+/// was popped.
 struct SlotRing {
   std::uint32_t nslots;
   std::uint32_t extra;
@@ -332,9 +338,6 @@ inline constexpr std::uint32_t kSlabBudget = (1u << 20) - 96 * 1024;
 
 /// Section IV program (kInitial / kWriteOptimised / kDoubleBuffered).
 void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
-
-/// Section VI program (kRowChunk).
-void build_rowchunk_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
 
 /// Fill a reserved CB page with 1024 copies of `value` (the cb_scalar trick).
 void fill_scalar_page(ttmetal::KernelCtxBase& ctx, int cb_id, float value);

@@ -28,10 +28,10 @@
 ///
 /// Slab rows use the SRAM-resident program's SlabRows layout ([32 B
 /// prefix][L][W interior][R][tile-spill pad]), and the compute kernel runs
-/// the program's SlabChain (classic Jacobi's chain or the tap chain), so
+/// the program's PointChain (classic Jacobi's chain or the tap chain), so
 /// results are bit-exact with k sequential depth-1 sweeps (and with the CPU
 /// reference). Every launch is a single-pass general program, classic
-/// Jacobi's through classic_slab_program; the block sizing is
+/// Jacobi's through classic_program; the block sizing is
 /// temporal_geometry, which the IR model calls too.
 
 #include <algorithm>
@@ -154,7 +154,7 @@ void build_general_temporal_group(ttmetal::Program& prog,
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
 
   // The chain's CBs, then its weight table, then the slabs.
-  create_cbs(prog, cores, sh->chain->cbs());
+  create_cbs(prog, cores, sh->chain->cbs(1, 1));
   if (sh->chain->table_bytes() > 0) {
     sh->wtab = prog.l1_buffer_address(
         prog.create_l1_buffer(cores, sh->chain->table_bytes()));
@@ -265,7 +265,7 @@ void build_general_temporal_group(ttmetal::Program& prog,
               for (std::int64_t gr = lo; gr < hi; ++gr) {
                 const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
                 for (std::uint32_t c0 = 0; c0 < width; c0 += sh->chunk) {
-                  sh->chain->emit_point(ctx, *sh, sh->wtab, src, dst, lr, c0);
+                  emit_slab_point(ctx, *sh->chain, *sh, sh->wtab, src, dst, lr, c0);
                   ctx.loop_tick();
                 }
               }

@@ -1,14 +1,36 @@
 /// \file stencil_device.cpp
-/// The general radius-1 stencil lowering onto the Section VI row-chunk
-/// machinery: every pass of every iteration streams each referenced field
-/// through its own slot rotation (contiguous chunk+halo reads, read-ahead
-/// deep, no memcpy — the compute kernel aliases CB read pointers into the
-/// mover's slots), and the shared tap-chain emitter replays the problem's
-/// terms in listed order. Each term costs one FPU multiply against the
-/// weight table plus (after the first) one addition — so a 3-tap upwind
-/// advection still runs cheaper per point than 5-tap diffusion, and a
-/// field whose taps need no vertical halo streams one row per batch
-/// instead of three.
+/// The Section VI row-chunk program, for every problem kind: classic
+/// Jacobi runs it as the one-field, one-pass general program
+/// classic_program makes. Batches are one-dimensional chunks of (up to)
+/// 1024 elements along X (Fig. 6); each batch needs one contiguous read of
+/// chunk+2 elements per referenced row (the chunk plus one halo element per
+/// side). Every pass of every iteration streams each field it reads
+/// through its own rotating window of row slots in local SRAM, read-ahead
+/// deep with one tagged barrier per batch, and never copies memory: the
+/// compute kernel redirects CB read pointers into the mover's slots with
+/// the cb_set_rd_ptr SDK extension — tap (dr, dc) of field f at batch j is
+///   slot(f, j + dr) + off + 2 + 2*dc
+/// where `off` is the Listing-4 alignment offset of the strip's left halo
+/// (so classic Jacobi's x-1 tile is slot(j) + off, its x+1 tile
+/// slot(j) + off + 4 B and its y-1/y+1 tiles the rows above and below,
+/// centred). The program's PointChain replays the per-point op chain: the
+/// classic chain's ((xm + xp) + ym + yp) * 0.25, or the tap chain, where
+/// each term costs one FPU multiply against the weight table plus (after
+/// the first) one addition — so a 3-tap upwind advection still runs
+/// cheaper per point than 5-tap diffusion, and a field whose taps need no
+/// vertical halo streams one row per batch instead of three.
+///
+/// The slot rotation (ChunkGrid::slot_of) runs continuously across column
+/// strips, so a column's first rows land in the slots after the previous
+/// column's tail instead of wrapping onto slots its in-flight batches
+/// still reference; general_slot_ring sizes the ring so that no timing
+/// assumption or drain is needed at any depth. Reads are tagged per
+/// (field, slot), so a batch waits only on the one row it still needs
+/// while `depth` batches of reads stay in flight. A tag is safely reusable
+/// by the time its slot is: row y's read is waited at the batch that first
+/// needs it, and row y + nslots is issued only after every batch that
+/// reads row y has been popped (see general_slot_ring). Tags of different
+/// fields never clash.
 
 #include <algorithm>
 #include <utility>
@@ -75,14 +97,9 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
 }  // namespace
 
 std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth) {
-  std::vector<char> streamed(static_cast<std::size_t>(sh.nfields()), 0);
-  bool inter = false, post = false;
-  for (const LoweredPass& pass : sh.passes) {
-    for (const PassField& pf : pass.reads) streamed[static_cast<std::size_t>(pf.field)] = 1;
-    if (pass.terms.size() > 1) inter = true;
-    if (pass.post != PostOp::kNone) post = true;
-  }
-  return general_cbs(streamed, depth, inter, post, 4);
+  std::vector<CbSpec> cbs = sh.chain->cbs(depth, 4);
+  if (sh.residual_addr != 0) cbs.push_back({kCbRes, 1, "cb-res", 32});
+  return cbs;
 }
 
 void build_general_rowchunk_group(ttmetal::Program& prog,
@@ -91,7 +108,15 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   const std::vector<int> cores = sh->workers();
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
   const int nfields = sh->nfields();
+  // The residual page reuses the id of kCbGTmp2, which only a post-op's
+  // chain allocates; the residual is |unew - u| of a pass's own field.
+  TTSIM_CHECK(sh->residual_addr == 0 ||
+              (sh->passes.size() == 1 && sh->passes[0].post == PostOp::kNone));
 
+  // Read-ahead depth N: the reader keeps up to N row batches in flight.
+  // Stream CBs carry no data (read pointers are aliased); N pages give the
+  // reader exactly the flow control that keeps a slot alive until the
+  // compute kernel is done with the batches that read it.
   const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
   const std::uint32_t nslots = general_slot_ring(depth, sh->ranges).nslots;
   create_cbs(prog, cores, rowchunk_cbs(*sh, depth));
@@ -100,12 +125,15 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   // Field f's rotation lives at slots_addr + f*nslots*sbytes.
   const std::uint32_t slots_addr = prog.l1_buffer_address(prog.create_l1_buffer(
       cores, static_cast<std::uint64_t>(nfields) * nslots * sbytes));
-  const std::uint32_t wtab = prog.l1_buffer_address(prog.create_l1_buffer(
-      cores, static_cast<std::uint64_t>(sh->weights.size()) * kTileBytes));
+  const std::uint32_t wtab =
+      sh->chain->table_bytes() > 0
+          ? prog.l1_buffer_address(prog.create_l1_buffer(cores, sh->chain->table_bytes()))
+          : 0;
   // Reader and writer rendezvous after EVERY pass: a pass may read fields
   // the previous pass just wrote (FDTD's leapfrog), so no core's reader may
   // start pass p+1 until every writer has finished pass p.
   prog.create_global_barrier(sh->barrier_id, 2 * ncores);
+  const std::string label = sh->chain->label();
 
   // ---------------- reading data mover ----------------
   prog.create_kernel(
@@ -132,10 +160,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
               const std::uint32_t off =
                   static_cast<std::uint32_t>(L.byte_offset(0, c0 - 1) % 32);
               const std::uint32_t read_bytes = (grid.chunk + 2) * 2 + off;
-              // Reads are tagged per (field, slot) so a batch waits only on
-              // the one row it still needs while `depth` batches of reads
-              // stay in flight (see jacobi_rowchunk for the rotation and
-              // tag-reuse argument; tags of different fields never clash).
+              // Reads are tagged per (field, slot): see the file comment.
               auto issue_row = [&](std::size_t e, std::int64_t y) {
                 const int f = pass.reads[e].field;
                 const std::uint32_t slot = grid.slot_of(col, y);
@@ -145,7 +170,6 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                     read_bytes,
                     static_cast<int>(static_cast<std::uint32_t>(f) * nslots + slot));
               };
-
               const std::int64_t r0 = grid.rg.row_lo;
               const std::int64_t r1 = grid.rg.row_hi;
               for (std::size_t e = 0; e < nf; ++e) {
@@ -203,7 +227,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
           }
         }
       },
-      "stencil_reader");
+      label + "_reader");
 
   // ---------------- compute cores ----------------
   prog.create_kernel(
@@ -212,10 +236,17 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
         const ChunkGrid grid(sh->ranges[static_cast<std::size_t>(ctx.position())],
                              sh->chunk_elems, nslots);
         const PaddedLayout& L = sh->layout;
-        ctx.binary_op_init_common(kCbWgt, kCbFieldBase);
-        fill_weight_table(ctx, wtab, sh->weights);
+        // A redirected tile covers only the chunk's elements, not a full
+        // 2 KiB page — declared so the race detector's read spans stay
+        // within this batch's slots, and so the host computes only the
+        // chunk's lanes.
+        const std::uint32_t valid = grid.chunk * 2;
+        sh->chain->prologue(ctx, wtab);
+        bfloat16_t residual{0.0f};
         for (int it = 0; it < sh->iterations; ++it) {
-          for (const LoweredPass& pass : sh->passes) {
+          const bool track = sh->residual_addr != 0 && it == sh->iterations - 1;
+          for (std::size_t p = 0; p < sh->passes.size(); ++p) {
+            const LoweredPass& pass = sh->passes[p];
             for (std::uint32_t col = 0; col < grid.ncols; ++col) {
               const std::int64_t c0 = grid.rg.col_lo +
                                       static_cast<std::int64_t>(col) * grid.chunk;
@@ -233,12 +264,24 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                           grid.slot_of(col, j + dr)) * sbytes +
                          off + static_cast<std::uint32_t>(2 + 2 * dc);
                 };
-                // A redirected tile covers only the chunk's elements, not a
-                // full 2 KiB page — declared so the race detector's read
-                // spans stay within this batch's slots.
-                emit_tap_chain(ctx, wtab, pass, grid.chunk * 2, tap_at, [&](int reg) {
+                sh->chain->emit_point(ctx, p, wtab, valid, tap_at, [&](int reg) {
                   ctx.cb_reserve_back(kCbGOut, 1);
                   ctx.pack_tile(reg, kCbGOut);
+                  if (track) {
+                    // Device-side residual: |unew - u| over this chunk,
+                    // reduced on the FPU. The freshly packed page aliases
+                    // through kCbRes (the writer reads kCbGOut's pointer)
+                    // and the centre tap through the field's stream CB.
+                    constexpr int dst1 = 1;
+                    const int self = kCbFieldBase + pass.target;
+                    ctx.cb_set_rd_ptr(kCbRes, ctx.get_write_ptr(kCbGOut), valid);
+                    ctx.cb_set_rd_ptr(self, tap_at(pass.target, 0, 0), valid);
+                    ctx.sub_tiles(kCbRes, self, 0, 0, dst1);
+                    ctx.cb_clear_rd_ptr(kCbRes);
+                    ctx.abs_tile(dst1);
+                    const bfloat16_t m = ctx.reduce_max(dst1);
+                    if (static_cast<float>(m) > static_cast<float>(residual)) residual = m;
+                  }
                   ctx.cb_push_back(kCbGOut, 1);
                 });
                 for (const auto& pf : pass.reads) {
@@ -249,8 +292,15 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
             }
           }
         }
+        if (sh->residual_addr != 0) {
+          ctx.cb_reserve_back(kCbRes, 1);
+          auto* page = reinterpret_cast<bfloat16_t*>(
+              ctx.l1_ptr(ctx.get_write_ptr(kCbRes)));
+          page[0] = residual;
+          ctx.cb_push_back(kCbRes, 1);
+        }
       },
-      "stencil_compute");
+      label + "_compute");
 
   // ---------------- writing data mover ----------------
   prog.create_kernel(
@@ -278,8 +328,19 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
             ctx.global_barrier(sh->barrier_id);
           }
         }
+        if (sh->residual_addr != 0) {
+          // One BF16 residual per core, each in its own aligned 32-byte slot.
+          ctx.cb_wait_front(kCbRes, 1);
+          ctx.noc_async_write(
+              ctx.get_read_ptr(kCbRes),
+              ctx.get_noc_addr(sh->residual_addr +
+                               static_cast<std::uint64_t>(ctx.position()) * 32),
+              2);
+          ctx.noc_async_write_barrier();
+          ctx.cb_pop_front(kCbRes, 1);
+        }
       },
-      "stencil_writer");
+      label + "_writer");
 }
 
 void validate_general_launch(const GeneralStencilProblem& p,
@@ -314,7 +375,7 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
   sh->d2 = std::move(d2);
   sh->ranges = decompose(p.geometry(), sel.cores_x, sel.cores_y, 16);
   sh->core_ids = sel.core_ids;
-  if (is_slab(cfg.strategy)) sh->chain = make_tap_chain(*sh);
+  sh->chain = make_tap_chain(*sh);
   return sh;
 }
 

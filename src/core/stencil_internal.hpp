@@ -4,10 +4,10 @@
 /// program state, the CB id map, and the tap-chain emitter every strategy
 /// uses. Keeping ONE emitter is what makes rowchunk-vs-SRAM agreement hold
 /// by construction — both strategies issue the identical FPU op sequence
-/// and differ only in where the aliased tap addresses point. The slab
-/// strategies' row geometry (SlabRows), their per-point chain object
-/// (SlabChain: the tap chain, or classic Jacobi's chain) and the temporal
-/// geometry live here too, so the one SRAM-resident skeleton and the one
+/// and differ only in where the aliased tap addresses point. The per-point
+/// chain object (PointChain: the tap chain, or classic Jacobi's chain), the
+/// slab strategies' row geometry (SlabRows) and the temporal geometry live
+/// here too, so the one row-chunk, the one SRAM-resident and the one
 /// temporal skeleton serve both problem kinds.
 ///
 /// CB id map of a general stencil program (tt-metal convention: inputs
@@ -16,13 +16,17 @@
 ///           depth-page streams; SRAM: alias vehicles, never pushed)
 ///   4     — weight alias CB, repointed into the L1 weight table per term
 ///   5/6/7 — accumulator chain (inter, tmp, tmp2)
+///   7     — row-chunk device residual (only on programs without a post-op,
+///           which never use tmp2)
 ///   16    — output
 /// The weight table holds one 2 KiB tile of 1024 copies per distinct
 /// weight, written host-side by the compute kernel before the first sweep
 /// (the cb_scalar trick, without a CB).
 
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "jacobi_internal.hpp"
 #include "ttsim/core/stencil.hpp"
@@ -35,6 +39,7 @@ inline constexpr int kCbWgt = 4;
 inline constexpr int kCbGInter = 5;
 inline constexpr int kCbGTmp = 6;
 inline constexpr int kCbGTmp2 = 7;
+inline constexpr int kCbRes = 7;
 inline constexpr int kCbGOut = 16;
 
 /// One referenced field of a pass with its vertical halo extent.
@@ -58,7 +63,7 @@ struct LoweredPass {
   std::vector<PassField> reads;  ///< referenced fields, first-use order
 };
 
-class SlabChain;
+class PointChain;
 
 /// Everything the general kernels need, shared across the lambdas.
 struct GeneralShared {
@@ -76,9 +81,15 @@ struct GeneralShared {
   std::vector<CoreRange> ranges;
   std::vector<int> core_ids;
   int barrier_id = kIterationBarrier;
-  /// Slab strategies: the per-point chain (make_tap_chain, or the classic
-  /// chain of classic_slab_program).
-  std::shared_ptr<const SlabChain> chain;
+  /// The per-point chain (make_tap_chain, or the classic chain of
+  /// classic_program).
+  std::shared_ptr<const PointChain> chain;
+  /// Row-chunk only. When non-zero: on the final iteration the compute
+  /// kernel tracks the per-core max |unew - u| of the written field on the
+  /// FPU and the writing mover stores it (one BF16 value per core, 32-byte
+  /// slots) at this DRAM address. Needs full 1024-element chunks, so no
+  /// out-of-interior lanes pollute the whole-tile reduction.
+  std::uint64_t residual_addr = 0;
 
   explicit GeneralShared(const PaddedLayout& l) : layout(l) {}
 
@@ -230,36 +241,23 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
   }
 }
 
-/// Protocol ops of `points` emit_tap_chain calls on `pass` (the IR
-/// transcript). Totals per point (t = #terms): kCbGInter: t-1 of each op;
-/// kCbGTmp: t+1 with a post-op else t-1; kCbGTmp2: 2 with a post-op. All
-/// traffic is compute-local.
-std::vector<ir::Op> tap_chain_ops(const LoweredPass& pass, const ir::Count& points);
-
 /// One CB of a program's list, in creation order: the builders create it
 /// (create_cbs) and the IR models declare it under `name`.
 struct CbSpec {
   int id = 0;
   std::uint32_t pages = 1;
   std::string name;
+  std::uint32_t page_bytes = kTileBytes;
 };
 
 inline void create_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
                        const std::vector<CbSpec>& cbs) {
-  for (const CbSpec& cb : cbs) prog.create_cb(cb.id, cores, kTileBytes, cb.pages);
+  for (const CbSpec& cb : cbs) prog.create_cb(cb.id, cores, cb.page_bytes, cb.pages);
 }
 
-/// The general frontend's CBs: one `field_pages`-page CB per streamed
-/// field, then the tap chain's: the weight alias vehicle, the accumulators
-/// the chain uses (kCbGInter when a pass has more than one term, kCbGTmp2
-/// with a post-op, kCbGTmp with either) and an `out_pages`-page output CB.
-std::vector<CbSpec> general_cbs(const std::vector<char>& streamed,
-                                std::uint32_t field_pages, bool inter, bool post,
-                                std::uint32_t out_pages);
-
-/// The row-chunk program's CBs (general_cbs): a `depth`-page stream CB per
-/// field any pass reads, the accumulators any pass's chain needs and a
-/// 4-page output CB.
+/// The row-chunk program's CBs: the chain's (a `depth`-page stream CB per
+/// field any pass reads, its constants and accumulators, a 4-page output
+/// CB), then the 32-byte residual page when the launch tracks one.
 std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth);
 
 /// Row geometry of the slab strategies' L1 slabs (SRAM-resident and
@@ -295,46 +293,105 @@ struct SlabRows {
   }
 };
 
-/// The one thing the slab strategies (SRAM-resident and temporal) vary by
-/// problem kind: the per-point chain. The classic chain replays classic
-/// Jacobi's ((xm + xp) + ym + yp) * 0.25; the tap chain runs a general
-/// single-pass program through emit_tap_chain. Both replay the row-chunk
-/// program's op order, so every strategy agrees bit for bit. Each supplies
-/// its side of the builder and its IR transcript.
-class SlabChain {
+/// A non-owning, non-allocating reference to a callable: what the point
+/// chains take their per-point tap-address and pack functions as.
+template <typename Sig>
+class FunctionRef;
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
  public:
-  SlabChain() = default;
-  SlabChain(const SlabChain&) = delete;
-  SlabChain& operator=(const SlabChain&) = delete;
-  virtual ~SlabChain() = default;
-  /// "jacobi" or "stencil": the SRAM kernels are <label>_sram_dm0 /
-  /// _compute / _dm1 and the graphs <label>-sram / <label>-temporal.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  FunctionRef(F&& f) noexcept  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(args...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, args...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
+/// L1 address of field `field`'s tap (dr, dc) for the point being emitted.
+using TapAddr = FunctionRef<std::uint32_t(int field, int dr, int dc)>;
+/// Lands the finished tile held in dst register `reg`.
+using PackTile = FunctionRef<void(int reg)>;
+
+/// The one thing the three skeletons (row-chunk, SRAM-resident, temporal)
+/// vary by problem kind: the per-point chain. The classic chain replays
+/// classic Jacobi's ((xm + xp) + ym + yp) * 0.25; the tap chain runs a
+/// general program's passes through emit_tap_chain. Each supplies its side
+/// of the builder and its IR transcript; the skeleton supplies where the
+/// taps are and where the result goes.
+class PointChain {
+ public:
+  PointChain() = default;
+  PointChain(const PointChain&) = delete;
+  PointChain& operator=(const PointChain&) = delete;
+  virtual ~PointChain() = default;
+  /// "jacobi" or "stencil": the kernels are <label>_reader / _compute /
+  /// _writer (row-chunk) or <label>_sram_dm0 / ... and the graphs
+  /// <label>-rowchunk / -sram / -temporal.
   virtual std::string label() const = 0;
-  /// The chain's CBs, created before the slabs.
-  virtual std::vector<CbSpec> cbs() const = 0;
+  /// The chain's CBs in creation order. The skeleton sizes them: each
+  /// field CB has `stream_pages` pages (row-chunk's read-ahead depth; 1 on
+  /// the slab strategies, where a field CB is an alias vehicle) and the
+  /// output CB `out_pages`.
+  virtual std::vector<CbSpec> cbs(std::uint32_t stream_pages,
+                                  std::uint32_t out_pages) const = 0;
   /// Bytes of the L1 weight table the skeleton allocates for it (0: none).
   virtual std::uint32_t table_bytes() const = 0;
   /// The compute kernel's prologue: fill the chain's constants (the weight
   /// table at `wtab`, when it has one).
   virtual void prologue(ttmetal::ComputeCtx& ctx, std::uint32_t wtab) const = 0;
   virtual std::vector<ir::Op> prologue_ops() const = 0;
-  /// One point: chunk `c0` of local slab row `lr`, field f's taps aliased
-  /// out of slab `src[f]`, the result packed straight into slab `dst`.
-  virtual void emit_point(ttmetal::ComputeCtx& ctx, const SlabRows& rows,
-                          std::uint32_t wtab, std::span<const std::uint32_t> src,
-                          std::uint32_t dst, std::uint32_t lr,
-                          std::uint32_t c0) const = 0;
-  /// Protocol ops of `points` emit_point calls.
-  virtual std::vector<ir::Op> point_ops(const ir::Count& points) const = 0;
+  /// One point of pass `pass`: every tap aliased onto `tap_at(field, dr,
+  /// dc)` with `valid` meaningful bytes behind it, the result handed to
+  /// `pack`.
+  virtual void emit_point(ttmetal::ComputeCtx& ctx, std::size_t pass,
+                          std::uint32_t wtab, std::uint32_t valid, TapAddr tap_at,
+                          PackTile pack) const = 0;
+  /// Protocol ops of `points` emit_point calls on pass `pass`.
+  virtual std::vector<ir::Op> point_ops(std::size_t pass,
+                                        const ir::Count& points) const = 0;
 };
 
-/// The tap chain of `sh`'s single pass over its weight table.
-std::shared_ptr<const SlabChain> make_tap_chain(const GeneralShared& sh);
+/// One point of a slab strategy (SRAM-resident or temporal): chunk `c0` of
+/// local slab row `lr`, field f's taps aliased out of slab `src[f]`, the
+/// result packed straight into slab `dst` (interior col c0 = data elem
+/// c0+1) through kCbOut's write pointer.
+inline void emit_slab_point(ttmetal::ComputeCtx& ctx, const PointChain& chain,
+                            const SlabRows& rows, std::uint32_t wtab,
+                            std::span<const std::uint32_t> src, std::uint32_t dst,
+                            std::uint32_t lr, std::uint32_t c0) {
+  // Data elem 0 of a slab row is L, the boundary column.
+  auto tap_at = [&](int f, int dr, int dc) {
+    return rows.row_data(src[static_cast<std::size_t>(f)],
+                         static_cast<std::uint32_t>(static_cast<int>(lr) + dr)) +
+           c0 * 2 + static_cast<std::uint32_t>(2 + 2 * dc);
+  };
+  // Lanes past the chunk are don't-care; declaring that keeps the host
+  // from computing them.
+  chain.emit_point(ctx, 0, wtab, rows.chunk * 2, tap_at, [&](int reg) {
+    ctx.cb_set_wr_ptr(kCbGOut, rows.row_data(dst, lr) + (c0 + 1) * 2);
+    ctx.pack_tile(reg, kCbGOut);
+  });
+}
 
-/// A classic Jacobi launch on a slab strategy as the one-field, one-pass
-/// general program it is: the four-neighbour taps (their reach sizes the
-/// temporal skirt) run by the classic chain.
-std::shared_ptr<GeneralShared> classic_slab_program(const KernelShared& sh);
+/// The tap chain of `sh`'s passes over its weight table. Its field CBs are
+/// the fields any pass reads on row-chunk, and on the slab strategies the
+/// fields the single pass reads or writes.
+std::shared_ptr<const PointChain> make_tap_chain(const GeneralShared& sh);
+
+/// A classic Jacobi launch on a certified strategy as the one-field,
+/// one-pass general program it is: the four-neighbour taps (their reach
+/// sizes the row-chunk windows and the temporal skirt) run by the classic
+/// chain.
+std::shared_ptr<GeneralShared> classic_program(const KernelShared& sh);
 
 /// The temporal program's geometry, shared by the builder and its IR
 /// model. Block sizing against the slab budget: the written field needs

@@ -15,10 +15,10 @@
 ///
 /// One skeleton serves both problem kinds: every launch is a single-field
 /// single-pass general program (Y-only decompositions), classic Jacobi's
-/// through classic_slab_program. Only its SlabChain differs by kind: the
+/// through classic_program. Only its PointChain differs by kind: the
 /// chain's CBs, weight table, compute prologue, per-point chain and kernel
-/// names. Both chains replay the row-chunk program's op order, so results
-/// are bit-exact across strategies. Diagonal taps are safe: the upward halo
+/// names. The row-chunk program runs the same chains, so results are
+/// bit-exact across strategies. Diagonal taps are safe: the upward halo
 /// send's R exclusion only leaves the receiver's halo-row R at its initial
 /// value, and the R column is boundary-constant.
 ///
@@ -78,7 +78,7 @@ void build_general_sram_program(ttmetal::Program& prog,
   const std::uint32_t slab_bytes = (max_rows + 2) * sh->row_stride;
 
   // The chain's CBs, then the slabs, then its weight table.
-  create_cbs(prog, cores, sh->chain->cbs());
+  create_cbs(prog, cores, sh->chain->cbs(1, 1));
   sh->slab_a = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
   sh->slab_b = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
   if (sh->chain->table_bytes() > 0) {
@@ -164,7 +164,7 @@ void build_general_sram_program(ttmetal::Program& prog,
           const std::uint32_t dst = sh->slab((k + 1) % 2);
           for (std::uint32_t lr = 1; lr <= rows; ++lr) {
             for (std::uint32_t c0 = 0; c0 < sh->layout.width(); c0 += sh->chunk) {
-              sh->chain->emit_point(ctx, *sh, sh->wtab, {&src, 1}, dst, lr, c0);
+              emit_slab_point(ctx, *sh->chain, *sh, sh->wtab, {&src, 1}, dst, lr, c0);
               ctx.loop_tick();
             }
           }

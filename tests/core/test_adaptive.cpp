@@ -111,8 +111,8 @@ TEST(AdaptiveJacobi, PinnedSimulatedResult) {
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.iterations_run, 240);
   EXPECT_EQ(r.final_residual, 0.00390625);
-  EXPECT_EQ(r.kernel_time, 4936769112);
-  EXPECT_EQ(r.total_time, 9057565912);
+  EXPECT_EQ(r.kernel_time, 4930561112);
+  EXPECT_EQ(r.total_time, 9051357912);
 }
 
 TEST(AdaptiveJacobi, InvalidConfigsRejected) {

@@ -238,10 +238,10 @@ TEST(Sharded, SharedFaultPlanReplaysInCardOrder) {
 
   EXPECT_EQ(r.solution, single_card_solution(p, cfg.run));
   EXPECT_EQ(plan->trace().size(), 411u);
-  EXPECT_EQ(fnv1a(plan->trace_string()), 17198436813738895156ull);
-  EXPECT_EQ(r.kernel_time, 921799232);
+  EXPECT_EQ(fnv1a(plan->trace_string()), 16727520953099118484ull);
+  EXPECT_EQ(r.kernel_time, 1018096458);
   EXPECT_EQ(r.exchange_time, 10057600);
-  EXPECT_EQ(r.total_time, 2014234432);
+  EXPECT_EQ(r.total_time, 2110531658);
 }
 
 /// Bit patterns of a solution, so that -0 and +0 compare unequal.

@@ -6,6 +6,8 @@
 ///     cpu::general_reference_bf16),
 ///   * strategy-vs-strategy agreement (row-chunk vs SRAM-resident vs the
 ///     batched multi-slot program, where each is eligible),
+///   * classic Jacobi on the same geometry and row-chunk config, single and
+///     batched, against cpu::jacobi_reference_bf16 (where sampled),
 ///   * verifier cleanliness (every run executes under enable_verify; any
 ///     finding fails the config).
 /// Failures shrink to a minimal reproducer (iterations, then height, then
@@ -60,7 +62,19 @@ struct Config {
   int shard_cards = 0;              // >= 2: also run the multi-card leg
   int shard_k = 1;                  // halo-exchange epoch length
   bool shard_temporal = false;      // per-card strategy of the sharded leg
+  bool jacobi = false;              // also run classic Jacobi (row-chunk leg)
+  core::JacobiProblem jacobi_bcs;   // its boundary and initial values
 };
+
+/// The classic Jacobi leg's problem: the config's geometry and iteration
+/// count (so shrinking moves it too) with the drawn boundary values.
+core::JacobiProblem jacobi_problem(const Config& c) {
+  core::JacobiProblem jp = c.jacobi_bcs;
+  jp.width = c.problem.width;
+  jp.height = c.problem.height;
+  jp.iterations = c.problem.iterations;
+  return jp;
+}
 
 std::string describe(const Config& c) {
   std::ostringstream os;
@@ -78,6 +92,7 @@ std::string describe(const Config& c) {
     os << " +shard=" << c.shard_cards << " k=" << c.shard_k
        << (c.shard_temporal ? " (temporal)" : " (rowchunk)");
   }
+  if (c.jacobi) os << " +jacobi";
   return os.str();
 }
 
@@ -217,6 +232,19 @@ Config sample(std::uint64_t seed) {
       c.shard_temporal = rng.next_bool();
     }
   }
+
+  // Classic Jacobi axis (drawn after every other axis, so earlier seeds'
+  // configs are unchanged): the row-chunk leg's geometry, decomposition,
+  // chunking, read-ahead and fault schedule on classic Jacobi with random
+  // boundary values, batched as well when the config batches.
+  if (rng.next_int(0, 2) == 0) {
+    c.jacobi = true;
+    c.jacobi_bcs.bc_left = static_cast<float>(rng.next_double(0.0, 1.0));
+    c.jacobi_bcs.bc_right = static_cast<float>(rng.next_double(0.0, 1.0));
+    c.jacobi_bcs.bc_top = static_cast<float>(rng.next_double(0.0, 1.0));
+    c.jacobi_bcs.bc_bottom = static_cast<float>(rng.next_double(0.0, 1.0));
+    c.jacobi_bcs.initial = static_cast<float>(rng.next_double(0.0, 1.0));
+  }
   return c;
 }
 
@@ -324,6 +352,83 @@ bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& re
   const auto fs = device->verifier()->findings();
   if (!fs.empty()) {
     *why = "batched verifier findings:\n" + render(fs);
+    return false;
+  }
+  return true;
+}
+
+/// Compare a classic Jacobi solution with the BF16 CPU reference.
+bool jacobi_matches(const std::vector<bfloat16_t>& ref, const std::vector<float>& got,
+                    std::string* why) {
+  if (ref.size() != got.size()) {
+    *why = "solution size mismatch";
+    return false;
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (static_cast<float>(ref[i]) != got[i]) {
+      std::ostringstream os;
+      os << "elem " << i << ": device " << got[i] << " vs ref "
+         << static_cast<float>(ref[i]);
+      *why = os.str();
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The classic Jacobi leg: one solve through run_jacobi_on_device and, when
+/// the config batches, `batch_slots` copies in one batched program, each
+/// checked against cpu::jacobi_reference_bf16 and verifier-clean.
+bool run_jacobi(const Config& c, std::string* why) {
+  const core::JacobiProblem jp = jacobi_problem(c);
+  const auto ref = cpu::jacobi_reference_bf16(jp);
+
+  auto dev = ttmetal::Device::open({}, device_config(c));
+  const auto r = core::run_jacobi_on_device(*dev, jp, c.cfg);
+  if (!jacobi_matches(ref, r.solution, why)) {
+    *why = "jacobi: " + *why;
+    return false;
+  }
+  const auto fs = dev->verifier()->findings();
+  if (!fs.empty()) {
+    *why = "jacobi verifier findings:\n" + render(fs);
+    return false;
+  }
+  if (c.batch_slots < 2) return true;
+
+  auto bdev = ttmetal::Device::open({}, device_config(c));
+  const int ncores = c.cfg.cores_x * c.cfg.cores_y;
+  if (c.batch_slots * ncores > bdev->num_workers()) return true;
+  const core::PaddedLayout layout(jp.width, jp.height);
+  const auto image = layout.initial_image(jp);
+  const auto bc = core::batch_grid_buffer_config(c.cfg, jp);
+  std::vector<std::shared_ptr<ttmetal::Buffer>> grids;
+  std::vector<core::BatchSlot> slots(static_cast<std::size_t>(c.batch_slots));
+  for (int g = 0; g < c.batch_slots; ++g) {
+    auto& slot = slots[static_cast<std::size_t>(g)];
+    for (std::uint64_t* addr : {&slot.d1, &slot.d2}) {
+      grids.push_back(bdev->create_buffer(bc));
+      bdev->write_buffer(*grids.back(), std::as_bytes(std::span{image}));
+      *addr = grids.back()->address();
+    }
+    for (int i = 0; i < ncores; ++i) slot.core_ids.push_back(g * ncores + i);
+  }
+  ttmetal::Program prog;
+  core::build_batched_rowchunk_program(prog, jp, c.cfg, slots);
+  bdev->run_program(prog);
+  for (int g = 0; g < c.batch_slots; ++g) {
+    // Odd iteration counts finish in d2.
+    auto& buf = *grids[static_cast<std::size_t>(2 * g + jp.iterations % 2)];
+    std::vector<bfloat16_t> out(layout.elems());
+    bdev->read_buffer(buf, std::as_writable_bytes(std::span{out}));
+    if (!jacobi_matches(ref, layout.extract_interior(out), why)) {
+      *why = "jacobi batched slot " + std::to_string(g) + ": " + *why;
+      return false;
+    }
+  }
+  const auto bfs = bdev->verifier()->findings();
+  if (!bfs.empty()) {
+    *why = "jacobi batched verifier findings:\n" + render(bfs);
     return false;
   }
   return true;
@@ -446,6 +551,7 @@ bool check(const Config& c, std::string* why) {
   }
 
   if (c.batch_slots >= 2 && !run_batched(c, ref, why)) return false;
+  if (c.jacobi && !run_jacobi(c, why)) return false;
   return true;
 }
 
@@ -500,6 +606,11 @@ Config shrink(Config c, std::string* why) {
     if (c.shard_cards >= 2) {
       Config m = c;
       m.shard_cards = 0;
+      moves.push_back(std::move(m));
+    }
+    if (c.jacobi) {
+      Config m = c;
+      m.jacobi = false;
       moves.push_back(std::move(m));
     }
     if (c.cfg.cores_x * c.cfg.cores_y > 1) {
@@ -564,7 +675,8 @@ TEST(StencilConformance, RandomizedSweep) {
 
 // Pinned regressions: configs that exercise every lowering corner at once —
 // deep read-ahead over multi-chunk strips, the leapfrog multi-pass parity,
-// and the Life post-op — independent of the sweep's sampling.
+// the Life post-op, and classic Jacobi at one row per core — independent
+// of the sweep's sampling.
 TEST(StencilConformance, PinnedCorners) {
   struct Pin {
     core::GeneralStencilProblem p;
@@ -614,6 +726,23 @@ TEST(StencilConformance, PinnedCorners) {
     c.shard_cards = 3;
     c.shard_k = 4;
     c.shard_temporal = true;
+    std::string why;
+    EXPECT_TRUE(check(c, &why)) << describe(c) << "\n" << why;
+  }
+
+  // Classic Jacobi at one row per core: 64x16 on cores_y = 16 with 16-element
+  // chunks at read-ahead 8, where every read-ahead window crosses several
+  // column boundaries (the slot ring's boundary-extra regime), single and
+  // batched on two slots. The general leg runs hotspot on the same grid.
+  {
+    Config c;
+    c.seed = 0;
+    c.problem = core::gallery::hotspot(64, 16, 4);
+    c.cfg.cores_y = 16;
+    c.cfg.chunk_elems = 16;
+    c.cfg.read_ahead = 8;
+    c.batch_slots = 2;
+    c.jacobi = true;
     std::string why;
     EXPECT_TRUE(check(c, &why)) << describe(c) << "\n" << why;
   }

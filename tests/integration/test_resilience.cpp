@@ -174,9 +174,9 @@ TEST(Resilience, PinnedFaultedRowChunkRun) {
   EXPECT_EQ(r.restarts, 1);
   EXPECT_EQ(r.iterations_replayed, 5);
   EXPECT_EQ(r.transfer_retries, 1);
-  EXPECT_EQ(r.kernel_time, 193307552);
-  EXPECT_EQ(r.total_time, 2428662757);
-  EXPECT_EQ(fnv1a(r.fault_summary), 248274171002684218ull);
+  EXPECT_EQ(r.kernel_time, 192866880);
+  EXPECT_EQ(r.total_time, 2428174529);
+  EXPECT_EQ(fnv1a(r.fault_summary), 12598373497219899138ull);
 }
 
 /// Pins a zero-fault SRAM-resident resilient solve: three launches (odd

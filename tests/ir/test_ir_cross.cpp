@@ -66,8 +66,9 @@ TEST(IrCross, JacobiGraphsCertifyCleanAcrossStrategiesAndDepths) {
     EXPECT_TRUE(fs.empty()) << core::to_string(s) << ":\n"
                             << verify::format_lint(fs);
   }
-  // The row-chunk proof is symbolic in the read-ahead depth; certify each
-  // concrete depth in [2, 8] as well.
+  // The row-chunk graph binds the read-ahead depth concretely (its slot
+  // count's ceil(depth/nrows_min) term is not polynomial): certify each
+  // depth in [2, 8].
   for (int depth = 2; depth <= 8; ++depth) {
     DeviceRunConfig cfg;
     cfg.read_ahead = depth;

@@ -287,8 +287,8 @@ TEST(ServeMultichip, KilledCardOfShardedGroupRecoversBitExact) {
   EXPECT_GE(r.migrations, 1);
   // The recovery timeline is pinned exactly: the failing segment must stop
   // at the same simulated instant however the cards' work is executed.
-  EXPECT_EQ(r.completed, 7560398870);
-  EXPECT_EQ(r.latency, 7560398870);
+  EXPECT_EQ(r.completed, 7559838870);
+  EXPECT_EQ(r.latency, 7559838870);
   EXPECT_EQ(svc.metrics().card_reopens, 2u);  // the whole group reopened
   EXPECT_GE(svc.metrics().iterations_saved, 4u);  // a checkpoint paid off
   EXPECT_EQ(svc.metrics().quarantines, 1u);
@@ -366,7 +366,7 @@ TEST(ServeMultichip, PinnedShardedJacobiRecovery) {
   for (const auto v : cpu::jacobi_reference_bf16(req.problem))
     reference.push_back(static_cast<float>(v));
   expect_pinned_sharded_recovery(faulted_shard_config(3), req, reference,
-                                 {7560398870, 1, 1, 3, 10368, 2});
+                                 {7559838870, 1, 1, 3, 10368, 2});
 }
 
 TEST(ServeMultichip, PinnedShardedGeneralRecovery) {

@@ -195,17 +195,17 @@ void expect_golden(const char* name, Workload&& workload, std::uint64_t golden) 
 // --- pinned hashes (regenerate with TTSIM_REGEN_GOLDEN=1) ---
 constexpr std::uint64_t kGoldenJacobiTiled = 0xc16762991f5f97cfull;            // 5492 events
 constexpr std::uint64_t kGoldenJacobiDoubleBuffered = 0x1fbbe715c38f9d40ull;   // 4974 events
-constexpr std::uint64_t kGoldenJacobiRowChunk = 0x81141f868a1db837ull;         // 5414 events
-constexpr std::uint64_t kGoldenJacobiRowChunkMulticore = 0x29c55a7f6c24610full;  // 5451 events
+constexpr std::uint64_t kGoldenJacobiRowChunk = 0x6624cac313591258ull;         // 4902 events
+constexpr std::uint64_t kGoldenJacobiRowChunkMulticore = 0x91a92afe9cd9a3a4ull;  // 4939 events
 constexpr std::uint64_t kGoldenStreamSingleCore = 0xeca69c538be2aafull;        // 521 events
 constexpr std::uint64_t kGoldenStreamInterleaved = 0x3794630502d0b6f3ull;      // 598 events
-constexpr std::uint64_t kGoldenFaultyRowChunk = 0xe8d649c109af0e42ull;         // 5458 events
+constexpr std::uint64_t kGoldenFaultyRowChunk = 0x54329bb782de849aull;         // 4877 events
 constexpr std::uint64_t kGoldenGalleryHotspot = 0x133936c67a17a930ull;         // 20963 events
 constexpr std::uint64_t kGoldenGalleryFdtd2d = 0x4f49ec64b9bbeabdull;          // 50079 events
 constexpr std::uint64_t kGoldenGalleryConvection = 0x626b6734c264ad2cull;      // 25269 events
 constexpr std::uint64_t kGoldenGalleryLife = 0x7e37c045e2025bceull;            // 28149 events
 constexpr std::uint64_t kGoldenJacobiTemporal = 0x4dbb2e1396942c25ull;         // 6091 events
-constexpr std::uint64_t kGoldenJacobiSharded2Card = 0xa46130ea2462e6bfull;     // 11236 events
+constexpr std::uint64_t kGoldenJacobiSharded2Card = 0xc01983923858fa5dull;     // 10180 events
 constexpr std::uint64_t kGoldenJacobiSram = 0xb238a5fb731aba3aull;              // 3499 events
 constexpr std::uint64_t kGoldenGalleryConvectionSram = 0xb0619d1a8f09ecb6ull;   // 20193 events
 constexpr std::uint64_t kGoldenGalleryLifeSram = 0x42e19a8d447b6778ull;         // 23073 events

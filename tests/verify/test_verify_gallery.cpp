@@ -280,7 +280,7 @@ TEST(VerifyGallery, TimeoutErrorCarriesWaitCycle) {
 /// 7. Read-ahead slot recycle (the PR 3 prologue hazard, distilled): a slot
 /// is re-targeted by a new noc_async_read while a consumer's reads of the
 /// previous landing are not yet ordered behind the issue. This is the exact
-/// pattern the continuous slot rotation in jacobi_rowchunk now rules out —
+/// pattern the row-chunk program's continuous slot rotation rules out —
 /// the detector must keep catching the pre-fix shape.
 TEST(VerifyGallery, ReadAheadSlotRecycle) {
   auto dev = Device::open({}, verify_config());
