@@ -27,24 +27,25 @@ struct BatchSlot {
 };
 
 /// Build one program that solves `p` independently on every slot (row-chunk
-/// or temporal strategy: the serving layer compiles per shape, and both the
-/// paper's streaming design and its k-deep temporal variant are worth
-/// batching). The slots share the problem
-/// shape and run config; slot i writes its result into its own d1/d2 pair
-/// with the usual parity (odd iteration counts finish in d2). Throws
-/// ApiError on invalid decompositions or overlapping slot core sets.
+/// or temporal strategy: both the paper's streaming design and its k-deep
+/// temporal variant are worth batching). The slots share the problem shape
+/// and run config; slot i writes its result into its own d1/d2 pair with
+/// the usual parity (odd iteration counts finish in d2). A thin wrapper:
+/// build_batched_stencil_program on to_general(p). Throws ApiError on
+/// invalid decompositions or overlapping slot core sets.
 void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem& p,
                                     const DeviceRunConfig& cfg,
                                     const std::vector<BatchSlot>& slots);
 
 /// Validate that `p` decomposes onto one batch slot under `cfg` — the exact
-/// checks a batched launch applies: the single-solve driver's launch-config
-/// check (iterations >= 1, read_ahead in [2, 64], temporal_depth in [1, 8],
-/// the slab strategies' cores_x == 1 and width rules, width divisible
-/// across cores_x into 16-aligned strips, cores_y <= height) restricted to
-/// the row-chunk and temporal strategies. Throws ApiError naming the
-/// violation; the serving layer calls this at admission so bad shapes fail
-/// fast instead of poisoning a batch.
+/// checks a batched launch applies (validate_stencil_request on
+/// to_general(p)): the single-solve driver's launch-config check
+/// (iterations >= 1, read_ahead in [2, 64], temporal_depth in [1, 8], the
+/// slab strategies' cores_x == 1 and width rules, width divisible across
+/// cores_x into 16-aligned strips, cores_y <= height, a row-chunk slot ring
+/// whose read tags fit a data mover) restricted to the row-chunk and
+/// temporal strategies. Throws ApiError naming the violation, so bad shapes
+/// fail fast instead of poisoning a batch.
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg);
 
 /// BufferConfig for one slot's grid buffers — the same layout policy

@@ -65,8 +65,8 @@ struct GeneralBatchSlot {
 };
 
 /// Build one program running `p` independently on every slot (row-chunk
-/// lowering; each group gets its own iteration barrier, exactly like
-/// build_batched_rowchunk_program). Throws ApiError on invalid
+/// or temporal lowering; each group gets its own iteration barrier, so
+/// groups never synchronise with each other). Throws ApiError on invalid
 /// decompositions or overlapping slot core sets.
 void build_batched_stencil_program(ttmetal::Program& prog,
                                    const GeneralStencilProblem& p,
@@ -74,9 +74,9 @@ void build_batched_stencil_program(ttmetal::Program& prog,
                                    const std::vector<GeneralBatchSlot>& slots);
 
 /// Admission-time validation of a general-stencil batch slot: structural
-/// problem validity, the launch-config checks of validate_batch_request,
-/// and temporal tiling's single-pass limit. Throws ApiError naming the
-/// violation.
+/// problem validity, the launch-config checks (validate_batch_request
+/// lists them), temporal tiling's single-pass limit and the row-chunk
+/// slot ring's read-tag budget. Throws ApiError naming the violation.
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg);
 

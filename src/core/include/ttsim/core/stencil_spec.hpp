@@ -16,6 +16,14 @@
 /// terms are evaluated in their listed order — each term is one rounded
 /// BF16 product weight*value, the first product seeds the accumulator and
 /// every later one is added left to right, each operation rounded to BF16.
+/// Two rules refine it:
+///   * U: a term whose weight is exactly 1.0f contributes its value with no
+///     multiply (1*x is exact in BF16, so the sum is unchanged) and takes
+///     no weight-table entry on the device;
+///   * S: a pass may end with PostOp::kScale, out = S * post_scale as one
+///     rounded BF16 product.
+/// With them classic Jacobi, ((xm + xp) + ym + yp) * 0.25, is the one-pass
+/// program to_general(const JacobiProblem&) builds.
 /// Factories list taps in the canonical order C, W, E, N, S, NW, NE, SW,
 /// SE. Halo corner cells (outside both an edge row and an edge column)
 /// hold 0 on the device image and in the reference — diagonal taps of
@@ -44,9 +52,10 @@ struct WeightedStencil {
     return (wc != 0.0f) + (ww != 0.0f) + (we != 0.0f) + (wn != 0.0f) + (ws != 0.0f);
   }
 
-  /// The Jacobi averaging stencil expressed as weights. Note: not
-  /// arithmetically identical to the dedicated Jacobi kernel, which sums
-  /// the four neighbours first and scales once (different BF16 rounding).
+  /// The Jacobi averaging stencil expressed as four 0.25 weights. Note:
+  /// not arithmetically identical to classic Jacobi, which sums the four
+  /// neighbours first and scales once (different BF16 rounding); that form
+  /// is to_general(const JacobiProblem&): unit terms and a kScale post-op.
   static WeightedStencil jacobi() { return {0.0f, 0.25f, 0.25f, 0.25f, 0.25f}; }
 
   /// Explicit (FTCS) heat diffusion: u += r*laplacian, r = alpha*dt/dx^2.
@@ -129,6 +138,8 @@ enum class PostOp : std::uint8_t {
   /// is the centre value of `StencilPass::post_self_field`. With 0/1 cell
   /// states and integer neighbour counts every operation is BF16-exact.
   kLife,
+  /// Scale: out = S * post_scale, one rounded BF16 product (rule S).
+  kScale,
 };
 
 /// One per-cell update: target = post(sum of terms). Terms are evaluated
@@ -139,6 +150,7 @@ struct StencilPass {
   std::vector<TapTerm> terms;    ///< evaluated in order, all BF16
   PostOp post = PostOp::kNone;
   int post_self_field = 0;       ///< kLife: field supplying the survive state
+  float post_scale = 1.0f;       ///< kScale: the factor S is multiplied by
 };
 
 /// Per-field geometry data: boundary values and the initial interior.
@@ -203,5 +215,11 @@ struct GeneralStencilProblem {
 /// pass, terms in the canonical order with zero-weight taps omitted) —
 /// arithmetically identical by the tap-order contract.
 GeneralStencilProblem to_general(const StencilProblem& p);
+
+/// Classic Jacobi as the general program it is: one field "u" with the
+/// problem's boundary and initial values, and one pass of the W, E, N, S
+/// taps at weight 1 ending in a kScale of 0.25 — ((xm + xp) + ym + yp) *
+/// 0.25, bit for bit, by rules U and S of the tap-order contract.
+GeneralStencilProblem to_general(const JacobiProblem& p);
 
 }  // namespace ttsim::core

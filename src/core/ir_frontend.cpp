@@ -113,24 +113,20 @@ void declare_cbs(Graph& g, const std::vector<CbSpec>& cbs) {
 }
 
 // ---------------------------------------------------------------------------
-// The row-chunk program (stencil_device.cpp), classic Jacobi and general
-// alike: the program's PointChain supplies the CBs, the weight table, the
-// compute prologue and per-point ops, and the names. Depth is bound
-// concretely — the slot count's ceil(depth/nrows_min) term is not
-// polynomial.
+// The row-chunk program (stencil_device.cpp): the tap chain supplies the
+// CBs, the weight table and the per-point ops. Depth is bound concretely —
+// the slot count's ceil(depth/nrows_min) term is not polynomial.
 // ---------------------------------------------------------------------------
 Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
-  const PointChain& chain = *sh.chain;
   const int ncores = static_cast<int>(sh.ranges.size());
   const int nfields = sh.nfields();
   const auto depth = static_cast<std::uint32_t>(std::max(2, sh.read_ahead));
   const StripGeom geo = strip_geom(sh.ranges, sh.chunk_elems);
-  const SlotRing slots = general_slot_ring(depth, sh.ranges);
+  const SlotRing slots = general_slot_ring(depth, sh.ranges, sh.tagged_fields());
   const std::uint32_t sbytes = slot_bytes(geo.max_chunk);
-  const std::string label = chain.label();
 
   Graph g;
-  g.name = label + "-rowchunk";
+  g.name = "stencil-rowchunk";
   g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
   const Count it = Count::sym("iters");
@@ -144,8 +140,8 @@ Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   g.regions.push_back(ir::RegionDecl{
       "row-slots",
       Count(static_cast<std::int64_t>(nfields) * slots.nslots * sbytes)});
-  if (chain.table_bytes() > 0) {
-    g.regions.push_back(ir::RegionDecl{"weight-table", Count(chain.table_bytes())});
+  if (sh.table_bytes() > 0) {
+    g.regions.push_back(ir::RegionDecl{"weight-table", Count(sh.table_bytes())});
   }
   g.barriers.push_back(ir::BarrierDecl{sh.barrier_id, Count(2 * ncores)});
 
@@ -153,9 +149,9 @@ Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   // window [lo, hi] bounds its own reuse distance. The +extra slots absorb
   // the reader's cross-column run-ahead when strips have fewer rows than
   // the read-ahead depth.
-  KernelModel reader{label + "_reader", 0, Count(ncores), {}};
-  KernelModel compute{label + "_compute", 2, Count(ncores), chain.prologue_ops()};
-  KernelModel writer{label + "_writer", 1, Count(ncores), {}};
+  KernelModel reader{"stencil_reader", 0, Count(ncores), {}};
+  KernelModel compute{"stencil_compute", 2, Count(ncores), {}};
+  KernelModel writer{"stencil_writer", 1, Count(ncores), {}};
   for (std::size_t p = 0; p < sh.passes.size(); ++p) {
     const LoweredPass& pass = sh.passes[p];
     const std::string pname = "pass " + std::to_string(p);
@@ -184,7 +180,7 @@ Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
     }
     compute.ops.push_back(flow_op(OpKind::kComputeTile, P,
                                   pname + " point chain per chunk"));
-    for (Op& op : chain.point_ops(p, P)) compute.ops.push_back(std::move(op));
+    for (Op& op : tap_chain_ops(pass, P)) compute.ops.push_back(std::move(op));
     compute.ops.push_back(make_op(OpKind::kCbReserve, kCbGOut, P));
     compute.ops.push_back(make_op(OpKind::kCbPush, kCbGOut, P));
     for (const PassField& pf : pass.reads) {
@@ -212,36 +208,33 @@ Graph rowchunk_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// The slab programs (stencil_sram.cpp, jacobi_temporal.cpp), classic Jacobi
-// and general alike: the program's PointChain supplies the CBs, the weight
-// table, the compute prologue and per-point ops, and the names.
+// The slab programs (stencil_sram.cpp, jacobi_temporal.cpp): the tap chain
+// supplies the CBs, the weight table and the per-point ops.
 // ---------------------------------------------------------------------------
 
 /// SRAM-resident: five semaphores choreograph the halo exchange/restore
 /// between iterations; the iteration-(k-1) waits carry iter_delta = -1 —
 /// the slack that makes the wait-for graph acyclic.
 Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
-  const PointChain& chain = *sh.chain;
   const int ncores = static_cast<int>(sh.ranges.size());
   const SlabRows rows(sh.layout);
   const StripGeom geo = strip_geom(sh.ranges, rows.chunk);
   const Count slab_bytes(static_cast<std::int64_t>(geo.max_rows + 2) * rows.row_stride);
   const Count it = Count::sym("iters");
-  const std::string prefix = chain.label() + "_sram";
 
   Graph g;
-  g.name = chain.label() + "-sram";
+  g.name = "stencil-sram";
   g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
   g.bindings["iters"] = sh.iterations;
   g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *
                          (sh.layout.width() / rows.chunk);
 
-  declare_cbs(g, chain.cbs(1, 1));
+  declare_cbs(g, tap_chain_cbs(sh, 1, 1));
   g.regions.push_back(ir::RegionDecl{"slab-a", slab_bytes});
   g.regions.push_back(ir::RegionDecl{"slab-b", slab_bytes});
-  if (chain.table_bytes() > 0) {
-    g.regions.push_back(ir::RegionDecl{"weight-table", Count(chain.table_bytes())});
+  if (sh.table_bytes() > 0) {
+    g.regions.push_back(ir::RegionDecl{"weight-table", Count(sh.table_bytes())});
   }
   g.sems = {ir::SemDecl{kSemTopHalo, 0, "sem-top-halo"},
             ir::SemDecl{kSemBottomHalo, 0, "sem-bottom-halo"},
@@ -250,7 +243,7 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
             ir::SemDecl{kSemRestored, 0, "sem-restored"}};
   g.barriers.push_back(ir::BarrierDecl{sh.barrier_id, Count(3 * ncores)});
 
-  KernelModel dm0{prefix + "_dm0", 0, Count(ncores), {}};
+  KernelModel dm0{"stencil_sram_dm0", 0, Count(ncores), {}};
   dm0.ops.push_back(flow_op(OpKind::kReadRegion, Count(2),
                             "both parities' slabs, rows+2 rows each"));
   dm0.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
@@ -262,7 +255,7 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
                             Guard::kHasUpper, Peer::kUpper));
   g.kernels.push_back(std::move(dm0));
 
-  KernelModel compute{prefix + "_compute", 2, Count(ncores), chain.prologue_ops()};
+  KernelModel compute{"stencil_sram_compute", 2, Count(ncores), {}};
   compute.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemTopHalo, it - Count(1),
                                 1, Guard::kHasUpper, Peer::kSelf, -1));
@@ -273,14 +266,14 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
                                 1, Guard::kAlways, Peer::kSelf, -1));
   compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
                                 "slab-aliased point chain per chunk"));
-  for (Op& op : chain.point_ops(0, Count::sym("points"))) {
+  for (Op& op : tap_chain_ops(sh.passes[0], Count::sym("points"))) {
     compute.ops.push_back(std::move(op));
   }
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm0, it));
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputeDm1, it));
   g.kernels.push_back(std::move(compute));
 
-  KernelModel dm1{prefix + "_dm1", 1, Count(ncores), {}};
+  KernelModel dm1{"stencil_sram_dm1", 1, Count(ncores), {}};
   dm1.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, Count(1)));
   dm1.ops.push_back(make_op(OpKind::kSemWait, kSemComputeDm1, it - Count(1),
                             1, Guard::kAlways, Peer::kSelf, -1));
@@ -299,7 +292,6 @@ Graph sram_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
 /// Temporal tiling: Loaded / Computed / Free(initial 1) circulate per
 /// block; dm0+dm1 rendezvous on the epoch barrier.
 Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
-  const PointChain& chain = *sh.chain;
   const int ncores = static_cast<int>(sh.ranges.size());
   const int wf = sh.passes.front().target;
   const SlabRows rows(sh.layout);
@@ -311,7 +303,7 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   const Count EB = Count::sym("epochs") * Count::sym("blocks");
 
   Graph g;
-  g.name = chain.label() + "-temporal";
+  g.name = "stencil-temporal";
   g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
   g.bindings["iters"] = sh.iterations;
@@ -321,9 +313,9 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *
                          (sh.layout.width() / rows.chunk);
 
-  declare_cbs(g, chain.cbs(1, 1));
-  if (chain.table_bytes() > 0) {
-    g.regions.push_back(ir::RegionDecl{"weight-table", Count(chain.table_bytes())});
+  declare_cbs(g, tap_chain_cbs(sh, 1, 1));
+  if (sh.table_bytes() > 0) {
+    g.regions.push_back(ir::RegionDecl{"weight-table", Count(sh.table_bytes())});
   }
   for (int f = 0; f < sh.nfields(); ++f) {
     if (!tg.streamed[static_cast<std::size_t>(f)]) continue;
@@ -345,11 +337,11 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   dm0.ops.push_back(make_op(OpKind::kBarrierArrive, sh.barrier_id, E));
   g.kernels.push_back(std::move(dm0));
 
-  KernelModel compute{"temporal_compute", 2, Count(ncores), chain.prologue_ops()};
+  KernelModel compute{"temporal_compute", 2, Count(ncores), {}};
   compute.ops.push_back(make_op(OpKind::kSemWait, kSemLoaded, EB));
   compute.ops.push_back(flow_op(OpKind::kComputeTile, Count::sym("points"),
                                 "depth chained sub-steps per block"));
-  for (Op& op : chain.point_ops(0, Count::sym("points"))) {
+  for (Op& op : tap_chain_ops(sh.passes[0], Count::sym("points"))) {
     compute.ops.push_back(std::move(op));
   }
   compute.ops.push_back(make_op(OpKind::kSemPost, kSemComputed, EB));
@@ -366,11 +358,6 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
 }
 
 }  // namespace
-
-ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
-                            std::int64_t sram_bytes) {
-  return make_general_graph(classic_program(*sh), sram_bytes);
-}
 
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,
                              std::int64_t sram_bytes) {
@@ -409,11 +396,7 @@ constexpr std::uint64_t kDummyStep = 0x100000;
 
 ir::Graph jacobi_ir_graph(const JacobiProblem& p, const DeviceRunConfig& cfg,
                           std::int64_t sram_bytes) {
-  detail::validate_launch(p, cfg, detail::Surface::kCertified, 0);
-  return detail::make_jacobi_graph(
-      detail::resolve_jacobi(p, cfg, detail::requested_cores(cfg), kDummyBase,
-                             kDummyBase + kDummyStep),
-      sram_bytes);
+  return general_ir_graph(to_general(p), cfg, sram_bytes);
 }
 
 ir::Graph general_ir_graph(const GeneralStencilProblem& p,

@@ -19,11 +19,6 @@
 
 namespace ttsim::core::detail {
 
-/// Protocol graph of a certified classic Jacobi launch: the graph of the
-/// general program classic_program makes (make_general_graph).
-ir::Graph make_jacobi_graph(std::shared_ptr<KernelShared> sh,
-                            std::int64_t sram_bytes);
-
 /// Protocol graph of a general program: the row-chunk group, the
 /// SRAM-resident program or the temporal group, keyed on sh->strategy.
 ir::Graph make_general_graph(std::shared_ptr<GeneralShared> sh,

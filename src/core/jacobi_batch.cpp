@@ -1,22 +1,21 @@
 #include "ttsim/core/jacobi_batch.hpp"
 
 #include "jacobi_internal.hpp"
+#include "ttsim/core/stencil.hpp"
 
 namespace ttsim::core {
 
 void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem& p,
                                     const DeviceRunConfig& cfg,
                                     const std::vector<BatchSlot>& slots) {
-  validate_batch_request(p, cfg);
-  detail::check_batch_slots(slots, static_cast<std::size_t>(cfg.cores_x * cfg.cores_y));
-  // One resolve for the batch: the slots differ only in their grids,
-  // workers and barrier.
-  const auto base = detail::resolve_jacobi(p, cfg, detail::requested_cores(cfg), 0, 0);
-  detail::build_batch_slots(prog, *base, slots, detail::build_jacobi_program);
+  std::vector<GeneralBatchSlot> general;
+  general.reserve(slots.size());
+  for (const BatchSlot& s : slots) general.push_back({{s.d1}, {s.d2}, s.core_ids});
+  build_batched_stencil_program(prog, to_general(p), cfg, general);
 }
 
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg) {
-  detail::validate_launch(p, cfg, detail::Surface::kBatch, 0);
+  validate_stencil_request(to_general(p), cfg);
 }
 
 ttmetal::BufferConfig batch_grid_buffer_config(const DeviceRunConfig& cfg,

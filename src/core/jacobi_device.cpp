@@ -138,31 +138,19 @@ ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
   return bc;
 }
 
-std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
-                                             const DeviceRunConfig& cfg,
-                                             const CoreSelection& sel,
-                                             std::uint64_t d1, std::uint64_t d2) {
+std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
+                                            const DeviceRunConfig& cfg,
+                                            const CoreSelection& sel,
+                                            std::uint64_t d1, std::uint64_t d2) {
   auto sh = std::make_shared<KernelShared>(PaddedLayout(p.width, p.height));
   sh->d1 = d1;
   sh->d2 = d2;
   sh->iterations = p.iterations;
   sh->strategy = cfg.strategy;
   sh->toggles = cfg.toggles;
-  sh->chunk_elems = cfg.chunk_elems;
-  sh->read_ahead = cfg.read_ahead;
-  sh->temporal_depth = cfg.temporal_depth;
-  sh->ranges = decompose(p, sel.cores_x, sel.cores_y,
-                         is_tiled(cfg.strategy) ? kTile : 16);
+  sh->ranges = decompose(p, sel.cores_x, sel.cores_y, kTile);
   sh->core_ids = sel.core_ids;
   return sh;
-}
-
-void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh) {
-  if (is_tiled(sh->strategy)) {
-    build_tiled_program(prog, std::move(sh));
-  } else {
-    build_general_program(prog, classic_program(*sh));
-  }
 }
 
 bool reads_d2_first(DeviceStrategy s, int sweeps, int temporal_depth) {
@@ -205,20 +193,22 @@ SimTime JacobiLaunchLoop::launch(int sweeps, std::uint64_t residual_addr) {
   }
   JacobiProblem chunk = p_;
   chunk.iterations = sweeps;
-  auto sh = resolve_jacobi(chunk, cfg_, sel_, first->address(), second->address());
 
   ttmetal::Program prog;
   if (is_tiled(cfg_.strategy)) {
     // The Section-IV programs predate the flow-controlled protocol the IR
     // models: built directly.
-    build_jacobi_program(prog, std::move(sh));
+    build_tiled_program(
+        prog, resolve_tiled(chunk, cfg_, sel_, first->address(), second->address()));
   } else {
-    // Prove the protocol race/deadlock-free, then lower; the graph's emit
-    // closure is build_general_program.
-    auto g = classic_program(*sh);
-    g->residual_addr = residual_addr;
+    // Classic Jacobi is the general program to_general makes. Prove the
+    // protocol race/deadlock-free, then lower; the graph's emit closure is
+    // build_general_program.
+    auto sh = resolve_general(to_general(chunk), cfg_, sel_, {first->address()},
+                              {second->address()});
+    sh->residual_addr = residual_addr;
     ir::lower(make_general_graph(
-                  std::move(g), static_cast<std::int64_t>(device_.spec().sram_bytes)),
+                  std::move(sh), static_cast<std::int64_t>(device_.spec().sram_bytes)),
               prog);
   }
   device_.run_program(prog);

@@ -1,10 +1,9 @@
 #pragma once
 /// \file jacobi_internal.hpp
-/// Shared internals of the device Jacobi solvers: the per-core domain
-/// decomposition, the one launch-config validator, the (problem, config) ->
-/// kernel-state resolve, the strategy -> builder switch, the chunked launch
-/// loop every Jacobi driver runs on, and the row-chunk geometry the
-/// row-chunk builder and its IR model share.
+/// Shared internals of the device solvers: the per-core domain
+/// decomposition, the one launch-config validator, the tiled programs'
+/// kernel state, the chunked launch loop every Jacobi driver runs on, and
+/// the row-chunk geometry the row-chunk builder and its IR model share.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,9 +18,8 @@
 
 namespace ttsim::core::detail {
 
-/// Circular-buffer ids of classic Jacobi's programs (tt-metal convention:
-/// inputs 0..7, intermediates 8..15, outputs 16..23): the tiled programs
-/// use all of them, the classic point chain the scalar, inter and out CBs.
+/// Circular-buffer ids of the tiled Section-IV programs (tt-metal
+/// convention: inputs 0..7, intermediates 8..15, outputs 16..23).
 inline constexpr int kCbIn0 = 0;   // x-1 tile
 inline constexpr int kCbIn1 = 1;   // x+1 tile
 inline constexpr int kCbIn2 = 2;   // y-1 tile
@@ -100,22 +98,15 @@ inline CoreSelection requested_cores(const DeviceRunConfig& cfg) {
 ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
                                          const PaddedLayout& layout);
 
-/// A resolved classic Jacobi launch: what the tiled kernels share by
-/// reference across their lambdas, and what classic_program turns into the
-/// general program every certified strategy runs.
+/// A resolved tiled Section-IV launch: what the tiled kernels share by
+/// reference across their lambdas.
 struct KernelShared {
   std::uint64_t d1 = 0;  ///< device address of grid buffer 1
   std::uint64_t d2 = 0;  ///< device address of grid buffer 2
   PaddedLayout layout;
   int iterations = 0;
-  DeviceStrategy strategy = DeviceStrategy::kRowChunk;
+  DeviceStrategy strategy = DeviceStrategy::kInitial;
   ComponentToggles toggles;
-  std::uint32_t chunk_elems = 1024;
-  /// Row-chunk reader's in-flight batch depth (DeviceRunConfig::read_ahead);
-  /// 2 reproduces the paper's two-batch scheme bit-exactly.
-  int read_ahead = 2;
-  /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
-  int temporal_depth = 1;
   std::vector<CoreRange> ranges;
   /// Physical worker ids: logical position i (= index into `ranges`) runs on
   /// worker core_ids[i]. Empty means the identity mapping. Graceful
@@ -123,12 +114,6 @@ struct KernelShared {
   /// kernels keep addressing neighbours by *position* and the builders
   /// translate to physical ids.
   std::vector<int> core_ids;
-  /// Device-wide barrier id the built kernels rendezvous on between
-  /// iterations. The default reproduces every single-group program
-  /// bit-exactly; batched launches (several independent solves in one
-  /// program on disjoint core groups — see jacobi_batch.hpp) give each
-  /// group its own id so groups never synchronise with each other.
-  int barrier_id = kIterationBarrier;
 
   KernelShared(const PaddedLayout& l) : layout(l) {}
 
@@ -141,17 +126,12 @@ struct KernelShared {
   }
 };
 
-/// The one (problem, config) -> kernel-state step: `p.iterations` sweeps of
-/// the configured strategy over grids `d1`/`d2`, decomposed onto `sel`.
-std::shared_ptr<KernelShared> resolve_jacobi(const JacobiProblem& p,
-                                             const DeviceRunConfig& cfg,
-                                             const CoreSelection& sel,
-                                             std::uint64_t d1, std::uint64_t d2);
-
-/// The one builder of classic Jacobi: the tiled program, or the general
-/// program classic_program makes. The batched builder and the tiled
-/// launches call it.
-void build_jacobi_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> sh);
+/// The (problem, config) -> kernel-state step of the tiled programs:
+/// `p.iterations` sweeps over grids `d1`/`d2`, decomposed onto `sel`.
+std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
+                                            const DeviceRunConfig& cfg,
+                                            const CoreSelection& sel,
+                                            std::uint64_t d1, std::uint64_t d2);
 
 /// True when a launch of `sweeps` sweeps reads its first source grid from
 /// d2. Every launch ends in d2 for odd sweep counts and in d1 for even
@@ -197,43 +177,6 @@ class JacobiLaunchLoop {
   /// image (a launch then keeps d1 as d1, whichever grid it reads first).
   ttmetal::Buffer* fresh_ = nullptr;
 };
-
-/// Checks shared by both batched builders: every slot supplies exactly
-/// `ncores` workers and no worker appears in two slots.
-template <typename Slot>
-void check_batch_slots(const std::vector<Slot>& slots, std::size_t ncores) {
-  if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
-  std::vector<int> used;
-  for (std::size_t g = 0; g < slots.size(); ++g) {
-    if (slots[g].core_ids.size() != ncores) {
-      TTSIM_THROW_API("batch slot " << g << " supplies " << slots[g].core_ids.size()
-                      << " cores but the decomposition needs " << ncores);
-    }
-    for (int id : slots[g].core_ids) {
-      if (std::find(used.begin(), used.end(), id) != used.end()) {
-        TTSIM_THROW_API("batch slots must use disjoint cores (worker " << id
-                        << " appears twice)");
-      }
-      used.push_back(id);
-    }
-  }
-}
-
-/// The slot loop both batched builders share: the batch's one resolved
-/// state `base`, copied per slot with the slot's grids, workers and a
-/// barrier id of its own, each copy built by `build`.
-template <typename Shared, typename Slot, typename Build>
-void build_batch_slots(ttmetal::Program& prog, const Shared& base,
-                       const std::vector<Slot>& slots, Build&& build) {
-  for (std::size_t g = 0; g < slots.size(); ++g) {
-    auto shared = std::make_shared<Shared>(base);
-    shared->d1 = slots[g].d1;
-    shared->d2 = slots[g].d2;
-    shared->core_ids = slots[g].core_ids;
-    shared->barrier_id = static_cast<int>(g);
-    build(prog, std::move(shared));
-  }
-}
 
 /// Bytes of one row-chunk slot: chunk + 2 halo elements, plus up to 32
 /// alignment-prefix bytes.
@@ -309,18 +252,31 @@ struct ChunkGrid {
 /// needed at any depth. Reads are tagged per slot, and a tag is reusable
 /// by the time its slot is: a row's read is waited by the first batch that
 /// needs it, and its slot is reissued only after every batch that reads it
-/// was popped.
+/// was popped. Field f of the `tagged_fields` a program streams tags
+/// f*nslots + slot, so the ring throws ApiError when those tags overflow a
+/// data mover's ttmetal::kMaxReadTags.
 struct SlotRing {
   std::uint32_t nslots;
   std::uint32_t extra;
 };
 inline SlotRing general_slot_ring(std::uint32_t depth,
-                                  const std::vector<CoreRange>& ranges) {
+                                  const std::vector<CoreRange>& ranges,
+                                  int tagged_fields) {
   std::uint32_t nrows_min = UINT32_MAX;
   for (const auto& rg : ranges) nrows_min = std::min(nrows_min, rg.row_hi - rg.row_lo);
   nrows_min = std::max(nrows_min, 1u);
   const std::uint32_t extra = 2 * ((depth + nrows_min - 1) / nrows_min);
-  return {2 * depth + 3 + extra, extra};
+  const SlotRing ring{2 * depth + 3 + extra, extra};
+  const std::int64_t tags = static_cast<std::int64_t>(tagged_fields) * ring.nslots;
+  if (tags > ttmetal::kMaxReadTags) {
+    TTSIM_THROW_API("read_ahead " << depth << " needs " << ring.nslots
+                    << " row slots per streamed field (" << nrows_min
+                    << " rows on the smallest core strip), and "
+                    << tagged_fields << " streamed field(s) need " << tags
+                    << " read tags; a data mover has " << ttmetal::kMaxReadTags
+                    << ". Lower read_ahead or give each core more rows");
+  }
+  return ring;
 }
 
 /// Bytes per L1 slab row of the SRAM-resident and temporal programs (see

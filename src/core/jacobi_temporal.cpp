@@ -28,11 +28,10 @@
 ///
 /// Slab rows use the SRAM-resident program's SlabRows layout ([32 B
 /// prefix][L][W interior][R][tile-spill pad]), and the compute kernel runs
-/// the program's PointChain (classic Jacobi's chain or the tap chain), so
-/// results are bit-exact with k sequential depth-1 sweeps (and with the CPU
-/// reference). Every launch is a single-pass general program, classic
-/// Jacobi's through classic_program; the block sizing is
-/// temporal_geometry, which the IR model calls too.
+/// the tap chain, so results are bit-exact with k sequential depth-1
+/// sweeps (and with the CPU reference). Every launch is a single-pass
+/// general program, classic Jacobi's through to_general; the block sizing
+/// is temporal_geometry, which the IR model calls too.
 
 #include <algorithm>
 #include <cstring>
@@ -63,7 +62,7 @@ struct TemporalShared : GeneralShared, SlabRows {
   TemporalGeometry geo;
   int wf = 0;  ///< index of the written field
   std::vector<TemporalField> fields;
-  std::uint32_t wtab = 0;  ///< L1 address of the chain's weight table
+  std::uint32_t wtab = 0;  ///< L1 address of the weight table
 
   explicit TemporalShared(const GeneralShared& g)
       : GeneralShared(g), SlabRows(g.layout), geo(temporal_geometry(g)),
@@ -153,11 +152,10 @@ void build_general_temporal_group(ttmetal::Program& prog,
   const std::vector<int>& cores = sh->core_ids;
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
 
-  // The chain's CBs, then its weight table, then the slabs.
-  create_cbs(prog, cores, sh->chain->cbs(1, 1));
-  if (sh->chain->table_bytes() > 0) {
-    sh->wtab = prog.l1_buffer_address(
-        prog.create_l1_buffer(cores, sh->chain->table_bytes()));
+  // The tap chain's CBs, then its weight table, then the slabs.
+  create_cbs(prog, cores, tap_chain_cbs(*sh, 1, 1));
+  if (sh->table_bytes() > 0) {
+    sh->wtab = prog.l1_buffer_address(prog.create_l1_buffer(cores, sh->table_bytes()));
   }
   const std::uint32_t slab_bytes = sh->geo.slab_rows * sh->row_stride;
   for (auto& f : sh->fields) {
@@ -246,7 +244,7 @@ void build_general_temporal_group(ttmetal::Program& prog,
         const int pos = ctx.position();
         const CoreRange rg = sh->ranges[static_cast<std::size_t>(pos)];
         const std::uint32_t width = sh->layout.width();
-        sh->chain->prologue(ctx, sh->wtab);
+        fill_weight_table(ctx, sh->wtab, sh->weights);
         std::vector<std::uint32_t> src(sh->fields.size());
         for (int e = 0; e < E; ++e) {
           const int de = sh->depth_of(e);
@@ -265,7 +263,7 @@ void build_general_temporal_group(ttmetal::Program& prog,
               for (std::int64_t gr = lo; gr < hi; ++gr) {
                 const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
                 for (std::uint32_t c0 = 0; c0 < width; c0 += sh->chunk) {
-                  emit_slab_point(ctx, *sh->chain, *sh, sh->wtab, src, dst, lr, c0);
+                  emit_slab_point(ctx, sh->passes[0], *sh, sh->wtab, src, dst, lr, c0);
                   ctx.loop_tick();
                 }
               }

@@ -73,7 +73,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
   const auto buf1 = prog.create_l1_buffer(cores, kBlockBufBytes);
   const std::uint32_t b0 = prog.l1_buffer_address(buf0);
   const std::uint32_t b1 = prog.l1_buffer_address(buf1);
-  prog.create_global_barrier(sh->barrier_id, 2 * ncores);
+  prog.create_global_barrier(kIterationBarrier, 2 * ncores);
 
   // ---------------- reading data mover ----------------
   prog.create_kernel(
@@ -158,7 +158,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
               ctx.loop_tick();
             }
           }
-          ctx.global_barrier(sh->barrier_id);
+          ctx.global_barrier(kIterationBarrier);
         }
       },
       "jacobi_tiled_reader");
@@ -255,7 +255,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
             ctx.cb_pop_front(kCbOut, 1);
             ctx.loop_tick();
           }
-          ctx.global_barrier(sh->barrier_id);
+          ctx.global_barrier(kIterationBarrier);
         }
       },
       "jacobi_tiled_writer");

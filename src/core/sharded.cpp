@@ -12,7 +12,6 @@
 #include "card_threads.hpp"
 #include "jacobi_internal.hpp"
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
@@ -56,16 +55,6 @@ std::vector<Slab> decompose_slabs(int rows, int cards, int k) {
   return slabs;
 }
 
-/// Everything the unified epoch loop needs to know about the program being
-/// sharded, independent of the Jacobi/general split.
-struct Job {
-  const JacobiProblem* jacobi = nullptr;
-  const GeneralStencilProblem* general = nullptr;
-  int width = 0, rows = 0, iterations = 0;
-  int nfields = 1;
-  int written = 0;  ///< the field whose halo crosses the fabric
-};
-
 struct CardState {
   ttmetal::Device* dev = nullptr;
   Slab slab;
@@ -97,8 +86,12 @@ void slab_rows_write(ttmetal::Device& dev, const ttmetal::Buffer& buf,
       static_cast<std::uint64_t>(count) * row_bytes);
 }
 
+/// The epoch loop over a validated single-pass program `p`, from and into
+/// one global padded image per field. The caller extracts the solution
+/// from `images`.
 ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
-                                  sim::ChipLinkFabric& fabric, const Job& job,
+                                  sim::ChipLinkFabric& fabric,
+                                  const GeneralStencilProblem& p,
                                   const ShardedRunConfig& cfg,
                                   std::vector<std::vector<bfloat16_t>>& images) {
   const int cards = static_cast<int>(devices.size());
@@ -121,30 +114,23 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   };
   // Every epoch is one batched launch per card of at most k sweeps: reject
   // what those launches would, before any card is touched.
-  JacobiProblem geometry;
-  geometry.width = static_cast<std::uint32_t>(job.width);
-  geometry.height = static_cast<std::uint32_t>(job.rows);
-  geometry.iterations = job.iterations;
-  detail::validate_launch(geometry, launch_cfg(k), detail::Surface::kBatch, 0);
+  detail::validate_launch(p.geometry(), launch_cfg(k), detail::Surface::kBatch, 0);
 
-  const PaddedLayout global(static_cast<std::uint32_t>(job.width),
-                            static_cast<std::uint32_t>(job.rows));
+  const int nfields = static_cast<int>(p.fields.size());
+  const int written = p.passes[0].target;  // the field whose halo crosses the fabric
+  const PaddedLayout global(p.width, p.height);
   const std::uint64_t row_bytes = global.row_elems() * sizeof(bfloat16_t);
-  const auto slabs = decompose_slabs(job.rows, cards, k);
+  const auto slabs = decompose_slabs(static_cast<int>(p.height), cards, k);
   const int ncores = cfg.run.cores_x * cfg.run.cores_y;
-  auto slab_jacobi = [&](const CardState& cs, int klaunch) {
-    JacobiProblem q = *job.jacobi;
-    q.height = static_cast<std::uint32_t>(cs.slab.height);
-    q.iterations = klaunch;
-    return q;
-  };
-  auto slab_general = [&](const CardState& cs, int klaunch) {
-    GeneralStencilProblem g = *job.general;
-    g.height = static_cast<std::uint32_t>(cs.slab.height);
+  auto slab_problem = [&](const Slab& slab, int klaunch) {
+    GeneralStencilProblem g = p;
+    g.height = static_cast<std::uint32_t>(slab.height);
     g.iterations = klaunch;
     for (auto& f : g.fields) f.initial_field.clear();
     return g;
   };
+  // A slab is thinner than the domain, so its row-chunk slot ring is wider.
+  for (const Slab& slab : slabs) validate_stencil_request(slab_problem(slab, k), launch_cfg(k));
 
   // --- open slab state: cores, buffers, H2D staging (PCIe, per card) ---
   // Wall clock starts at the cluster's current frontier: fresh clusters sit
@@ -159,8 +145,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev = devices[static_cast<std::size_t>(c)];
     cs.slab = slabs[static_cast<std::size_t>(c)];
-    cs.layout = PaddedLayout(static_cast<std::uint32_t>(job.width),
-                             static_cast<std::uint32_t>(cs.slab.height));
+    cs.layout = PaddedLayout(p.width, static_cast<std::uint32_t>(cs.slab.height));
     const auto usable = cs.dev->usable_workers();
     if (static_cast<int>(usable.size()) < ncores) {
       TTSIM_THROW_API("card " << c << " has " << usable.size()
@@ -170,22 +155,19 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   }
   detail::for_each_card(devices, [&](int c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
-    const ttmetal::BufferConfig bc =
-        job.general != nullptr
-            ? batch_grid_buffer_config(cfg.run, slab_general(cs, 1).geometry())
-            : batch_grid_buffer_config(cfg.run, slab_jacobi(cs, 1));
+    const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg.run, cs.layout);
     const std::size_t slab_begin =
         static_cast<std::size_t>(cs.slab.off) * global.row_elems();
     const std::size_t slab_elems =
         static_cast<std::size_t>(cs.slab.height + 2) * global.row_elems();
-    for (int f = 0; f < job.nfields; ++f) {
+    for (int f = 0; f < nfields; ++f) {
       const auto& img = images[static_cast<std::size_t>(f)];
       const std::span<const bfloat16_t> slice(img.data() + slab_begin,
                                               slab_elems);
       auto buf_a = cs.dev->create_buffer(bc);
       cs.dev->write_buffer(*buf_a, std::as_bytes(slice));
       cs.a.push_back(std::move(buf_a));
-      if (f == job.written) {
+      if (f == written) {
         // Both parities start from the same image: boundary rows are read
         // from whichever buffer is the sweep's source, so they must be
         // present (and equal) in both.
@@ -207,8 +189,8 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   for (auto& cs : state) cluster = std::max(cluster, cs.dev->now());
   bool swapped = false;
   int done = 0;
-  while (done < job.iterations) {
-    const int klaunch = std::min(k, job.iterations - done);
+  while (done < p.iterations) {
+    const int klaunch = std::min(k, p.iterations - done);
     ++result.epochs;
 
     detail::for_each_card(devices, [&](int c) {
@@ -219,36 +201,22 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       // The fresh grid goes in whichever slot the launch reads first.
       const bool reads_d2 =
           detail::reads_d2_first(lc.strategy, klaunch, lc.temporal_depth);
-      if (job.general != nullptr) {
-        GeneralBatchSlot slot;
-        for (int f = 0; f < job.nfields; ++f) {
-          const auto& a = cs.a[static_cast<std::size_t>(f)];
-          const auto& b = cs.b[static_cast<std::size_t>(f)];
-          if (f == job.written) {
-            const std::uint64_t fresh = swapped ? b->address() : a->address();
-            const std::uint64_t other = swapped ? a->address() : b->address();
-            slot.d1.push_back(reads_d2 ? other : fresh);
-            slot.d2.push_back(reads_d2 ? fresh : other);
-          } else {
-            slot.d1.push_back(a->address());
-            slot.d2.push_back(0);
-          }
+      GeneralBatchSlot slot;
+      for (int f = 0; f < nfields; ++f) {
+        const auto& a = cs.a[static_cast<std::size_t>(f)];
+        const auto& b = cs.b[static_cast<std::size_t>(f)];
+        if (f == written) {
+          const std::uint64_t fresh = swapped ? b->address() : a->address();
+          const std::uint64_t other = swapped ? a->address() : b->address();
+          slot.d1.push_back(reads_d2 ? other : fresh);
+          slot.d2.push_back(reads_d2 ? fresh : other);
+        } else {
+          slot.d1.push_back(a->address());
+          slot.d2.push_back(0);
         }
-        slot.core_ids = cs.cores;
-        build_batched_stencil_program(prog, slab_general(cs, klaunch), lc,
-                                      {slot});
-      } else {
-        const auto& a = cs.a[0];
-        const auto& b = cs.b[0];
-        const std::uint64_t fresh = swapped ? b->address() : a->address();
-        const std::uint64_t other = swapped ? a->address() : b->address();
-        BatchSlot slot;
-        slot.d1 = reads_d2 ? other : fresh;
-        slot.d2 = reads_d2 ? fresh : other;
-        slot.core_ids = cs.cores;
-        build_batched_rowchunk_program(prog, slab_jacobi(cs, klaunch), lc,
-                                       {slot});
       }
+      slot.core_ids = cs.cores;
+      build_batched_stencil_program(prog, slab_problem(cs.slab, klaunch), lc, {slot});
       cs.dev->run_program(prog);
     });
     SimTime epoch_kernel = 0;
@@ -265,7 +233,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     if (flips % 2 == 1) swapped = !swapped;
     done += klaunch;
     cluster = epoch_end;
-    if (done >= job.iterations) break;
+    if (done >= p.iterations) break;
 
     // --- halo exchange across every interior cut ---
     // Each side sends its k outermost owned rows of the written field; the
@@ -280,7 +248,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     for (int c = 0; c + 1 < cards; ++c) {
       CardState& up = state[static_cast<std::size_t>(c)];
       CardState& dn = state[static_cast<std::size_t>(c + 1)];
-      const int f = job.written;
+      const int f = written;
       auto* up_res = (swapped ? up.b[static_cast<std::size_t>(f)]
                               : up.a[static_cast<std::size_t>(f)])
                          .get();
@@ -328,7 +296,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   detail::for_each_card(devices, [&](int c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev->hw().engine().run_until(cluster);
-    const int f = job.written;
+    const int f = written;
     auto* res = (swapped ? cs.b[static_cast<std::size_t>(f)]
                          : cs.a[static_cast<std::size_t>(f)])
                     .get();
@@ -350,16 +318,6 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto fabric_after = fabric.totals();
   result.link_bytes = fabric_after.bytes - fabric_before.bytes;
 
-  const auto written = static_cast<std::size_t>(job.written);
-  if (job.general == nullptr) {
-    // Classic Jacobi returns only its solution: extract just that image.
-    result.solution = global.extract_interior(images[written]);
-    return result;
-  }
-  for (const auto& image : images) {
-    result.fields.push_back(global.extract_interior(image));
-  }
-  result.solution = result.fields[written];
   return result;
 }
 
@@ -389,12 +347,6 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     const JacobiProblem& p,
                                     const ShardedRunConfig& cfg,
                                     std::vector<bfloat16_t>* state) {
-  Job job;
-  job.jacobi = &p;
-  job.width = static_cast<int>(p.width);
-  job.rows = static_cast<int>(p.height);
-  job.iterations = p.iterations;
-
   const PaddedLayout global(p.width, p.height);
   const bool resuming = state != nullptr && !state->empty();
   if (resuming && state->size() != global.elems()) {
@@ -403,9 +355,10 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
   }
   std::vector<std::vector<bfloat16_t>> images;
   images.push_back(resuming ? *state : global.initial_image(p));
-
-  ShardedRunResult result = run_sharded_impl(cards, fabric, job, cfg, images);
-  if (state != nullptr) *state = images[0];
+  ShardedRunResult result = run_sharded_impl(cards, fabric, to_general(p), cfg, images);
+  // Classic Jacobi returns only its solution: extract just that image.
+  result.solution = global.extract_interior(images[0]);
+  if (state != nullptr) *state = std::move(images[0]);
 
   if (cfg.verify && !resuming) {
     const auto ref = cpu::jacobi_reference_bf16(p);
@@ -428,14 +381,6 @@ ShardedRunResult run_general_sharded(
     TTSIM_THROW_API("sharded general runs support single-pass programs only ("
                     << p.passes.size() << " passes)");
   }
-  Job job;
-  job.general = &p;
-  job.width = static_cast<int>(p.width);
-  job.rows = static_cast<int>(p.height);
-  job.iterations = p.iterations;
-  job.nfields = static_cast<int>(p.fields.size());
-  job.written = p.passes[0].target;
-
   const PaddedLayout global(p.width, p.height);
   const bool resuming = state != nullptr && !state->empty();
   std::vector<std::vector<bfloat16_t>> images;
@@ -446,13 +391,17 @@ ShardedRunResult run_general_sharded(
     }
     images = *state;
   } else {
-    for (int f = 0; f < job.nfields; ++f) {
+    for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
       images.push_back(general_field_image(global, p, f));
     }
   }
 
-  ShardedRunResult result = run_sharded_impl(cards, fabric, job, cfg, images);
-  if (state != nullptr) *state = images;
+  ShardedRunResult result = run_sharded_impl(cards, fabric, p, cfg, images);
+  for (const auto& image : images) {
+    result.fields.push_back(global.extract_interior(image));
+  }
+  result.solution = result.fields[static_cast<std::size_t>(p.passes[0].target)];
+  if (state != nullptr) *state = std::move(images);
 
   if (cfg.verify && !resuming) {
     const auto ref = cpu::general_reference_bf16(p);

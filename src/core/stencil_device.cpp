@@ -1,24 +1,24 @@
 /// \file stencil_device.cpp
-/// The Section VI row-chunk program, for every problem kind: classic
-/// Jacobi runs it as the one-field, one-pass general program
-/// classic_program makes. Batches are one-dimensional chunks of (up to)
-/// 1024 elements along X (Fig. 6); each batch needs one contiguous read of
-/// chunk+2 elements per referenced row (the chunk plus one halo element per
-/// side). Every pass of every iteration streams each field it reads
-/// through its own rotating window of row slots in local SRAM, read-ahead
-/// deep with one tagged barrier per batch, and never copies memory: the
-/// compute kernel redirects CB read pointers into the mover's slots with
-/// the cb_set_rd_ptr SDK extension — tap (dr, dc) of field f at batch j is
+/// The Section VI row-chunk program, for every problem: classic Jacobi
+/// runs it as the one-field, one-pass general program to_general makes.
+/// Batches are one-dimensional chunks of (up to) 1024 elements along X
+/// (Fig. 6); each batch needs one contiguous read of chunk+2 elements per
+/// referenced row (the chunk plus one halo element per side). Every pass
+/// of every iteration streams each field it reads through its own rotating
+/// window of row slots in local SRAM, read-ahead deep with one tagged
+/// barrier per batch, and never copies memory: the compute kernel
+/// redirects CB read pointers into the mover's slots with the
+/// cb_set_rd_ptr SDK extension — tap (dr, dc) of field f at batch j is
 ///   slot(f, j + dr) + off + 2 + 2*dc
 /// where `off` is the Listing-4 alignment offset of the strip's left halo
 /// (so classic Jacobi's x-1 tile is slot(j) + off, its x+1 tile
 /// slot(j) + off + 4 B and its y-1/y+1 tiles the rows above and below,
-/// centred). The program's PointChain replays the per-point op chain: the
-/// classic chain's ((xm + xp) + ym + yp) * 0.25, or the tap chain, where
-/// each term costs one FPU multiply against the weight table plus (after
-/// the first) one addition — so a 3-tap upwind advection still runs
-/// cheaper per point than 5-tap diffusion, and a field whose taps need no
-/// vertical halo streams one row per batch instead of three.
+/// centred). The tap chain replays the per-point op chain: a weighted term
+/// costs one FPU multiply against the weight table plus (after the seed)
+/// one addition, a unit term only the addition — so classic Jacobi runs
+/// ((xm + xp) + ym + yp) * 0.25 in four FPU ops, a 3-tap upwind advection
+/// still runs cheaper per point than 5-tap diffusion, and a field whose
+/// taps need no vertical halo streams one row per batch instead of three.
 ///
 /// The slot rotation (ChunkGrid::slot_of) runs continuously across column
 /// strips, so a column's first rows land in the slots after the previous
@@ -54,8 +54,8 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
   sh.written_pass.assign(static_cast<std::size_t>(nfields), -1);
   for (int f = 0; f < nfields; ++f) sh.written_pass[static_cast<std::size_t>(f)] = p.written_pass(f);
 
-  // Distinct weights in first-appearance order: the table index each term's
-  // multiply aliases kCbWgt onto.
+  // Distinct weights in first-appearance order: the table index each
+  // multiply aliases kCbWgt onto. Unit terms multiply nothing (rule U).
   sh.weights.clear();
   auto weight_index = [&](float w) {
     for (std::size_t i = 0; i < sh.weights.size(); ++i) {
@@ -84,9 +84,10 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
     for (const auto& term : pass.terms) {
       const int dr = tap_dr(term.tap);
       lp.terms.push_back(LoweredTerm{term.field, dr, tap_dc(term.tap),
-                                     weight_index(term.weight)});
+                                     term.weight == 1.0f ? -1 : weight_index(term.weight)});
       touch(term.field, dr);
     }
+    if (lp.post == PostOp::kScale) lp.post_widx = weight_index(pass.post_scale);
     // The Life recombination reads the self field's centre row — stream it
     // even when no tap term references it.
     if (lp.post == PostOp::kLife) touch(lp.self_field, 0);
@@ -97,7 +98,7 @@ void lower_program(const GeneralStencilProblem& p, GeneralShared& sh) {
 }  // namespace
 
 std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth) {
-  std::vector<CbSpec> cbs = sh.chain->cbs(depth, 4);
+  std::vector<CbSpec> cbs = tap_chain_cbs(sh, depth, 4);
   if (sh.residual_addr != 0) cbs.push_back({kCbRes, 1, "cb-res", 32});
   return cbs;
 }
@@ -108,17 +109,18 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   const std::vector<int> cores = sh->workers();
   TTSIM_CHECK(static_cast<int>(cores.size()) == ncores);
   const int nfields = sh->nfields();
-  // The residual page reuses the id of kCbGTmp2, which only a post-op's
-  // chain allocates; the residual is |unew - u| of a pass's own field.
+  // The residual page reuses the id of kCbGTmp2, which only the Life
+  // post-op allocates; the residual is |unew - u| of a pass's own field.
   TTSIM_CHECK(sh->residual_addr == 0 ||
-              (sh->passes.size() == 1 && sh->passes[0].post == PostOp::kNone));
+              (sh->passes.size() == 1 && sh->passes[0].post != PostOp::kLife));
 
   // Read-ahead depth N: the reader keeps up to N row batches in flight.
   // Stream CBs carry no data (read pointers are aliased); N pages give the
   // reader exactly the flow control that keeps a slot alive until the
   // compute kernel is done with the batches that read it.
   const auto depth = static_cast<std::uint32_t>(std::max(2, sh->read_ahead));
-  const std::uint32_t nslots = general_slot_ring(depth, sh->ranges).nslots;
+  const std::uint32_t nslots =
+      general_slot_ring(depth, sh->ranges, sh->tagged_fields()).nslots;
   create_cbs(prog, cores, rowchunk_cbs(*sh, depth));
 
   const std::uint32_t sbytes = slot_bytes(max_chunk(sh->ranges, sh->chunk_elems));
@@ -126,14 +128,13 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
   const std::uint32_t slots_addr = prog.l1_buffer_address(prog.create_l1_buffer(
       cores, static_cast<std::uint64_t>(nfields) * nslots * sbytes));
   const std::uint32_t wtab =
-      sh->chain->table_bytes() > 0
-          ? prog.l1_buffer_address(prog.create_l1_buffer(cores, sh->chain->table_bytes()))
+      sh->table_bytes() > 0
+          ? prog.l1_buffer_address(prog.create_l1_buffer(cores, sh->table_bytes()))
           : 0;
   // Reader and writer rendezvous after EVERY pass: a pass may read fields
   // the previous pass just wrote (FDTD's leapfrog), so no core's reader may
   // start pass p+1 until every writer has finished pass p.
   prog.create_global_barrier(sh->barrier_id, 2 * ncores);
-  const std::string label = sh->chain->label();
 
   // ---------------- reading data mover ----------------
   prog.create_kernel(
@@ -227,7 +228,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
           }
         }
       },
-      label + "_reader");
+      "stencil_reader");
 
   // ---------------- compute cores ----------------
   prog.create_kernel(
@@ -241,7 +242,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
         // within this batch's slots, and so the host computes only the
         // chunk's lanes.
         const std::uint32_t valid = grid.chunk * 2;
-        sh->chain->prologue(ctx, wtab);
+        fill_weight_table(ctx, wtab, sh->weights);
         bfloat16_t residual{0.0f};
         for (int it = 0; it < sh->iterations; ++it) {
           const bool track = sh->residual_addr != 0 && it == sh->iterations - 1;
@@ -264,7 +265,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                           grid.slot_of(col, j + dr)) * sbytes +
                          off + static_cast<std::uint32_t>(2 + 2 * dc);
                 };
-                sh->chain->emit_point(ctx, p, wtab, valid, tap_at, [&](int reg) {
+                emit_tap_chain(ctx, wtab, pass, valid, tap_at, [&](int reg) {
                   ctx.cb_reserve_back(kCbGOut, 1);
                   ctx.pack_tile(reg, kCbGOut);
                   if (track) {
@@ -300,7 +301,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
           ctx.cb_push_back(kCbRes, 1);
         }
       },
-      label + "_compute");
+      "stencil_compute");
 
   // ---------------- writing data mover ----------------
   prog.create_kernel(
@@ -340,7 +341,7 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
           ctx.cb_pop_front(kCbRes, 1);
         }
       },
-      label + "_writer");
+      "stencil_writer");
 }
 
 void validate_general_launch(const GeneralStencilProblem& p,
@@ -357,6 +358,12 @@ void validate_general_launch(const GeneralStencilProblem& p,
     TTSIM_THROW_API("temporal tiling chains generations of ONE pass through "
                     "L1: single-pass programs only (multi-pass leapfrogs "
                     "would need every written field's skirt per sub-step)");
+  }
+  if (cfg.strategy == DeviceStrategy::kRowChunk) {
+    // The slot ring's read tags must fit a data mover's tag space.
+    const auto sh = resolve_general(p, cfg, requested_cores(cfg), {}, {});
+    (void)general_slot_ring(static_cast<std::uint32_t>(cfg.read_ahead), sh->ranges,
+                            sh->tagged_fields());
   }
 }
 
@@ -375,7 +382,6 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
   sh->d2 = std::move(d2);
   sh->ranges = decompose(p.geometry(), sel.cores_x, sel.cores_y, 16);
   sh->core_ids = sel.core_ids;
-  sh->chain = make_tap_chain(*sh);
   return sh;
 }
 
@@ -500,18 +506,38 @@ void build_batched_stencil_program(ttmetal::Program& prog,
                                    const DeviceRunConfig& cfg,
                                    const std::vector<GeneralBatchSlot>& slots) {
   validate_stencil_request(p, cfg);
-  detail::check_batch_slots(slots, static_cast<std::size_t>(cfg.cores_x * cfg.cores_y));
+  if (slots.empty()) TTSIM_THROW_API("batched launch needs at least one slot");
+  const auto ncores = static_cast<std::size_t>(cfg.cores_x * cfg.cores_y);
   const std::size_t nfields = p.fields.size();
+  std::vector<int> used;
   for (std::size_t g = 0; g < slots.size(); ++g) {
+    if (slots[g].core_ids.size() != ncores) {
+      TTSIM_THROW_API("batch slot " << g << " supplies " << slots[g].core_ids.size()
+                      << " cores but the decomposition needs " << ncores);
+    }
+    for (int id : slots[g].core_ids) {
+      if (std::find(used.begin(), used.end(), id) != used.end()) {
+        TTSIM_THROW_API("batch slots must use disjoint cores (worker " << id
+                        << " appears twice)");
+      }
+      used.push_back(id);
+    }
     if (slots[g].d1.size() != nfields || slots[g].d2.size() != nfields) {
       TTSIM_THROW_API("batch slot " << g << " must supply one buffer pair per "
                       "field (" << nfields << ")");
     }
   }
   // One resolve for the batch: the slots differ only in their grids,
-  // workers and barrier.
+  // workers and barrier, which is the group's own.
   const auto base = detail::resolve_general(p, cfg, detail::requested_cores(cfg), {}, {});
-  detail::build_batch_slots(prog, *base, slots, detail::build_general_program);
+  for (std::size_t g = 0; g < slots.size(); ++g) {
+    auto sh = std::make_shared<detail::GeneralShared>(*base);
+    sh->d1 = slots[g].d1;
+    sh->d2 = slots[g].d2;
+    sh->core_ids = slots[g].core_ids;
+    sh->barrier_id = static_cast<int>(g);
+    detail::build_general_program(prog, std::move(sh));
+  }
 }
 
 void validate_stencil_request(const GeneralStencilProblem& p,

@@ -3,12 +3,12 @@
 /// Shared internals of the general radius-1 stencil lowering: the resolved
 /// program state, the CB id map, and the tap-chain emitter every strategy
 /// uses. Keeping ONE emitter is what makes rowchunk-vs-SRAM agreement hold
-/// by construction — both strategies issue the identical FPU op sequence
-/// and differ only in where the aliased tap addresses point. The per-point
-/// chain object (PointChain: the tap chain, or classic Jacobi's chain), the
-/// slab strategies' row geometry (SlabRows) and the temporal geometry live
-/// here too, so the one row-chunk, the one SRAM-resident and the one
-/// temporal skeleton serve both problem kinds.
+/// by construction — every strategy issues the identical FPU op sequence
+/// and differs only in where the aliased tap addresses point. Classic
+/// Jacobi is a general program too (to_general), so the tap chain is the
+/// only point chain; the slab strategies' row geometry (SlabRows) and the
+/// temporal geometry live here as well, so one row-chunk, one
+/// SRAM-resident and one temporal skeleton serve every problem.
 ///
 /// CB id map of a general stencil program (tt-metal convention: inputs
 /// 0..7, intermediates 8..15, outputs 16..23):
@@ -16,17 +16,17 @@
 ///           depth-page streams; SRAM: alias vehicles, never pushed)
 ///   4     — weight alias CB, repointed into the L1 weight table per term
 ///   5/6/7 — accumulator chain (inter, tmp, tmp2)
-///   7     — row-chunk device residual (only on programs without a post-op,
-///           which never use tmp2)
+///   7     — row-chunk device residual (only on programs without a Life
+///           post-op, the one user of tmp2)
 ///   16    — output
 /// The weight table holds one 2 KiB tile of 1024 copies per distinct
-/// weight, written host-side by the compute kernel before the first sweep
-/// (the cb_scalar trick, without a CB).
+/// weight of a weighted term or scale post-op, written host-side by the
+/// compute kernel before the first sweep (the cb_scalar trick, without a
+/// CB).
 
 #include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 
 #include "jacobi_internal.hpp"
 #include "ttsim/core/stencil.hpp"
@@ -53,17 +53,24 @@ struct PassField {
 struct LoweredTerm {
   int field = 0;
   int dr = 0, dc = 0;
-  int widx = 0;  ///< index into the weight table
+  int widx = 0;  ///< index into the weight table; -1 for a unit weight
+  /// Rule U: a weight of exactly 1 adds the value with no multiply.
+  bool unit() const { return widx < 0; }
 };
 struct LoweredPass {
   int target = 0;
   std::vector<LoweredTerm> terms;
   PostOp post = PostOp::kNone;
   int self_field = 0;
+  int post_widx = -1;  ///< kScale: weight-table index of the factor
   std::vector<PassField> reads;  ///< referenced fields, first-use order
-};
 
-class PointChain;
+  /// Terms the accumulator seed consumes: a leading pair of unit terms is
+  /// one add, anything else seeds from the first term alone.
+  std::size_t seed_terms() const {
+    return terms.size() > 1 && terms[0].unit() && terms[1].unit() ? 2 : 1;
+  }
+};
 
 /// Everything the general kernels need, shared across the lambdas.
 struct GeneralShared {
@@ -81,9 +88,6 @@ struct GeneralShared {
   std::vector<CoreRange> ranges;
   std::vector<int> core_ids;
   int barrier_id = kIterationBarrier;
-  /// The per-point chain (make_tap_chain, or the classic chain of
-  /// classic_program).
-  std::shared_ptr<const PointChain> chain;
   /// Row-chunk only. When non-zero: on the final iteration the compute
   /// kernel tracks the per-core max |unew - u| of the written field on the
   /// FPU and the writing mover stores it (one BF16 value per core, 32-byte
@@ -96,6 +100,19 @@ struct GeneralShared {
   /// Known from the lowered program, before any grids are bound (a batch's
   /// shared resolve has none).
   int nfields() const { return static_cast<int>(written_pass.size()); }
+  /// Fields the row-chunk read tags span: field f's reads are tagged
+  /// f*nslots + slot, so one past the highest field any pass streams.
+  int tagged_fields() const {
+    int n = 0;
+    for (const LoweredPass& pass : passes) {
+      for (const PassField& pf : pass.reads) n = std::max(n, pf.field + 1);
+    }
+    return n;
+  }
+  /// Bytes of the L1 weight table (0: no weighted term or scale).
+  std::uint32_t table_bytes() const {
+    return static_cast<std::uint32_t>(weights.size()) * kTileBytes;
+  }
 
   /// Source buffer of field `f` while running pass `p` of iteration `it`:
   /// each write flips the parity, and a pass sees the writes of every
@@ -162,54 +179,84 @@ inline void fill_weight_table(ttmetal::KernelCtxBase& ctx, std::uint32_t addr,
   }
 }
 
-/// Emit the per-point FPU op sequence shared by every strategy: for each
-/// term of `pass`, one weight-aliased multiply; the first product seeds the
-/// accumulator, later ones are added left to right through the inter/tmp
-/// CB pair; the Life post-op masks the sum and recombines with the centre
-/// value. Every tap aliases its field's CB onto `tap_at(field, dr, dc)`,
-/// the L1 address of the tap's first element, with `valid` meaningful
-/// bytes behind it. `pack_final(dst_reg)` lands the finished tile (managed
-/// kCbGOut page on row-chunk; write-pointer aliased slab row on the slab
-/// strategies).
+/// Emit the per-point FPU op sequence shared by every strategy, the
+/// tap-order contract in FPU ops. The accumulator lives in dst0. The seed
+/// is a weight-aliased multiply, a copy of a unit term, or — for a leading
+/// pair of unit terms — one add whose second operand aliases through
+/// kCbGInter (an add needs two distinct CB handles). Every later term
+/// first parks the accumulator in kCbGInter: a unit term is then one add
+/// against it, a weighted one a multiply parked in kCbGTmp and an add of
+/// the two. A scale post-op multiplies the parked accumulator by its
+/// weight tile; the Life post-op masks the sum and recombines with the
+/// centre value. Every tap aliases its field's CB onto `tap_at(field, dr,
+/// dc)`, the L1 address of the tap's first element, with `valid`
+/// meaningful bytes behind it. `pack_final(dst_reg)` lands the finished
+/// tile (managed kCbGOut page on row-chunk; write-pointer aliased slab row
+/// on the slab strategies).
 template <typename TapAt, typename PackFinal>
 void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
                     const LoweredPass& pass, std::uint32_t valid, TapAt&& tap_at,
                     PackFinal&& pack_final) {
   constexpr int dst0 = 0;
   constexpr int dst1 = 1;
-  const std::size_t n = pass.terms.size();
-  const bool has_post = pass.post != PostOp::kNone;
-  for (std::size_t k = 0; k < n; ++k) {
-    const LoweredTerm& t = pass.terms[k];
+  auto alias = [&](const LoweredTerm& t) {
     const int cb = kCbFieldBase + t.field;
-    ctx.cb_set_rd_ptr(kCbWgt, wtab + static_cast<std::uint32_t>(t.widx) * kTileBytes);
     ctx.cb_set_rd_ptr(cb, tap_at(t.field, t.dr, t.dc), valid);
-    ctx.mul_tiles(kCbWgt, cb, 0, 0, dst0);
-    const bool last = k + 1 == n;
-    if (k > 0) {
-      ctx.cb_reserve_back(kCbGTmp, 1);
-      ctx.pack_tile(dst0, kCbGTmp);
-      ctx.cb_push_back(kCbGTmp, 1);
+    return cb;
+  };
+  auto weight = [&](int widx) {
+    ctx.cb_set_rd_ptr(kCbWgt, wtab + static_cast<std::uint32_t>(widx) * kTileBytes);
+  };
+  auto park = [&](int reg, int cb) {
+    ctx.cb_reserve_back(cb, 1);
+    ctx.pack_tile(reg, cb);
+    ctx.cb_push_back(cb, 1);
+  };
+
+  const LoweredTerm& seed = pass.terms[0];
+  if (pass.seed_terms() == 2) {
+    const int cb = alias(seed);
+    const LoweredTerm& second = pass.terms[1];
+    ctx.cb_reserve_back(kCbGInter, 1);
+    ctx.cb_push_back(kCbGInter, 1);
+    ctx.cb_set_rd_ptr(kCbGInter, tap_at(second.field, second.dr, second.dc), valid);
+    ctx.add_tiles(cb, kCbGInter, 0, 0, dst0);
+    ctx.cb_pop_front(kCbGInter, 1);
+  } else if (seed.unit()) {
+    ctx.copy_tile(alias(seed), 0, dst0);
+  } else {
+    weight(seed.widx);
+    ctx.mul_tiles(kCbWgt, alias(seed), 0, 0, dst0);
+  }
+  for (std::size_t k = pass.seed_terms(); k < pass.terms.size(); ++k) {
+    const LoweredTerm& t = pass.terms[k];
+    park(dst0, kCbGInter);
+    if (t.unit()) {
+      const int cb = alias(t);
+      ctx.cb_wait_front(kCbGInter, 1);
+      ctx.add_tiles(cb, kCbGInter, 0, 0, dst0);
+    } else {
+      weight(t.widx);
+      ctx.mul_tiles(kCbWgt, alias(t), 0, 0, dst0);
+      park(dst0, kCbGTmp);
       ctx.cb_wait_front(kCbGInter, 1);
       ctx.cb_wait_front(kCbGTmp, 1);
       ctx.add_tiles(kCbGInter, kCbGTmp, 0, 0, dst0);
       ctx.cb_pop_front(kCbGTmp, 1);
-      ctx.cb_pop_front(kCbGInter, 1);
     }
-    if (last && !has_post) {
-      pack_final(dst0);
-    } else {
-      // Mid-chain products accumulate through kCbGInter; with a post-op
-      // the finished sum S parks in kCbGTmp instead.
-      const int target = last ? kCbGTmp : kCbGInter;
-      ctx.cb_reserve_back(target, 1);
-      ctx.pack_tile(dst0, target);
-      ctx.cb_push_back(target, 1);
-    }
+    ctx.cb_pop_front(kCbGInter, 1);
   }
-  if (has_post) {
+
+  if (pass.post == PostOp::kScale) {
+    park(dst0, kCbGInter);
+    weight(pass.post_widx);
+    ctx.cb_wait_front(kCbGInter, 1);
+    ctx.mul_tiles(kCbWgt, kCbGInter, 0, 0, dst0);
+    ctx.cb_pop_front(kCbGInter, 1);
+  } else if (pass.post == PostOp::kLife) {
     // Life: out = (S == 3) + (S == 2) * self, every step BF16-exact on
-    // 0/1 states and integer neighbour counts.
+    // 0/1 states and integer neighbour counts. The sum S parks in kCbGTmp.
+    park(dst0, kCbGTmp);
     const int self = kCbFieldBase + pass.self_field;
     ctx.cb_wait_front(kCbGTmp, 1);
     ctx.copy_tile(kCbGTmp, 0, dst0);
@@ -218,28 +265,26 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
     ctx.eq_scalar_tile(dst1, bfloat16_t{2.0f});  // survive mask
     ctx.cb_pop_front(kCbGTmp, 1);
 
-    ctx.cb_reserve_back(kCbGTmp2, 1);
-    ctx.pack_tile(dst1, kCbGTmp2);
-    ctx.cb_push_back(kCbGTmp2, 1);
+    park(dst1, kCbGTmp2);
     ctx.cb_set_rd_ptr(self, tap_at(pass.self_field, 0, 0), valid);
     ctx.cb_wait_front(kCbGTmp2, 1);
     ctx.mul_tiles(kCbGTmp2, self, 0, 0, dst1);  // survive * self
     ctx.cb_pop_front(kCbGTmp2, 1);
 
-    ctx.cb_reserve_back(kCbGTmp, 1);
-    ctx.pack_tile(dst0, kCbGTmp);
-    ctx.cb_push_back(kCbGTmp, 1);
-    ctx.cb_reserve_back(kCbGTmp2, 1);
-    ctx.pack_tile(dst1, kCbGTmp2);
-    ctx.cb_push_back(kCbGTmp2, 1);
+    park(dst0, kCbGTmp);
+    park(dst1, kCbGTmp2);
     ctx.cb_wait_front(kCbGTmp, 1);
     ctx.cb_wait_front(kCbGTmp2, 1);
     ctx.add_tiles(kCbGTmp, kCbGTmp2, 0, 0, dst0);  // birth + survive*self
     ctx.cb_pop_front(kCbGTmp, 1);
     ctx.cb_pop_front(kCbGTmp2, 1);
-    pack_final(dst0);
   }
+  pack_final(dst0);
 }
+
+/// Protocol ops of `points` emit_tap_chain calls on `pass` (the IR
+/// transcript). All traffic is compute-local.
+std::vector<ir::Op> tap_chain_ops(const LoweredPass& pass, const ir::Count& points);
 
 /// One CB of a program's list, in creation order: the builders create it
 /// (create_cbs) and the IR models declare it under `name`.
@@ -255,9 +300,19 @@ inline void create_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
   for (const CbSpec& cb : cbs) prog.create_cb(cb.id, cores, cb.page_bytes, cb.pages);
 }
 
-/// The row-chunk program's CBs: the chain's (a `depth`-page stream CB per
-/// field any pass reads, its constants and accumulators, a 4-page output
-/// CB), then the 32-byte residual page when the launch tracks one.
+/// The tap chain's CBs in creation order: one `field_pages`-page CB per
+/// field (on row-chunk the fields any pass reads, `depth`-page streams; on
+/// the slab strategies the fields the single pass reads or writes, 1-page
+/// alias vehicles), the weight alias CB when the table is non-empty, the
+/// accumulators some pass uses (kCbGInter with a later term or a scale,
+/// kCbGTmp with a later weighted term or Life, kCbGTmp2 with Life) and the
+/// `out_pages`-page output CB.
+std::vector<CbSpec> tap_chain_cbs(const GeneralShared& sh, std::uint32_t field_pages,
+                                  std::uint32_t out_pages);
+
+/// The row-chunk program's CBs: the tap chain's with `depth`-page streams
+/// and a 4-page output CB, then the 32-byte residual page when the launch
+/// tracks one.
 std::vector<CbSpec> rowchunk_cbs(const GeneralShared& sh, std::uint32_t depth);
 
 /// Row geometry of the slab strategies' L1 slabs (SRAM-resident and
@@ -293,78 +348,11 @@ struct SlabRows {
   }
 };
 
-/// A non-owning, non-allocating reference to a callable: what the point
-/// chains take their per-point tap-address and pack functions as.
-template <typename Sig>
-class FunctionRef;
-template <typename R, typename... Args>
-class FunctionRef<R(Args...)> {
- public:
-  template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
-             std::is_invocable_r_v<R, F&, Args...>)
-  FunctionRef(F&& f) noexcept  // NOLINT(google-explicit-constructor)
-      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        call_([](void* obj, Args... args) -> R {
-          return (*static_cast<std::remove_reference_t<F>*>(obj))(args...);
-        }) {}
-
-  R operator()(Args... args) const { return call_(obj_, args...); }
-
- private:
-  void* obj_;
-  R (*call_)(void*, Args...);
-};
-
-/// L1 address of field `field`'s tap (dr, dc) for the point being emitted.
-using TapAddr = FunctionRef<std::uint32_t(int field, int dr, int dc)>;
-/// Lands the finished tile held in dst register `reg`.
-using PackTile = FunctionRef<void(int reg)>;
-
-/// The one thing the three skeletons (row-chunk, SRAM-resident, temporal)
-/// vary by problem kind: the per-point chain. The classic chain replays
-/// classic Jacobi's ((xm + xp) + ym + yp) * 0.25; the tap chain runs a
-/// general program's passes through emit_tap_chain. Each supplies its side
-/// of the builder and its IR transcript; the skeleton supplies where the
-/// taps are and where the result goes.
-class PointChain {
- public:
-  PointChain() = default;
-  PointChain(const PointChain&) = delete;
-  PointChain& operator=(const PointChain&) = delete;
-  virtual ~PointChain() = default;
-  /// "jacobi" or "stencil": the kernels are <label>_reader / _compute /
-  /// _writer (row-chunk) or <label>_sram_dm0 / ... and the graphs
-  /// <label>-rowchunk / -sram / -temporal.
-  virtual std::string label() const = 0;
-  /// The chain's CBs in creation order. The skeleton sizes them: each
-  /// field CB has `stream_pages` pages (row-chunk's read-ahead depth; 1 on
-  /// the slab strategies, where a field CB is an alias vehicle) and the
-  /// output CB `out_pages`.
-  virtual std::vector<CbSpec> cbs(std::uint32_t stream_pages,
-                                  std::uint32_t out_pages) const = 0;
-  /// Bytes of the L1 weight table the skeleton allocates for it (0: none).
-  virtual std::uint32_t table_bytes() const = 0;
-  /// The compute kernel's prologue: fill the chain's constants (the weight
-  /// table at `wtab`, when it has one).
-  virtual void prologue(ttmetal::ComputeCtx& ctx, std::uint32_t wtab) const = 0;
-  virtual std::vector<ir::Op> prologue_ops() const = 0;
-  /// One point of pass `pass`: every tap aliased onto `tap_at(field, dr,
-  /// dc)` with `valid` meaningful bytes behind it, the result handed to
-  /// `pack`.
-  virtual void emit_point(ttmetal::ComputeCtx& ctx, std::size_t pass,
-                          std::uint32_t wtab, std::uint32_t valid, TapAddr tap_at,
-                          PackTile pack) const = 0;
-  /// Protocol ops of `points` emit_point calls on pass `pass`.
-  virtual std::vector<ir::Op> point_ops(std::size_t pass,
-                                        const ir::Count& points) const = 0;
-};
-
 /// One point of a slab strategy (SRAM-resident or temporal): chunk `c0` of
 /// local slab row `lr`, field f's taps aliased out of slab `src[f]`, the
 /// result packed straight into slab `dst` (interior col c0 = data elem
-/// c0+1) through kCbOut's write pointer.
-inline void emit_slab_point(ttmetal::ComputeCtx& ctx, const PointChain& chain,
+/// c0+1) through kCbGOut's write pointer.
+inline void emit_slab_point(ttmetal::ComputeCtx& ctx, const LoweredPass& pass,
                             const SlabRows& rows, std::uint32_t wtab,
                             std::span<const std::uint32_t> src, std::uint32_t dst,
                             std::uint32_t lr, std::uint32_t c0) {
@@ -376,22 +364,11 @@ inline void emit_slab_point(ttmetal::ComputeCtx& ctx, const PointChain& chain,
   };
   // Lanes past the chunk are don't-care; declaring that keeps the host
   // from computing them.
-  chain.emit_point(ctx, 0, wtab, rows.chunk * 2, tap_at, [&](int reg) {
+  emit_tap_chain(ctx, wtab, pass, rows.chunk * 2, tap_at, [&](int reg) {
     ctx.cb_set_wr_ptr(kCbGOut, rows.row_data(dst, lr) + (c0 + 1) * 2);
     ctx.pack_tile(reg, kCbGOut);
   });
 }
-
-/// The tap chain of `sh`'s passes over its weight table. Its field CBs are
-/// the fields any pass reads on row-chunk, and on the slab strategies the
-/// fields the single pass reads or writes.
-std::shared_ptr<const PointChain> make_tap_chain(const GeneralShared& sh);
-
-/// A classic Jacobi launch on a certified strategy as the one-field,
-/// one-pass general program it is: the four-neighbour taps (their reach
-/// sizes the row-chunk windows and the temporal skirt) run by the classic
-/// chain.
-std::shared_ptr<GeneralShared> classic_program(const KernelShared& sh);
 
 /// The temporal program's geometry, shared by the builder and its IR
 /// model. Block sizing against the slab budget: the written field needs
@@ -415,17 +392,16 @@ void build_general_rowchunk_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh);
 
 /// SRAM-resident program of a single-field single-pass problem
-/// (cores_x == 1): the one SRAM-resident skeleton (stencil_sram.cpp)
-/// driving sh->chain.
+/// (cores_x == 1): the one SRAM-resident skeleton (stencil_sram.cpp).
 void build_general_sram_program(ttmetal::Program& prog,
                                 std::shared_ptr<GeneralShared> sh);
 
 /// Temporal-tiling kernels for one core group (single-pass problems,
-/// cores_x==1) driving sh->chain: sh->temporal_depth sub-iterations per
-/// DRAM pass through ping-ponged L1 slabs, trapezoid skirt recompute
-/// instead of halo exchange, read-only fields held in single slabs per
-/// block. Called with the identity group by the driver and once per slot
-/// by the batched builder (each group's barrier_id must be distinct).
+/// cores_x==1): sh->temporal_depth sub-iterations per DRAM pass through
+/// ping-ponged L1 slabs, trapezoid skirt recompute instead of halo
+/// exchange, read-only fields held in single slabs per block. Called with
+/// the identity group by the driver and once per slot by the batched
+/// builder (each group's barrier_id must be distinct).
 void build_general_temporal_group(ttmetal::Program& prog,
                                   std::shared_ptr<GeneralShared> sh);
 

@@ -1,7 +1,8 @@
 /// \file stencil_spec.cpp
-/// Structural validation, canonical hashing and the 5-point lift for the
-/// general radius-1 stencil frontend.
+/// Structural validation, canonical hashing and the 5-point and classic
+/// Jacobi lifts for the general radius-1 stencil frontend.
 
+#include <cmath>
 #include <cstring>
 
 #include "ttsim/core/stencil_spec.hpp"
@@ -80,6 +81,9 @@ void GeneralStencilProblem::validate() const {
       }
       used[static_cast<std::size_t>(pass.post_self_field)] = true;
     }
+    if (pass.post == PostOp::kScale && !std::isfinite(pass.post_scale)) {
+      TTSIM_THROW_API("scale post-op factor must be finite");
+    }
   }
   for (std::size_t f = 0; f < fields.size(); ++f) {
     if (!used[f]) {
@@ -101,6 +105,8 @@ std::uint64_t GeneralStencilProblem::transition_hash() const {
     fnv(h, static_cast<std::uint64_t>(pass.target));
     fnv(h, static_cast<std::uint64_t>(pass.post));
     fnv(h, static_cast<std::uint64_t>(pass.post_self_field));
+    // Hashed only when used, so programs without a scale keep their hash.
+    if (pass.post == PostOp::kScale) fnv(h, float_bits(pass.post_scale));
     fnv(h, pass.terms.size());
     for (const auto& term : pass.terms) {
       fnv(h, static_cast<std::uint64_t>(term.field));
@@ -135,6 +141,30 @@ GeneralStencilProblem to_general(const StencilProblem& p) {
   for (const auto& [w, tap] : taps) {
     if (w != 0.0f) pass.terms.push_back(TapTerm{0, tap, w});
   }
+  g.passes.push_back(std::move(pass));
+  return g;
+}
+
+GeneralStencilProblem to_general(const JacobiProblem& p) {
+  GeneralStencilProblem g;
+  g.width = p.width;
+  g.height = p.height;
+  g.iterations = p.iterations;
+  FieldSpec f;
+  f.name = "u";
+  f.bc_left = p.bc_left;
+  f.bc_right = p.bc_right;
+  f.bc_top = p.bc_top;
+  f.bc_bottom = p.bc_bottom;
+  f.initial = p.initial;
+  g.fields.push_back(std::move(f));
+  StencilPass pass;
+  pass.target = 0;
+  for (const Tap tap : {Tap::kW, Tap::kE, Tap::kN, Tap::kS}) {
+    pass.terms.push_back(TapTerm{0, tap, 1.0f});
+  }
+  pass.post = PostOp::kScale;
+  pass.post_scale = 0.25f;
   g.passes.push_back(std::move(pass));
   return g;
 }

@@ -13,12 +13,10 @@
 /// synchronisation is neighbour-pairwise (no device-wide barrier) — the
 /// systolic structure the paper sketches.
 ///
-/// One skeleton serves both problem kinds: every launch is a single-field
-/// single-pass general program (Y-only decompositions), classic Jacobi's
-/// through classic_program. Only its PointChain differs by kind: the
-/// chain's CBs, weight table, compute prologue, per-point chain and kernel
-/// names. The row-chunk program runs the same chains, so results are
-/// bit-exact across strategies. Diagonal taps are safe: the upward halo
+/// Every launch is a single-field single-pass general program (Y-only
+/// decompositions), classic Jacobi's through to_general. The compute
+/// kernel runs the tap chain, as the row-chunk program does, so results
+/// are bit-exact across strategies. Diagonal taps are safe: the upward halo
 /// send's R exclusion only leaves the receiver's halo-row R at its initial
 /// value, and the R column is boundary-constant.
 ///
@@ -77,13 +75,12 @@ void build_general_sram_program(ttmetal::Program& prog,
   for (int c = 0; c < ncores; ++c) max_rows = std::max(max_rows, sh->rows_pc(c));
   const std::uint32_t slab_bytes = (max_rows + 2) * sh->row_stride;
 
-  // The chain's CBs, then the slabs, then its weight table.
-  create_cbs(prog, cores, sh->chain->cbs(1, 1));
+  // The tap chain's CBs, then the slabs, then its weight table.
+  create_cbs(prog, cores, tap_chain_cbs(*sh, 1, 1));
   sh->slab_a = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
   sh->slab_b = prog.l1_buffer_address(prog.create_l1_buffer(cores, slab_bytes));
-  if (sh->chain->table_bytes() > 0) {
-    sh->wtab = prog.l1_buffer_address(
-        prog.create_l1_buffer(cores, sh->chain->table_bytes()));
+  if (sh->table_bytes() > 0) {
+    sh->wtab = prog.l1_buffer_address(prog.create_l1_buffer(cores, sh->table_bytes()));
   }
   for (int sem = kSemTopHalo; sem <= kSemRestored; ++sem) {
     prog.create_semaphore(sem, cores, 0);
@@ -138,7 +135,7 @@ void build_general_sram_program(ttmetal::Program& prog,
         }
         ctx.noc_async_write_barrier();
       },
-      sh->chain->label() + "_sram_dm0");
+      "stencil_sram_dm0");
 
   // ---------------- compute ----------------
   prog.create_kernel(
@@ -148,9 +145,9 @@ void build_general_sram_program(ttmetal::Program& prog,
         const std::uint32_t rows = sh->rows_pc(pos);
         const bool has_upper = pos > 0;
         const bool has_lower = pos + 1 < ctx.group_size();
-        // The chain's constants are local to the compute core here: fill
-        // them ourselves.
-        sh->chain->prologue(ctx, sh->wtab);
+        // The weight table is local to the compute core here: fill it
+        // ourselves.
+        fill_weight_table(ctx, sh->wtab, sh->weights);
         // The slabs must be fully loaded before the first sweep reads (and
         // overwrites!) them.
         ctx.global_barrier(sh->barrier_id);
@@ -164,7 +161,7 @@ void build_general_sram_program(ttmetal::Program& prog,
           const std::uint32_t dst = sh->slab((k + 1) % 2);
           for (std::uint32_t lr = 1; lr <= rows; ++lr) {
             for (std::uint32_t c0 = 0; c0 < sh->layout.width(); c0 += sh->chunk) {
-              emit_slab_point(ctx, *sh->chain, *sh, sh->wtab, {&src, 1}, dst, lr, c0);
+              emit_slab_point(ctx, sh->passes[0], *sh, sh->wtab, {&src, 1}, dst, lr, c0);
               ctx.loop_tick();
             }
           }
@@ -172,7 +169,7 @@ void build_general_sram_program(ttmetal::Program& prog,
           ctx.semaphore_post(kSemComputeDm1);
         }
       },
-      sh->chain->label() + "_sram_compute");
+      "stencil_sram_compute");
 
   // ---------------- dm1: restores, downward halo sends, final writeback ---
   prog.create_kernel(
@@ -229,7 +226,7 @@ void build_general_sram_program(ttmetal::Program& prog,
         }
         ctx.noc_async_write_barrier();
       },
-      sh->chain->label() + "_sram_dm1");
+      "stencil_sram_dm1");
 }
 
 }  // namespace ttsim::core::detail

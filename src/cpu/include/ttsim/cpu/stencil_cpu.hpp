@@ -25,7 +25,8 @@ std::vector<std::vector<float>> general_reference_f32(
 
 /// Bit-exact replay of the device arithmetic for the general frontend:
 /// terms in listed order, every product and sum rounded to BF16, the Life
-/// post-op as (S==3) + (S==2)*self with BF16 compares.
+/// post-op as (S==3) + (S==2)*self with BF16 compares, the scale post-op as
+/// one rounded product post_scale*S.
 std::vector<std::vector<bfloat16_t>> general_reference_bf16(
     const core::GeneralStencilProblem& p);
 

@@ -75,8 +75,9 @@ Halo<T> init_field(const core::GeneralStencilProblem& p, const core::FieldSpec& 
 
 /// One full run of the general program over halo grids of type T. The tap
 /// sum follows the contract exactly (terms in listed order, first product
-/// seeds the accumulator); in T = bfloat16_t every operation rounds as the
-/// FPU does, making this the bit-exact device oracle.
+/// seeds the accumulator, a unit weight's product 1*x exact); in T =
+/// bfloat16_t every operation rounds as the FPU does, making this the
+/// bit-exact device oracle.
 template <typename T>
 std::vector<std::vector<T>> run_general(const core::GeneralStencilProblem& p) {
   p.validate();
@@ -108,6 +109,8 @@ std::vector<std::vector<T>> run_general(const core::GeneralStencilProblem& p) {
             const T self =
                 u[static_cast<std::size_t>(pass.post_self_field)].at(r, c);
             acc = birth + survive * self;
+          } else if (pass.post == core::PostOp::kScale) {
+            acc = T{pass.post_scale} * acc;
           }
           out.at(r, c) = acc;
         }

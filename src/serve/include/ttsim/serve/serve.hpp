@@ -4,15 +4,14 @@
 ///
 /// A StencilService accepts stencil solve requests from many tenants —
 /// classic Jacobi, or any general radius-1 program (stencil_spec.hpp, the
-/// workload gallery) — and runs them on N simulated cards. Both kinds take
-/// one path through the service; only a private view of the request tells
-/// them apart. Three mechanisms buy throughput over serial blocking
-/// dispatch:
+/// workload gallery) — and runs them on N simulated cards. A classic
+/// Jacobi request is converted at submit into the general program it is
+/// (to_general), so both kinds take one path through the service. Three
+/// mechanisms buy throughput over serial blocking dispatch:
 ///
 ///   1. **Spatial batching** — up to max_batch same-shape requests launch as
-///      ONE program on disjoint core groups (jacobi_batch.hpp for classic
-///      Jacobi, build_batched_stencil_program in stencil.hpp for general
-///      programs), paying the ~500 us program-dispatch cost once and
+///      ONE program on disjoint core groups (build_batched_stencil_program
+///      in stencil.hpp), paying the ~500 us program-dispatch cost once and
 ///      running the solves in parallel across the grid.
 ///   2. **Async overlap** — each card drives three command queues (writes,
 ///      programs, reads) ordered by events, so batch j+1's host->device
@@ -100,10 +99,11 @@ struct ShapeKey {
   int iterations = 0;
   std::uint32_t chunk_elems = 0;
   int read_ahead = 0;
-  /// transition_hash() of a general stencil program; 0 = classic Jacobi.
-  /// Structure (fields, passes, taps, weights) keys the compiled program;
-  /// boundary values and initial fields stay per-request data, so gallery
-  /// requests with different physics batch together like Jacobi ones do.
+  /// transition_hash() of the request's stencil program (a classic Jacobi
+  /// request's is its to_general program's). Structure (fields, passes,
+  /// taps, weights) keys the compiled program; boundary values and initial
+  /// fields stay per-request data, so requests with different physics
+  /// batch together.
   std::uint64_t program = 0;
   /// Solver strategy the session's programs compile for (DeviceStrategy as
   /// int) and, for kTemporal, the chained depth. Both shape the compiled
@@ -348,12 +348,9 @@ class StencilService {
   struct Session;
   struct InFlight;
   struct Pending;
-  /// A request read through its problem kind (classic Jacobi or general);
-  /// the only code that tells the two apart.
-  class ProblemView;
-
   /// The (card, key) session, built on a miss with `head`'s field layout.
-  Session& session(Card& card, const ShapeKey& key, const ProblemView& head);
+  Session& session(Card& card, const ShapeKey& key,
+                   const core::GeneralStencilProblem& head);
   /// The shape of `p`'s NEXT segment (remaining sweeps, capped at
   /// checkpoint_every when checkpointing is on).
   ShapeKey effective_key(const Pending& p) const;
@@ -398,7 +395,7 @@ class StencilService {
   /// when there is no service-time history for ITS program yet. History is
   /// kept per program hash (gallery programs cost a fraction of a Jacobi
   /// batch), so a mixed-tenant pool neither over-rejects cheap workloads
-  /// nor under-rejects expensive ones.
+  /// nor under-rejects expensive ones. `request.general` must be set.
   SimTime estimate_completion(const Request& request) const;
   SimTime backpressure_hint() const;
   /// Lowest EWMA batch cost for `program` across specs with history; 0 when

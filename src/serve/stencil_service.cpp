@@ -65,106 +65,15 @@ std::uint64_t ServiceMetrics::total_completed() const {
 // ---------------------------------------------------------------------------
 // Internal structures
 
-/// The one place a request's problem kind is decided. A general request is
-/// its own stencil program; a classic Jacobi request is the one-pass program
-/// over one written field, with program hash 0. Every other step of the
-/// service reads requests through this view, so none of them forks on kind.
-/// Non-owning: valid while the Request it was made from lives.
-class StencilService::ProblemView {
- public:
-  explicit ProblemView(const Request& r)
-      : jacobi_(r.general ? nullptr : &r.problem),
-        general_(r.general ? &*r.general : nullptr) {}
-
-  std::uint32_t width() const { return general_ ? general_->width : jacobi_->width; }
-  std::uint32_t height() const {
-    return general_ ? general_->height : jacobi_->height;
-  }
-  int iterations() const {
-    return general_ ? general_->iterations : jacobi_->iterations;
-  }
-  /// transition_hash() of the program; 0 = classic Jacobi.
-  std::uint64_t program() const { return general_ ? general_->transition_hash() : 0; }
-  int fields() const {
-    return general_ ? static_cast<int>(general_->fields.size()) : 1;
-  }
-  int passes() const {
-    return general_ ? static_cast<int>(general_->passes.size()) : 1;
-  }
-  /// Does a pass write field `f`? Read-only fields never flip parity.
-  bool written(int f) const { return !general_ || general_->written_pass(f) >= 0; }
-  /// The field a completed solve delivers (the last pass's target).
-  int primary_field() const { return general_ ? general_->primary_field() : 0; }
-
-  /// Field `f`'s padded initial image from this request's physics.
-  std::vector<bfloat16_t> image(const core::PaddedLayout& layout, int f) const {
-    return general_ ? core::general_field_image(layout, *general_, f)
-                    : layout.initial_image(*jacobi_);
-  }
-
-  /// Admission: does the request decompose onto one batch slot under `run`?
-  /// Throws ApiError (or CheckError for a malformed general program).
-  void validate(const core::DeviceRunConfig& run) const {
-    if (general_) {
-      core::validate_stencil_request(*general_, run);
-    } else {
-      core::validate_batch_request(*jacobi_, run);
-    }
-  }
-
-  /// Compile `iterations` sweeps of this request's program onto every slot
-  /// (one d1/d2 address per field; d2 is 0 for read-only fields). Only the
-  /// structure counts: boundary values and initial fields are staged data.
-  void build(ttmetal::Program& prog, int iterations, const core::DeviceRunConfig& run,
-             const std::vector<core::GeneralBatchSlot>& slots) const {
-    if (general_) {
-      core::GeneralStencilProblem shape = *general_;
-      shape.iterations = iterations;
-      core::build_batched_stencil_program(prog, shape, run, slots);
-      return;
-    }
-    std::vector<core::BatchSlot> jslots;
-    for (const auto& s : slots) jslots.push_back({s.d1.front(), s.d2.front(), s.core_ids});
-    core::JacobiProblem shape;
-    shape.width = jacobi_->width;
-    shape.height = jacobi_->height;
-    shape.iterations = iterations;
-    core::build_batched_rowchunk_program(prog, shape, run, jslots);
-  }
-
-  /// Run `iterations` sweeps sharded over `cards`. `state` holds one global
-  /// padded image per field to resume from (empty = this request's initial
-  /// state) and receives the final images.
-  core::ShardedRunResult run_sharded(std::span<ttmetal::Device* const> cards,
-                                     sim::ChipLinkFabric& fabric, int iterations,
-                                     const core::ShardedRunConfig& cfg,
-                                     std::vector<std::vector<bfloat16_t>>& state) const {
-    if (general_) {
-      core::GeneralStencilProblem p = *general_;
-      p.iterations = iterations;
-      return core::run_general_sharded(cards, fabric, p, cfg, &state);
-    }
-    core::JacobiProblem p = *jacobi_;
-    p.iterations = iterations;
-    std::vector<bfloat16_t> image;
-    if (!state.empty()) image = std::move(state.front());
-    auto result = core::run_jacobi_sharded(cards, fabric, p, cfg, &image);
-    state.assign(1, std::move(image));
-    return result;
-  }
-
- private:
-  const core::JacobiProblem* jacobi_;
-  const core::GeneralStencilProblem* general_;
-};
-
 struct StencilService::Pending {
+  /// The request as admitted: `general` is always set (a classic Jacobi
+  /// request is converted once, at submit).
   Request req;
   ShapeKey key;  ///< shape of the NEXT segment (tracks remaining sweeps)
   int iterations_done = 0;  ///< sweeps completed across prior segments
-  /// State after iterations_done sweeps, one checkpoint per field (classic
-  /// Jacobi has one); read-only fields stay empty, since they restage from
-  /// the request. Sharded sessions seal the GLOBAL padded images here — the
+  /// State after iterations_done sweeps, one checkpoint per field;
+  /// read-only fields stay empty, since they restage from the request.
+  /// Sharded sessions seal the GLOBAL padded images here — the
   /// whole-domain numerical state, so the next segment's group may be ANY
   /// set of cards.
   std::vector<SessionCheckpoint> ckpt;
@@ -184,7 +93,7 @@ struct StencilService::Session {
   core::PaddedLayout layout;
   /// groups[g] = the physical workers serving batch slot g.
   std::vector<std::vector<int>> groups;
-  /// Fields of the key's program (classic Jacobi: 1).
+  /// Fields of the key's program.
   int nfields = 0;
   /// banks[bank][g][half * nfields + f] = field f's grid buffer d1 (half 0)
   /// or d2 (half 1) for slot g; d2 is null for read-only fields, which never
@@ -317,15 +226,15 @@ void StencilService::record_span(sim::TraceEventKind kind, SimTime ts, SimTime d
 // Admission
 
 ShapeKey StencilService::effective_key(const Pending& p) const {
-  const ProblemView view(p.req);
+  const core::GeneralStencilProblem& prog = *p.req.general;
   ShapeKey key;
-  key.width = view.width();
-  key.height = view.height();
-  key.iterations = view.iterations() - p.iterations_done;
+  key.width = prog.width;
+  key.height = prog.height;
+  key.iterations = prog.iterations - p.iterations_done;
   if (cfg_.checkpoint_every > 0) {
     key.iterations = std::min(key.iterations, cfg_.checkpoint_every);
   }
-  key.program = view.program();
+  key.program = prog.transition_hash();
   key.chunk_elems = cfg_.run.chunk_elems;
   key.read_ahead = cfg_.run.read_ahead;
   const auto strat = p.req.strategy.value_or(cfg_.run.strategy);
@@ -373,8 +282,8 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   // the batch on the fastest family member, so rejecting against a slower
   // card's cost would turn admission pessimistic on exactly the requests a
   // mixed pool exists to serve.
-  const ProblemView view(request);
-  const SimTime own = cheapest_cost(view.program());
+  const core::GeneralStencilProblem& prog = *request.general;
+  const SimTime own = cheapest_cost(prog.transition_hash());
   // No history for THIS program on ANY spec: admit optimistically.
   if (own == 0) return 0;
   const int slots = active_slots();
@@ -389,7 +298,7 @@ SimTime StencilService::estimate_completion(const Request& request) const {
   }
   SimTime segments = 1;
   if (cfg_.checkpoint_every > 0) {
-    segments = (view.iterations() + cfg_.checkpoint_every - 1) / cfg_.checkpoint_every;
+    segments = (prog.iterations + cfg_.checkpoint_every - 1) / cfg_.checkpoint_every;
   }
   return std::max(service_now_, request.arrival) +
          queued / static_cast<SimTime>(slots) + own * segments;
@@ -418,7 +327,12 @@ SimTime StencilService::backpressure_hint() const {
   return std::max<SimTime>(queued / static_cast<SimTime>(slots), kMicrosecond);
 }
 
-Ticket StencilService::submit(const Request& request) {
+Ticket StencilService::submit(const Request& submitted) {
+  // Classic Jacobi is the general program to_general makes: convert once,
+  // so nothing past this point tells the two apart.
+  Request request = submitted;
+  if (!request.general) request.general = core::to_general(request.problem);
+  const core::GeneralStencilProblem& prog = *request.general;
   service_now_ = std::max(service_now_, request.arrival);
   Ticket ticket;
   ticket.id = next_ticket_++;
@@ -440,13 +354,12 @@ Ticket StencilService::submit(const Request& request) {
   // Invalid shapes fail immediately — they would fail on every card.
   // (CheckError covers general-program structural faults such as an
   // initial_field of the wrong size.)
-  const ProblemView view(request);
   std::string invalid;
   try {
     core::DeviceRunConfig vrun = cfg_.run;
     if (request.strategy) vrun.strategy = *request.strategy;
     if (request.temporal_depth > 0) vrun.temporal_depth = request.temporal_depth;
-    view.validate(vrun);
+    core::validate_stencil_request(prog, vrun);
   } catch (const ApiError& e) {
     invalid = e.what();
   } catch (const CheckError& e) {
@@ -461,12 +374,14 @@ Ticket StencilService::submit(const Request& request) {
   // only when no group fits does the request fail.
   int shard_n = 0;
   {
-    const std::uint32_t w = view.width();
-    const std::uint32_t h = view.height();
+    const std::uint32_t w = prog.width;
+    const std::uint32_t h = prog.height;
     // Grid images a session must hold per slot: per field one image, plus a
     // second parity for written fields.
     std::uint64_t grids = 0;
-    for (int f = 0; f < view.fields(); ++f) grids += view.written(f) ? 2 : 1;
+    for (int f = 0; f < static_cast<int>(prog.fields.size()); ++f) {
+      grids += prog.written_pass(f) >= 0 ? 2 : 1;
+    }
     std::uint64_t max_budget = 0;
     std::uint64_t min_budget = 0;
     int pool = 0;
@@ -488,7 +403,7 @@ Ticket StencilService::submit(const Request& request) {
       const bool shardable =
           (strat == core::DeviceStrategy::kRowChunk ||
            strat == core::DeviceStrategy::kTemporal) &&
-          view.passes() == 1;
+          prog.passes.size() == 1;
       std::string why;
       if (!shardable) {
         why = "shape exceeds one card's DRAM and the program cannot shard "
@@ -579,13 +494,13 @@ Ticket StencilService::submit(const Request& request) {
   record_span(sim::TraceEventKind::kServeAdmit, request.arrival, 0,
               tenant_track(request.tenant), ticket.id);
   results_.emplace(ticket.id, std::move(r));
+  ++wait_edges_[request.arrival];
   Pending p;
-  p.req = request;
+  p.req = std::move(request);  // invalidates `prog`
   p.key = effective_key(p);
   p.shard_cards = shard_n;
   requests_.emplace(ticket.id, std::move(p));
   pending_.push_back(ticket.id);
-  ++wait_edges_[request.arrival];
   return ticket;
 }
 
@@ -626,15 +541,15 @@ std::vector<verify::Finding> StencilService::verify_findings() const {
   return all;
 }
 
-StencilService::Session& StencilService::session(Card& card, const ShapeKey& key,
-                                                  const ProblemView& head) {
+StencilService::Session& StencilService::session(
+    Card& card, const ShapeKey& key, const core::GeneralStencilProblem& head) {
   auto it = card.sessions.find(key);
   if (it != card.sessions.end()) {
     ++metrics_.session_cache_hits;
     return *it->second;
   }
   ++metrics_.session_cache_misses;
-  TTSIM_CHECK_MSG(key.program == head.program(),
+  TTSIM_CHECK_MSG(key.program == head.transition_hash(),
                   "session key does not match the request's program");
 
   auto s = std::make_unique<Session>(key);
@@ -651,14 +566,14 @@ StencilService::Session& StencilService::session(Card& card, const ShapeKey& key
   shape.width = key.width;
   shape.height = key.height;
   const ttmetal::BufferConfig base = core::batch_grid_buffer_config(cfg_.run, shape);
-  const int nf = head.fields();
+  const int nf = static_cast<int>(head.fields.size());
   s->nfields = nf;
   for (int bank = 0; bank < 2; ++bank) {
     for (int g = 0; g < groups; ++g) {
       std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(static_cast<std::size_t>(2 * nf));
       for (int f = 0; f < nf; ++f) {
         for (int half = 0; half < 2; ++half) {
-          if (half == 1 && !head.written(f)) continue;
+          if (half == 1 && head.written_pass(f) < 0) continue;
           ttmetal::BufferConfig bc = base;
           std::ostringstream name;
           name << "serve-c" << card.index << '-' << key.width << 'x' << key.height
@@ -718,10 +633,11 @@ void StencilService::checkpoint_and_requeue(
     std::uint64_t id, std::vector<std::vector<bfloat16_t>> images, SimTime at,
     int card) {
   Pending& p = requests_.at(id);
-  const ProblemView view(p.req);
-  p.ckpt.assign(static_cast<std::size_t>(view.fields()), SessionCheckpoint{});
-  for (int f = 0; f < view.fields(); ++f) {
-    if (!view.written(f)) continue;
+  const core::GeneralStencilProblem& prog = *p.req.general;
+  const int nf = static_cast<int>(prog.fields.size());
+  p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
+  for (int f = 0; f < nf; ++f) {
+    if (prog.written_pass(f) < 0) continue;
     p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
         std::move(images[static_cast<std::size_t>(f)]), p.iterations_done, at);
   }
@@ -871,7 +787,7 @@ bool StencilService::dispatch_on(Card& card) {
     return false;
   }
 
-  Session& s = session(card, key, ProblemView(requests_.at(head).req));
+  Session& s = session(card, key, *requests_.at(head).req.general);
   const int nf = s.nfields;
   const int max_slots =
       std::min(static_cast<int>(s.groups.size()), cfg_.max_batch);
@@ -917,9 +833,12 @@ bool StencilService::dispatch_on(Card& card) {
       }
       slot.core_ids = s.groups[static_cast<std::size_t>(g)];
     }
+    // Only the structure counts: boundary values and initial fields are
+    // staged data.
+    core::GeneralStencilProblem shape = *requests_.at(batch.front()).req.general;
+    shape.iterations = key.iterations;
     auto prog = std::make_unique<ttmetal::Program>();
-    ProblemView(requests_.at(batch.front()).req)
-        .build(*prog, key.iterations, run_for(key), slots);
+    core::build_batched_stencil_program(*prog, shape, run_for(key), slots);
     pit = s.programs.emplace(pkey, std::move(prog)).first;
   }
 
@@ -939,7 +858,7 @@ bool StencilService::dispatch_on(Card& card) {
   for (int g = 0; g < b; ++g) {
     Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
     auto& rr = results_.at(batch[static_cast<std::size_t>(g)]);
-    const ProblemView view(p.req);
+    const core::GeneralStencilProblem& prog = *p.req.general;
     const auto& bufs =
         s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
     for (int f = 0; f < nf; ++f) {
@@ -954,7 +873,7 @@ bool StencilService::dispatch_on(Card& card) {
       const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
       const bool resume = p.iterations_done > 0 && d2;
       std::vector<bfloat16_t> fresh;
-      if (!resume) fresh = view.image(s.layout, f);
+      if (!resume) fresh = core::general_field_image(s.layout, prog, f);
       const auto& image = resume ? p.ckpt[static_cast<std::size_t>(f)].image() : fresh;
       TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
                       "staged image does not match the session layout");
@@ -978,8 +897,8 @@ bool StencilService::dispatch_on(Card& card) {
   const bool odd = key.iterations % 2 == 1;
   for (int g = 0; g < b; ++g) {
     const Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
-    const ProblemView view(p.req);
-    const bool cont = p.iterations_done + key.iterations < view.iterations();
+    const core::GeneralStencilProblem& prog = *p.req.general;
+    const bool cont = p.iterations_done + key.iterations < prog.iterations;
     fl.continues[static_cast<std::size_t>(g)] = cont ? 1 : 0;
     // A mid-solve segment reads back EVERY written field — together they
     // are the whole numerical state, the next segment's checkpoints; a
@@ -991,7 +910,7 @@ bool StencilService::dispatch_on(Card& card) {
     auto& outs = fl.outputs[static_cast<std::size_t>(g)];
     outs.resize(static_cast<std::size_t>(nf));
     for (int f = 0; f < nf; ++f) {
-      if (cont ? !view.written(f) : f != view.primary_field()) continue;
+      if (cont ? prog.written_pass(f) < 0 : f != prog.primary_field()) continue;
       auto& out = outs[static_cast<std::size_t>(f)];
       out.resize(s.layout.elems());
       cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + f : f)],
@@ -1107,20 +1026,23 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     ++rr.migrations;
   }
 
-  const ProblemView view(p.req);
   try {
     // Resume: written fields from their sealed checkpoints; read-only
     // fields never change, so their images restage from the request.
+    core::GeneralStencilProblem prog = *p.req.general;
     std::vector<std::vector<bfloat16_t>> state;
     if (p.iterations_done > 0) {
-      const core::PaddedLayout global(view.width(), view.height());
-      for (int f = 0; f < view.fields(); ++f) {
-        state.push_back(view.written(f) ? p.ckpt[static_cast<std::size_t>(f)].image()
-                                        : view.image(global, f));
+      const core::PaddedLayout global(prog.width, prog.height);
+      for (int f = 0; f < static_cast<int>(prog.fields.size()); ++f) {
+        state.push_back(prog.written_pass(f) >= 0
+                            ? p.ckpt[static_cast<std::size_t>(f)].image()
+                            : core::general_field_image(global, prog, f));
       }
     }
+    const int total = prog.iterations;
+    prog.iterations = key.iterations;
     core::ShardedRunResult res =
-        view.run_sharded(devs, fabric, key.iterations, scfg, state);
+        core::run_general_sharded(devs, fabric, prog, scfg, &state);
 
     SimTime end = t0;
     for (ttmetal::Device* d : devs) end = std::max(end, d->now());
@@ -1134,7 +1056,7 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     rr.card = gids.front();
     rr.group = gids;
     rr.batch_size = 1;
-    if (p.iterations_done < view.iterations()) {
+    if (p.iterations_done < total) {
       // Seal the whole-domain state, so the next segment may run on ANY
       // group of idle cards.
       checkpoint_and_requeue(id, std::move(state), end, gids.front());
@@ -1224,7 +1146,7 @@ void StencilService::harvest_one(Card& card) {
       continue;
     }
     const auto& out =
-        fl.outputs[g][static_cast<std::size_t>(ProblemView(p.req).primary_field())];
+        fl.outputs[g][static_cast<std::size_t>(p.req.general->primary_field())];
     complete(id, d2h_end, s.layout.extract_interior(out));
   }
   for (auto it = continuing.rbegin(); it != continuing.rend(); ++it) {

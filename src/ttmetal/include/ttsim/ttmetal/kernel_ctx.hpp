@@ -21,6 +21,10 @@ class Verifier;  // verify/race.hpp
 namespace ttsim::ttmetal {
 
 class Device;
+
+/// Read tags a data mover tracks: tagged reads take tags in
+/// [0, kMaxReadTags).
+inline constexpr int kMaxReadTags = 256;
 struct KernelProfile;  // device.hpp
 
 /// State shared by both kernel contexts on one core.
@@ -164,7 +168,7 @@ class DataMoverCtx : public KernelCtxBase {
   /// Tagged read, in the style of Wormhole tt-metal's transaction-id reads:
   /// also counted towards the per-tag barrier below, so a deep-read-ahead
   /// mover can wait for one batch's reads without draining every later
-  /// batch it already issued. Tags are small non-negative ints (slot ids).
+  /// batch it already issued. Tags are slot ids in [0, kMaxReadTags).
   void noc_async_read(std::uint64_t noc_addr, std::uint32_t l1_dst, std::uint32_t size,
                       int tag);
   /// Non-blocking L1 -> DRAM write (source data captured at issue).

@@ -253,7 +253,7 @@ void DataMoverCtx::noc_async_read(std::uint64_t noc_addr, std::uint32_t l1_dst,
 }
 
 const std::shared_ptr<sim::CompletionTracker>& DataMoverCtx::read_tag(int tag) {
-  TTSIM_CHECK_MSG(tag >= 0 && tag < 256, "read tag out of range");
+  TTSIM_CHECK_MSG(tag >= 0 && tag < kMaxReadTags, "read tag out of range");
   if (static_cast<std::size_t>(tag) >= read_tags_.size()) {
     read_tags_.resize(static_cast<std::size_t>(tag) + 1);
   }

@@ -8,10 +8,16 @@
 ///    replay the BF16 CPU reference bit-exactly, including across column
 ///    boundaries (the slot-recycle drain) and for the stencil variant;
 ///  * on the (scaled) Table VIII workload with the pipelined bank service,
-///    simulated kernel time is monotonically non-increasing in depth.
+///    simulated kernel time is monotonically non-increasing in depth;
+///  * a depth whose read tags overflow a data mover is an ApiError.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "ttsim/core/gallery.hpp"
+#include "ttsim/core/ir_frontend.hpp"
+#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
@@ -62,6 +68,52 @@ TEST(ReadAhead, DepthOutOfRangeThrows) {
   EXPECT_THROW(run_jacobi_on_device(p, cfg), ApiError);
   cfg.read_ahead = 65;
   EXPECT_THROW(run_jacobi_on_device(p, cfg), ApiError);
+}
+
+/// The reader tags field f's row reads f*nslots + slot, and a data mover
+/// tracks ttmetal::kMaxReadTags tags. A config whose slot ring would
+/// overflow them is an ApiError naming read_ahead and the streamed-field
+/// count, raised by every entry point before any kernel runs.
+TEST(ReadAhead, ReadTagOverflowIsAnApiError) {
+  auto expect_tag_error = [](auto&& launch, const char* what) {
+    try {
+      launch();
+      ADD_FAILURE() << what << ": no error";
+    } catch (const ApiError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("read_ahead 64"), std::string::npos) << what << ": " << msg;
+      EXPECT_NE(msg.find("read tags"), std::string::npos) << what << ": " << msg;
+    }
+  };
+
+  // Two streamed fields on one 200-row core: 2 x 133 slots.
+  const GeneralStencilProblem hot = gallery::hotspot(64, 200, 2);
+  DeviceRunConfig cfg;
+  cfg.read_ahead = 64;
+  expect_tag_error([&] { validate_stencil_request(hot, cfg); }, "hotspot admission");
+  expect_tag_error([&] { general_ir_graph(hot, cfg); }, "hotspot graph");
+  expect_tag_error([&] { run_general_stencil_on_device(hot, cfg); }, "hotspot solve");
+
+  // One field, one row per core: 259 slots.
+  JacobiProblem p;
+  p.width = 2048;
+  p.height = 16;
+  p.iterations = 1;
+  DeviceRunConfig jcfg;
+  jcfg.cores_y = 16;
+  jcfg.chunk_elems = 16;
+  jcfg.read_ahead = 64;
+  expect_tag_error([&] { validate_batch_request(p, jcfg); }, "jacobi admission");
+  expect_tag_error([&] { jacobi_ir_graph(p, jcfg); }, "jacobi graph");
+  expect_tag_error([&] { run_jacobi_on_device(p, jcfg); }, "jacobi solve");
+
+  // Within the tag budget the same shapes run.
+  cfg.read_ahead = 32;
+  cfg.verify = true;
+  EXPECT_TRUE(run_general_stencil_on_device(hot, cfg).verified_ok);
+  jcfg.read_ahead = 8;
+  jcfg.verify = true;
+  EXPECT_TRUE(run_jacobi_on_device(p, jcfg).verified_ok);
 }
 
 /// Deep read-ahead with multiple column strips per core: the prologue of

@@ -334,5 +334,24 @@ TEST(Sharded, RejectsInfeasibleDecompositions) {
   EXPECT_THROW(core::run_jacobi_sharded(small_problem(4), 2, cfg), ApiError);
 }
 
+/// A slab thinner than the domain needs a wider row-chunk slot ring: here
+/// the whole domain's 2 rows per core fit the read tags at read_ahead 64,
+/// but each card's one row per core does not. The run is rejected before
+/// any card is touched.
+TEST(Sharded, RejectsSlabReadTagOverflowBeforeTouchingCards) {
+  core::JacobiProblem p;
+  p.width = 2048;
+  p.height = 32;
+  p.iterations = 2;
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 16;
+  cfg.run.chunk_elems = 16;
+  cfg.run.read_ahead = 64;
+  auto cluster = core::ShardedCluster::open(2);
+  const auto devs = cluster.devices();
+  EXPECT_THROW(core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg), ApiError);
+  for (auto* dev : devs) EXPECT_EQ(dev->now(), 0u);
+}
+
 }  // namespace
 }  // namespace ttsim

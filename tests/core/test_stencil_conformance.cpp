@@ -1,7 +1,8 @@
 /// \file test_stencil_conformance.cpp
 /// Differential conformance harness for the general stencil frontend: a
 /// seeded randomized sweep over (shape x transition x strategy x read-ahead
-/// x batch size x fault schedule) asserting, for every sampled config,
+/// x batch size x fault schedule x unit weights and scale post-op)
+/// asserting, for every sampled config,
 ///   * device-vs-CPU bit-exactness (every field against
 ///     cpu::general_reference_bf16),
 ///   * strategy-vs-strategy agreement (row-chunk vs SRAM-resident vs the
@@ -93,6 +94,11 @@ std::string describe(const Config& c) {
        << (c.shard_temporal ? " (temporal)" : " (rowchunk)");
   }
   if (c.jacobi) os << " +jacobi";
+  const core::StencilPass& pass = c.problem.passes.front();
+  const auto units = std::count_if(pass.terms.begin(), pass.terms.end(),
+                                   [](const core::TapTerm& t) { return t.weight == 1.0f; });
+  if (units > 0) os << " units=" << units;
+  if (pass.post == core::PostOp::kScale) os << " +scale=" << pass.post_scale;
   return os.str();
 }
 
@@ -244,6 +250,22 @@ Config sample(std::uint64_t seed) {
     c.jacobi_bcs.bc_top = static_cast<float>(rng.next_double(0.0, 1.0));
     c.jacobi_bcs.bc_bottom = static_cast<float>(rng.next_double(0.0, 1.0));
     c.jacobi_bcs.initial = static_cast<float>(rng.next_double(0.0, 1.0));
+  }
+
+  // Tap-order rules U and S (drawn last, so seeds where the axis does not
+  // fire keep their configs): a single-pass program without a post-op gets
+  // some weights set to exactly 1 (unit terms, no multiply) and maybe a
+  // scale post-op with a drawn factor.
+  core::StencilPass& pass = c.problem.passes.front();
+  if (c.problem.passes.size() == 1 && pass.post == core::PostOp::kNone &&
+      rng.next_int(0, 2) == 0) {
+    for (core::TapTerm& t : pass.terms) {
+      if (rng.next_bool()) t.weight = 1.0f;
+    }
+    if (rng.next_bool()) {
+      pass.post = core::PostOp::kScale;
+      pass.post_scale = static_cast<float>(rng.next_double(0.05, 0.3));
+    }
   }
   return c;
 }

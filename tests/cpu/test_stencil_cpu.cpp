@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "ttsim/bfloat/bfloat16.hpp"
+#include "ttsim/common/rng.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/stencil_spec.hpp"
+#include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
 
 namespace ttsim {
@@ -229,6 +231,46 @@ TEST(StencilCpu, ToGeneralMatchesLegacyReference) {
   ASSERT_EQ(general[0].size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(general[0][i].bits(), legacy[i].bits()) << "elem " << i;
+  }
+}
+
+/// The Jacobi == general contract: to_general(JacobiProblem) — unit-weight
+/// W, E, N, S terms and a 0.25 scale — replays classic Jacobi's
+/// ((xm + xp) + ym + yp) * 0.25 bit for bit in BF16, over seeded shapes,
+/// boundary values, initial values and 1-6 iterations. In FP32 the classic
+/// reference sums the taps in another order (S, N, E, W), so there the two
+/// agree to rounding only.
+TEST(StencilCpu, JacobiIsTheGeneralProgramToGeneralMakes) {
+  Rng rng(0x4A4C0B1ULL);
+  for (int trial = 0; trial < 24; ++trial) {
+    core::JacobiProblem p;
+    p.width = static_cast<std::uint32_t>(rng.next_int(1, 40));
+    p.height = static_cast<std::uint32_t>(rng.next_int(1, 40));
+    p.iterations = static_cast<int>(rng.next_int(1, 6));
+    p.bc_left = static_cast<float>(rng.next_double(-2.0, 2.0));
+    p.bc_right = static_cast<float>(rng.next_double(-2.0, 2.0));
+    p.bc_top = static_cast<float>(rng.next_double(-2.0, 2.0));
+    p.bc_bottom = static_cast<float>(rng.next_double(-2.0, 2.0));
+    p.initial = static_cast<float>(rng.next_double(-2.0, 2.0));
+    const core::GeneralStencilProblem g = core::to_general(p);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << ": " << p.width << "x"
+                                    << p.height << " it=" << p.iterations);
+
+    const auto classic = cpu::jacobi_reference_bf16(p);
+    const auto general = cpu::general_reference_bf16(g);
+    ASSERT_EQ(general.size(), 1u);
+    ASSERT_EQ(general[0].size(), classic.size());
+    for (std::size_t i = 0; i < classic.size(); ++i) {
+      ASSERT_EQ(general[0][i].bits(), classic[i].bits()) << "bf16 elem " << i;
+    }
+
+    const auto classic32 = cpu::jacobi_reference_f32(p);
+    const auto general32 = cpu::general_reference_f32(g);
+    ASSERT_EQ(general32.size(), 1u);
+    ASSERT_EQ(general32[0].size(), classic32.size());
+    for (std::size_t i = 0; i < classic32.size(); ++i) {
+      ASSERT_NEAR(general32[0][i], classic32[i], 1e-5f) << "f32 elem " << i;
+    }
   }
 }
 

@@ -9,9 +9,9 @@
 ///     exactly; the temporal graph's "points" is a documented lower bound
 ///     (the trapezoid recomputes skirt rows on top), so there the run may
 ///     count more.
-/// Covered: classic Jacobi and every gallery program, on row-chunk at
-/// read-ahead depths 2 and 8, SRAM-resident and temporal, wherever the
-/// driver accepts the program.
+/// Covered: classic Jacobi, every gallery program and the unit-term/scale
+/// chains, on row-chunk at read-ahead depths 2 and 8, SRAM-resident and
+/// temporal, wherever the driver accepts the program.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +147,56 @@ TEST(IrProgram, ClassicJacobiGraphsMatchTheirPrograms) {
     expect_counts(
         g, [&](ttmetal::Device& dev) { core::run_jacobi_on_device(dev, p, l.cfg); },
         l.cfg.strategy == DeviceStrategy::kTemporal, what);
+  }
+}
+
+/// One-field programs exercising the tap-order rules U and S: a lone unit
+/// term with a scale (copy seed, no kCbGTmp), a unit seed followed by a
+/// weighted term, and a weighted seed followed by a unit term.
+TEST(IrProgram, UnitTermAndScaleGraphsMatchTheirPrograms) {
+  using core::Tap;
+  using core::TapTerm;
+  struct Case {
+    const char* name;
+    std::vector<TapTerm> terms;
+    bool scale;
+  };
+  const std::vector<Case> cases = {
+      {"unit-scale", {TapTerm{0, Tap::kC, 1.0f}}, true},
+      {"unit-weighted", {TapTerm{0, Tap::kC, 1.0f}, TapTerm{0, Tap::kN, 0.25f}}, false},
+      {"weighted-unit", {TapTerm{0, Tap::kW, 0.5f}, TapTerm{0, Tap::kS, 1.0f}}, false},
+  };
+  for (const Case& c : cases) {
+    core::GeneralStencilProblem p;
+    p.width = 64;
+    p.height = 32;
+    p.iterations = 3;
+    core::FieldSpec f;
+    f.name = "u";
+    f.bc_top = 1.0f;
+    f.initial = 0.5f;
+    p.fields.push_back(f);
+    core::StencilPass pass;
+    pass.terms = c.terms;
+    if (c.scale) {
+      pass.post = core::PostOp::kScale;
+      pass.post_scale = 0.75f;
+    }
+    p.passes.push_back(pass);
+    for (const Launch& l : launches(1, 1)) {
+      const std::string what = std::string(c.name) + " " + l.what;
+      const ir::Graph g = core::general_ir_graph(p, l.cfg);
+      expect_declares_what_it_builds(g, what);
+      expect_counts(
+          g,
+          [&](ttmetal::Device& dev) {
+            core::DeviceRunConfig cfg = l.cfg;
+            cfg.verify = true;
+            EXPECT_TRUE(core::run_general_stencil_on_device(dev, p, cfg).verified_ok)
+                << what;
+          },
+          l.cfg.strategy == DeviceStrategy::kTemporal, what);
+    }
   }
 }
 

@@ -128,6 +128,25 @@ TEST(Serve, InvalidShapeFailsFast) {
   svc.drain();  // nothing queued; must return immediately
 }
 
+/// A slot ring whose read tags overflow a data mover fails at admission,
+/// naming read_ahead, instead of dying inside a kernel.
+TEST(Serve, ReadTagOverflowFailsAtAdmission) {
+  ServiceConfig cfg = base_config();
+  cfg.run.cores_y = 16;
+  cfg.run.chunk_elems = 16;
+  cfg.run.read_ahead = 64;
+  StencilService svc(cfg);
+  Request req;
+  req.problem.width = 2048;
+  req.problem.height = 16;
+  req.problem.iterations = 1;
+  const Ticket t = svc.submit(req);
+  EXPECT_EQ(t.status, RequestStatus::kFailed);
+  EXPECT_NE(svc.result(t.id).error.find("read_ahead 64"), std::string::npos)
+      << svc.result(t.id).error;
+  svc.drain();
+}
+
 TEST(Serve, FairShareAlternatesTenants) {
   // max_batch 1 forces one request per launch; the round-robin head choice
   // must alternate tenants rather than draining tenant 0 first.

@@ -204,14 +204,17 @@ TEST(ServeMultichip, MixedDevicePoolKeysCostPerSpec) {
   }
   ASSERT_TRUE(used[0] && used[1]) << "pool did not share the load";
 
-  const SimTime gs = svc.ewma_cost(0, "grayskull-e150");
-  const SimTime wh = svc.ewma_cost(0, "wormhole");
+  // A classic Jacobi request keys its history under its general program.
+  const std::uint64_t jacobi = core::to_general(p).transition_hash();
+  const SimTime gs = svc.ewma_cost(jacobi, "grayskull-e150");
+  const SimTime wh = svc.ewma_cost(jacobi, "wormhole");
   EXPECT_GT(gs, 0u);
   EXPECT_GT(wh, 0u);
   // Different silicon, different cost: the histories must not have been
   // folded into each other (the Wormhole's wider DRAM path is faster).
   EXPECT_NE(gs, wh);
-  EXPECT_EQ(svc.ewma_cost(0, "no-such-spec"), 0u);
+  EXPECT_EQ(svc.ewma_cost(jacobi, "no-such-spec"), 0u);
+  EXPECT_EQ(svc.ewma_cost(0, "grayskull-e150"), 0u);
 }
 
 TEST(ServeMultichip, HeterogeneousShardedGroupIsBitExact) {

@@ -1,9 +1,11 @@
 /// \file test_golden_trace.cpp
 /// Golden-trace regression tests: run a fixed set of workloads with tracing
-/// enabled and pin the FNV-1a hash of the canonicalized event stream. Any
-/// change to the simulator's timing, scheduling, event ordering or trace
-/// emission shows up as a hash mismatch here — the whole event stream is the
-/// regression surface, not a handful of spot-checked numbers.
+/// enabled and pin the FNV-1a hash of the canonicalized event stream next to
+/// the simulated end time (the latest event end). Any change to the
+/// simulator's timing, scheduling, event ordering or trace emission shows up
+/// as a hash mismatch here — the whole event stream is the regression
+/// surface, not a handful of spot-checked numbers — and the end-time pin
+/// shows whether a re-pinned stream also moved in time.
 ///
 /// When a change is *intentional* (a timing model fix, a new event kind),
 /// regenerate the pins:
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -33,7 +36,20 @@ namespace {
 struct GoldenRun {
   std::uint64_t hash = 0;
   std::size_t events = 0;
+  SimTime end = 0;  ///< latest event end (ts + dur), simulated ps
 };
+
+/// A pinned run: the canonical stream's hash and its simulated end time.
+struct GoldenPin {
+  std::uint64_t hash = 0;
+  SimTime end = 0;
+};
+
+SimTime end_of(const sim::TraceSink& sink) {
+  SimTime end = 0;
+  for (const sim::TraceEvent& e : sink.events()) end = std::max(end, e.ts + e.dur);
+  return end;
+}
 
 /// Run `workload` against a freshly opened traced device and hash the event
 /// stream it leaves behind. The sink is cleared after open so buffer setup
@@ -44,7 +60,7 @@ GoldenRun traced(Workload&& workload, ttmetal::DeviceConfig dc = {}) {
   dc.enable_trace = true;
   auto dev = ttmetal::Device::open({}, dc);
   workload(*dev);
-  return {dev->trace()->hash(), dev->trace()->size()};
+  return {dev->trace()->hash(), dev->trace()->size(), end_of(*dev->trace())};
 }
 
 GoldenRun jacobi_run(core::DeviceStrategy strategy, int cores_y = 1) {
@@ -154,63 +170,73 @@ GoldenRun sharded_run() {
   core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg);
   std::string canon;
   std::size_t events = 0;
+  SimTime end = 0;
   for (auto* dev : devs) {
     canon += dev->trace()->canonical();
     events += dev->trace()->size();
+    end = std::max(end, end_of(*dev->trace()));
   }
   canon += cluster.fabric->trace()->canonical();
   events += cluster.fabric->trace()->size();
+  end = std::max(end, end_of(*cluster.fabric->trace()));
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : canon) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
-  return {h, events};
+  return {h, events, end};
 }
 
 /// Pin `run` to `golden`, or print the replacement constant when
 /// TTSIM_REGEN_GOLDEN is set. Always re-executes the workload a second time
-/// and demands hash equality: a golden value is only meaningful if the trace
-/// is reproducible in the first place.
+/// and demands equality: a golden value is only meaningful if the trace is
+/// reproducible in the first place.
 template <typename Workload>
-void expect_golden(const char* name, Workload&& workload, std::uint64_t golden) {
+void expect_golden(const char* name, Workload&& workload, GoldenPin golden) {
   const GoldenRun a = workload();
   const GoldenRun b = workload();
   ASSERT_EQ(a.hash, b.hash) << name << ": trace not reproducible across two "
                             << "runs in the same process";
   ASSERT_EQ(a.events, b.events);
+  ASSERT_EQ(a.end, b.end);
   ASSERT_GT(a.events, 0u) << name << ": workload produced no events";
   if (std::getenv("TTSIM_REGEN_GOLDEN") != nullptr) {
-    std::cout << "GOLDEN " << name << " = 0x" << std::hex << a.hash << std::dec
-              << "ull;  // " << a.events << " events\n";
+    std::cout << "GOLDEN " << name << " = {0x" << std::hex << a.hash << std::dec
+              << "ull, " << a.end << "};  // " << a.events << " events\n";
     return;
   }
-  EXPECT_EQ(a.hash, golden)
+  EXPECT_EQ(a.end, golden.end)
+      << name << ": simulated end time moved (" << a.end << " ps, pinned "
+      << golden.end << " ps).";
+  EXPECT_EQ(a.hash, golden.hash)
       << name << ": canonical event stream changed (got 0x" << std::hex << a.hash
-      << ", pinned 0x" << golden << std::dec << ", " << a.events
+      << ", pinned 0x" << golden.hash << std::dec << ", " << a.events
       << " events). If the timing/semantic change is intentional, regenerate "
       << "with TTSIM_REGEN_GOLDEN=1 (see tests/trace/README.md).";
 }
 
-// --- pinned hashes (regenerate with TTSIM_REGEN_GOLDEN=1) ---
-constexpr std::uint64_t kGoldenJacobiTiled = 0xc16762991f5f97cfull;            // 5492 events
-constexpr std::uint64_t kGoldenJacobiDoubleBuffered = 0x1fbbe715c38f9d40ull;   // 4974 events
-constexpr std::uint64_t kGoldenJacobiRowChunk = 0x6624cac313591258ull;         // 4902 events
-constexpr std::uint64_t kGoldenJacobiRowChunkMulticore = 0x91a92afe9cd9a3a4ull;  // 4939 events
-constexpr std::uint64_t kGoldenStreamSingleCore = 0xeca69c538be2aafull;        // 521 events
-constexpr std::uint64_t kGoldenStreamInterleaved = 0x3794630502d0b6f3ull;      // 598 events
-constexpr std::uint64_t kGoldenFaultyRowChunk = 0x54329bb782de849aull;         // 4877 events
-constexpr std::uint64_t kGoldenGalleryHotspot = 0x133936c67a17a930ull;         // 20963 events
-constexpr std::uint64_t kGoldenGalleryFdtd2d = 0x4f49ec64b9bbeabdull;          // 50079 events
-constexpr std::uint64_t kGoldenGalleryConvection = 0x626b6734c264ad2cull;      // 25269 events
-constexpr std::uint64_t kGoldenGalleryLife = 0x7e37c045e2025bceull;            // 28149 events
-constexpr std::uint64_t kGoldenJacobiTemporal = 0x4dbb2e1396942c25ull;         // 6091 events
-constexpr std::uint64_t kGoldenJacobiSharded2Card = 0xc01983923858fa5dull;     // 10180 events
-constexpr std::uint64_t kGoldenJacobiSram = 0xb238a5fb731aba3aull;              // 3499 events
-constexpr std::uint64_t kGoldenGalleryConvectionSram = 0xb0619d1a8f09ecb6ull;   // 20193 events
-constexpr std::uint64_t kGoldenGalleryLifeSram = 0x42e19a8d447b6778ull;         // 23073 events
-constexpr std::uint64_t kGoldenGalleryConvectionTemporal = 0x913dd3b98a840c5full;  // 21618 events
-constexpr std::uint64_t kGoldenGalleryHotspotTemporal = 0x5254e99bdea47320ull;     // 15698 events
+// --- pinned hashes and end times in ps (regenerate with TTSIM_REGEN_GOLDEN=1) ---
+constexpr GoldenPin kGoldenJacobiTiled{0xc16762991f5f97cfull, 1385697600};  // 5492 events
+constexpr GoldenPin kGoldenJacobiDoubleBuffered{0x1fbbe715c38f9d40ull, 1172721040};  // 4974 events
+constexpr GoldenPin kGoldenJacobiRowChunk{0x15a6e37ede3a1977ull, 646258290};  // 4901 events
+constexpr GoldenPin kGoldenJacobiRowChunkMulticore{0x467376a1c01e755aull, 591777506};
+    // 4937 events
+constexpr GoldenPin kGoldenStreamSingleCore{0xeca69c538be2aafull, 662916264};  // 521 events
+constexpr GoldenPin kGoldenStreamInterleaved{0x3794630502d0b6f3ull, 620428589};  // 598 events
+constexpr GoldenPin kGoldenFaultyRowChunk{0xa8213a2bb1004b67ull, 835648197};  // 4876 events
+constexpr GoldenPin kGoldenGalleryHotspot{0x133936c67a17a930ull, 861750538};  // 20963 events
+constexpr GoldenPin kGoldenGalleryFdtd2d{0x403823e8e0178a21ull, 1160170598};  // 50079 events
+constexpr GoldenPin kGoldenGalleryConvection{0x626b6734c264ad2cull, 993376538};  // 25269 events
+constexpr GoldenPin kGoldenGalleryLife{0x91a57e0b21fbb9cbull, 858016538};  // 19509 events
+constexpr GoldenPin kGoldenJacobiTemporal{0x3a8fe38d0d9b20f3ull, 657230510};  // 6089 events
+constexpr GoldenPin kGoldenJacobiSharded2Card{0x50143837862d8389ull, 1162701536};  // 10176 events
+constexpr GoldenPin kGoldenJacobiSram{0xf049709e8eeed6fbull, 600080098};  // 3497 events
+constexpr GoldenPin kGoldenGalleryConvectionSram{0xb0619d1a8f09ecb6ull, 991412838};  // 20193 events
+constexpr GoldenPin kGoldenGalleryLifeSram{0x8d373bcb0cba383cull, 856052838};  // 14433 events
+constexpr GoldenPin kGoldenGalleryConvectionTemporal{0x913dd3b98a840c5full, 1015377957};
+    // 21618 events
+constexpr GoldenPin kGoldenGalleryHotspotTemporal{0x5254e99bdea47320ull, 885695957};
+    // 15698 events
 
 TEST(GoldenTrace, JacobiTiled) {
   expect_golden(
