@@ -6,8 +6,11 @@
 namespace ttsim::sim {
 
 Process::Process(Engine& engine, std::string name, std::function<void()> fn,
-                 std::size_t stack_bytes)
-    : engine_(engine), name_(std::move(name)), fiber_(std::move(fn), stack_bytes) {}
+                 std::size_t stack_bytes, std::uint32_t rank)
+    : engine_(engine),
+      name_(std::move(name)),
+      rank_(rank),
+      fiber_(std::move(fn), stack_bytes) {}
 
 Engine::~Engine() {
   // Unwind any parked fibers so resources held on their stacks destruct — a
@@ -24,8 +27,9 @@ Engine::~Engine() {
 
 Process* Engine::spawn(std::string name, std::function<void()> fn,
                        std::size_t stack_bytes) {
+  const auto rank = static_cast<std::uint32_t>(processes_.size() + 1);
   auto proc = std::unique_ptr<Process>(
-      new Process(*this, std::move(name), std::move(fn), stack_bytes));
+      new Process(*this, std::move(name), std::move(fn), stack_bytes, rank));
   Process* raw = proc.get();
   processes_.push_back(std::move(proc));
   push_wakeup(raw, now_);
@@ -42,11 +46,11 @@ void Engine::schedule_at(SimTime t, std::function<void()> cb) {
     free_slots_.pop_back();
     callbacks_[slot] = std::move(cb);
   }
-  queue_.push(Event{t, next_seq_++, nullptr, slot});
+  queue_.push(Event{t, next_seq_++, nullptr, slot, 0});
 }
 
 void Engine::push_wakeup(Process* p, SimTime t) {
-  queue_.push(Event{t, next_seq_++, p, 0});
+  queue_.push(Event{t, next_seq_++, p, 0, p->rank_});
 }
 
 Process& Engine::current() {

@@ -5,10 +5,14 @@
 /// Every simulated baby core (data movers, compute) is a Process. Processes
 /// advance virtual time by calling Engine::delay() and block on the sync
 /// primitives in sync.hpp; hardware resources (DRAM banks, NoC links)
-/// schedule plain callbacks. The scheduler is single-threaded and orders
-/// events by (time, insertion sequence), so identical inputs always produce
-/// identical simulated timelines. Distinct engines share no state, so each
-/// may run on its own host thread.
+/// schedule plain callbacks. The scheduler is single-threaded, so identical
+/// inputs always produce identical simulated timelines. Events at one
+/// simulated time run callbacks first, in scheduling order, then process
+/// wakeups in spawn order. A wakeup's place therefore does not depend on
+/// when it was pushed: a process that skips a wakeup which did nothing
+/// observable reorders nothing else (the kernel run-ahead clock relies on
+/// this). Distinct engines share no state, so each may run on its own host
+/// thread.
 
 #include <cstdint>
 #include <functional>
@@ -88,10 +92,11 @@ class Process {
   friend class WaitQueue;
 
   Process(Engine& engine, std::string name, std::function<void()> fn,
-          std::size_t stack_bytes);
+          std::size_t stack_bytes, std::uint32_t rank);
 
   Engine& engine_;
   std::string name_;
+  std::uint32_t rank_;  ///< 1 + spawn index: the wakeup tie-break
   Fiber fiber_;
   State state_ = State::kReady;
   WaitSite wait_site_;
@@ -118,7 +123,8 @@ class Engine {
     schedule_at(now_ + dt, std::move(cb));
   }
 
-  /// The engine's one dispatch loop: run events in (time, seq) order until
+  /// The engine's one dispatch loop: run events in order (see the file
+  /// comment) until
   /// the queue drains or `stop` holds before the next event. When a process
   /// blocks and the next event wakes another process, the blocking fiber
   /// pops it and switches straight to that process (one fiber switch per
@@ -183,12 +189,17 @@ class Engine {
     std::uint64_t seq;
     Process* process;    // wakeup if non-null ...
     std::uint32_t slot;  // ... else index into callbacks_
+    std::uint32_t rank;  // 0 for a callback, else the process's rank_
   };
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 32);
+  /// Min-heap on (time, rank, seq): callbacks (rank 0) before wakeups,
+  /// callbacks by scheduling order, wakeups by spawn order.
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // min-heap: earlier (time, seq) first
+      if (a.rank != b.rank) return a.rank > b.rank;
+      return a.seq > b.seq;
     }
   };
 

@@ -484,8 +484,9 @@ TEST(Engine, ExceptionInHandedOffProcessSurfacesFromRun) {
 
 TEST(Engine, WakeupsAndCallbacksKeepTheirOrderAndCount) {
   // Each wakeup is one event whether it is reached by a handoff, a self-wake
-  // (p0 at t=10 is next in line again) or the scheduler; the callback at
-  // t=20 runs in (time, seq) order between them.
+  // (p0 at t=15 is next in line again) or the scheduler. At one time the
+  // callback runs first, then the wakeups in spawn order: p0's wakeup at
+  // t=10 and t=20 was pushed last but runs before p1's and p2's.
   Engine e;
   std::vector<std::pair<SimTime, int>> order;
   for (int i = 0; i < 3; ++i) {
@@ -501,8 +502,8 @@ TEST(Engine, WakeupsAndCallbacksKeepTheirOrderAndCount) {
   EXPECT_EQ(e.events_processed(), 3u + 3u * 4u + 1u);
   EXPECT_EQ(e.now(), 40);
   EXPECT_EQ(order, (std::vector<std::pair<SimTime, int>>{
-                       {5, 0}, {10, 1}, {10, 2}, {10, 0}, {15, 0}, {20, -1},
-                       {20, 1}, {20, 2}, {20, 0}, {30, 1}, {30, 2}, {40, 1},
+                       {5, 0}, {10, 0}, {10, 1}, {10, 2}, {15, 0}, {20, -1},
+                       {20, 0}, {20, 1}, {20, 2}, {30, 1}, {30, 2}, {40, 1},
                        {40, 2}}));
 }
 

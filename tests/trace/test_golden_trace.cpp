@@ -219,20 +219,20 @@ void expect_golden(const char* name, Workload&& workload, GoldenPin golden) {
 constexpr GoldenPin kGoldenJacobiTiled{0xc16762991f5f97cfull, 1385697600};  // 5492 events
 constexpr GoldenPin kGoldenJacobiDoubleBuffered{0x1fbbe715c38f9d40ull, 1172721040};  // 4974 events
 constexpr GoldenPin kGoldenJacobiRowChunk{0x15a6e37ede3a1977ull, 646258290};  // 4901 events
-constexpr GoldenPin kGoldenJacobiRowChunkMulticore{0x467376a1c01e755aull, 591777506};
+constexpr GoldenPin kGoldenJacobiRowChunkMulticore{0x340a252b48da8beaull, 591777506};
     // 4937 events
 constexpr GoldenPin kGoldenStreamSingleCore{0xeca69c538be2aafull, 662916264};  // 521 events
 constexpr GoldenPin kGoldenStreamInterleaved{0x3794630502d0b6f3ull, 620428589};  // 598 events
 constexpr GoldenPin kGoldenFaultyRowChunk{0xa8213a2bb1004b67ull, 835648197};  // 4876 events
-constexpr GoldenPin kGoldenGalleryHotspot{0x133936c67a17a930ull, 861750538};  // 20963 events
-constexpr GoldenPin kGoldenGalleryFdtd2d{0x403823e8e0178a21ull, 1160170598};  // 50079 events
+constexpr GoldenPin kGoldenGalleryHotspot{0xdce47c74e2597e20ull, 861750538};  // 21227 events
+constexpr GoldenPin kGoldenGalleryFdtd2d{0x477934d7948f6b0eull, 1160170598};  // 50607 events
 constexpr GoldenPin kGoldenGalleryConvection{0x626b6734c264ad2cull, 993376538};  // 25269 events
 constexpr GoldenPin kGoldenGalleryLife{0x91a57e0b21fbb9cbull, 858016538};  // 19509 events
 constexpr GoldenPin kGoldenJacobiTemporal{0x3a8fe38d0d9b20f3ull, 657230510};  // 6089 events
 constexpr GoldenPin kGoldenJacobiSharded2Card{0x50143837862d8389ull, 1162701536};  // 10176 events
-constexpr GoldenPin kGoldenJacobiSram{0xf049709e8eeed6fbull, 600080098};  // 3497 events
-constexpr GoldenPin kGoldenGalleryConvectionSram{0xb0619d1a8f09ecb6ull, 991412838};  // 20193 events
-constexpr GoldenPin kGoldenGalleryLifeSram{0x8d373bcb0cba383cull, 856052838};  // 14433 events
+constexpr GoldenPin kGoldenJacobiSram{0x76d67eb8a4c2b29bull, 600080098};  // 3497 events
+constexpr GoldenPin kGoldenGalleryConvectionSram{0x27af5b4c2f13b578ull, 991412838};  // 20193 events
+constexpr GoldenPin kGoldenGalleryLifeSram{0xfa2a132ca3b63d88ull, 856052838};  // 14433 events
 constexpr GoldenPin kGoldenGalleryConvectionTemporal{0x913dd3b98a840c5full, 1015377957};
     // 21618 events
 constexpr GoldenPin kGoldenGalleryHotspotTemporal{0x5254e99bdea47320ull, 885695957};
