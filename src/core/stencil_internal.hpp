@@ -287,17 +287,21 @@ void emit_tap_chain(ttmetal::ComputeCtx& ctx, std::uint32_t wtab,
 std::vector<ir::Op> tap_chain_ops(const LoweredPass& pass, const ir::Count& points);
 
 /// One CB of a program's list, in creation order: the builders create it
-/// (create_cbs) and the IR models declare it under `name`.
+/// (create_cbs) and the IR models declare it under `name`. `kernel_local`
+/// marks a compute-private accumulator (ttmetal::Program::create_cb).
 struct CbSpec {
   int id = 0;
   std::uint32_t pages = 1;
   std::string name;
   std::uint32_t page_bytes = kTileBytes;
+  bool kernel_local = false;
 };
 
 inline void create_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
                        const std::vector<CbSpec>& cbs) {
-  for (const CbSpec& cb : cbs) prog.create_cb(cb.id, cores, cb.page_bytes, cb.pages);
+  for (const CbSpec& cb : cbs) {
+    prog.create_cb(cb.id, cores, cb.page_bytes, cb.pages, cb.kernel_local);
+  }
 }
 
 /// The tap chain's CBs in creation order: one `field_pages`-page CB per
@@ -305,8 +309,8 @@ inline void create_cbs(ttmetal::Program& prog, const std::vector<int>& cores,
 /// the slab strategies the fields the single pass reads or writes, 1-page
 /// alias vehicles), the weight alias CB when the table is non-empty, the
 /// accumulators some pass uses (kCbGInter with a later term or a scale,
-/// kCbGTmp with a later weighted term or Life, kCbGTmp2 with Life) and the
-/// `out_pages`-page output CB.
+/// kCbGTmp with a later weighted term or Life, kCbGTmp2 with Life; all
+/// three kernel-local) and the `out_pages`-page output CB.
 std::vector<CbSpec> tap_chain_cbs(const GeneralShared& sh, std::uint32_t field_pages,
                                   std::uint32_t out_pages);
 

@@ -85,9 +85,13 @@ std::vector<CbSpec> tap_chain_cbs(const GeneralShared& sh, std::uint32_t field_p
     }
   }
   if (!sh.weights.empty()) cbs.push_back({kCbWgt, 1, "cb-wgt"});  // alias vehicle
-  if (inter) cbs.push_back({kCbGInter, 2, "cb-ginter"});
-  if (tmp) cbs.push_back({kCbGTmp, 2, "cb-gtmp"});
-  if (life) cbs.push_back({kCbGTmp2, 2, "cb-gtmp2"});
+  // The accumulators never leave the compute kernel.
+  auto local = [](int id, const char* name) {
+    return CbSpec{.id = id, .pages = 2, .name = name, .kernel_local = true};
+  };
+  if (inter) cbs.push_back(local(kCbGInter, "cb-ginter"));
+  if (tmp) cbs.push_back(local(kCbGTmp, "cb-gtmp"));
+  if (life) cbs.push_back(local(kCbGTmp2, "cb-gtmp2"));
   cbs.push_back({kCbGOut, out_pages, "cb-gout"});
   return cbs;
 }

@@ -26,9 +26,11 @@ class CircularBuffer {
   /// \param trace optional sink recording push/pop occupancy and blocked
   ///        full/empty waits (`core`/`cb_id` label the events); nullptr
   ///        disables tracing with no behavioural difference.
+  /// \param kernel_local declared for one kernel's private use (see
+  ///        kernel_local()).
   CircularBuffer(Engine& engine, std::byte* storage, std::uint32_t page_size,
                  std::uint32_t num_pages, TraceSink* trace = nullptr,
-                 int core = -1, int cb_id = -1)
+                 int core = -1, int cb_id = -1, bool kernel_local = false)
       : storage_(storage),
         page_size_(page_size),
         num_pages_(num_pages),
@@ -37,7 +39,8 @@ class CircularBuffer {
         data_(engine),
         trace_(trace),
         core_(core),
-        cb_id_(cb_id) {
+        cb_id_(cb_id),
+        kernel_local_(kernel_local) {
     TTSIM_CHECK(page_size_ > 0);
     TTSIM_CHECK(num_pages_ > 0);
     TTSIM_CHECK(storage_ != nullptr);
@@ -47,6 +50,11 @@ class CircularBuffer {
 
   std::uint32_t page_size() const { return page_size_; }
   std::uint32_t num_pages() const { return num_pages_; }
+  /// Declared to be used by one kernel only (a compute kernel's
+  /// intermediate accumulator): no other process can observe its ops, so
+  /// the kernel layer runs them ahead of the engine, and the Device rejects
+  /// a second kernel touching it.
+  bool kernel_local() const { return kernel_local_; }
 
   /// Pages currently committed and not yet popped.
   std::uint32_t pages_available() const { return committed_; }
@@ -209,6 +217,7 @@ class CircularBuffer {
   TraceSink* trace_ = nullptr;
   int core_ = -1;   // trace labels only
   int cb_id_ = -1;
+  bool kernel_local_ = false;
 };
 
 }  // namespace ttsim::sim

@@ -11,8 +11,11 @@
 /// tile), a CB page written by pack_tile has the extent of the register
 /// packed into it, and any other page is a full tile. A binary op's result
 /// has the smaller of its operands' extents, copy_tile its source's. The
-/// host computes and stores only the extent; the simulated charge is a full
-/// tile's either way.
+/// host computes and stores only the extent.
+///
+/// The Fpu is pure math: it charges no simulated time. The compute kernel
+/// context charges a full tile's tile_math_cost or tile_pack_cost per op
+/// (ttmetal::ComputeCtx), whatever the extent.
 
 #include <algorithm>
 #include <array>
@@ -53,7 +56,7 @@ class Fpu {
                                bfloat16_t* out, std::uint32_t n);
   static bool cpu_has_avx2();
 
-  Fpu(Engine& engine, const GrayskullSpec& spec);
+  explicit Fpu(const GrayskullSpec& spec);
 
   /// dst[i] = a[tile ia][i] + b[tile ib][i] over the smaller operand extent
   void add_tiles(const CircularBuffer& a, const CircularBuffer& b,
@@ -75,7 +78,6 @@ class Fpu {
 
   /// Unpack one tile from a CB straight into a dst register.
   void copy_tile(const CircularBuffer& src, std::uint32_t idx, int dst) {
-    charge(spec_.tile_math_cost);
     const std::size_t r = index(dst);
     extents_[r] = tile_extent(src, idx);
     std::memcpy(static_cast<void*>(regs_[r].data()), tile_data(src, idx),
@@ -88,7 +90,6 @@ class Fpu {
   /// stored at the override address — the caller guarantees room for a full
   /// tile, exactly as on hardware. Only the register's extent is stored.
   void pack_tile(int dst, CircularBuffer& out, std::uint32_t page_offset = 0) {
-    charge(spec_.tile_pack_cost);
     auto* raw = out.write_ptr(page_offset);
     TTSIM_CHECK_MSG(out.has_write_ptr_override() || out.page_size() >= kTileBytes,
                     "pack_tile into a CB with pages smaller than a tile");
@@ -103,7 +104,6 @@ class Fpu {
   /// op): dst[i] = (dst[i] == v) ? 1 : 0. The building block for threshold
   /// transitions (Game of Life counts neighbours, then masks on the count).
   void eq_scalar_tile(int dst, bfloat16_t v) {
-    charge(spec_.tile_math_cost);
     auto* r = reg(dst);
     for (std::uint32_t i = 0, n = extent(dst); i < n; ++i) {
       const bool eq = !r[i].is_nan() &&
@@ -114,7 +114,6 @@ class Fpu {
 
   /// Elementwise |x| on a destination register (SFPU unary op).
   void abs_tile(int dst) {
-    charge(spec_.tile_math_cost);
     auto* r = reg(dst);
     for (std::uint32_t i = 0, n = extent(dst); i < n; ++i) {
       r[i] = bfloat16_t::from_bits(static_cast<std::uint16_t>(r[i].bits() & 0x7FFF));
@@ -125,7 +124,6 @@ class Fpu {
   /// extent (the FPU's reduction capability; NaN lanes propagate to the
   /// result).
   bfloat16_t reduce_max(int dst) {
-    charge(spec_.tile_math_cost);
     const auto* r = reg(dst);
     bfloat16_t m = r[0];
     for (std::uint32_t i = 1, n = extent(dst); i < n; ++i) {
@@ -141,8 +139,7 @@ class Fpu {
 
   /// The live extent of a destination register: how many leading elements
   /// the op that last wrote it computed, because only they can reach an
-  /// output. The host computes and stores only these; the simulated charge
-  /// is a full tile's regardless.
+  /// output. The host computes and stores only these.
   std::uint32_t extent(int dst) const { return extents_[index(dst)]; }
 
  private:
@@ -173,9 +170,6 @@ class Fpu {
     return reinterpret_cast<const bfloat16_t*>(base + idx * kTileBytes);
   }
 
-  void charge(SimTime cost) { engine_.delay(cost); }
-
-  Engine& engine_;
   const GrayskullSpec& spec_;
   TileKernel kernel_;  // tile_kernel_avx2 where the CPU has it, else the baseline
   std::vector<std::array<bfloat16_t, kTileElems>> regs_;

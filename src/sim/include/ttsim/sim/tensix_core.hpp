@@ -34,8 +34,10 @@ class TensixCore {
   Fpu& fpu() { return fpu_; }
 
   /// Create circular buffer `cb_id` backed by core SRAM. Page geometry is
-  /// fixed by the host code (paper Section II-A).
-  CircularBuffer& create_cb(int cb_id, std::uint32_t page_size, std::uint32_t num_pages);
+  /// fixed by the host code (paper Section II-A). See
+  /// CircularBuffer::kernel_local for `kernel_local`.
+  CircularBuffer& create_cb(int cb_id, std::uint32_t page_size, std::uint32_t num_pages,
+                            bool kernel_local = false);
   /// Throws ApiError unless `cb_id` was created.
   CircularBuffer& cb(int cb_id);
   bool has_cb(int cb_id) const {

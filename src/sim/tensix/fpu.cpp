@@ -99,8 +99,7 @@ bool Fpu::cpu_has_avx2() {
   return __builtin_cpu_supports("avx2") != 0;
 }
 
-Fpu::Fpu(Engine& engine, const GrayskullSpec& spec)
-    : engine_(engine), spec_(spec), kernel_(selected_kernel()) {
+Fpu::Fpu(const GrayskullSpec& spec) : spec_(spec), kernel_(selected_kernel()) {
   TTSIM_CHECK_MSG(spec.dst_registers <= kMaxDstRegisters,
                   "at most " << kMaxDstRegisters << " dst registers are modelled");
   regs_.resize(static_cast<std::size_t>(spec.dst_registers));
@@ -109,7 +108,6 @@ Fpu::Fpu(Engine& engine, const GrayskullSpec& spec)
 
 void Fpu::binary_op(BinaryOp op, const CircularBuffer& a, const CircularBuffer& b,
                     std::uint32_t ia, std::uint32_t ib, int dst) {
-  charge(spec_.tile_math_cost);
   const std::size_t r = index(dst);
   extents_[r] = std::min(tile_extent(a, ia), tile_extent(b, ib));
   kernel_(op, tile_data(a, ia), tile_data(b, ib), regs_[r].data(), extents_[r]);

@@ -9,17 +9,17 @@ TensixCore::TensixCore(Engine& engine, const GrayskullSpec& spec, int core_id,
       id_(core_id),
       coord_(coord),
       sram_(spec.sram_bytes),
-      fpu_(engine, spec) {}
+      fpu_(spec) {}
 
 CircularBuffer& TensixCore::create_cb(int cb_id, std::uint32_t page_size,
-                                      std::uint32_t num_pages) {
+                                      std::uint32_t num_pages, bool kernel_local) {
   TTSIM_CHECK_MSG(cb_id >= 0 && cb_id < kMaxCbs, "tt-metal CB ids are 0..31");
   auto& slot = cbs_[static_cast<std::size_t>(cb_id)];
   TTSIM_CHECK_MSG(slot == nullptr, "CB " << cb_id << " already exists on core " << id_);
   const std::uint32_t offset =
       sram_.allocate(static_cast<std::uint64_t>(page_size) * num_pages);
   slot = std::make_unique<CircularBuffer>(engine_, sram_.data(offset), page_size, num_pages,
-                                          trace_, id_, cb_id);
+                                          trace_, id_, cb_id, kernel_local);
   return *slot;
 }
 

@@ -47,25 +47,45 @@ std::vector<verify::LintError> Device::lint_program(const Program& program) {
   return verify::lint(program.verify_info(), verify_info());
 }
 
-void Device::note_cb_producer(int core, int cb_id, const std::string& kernel) {
-  auto& names = cb_peers_[{core, cb_id}].producers;
+namespace {
+
+void add_once(std::vector<std::string>& names, const std::string& kernel) {
   if (std::find(names.begin(), names.end(), kernel) == names.end()) {
     names.push_back(kernel);
   }
+}
+
+}  // namespace
+
+void Device::check_kernel_local(int core, int cb_id, const CbPeers& peers,
+                                const std::string& kernel) {
+  sim::TensixCore& worker = hw_.worker(core);
+  if (!worker.has_cb(cb_id) || !worker.cb(cb_id).kernel_local()) return;
+  for (const auto* names : {&peers.producers, &peers.consumers}) {
+    for (const std::string& other : *names) {
+      if (other != kernel) {
+        TTSIM_THROW_API("CB " << cb_id << " on core " << core
+                              << " is declared kernel-local, but both " << other
+                              << " and " << kernel << " use it");
+      }
+    }
+  }
+}
+
+void Device::note_cb_producer(int core, int cb_id, const std::string& kernel) {
+  CbPeers& peers = cb_peers_[{core, cb_id}];
+  check_kernel_local(core, cb_id, peers, kernel);
+  add_once(peers.producers, kernel);
 }
 
 void Device::note_cb_consumer(int core, int cb_id, const std::string& kernel) {
-  auto& names = cb_peers_[{core, cb_id}].consumers;
-  if (std::find(names.begin(), names.end(), kernel) == names.end()) {
-    names.push_back(kernel);
-  }
+  CbPeers& peers = cb_peers_[{core, cb_id}];
+  check_kernel_local(core, cb_id, peers, kernel);
+  add_once(peers.consumers, kernel);
 }
 
 void Device::note_sem_poster(int core, int sem_id, const std::string& kernel) {
-  auto& names = sem_posters_[{core, sem_id}];
-  if (std::find(names.begin(), names.end(), kernel) == names.end()) {
-    names.push_back(kernel);
-  }
+  add_once(sem_posters_[{core, sem_id}], kernel);
 }
 
 verify::DeadlockReport Device::diagnose_blocked(bool quiescent) {
@@ -373,9 +393,8 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
   for (const auto& a : allocs) {
     if (a.cb != nullptr) {
       for (int core : a.cb->cores) {
-        auto& created =
-            hw_.worker(core).create_cb(a.cb->cb_id, a.cb->page_size, a.cb->num_pages);
-        (void)created;
+        hw_.worker(core).create_cb(a.cb->cb_id, a.cb->page_size, a.cb->num_pages,
+                                   a.cb->kernel_local);
       }
     } else {
       for (int core : a.l1->cores) {
@@ -419,6 +438,12 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
   running_->deadline = config_.sim_time_limit > 0 ? start + config_.sim_time_limit : 0;
   running_->remaining = total_kernels;
   ProgramLaunch* owner = running_.get();
+  // Private work runs ahead of the engine only when nothing can watch a
+  // kernel's clock between shared ops: no trace (record order), no race
+  // detector, no fault plan (its RNG rolls in engine order) and no watchdog
+  // (its partial profiles).
+  const bool run_ahead = hw_.trace() == nullptr && verify_ == nullptr &&
+                         hw_.fault_plan() == nullptr && config_.sim_time_limit == 0;
   for (auto& k : program.kernels_) {
     for (std::size_t i = 0; i < k.cores.size(); ++i) {
       const int core_idx = k.cores[i];
@@ -426,65 +451,69 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
       std::vector<std::uint32_t> args =
           it != k.args.end() ? it->second : k.common_args;
       sim::TensixCore& core = hw_.worker(core_idx);
-      const std::string name = k.name + "@" + std::to_string(core_idx);
-      const int position = static_cast<int>(i);
-      const int group = static_cast<int>(k.cores.size());
       profile_.push_back(KernelProfile{.name = k.name, .core = core_idx});
-      auto* prof = &profile_.back();
-      kernel_core_by_name_.emplace(name, core_idx);
+      KernelLaunch launch{.name = k.name + "@" + std::to_string(core_idx),
+                          .profile = &profile_.back(),
+                          .owner = owner,
+                          .start = start,
+                          .run_ahead = run_ahead};
+      kernel_core_by_name_.emplace(launch.name, core_idx);
       // Thread ids are assigned here, in spawn order, so the detector's
       // clocks are deterministic regardless of execution interleaving.
-      const int vtid = verify_ != nullptr ? verify_->register_thread(name) : -1;
-      // Kernel start/end markers are recorded inside the process so they
-      // land on the kernel's own trace track.
-      sim::TraceSink* trace = hw_.trace();
+      launch.vtid = verify_ != nullptr ? verify_->register_thread(launch.name) : -1;
+      const int position = static_cast<int>(i);
+      const int group = static_cast<int>(k.cores.size());
+      const std::string name = launch.name;
       if (k.kind == KernelKind::kCompute) {
-        auto fn = k.compute_fn;
-        engine.spawn(name, [this, &core, fn, args, position, group, prof, start,
-                            trace, owner, name, vtid] {
+        engine.spawn(name, [this, &core, fn = k.compute_fn, args, position, group,
+                            launch] {
           ComputeCtx ctx(*this, core, args, position, group);
-          ctx.set_profile(prof);
-          ctx.set_identity(name, verify_.get(), vtid);
-          if (trace != nullptr) {
-            trace->record(sim::TraceEventKind::kKernelStart, trace->now(), 0,
-                          {core.id()});
-          }
-          fn(ctx);
-          if (trace != nullptr) {
-            trace->record(sim::TraceEventKind::kKernelEnd, trace->now(), 0,
-                          {core.id()});
-          }
-          prof->lifetime = hw_.engine().now() - start;
-          prof->active = ctx.active_time();
-          prof->finished = true;
-          on_kernel_done(owner);
+          run_kernel(ctx, [&] { fn(ctx); }, launch);
         });
       } else {
         const int noc_id = k.kind == KernelKind::kDataMover0 ? 0 : 1;
-        auto fn = k.mover_fn;
-        engine.spawn(name, [this, &core, fn, args, position, group, noc_id,
-                            prof, start, trace, owner, name, vtid] {
+        engine.spawn(name, [this, &core, fn = k.mover_fn, args, position, group,
+                            noc_id, launch] {
           DataMoverCtx ctx(*this, core, noc_id, args, position, group);
-          ctx.set_profile(prof);
-          ctx.set_identity(name, verify_.get(), vtid);
-          if (trace != nullptr) {
-            trace->record(sim::TraceEventKind::kKernelStart, trace->now(), 0,
-                          {core.id()});
-          }
-          fn(ctx);
-          if (trace != nullptr) {
-            trace->record(sim::TraceEventKind::kKernelEnd, trace->now(), 0,
-                          {core.id()});
-          }
-          prof->lifetime = hw_.engine().now() - start;
-          prof->active = ctx.active_time();
-          prof->finished = true;
-          on_kernel_done(owner);
+          run_kernel(ctx, [&] { fn(ctx); }, launch);
         });
       }
     }
   }
   if (total_kernels == 0) program_complete();
+}
+
+void Device::run_kernel(KernelCtxBase& ctx, const std::function<void()>& body,
+                        const KernelLaunch& launch) {
+  ctx.set_profile(launch.profile);
+  ctx.set_identity(launch.name, verify_.get(), launch.vtid);
+  ctx.set_run_ahead(launch.run_ahead);
+  // Kernel start/end markers are recorded inside the process so they land
+  // on the kernel's own trace track.
+  sim::TraceSink* trace = hw_.trace();
+  if (trace != nullptr) {
+    trace->record(sim::TraceEventKind::kKernelStart, trace->now(), 0, {ctx.core_id()});
+  }
+  // A failing kernel surfaces at the end of the work it charged, as it would
+  // have without run-ahead. The sync runs outside the catch block (no fiber
+  // switch inside one); a cancelled fiber (teardown) unwinds at once.
+  std::exception_ptr error;
+  try {
+    body();
+  } catch (const sim::FiberCancelled&) {
+    throw;
+  } catch (...) {
+    error = std::current_exception();
+  }
+  ctx.sync();
+  if (error != nullptr) std::rethrow_exception(error);
+  if (trace != nullptr) {
+    trace->record(sim::TraceEventKind::kKernelEnd, trace->now(), 0, {ctx.core_id()});
+  }
+  launch.profile->lifetime = hw_.engine().now() - launch.start;
+  launch.profile->active = ctx.active_time();
+  launch.profile->finished = true;
+  on_kernel_done(launch.owner);
 }
 
 void Device::on_kernel_done(ProgramLaunch* owner) {

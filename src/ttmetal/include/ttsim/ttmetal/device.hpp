@@ -271,6 +271,19 @@ class Device {
   /// Instantiate CBs/semaphores/barriers and spawn the kernels (the body of
   /// the historical run_program, after the dispatch delay).
   void launch_kernels(Program& program, CommandQueue& queue);
+  /// What one spawned kernel process needs from its launch.
+  struct KernelLaunch {
+    std::string name;  ///< process name, "<kernel>@<core>"
+    KernelProfile* profile = nullptr;
+    ProgramLaunch* owner = nullptr;
+    SimTime start = 0;
+    int vtid = -1;  ///< race-detector thread id, -1 without enable_verify
+    bool run_ahead = false;  ///< see kernel_ctx.hpp
+  };
+  /// The body of a kernel process: attach `ctx` to its launch, run `body`,
+  /// realise the kernel's remaining lag, then record its end and profile.
+  void run_kernel(KernelCtxBase& ctx, const std::function<void()>& body,
+                  const KernelLaunch& launch);
   void on_kernel_done(ProgramLaunch* owner);
   void program_complete();
 
@@ -282,8 +295,12 @@ class Device {
     std::vector<std::string> producers;
     std::vector<std::string> consumers;
   };
+  /// Also reject a second kernel on a CB declared kernel-local (ApiError at
+  /// its first touch).
   void note_cb_producer(int core, int cb_id, const std::string& kernel);
   void note_cb_consumer(int core, int cb_id, const std::string& kernel);
+  void check_kernel_local(int core, int cb_id, const CbPeers& peers,
+                          const std::string& kernel);
   void note_sem_poster(int core, int sem_id, const std::string& kernel);
   /// Snapshot every unfinished kernel process (name, core, wait site, the
   /// registry's counterpart kernels) and run the wait-for diagnosis

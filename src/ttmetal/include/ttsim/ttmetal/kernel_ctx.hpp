@@ -8,6 +8,18 @@
 ///
 /// Local memory is addressed with 32-bit L1 addresses exactly as on the
 /// hardware; get_write_ptr/get_read_ptr return L1 addresses into CB pages.
+///
+/// Every kernel keeps its own clock. Work that no other process can observe
+/// (loop ticks, FPU math and pack, read/write-pointer overrides, L1 copies
+/// and stores, all four ops on a kernel-local CB) is charged as *lag* on
+/// the context instead of as an engine delay. The kernel realises its lag,
+/// as one delay, just before any operation another process could observe:
+/// an op on any other CB, a semaphore post or wait, a global barrier, a NoC
+/// issue or barrier, and at kernel end. Because equal-time wakeups run in
+/// spawn order (engine.hpp), the skipped intermediate wakeups change no
+/// simulated time. A launch never keeps lag when something could watch a
+/// kernel's clock between shared ops: a trace sink, the race detector, a
+/// FaultPlan or a watchdog (Device decides this per launch).
 
 #include <cstdint>
 #include <vector>
@@ -72,13 +84,20 @@ class KernelCtxBase {
 
   /// Charge per-iteration scalar bookkeeping (address arithmetic, loop
   /// control) — the simulator's stand-in for baby-core instruction time.
+  /// Private work: it only adds lag, so it is no way to poll raw L1 for
+  /// another kernel's writes. Poll with spin() or a sync primitive.
   void loop_tick();
-  /// Explicit delay (diagnostics / failure-injection tests).
+  /// Busy-wait for `dt`: a yield point (charge, then sync), so it paces a
+  /// pipeline against other kernels.
   void spin(SimTime dt);
 
   sim::TensixCore& core() { return core_; }
   Device& device() { return device_; }
+  /// This kernel's clock: engine time plus its unrealised lag.
   SimTime now() const;
+  /// Realise the lag as one engine delay. Every shared operation calls it
+  /// first, so kernels need not.
+  void sync();
 
   /// Simulated time this kernel actively spent executing charged operations
   /// (issue overheads, FPU ops, memcpys, loop ticks) — the remainder of its
@@ -103,9 +122,24 @@ class KernelCtxBase {
     verify_ = verifier;
     vtid_ = vtid;
   }
+  /// Whether private work may run ahead as lag (see the file comment); off,
+  /// every charge is synced at once.
+  void set_run_ahead(bool run_ahead) { run_ahead_ = run_ahead; }
 
  protected:
+  /// Account `cost` as active work and advance this kernel's clock by it.
   void charge(SimTime cost);
+  /// Advance this kernel's clock by `dt`: as lag when running ahead, else
+  /// by one engine delay now.
+  void advance(SimTime dt) {
+    lag_ += dt;
+    if (!run_ahead_) sync();
+  }
+  /// Before an op on `cb`: sync unless the CB is kernel-local and the op
+  /// cannot block (`ready`); a local op that would block syncs too.
+  void sync_unless_local(const sim::CircularBuffer& cb, bool ready) {
+    if (!cb.kernel_local() || !ready) sync();
+  }
   /// If the fault plan killed this kernel's core, record the failure and
   /// park the kernel forever (it shows up as a stuck process to the
   /// watchdog / deadlock detector). Called from every charged operation.
@@ -142,6 +176,8 @@ class KernelCtxBase {
   int vtid_ = -1;                       ///< detector thread id
   std::uint32_t cb_produced_ = 0;  ///< bit i: CB i already noted as produced
   std::uint32_t cb_consumed_ = 0;  ///< bit i: CB i already noted as consumed
+  SimTime lag_ = 0;         ///< charged work not yet realised as engine time
+  bool run_ahead_ = false;  ///< set per launch by Device
 };
 
 /// API surface for the two data mover baby cores.
@@ -276,11 +312,11 @@ class ComputeCtx : public KernelCtxBase {
   void cb_clear_rd_ptr(int cb_id);
 
  private:
-  /// Run one FPU operation, measuring its simulated duration into the
-  /// kernel's active/fpu_busy accounting (and the trace when enabled). The
-  /// Fpu charges engine time directly, so the measurement brackets the call.
+  /// Run one FPU operation costing `cost`: advance the clock, run the math,
+  /// then account the cost as active and FPU-busy (and trace it when
+  /// enabled).
   template <typename Fn>
-  void fpu_op(Fn&& fn);
+  void fpu_op(SimTime cost, Fn&& fn);
 
   /// Record the SRAM read an FPU op performs on tile `idx` of `cb_id` with
   /// the race detector, clipped to the CB's read_valid_bytes() annotation

@@ -32,8 +32,11 @@ class Program {
 
   /// Configure a circular buffer on every core in `cores`. L1 addresses are
   /// assigned deterministically in creation order (identical on all cores).
+  /// `kernel_local` declares that on each core one kernel alone uses the CB
+  /// (sim::CircularBuffer::kernel_local): its ops run ahead of the engine,
+  /// and a second kernel touching it raises ApiError.
   void create_cb(int cb_id, const std::vector<int>& cores, std::uint32_t page_size,
-                 std::uint32_t num_pages);
+                 std::uint32_t num_pages, bool kernel_local = false);
 
   /// Configure an inter-baby-core semaphore on every core in `cores`.
   void create_semaphore(int sem_id, const std::vector<int>& cores, std::int64_t initial);
@@ -82,6 +85,7 @@ class Program {
     std::uint32_t num_pages;
     std::uint32_t planned_address;
     std::size_t order;  ///< global creation order across CBs and L1 buffers
+    bool kernel_local;
   };
   struct SemConfig {
     int sem_id;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "ttsim/sim/fpu.hpp"
 #include "ttsim/ttmetal/device.hpp"
@@ -45,14 +46,18 @@ std::uint64_t KernelCtxBase::arg64(std::size_t i) const {
          (static_cast<std::uint64_t>(arg(i + 1)) << 32);
 }
 
-SimTime KernelCtxBase::now() const { return device_.hw().engine().now(); }
+SimTime KernelCtxBase::now() const { return device_.hw().engine().now() + lag_; }
+
+void KernelCtxBase::sync() {
+  if (lag_ > 0) device_.hw().engine().delay(std::exchange(lag_, 0));
+}
 
 void KernelCtxBase::charge(SimTime cost) {
   maybe_halt();
   if (cost > 0) {
     active_ += cost;
     if (profile_ != nullptr) profile_->active = active_;
-    device_.hw().engine().delay(cost);
+    advance(cost);
   }
 }
 
@@ -100,8 +105,10 @@ void KernelCtxBase::note_cb_consumer(int cb_id) {
 void KernelCtxBase::cb_reserve_back(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
   note_cb_producer(cb_id);
+  sim::CircularBuffer& cb = core_.cb(cb_id);
+  sync_unless_local(cb, cb.pages_free() >= pages);
   const SimTime t0 = now();
-  core_.cb(cb_id).reserve_back(pages);
+  cb.reserve_back(pages);
   note_cb_wait(now() - t0);
   // Space granted: order this producer behind the consumer pops that freed
   // the pages it will now overwrite.
@@ -113,19 +120,23 @@ void KernelCtxBase::cb_reserve_back(int cb_id, std::uint32_t pages) {
 void KernelCtxBase::cb_push_back(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
   note_cb_producer(cb_id);
+  sim::CircularBuffer& cb = core_.cb(cb_id);
+  sync_unless_local(cb, true);
   // Publish the filled pages: consumers acquiring the data clock after their
   // wait_front are ordered behind every write this producer made.
   if (verify_ != nullptr) {
     verify_->release(vtid_, verify::Verifier::cb_data_key(core_.id(), cb_id));
   }
-  core_.cb(cb_id).push_back(pages);
+  cb.push_back(pages);
 }
 
 void KernelCtxBase::cb_wait_front(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
   note_cb_consumer(cb_id);
+  sim::CircularBuffer& cb = core_.cb(cb_id);
+  sync_unless_local(cb, cb.pages_available() >= pages);
   const SimTime t0 = now();
-  core_.cb(cb_id).wait_front(pages);
+  cb.wait_front(pages);
   note_cb_wait(now() - t0);
   if (verify_ != nullptr) {
     verify_->acquire(vtid_, verify::Verifier::cb_data_key(core_.id(), cb_id));
@@ -135,12 +146,14 @@ void KernelCtxBase::cb_wait_front(int cb_id, std::uint32_t pages) {
 void KernelCtxBase::cb_pop_front(int cb_id, std::uint32_t pages) {
   charge(device_.spec().cb_op_cost);
   note_cb_consumer(cb_id);
+  sim::CircularBuffer& cb = core_.cb(cb_id);
+  sync_unless_local(cb, true);
   // Return the pages: producers acquiring the space clock in reserve_back
   // are ordered behind every read this consumer made.
   if (verify_ != nullptr) {
     verify_->release(vtid_, verify::Verifier::cb_space_key(core_.id(), cb_id));
   }
-  core_.cb(cb_id).pop_front(pages);
+  cb.pop_front(pages);
 }
 
 std::uint32_t KernelCtxBase::get_write_ptr(int cb_id, std::uint32_t page_offset) {
@@ -170,6 +183,7 @@ std::uint32_t KernelCtxBase::l1_address_of(const std::byte* p) const {
 
 void KernelCtxBase::semaphore_post(int sem_id, std::int64_t n) {
   charge(device_.spec().cb_op_cost);
+  sync();
   device_.note_sem_poster(core_.id(), sem_id, kernel_name_);
   if (verify_ != nullptr) {
     verify_->release(vtid_, verify::Verifier::sem_key(core_.id(), sem_id));
@@ -183,6 +197,7 @@ void KernelCtxBase::semaphore_post(int sem_id, std::int64_t n) {
 
 void KernelCtxBase::semaphore_wait(int sem_id, std::int64_t n) {
   charge(device_.spec().cb_op_cost);
+  sync();
   const SimTime t0 = now();
   core_.semaphore(sem_id).wait(n);
   if (verify_ != nullptr) {
@@ -197,6 +212,7 @@ void KernelCtxBase::semaphore_wait(int sem_id, std::int64_t n) {
 void KernelCtxBase::global_barrier(int barrier_id) {
   // One NoC round trip to signal arrival at the rendezvous core.
   charge(device_.spec().read_latency);
+  sync();
   const SimTime t0 = now();
   auto& b = device_.barrier(barrier_id);
   const std::uint64_t gen = b.generation;
@@ -223,7 +239,10 @@ void KernelCtxBase::global_barrier(int barrier_id) {
 
 void KernelCtxBase::loop_tick() { charge(device_.spec().loop_overhead); }
 
-void KernelCtxBase::spin(SimTime dt) { charge(dt); }
+void KernelCtxBase::spin(SimTime dt) {
+  charge(dt);
+  sync();
+}
 
 // ---------------------------------------------------------------------------
 // DataMoverCtx
@@ -271,6 +290,7 @@ void DataMoverCtx::read_impl(std::uint64_t noc_addr, std::uint32_t l1_dst,
                              int tag) {
   const SimTime t0 = now();
   charge(device_.spec().read_issue_overhead);
+  sync();
   if (verify_ != nullptr) {
     // The landing clobbers [l1_dst, l1_dst+size) at an unknown time before
     // the matching barrier; the detector also enforces the 256-bit DRAM
@@ -330,6 +350,7 @@ void DataMoverCtx::noc_async_write(std::uint32_t l1_src, std::uint64_t noc_addr,
                                    std::uint32_t size) {
   const SimTime t0 = now();
   charge(device_.spec().write_issue_overhead);
+  sync();
   // The DRAM model snapshots the source at issue, so this is when the L1
   // data is read.
   verify_read(l1_src, size, "noc_async_write source");
@@ -388,6 +409,7 @@ void DataMoverCtx::noc_async_write(std::uint32_t l1_src, std::uint64_t noc_addr,
 }
 
 void DataMoverCtx::noc_async_read_barrier() {
+  sync();
   const SimTime t0 = now();
   reads_->barrier();
   // The untagged barrier waits on every read this mover issued, tagged or
@@ -400,6 +422,7 @@ void DataMoverCtx::noc_async_read_barrier() {
 }
 
 void DataMoverCtx::noc_async_read_barrier(int tag) {
+  sync();
   const SimTime t0 = now();
   read_tag(tag)->barrier();
   if (verify_ != nullptr) verify_->on_noc_read_retire(vtid_, tag);
@@ -412,6 +435,7 @@ void DataMoverCtx::noc_async_read_barrier(int tag) {
 }
 
 void DataMoverCtx::noc_async_write_barrier() {
+  sync();
   const SimTime t0 = now();
   writes_->barrier();
   if (trace_ != nullptr && now() > t0) {
@@ -446,6 +470,7 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
                                         std::uint32_t src_l1, std::uint32_t size) {
   const SimTime t0 = now();
   charge(device_.spec().write_issue_overhead);
+  sync();
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
   if (plan != nullptr) charge(plan->mover_stall(now(), core_.id()));
@@ -511,6 +536,7 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
 
 void DataMoverCtx::noc_semaphore_inc(int dst_core, int sem_id, std::int64_t n) {
   charge(device_.spec().cb_op_cost);
+  sync();
   note_remote_sem_post(dst_core, sem_id);
   if (verify_ != nullptr) {
     // Release at the call: the scheduled post lands no earlier than every
@@ -549,24 +575,23 @@ std::uint32_t DataMoverCtx::read_data_aligned(std::uint64_t address,
 // ComputeCtx
 
 template <typename Fn>
-void ComputeCtx::fpu_op(Fn&& fn) {
-  // The Fpu advances engine time itself (it models a hardware unit, not a
-  // kernel op), so bracket the call to attribute that time to this kernel as
-  // FPU-busy — previously it was lumped into the stall remainder. delay()
-  // resumes the process at exactly t0 + cost, so the measurement is exact.
+void ComputeCtx::fpu_op(SimTime cost, Fn&& fn) {
+  // The op is accounted after its time has passed, so a partial profile
+  // never counts an op still in flight. The math reads operand pages the
+  // CB protocol already holds and dst registers, so it may run ahead.
   maybe_halt();
   const SimTime t0 = now();
+  advance(cost);
   fn();
-  const SimTime dt = now() - t0;
-  if (dt > 0) {
-    active_ += dt;
-    fpu_busy_ += dt;
+  if (cost > 0) {
+    active_ += cost;
+    fpu_busy_ += cost;
     if (profile_ != nullptr) {
       profile_->active = active_;
       profile_->fpu_busy = fpu_busy_;
     }
     if (trace_ != nullptr) {
-      trace_->record(sim::TraceEventKind::kFpuOp, t0, dt, {core_.id()});
+      trace_->record(sim::TraceEventKind::kFpuOp, t0, cost, {core_.id()});
     }
   }
 }
@@ -588,26 +613,29 @@ void ComputeCtx::add_tiles(int cb_a, int cb_b, std::uint32_t ia, std::uint32_t i
                            int dst) {
   verify_tile_read(cb_a, ia, "add_tiles operand a");
   verify_tile_read(cb_b, ib, "add_tiles operand b");
-  fpu_op([&] { core_.fpu().add_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
+  fpu_op(device_.spec().tile_math_cost,
+         [&] { core_.fpu().add_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
 }
 
 void ComputeCtx::sub_tiles(int cb_a, int cb_b, std::uint32_t ia, std::uint32_t ib,
                            int dst) {
   verify_tile_read(cb_a, ia, "sub_tiles operand a");
   verify_tile_read(cb_b, ib, "sub_tiles operand b");
-  fpu_op([&] { core_.fpu().sub_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
+  fpu_op(device_.spec().tile_math_cost,
+         [&] { core_.fpu().sub_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
 }
 
 void ComputeCtx::mul_tiles(int cb_a, int cb_b, std::uint32_t ia, std::uint32_t ib,
                            int dst) {
   verify_tile_read(cb_a, ia, "mul_tiles operand a");
   verify_tile_read(cb_b, ib, "mul_tiles operand b");
-  fpu_op([&] { core_.fpu().mul_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
+  fpu_op(device_.spec().tile_math_cost,
+         [&] { core_.fpu().mul_tiles(core_.cb(cb_a), core_.cb(cb_b), ia, ib, dst); });
 }
 
 void ComputeCtx::copy_tile(int cb, std::uint32_t idx, int dst) {
   verify_tile_read(cb, idx, "copy_tile source");
-  fpu_op([&] { core_.fpu().copy_tile(core_.cb(cb), idx, dst); });
+  fpu_op(device_.spec().tile_math_cost, [&] { core_.fpu().copy_tile(core_.cb(cb), idx, dst); });
 }
 
 void ComputeCtx::pack_tile(int dst, int cb, std::uint32_t page_offset) {
@@ -620,7 +648,7 @@ void ComputeCtx::pack_tile(int dst, int cb, std::uint32_t page_offset) {
                       l1_address_of(core_.cb(cb).write_ptr(page_offset)),
                       sim::Fpu::kTileBytes, "pack_tile");
   }
-  fpu_op([&] { core_.fpu().pack_tile(dst, core_.cb(cb), page_offset); });
+  fpu_op(device_.spec().tile_pack_cost, [&] { core_.fpu().pack_tile(dst, core_.cb(cb), page_offset); });
 }
 
 void ComputeCtx::cb_set_rd_ptr(int cb_id, std::uint32_t l1_addr,
@@ -640,16 +668,16 @@ void ComputeCtx::cb_clear_rd_ptr(int cb_id) {
 }
 
 void ComputeCtx::abs_tile(int dst) {
-  fpu_op([&] { core_.fpu().abs_tile(dst); });
+  fpu_op(device_.spec().tile_math_cost, [&] { core_.fpu().abs_tile(dst); });
 }
 
 void ComputeCtx::eq_scalar_tile(int dst, bfloat16_t v) {
-  fpu_op([&] { core_.fpu().eq_scalar_tile(dst, v); });
+  fpu_op(device_.spec().tile_math_cost, [&] { core_.fpu().eq_scalar_tile(dst, v); });
 }
 
 bfloat16_t ComputeCtx::reduce_max(int dst) {
   bfloat16_t result{};
-  fpu_op([&] { result = core_.fpu().reduce_max(dst); });
+  fpu_op(device_.spec().tile_math_cost, [&] { result = core_.fpu().reduce_max(dst); });
   return result;
 }
 

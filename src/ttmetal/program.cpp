@@ -19,11 +19,13 @@ std::uint32_t Program::plan_allocate(const std::vector<int>& cores,
 }
 
 void Program::create_cb(int cb_id, const std::vector<int>& cores,
-                        std::uint32_t page_size, std::uint32_t num_pages) {
+                        std::uint32_t page_size, std::uint32_t num_pages,
+                        bool kernel_local) {
   TTSIM_CHECK(!cores.empty());
   TTSIM_CHECK(page_size > 0 && num_pages > 0);
   const std::uint32_t addr = plan_allocate(cores, page_size * num_pages, 32);
-  cbs_.push_back(CbConfig{cb_id, cores, page_size, num_pages, addr, next_order_++});
+  cbs_.push_back(CbConfig{cb_id, cores, page_size, num_pages, addr, next_order_++,
+                          kernel_local});
 }
 
 void Program::create_semaphore(int sem_id, const std::vector<int>& cores,

@@ -10,7 +10,12 @@
 ///   * classic Jacobi on the same geometry and row-chunk config, single and
 ///     batched, against cpu::jacobi_reference_bf16 (where sampled),
 ///   * verifier cleanliness (every run executes under enable_verify; any
-///     finding fails the config).
+///     finding fails the config),
+///   * run-ahead vs eager agreement: the verifier keeps a launch eager, so
+///     each leg of a config without a fault schedule runs again with the
+///     verifier off, where kernels run private work ahead of the engine,
+///     and must match the verified run bit for bit in every field and
+///     every simulated time.
 /// Failures shrink to a minimal reproducer (iterations, then height, then
 /// width, then read-ahead/cores) and log a one-line reproducer:
 ///
@@ -22,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -287,6 +293,52 @@ ttmetal::DeviceConfig device_config(const Config& c) {
   return dc;
 }
 
+/// Whether the config gets run-ahead twins: a fault plan keeps a launch
+/// eager with the verifier on or off.
+bool runs_ahead(const Config& c) { return !c.faults.any_probabilistic(); }
+
+/// device_config without the verifier: launches run ahead.
+ttmetal::DeviceConfig run_ahead_config(const Config& c) {
+  ttmetal::DeviceConfig dc = device_config(c);
+  dc.enable_verify = false;
+  return dc;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](float x, float y) {
+    return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+  });
+}
+
+/// A leg's run-ahead twin against its eager (verified) run: every field bit
+/// for bit and every simulated time.
+template <typename Result>
+bool same_run(const Result& eager, const Result& fast, const std::string& leg,
+              std::string* why) {
+  std::ostringstream os;
+  if (fast.kernel_time != eager.kernel_time || fast.total_time != eager.total_time) {
+    os << "kernel " << fast.kernel_time << " vs " << eager.kernel_time << " ps, total "
+       << fast.total_time << " vs " << eager.total_time << " ps";
+  } else if (!same_bits(fast.solution, eager.solution)) {
+    os << "solution differs";
+  }
+  if constexpr (requires { eager.fields; }) {
+    const bool fields_same = std::equal(eager.fields.begin(), eager.fields.end(),
+                                        fast.fields.begin(), fast.fields.end(), same_bits);
+    if (os.str().empty() && !fields_same) os << "a field differs";
+  }
+  if constexpr (requires { eager.exchange_time; }) {
+    if (os.str().empty() && (fast.exchange_time != eager.exchange_time ||
+                             fast.link_bytes != eager.link_bytes ||
+                             fast.link_messages != eager.link_messages)) {
+      os << "exchange differs";
+    }
+  }
+  if (os.str().empty()) return true;
+  *why = leg + " run-ahead vs eager: " + os.str();
+  return false;
+}
+
 bool fields_match(const std::vector<std::vector<bfloat16_t>>& ref,
                   const std::vector<std::vector<float>>& got, std::string* why) {
   if (ref.size() != got.size()) {
@@ -313,10 +365,11 @@ bool fields_match(const std::vector<std::vector<bfloat16_t>>& ref,
 
 /// The batched leg: `slots` copies of the problem in ONE program on
 /// disjoint core groups, every slot's every field checked against the
-/// reference.
+/// reference. `kernel_time` receives the launch's duration.
 bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& ref,
+                 const ttmetal::DeviceConfig& dc, SimTime* kernel_time,
                  std::string* why) {
-  auto device = ttmetal::Device::open({}, device_config(c));
+  auto device = ttmetal::Device::open({}, dc);
   const core::PaddedLayout layout(c.problem.width, c.problem.height);
   const auto bc = core::batch_grid_buffer_config(c.cfg, c.problem.geometry());
   const int nfields = static_cast<int>(c.problem.fields.size());
@@ -354,6 +407,7 @@ bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& re
   ttmetal::Program prog;
   core::build_batched_stencil_program(prog, c.problem, c.cfg, slots);
   device->run_program(prog);
+  *kernel_time = device->last_kernel_duration();
 
   for (int g = 0; g < c.batch_slots; ++g) {
     std::vector<std::vector<float>> got;
@@ -371,6 +425,7 @@ bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& re
       return false;
     }
   }
+  if (device->verifier() == nullptr) return true;
   const auto fs = device->verifier()->findings();
   if (!fs.empty()) {
     *why = "batched verifier findings:\n" + render(fs);
@@ -400,25 +455,30 @@ bool jacobi_matches(const std::vector<bfloat16_t>& ref, const std::vector<float>
 
 /// The classic Jacobi leg: one solve through run_jacobi_on_device and, when
 /// the config batches, `batch_slots` copies in one batched program, each
-/// checked against cpu::jacobi_reference_bf16 and verifier-clean.
-bool run_jacobi(const Config& c, std::string* why) {
+/// checked against cpu::jacobi_reference_bf16 and, under the verifier,
+/// verifier-clean. `times` receives each launch's kernel time.
+bool run_jacobi(const Config& c, const ttmetal::DeviceConfig& dc,
+                std::vector<SimTime>* times, std::string* why) {
   const core::JacobiProblem jp = jacobi_problem(c);
   const auto ref = cpu::jacobi_reference_bf16(jp);
 
-  auto dev = ttmetal::Device::open({}, device_config(c));
+  auto dev = ttmetal::Device::open({}, dc);
   const auto r = core::run_jacobi_on_device(*dev, jp, c.cfg);
+  times->push_back(r.kernel_time);
+  times->push_back(r.total_time);
   if (!jacobi_matches(ref, r.solution, why)) {
     *why = "jacobi: " + *why;
     return false;
   }
-  const auto fs = dev->verifier()->findings();
+  const auto fs = dc.enable_verify ? dev->verifier()->findings()
+                                   : std::vector<verify::Finding>{};
   if (!fs.empty()) {
     *why = "jacobi verifier findings:\n" + render(fs);
     return false;
   }
   if (c.batch_slots < 2) return true;
 
-  auto bdev = ttmetal::Device::open({}, device_config(c));
+  auto bdev = ttmetal::Device::open({}, dc);
   const int ncores = c.cfg.cores_x * c.cfg.cores_y;
   if (c.batch_slots * ncores > bdev->num_workers()) return true;
   const core::PaddedLayout layout(jp.width, jp.height);
@@ -438,6 +498,7 @@ bool run_jacobi(const Config& c, std::string* why) {
   ttmetal::Program prog;
   core::build_batched_rowchunk_program(prog, jp, c.cfg, slots);
   bdev->run_program(prog);
+  times->push_back(bdev->last_kernel_duration());
   for (int g = 0; g < c.batch_slots; ++g) {
     // Odd iteration counts finish in d2.
     auto& buf = *grids[static_cast<std::size_t>(2 * g + jp.iterations % 2)];
@@ -448,6 +509,7 @@ bool run_jacobi(const Config& c, std::string* why) {
       return false;
     }
   }
+  if (!dc.enable_verify) return true;
   const auto bfs = bdev->verifier()->findings();
   if (!bfs.empty()) {
     *why = "jacobi batched verifier findings:\n" + render(bfs);
@@ -473,6 +535,11 @@ bool check(const Config& c, std::string* why) {
     *why = "row-chunk verifier findings:\n" + render(fs);
     return false;
   }
+  if (runs_ahead(c)) {
+    auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
+    const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, c.cfg);
+    if (!same_run(row, fast, "row-chunk", why)) return false;
+  }
 
   // SRAM leg (strategy-vs-strategy agreement is implied by both matching
   // the reference bit-for-bit, and asserted directly for a clear message).
@@ -496,6 +563,11 @@ bool check(const Config& c, std::string* why) {
     if (!sfs.empty()) {
       *why = "sram verifier findings:\n" + render(sfs);
       return false;
+    }
+    if (runs_ahead(c)) {
+      auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
+      const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, scfg);
+      if (!same_run(sram, fast, "sram", why)) return false;
     }
   }
 
@@ -530,6 +602,12 @@ bool check(const Config& c, std::string* why) {
         *why = "temporal verifier findings:\n" + render(tfs);
         return false;
       }
+    }
+    if (runs_ahead(c)) {
+      tcfg.temporal_depth = c.try_temporal;
+      auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
+      const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, tcfg);
+      if (!same_run(chained, fast, "temporal", why)) return false;
     }
   }
 
@@ -570,10 +648,47 @@ bool check(const Config& c, std::string* why) {
         return false;
       }
     }
+    if (runs_ahead(c)) {
+      auto fast_cluster =
+          core::ShardedCluster::open(c.shard_cards, {}, run_ahead_config(c));
+      const auto fast_devs = fast_cluster.devices();
+      const auto fast =
+          core::run_general_sharded(fast_devs, *fast_cluster.fabric, c.problem, scfg);
+      if (!same_run(sh, fast, "sharded", why)) return false;
+    }
   }
 
-  if (c.batch_slots >= 2 && !run_batched(c, ref, why)) return false;
-  if (c.jacobi && !run_jacobi(c, why)) return false;
+  if (c.batch_slots >= 2) {
+    SimTime eager = 0;
+    SimTime fast = 0;
+    if (!run_batched(c, ref, device_config(c), &eager, why)) return false;
+    if (runs_ahead(c)) {
+      if (!run_batched(c, ref, run_ahead_config(c), &fast, why)) {
+        *why = "run-ahead " + *why;
+        return false;
+      }
+      if (fast != eager) {
+        *why = "batched run-ahead vs eager: kernel " + std::to_string(fast) + " vs " +
+               std::to_string(eager) + " ps";
+        return false;
+      }
+    }
+  }
+  if (c.jacobi) {
+    std::vector<SimTime> eager;
+    std::vector<SimTime> fast;
+    if (!run_jacobi(c, device_config(c), &eager, why)) return false;
+    if (runs_ahead(c)) {
+      if (!run_jacobi(c, run_ahead_config(c), &fast, why)) {
+        *why = "run-ahead " + *why;
+        return false;
+      }
+      if (fast != eager) {
+        *why = "jacobi run-ahead vs eager: simulated times differ";
+        return false;
+      }
+    }
+  }
   return true;
 }
 

@@ -10,6 +10,7 @@
 
 #include "ttsim/common/rng.hpp"
 #include "ttsim/sim/tensix_core.hpp"
+#include "ttsim/ttmetal/device.hpp"
 
 namespace ttsim::sim {
 namespace {
@@ -114,18 +115,20 @@ TEST_F(FpuTest, CopyTile) {
 }
 
 TEST_F(FpuTest, OpsChargeSimulatedTime) {
+  // The Fpu is pure math; the compute kernel context charges each op.
   SimTime elapsed = 0;
-  run_compute([&] {
-    cb_a_.reserve_back(1);
-    fill_page(cb_a_, 1.0f);
-    cb_a_.push_back(1);
-    cb_b_.reserve_back(1);
-    fill_page(cb_b_, 1.0f);
-    cb_b_.push_back(1);
-    const SimTime t0 = engine_.now();
-    core_.fpu().add_tiles(cb_a_, cb_b_, 0, 0, 0);
-    elapsed = engine_.now() - t0;
+  auto dev = ttmetal::Device::open(spec_);
+  ttmetal::Program prog;
+  prog.create_cb(0, {0}, Fpu::kTileBytes, 1);
+  prog.create_kernel({0}, [&](ttmetal::ComputeCtx& ctx) {
+    ctx.cb_reserve_back(0, 1);
+    ctx.cb_push_back(0, 1);
+    ctx.cb_wait_front(0, 1);
+    const SimTime t0 = ctx.now();
+    ctx.add_tiles(0, 0, 0, 0, 0);
+    elapsed = ctx.now() - t0;
   });
+  dev->run_program(prog);
   EXPECT_EQ(elapsed, spec_.tile_math_cost);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "ttsim/bfloat/convert.hpp"
 #include "ttsim/ttmetal/device.hpp"
@@ -305,6 +307,115 @@ TEST(Kernels, DeadlockedCbReportsProcessName) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("starved_reader"), std::string::npos);
   }
+}
+
+// --- the run-ahead clock: private work is lag, realised at shared ops ---
+
+constexpr std::uint32_t kTile = 32 * 32 * 2;  // one BF16 tile
+constexpr int kRounds = 5;
+
+/// A compute kernel doing only private work on two kernel-local CBs:
+/// `kRounds` rounds of 8 CB ops, an add, a pack and a loop tick.
+void private_rounds(ComputeCtx& ctx) {
+  for (int i = 0; i < kRounds; ++i) {
+    ctx.cb_reserve_back(0, 1);
+    ctx.cb_push_back(0, 1);
+    ctx.cb_wait_front(0, 1);
+    ctx.add_tiles(0, 0, 0, 0, 0);
+    ctx.cb_reserve_back(1, 1);
+    ctx.pack_tile(0, 1);
+    ctx.cb_push_back(1, 1);
+    ctx.cb_wait_front(1, 1);
+    ctx.cb_pop_front(1, 1);
+    ctx.cb_pop_front(0, 1);
+    ctx.loop_tick();
+  }
+}
+
+SimTime private_rounds_cost(const sim::GrayskullSpec& spec) {
+  return kRounds * (8 * spec.cb_op_cost + spec.tile_math_cost + spec.tile_pack_cost +
+                    spec.loop_overhead);
+}
+
+Program private_program(bool fault) {
+  Program prog;
+  prog.create_cb(0, {0}, kTile, 2, /*kernel_local=*/true);
+  prog.create_cb(1, {0}, kTile, 2, /*kernel_local=*/true);
+  prog.create_kernel(
+      {0},
+      [fault](ComputeCtx& ctx) {
+        private_rounds(ctx);
+        if (fault) throw std::runtime_error("kernel fault");
+      },
+      "private");
+  // The static linter wants a second kernel on a core with CBs.
+  prog.create_kernel(KernelKind::kDataMover0, {0}, [](DataMoverCtx&) {}, "idle");
+  return prog;
+}
+
+TEST(RunAhead, KernelFaultAfterPrivateWorkSurfacesAtItsChargedTime) {
+  // The throwing kernel realises its lag before the exception leaves it, so
+  // the failure surfaces at start + charged time, as it does eagerly (the
+  // race detector keeps a launch eager) — but in a handful of events.
+  auto fast = Device::open();
+  auto eager = Device::open({}, {.enable_verify = true});
+  const SimTime end = fast->spec().program_dispatch + private_rounds_cost(fast->spec());
+  for (Device* dev : {fast.get(), eager.get()}) {
+    Program prog = private_program(/*fault=*/true);
+    EXPECT_THROW(dev->run_program(prog), std::runtime_error);
+    EXPECT_EQ(dev->now(), end);
+    ASSERT_EQ(dev->last_profile().size(), 2u);
+    EXPECT_FALSE(dev->last_profile()[0].finished);
+  }
+  EXPECT_LT(fast->hw().engine().events_processed() + 4 * kRounds,
+            eager->hw().engine().events_processed());
+}
+
+TEST(RunAhead, KernelEndingAfterPrivateWorkCountsItInItsLifetime) {
+  auto dev = Device::open();
+  Program prog = private_program(/*fault=*/false);
+  dev->run_program(prog);
+  const SimTime cost = private_rounds_cost(dev->spec());
+  ASSERT_EQ(dev->last_profile().size(), 2u);
+  const KernelProfile& p = dev->last_profile()[0];
+  EXPECT_TRUE(p.finished);
+  EXPECT_EQ(p.lifetime, cost);
+  EXPECT_EQ(p.active, cost);
+  EXPECT_EQ(p.fpu_busy, kRounds * (dev->spec().tile_math_cost + dev->spec().tile_pack_cost));
+  EXPECT_EQ(dev->last_kernel_duration(), cost);
+}
+
+TEST(RunAhead, SecondKernelOnAKernelLocalCbIsRejectedAtFirstTouch) {
+  // Kernel-local is declared, and checked: the wait-for registry sees every
+  // kernel's first use of each CB.
+  auto dev = Device::open();
+  Program prog;
+  prog.create_cb(0, {0}, kTile, 2, /*kernel_local=*/true);
+  bool consumed = false;
+  prog.create_kernel(
+      KernelKind::kDataMover0, {0},
+      [](DataMoverCtx& ctx) {
+        ctx.cb_reserve_back(0, 1);
+        ctx.cb_push_back(0, 1);
+      },
+      "producer");
+  prog.create_kernel(
+      {0},
+      [&consumed](ComputeCtx& ctx) {
+        ctx.cb_wait_front(0, 1);
+        consumed = true;
+      },
+      "consumer");
+  try {
+    dev->run_program(prog);
+    FAIL() << "expected ApiError";
+  } catch (const ApiError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("kernel-local"), std::string::npos) << what;
+    EXPECT_NE(what.find("producer@0"), std::string::npos) << what;
+    EXPECT_NE(what.find("consumer@0"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(consumed);
 }
 
 }  // namespace
