@@ -62,8 +62,9 @@ void sweep_f32(const HaloGrid<float>& u, HaloGrid<float>& unew, int threads) {
 #endif
   for (std::int64_t r = 0; r < h; ++r) {
     for (std::int64_t c = 0; c < w; ++c) {
-      unew.at(r, c) = 0.25f * (u.at(r + 1, c) + u.at(r - 1, c) + u.at(r, c + 1) +
-                               u.at(r, c - 1));
+      // W, E, N, S: the device's (and to_general's) summation order.
+      unew.at(r, c) = 0.25f * (u.at(r, c - 1) + u.at(r, c + 1) + u.at(r - 1, c) +
+                               u.at(r + 1, c));
     }
   }
   (void)threads;

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "ttsim/bfloat/bfloat16.hpp"
@@ -269,7 +271,9 @@ TEST(StencilCpu, JacobiIsTheGeneralProgramToGeneralMakes) {
     ASSERT_EQ(general32.size(), 1u);
     ASSERT_EQ(general32[0].size(), classic32.size());
     for (std::size_t i = 0; i < classic32.size(); ++i) {
-      ASSERT_NEAR(general32[0][i], classic32[i], 1e-5f) << "f32 elem " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(general32[0][i]),
+                std::bit_cast<std::uint32_t>(classic32[i]))
+          << "f32 elem " << i;
     }
   }
 }
