@@ -1,8 +1,9 @@
 /// \file micro_primitives.cpp
 /// google-benchmark microbenchmarks of the simulator's primitives: these
 /// measure *host* cost of the simulation machinery (events/second, fiber
-/// switches, BF16 arithmetic, PCIe staging, a solve on a fresh card, a
-/// sharded solve over host threads), which bounds how large an experiment
+/// switches, BF16 arithmetic, PCIe staging, a row-chunk batch and its
+/// engine events per point, a solve on a fresh card, a sharded solve over
+/// host threads), which bounds how large an experiment
 /// the reproduction can run. They complement the table benches, which
 /// report *simulated* time.
 
@@ -213,6 +214,33 @@ void BM_FreshCardSolve(benchmark::State& state) {
                           static_cast<std::int64_t>(p.total_updates()));
 }
 BENCHMARK(BM_FreshCardSolve)->Unit(benchmark::kMillisecond);
+
+// Host cost of one classic-Jacobi row-chunk batch on one core: a 1024-wide,
+// one-row grid is one batch through the reader, compute and writer kernels,
+// plus its PCIe staging. events_per_pt is engine events per point update.
+// The compute kernel's private work (FPU ops, accumulator CB ops, loop
+// ticks) runs ahead of the event queue, so it counts shared operations only.
+void BM_RowChunkBatch(benchmark::State& state) {
+  core::JacobiProblem p;
+  p.width = 1024;
+  p.height = 1;
+  p.iterations = 1;
+  p.bc_left = 1.0f;
+  core::DeviceRunConfig cfg;
+  cfg.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.verify = false;
+  auto dev = ttmetal::Device::open();
+  const std::uint64_t events0 = dev->hw().engine().events_processed();
+  for (auto _ : state) {
+    const auto r = core::run_jacobi_on_device(*dev, p, cfg);
+    benchmark::DoNotOptimize(r.kernel_time);
+  }
+  const auto points = state.iterations() * static_cast<std::int64_t>(p.total_updates());
+  state.counters["events_per_pt"] = static_cast<double>(
+      dev->hw().engine().events_processed() - events0) / static_cast<double>(points);
+  state.SetItemsProcessed(points);
+}
+BENCHMARK(BM_RowChunkBatch);
 
 // Host cost of one small deep-halo sharded Jacobi solve (cluster open,
 // staging, 4 epochs with halo exchanges, readback) over N cards, each card
