@@ -463,17 +463,16 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
       launch.vtid = verify_ != nullptr ? verify_->register_thread(launch.name) : -1;
       const int position = static_cast<int>(i);
       const int group = static_cast<int>(k.cores.size());
-      const std::string name = launch.name;
       if (k.kind == KernelKind::kCompute) {
-        engine.spawn(name, [this, &core, fn = k.compute_fn, args, position, group,
-                            launch] {
+        engine.spawn(launch.name, [this, &core, fn = k.compute_fn, args, position,
+                                   group, launch] {
           ComputeCtx ctx(*this, core, args, position, group);
           run_kernel(ctx, [&] { fn(ctx); }, launch);
         });
       } else {
         const int noc_id = k.kind == KernelKind::kDataMover0 ? 0 : 1;
-        engine.spawn(name, [this, &core, fn = k.mover_fn, args, position, group,
-                            noc_id, launch] {
+        engine.spawn(launch.name, [this, &core, fn = k.mover_fn, args, position,
+                                   group, noc_id, launch] {
           DataMoverCtx ctx(*this, core, noc_id, args, position, group);
           run_kernel(ctx, [&] { fn(ctx); }, launch);
         });

@@ -11,11 +11,11 @@
 ///
 /// Every kernel keeps its own clock. Work that no other process can observe
 /// (loop ticks, FPU math and pack, read/write-pointer overrides, L1 copies
-/// and stores, all four ops on a kernel-local CB) is charged as *lag* on
-/// the context instead of as an engine delay. The kernel realises its lag,
-/// as one delay, just before any operation another process could observe:
-/// an op on any other CB, a semaphore post or wait, a global barrier, a NoC
-/// issue or barrier, and at kernel end. Because equal-time wakeups run in
+/// and stores, the ops on a kernel-local CB that do not block) is charged
+/// as *lag* on the context instead of as an engine delay. The kernel
+/// realises its lag, as one delay, just before any operation another
+/// process could observe: an op on any other CB, a semaphore post or wait,
+/// a global barrier, a NoC issue or barrier, spin(), and at kernel end. Because equal-time wakeups run in
 /// spawn order (engine.hpp), the skipped intermediate wakeups change no
 /// simulated time. A launch never keeps lag when something could watch a
 /// kernel's clock between shared ops: a trace sink, the race detector, a
