@@ -418,5 +418,47 @@ TEST(RunAhead, SecondKernelOnAKernelLocalCbIsRejectedAtFirstTouch) {
   EXPECT_FALSE(consumed);
 }
 
+TEST(RunAhead, EqualTimeWakeupsKeepSpawnOrderWhenPrivateWorkRunsAhead) {
+  // Two readers on different cores reach their read of one DRAM bank at the
+  // same instant; the bank serves in issue order. Eagerly, `late` was woken
+  // for its last private op by an older wakeup than `early` was, so under
+  // push-order tie-breaking `late` would issue first; running ahead, `early`
+  // syncs first and would. Spawn order decides both ways.
+  const auto run = [](bool eager) {
+    auto dev = Device::open({}, {.enable_trace = eager});
+    auto buf = dev->create_buffer({.size = 2 * kTile, .bank = 0});
+    Program prog;
+    const auto l1 = prog.create_l1_buffer({0, 1}, kTile);
+    std::vector<SimTime> done(2);
+    const auto reader = [&done](int who, SimTime lead, int ticks, bool store) {
+      return [&done, who, lead, ticks, store](DataMoverCtx& ctx) {
+        const std::uint32_t l1_addr = ctx.arg(0);
+        ctx.spin(lead);
+        for (int i = 0; i < ticks; ++i) ctx.loop_tick();
+        if (store) ctx.l1_store_u16(l1_addr, 0);
+        ctx.noc_async_read(ctx.arg64(1) + static_cast<std::uint64_t>(who) * kTile,
+                           l1_addr, kTile);
+        ctx.noc_async_read_barrier();
+        done[static_cast<std::size_t>(who)] = ctx.now();
+      };
+    };
+    // 10 + 2 * 40 + 2 ns and 52 + 40 ns: both issue at 92 ns.
+    const auto early = prog.create_kernel(KernelKind::kDataMover0, {0},
+                                          reader(0, 10 * kNanosecond, 2, true), "early");
+    const auto late = prog.create_kernel(KernelKind::kDataMover0, {1},
+                                         reader(1, 52 * kNanosecond, 1, false), "late");
+    for (const auto k : {early, late}) {
+      std::vector<std::uint32_t> args{prog.l1_buffer_address(l1)};
+      Program::push_arg64(args, buf->address());
+      prog.set_common_runtime_args(k, args);
+    }
+    dev->run_program(prog);
+    return done;
+  };
+  const std::vector<SimTime> eager = run(true);
+  EXPECT_EQ(run(false), eager);
+  EXPECT_LT(eager[0], eager[1]);  // the first-spawned reader's read is served first
+}
+
 }  // namespace
 }  // namespace ttsim::ttmetal
