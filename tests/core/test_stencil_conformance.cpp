@@ -315,28 +315,30 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 template <typename Result>
 bool same_run(const Result& eager, const Result& fast, const std::string& leg,
               std::string* why) {
-  std::ostringstream os;
+  const auto differs = [&](const std::string& what) {
+    *why = leg + " run-ahead vs eager: " + what;
+    return false;
+  };
   if (fast.kernel_time != eager.kernel_time || fast.total_time != eager.total_time) {
-    os << "kernel " << fast.kernel_time << " vs " << eager.kernel_time << " ps, total "
-       << fast.total_time << " vs " << eager.total_time << " ps";
-  } else if (!same_bits(fast.solution, eager.solution)) {
-    os << "solution differs";
+    return differs("kernel " + std::to_string(fast.kernel_time) + " vs " +
+                   std::to_string(eager.kernel_time) + " ps, total " +
+                   std::to_string(fast.total_time) + " vs " +
+                   std::to_string(eager.total_time) + " ps");
   }
+  if (!same_bits(fast.solution, eager.solution)) return differs("solution differs");
   if constexpr (requires { eager.fields; }) {
-    const bool fields_same = std::equal(eager.fields.begin(), eager.fields.end(),
-                                        fast.fields.begin(), fast.fields.end(), same_bits);
-    if (os.str().empty() && !fields_same) os << "a field differs";
-  }
-  if constexpr (requires { eager.exchange_time; }) {
-    if (os.str().empty() && (fast.exchange_time != eager.exchange_time ||
-                             fast.link_bytes != eager.link_bytes ||
-                             fast.link_messages != eager.link_messages)) {
-      os << "exchange differs";
+    if (!std::equal(eager.fields.begin(), eager.fields.end(), fast.fields.begin(),
+                    fast.fields.end(), same_bits)) {
+      return differs("a field differs");
     }
   }
-  if (os.str().empty()) return true;
-  *why = leg + " run-ahead vs eager: " + os.str();
-  return false;
+  if constexpr (requires { eager.exchange_time; }) {
+    if (fast.exchange_time != eager.exchange_time || fast.link_bytes != eager.link_bytes ||
+        fast.link_messages != eager.link_messages) {
+      return differs("exchange differs");
+    }
+  }
+  return true;
 }
 
 bool fields_match(const std::vector<std::vector<bfloat16_t>>& ref,
@@ -470,11 +472,12 @@ bool run_jacobi(const Config& c, const ttmetal::DeviceConfig& dc,
     *why = "jacobi: " + *why;
     return false;
   }
-  const auto fs = dc.enable_verify ? dev->verifier()->findings()
-                                   : std::vector<verify::Finding>{};
-  if (!fs.empty()) {
-    *why = "jacobi verifier findings:\n" + render(fs);
-    return false;
+  if (dev->verifier() != nullptr) {
+    const auto fs = dev->verifier()->findings();
+    if (!fs.empty()) {
+      *why = "jacobi verifier findings:\n" + render(fs);
+      return false;
+    }
   }
   if (c.batch_slots < 2) return true;
 
@@ -509,7 +512,7 @@ bool run_jacobi(const Config& c, const ttmetal::DeviceConfig& dc,
       return false;
     }
   }
-  if (!dc.enable_verify) return true;
+  if (bdev->verifier() == nullptr) return true;
   const auto bfs = bdev->verifier()->findings();
   if (!bfs.empty()) {
     *why = "jacobi batched verifier findings:\n" + render(bfs);
