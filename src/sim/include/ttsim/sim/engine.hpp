@@ -124,12 +124,11 @@ class Engine {
   }
 
   /// The engine's one dispatch loop: run events in order (see the file
-  /// comment) until
-  /// the queue drains or `stop` holds before the next event. When a process
-  /// blocks and the next event wakes another process, the blocking fiber
-  /// pops it and switches straight to that process (one fiber switch per
-  /// wakeup); when it wakes the blocking process itself, no switch happens
-  /// at all. Callbacks run here, in scheduler context. Rethrows the first
+  /// comment) until the queue drains or `stop` holds before the next event.
+  /// When a process blocks and the next event wakes another process, the
+  /// blocking fiber pops it and switches straight to that process (one fiber
+  /// switch per wakeup); when it wakes the blocking process itself, no
+  /// switch happens at all. Callbacks run here, in scheduler context. Rethrows the first
   /// exception escaping any process, which is then finished.
   void run_until_stopped(StopCondition stop);
 
