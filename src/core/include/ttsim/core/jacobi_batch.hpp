@@ -48,10 +48,4 @@ void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem&
 /// fail fast instead of poisoning a batch.
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg);
 
-/// BufferConfig for one slot's grid buffers — the same layout policy
-/// run_jacobi_on_device applies to its d1/d2 pair, so a batched slot sees
-/// identical DRAM placement behaviour to a standalone solve.
-ttmetal::BufferConfig batch_grid_buffer_config(const DeviceRunConfig& cfg,
-                                               const JacobiProblem& p);
-
 }  // namespace ttsim::core

@@ -298,7 +298,6 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   const StripGeom geo = strip_geom(sh.ranges, rows.chunk);
   const TemporalGeometry tg = temporal_geometry(sh);
   const Count slab_bytes(static_cast<std::int64_t>(tg.slab_rows) * rows.row_stride);
-  const int depth = sh.temporal_depth;
   const Count E = Count::sym("epochs");
   const Count EB = Count::sym("epochs") * Count::sym("blocks");
 
@@ -307,7 +306,7 @@ Graph temporal_graph(const GeneralShared& sh, std::int64_t sram_bytes) {
   g.ncores = Count(ncores);
   g.sram_bytes = sram_bytes;
   g.bindings["iters"] = sh.iterations;
-  g.bindings["epochs"] = (sh.iterations + depth - 1) / depth;
+  g.bindings["epochs"] = sh.generations();
   g.bindings["blocks"] = (geo.nrows0 + tg.block_rows - 1) / tg.block_rows;
   // Lower bound: the trapezoid recomputes skirt rows on top of these.
   g.bindings["points"] = static_cast<std::int64_t>(sh.iterations) * geo.nrows0 *

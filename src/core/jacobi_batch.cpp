@@ -1,6 +1,5 @@
 #include "ttsim/core/jacobi_batch.hpp"
 
-#include "jacobi_internal.hpp"
 #include "ttsim/core/stencil.hpp"
 
 namespace ttsim::core {
@@ -16,11 +15,6 @@ void build_batched_rowchunk_program(ttmetal::Program& prog, const JacobiProblem&
 
 void validate_batch_request(const JacobiProblem& p, const DeviceRunConfig& cfg) {
   validate_stencil_request(to_general(p), cfg);
-}
-
-ttmetal::BufferConfig batch_grid_buffer_config(const DeviceRunConfig& cfg,
-                                               const JacobiProblem& p) {
-  return detail::grid_buffer_config(cfg, PaddedLayout(p.width, p.height));
 }
 
 }  // namespace ttsim::core

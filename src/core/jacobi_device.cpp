@@ -6,10 +6,10 @@
 #include <utility>
 
 #include "card_threads.hpp"
-#include "ir_frontend.hpp"
-#include "stencil_internal.hpp"
+#include "jacobi_internal.hpp"
+#include "ttsim/core/field_grids.hpp"
+#include "ttsim/core/stencil.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
-#include "ttsim/ir/lower.hpp"
 
 namespace ttsim::core {
 
@@ -153,12 +153,6 @@ std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
   return sh;
 }
 
-bool reads_d2_first(DeviceStrategy s, int sweeps, int temporal_depth) {
-  if (s != DeviceStrategy::kTemporal) return false;
-  const int epochs = (sweeps + temporal_depth - 1) / temporal_depth;
-  return (epochs + sweeps) % 2 == 1;
-}
-
 bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution) {
   const auto ref = cpu::jacobi_reference_bf16(p);
   if (ref.size() != solution.size()) return false;
@@ -168,77 +162,26 @@ bool matches_reference(const JacobiProblem& p, const std::vector<float>& solutio
   return true;
 }
 
-JacobiLaunchLoop::JacobiLaunchLoop(ttmetal::Device& device, const JacobiProblem& p,
-                                   const DeviceRunConfig& cfg, CoreSelection sel)
-    : device_(device), p_(p), cfg_(cfg), sel_(std::move(sel)) {
-  const ttmetal::BufferConfig bc =
-      grid_buffer_config(cfg, PaddedLayout(p.width, p.height));
-  d1_ = device.create_buffer(bc);
-  d2_ = device.create_buffer(bc);
-}
-
-void JacobiLaunchLoop::stage(std::span<const bfloat16_t> image) {
-  device_.write_buffer(*d1_, std::as_bytes(image));
-  device_.write_buffer(*d2_, std::as_bytes(image));
-  fresh_ = nullptr;
-}
-
-SimTime JacobiLaunchLoop::launch(int sweeps, std::uint64_t residual_addr) {
-  ttmetal::Buffer* first = d1_.get();
-  ttmetal::Buffer* second = d2_.get();
-  if (fresh_ != nullptr &&
-      (fresh_ == second) !=
-          reads_d2_first(cfg_.strategy, sweeps, cfg_.temporal_depth)) {
-    std::swap(first, second);
-  }
-  JacobiProblem chunk = p_;
-  chunk.iterations = sweeps;
-
-  ttmetal::Program prog;
-  if (is_tiled(cfg_.strategy)) {
-    // The Section-IV programs predate the flow-controlled protocol the IR
-    // models: built directly.
-    build_tiled_program(
-        prog, resolve_tiled(chunk, cfg_, sel_, first->address(), second->address()));
-  } else {
-    // Classic Jacobi is the general program to_general makes. Prove the
-    // protocol race/deadlock-free, then lower; the graph's emit closure is
-    // build_general_program.
-    auto sh = resolve_general(to_general(chunk), cfg_, sel_, {first->address()},
-                              {second->address()});
-    sh->residual_addr = residual_addr;
-    ir::lower(make_general_graph(
-                  std::move(sh), static_cast<std::int64_t>(device_.spec().sram_bytes)),
-              prog);
-  }
-  device_.run_program(prog);
-  fresh_ = sweeps % 2 == 1 ? second : first;
-  return device_.last_kernel_duration();
-}
-
-std::vector<bfloat16_t> JacobiLaunchLoop::read_fresh() {
-  std::vector<bfloat16_t> image(PaddedLayout(p_.width, p_.height).elems());
-  device_.read_buffer(fresh_ != nullptr ? *fresh_ : *d1_,
-                      std::as_writable_bytes(std::span{image}));
-  return image;
-}
-
 }  // namespace detail
 
 DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProblem& p,
                                      const DeviceRunConfig& cfg) {
   detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
-  detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
+  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
+  FieldGrids grids(device, to_general(p), cfg);
+  auto& cq = device.command_queue(0);
   const std::uint64_t retries_before = device.transfer_retries();
-  const PaddedLayout layout(p.width, p.height);
+  const PaddedLayout& layout = grids.layout();
 
   const SimTime t_start = device.now();
-  loop.stage(layout.initial_image(p));
+  grids.stage(0, layout.initial_image(p), cq, /*blocking=*/true);
   DeviceRunResult result;
-  result.kernel_time = loop.launch(p.iterations);
-  result.solution = layout.extract_interior(loop.read_fresh());
+  result.kernel_time = grids.launch(p.iterations, sel);
+  std::vector<bfloat16_t> image(layout.elems());
+  grids.read(0, image, cq, /*blocking=*/true);
+  result.solution = layout.extract_interior(image);
   result.total_time = device.now() - t_start;
-  result.cores_used = loop.cores().ncores();
+  result.cores_used = sel.ncores();
   result.transfer_retries =
       static_cast<int>(device.transfer_retries() - retries_before);
   if (cfg.verify && cfg.toggles.all_enabled()) {
@@ -269,20 +212,22 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
                     "per-core strip width must be a multiple of 1024 (got "
                     << strip << ")");
   }
-  detail::JacobiLaunchLoop loop(device, p, cfg, detail::select_cores(device, p, cfg));
-  const int ncores = loop.cores().ncores();
+  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
+  FieldGrids grids(device, to_general(p), cfg);
+  auto& cq = device.command_queue(0);
+  const int ncores = sel.ncores();
   ttmetal::BufferConfig res_cfg;
   res_cfg.size = static_cast<std::uint64_t>(ncores) * 32;
   auto residuals = device.create_buffer(res_cfg);
-  const PaddedLayout layout(p.width, p.height);
+  const PaddedLayout& layout = grids.layout();
 
   const SimTime t_start = device.now();
-  loop.stage(layout.initial_image(p));
+  grids.stage(0, layout.initial_image(p), cq, /*blocking=*/true);
   AdaptiveRunResult result;
   result.final_residual = std::numeric_limits<double>::infinity();
   while (result.iterations_run < p.iterations) {
     const int chunk = std::min(options.check_every, p.iterations - result.iterations_run);
-    result.kernel_time += loop.launch(chunk, residuals->address());
+    result.kernel_time += grids.launch(chunk, sel, residuals->address());
     result.iterations_run += chunk;
 
     std::vector<std::byte> raw(static_cast<std::size_t>(ncores) * 32);
@@ -299,7 +244,9 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
       break;
     }
   }
-  result.solution = layout.extract_interior(loop.read_fresh());
+  std::vector<bfloat16_t> image(layout.elems());
+  grids.read(0, image, cq, /*blocking=*/true);
+  result.solution = layout.extract_interior(image);
   result.total_time = device.now() - t_start;
   return result;
 }

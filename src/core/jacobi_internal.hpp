@@ -1,14 +1,13 @@
 #pragma once
 /// \file jacobi_internal.hpp
 /// Shared internals of the device solvers: the per-core domain
-/// decomposition, the one launch-config validator, the tiled programs'
-/// kernel state, the chunked launch loop every Jacobi driver runs on, and
-/// the row-chunk geometry the row-chunk builder and its IR model share.
+/// decomposition, the one launch-config validator, the one core-selection
+/// rule, the tiled programs' kernel state, and the row-chunk geometry the
+/// row-chunk builder and its IR model share.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "ttsim/common/check.hpp"
@@ -88,13 +87,14 @@ CoreSelection select_cores(ttmetal::Device& device, const JacobiProblem& p,
                            const DeviceRunConfig& cfg);
 
 /// The requested grid with the identity worker mapping (no degradation):
-/// what batched slots, IR graphs and general solves launch on.
+/// what batched slots and IR graphs are resolved on. Every single-device
+/// solve launches on select_cores instead.
 inline CoreSelection requested_cores(const DeviceRunConfig& cfg) {
   return CoreSelection{cfg.cores_x, cfg.cores_y, {}};
 }
 
-/// Grid BufferConfig for the run's buffer-layout choice (shared by every
-/// Jacobi driver, the batched slots and the general frontend).
+/// Grid BufferConfig for the run's buffer-layout choice (FieldGrids
+/// allocates every solver's grids with it).
 ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
                                          const PaddedLayout& layout);
 
@@ -133,50 +133,9 @@ std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
                                             const CoreSelection& sel,
                                             std::uint64_t d1, std::uint64_t d2);
 
-/// True when a launch of `sweeps` sweeps reads its first source grid from
-/// d2. Every launch ends in d2 for odd sweep counts and in d1 for even
-/// ones. Every strategy but kTemporal starts from d1; a temporal chain
-/// anchors its epochs at that final grid, so its first epoch reads d2 when
-/// the epoch count and the sweep count differ in parity.
-bool reads_d2_first(DeviceStrategy s, int sweeps, int temporal_depth);
-
 /// Bit-exact comparison of a device solution against the BF16 CPU
 /// reference.
 bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution);
-
-/// The one Jacobi launch loop: a d1/d2 grid pair staged once, then
-/// launched k sweeps at a time. Each launch reads the fresh grid and
-/// leaves its result in one of the pair; the plain, adaptive and resilient
-/// drivers differ only in how they chunk the sweeps and what they read
-/// back between launches. Launches are certified through the dataflow IR
-/// where it models the strategy; the tiled Section-IV programs are built
-/// directly.
-class JacobiLaunchLoop {
- public:
-  /// Allocates the grid pair (d1, then d2) on `device`.
-  JacobiLaunchLoop(ttmetal::Device& device, const JacobiProblem& p,
-                   const DeviceRunConfig& cfg, CoreSelection sel);
-
-  /// Write `image` into both grids: either may be the first source.
-  void stage(std::span<const bfloat16_t> image);
-  /// Run `sweeps` more sweeps in one program. A non-zero `residual_addr`
-  /// has every core store its final-sweep max |unew - u| there. Returns
-  /// the program's kernel time.
-  SimTime launch(int sweeps, std::uint64_t residual_addr = 0);
-  /// The padded BF16 image of the fresh grid.
-  std::vector<bfloat16_t> read_fresh();
-  const CoreSelection& cores() const { return sel_; }
-
- private:
-  ttmetal::Device& device_;
-  JacobiProblem p_;
-  DeviceRunConfig cfg_;
-  CoreSelection sel_;
-  std::shared_ptr<ttmetal::Buffer> d1_, d2_;
-  /// The grid holding the latest state; null while both hold the staged
-  /// image (a launch then keeps d1 as d1, whichever grid it reads first).
-  ttmetal::Buffer* fresh_ = nullptr;
-};
 
 /// Bytes of one row-chunk slot: chunk + 2 halo elements, plus up to 32
 /// alignment-prefix bytes.

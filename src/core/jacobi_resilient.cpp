@@ -18,6 +18,8 @@
 #include <utility>
 
 #include "jacobi_internal.hpp"
+#include "ttsim/core/field_grids.hpp"
+#include "ttsim/core/stencil.hpp"
 
 namespace ttsim::core {
 
@@ -68,20 +70,23 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     auto device = ttmetal::Device::open(spec, dc);
 
     // Shrink onto the workers that survived earlier generations.
-    detail::CoreSelection sel = detail::select_cores(*device, p, cfg);
+    const detail::CoreSelection sel = detail::select_cores(*device, p, cfg);
     res.cores_used = sel.ncores();
 
     int in_flight = 0;
     try {
-      detail::JacobiLaunchLoop loop(*device, p, cfg, std::move(sel));
-      loop.stage(checkpoint);
+      FieldGrids grids(*device, to_general(p), cfg);
+      auto& cq = device->command_queue(0);
+      grids.stage(0, checkpoint, cq, /*blocking=*/true);
       while (remaining > 0) {
         in_flight = std::min(options.checkpoint_every, remaining);
-        res.kernel_time += loop.launch(in_flight);
+        res.kernel_time += grids.launch(in_flight, sel);
         remaining -= in_flight;
         in_flight = 0;
         // Snapshot the freshest grid as the new checkpoint.
-        checkpoint = loop.read_fresh();
+        std::vector<bfloat16_t> image(layout.elems());
+        grids.read(0, image, cq, /*blocking=*/true);
+        checkpoint = std::move(image);
       }
       res.total_time += device->now();
       res.transfer_retries += static_cast<int>(device->transfer_retries());

@@ -47,8 +47,6 @@ constexpr int kSemComputed = 1;  // compute -> dm1: final generation packed
 constexpr int kSemFree = 2;      // dm1 -> dm0: slab reusable (initial 1)
 
 struct TemporalField {
-  std::uint64_t fin = 0;     ///< DRAM buffer holding the field's final state
-  std::uint64_t oth = 0;     ///< parity partner; 0 for read-only fields
   std::uint32_t slab_a = 0;  ///< load target / odd-step source
   std::uint32_t slab_b = 0;  ///< odd-step destination; 0 unless written
   bool written = false;
@@ -72,34 +70,19 @@ struct TemporalShared : GeneralShared, SlabRows {
       const auto fi = static_cast<std::size_t>(f);
       auto& tf = fields[fi];
       tf.streamed = geo.streamed[fi] != 0;
-      if (f == wf) {
-        tf.written = true;
-        tf.fin = g.final_of(f);
-        tf.oth = tf.fin == g.d1[fi] ? g.d2[fi] : g.d1[fi];
-      } else {
-        tf.fin = g.d1[fi];
-      }
+      tf.written = f == wf;
     }
   }
 
-  int epochs() const { return (iterations + temporal_depth - 1) / temporal_depth; }
   /// Chained depth of epoch `e` (the last epoch may be partial).
   int depth_of(int e) const {
     return std::min(temporal_depth, iterations - e * temporal_depth);
   }
 
-  /// Written-field grids of epoch `e`, anchored at the end so the LAST
-  /// epoch lands in the canonical final buffer (iterations odd ? d2 : d1 —
-  /// the parity the driver and the serving readback already assume). Epoch
-  /// 0 may source either grid: both are staged with the initial image.
-  std::uint64_t dst_grid(int e) const {
-    return (epochs() - 1 - e) % 2 == 0 ? fields[static_cast<std::size_t>(wf)].fin
-                                       : fields[static_cast<std::size_t>(wf)].oth;
-  }
-  std::uint64_t src_grid(int e) const {
-    const auto& f = fields[static_cast<std::size_t>(wf)];
-    return dst_grid(e) == f.fin ? f.oth : f.fin;
-  }
+  /// Written-field grids of epoch `e`: each epoch is one generation of the
+  /// parity rule, so the last one lands in final_of.
+  std::uint64_t dst_grid(int e) const { return grid(wf, after(e)); }
+  std::uint64_t src_grid(int e) const { return grid(wf, after(e - 1)); }
 
   /// Source slab of field `f` during sub-step `s` (1-based): the written
   /// field ping-pongs a -> b -> a -> ..., read-only fields sit in one slab.
@@ -175,7 +158,7 @@ void build_general_temporal_group(ttmetal::Program& prog,
   // is downstream of dm0 via kSemLoaded and need not participate.
   prog.create_global_barrier(sh->barrier_id, 2 * ncores);
 
-  const int E = sh->epochs();
+  const int E = sh->generations();
 
   // ---------------- reading data mover ----------------
   prog.create_kernel(
@@ -199,7 +182,8 @@ void build_general_temporal_group(ttmetal::Program& prog,
               const auto& tf = sh->fields[f];
               if (!tf.streamed) continue;
               // Read-only fields never flip parity: always read d1.
-              const std::uint64_t src = tf.written ? wsrc : tf.fin;
+              const std::uint64_t src =
+                  tf.written ? wsrc : sh->grid(static_cast<int>(f), 0);
               for (std::int64_t gr = bk.glo; gr < bk.ghi; ++gr) {
                 const auto lr = static_cast<std::uint32_t>(gr - bk.glo);
                 const std::uint64_t addr = src + sh->layout.byte_offset(gr, -1);

@@ -67,7 +67,8 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
   for (int cb = kCbIn0; cb <= kCbIn3; ++cb)
     prog.create_cb(cb, cores, kTileBytes, io_pages);
   prog.create_cb(kCbScalar, cores, kTileBytes, 1);
-  prog.create_cb(kCbInter, cores, kTileBytes, 2);
+  // The compute kernel's accumulator: no other kernel touches it.
+  prog.create_cb(kCbInter, cores, kTileBytes, 2, /*kernel_local=*/true);
   prog.create_cb(kCbOut, cores, kTileBytes, io_pages);
   const auto buf0 = prog.create_l1_buffer(cores, kBlockBufBytes);
   const auto buf1 = prog.create_l1_buffer(cores, kBlockBufBytes);

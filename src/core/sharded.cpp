@@ -7,14 +7,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "card_threads.hpp"
-#include "jacobi_internal.hpp"
+#include "stencil_internal.hpp"
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/stencil.hpp"
-#include "ttsim/cpu/jacobi_cpu.hpp"
-#include "ttsim/cpu/stencil_cpu.hpp"
+#include "ttsim/core/field_grids.hpp"
 
 namespace ttsim::core {
 namespace {
@@ -58,9 +57,8 @@ std::vector<Slab> decompose_slabs(int rows, int cards, int k) {
 struct CardState {
   ttmetal::Device* dev = nullptr;
   Slab slab;
-  PaddedLayout layout{16, 1};  ///< slab layout (placeholder until built)
-  std::vector<std::shared_ptr<ttmetal::Buffer>> a, b;  ///< per field; b null
-  std::vector<int> cores;                              ///< for read-only
+  std::optional<FieldGrids> grids;  ///< the slab's grids (built on the card)
+  std::vector<int> cores;
 };
 
 /// Copy `count` stored rows starting at `row` between host memory and a
@@ -145,7 +143,6 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev = devices[static_cast<std::size_t>(c)];
     cs.slab = slabs[static_cast<std::size_t>(c)];
-    cs.layout = PaddedLayout(p.width, static_cast<std::uint32_t>(cs.slab.height));
     const auto usable = cs.dev->usable_workers();
     if (static_cast<int>(usable.size()) < ncores) {
       TTSIM_THROW_API("card " << c << " has " << usable.size()
@@ -155,28 +152,17 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   }
   detail::for_each_card(devices, [&](int c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
-    const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg.run, cs.layout);
+    // launch_cfg(k) is the epochs' parity rule: an epoch of up to k sweeps
+    // runs one temporal generation, as launch_cfg(klaunch) chains it.
+    cs.grids.emplace(*cs.dev, slab_problem(cs.slab, k), launch_cfg(k));
     const std::size_t slab_begin =
         static_cast<std::size_t>(cs.slab.off) * global.row_elems();
     const std::size_t slab_elems =
         static_cast<std::size_t>(cs.slab.height + 2) * global.row_elems();
     for (int f = 0; f < nfields; ++f) {
       const auto& img = images[static_cast<std::size_t>(f)];
-      const std::span<const bfloat16_t> slice(img.data() + slab_begin,
-                                              slab_elems);
-      auto buf_a = cs.dev->create_buffer(bc);
-      cs.dev->write_buffer(*buf_a, std::as_bytes(slice));
-      cs.a.push_back(std::move(buf_a));
-      if (f == written) {
-        // Both parities start from the same image: boundary rows are read
-        // from whichever buffer is the sweep's source, so they must be
-        // present (and equal) in both.
-        auto buf_b = cs.dev->create_buffer(bc);
-        cs.dev->write_buffer(*buf_b, std::as_bytes(slice));
-        cs.b.push_back(std::move(buf_b));
-      } else {
-        cs.b.push_back(nullptr);
-      }
+      cs.grids->stage(f, {img.data() + slab_begin, slab_elems},
+                      cs.dev->command_queue(0), /*blocking=*/true);
     }
   });
 
@@ -187,7 +173,6 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   // --- lockstep epochs ---
   SimTime cluster = 0;
   for (auto& cs : state) cluster = std::max(cluster, cs.dev->now());
-  bool swapped = false;
   int done = 0;
   while (done < p.iterations) {
     const int klaunch = std::min(k, p.iterations - done);
@@ -197,26 +182,9 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       CardState& cs = state[static_cast<std::size_t>(c)];
       cs.dev->hw().engine().run_until(cluster);
       ttmetal::Program prog;
-      const DeviceRunConfig lc = launch_cfg(klaunch);
-      // The fresh grid goes in whichever slot the launch reads first.
-      const bool reads_d2 =
-          detail::reads_d2_first(lc.strategy, klaunch, lc.temporal_depth);
-      GeneralBatchSlot slot;
-      for (int f = 0; f < nfields; ++f) {
-        const auto& a = cs.a[static_cast<std::size_t>(f)];
-        const auto& b = cs.b[static_cast<std::size_t>(f)];
-        if (f == written) {
-          const std::uint64_t fresh = swapped ? b->address() : a->address();
-          const std::uint64_t other = swapped ? a->address() : b->address();
-          slot.d1.push_back(reads_d2 ? other : fresh);
-          slot.d2.push_back(reads_d2 ? fresh : other);
-        } else {
-          slot.d1.push_back(a->address());
-          slot.d2.push_back(0);
-        }
-      }
-      slot.core_ids = cs.cores;
-      build_batched_stencil_program(prog, slab_problem(cs.slab, klaunch), lc, {slot});
+      build_batched_stencil_program(prog, slab_problem(cs.slab, klaunch),
+                                    launch_cfg(klaunch),
+                                    {cs.grids->bind(klaunch, cs.cores)});
       cs.dev->run_program(prog);
     });
     SimTime epoch_kernel = 0;
@@ -226,11 +194,6 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       epoch_end = std::max(epoch_end, cs.dev->now());
     }
     result.kernel_time += epoch_kernel;
-
-    // Parity: a row-chunk launch flips buffers once per iteration; a
-    // temporal launch is a single DRAM pass however deep the chain is.
-    const int flips = temporal ? 1 : klaunch;
-    if (flips % 2 == 1) swapped = !swapped;
     done += klaunch;
     cluster = epoch_end;
     if (done >= p.iterations) break;
@@ -248,27 +211,15 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     for (int c = 0; c + 1 < cards; ++c) {
       CardState& up = state[static_cast<std::size_t>(c)];
       CardState& dn = state[static_cast<std::size_t>(c + 1)];
-      const int f = written;
-      auto* up_res = (swapped ? up.b[static_cast<std::size_t>(f)]
-                              : up.a[static_cast<std::size_t>(f)])
-                         .get();
-      auto* up_alt = (swapped ? up.a[static_cast<std::size_t>(f)]
-                              : up.b[static_cast<std::size_t>(f)])
-                         .get();
-      auto* dn_res = (swapped ? dn.b[static_cast<std::size_t>(f)]
-                              : dn.a[static_cast<std::size_t>(f)])
-                         .get();
-      auto* dn_alt = (swapped ? dn.a[static_cast<std::size_t>(f)]
-                              : dn.b[static_cast<std::size_t>(f)])
-                         .get();
       const std::uint64_t bytes = static_cast<std::uint64_t>(k) * row_bytes;
 
       // Down: card c's bottom k owned rows -> card c+1's top halo.
       {
         const int src_row = (up.slab.r1 - k) - up.slab.off + 1;
-        slab_rows_read(*up.dev, *up_res, global, src_row, k, rows.data());
-        slab_rows_write(*dn.dev, *dn_res, global, 0, k, rows.data());
-        slab_rows_write(*dn.dev, *dn_alt, global, 0, 1, rows.data());
+        slab_rows_read(*up.dev, up.grids->fresh(written), global, src_row, k,
+                       rows.data());
+        slab_rows_write(*dn.dev, dn.grids->fresh(written), global, 0, k, rows.data());
+        slab_rows_write(*dn.dev, dn.grids->stale(written), global, 0, 1, rows.data());
         exchange_end = std::max(exchange_end,
                                 fabric.transfer(c, c + 1, bytes, epoch_end));
         ++result.link_messages;
@@ -276,10 +227,13 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
       // Up: card c+1's top k owned rows -> card c's bottom halo.
       {
         const int src_row = dn.slab.e_top + 1;
-        slab_rows_read(*dn.dev, *dn_res, global, src_row, k, rows.data());
+        slab_rows_read(*dn.dev, dn.grids->fresh(written), global, src_row, k,
+                       rows.data());
         const int dst_row = up.slab.height + 2 - k;
-        slab_rows_write(*up.dev, *up_res, global, dst_row, k, rows.data());
-        slab_rows_write(*up.dev, *up_alt, global, up.slab.height + 1, 1,
+        slab_rows_write(*up.dev, up.grids->fresh(written), global, dst_row, k,
+                        rows.data());
+        slab_rows_write(*up.dev, up.grids->stale(written), global,
+                        up.slab.height + 1, 1,
                         rows.data() + static_cast<std::size_t>(k - 1) *
                                           global.row_elems());
         exchange_end = std::max(exchange_end,
@@ -296,15 +250,11 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   detail::for_each_card(devices, [&](int c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev->hw().engine().run_until(cluster);
-    const int f = written;
-    auto* res = (swapped ? cs.b[static_cast<std::size_t>(f)]
-                         : cs.a[static_cast<std::size_t>(f)])
-                    .get();
-    std::vector<bfloat16_t> out(cs.layout.elems());
-    cs.dev->read_buffer(*res, std::as_writable_bytes(std::span{out}));
+    std::vector<bfloat16_t> out(cs.grids->layout().elems());
+    cs.grids->read(written, out, cs.dev->command_queue(0), /*blocking=*/true);
     // Owned stored rows of the slab land on the matching global stored rows.
     const int owned = cs.slab.r1 - cs.slab.r0;
-    auto& img = images[static_cast<std::size_t>(f)];
+    auto& img = images[static_cast<std::size_t>(written)];
     std::memcpy(img.data() +
                     static_cast<std::size_t>(cs.slab.r0 + 1) * global.row_elems(),
                 out.data() +
@@ -361,13 +311,7 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
   if (state != nullptr) *state = std::move(images[0]);
 
   if (cfg.verify && !resuming) {
-    const auto ref = cpu::jacobi_reference_bf16(p);
-    result.verified_ok = ref.size() == result.solution.size();
-    for (std::size_t i = 0; result.verified_ok && i < ref.size(); ++i) {
-      if (static_cast<float>(ref[i]) != result.solution[i]) {
-        result.verified_ok = false;
-      }
-    }
+    result.verified_ok = detail::matches_reference(p, result.solution);
   }
   return result;
 }
@@ -404,15 +348,7 @@ ShardedRunResult run_general_sharded(
   if (state != nullptr) *state = std::move(images);
 
   if (cfg.verify && !resuming) {
-    const auto ref = cpu::general_reference_bf16(p);
-    result.verified_ok = ref.size() == result.fields.size();
-    for (std::size_t f = 0; result.verified_ok && f < ref.size(); ++f) {
-      const auto& got = result.fields[f];
-      result.verified_ok = ref[f].size() == got.size();
-      for (std::size_t i = 0; result.verified_ok && i < got.size(); ++i) {
-        if (static_cast<float>(ref[f][i]) != got[i]) result.verified_ok = false;
-      }
-    }
+    result.verified_ok = detail::matches_general_reference(p, result.fields);
   }
   return result;
 }

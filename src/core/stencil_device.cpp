@@ -35,10 +35,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "ir_frontend.hpp"
 #include "stencil_internal.hpp"
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
-#include "ttsim/ir/lower.hpp"
 
 namespace ttsim::core {
 
@@ -385,6 +384,19 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
   return sh;
 }
 
+bool matches_general_reference(const GeneralStencilProblem& p,
+                               const std::vector<std::vector<float>>& fields) {
+  const auto ref = cpu::general_reference_bf16(p);
+  if (ref.size() != fields.size()) return false;
+  for (std::size_t f = 0; f < ref.size(); ++f) {
+    if (ref[f].size() != fields[f].size()) return false;
+    for (std::size_t i = 0; i < ref[f].size(); ++i) {
+      if (static_cast<float>(ref[f][i]) != fields[f][i]) return false;
+    }
+  }
+  return true;
+}
+
 void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared> sh) {
   if (sh->strategy == DeviceStrategy::kSramResident) {
     build_general_sram_program(prog, std::move(sh));
@@ -428,69 +440,28 @@ GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
                                                const DeviceRunConfig& cfg) {
   detail::validate_general_launch(p, cfg, detail::Surface::kCertified,
                                   device.num_workers());
-  const PaddedLayout layout(p.width, p.height);
-  const ttmetal::BufferConfig bc = detail::grid_buffer_config(cfg, layout);
+  const detail::CoreSelection sel = detail::select_cores(device, p.geometry(), cfg);
+  FieldGrids grids(device, p, cfg);
+  auto& cq = device.command_queue(0);
+  const PaddedLayout& layout = grids.layout();
   const int nfields = static_cast<int>(p.fields.size());
-
-  // One buffer pair per field — read-only fields live in a single buffer
-  // (their d2 address stays 0 and src_of always resolves to d1).
-  std::vector<std::shared_ptr<ttmetal::Buffer>> d1, d2;
-  std::vector<std::uint64_t> d1_addr, d2_addr;
-  for (int f = 0; f < nfields; ++f) {
-    d1.push_back(device.create_buffer(bc));
-    d2.push_back(p.written_pass(f) >= 0 ? device.create_buffer(bc) : nullptr);
-    d1_addr.push_back(d1.back()->address());
-    d2_addr.push_back(d2.back() ? d2.back()->address() : 0);
-  }
 
   const SimTime t_start = device.now();
   for (int f = 0; f < nfields; ++f) {
-    const auto image = general_field_image(layout, p, f);
-    device.write_buffer(*d1[static_cast<std::size_t>(f)], std::as_bytes(std::span{image}));
-    // The parity partner needs the same boundary cells (and, before its
-    // first write lands, the same interior the early rows' halo reads see).
-    if (d2[static_cast<std::size_t>(f)]) {
-      device.write_buffer(*d2[static_cast<std::size_t>(f)], std::as_bytes(std::span{image}));
-    }
+    grids.stage(f, general_field_image(layout, p, f), cq, /*blocking=*/true);
   }
-
-  const auto shared = detail::resolve_general(p, cfg, detail::requested_cores(cfg),
-                                              std::move(d1_addr), std::move(d2_addr));
-  ttmetal::Program prog;
-  // Prove the protocol race/deadlock-free, then lower; the graph's emit
-  // closure is build_general_program.
-  ir::lower(detail::make_general_graph(
-                shared, static_cast<std::int64_t>(device.spec().sram_bytes)),
-            prog);
-  device.run_program(prog);
-
   GeneralRunResult result;
-  result.fields.resize(static_cast<std::size_t>(nfields));
+  result.kernel_time = grids.launch(p.iterations, sel);
+  std::vector<bfloat16_t> image(layout.elems());
   for (int f = 0; f < nfields; ++f) {
-    auto& final_buf = shared->final_of(f) == shared->d1[static_cast<std::size_t>(f)]
-                          ? *d1[static_cast<std::size_t>(f)]
-                          : *d2[static_cast<std::size_t>(f)];
-    std::vector<bfloat16_t> out(layout.elems());
-    device.read_buffer(final_buf, std::as_writable_bytes(std::span{out}));
-    result.fields[static_cast<std::size_t>(f)] = layout.extract_interior(out);
+    grids.read(f, image, cq, /*blocking=*/true);
+    result.fields.push_back(layout.extract_interior(image));
   }
-  result.kernel_time = device.last_kernel_duration();
   result.total_time = device.now() - t_start;
-  result.cores_used = cfg.cores_x * cfg.cores_y;
+  result.cores_used = sel.ncores();
   result.solution = result.fields[static_cast<std::size_t>(p.primary_field())];
 
-  if (cfg.verify) {
-    const auto ref = cpu::general_reference_bf16(p);
-    result.verified_ok = ref.size() == result.fields.size();
-    for (int f = 0; result.verified_ok && f < nfields; ++f) {
-      const auto& rf = ref[static_cast<std::size_t>(f)];
-      const auto& df = result.fields[static_cast<std::size_t>(f)];
-      result.verified_ok = rf.size() == df.size();
-      for (std::size_t i = 0; result.verified_ok && i < rf.size(); ++i) {
-        if (static_cast<float>(rf[i]) != df[i]) result.verified_ok = false;
-      }
-    }
-  }
+  if (cfg.verify) result.verified_ok = detail::matches_general_reference(p, result.fields);
   return result;
 }
 

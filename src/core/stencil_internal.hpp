@@ -72,15 +72,36 @@ struct LoweredPass {
   }
 };
 
-/// Everything the general kernels need, shared across the lambdas.
-struct GeneralShared {
-  PaddedLayout layout;
+/// The one parity rule: which buffer of a written field's pair (0: d1,
+/// 1: d2) holds the field's state while a launch of `iterations` sweeps
+/// runs. A launch makes generations() DRAM generations of the field, one
+/// per sweep or, on kTemporal, one per epoch of up to temporal_depth
+/// chained sweeps, and each generation flips the parity. The last one
+/// lands in iterations % 2 (odd sweep counts finish in d2), so a launch
+/// starts in d1 unless it is a temporal chain whose epoch and sweep counts
+/// differ in parity. The kernels place their DRAM traffic by it
+/// (GeneralShared's src_of/dst_of/final_of and the temporal epochs);
+/// FieldGrids binds a launch's grids and reads the fresh one back by it.
+struct SweepParity {
   int iterations = 0;
   DeviceStrategy strategy = DeviceStrategy::kRowChunk;
-  std::uint32_t chunk_elems = 1024;
-  int read_ahead = 2;
   /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
   int temporal_depth = 1;
+
+  int generations() const {
+    return strategy == DeviceStrategy::kTemporal
+               ? (iterations + temporal_depth - 1) / temporal_depth
+               : iterations;
+  }
+  /// Parity after generation `gen` (0-based; -1: as the launch starts).
+  int after(int gen) const { return (iterations + generations() - 1 - gen) % 2; }
+};
+
+/// Everything the general kernels need, shared across the lambdas.
+struct GeneralShared : SweepParity {
+  PaddedLayout layout;
+  std::uint32_t chunk_elems = 1024;
+  int read_ahead = 2;
   std::vector<std::uint64_t> d1, d2;  ///< per field; d2[f]=0 for read-only
   std::vector<int> written_pass;      ///< per field: pass index or -1
   std::vector<LoweredPass> passes;
@@ -114,27 +135,25 @@ struct GeneralShared {
     return static_cast<std::uint32_t>(weights.size()) * kTileBytes;
   }
 
-  /// Source buffer of field `f` while running pass `p` of iteration `it`:
-  /// each write flips the parity, and a pass sees the writes of every
-  /// earlier pass of the same iteration (leapfrog visibility).
+  /// Field `f`'s buffer of parity `parity` (read-only fields have only d1).
+  std::uint64_t grid(int f, int parity) const {
+    return parity == 0 ? d1[static_cast<std::size_t>(f)]
+                       : d2[static_cast<std::size_t>(f)];
+  }
+  /// Source buffer of field `f` while running pass `p` of iteration `it`
+  /// (one generation per sweep): a pass sees the writes of every earlier
+  /// pass of the same iteration (leapfrog visibility).
   std::uint64_t src_of(int f, int it, int p) const {
     const int wp = written_pass[static_cast<std::size_t>(f)];
-    const int writes = wp < 0 ? 0 : it + (wp < p ? 1 : 0);
-    return writes % 2 == 0 ? d1[static_cast<std::size_t>(f)]
-                           : d2[static_cast<std::size_t>(f)];
+    if (wp < 0) return grid(f, 0);
+    return grid(f, after(it + (wp < p ? 1 : 0) - 1));
   }
   /// Destination buffer of the pass targeting `f` in iteration `it`.
-  std::uint64_t dst_of(int f, int it) const {
-    return it % 2 == 0 ? d2[static_cast<std::size_t>(f)]
-                       : d1[static_cast<std::size_t>(f)];
-  }
+  std::uint64_t dst_of(int f, int it) const { return grid(f, after(it)); }
   /// Buffer holding field `f`'s final state after the full run.
   std::uint64_t final_of(int f) const {
-    if (written_pass[static_cast<std::size_t>(f)] < 0) {
-      return d1[static_cast<std::size_t>(f)];
-    }
-    return iterations % 2 == 1 ? d2[static_cast<std::size_t>(f)]
-                               : d1[static_cast<std::size_t>(f)];
+    if (written_pass[static_cast<std::size_t>(f)] < 0) return grid(f, 0);
+    return grid(f, after(generations() - 1));
   }
 
   std::vector<int> workers() const {
@@ -161,6 +180,11 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
                                                const CoreSelection& sel,
                                                std::vector<std::uint64_t> d1,
                                                std::vector<std::uint64_t> d2);
+
+/// Bit-exact comparison of every field's interior against
+/// cpu::general_reference_bf16.
+bool matches_general_reference(const GeneralStencilProblem& p,
+                               const std::vector<std::vector<float>>& fields);
 
 /// The one strategy -> builder switch of the general frontend, keyed on
 /// sh->strategy. The IR emit closures and the batched builder call it.

@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/sharded.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/ttmetal/device.hpp"
@@ -95,11 +95,9 @@ struct StencilService::Session {
   std::vector<std::vector<int>> groups;
   /// Fields of the key's program.
   int nfields = 0;
-  /// banks[bank][g][half * nfields + f] = field f's grid buffer d1 (half 0)
-  /// or d2 (half 1) for slot g; d2 is null for read-only fields, which never
-  /// flip parity. Two banks so batch j+1's H2D staging can overlap batch j's
-  /// kernels without a hazard.
-  std::array<std::vector<std::vector<std::shared_ptr<ttmetal::Buffer>>>, 2> banks;
+  /// banks[bank][g] = the grids of batch slot g. Two banks so batch j+1's
+  /// H2D staging can overlap batch j's kernels without a hazard.
+  std::array<std::vector<core::FieldGrids>, 2> banks;
   /// Compiled batch programs, keyed by (bank, batch width B). Programs are
   /// reusable across launches, so each (bank, B) compiles once.
   std::map<std::pair<int, int>, std::unique_ptr<ttmetal::Program>> programs;
@@ -562,29 +560,15 @@ StencilService::Session& StencilService::session(
                            usable.begin() + static_cast<std::ptrdiff_t>(g + 1) * slot);
   }
 
-  core::JacobiProblem shape;
-  shape.width = key.width;
-  shape.height = key.height;
-  const ttmetal::BufferConfig base = core::batch_grid_buffer_config(cfg_.run, shape);
-  const int nf = static_cast<int>(head.fields.size());
-  s->nfields = nf;
+  s->nfields = static_cast<int>(head.fields.size());
   for (int bank = 0; bank < 2; ++bank) {
     for (int g = 0; g < groups; ++g) {
-      std::vector<std::shared_ptr<ttmetal::Buffer>> bufs(static_cast<std::size_t>(2 * nf));
-      for (int f = 0; f < nf; ++f) {
-        for (int half = 0; half < 2; ++half) {
-          if (half == 1 && head.written_pass(f) < 0) continue;
-          ttmetal::BufferConfig bc = base;
-          std::ostringstream name;
-          name << "serve-c" << card.index << '-' << key.width << 'x' << key.height
-               << "-i" << key.iterations << "-p" << std::hex << key.program
-               << std::dec << "-bank" << bank << "-slot" << g << "-f" << f << "-d"
-               << (half + 1);
-          bc.name = name.str();
-          bufs[static_cast<std::size_t>(half * nf + f)] = card.device->create_buffer(bc);
-        }
-      }
-      s->banks[static_cast<std::size_t>(bank)].push_back(std::move(bufs));
+      std::ostringstream name;
+      name << "serve-c" << card.index << '-' << key.width << 'x' << key.height
+           << "-i" << key.iterations << "-p" << std::hex << key.program << std::dec
+           << "-bank" << bank << "-slot" << g;
+      s->banks[static_cast<std::size_t>(bank)].emplace_back(*card.device, head,
+                                                            cfg_.run, name.str());
     }
   }
   auto& ref = *s;
@@ -814,34 +798,6 @@ bool StencilService::dispatch_on(Card& card) {
   const int bank = s.next_bank;
   s.next_bank ^= 1;
 
-  // Compile (or reuse) the batch program for (bank, B). Any member stands in
-  // for the key's program: same key, same structure, same kernels. The
-  // launch runs the key's segment length (checkpointed solves dispatch
-  // shorter tails).
-  const auto pkey = std::make_pair(bank, b);
-  auto pit = s.programs.find(pkey);
-  if (pit == s.programs.end()) {
-    std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(b));
-    for (int g = 0; g < b; ++g) {
-      auto& slot = slots[static_cast<std::size_t>(g)];
-      const auto& bufs =
-          s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
-      for (int f = 0; f < nf; ++f) {
-        slot.d1.push_back(bufs[static_cast<std::size_t>(f)]->address());
-        const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-        slot.d2.push_back(d2 ? d2->address() : 0);
-      }
-      slot.core_ids = s.groups[static_cast<std::size_t>(g)];
-    }
-    // Only the structure counts: boundary values and initial fields are
-    // staged data.
-    core::GeneralStencilProblem shape = *requests_.at(batch.front()).req.general;
-    shape.iterations = key.iterations;
-    auto prog = std::make_unique<ttmetal::Program>();
-    core::build_batched_stencil_program(*prog, shape, run_for(key), slots);
-    pit = s.programs.emplace(pkey, std::move(prog)).first;
-  }
-
   // The three-queue pipeline: writes on 0, the program on 1, reads on 2,
   // ordered by events. Nothing blocks here; the timeline materialises when
   // the card is driven at harvest.
@@ -849,6 +805,8 @@ bool StencilService::dispatch_on(Card& card) {
   auto& cq_write = dev.command_queue(0);
   auto& cq_kernel = dev.command_queue(1);
   auto& cq_read = dev.command_queue(2);
+
+  auto& grids = s.banks[static_cast<std::size_t>(bank)];
 
   InFlight fl;
   fl.members = batch;
@@ -859,28 +817,18 @@ bool StencilService::dispatch_on(Card& card) {
     Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
     auto& rr = results_.at(batch[static_cast<std::size_t>(g)]);
     const core::GeneralStencilProblem& prog = *p.req.general;
-    const auto& bufs =
-        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
     for (int f = 0; f < nf; ++f) {
       // A written field resumes from its sealed, CRC-verified checkpoint —
       // the exact padded image after iterations_done sweeps — so the
       // remaining sweeps continue the solve bit-exactly on whichever card
       // this is. A fresh start, or a read-only field (it never flips
       // parity), stages its image from THIS request's physics: boundary
-      // constants and initial fields are per-request data. Written fields
-      // stage both parities so the first sweep reads a defined halo
-      // everywhere.
-      const auto& d2 = bufs[static_cast<std::size_t>(nf + f)];
-      const bool resume = p.iterations_done > 0 && d2;
+      // constants and initial fields are per-request data.
+      const bool resume = p.iterations_done > 0 && prog.written_pass(f) >= 0;
       std::vector<bfloat16_t> fresh;
       if (!resume) fresh = core::general_field_image(s.layout, prog, f);
       const auto& image = resume ? p.ckpt[static_cast<std::size_t>(f)].image() : fresh;
-      TTSIM_CHECK_MSG(image.size() == s.layout.elems(),
-                      "staged image does not match the session layout");
-      const auto bytes = std::as_bytes(std::span{image});
-      cq_write.enqueue_write_buffer(*bufs[static_cast<std::size_t>(f)], bytes,
-                                    /*blocking=*/false);
-      if (d2) cq_write.enqueue_write_buffer(*d2, bytes, /*blocking=*/false);
+      grids[static_cast<std::size_t>(g)].stage(f, image, cq_write, /*blocking=*/false);
     }
     if (p.iterations_done > 0 && p.ckpt_card != card.index) {
       ++metrics_.migrations;
@@ -888,13 +836,35 @@ bool StencilService::dispatch_on(Card& card) {
     }
   }
   fl.write_done = cq_write.record_event();
+
+  // Bind every slot for the launch, then compile (or reuse) the batch
+  // program for (bank, B). Freshly staged grids bind in allocation order,
+  // so a compiled program's addresses hold for every later batch. Any
+  // member stands in for the key's program: same key, same structure, same
+  // kernels. The launch runs the key's segment length (checkpointed solves
+  // dispatch shorter tails).
+  std::vector<core::GeneralBatchSlot> slots;
+  for (int g = 0; g < b; ++g) {
+    slots.push_back(grids[static_cast<std::size_t>(g)].bind(
+        key.iterations, s.groups[static_cast<std::size_t>(g)]));
+  }
+  const auto pkey = std::make_pair(bank, b);
+  auto pit = s.programs.find(pkey);
+  if (pit == s.programs.end()) {
+    // Only the structure counts: boundary values and initial fields are
+    // staged data.
+    core::GeneralStencilProblem shape = *requests_.at(batch.front()).req.general;
+    shape.iterations = key.iterations;
+    auto prog = std::make_unique<ttmetal::Program>();
+    core::build_batched_stencil_program(*prog, shape, run_for(key), slots);
+    pit = s.programs.emplace(pkey, std::move(prog)).first;
+  }
   cq_kernel.wait_for_event(fl.write_done);
   cq_kernel.enqueue_program(*pit->second, /*blocking=*/false);
   fl.kernel_done = cq_kernel.record_event();
   cq_read.wait_for_event(fl.kernel_done);
   fl.outputs.resize(static_cast<std::size_t>(b));
   fl.continues.assign(static_cast<std::size_t>(b), 0);
-  const bool odd = key.iterations % 2 == 1;
   for (int g = 0; g < b; ++g) {
     const Pending& p = requests_.at(batch[static_cast<std::size_t>(g)]);
     const core::GeneralStencilProblem& prog = *p.req.general;
@@ -903,19 +873,15 @@ bool StencilService::dispatch_on(Card& card) {
     // A mid-solve segment reads back EVERY written field — together they
     // are the whole numerical state, the next segment's checkpoints; a
     // final one reads the primary field it delivers. Each at the segment's
-    // final parity. (The outer vector is sized first so the async reads'
+    // fresh grid. (The outer vector is sized first so the async reads'
     // destinations never move.)
-    const auto& bufs =
-        s.banks[static_cast<std::size_t>(bank)][static_cast<std::size_t>(g)];
     auto& outs = fl.outputs[static_cast<std::size_t>(g)];
     outs.resize(static_cast<std::size_t>(nf));
     for (int f = 0; f < nf; ++f) {
       if (cont ? prog.written_pass(f) < 0 : f != prog.primary_field()) continue;
       auto& out = outs[static_cast<std::size_t>(f)];
       out.resize(s.layout.elems());
-      cq_read.enqueue_read_buffer(*bufs[static_cast<std::size_t>(odd ? nf + f : f)],
-                                  std::as_writable_bytes(std::span{out}),
-                                  /*blocking=*/false);
+      grids[static_cast<std::size_t>(g)].read(f, out, cq_read, /*blocking=*/false);
     }
   }
   fl.read_done = cq_read.record_event();

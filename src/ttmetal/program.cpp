@@ -101,8 +101,8 @@ void Program::set_common_runtime_args(KernelHandle kernel,
 verify::ProgramInfo Program::verify_info() const {
   verify::ProgramInfo info;
   for (const auto& cb : cbs_) {
-    info.cbs.push_back(
-        {cb.cb_id, cb.cores, cb.page_size, cb.num_pages, cb.planned_address});
+    info.cbs.push_back({cb.cb_id, cb.cores, cb.page_size, cb.num_pages,
+                        cb.planned_address, cb.kernel_local});
   }
   for (const auto& sem : semaphores_) {
     info.semaphores.push_back({sem.sem_id, sem.cores, sem.initial});

@@ -28,8 +28,8 @@ struct LintError {
     kDuplicateCb,        ///< same CB id configured twice on one core
     kBadCbGeometry,      ///< zero pages, zero page size, or page size not
                          ///< a multiple of the 256-bit DRAM/NoC granule
-    kOrphanCb,           ///< CB on a core with fewer than two kernels —
-                         ///< no producer/consumer pair can exist
+    kOrphanCb,           ///< CB on a core with fewer than two kernels (one
+                         ///< for a kernel-local CB) — nothing can use it
     kDuplicateSemaphore, ///< same semaphore id configured twice on one core
     kOrphanSemaphore,    ///< semaphore on a core with no kernels at all
     kDuplicateBarrier,   ///< barrier id declared twice with different groups
@@ -72,6 +72,8 @@ struct ProgramInfo {
     std::uint32_t page_size;
     std::uint32_t num_pages;
     std::uint32_t planned_address;
+    /// One kernel alone uses it on each core (ttmetal::Program::create_cb).
+    bool kernel_local = false;
   };
   struct Semaphore {
     int sem_id;

@@ -121,11 +121,15 @@ class Linter {
         }
         const auto it = kernels_per_core_.find(c);
         const int nkernels = it == kernels_per_core_.end() ? 0 : it->second;
-        if (nkernels < 2) {
+        // A kernel-local CB is its one kernel's scratch; any other needs
+        // a producer and a consumer.
+        if (nkernels < (cb.kernel_local ? 1 : 2)) {
           std::ostringstream os;
           os << name.str() << " on core " << c << " has " << nkernels
-             << " kernel(s) on that core — a circular buffer needs both a "
-             << "producer and a consumer";
+             << " kernel(s) on that core — "
+             << (cb.kernel_local ? "a kernel-local circular buffer needs its kernel"
+                                 : "a circular buffer needs both a producer and a "
+                                   "consumer");
           add(LintError::Code::kOrphanCb, c, cb.cb_id, os.str());
         }
       }

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "ttsim/common/rng.hpp"
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/jacobi_device.hpp"
@@ -372,38 +373,24 @@ bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& re
                  const ttmetal::DeviceConfig& dc, SimTime* kernel_time,
                  std::string* why) {
   auto device = ttmetal::Device::open({}, dc);
-  const core::PaddedLayout layout(c.problem.width, c.problem.height);
-  const auto bc = core::batch_grid_buffer_config(c.cfg, c.problem.geometry());
   const int nfields = static_cast<int>(c.problem.fields.size());
   const int ncores = c.cfg.cores_x * c.cfg.cores_y;
   if (c.batch_slots * ncores > device->num_workers()) {
     return true;  // cannot place this many groups; not a conformance failure
   }
 
-  using BufPtr = decltype(device->create_buffer(bc));
-  std::vector<std::vector<BufPtr>> d1(static_cast<std::size_t>(c.batch_slots));
-  std::vector<std::vector<BufPtr>> d2(static_cast<std::size_t>(c.batch_slots));
-  std::vector<core::GeneralBatchSlot> slots(static_cast<std::size_t>(c.batch_slots));
+  auto& cq = device->command_queue(0);
+  std::vector<core::FieldGrids> grids;
+  std::vector<core::GeneralBatchSlot> slots;
   for (int g = 0; g < c.batch_slots; ++g) {
-    auto& slot = slots[static_cast<std::size_t>(g)];
-    slot.d1.assign(static_cast<std::size_t>(nfields), 0);
-    slot.d2.assign(static_cast<std::size_t>(nfields), 0);
+    auto& slot_grids = grids.emplace_back(*device, c.problem, c.cfg);
     for (int f = 0; f < nfields; ++f) {
-      const auto image = core::general_field_image(layout, c.problem, f);
-      auto b1 = device->create_buffer(bc);
-      device->write_buffer(*b1, std::as_bytes(std::span{image}));
-      slot.d1[static_cast<std::size_t>(f)] = b1->address();
-      d1[static_cast<std::size_t>(g)].push_back(std::move(b1));
-      if (c.problem.written_pass(f) >= 0) {
-        auto b2 = device->create_buffer(bc);
-        device->write_buffer(*b2, std::as_bytes(std::span{image}));
-        slot.d2[static_cast<std::size_t>(f)] = b2->address();
-        d2[static_cast<std::size_t>(g)].push_back(std::move(b2));
-      } else {
-        d2[static_cast<std::size_t>(g)].push_back(nullptr);
-      }
+      slot_grids.stage(f, core::general_field_image(slot_grids.layout(), c.problem, f),
+                       cq, /*blocking=*/true);
     }
-    for (int i = 0; i < ncores; ++i) slot.core_ids.push_back(g * ncores + i);
+    std::vector<int> cores;
+    for (int i = 0; i < ncores; ++i) cores.push_back(g * ncores + i);
+    slots.push_back(slot_grids.bind(c.problem.iterations, std::move(cores)));
   }
 
   ttmetal::Program prog;
@@ -412,15 +399,12 @@ bool run_batched(const Config& c, const std::vector<std::vector<bfloat16_t>>& re
   *kernel_time = device->last_kernel_duration();
 
   for (int g = 0; g < c.batch_slots; ++g) {
+    const auto& slot_grids = grids[static_cast<std::size_t>(g)];
     std::vector<std::vector<float>> got;
     for (int f = 0; f < nfields; ++f) {
-      const bool odd = c.problem.iterations % 2 == 1;
-      const bool written = c.problem.written_pass(f) >= 0;
-      auto& buf = written && odd ? *d2[static_cast<std::size_t>(g)][static_cast<std::size_t>(f)]
-                                 : *d1[static_cast<std::size_t>(g)][static_cast<std::size_t>(f)];
-      std::vector<bfloat16_t> out(layout.elems());
-      device->read_buffer(buf, std::as_writable_bytes(std::span{out}));
-      got.push_back(layout.extract_interior(out));
+      std::vector<bfloat16_t> out(slot_grids.layout().elems());
+      slot_grids.read(f, out, cq, /*blocking=*/true);
+      got.push_back(slot_grids.layout().extract_interior(out));
     }
     if (!fields_match(ref, got, why)) {
       *why = "batched slot " + std::to_string(g) + ": " + *why;
@@ -484,30 +468,26 @@ bool run_jacobi(const Config& c, const ttmetal::DeviceConfig& dc,
   auto bdev = ttmetal::Device::open({}, dc);
   const int ncores = c.cfg.cores_x * c.cfg.cores_y;
   if (c.batch_slots * ncores > bdev->num_workers()) return true;
-  const core::PaddedLayout layout(jp.width, jp.height);
-  const auto image = layout.initial_image(jp);
-  const auto bc = core::batch_grid_buffer_config(c.cfg, jp);
-  std::vector<std::shared_ptr<ttmetal::Buffer>> grids;
-  std::vector<core::BatchSlot> slots(static_cast<std::size_t>(c.batch_slots));
+  auto& cq = bdev->command_queue(0);
+  std::vector<core::FieldGrids> grids;
+  std::vector<core::BatchSlot> slots;
   for (int g = 0; g < c.batch_slots; ++g) {
-    auto& slot = slots[static_cast<std::size_t>(g)];
-    for (std::uint64_t* addr : {&slot.d1, &slot.d2}) {
-      grids.push_back(bdev->create_buffer(bc));
-      bdev->write_buffer(*grids.back(), std::as_bytes(std::span{image}));
-      *addr = grids.back()->address();
-    }
-    for (int i = 0; i < ncores; ++i) slot.core_ids.push_back(g * ncores + i);
+    auto& slot_grids = grids.emplace_back(*bdev, core::to_general(jp), c.cfg);
+    slot_grids.stage(0, slot_grids.layout().initial_image(jp), cq, /*blocking=*/true);
+    std::vector<int> cores;
+    for (int i = 0; i < ncores; ++i) cores.push_back(g * ncores + i);
+    auto bound = slot_grids.bind(jp.iterations, std::move(cores));
+    slots.push_back({bound.d1[0], bound.d2[0], std::move(bound.core_ids)});
   }
   ttmetal::Program prog;
   core::build_batched_rowchunk_program(prog, jp, c.cfg, slots);
   bdev->run_program(prog);
   times->push_back(bdev->last_kernel_duration());
   for (int g = 0; g < c.batch_slots; ++g) {
-    // Odd iteration counts finish in d2.
-    auto& buf = *grids[static_cast<std::size_t>(2 * g + jp.iterations % 2)];
-    std::vector<bfloat16_t> out(layout.elems());
-    bdev->read_buffer(buf, std::as_writable_bytes(std::span{out}));
-    if (!jacobi_matches(ref, layout.extract_interior(out), why)) {
+    const auto& slot_grids = grids[static_cast<std::size_t>(g)];
+    std::vector<bfloat16_t> out(slot_grids.layout().elems());
+    slot_grids.read(0, out, cq, /*blocking=*/true);
+    if (!jacobi_matches(ref, slot_grids.layout().extract_interior(out), why)) {
       *why = "jacobi batched slot " + std::to_string(g) + ": " + *why;
       return false;
     }

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "ttsim/core/resilience.hpp"
+#include "ttsim/core/stencil.hpp"
 #include "ttsim/sim/fault.hpp"
 
 namespace ttsim::core {
@@ -225,6 +227,43 @@ TEST(Resilience, TemporalSolveVerifiesAndMatchesThePlainDriver) {
   EXPECT_TRUE(r.verified_ok);
   EXPECT_EQ(r.kernel_time, plain.kernel_time);
   EXPECT_EQ(r.solution, plain.solution);
+}
+
+/// Every single-device solve chooses its cores with the one selection rule.
+/// On a device whose core 0 is dead from t = 0, run_general_stencil_on_device
+/// must route around it exactly as run_jacobi_on_device does: same
+/// surviving cores, same kernel time, a bit-exact solution.
+TEST(Resilience, GeneralSolveOnDegradedDeviceSelectsSurvivingCores) {
+  auto degraded = [] {
+    sim::FaultConfig fc;
+    fc.core_kills = {{.core = 0, .at = 0}};
+    ttmetal::DeviceConfig dc;
+    dc.fault_plan = std::make_shared<sim::FaultPlan>(fc);
+    dc.sim_time_limit = 50 * kMillisecond;
+    return ttmetal::Device::open({}, dc);
+  };
+  DeviceRunConfig cfg;
+  cfg.strategy = DeviceStrategy::kRowChunk;
+  cfg.cores_y = 2;
+  cfg.verify = true;
+  const auto p = small_problem(64, 32, 3);
+  auto jacobi_dev = degraded();
+  const auto jacobi = run_jacobi_on_device(*jacobi_dev, p, cfg);
+  auto general_dev = degraded();
+  const auto general = run_general_stencil_on_device(*general_dev, to_general(p), cfg);
+  EXPECT_TRUE(jacobi.verified_ok);
+  EXPECT_TRUE(general.verified_ok);
+  EXPECT_EQ(general.kernel_time, jacobi.kernel_time);
+  EXPECT_EQ(general.solution, jacobi.solution);
+  EXPECT_EQ(general.cores_used, 2);
+
+  // cores_used reports the selection: a full-card request shrinks by one.
+  cfg.cores_y = 108;
+  const auto tall = small_problem(64, 216, 1);
+  auto tall_dev = degraded();
+  const auto shrunk = run_general_stencil_on_device(*tall_dev, to_general(tall), cfg);
+  EXPECT_TRUE(shrunk.verified_ok);
+  EXPECT_EQ(shrunk.cores_used, 107);
 }
 
 /// The resilient driver rejects exactly the launch configs the plain driver

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/ir_frontend.hpp"
 #include "ttsim/core/jacobi_batch.hpp"
@@ -142,29 +143,22 @@ TEST(IrCross, IrAndHandWiredPathsAgreeUnderTheRaceDetector) {
       << render(ir_dev->verifier()->findings());
 
   auto hw_dev = ttmetal::Device::open({}, dc);
-  const core::PaddedLayout layout(p.width, p.height);
-  const auto bc = core::batch_grid_buffer_config(cfg, p);
-  auto d1 = hw_dev->create_buffer(bc);
-  auto d2 = hw_dev->create_buffer(bc);
-  const auto image = layout.initial_image(p);
-  hw_dev->write_buffer(*d1, std::as_bytes(std::span{image}));
-  hw_dev->write_buffer(*d2, std::as_bytes(std::span{image}));
+  core::FieldGrids grids(*hw_dev, core::to_general(p), cfg);
+  auto& cq = hw_dev->command_queue(0);
+  grids.stage(0, grids.layout().initial_image(p), cq, /*blocking=*/true);
   const auto usable = hw_dev->usable_workers();
-  core::BatchSlot slot;
-  slot.d1 = d1->address();
-  slot.d2 = d2->address();
-  slot.core_ids.assign(usable.begin(), usable.begin() + cfg.cores_y);
+  auto bound = grids.bind(p.iterations, {usable.begin(), usable.begin() + cfg.cores_y});
+  core::BatchSlot slot{bound.d1[0], bound.d2[0], std::move(bound.core_ids)};
   ttmetal::Program prog;
   core::build_batched_rowchunk_program(prog, p, cfg, {slot});
   hw_dev->run_program(prog);
-  std::vector<bfloat16_t> out(layout.elems());
-  hw_dev->read_buffer(p.iterations % 2 == 1 ? *d2 : *d1,
-                      std::as_writable_bytes(std::span{out}));
+  std::vector<bfloat16_t> out(grids.layout().elems());
+  grids.read(0, out, cq, /*blocking=*/true);
   EXPECT_TRUE(hw_dev->verifier()->findings().empty())
       << render(hw_dev->verifier()->findings());
 
   ASSERT_FALSE(r.solution.empty());
-  EXPECT_EQ(layout.extract_interior(out), r.solution);
+  EXPECT_EQ(grids.layout().extract_interior(out), r.solution);
 }
 
 // ---- the tests/verify broken classes, caught statically ---------------

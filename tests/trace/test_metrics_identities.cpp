@@ -6,11 +6,14 @@
 ///  - the per-bank row misses sum to DramStats::row_misses, and no bank
 ///    re-activates a row more often than it serves requests;
 ///  - each (core, CB) occupancy histogram holds exactly one sample per
-///    kCbPush / kCbPop event of that pair in the trace.
+///    kCbPush / kCbPop event of that pair in the trace;
+///  - a solve moves exactly its grids over PCIe: one padded image per
+///    staged buffer (two per written field, one per read-only field) and
+///    one per field read back, each its own transfer.
 ///
-/// A doubled row-miss count or a doubled occupancy sample in the
-/// aggregation passes every solution and timing test; these identities
-/// catch both.
+/// A doubled row-miss count, a doubled occupancy sample or doubled PCIe
+/// bytes in the aggregation passes every solution and timing test; these
+/// identities catch all three.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +21,9 @@
 #include <map>
 #include <utility>
 
+#include "ttsim/core/gallery.hpp"
 #include "ttsim/core/jacobi_device.hpp"
+#include "ttsim/core/stencil.hpp"
 #include "ttsim/sim/metrics.hpp"
 #include "ttsim/sim/trace.hpp"
 #include "ttsim/stream/stream_bench.hpp"
@@ -85,6 +90,47 @@ TEST(MetricsIdentities, StreamingRun) {
   ASSERT_GT(dev->hw().dram().stats().row_misses, 0u)
       << "the identity is vacuous without row misses";
   expect_identities(*dev, "streaming");
+}
+
+/// The PCIe identity: `transfers` padded images of `layout`, one transfer
+/// each.
+void expect_pcie(ttmetal::Device& dev, const core::PaddedLayout& layout,
+                 std::uint64_t transfers, const char* what) {
+  const sim::MetricsReport m = dev.metrics();
+  EXPECT_EQ(m.pcie_transfers, transfers) << what;
+  EXPECT_EQ(m.pcie_bytes, transfers * layout.bytes()) << what;
+}
+
+TEST(MetricsIdentities, JacobiSolveMovesThreeGridsOverPcie) {
+  // Two staged parities of the one field, one readback.
+  auto dev = traced_device();
+  core::JacobiProblem p;
+  p.width = 128;
+  p.height = 64;
+  p.iterations = 3;
+  core::DeviceRunConfig cfg;
+  cfg.cores_y = 2;
+  cfg.verify = true;
+  ASSERT_TRUE(core::run_jacobi_on_device(*dev, p, cfg).verified_ok);
+  expect_pcie(*dev, core::PaddedLayout(p.width, p.height), 3, "jacobi");
+}
+
+TEST(MetricsIdentities, HotspotSolveStagesOneGridPerReadOnlyField) {
+  // Temperature (written): two staged, one read back. Power (read-only):
+  // one staged, one read back.
+  auto dev = traced_device();
+  const auto p = core::gallery::hotspot(64, 32, 3);
+  core::DeviceRunConfig cfg;
+  cfg.cores_y = 2;
+  cfg.verify = true;
+  ASSERT_TRUE(core::run_general_stencil_on_device(*dev, p, cfg).verified_ok);
+  std::uint64_t staged = 0;
+  for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
+    staged += p.written_pass(f) >= 0 ? 2 : 1;
+  }
+  ASSERT_EQ(staged, 3u);
+  expect_pcie(*dev, core::PaddedLayout(p.width, p.height), staged + p.fields.size(),
+              "hotspot");
 }
 
 }  // namespace

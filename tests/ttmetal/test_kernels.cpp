@@ -348,8 +348,6 @@ Program private_program(bool fault) {
         if (fault) throw std::runtime_error("kernel fault");
       },
       "private");
-  // The static linter wants a second kernel on a core with CBs.
-  prog.create_kernel(KernelKind::kDataMover0, {0}, [](DataMoverCtx&) {}, "idle");
   return prog;
 }
 
@@ -364,7 +362,7 @@ TEST(RunAhead, KernelFaultAfterPrivateWorkSurfacesAtItsChargedTime) {
     Program prog = private_program(/*fault=*/true);
     EXPECT_THROW(dev->run_program(prog), std::runtime_error);
     EXPECT_EQ(dev->now(), end);
-    ASSERT_EQ(dev->last_profile().size(), 2u);
+    ASSERT_EQ(dev->last_profile().size(), 1u);
     EXPECT_FALSE(dev->last_profile()[0].finished);
   }
   EXPECT_LT(fast->hw().engine().events_processed() + 4 * kRounds,
@@ -376,7 +374,7 @@ TEST(RunAhead, KernelEndingAfterPrivateWorkCountsItInItsLifetime) {
   Program prog = private_program(/*fault=*/false);
   dev->run_program(prog);
   const SimTime cost = private_rounds_cost(dev->spec());
-  ASSERT_EQ(dev->last_profile().size(), 2u);
+  ASSERT_EQ(dev->last_profile().size(), 1u);
   const KernelProfile& p = dev->last_profile()[0];
   EXPECT_TRUE(p.finished);
   EXPECT_EQ(p.lifetime, cost);

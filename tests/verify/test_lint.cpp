@@ -124,6 +124,28 @@ TEST(Lint, OrphanCb) {
             std::string::npos);
 }
 
+TEST(Lint, KernelLocalCbNeedsOnlyItsKernel) {
+  // A kernel-local CB is one kernel's scratch: a compute-only core is a
+  // valid home. The same CB undeclared still needs a producer/consumer
+  // pair, and a kernel-local CB on a core with no kernel is still orphaned.
+  ProgramInfo p = base_program();
+  p.kernels.push_back({/*kind=*/0, {1}, "compute-only"});
+  p.cbs.push_back({/*cb_id=*/5, {1}, 1024, 2, 0, /*kernel_local=*/true});
+  auto errors = verify::lint(p, small_device());
+  EXPECT_TRUE(errors.empty()) << dump(errors);
+
+  p.cbs.back().kernel_local = false;
+  errors = verify::lint(p, small_device());
+  ASSERT_TRUE(has(errors, LintError::Code::kOrphanCb)) << dump(errors);
+  EXPECT_NE(errors.front().message.find("producer and a consumer"),
+            std::string::npos);
+
+  p.cbs.back() = {/*cb_id=*/5, {2}, 1024, 2, 0, /*kernel_local=*/true};
+  errors = verify::lint(p, small_device());
+  ASSERT_TRUE(has(errors, LintError::Code::kOrphanCb)) << dump(errors);
+  EXPECT_NE(errors.front().message.find("needs its kernel"), std::string::npos);
+}
+
 TEST(Lint, DuplicateSemaphore) {
   ProgramInfo p = base_program();
   p.semaphores.push_back({/*sem_id=*/5, {0}, 0});
