@@ -1,9 +1,9 @@
 /// \file convection.cpp
 /// 9-point convection-diffusion via the generic stencil frontend: upwind
 /// transport plus the isotropic 9-point Laplacian — the diagonal-tap stress
-/// case the legacy 5-point `WeightedStencil` cannot express. A hot square
-/// is carried towards +x/+y while diffusion rounds it off; every run is
-/// verified bit-exactly against the BF16 CPU reference.
+/// case a 5-point stencil cannot express. A hot square is carried towards
+/// +x/+y while diffusion rounds it off; every run is verified bit-exactly
+/// against the BF16 CPU reference, and the program exits 1 on a mismatch.
 ///
 ///   $ ./examples/convection
 
@@ -25,6 +25,7 @@ int main() {
               "9-point diffusion\n\n", kW, kH);
 
   const char* shades = " .:-=+*#%@";
+  bool all_exact = true;
   for (int steps : {10, 60, 120}) {
     auto p = core::gallery::convection(kW, kH, steps);
     const auto r = core::run_general_stencil_on_device(p, cfg);
@@ -35,6 +36,7 @@ int main() {
     for (std::size_t i = 0; i < sref.size(); ++i) {
       if (static_cast<float>(sref[i]) != r.solution[i]) exact = false;
     }
+    all_exact = all_exact && exact;
 
     double mass = 0, mx = 0, my = 0;
     float peak = 0.0f;
@@ -60,5 +62,5 @@ int main() {
     }
     std::putchar('\n');
   }
-  return 0;
+  return all_exact ? 0 : 1;
 }

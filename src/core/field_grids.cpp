@@ -9,10 +9,7 @@
 
 namespace ttsim::core {
 
-namespace {
-
-/// `p` without its initial fields: what a launch compiles from.
-GeneralStencilProblem structure_of(const GeneralStencilProblem& p) {
+GeneralStencilProblem detail::structure_of(const GeneralStencilProblem& p) {
   GeneralStencilProblem s{p.width, p.height, p.iterations, {}, p.passes};
   for (const FieldSpec& f : p.fields) {
     s.fields.push_back({f.name, f.bc_left, f.bc_right, f.bc_top, f.bc_bottom,
@@ -21,12 +18,10 @@ GeneralStencilProblem structure_of(const GeneralStencilProblem& p) {
   return s;
 }
 
-}  // namespace
-
 FieldGrids::FieldGrids(ttmetal::Device& device, const GeneralStencilProblem& program,
                        const DeviceRunConfig& cfg, const std::string& name)
     : device_(&device),
-      program_(structure_of(program)),
+      program_(detail::structure_of(program)),
       cfg_(cfg),
       layout_(program.width, program.height) {
   const ttmetal::BufferConfig base = detail::grid_buffer_config(cfg, layout_);

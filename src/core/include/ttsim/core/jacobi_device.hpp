@@ -20,13 +20,15 @@
 /// Component toggles reproduce the Table II breakdown. Multi-core runs
 /// decompose the domain in 2-D over the worker grid (Section VII).
 ///
-/// Every Jacobi driver (the plain, adaptive and multi-card ones here, and
-/// the resilient one in resilience.hpp) validates its config with one
-/// launch-config check and runs on one chunked launch loop. The
-/// row-chunk, SRAM-resident and temporal launches run as one-field,
-/// one-pass general stencil programs on the general frontend's programs,
-/// certified race- and deadlock-free by the dataflow IR's static checker
-/// before they launch; the tiled Section-IV programs are built directly.
+/// The plain, adaptive and general (stencil.hpp) single-device solves run
+/// one body: validate, shrink onto the usable workers, allocate the
+/// program's grids (FieldGrids), stage, launch, read back and verify
+/// against the general BF16 reference. Jacobi is the one-field, one-pass
+/// program to_general makes; its row-chunk, SRAM-resident and temporal
+/// launches are the general frontend's programs, certified race- and
+/// deadlock-free by the dataflow IR's static checker before they launch,
+/// and the tiled Section-IV programs are built directly. Every solve
+/// returns a DeviceRunResult; the adaptive and resilient drivers extend it.
 
 #include <memory>
 #include <string>
@@ -119,8 +121,13 @@ struct DeviceRunConfig {
   bool verify = false;
 };
 
+/// What a single-device solve returns. Jacobi solves move their one field
+/// into `solution` and leave `fields` empty; general solves
+/// (run_general_stencil_on_device) fill `fields` and copy the primary field
+/// into `solution`.
 struct DeviceRunResult {
   std::vector<float> solution;  ///< interior, row-major (exact widening of BF16)
+  std::vector<std::vector<float>> fields;  ///< general solves: per field, row-major
   SimTime kernel_time = 0;      ///< simulated kernel execution time
   SimTime total_time = 0;       ///< including PCIe transfers + dispatch (paper default)
   bool verified_ok = true;      ///< only meaningful when config.verify
@@ -129,9 +136,11 @@ struct DeviceRunResult {
   /// opened with DeviceConfig::checksum_transfers and faults hit the bus).
   int transfer_retries = 0;
 
-  /// Billion point-updates per second, the paper's metric; includes PCIe
-  /// unless `kernel_only`.
-  double gpts(const JacobiProblem& p, bool kernel_only = false) const {
+  /// Billion point-updates per second of `p` (a JacobiProblem or a
+  /// GeneralStencilProblem), the paper's metric; includes PCIe unless
+  /// `kernel_only`.
+  template <typename Problem>
+  double gpts(const Problem& p, bool kernel_only = false) const {
     const SimTime t = kernel_only ? kernel_time : total_time;
     return t > 0 ? static_cast<double>(p.total_updates()) / 1e9 / to_seconds(t) : 0.0;
   }
@@ -149,19 +158,12 @@ DeviceRunResult run_jacobi_on_device(const JacobiProblem& p, const DeviceRunConf
 /// Multi-card scaling (paper Section VII, e150 x2 / x4): the domain is split
 /// in Y across independent cards. Cards cannot exchange halos (the paper
 /// notes the answer is therefore not strictly correct); each card treats its
-/// cut edges as fixed boundaries. Returns per-card maximum runtime. Each
+/// cut edges as fixed boundaries, so `solution` (the cards' slabs in order)
+/// matches cpu::jacobi_reference_bf16_cards, not the whole-domain solve.
+/// Times are the per-card maxima, `cores_used` and `transfer_retries` sums
+/// over cards, and with config.verify every card checks its own slab. Each
 /// card runs on its own host thread.
-struct MultiCardResult {
-  SimTime kernel_time = 0;  ///< max over cards
-  SimTime total_time = 0;
-  int cards = 0;
-  double gpts(const JacobiProblem& p, bool kernel_only = false) const {
-    const SimTime t = kernel_only ? kernel_time : total_time;
-    return t > 0 ? static_cast<double>(p.total_updates()) / 1e9 / to_seconds(t) : 0.0;
-  }
-};
-
-MultiCardResult run_jacobi_multicard(const JacobiProblem& p, int cards,
+DeviceRunResult run_jacobi_multicard(const JacobiProblem& p, int cards,
                                      const DeviceRunConfig& config,
                                      sim::GrayskullSpec spec = {});
 
@@ -178,13 +180,12 @@ struct AdaptiveOptions {
   int check_every = 50;
 };
 
-struct AdaptiveRunResult {
-  std::vector<float> solution;
+/// `kernel_time` sums the launches; with config.verify the solution is
+/// checked against the reference at `iterations_run` sweeps.
+struct AdaptiveRunResult : DeviceRunResult {
   int iterations_run = 0;
   double final_residual = 0.0;
   bool converged = false;
-  SimTime kernel_time = 0;  ///< summed over launches
-  SimTime total_time = 0;
 };
 
 AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProblem& p,

@@ -32,15 +32,13 @@ struct ResilienceOptions {
   int max_restarts = 3;
 };
 
-struct ResilientRunResult {
-  std::vector<float> solution;  ///< interior, row-major
-  bool verified_ok = true;      ///< only meaningful when config.verify
+/// `kernel_time` sums the successful launches, `total_time` every
+/// generation including the lost ones, `transfer_retries` every
+/// generation's checksummed-transfer retries, and `cores_used` is the grid
+/// of the final (surviving) generation.
+struct ResilientRunResult : DeviceRunResult {
   int restarts = 0;             ///< device generations lost to faults
-  int transfer_retries = 0;     ///< checksummed-transfer retries, summed
   int iterations_replayed = 0;  ///< sweeps re-run after restoring checkpoints
-  int cores_used = 0;           ///< grid of the final (surviving) generation
-  SimTime kernel_time = 0;      ///< summed over successful launches
-  SimTime total_time = 0;       ///< summed over all generations, incl. lost ones
   /// Canonical fault trace of the run's FaultPlan (empty without faults);
   /// byte-identical when re-run with the same seed, config and workload.
   std::string fault_summary;

@@ -9,38 +9,22 @@
 /// a list of passes, each a weighted sum over the 3x3 neighbourhood with
 /// an optional threshold post-op. The lowering compiles each pass onto the
 /// Section VI row-chunk machinery (aliased CB read pointers, configurable
-/// read-ahead) — or onto the SRAM-resident strategy for single-field
-/// single-pass programs — with all products and sums performed in BF16 in
-/// the listed term order, so device results are bit-exact replays of
-/// cpu::general_reference_bf16. The 5-point WeightedStencil form remains
-/// as the convenient special case and lowers through the same path.
+/// read-ahead), onto the SRAM-resident strategy (single-field single-pass
+/// programs) or onto temporal tiling (single-pass programs), with all
+/// products and sums performed in BF16 in the listed term order, so device
+/// results are bit-exact replays of cpu::general_reference_bf16. Classic
+/// Jacobi is the one-pass program to_general(const JacobiProblem&) makes,
+/// and run_jacobi_on_device runs it through the same solve body.
 
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil_spec.hpp"
 
 namespace ttsim::core {
 
-/// Run a weighted stencil with the Section VI row-chunk machinery (aliased
-/// CB read pointers, two-batch read-ahead). Lowers through the general
-/// frontend (to_general); config field `toggles` is ignored and `strategy`
-/// selects kSramResident or kTemporal when asked, row-chunk otherwise.
-DeviceRunResult run_stencil_on_device(ttmetal::Device& device, const StencilProblem& p,
-                                      const DeviceRunConfig& config);
-DeviceRunResult run_stencil_on_device(const StencilProblem& p,
-                                      const DeviceRunConfig& config,
-                                      sim::GrayskullSpec spec = {});
-
-/// Result of a general-frontend run: one interior per field, plus the
-/// primary field's interior again as `solution` (the target of the last
-/// pass — what a service request returns).
-struct GeneralRunResult {
-  std::vector<std::vector<float>> fields;  ///< per field, row-major interior
-  std::vector<float> solution;             ///< fields[primary_field()]
-  SimTime kernel_time = 0;
-  SimTime total_time = 0;
-  int cores_used = 0;
-  bool verified_ok = true;  ///< only meaningful when config.verify
-};
+/// The result of a general-frontend run: one interior per field in
+/// `fields`, plus the primary field's interior again as `solution` (the
+/// target of the last pass — what a service request returns).
+using GeneralRunResult = DeviceRunResult;
 
 /// Run a general radius-1 stencil program. `config.strategy` must be
 /// kRowChunk (any problem), kSramResident (single-field single-pass,
@@ -65,8 +49,12 @@ struct GeneralBatchSlot {
 };
 
 /// Build one program running `p` independently on every slot (row-chunk
-/// or temporal lowering; each group gets its own iteration barrier, so
-/// groups never synchronise with each other). Throws ApiError on invalid
+/// or temporal lowering). A batch of B requests pays the program-dispatch
+/// cost once instead of B times and runs the B kernels in parallel across
+/// the grid — the throughput lever the serving layer builds on. Each group
+/// gets its own iteration barrier, so groups never synchronise with each
+/// other; CBs, semaphores and L1 scratch are per-core resources and
+/// replicate cleanly across disjoint groups. Throws ApiError on invalid
 /// decompositions or overlapping slot core sets.
 void build_batched_stencil_program(ttmetal::Program& prog,
                                    const GeneralStencilProblem& p,
@@ -74,9 +62,13 @@ void build_batched_stencil_program(ttmetal::Program& prog,
                                    const std::vector<GeneralBatchSlot>& slots);
 
 /// Admission-time validation of a general-stencil batch slot: structural
-/// problem validity, the launch-config checks (validate_batch_request
-/// lists them), temporal tiling's single-pass limit and the row-chunk
-/// slot ring's read-tag budget. Throws ApiError naming the violation.
+/// problem validity, the single-solve launch-config check (iterations >= 1,
+/// read_ahead in [2, 64], temporal_depth in [1, 8], the slab strategies'
+/// cores_x == 1 and width rules, width divisible across cores_x into
+/// 16-aligned strips, cores_y <= height) restricted to the row-chunk and
+/// temporal strategies, temporal tiling's single-pass limit and the
+/// row-chunk slot ring's read-tag budget. Throws ApiError naming the
+/// violation, so bad shapes fail fast instead of poisoning a batch.
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg);
 

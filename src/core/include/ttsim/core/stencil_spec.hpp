@@ -2,15 +2,12 @@
 /// \file stencil_spec.hpp
 /// Device-independent description of radius-1 stencils and their problem
 /// geometry (split from stencil.hpp so CPU references build without the
-/// device SDK). Two levels:
-///
-///   * WeightedStencil — the original 5-point weighted form (kept as the
-///     convenient special case).
-///   * GeneralStencilProblem — the general frontend: up to four named
-///     fields, each pass a per-cell transition over the 3x3 neighbourhood
-///     of any field (a weighted tap sum, optionally followed by a
-///     threshold post-op), evaluated in BF16 with a FIXED tap order so the
-///     device and the CPU reference agree bit for bit.
+/// device SDK): a GeneralStencilProblem names up to four fields, and each
+/// of its passes is a per-cell transition over the 3x3 neighbourhood of
+/// any field (a weighted tap sum, optionally followed by a threshold or
+/// scale post-op), evaluated in BF16 with a FIXED tap order so the device
+/// and the CPU reference agree bit for bit. A 5-point weighted stencil is
+/// one pass of up to five terms (C, W, E, N, S).
 ///
 /// The tap-order contract (see DESIGN.md, "Generic stencil frontend"):
 /// terms are evaluated in their listed order — each term is one rounded
@@ -38,75 +35,8 @@
 
 namespace ttsim::core {
 
-/// out(r,c) = wc*u(r,c) + ww*u(r,c-1) + we*u(r,c+1) + wn*u(r-1,c) + ws*u(r+1,c),
-/// evaluated in BF16 with a fixed tap order (C, W, E, N, S) so device and
-/// CPU reference agree bit for bit. Zero-weight taps cost nothing.
-struct WeightedStencil {
-  float wc = 0.0f;  ///< centre
-  float ww = 0.0f;  ///< west  (x-1)
-  float we = 0.0f;  ///< east  (x+1)
-  float wn = 0.0f;  ///< north (y-1)
-  float ws = 0.0f;  ///< south (y+1)
-
-  int active_taps() const {
-    return (wc != 0.0f) + (ww != 0.0f) + (we != 0.0f) + (wn != 0.0f) + (ws != 0.0f);
-  }
-
-  /// The Jacobi averaging stencil expressed as four 0.25 weights. Note:
-  /// not arithmetically identical to classic Jacobi, which sums the four
-  /// neighbours first and scales once (different BF16 rounding); that form
-  /// is to_general(const JacobiProblem&): unit terms and a kScale post-op.
-  static WeightedStencil jacobi() { return {0.0f, 0.25f, 0.25f, 0.25f, 0.25f}; }
-
-  /// Explicit (FTCS) heat diffusion: u += r*laplacian, r = alpha*dt/dx^2.
-  /// Stable for r <= 0.25.
-  static WeightedStencil diffusion(float r) { return {1.0f - 4.0f * r, r, r, r, r}; }
-
-  /// First-order upwind advection with Courant numbers cx = u*dt/dx >= 0,
-  /// cy = v*dt/dy >= 0 (flow towards +x/+y). Stable for cx + cy <= 1.
-  static WeightedStencil advection_upwind(float cx, float cy) {
-    return {1.0f - cx - cy, cx, 0.0f, cy, 0.0f};
-  }
-};
-
-struct StencilProblem {
-  std::uint32_t width = 256;
-  std::uint32_t height = 256;
-  int iterations = 100;
-  WeightedStencil stencil;
-  float bc_left = 0.0f, bc_right = 0.0f, bc_top = 0.0f, bc_bottom = 0.0f;
-  float initial = 0.0f;
-  /// Optional non-uniform initial field (row-major width*height); overrides
-  /// `initial` when non-empty (e.g. an advected plume).
-  std::vector<float> initial_field;
-
-  std::uint64_t points() const {
-    return static_cast<std::uint64_t>(width) * height;
-  }
-  std::uint64_t total_updates() const {
-    return points() * static_cast<std::uint64_t>(iterations);
-  }
-  /// The equivalent Jacobi-problem view (layout/decomposition reuse).
-  JacobiProblem geometry() const {
-    JacobiProblem p;
-    p.width = width;
-    p.height = height;
-    p.iterations = iterations;
-    p.bc_left = bc_left;
-    p.bc_right = bc_right;
-    p.bc_top = bc_top;
-    p.bc_bottom = bc_bottom;
-    p.initial = initial;
-    return p;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// The general radius-1 frontend.
-// ---------------------------------------------------------------------------
-
 /// The nine taps of the 3x3 neighbourhood in their canonical (contract)
-/// order. The first five match WeightedStencil's fixed order.
+/// order.
 enum class Tap : std::uint8_t { kC = 0, kW, kE, kN, kS, kNW, kNE, kSW, kSE };
 
 inline constexpr int kNumTaps = 9;
@@ -210,11 +140,6 @@ struct GeneralStencilProblem {
     return p;
   }
 };
-
-/// Lift the 5-point special case into the general frontend (one field, one
-/// pass, terms in the canonical order with zero-weight taps omitted) —
-/// arithmetically identical by the tap-order contract.
-GeneralStencilProblem to_general(const StencilProblem& p);
 
 /// Classic Jacobi as the general program it is: one field "u" with the
 /// problem's boundary and initial values, and one pass of the W, E, N, S

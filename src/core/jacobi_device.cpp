@@ -6,10 +6,8 @@
 #include <utility>
 
 #include "card_threads.hpp"
-#include "jacobi_internal.hpp"
+#include "stencil_internal.hpp"
 #include "ttsim/core/field_grids.hpp"
-#include "ttsim/core/stencil.hpp"
-#include "ttsim/cpu/jacobi_cpu.hpp"
 
 namespace ttsim::core {
 
@@ -153,41 +151,26 @@ std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
   return sh;
 }
 
-bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution) {
-  const auto ref = cpu::jacobi_reference_bf16(p);
-  if (ref.size() != solution.size()) return false;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (static_cast<float>(ref[i]) != solution[i]) return false;
-  }
-  return true;
+namespace {
+
+/// A Jacobi solve on the one solve body: its one field moves (not copies)
+/// into `solution`.
+DeviceRunResult solve_jacobi(ttmetal::Device& device, const JacobiProblem& p,
+                             const DeviceRunConfig& cfg, const LaunchPlan& plan = {}) {
+  DeviceRunResult result =
+      solve_on_device(device, to_general(p), cfg, Surface::kSolve, plan);
+  result.solution = std::move(result.fields[0]);
+  result.fields.clear();
+  return result;
 }
+
+}  // namespace
 
 }  // namespace detail
 
 DeviceRunResult run_jacobi_on_device(ttmetal::Device& device, const JacobiProblem& p,
                                      const DeviceRunConfig& cfg) {
-  detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
-  FieldGrids grids(device, to_general(p), cfg);
-  auto& cq = device.command_queue(0);
-  const std::uint64_t retries_before = device.transfer_retries();
-  const PaddedLayout& layout = grids.layout();
-
-  const SimTime t_start = device.now();
-  grids.stage(0, layout.initial_image(p), cq, /*blocking=*/true);
-  DeviceRunResult result;
-  result.kernel_time = grids.launch(p.iterations, sel);
-  std::vector<bfloat16_t> image(layout.elems());
-  grids.read(0, image, cq, /*blocking=*/true);
-  result.solution = layout.extract_interior(image);
-  result.total_time = device.now() - t_start;
-  result.cores_used = sel.ncores();
-  result.transfer_retries =
-      static_cast<int>(device.transfer_retries() - retries_before);
-  if (cfg.verify && cfg.toggles.all_enabled()) {
-    result.verified_ok = detail::matches_reference(p, result.solution);
-  }
-  return result;
+  return detail::solve_jacobi(device, p, cfg);
 }
 
 DeviceRunResult run_jacobi_on_device(const JacobiProblem& p, const DeviceRunConfig& cfg,
@@ -205,6 +188,7 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
   if (options.check_every < 1 || options.tolerance <= 0.0) {
     TTSIM_THROW_API("adaptive solving needs check_every >= 1 and tolerance > 0");
   }
+  // The solve validates again; checked here first so the strip is whole.
   detail::validate_launch(p, cfg, detail::Surface::kSolve, device.num_workers());
   const std::uint32_t strip = p.width / static_cast<std::uint32_t>(cfg.cores_x);
   if (strip % 1024 != 0) {
@@ -212,42 +196,39 @@ AdaptiveRunResult run_jacobi_adaptive(ttmetal::Device& device, const JacobiProbl
                     "per-core strip width must be a multiple of 1024 (got "
                     << strip << ")");
   }
-  const detail::CoreSelection sel = detail::select_cores(device, p, cfg);
-  FieldGrids grids(device, to_general(p), cfg);
-  auto& cq = device.command_queue(0);
-  const int ncores = sel.ncores();
-  ttmetal::BufferConfig res_cfg;
-  res_cfg.size = static_cast<std::uint64_t>(ncores) * 32;
-  auto residuals = device.create_buffer(res_cfg);
-  const PaddedLayout& layout = grids.layout();
-
-  const SimTime t_start = device.now();
-  grids.stage(0, layout.initial_image(p), cq, /*blocking=*/true);
   AdaptiveRunResult result;
   result.final_residual = std::numeric_limits<double>::infinity();
-  while (result.iterations_run < p.iterations) {
-    const int chunk = std::min(options.check_every, p.iterations - result.iterations_run);
-    result.kernel_time += grids.launch(chunk, sel, residuals->address());
-    result.iterations_run += chunk;
+  // Relaunch every check_every sweeps; each launch's final sweep leaves one
+  // BF16 residual per core in its own 32-byte slot.
+  auto relaunch = [&](FieldGrids& grids, const detail::CoreSelection& sel,
+                      DeviceRunResult& run) {
+    const int ncores = sel.ncores();
+    ttmetal::BufferConfig res_cfg;
+    res_cfg.size = static_cast<std::uint64_t>(ncores) * 32;
+    auto residuals = device.create_buffer(res_cfg);
+    while (result.iterations_run < p.iterations) {
+      const int chunk =
+          std::min(options.check_every, p.iterations - result.iterations_run);
+      run.kernel_time += grids.launch(chunk, sel, residuals->address());
+      result.iterations_run += chunk;
 
-    std::vector<std::byte> raw(static_cast<std::size_t>(ncores) * 32);
-    device.read_buffer(*residuals, raw);
-    double worst = 0.0;
-    for (int c = 0; c < ncores; ++c) {
-      bfloat16_t r{};
-      std::memcpy(&r, raw.data() + static_cast<std::size_t>(c) * 32, 2);
-      worst = std::max(worst, static_cast<double>(static_cast<float>(r)));
+      std::vector<std::byte> raw(static_cast<std::size_t>(ncores) * 32);
+      device.read_buffer(*residuals, raw);
+      double worst = 0.0;
+      for (int c = 0; c < ncores; ++c) {
+        bfloat16_t r{};
+        std::memcpy(&r, raw.data() + static_cast<std::size_t>(c) * 32, 2);
+        worst = std::max(worst, static_cast<double>(static_cast<float>(r)));
+      }
+      result.final_residual = worst;
+      if (worst <= options.tolerance) {
+        result.converged = true;
+        break;
+      }
     }
-    result.final_residual = worst;
-    if (worst <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  std::vector<bfloat16_t> image(layout.elems());
-  grids.read(0, image, cq, /*blocking=*/true);
-  result.solution = layout.extract_interior(image);
-  result.total_time = device.now() - t_start;
+    return result.iterations_run;
+  };
+  static_cast<DeviceRunResult&>(result) = detail::solve_jacobi(device, p, cfg, relaunch);
   return result;
 }
 
@@ -259,39 +240,48 @@ AdaptiveRunResult run_jacobi_adaptive(const JacobiProblem& p,
   return run_jacobi_adaptive(*device, p, options, cfg);
 }
 
-MultiCardResult run_jacobi_multicard(const JacobiProblem& p, int cards,
+DeviceRunResult run_jacobi_multicard(const JacobiProblem& p, int cards,
                                      const DeviceRunConfig& cfg,
                                      sim::GrayskullSpec spec) {
   TTSIM_CHECK(cards >= 1);
   if (static_cast<std::uint32_t>(cards) > p.height) {
     TTSIM_THROW_API("more cards than rows");
   }
-  MultiCardResult result;
-  result.cards = cards;
   std::vector<std::unique_ptr<ttmetal::Device>> owned;
   std::vector<ttmetal::Device*> devices;
   for (int card = 0; card < cards; ++card) {
     owned.push_back(ttmetal::Device::open(spec));
     devices.push_back(owned.back().get());
   }
-  std::vector<SimTime> kernel(static_cast<std::size_t>(cards));
-  std::vector<SimTime> total(static_cast<std::size_t>(cards));
+  std::vector<DeviceRunResult> runs(static_cast<std::size_t>(cards));
+  DeviceRunResult result;
+  result.solution.resize(static_cast<std::size_t>(p.points()));
   const std::uint32_t base = p.height / static_cast<std::uint32_t>(cards);
   const std::uint32_t extra = p.height % static_cast<std::uint32_t>(cards);
   detail::for_each_card(devices, [&](int card) {
+    const auto c = static_cast<std::uint32_t>(card);
     JacobiProblem slab = p;
-    slab.height = base + (static_cast<std::uint32_t>(card) < extra ? 1 : 0);
+    slab.height = base + (c < extra ? 1 : 0);
     // Cards cannot exchange halos (paper Section VII): interior cut edges
     // see the frozen initial guess as their boundary condition.
     if (card > 0) slab.bc_top = p.initial;
     if (card < cards - 1) slab.bc_bottom = p.initial;
-    const auto r = run_jacobi_on_device(*devices[static_cast<std::size_t>(card)],
-                                        slab, cfg);
-    kernel[static_cast<std::size_t>(card)] = r.kernel_time;
-    total[static_cast<std::size_t>(card)] = r.total_time;
+    DeviceRunResult& r = runs[static_cast<std::size_t>(card)];
+    r = run_jacobi_on_device(*devices[static_cast<std::size_t>(card)], slab, cfg);
+    // Each card copies its slab into its own rows of the solution.
+    const std::size_t first_row = c * base + std::min(c, extra);
+    std::copy(r.solution.begin(), r.solution.end(),
+              result.solution.begin() +
+                  static_cast<std::ptrdiff_t>(first_row * p.width));
+    r.solution = {};
   });
-  result.kernel_time = *std::max_element(kernel.begin(), kernel.end());
-  result.total_time = *std::max_element(total.begin(), total.end());
+  for (const DeviceRunResult& r : runs) {
+    result.kernel_time = std::max(result.kernel_time, r.kernel_time);
+    result.total_time = std::max(result.total_time, r.total_time);
+    result.verified_ok = result.verified_ok && r.verified_ok;
+    result.cores_used += r.cores_used;
+    result.transfer_retries += r.transfer_retries;
+  }
   return result;
 }
 

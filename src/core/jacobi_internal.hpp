@@ -2,8 +2,8 @@
 /// \file jacobi_internal.hpp
 /// Shared internals of the device solvers: the per-core domain
 /// decomposition, the one launch-config validator, the one core-selection
-/// rule, the tiled programs' kernel state, and the row-chunk geometry the
-/// row-chunk builder and its IR model share.
+/// rule, the one parity rule, the tiled programs' kernel state, and the
+/// row-chunk geometry the row-chunk builder and its IR model share.
 
 #include <algorithm>
 #include <cstdint>
@@ -98,14 +98,39 @@ inline CoreSelection requested_cores(const DeviceRunConfig& cfg) {
 ttmetal::BufferConfig grid_buffer_config(const DeviceRunConfig& cfg,
                                          const PaddedLayout& layout);
 
+/// The one parity rule: which buffer of a written field's pair (0: d1,
+/// 1: d2) holds the field's state while a launch of `iterations` sweeps
+/// runs. A launch makes generations() DRAM generations of the field, one
+/// per sweep or, on kTemporal, one per epoch of up to temporal_depth
+/// chained sweeps, and each generation flips the parity. The last one
+/// lands in iterations % 2 (odd sweep counts finish in d2), so a launch
+/// starts in d1 unless it is a temporal chain whose epoch and sweep counts
+/// differ in parity. The kernels place their DRAM traffic by it (the tiled
+/// Section-IV sweeps, GeneralShared's src_of/dst_of/final_of and the
+/// temporal epochs); FieldGrids binds a launch's grids and reads the fresh
+/// one back by it.
+struct SweepParity {
+  int iterations = 0;
+  DeviceStrategy strategy = DeviceStrategy::kRowChunk;
+  /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
+  int temporal_depth = 1;
+
+  int generations() const {
+    return strategy == DeviceStrategy::kTemporal
+               ? (iterations + temporal_depth - 1) / temporal_depth
+               : iterations;
+  }
+  /// Parity after generation `gen` (0-based; -1: as the launch starts).
+  int after(int gen) const { return (iterations + generations() - 1 - gen) % 2; }
+};
+
 /// A resolved tiled Section-IV launch: what the tiled kernels share by
-/// reference across their lambdas.
-struct KernelShared {
+/// reference across their lambdas. Sweep `it` reads grid(after(it - 1))
+/// and writes grid(after(it)).
+struct KernelShared : SweepParity {
   std::uint64_t d1 = 0;  ///< device address of grid buffer 1
   std::uint64_t d2 = 0;  ///< device address of grid buffer 2
   PaddedLayout layout;
-  int iterations = 0;
-  DeviceStrategy strategy = DeviceStrategy::kInitial;
   ComponentToggles toggles;
   std::vector<CoreRange> ranges;
   /// Physical worker ids: logical position i (= index into `ranges`) runs on
@@ -116,6 +141,9 @@ struct KernelShared {
   std::vector<int> core_ids;
 
   KernelShared(const PaddedLayout& l) : layout(l) {}
+
+  /// The grid buffer of parity `parity` (0: d1, 1: d2).
+  std::uint64_t grid(int parity) const { return parity == 0 ? d1 : d2; }
 
   /// Resolved physical worker list (identity fallback).
   std::vector<int> workers() const {
@@ -132,10 +160,6 @@ std::shared_ptr<KernelShared> resolve_tiled(const JacobiProblem& p,
                                             const DeviceRunConfig& cfg,
                                             const CoreSelection& sel,
                                             std::uint64_t d1, std::uint64_t d2);
-
-/// Bit-exact comparison of a device solution against the BF16 CPU
-/// reference.
-bool matches_reference(const JacobiProblem& p, const std::vector<float>& solution);
 
 /// Bytes of one row-chunk slot: chunk + 2 halo elements, plus up to 32
 /// alignment-prefix bytes.

@@ -17,9 +17,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "jacobi_internal.hpp"
+#include "stencil_internal.hpp"
 #include "ttsim/core/field_grids.hpp"
-#include "ttsim/core/stencil.hpp"
 
 namespace ttsim::core {
 
@@ -104,7 +103,10 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
 
   res.solution = layout.extract_interior(checkpoint);
   if (fault_plan != nullptr) res.fault_summary = fault_plan->trace_string();
-  if (cfg.verify) res.verified_ok = detail::matches_reference(p, res.solution);
+  if (cfg.verify) {
+    res.verified_ok =
+        detail::matches_general_reference(to_general(p), {&res.solution, 1});
+  }
   return res;
 }
 

@@ -121,7 +121,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
         };
 
         for (int it = 0; it < sh->iterations; ++it) {
-          const std::uint64_t src = (it % 2 == 0) ? sh->d1 : sh->d2;
+          const std::uint64_t src = sh->grid(sh->after(it - 1));
           if (double_buffered) {
             const std::uint32_t bufs[2] = {b0, b1};
             std::uint32_t offs[2] = {0, 0};
@@ -238,7 +238,7 @@ void build_tiled_program(ttmetal::Program& prog, std::shared_ptr<KernelShared> s
         const PaddedLayout& L = sh->layout;
         const bool sync_each_write = sh->strategy == DeviceStrategy::kInitial;
         for (int it = 0; it < sh->iterations; ++it) {
-          const std::uint64_t dst = (it % 2 == 0) ? sh->d2 : sh->d1;
+          const std::uint64_t dst = sh->grid(sh->after(it));
           for (std::uint32_t b = 0; b < grid.count; ++b) {
             std::int64_t r0, c0;
             grid.origin(b, r0, c0);

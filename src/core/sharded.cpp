@@ -120,11 +120,13 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const std::uint64_t row_bytes = global.row_elems() * sizeof(bfloat16_t);
   const auto slabs = decompose_slabs(static_cast<int>(p.height), cards, k);
   const int ncores = cfg.run.cores_x * cfg.run.cores_y;
+  // The launches compile from the program's structure: the global
+  // initial fields reach the cards through `images` only.
+  const GeneralStencilProblem structure = detail::structure_of(p);
   auto slab_problem = [&](const Slab& slab, int klaunch) {
-    GeneralStencilProblem g = p;
+    GeneralStencilProblem g = structure;
     g.height = static_cast<std::uint32_t>(slab.height);
     g.iterations = klaunch;
-    for (auto& f : g.fields) f.initial_field.clear();
     return g;
   };
   // A slab is thinner than the domain, so its row-chunk slot ring is wider.
@@ -311,7 +313,8 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
   if (state != nullptr) *state = std::move(images[0]);
 
   if (cfg.verify && !resuming) {
-    result.verified_ok = detail::matches_reference(p, result.solution);
+    result.verified_ok =
+        detail::matches_general_reference(to_general(p), {&result.solution, 1});
   }
   return result;
 }

@@ -385,7 +385,7 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
 }
 
 bool matches_general_reference(const GeneralStencilProblem& p,
-                               const std::vector<std::vector<float>>& fields) {
+                               std::span<const std::vector<float>> fields) {
   const auto ref = cpu::general_reference_bf16(p);
   if (ref.size() != fields.size()) return false;
   for (std::size_t f = 0; f < ref.size(); ++f) {
@@ -405,6 +405,45 @@ void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared
   } else {
     build_general_rowchunk_group(prog, std::move(sh));
   }
+}
+
+DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilProblem& p,
+                                const DeviceRunConfig& cfg, Surface surface,
+                                const LaunchPlan& plan) {
+  validate_general_launch(p, cfg, surface, device.num_workers());
+  const CoreSelection sel = select_cores(device, p.geometry(), cfg);
+  FieldGrids grids(device, p, cfg);
+  auto& cq = device.command_queue(0);
+  const std::uint64_t retries_before = device.transfer_retries();
+  const PaddedLayout& layout = grids.layout();
+  const int nfields = static_cast<int>(p.fields.size());
+
+  const SimTime t_start = device.now();
+  for (int f = 0; f < nfields; ++f) {
+    grids.stage(f, general_field_image(layout, p, f), cq, /*blocking=*/true);
+  }
+  DeviceRunResult result;
+  int sweeps = p.iterations;
+  if (plan) {
+    sweeps = plan(grids, sel, result);
+  } else {
+    result.kernel_time = grids.launch(sweeps, sel);
+  }
+  std::vector<bfloat16_t> image(layout.elems());
+  for (int f = 0; f < nfields; ++f) {
+    grids.read(f, image, cq, /*blocking=*/true);
+    result.fields.push_back(layout.extract_interior(image));
+  }
+  result.total_time = device.now() - t_start;
+  result.cores_used = sel.ncores();
+  result.transfer_retries =
+      static_cast<int>(device.transfer_retries() - retries_before);
+  if (cfg.verify && cfg.toggles.all_enabled()) {
+    GeneralStencilProblem ran = p;
+    ran.iterations = sweeps;
+    result.verified_ok = matches_general_reference(ran, result.fields);
+  }
+  return result;
 }
 
 }  // namespace detail
@@ -438,30 +477,9 @@ std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
 GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,
                                                const GeneralStencilProblem& p,
                                                const DeviceRunConfig& cfg) {
-  detail::validate_general_launch(p, cfg, detail::Surface::kCertified,
-                                  device.num_workers());
-  const detail::CoreSelection sel = detail::select_cores(device, p.geometry(), cfg);
-  FieldGrids grids(device, p, cfg);
-  auto& cq = device.command_queue(0);
-  const PaddedLayout& layout = grids.layout();
-  const int nfields = static_cast<int>(p.fields.size());
-
-  const SimTime t_start = device.now();
-  for (int f = 0; f < nfields; ++f) {
-    grids.stage(f, general_field_image(layout, p, f), cq, /*blocking=*/true);
-  }
-  GeneralRunResult result;
-  result.kernel_time = grids.launch(p.iterations, sel);
-  std::vector<bfloat16_t> image(layout.elems());
-  for (int f = 0; f < nfields; ++f) {
-    grids.read(f, image, cq, /*blocking=*/true);
-    result.fields.push_back(layout.extract_interior(image));
-  }
-  result.total_time = device.now() - t_start;
-  result.cores_used = sel.ncores();
+  GeneralRunResult result =
+      detail::solve_on_device(device, p, cfg, detail::Surface::kCertified);
   result.solution = result.fields[static_cast<std::size_t>(p.primary_field())];
-
-  if (cfg.verify) result.verified_ok = detail::matches_general_reference(p, result.fields);
   return result;
 }
 
@@ -514,32 +532,6 @@ void build_batched_stencil_program(ttmetal::Program& prog,
 void validate_stencil_request(const GeneralStencilProblem& p,
                               const DeviceRunConfig& cfg) {
   detail::validate_general_launch(p, cfg, detail::Surface::kBatch, 0);
-}
-
-DeviceRunResult run_stencil_on_device(ttmetal::Device& device, const StencilProblem& p,
-                                      const DeviceRunConfig& cfg) {
-  if (p.stencil.active_taps() == 0) TTSIM_THROW_API("stencil has no non-zero taps");
-  DeviceRunConfig c = cfg;
-  c.toggles = {};
-  if (c.strategy != DeviceStrategy::kSramResident &&
-      c.strategy != DeviceStrategy::kTemporal) {
-    c.strategy = DeviceStrategy::kRowChunk;
-  }
-  auto r = run_general_stencil_on_device(device, to_general(p), c);
-  DeviceRunResult out;
-  out.solution = std::move(r.solution);
-  out.kernel_time = r.kernel_time;
-  out.total_time = r.total_time;
-  out.cores_used = r.cores_used;
-  out.verified_ok = r.verified_ok;
-  return out;
-}
-
-DeviceRunResult run_stencil_on_device(const StencilProblem& p,
-                                      const DeviceRunConfig& cfg,
-                                      sim::GrayskullSpec spec) {
-  auto device = ttmetal::Device::open(spec);
-  return run_stencil_on_device(*device, p, cfg);
 }
 
 }  // namespace ttsim::core

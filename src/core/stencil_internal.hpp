@@ -24,6 +24,7 @@
 /// compute kernel before the first sweep (the cb_scalar trick, without a
 /// CB).
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,6 +32,10 @@
 #include "jacobi_internal.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/ir/ir.hpp"
+
+namespace ttsim::core {
+class FieldGrids;
+}
 
 namespace ttsim::core::detail {
 
@@ -70,31 +75,6 @@ struct LoweredPass {
   std::size_t seed_terms() const {
     return terms.size() > 1 && terms[0].unit() && terms[1].unit() ? 2 : 1;
   }
-};
-
-/// The one parity rule: which buffer of a written field's pair (0: d1,
-/// 1: d2) holds the field's state while a launch of `iterations` sweeps
-/// runs. A launch makes generations() DRAM generations of the field, one
-/// per sweep or, on kTemporal, one per epoch of up to temporal_depth
-/// chained sweeps, and each generation flips the parity. The last one
-/// lands in iterations % 2 (odd sweep counts finish in d2), so a launch
-/// starts in d1 unless it is a temporal chain whose epoch and sweep counts
-/// differ in parity. The kernels place their DRAM traffic by it
-/// (GeneralShared's src_of/dst_of/final_of and the temporal epochs);
-/// FieldGrids binds a launch's grids and reads the fresh one back by it.
-struct SweepParity {
-  int iterations = 0;
-  DeviceStrategy strategy = DeviceStrategy::kRowChunk;
-  /// kTemporal: iterations chained through SRAM per DRAM pass (1..8).
-  int temporal_depth = 1;
-
-  int generations() const {
-    return strategy == DeviceStrategy::kTemporal
-               ? (iterations + temporal_depth - 1) / temporal_depth
-               : iterations;
-  }
-  /// Parity after generation `gen` (0-based; -1: as the launch starts).
-  int after(int gen) const { return (iterations + generations() - 1 - gen) % 2; }
 };
 
 /// Everything the general kernels need, shared across the lambdas.
@@ -184,7 +164,25 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
 /// Bit-exact comparison of every field's interior against
 /// cpu::general_reference_bf16.
 bool matches_general_reference(const GeneralStencilProblem& p,
-                               const std::vector<std::vector<float>>& fields);
+                               std::span<const std::vector<float>> fields);
+
+/// `p` without its initial fields: what a launch compiles from.
+GeneralStencilProblem structure_of(const GeneralStencilProblem& p);
+
+/// Runs the sweeps of a solve on its staged grids (adding each launch's
+/// kernel time to `result`) and returns how many sweeps ran.
+using LaunchPlan = std::function<int(FieldGrids& grids, const CoreSelection& sel,
+                                     DeviceRunResult& result)>;
+
+/// The one single-device solve body: validate `p` for `surface`, shrink
+/// the requested grid onto the usable workers (select_cores), allocate the
+/// program's grids, stage every field, run `plan` (default: one launch of
+/// p.iterations sweeps), read every field back into `fields` and, with
+/// cfg.verify and the full pipeline, check them against the BF16 reference
+/// at the sweeps that ran. `solution` is left to the caller.
+DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilProblem& p,
+                                const DeviceRunConfig& cfg, Surface surface,
+                                const LaunchPlan& plan = {});
 
 /// The one strategy -> builder switch of the general frontend, keyed on
 /// sh->strategy. The IR emit closures and the batched builder call it.

@@ -1,6 +1,6 @@
 /// \file stencil_spec.cpp
-/// Structural validation, canonical hashing and the 5-point and classic
-/// Jacobi lifts for the general radius-1 stencil frontend.
+/// Structural validation, canonical hashing and the classic Jacobi lift
+/// for the general radius-1 stencil frontend.
 
 #include <cmath>
 #include <cstring>
@@ -115,34 +115,6 @@ std::uint64_t GeneralStencilProblem::transition_hash() const {
     }
   }
   return h;
-}
-
-GeneralStencilProblem to_general(const StencilProblem& p) {
-  GeneralStencilProblem g;
-  g.width = p.width;
-  g.height = p.height;
-  g.iterations = p.iterations;
-  FieldSpec f;
-  f.name = "u";
-  f.bc_left = p.bc_left;
-  f.bc_right = p.bc_right;
-  f.bc_top = p.bc_top;
-  f.bc_bottom = p.bc_bottom;
-  f.initial = p.initial;
-  f.initial_field = p.initial_field;
-  g.fields.push_back(std::move(f));
-  StencilPass pass;
-  pass.target = 0;
-  const std::pair<float, Tap> taps[] = {{p.stencil.wc, Tap::kC},
-                                        {p.stencil.ww, Tap::kW},
-                                        {p.stencil.we, Tap::kE},
-                                        {p.stencil.wn, Tap::kN},
-                                        {p.stencil.ws, Tap::kS}};
-  for (const auto& [w, tap] : taps) {
-    if (w != 0.0f) pass.terms.push_back(TapTerm{0, tap, w});
-  }
-  g.passes.push_back(std::move(pass));
-  return g;
 }
 
 GeneralStencilProblem to_general(const JacobiProblem& p) {

@@ -1,18 +1,13 @@
 #pragma once
 /// \file stencil_cpu.hpp
-/// CPU references for the generic weighted stencil (FP32 and BF16-exact),
-/// mirroring the device's operation order: centre product first, then the
-/// W, E, N, S taps each as a rounded BF16 product added in sequence.
+/// CPU references for the general radius-1 stencil frontend (FP32 and
+/// BF16-exact). The BF16 one mirrors the device's operation order, so every
+/// device solve — classic Jacobi's to_general program included — verifies
+/// against it bit for bit.
 
 #include "ttsim/core/stencil_spec.hpp"
 
 namespace ttsim::cpu {
-
-std::vector<float> stencil_reference_f32(const core::StencilProblem& p,
-                                         int threads = 1);
-
-/// Bit-exact replay of the device arithmetic.
-std::vector<bfloat16_t> stencil_reference_bf16(const core::StencilProblem& p);
 
 /// References for the general radius-1 frontend (multi-field, multi-pass,
 /// optional threshold post-op). Passes apply in order with immediate

@@ -21,27 +21,6 @@ struct Halo {
 };
 
 template <typename T>
-Halo<T> init(const core::StencilProblem& p) {
-  Halo<T> g(p.width, p.height);
-  for (std::int64_t r = 0; r < p.height; ++r) {
-    g.at(r, -1) = T{p.bc_left};
-    for (std::int64_t c = 0; c < p.width; ++c) {
-      const float v = p.initial_field.empty()
-                          ? p.initial
-                          : p.initial_field[static_cast<std::size_t>(r) * p.width +
-                                            static_cast<std::size_t>(c)];
-      g.at(r, c) = T{v};
-    }
-    g.at(r, p.width) = T{p.bc_right};
-  }
-  for (std::int64_t c = 0; c < p.width; ++c) {
-    g.at(-1, c) = T{p.bc_top};
-    g.at(p.height, c) = T{p.bc_bottom};
-  }
-  return g;
-}
-
-template <typename T>
 std::vector<T> interior(const Halo<T>& g) {
   std::vector<T> out(static_cast<std::size_t>(g.w) * g.h);
   for (std::uint32_t r = 0; r < g.h; ++r) {
@@ -135,62 +114,6 @@ std::vector<std::vector<float>> general_reference_f32(
 std::vector<std::vector<bfloat16_t>> general_reference_bf16(
     const core::GeneralStencilProblem& p) {
   return run_general<bfloat16_t>(p);
-}
-
-std::vector<float> stencil_reference_f32(const core::StencilProblem& p, int threads) {
-  auto u = init<float>(p);
-  auto unew = u;
-  const auto& s = p.stencil;
-  for (int it = 0; it < p.iterations; ++it) {
-#ifdef TTSIM_HAVE_OPENMP
-#pragma omp parallel for num_threads(threads) schedule(static)
-#endif
-    for (std::int64_t r = 0; r < p.height; ++r) {
-      for (std::int64_t c = 0; c < p.width; ++c) {
-        unew.at(r, c) = s.wc * u.at(r, c) + s.ww * u.at(r, c - 1) +
-                        s.we * u.at(r, c + 1) + s.wn * u.at(r - 1, c) +
-                        s.ws * u.at(r + 1, c);
-      }
-    }
-    std::swap(u, unew);
-  }
-  (void)threads;
-  return interior(u);
-}
-
-std::vector<bfloat16_t> stencil_reference_bf16(const core::StencilProblem& p) {
-  auto u = init<bfloat16_t>(p);
-  auto unew = u;
-  const auto& s = p.stencil;
-  // Device op order: product per active tap (centre, W, E, N, S), summed
-  // left to right, each operation rounded to BF16.
-  const std::pair<float, int> taps[] = {
-      {s.wc, 0}, {s.ww, 1}, {s.we, 2}, {s.wn, 3}, {s.ws, 4}};
-  for (int it = 0; it < p.iterations; ++it) {
-    for (std::int64_t r = 0; r < p.height; ++r) {
-      for (std::int64_t c = 0; c < p.width; ++c) {
-        bool first = true;
-        bfloat16_t acc{0.0f};
-        for (const auto& [w, which] : taps) {
-          if (w == 0.0f) continue;
-          bfloat16_t v;
-          switch (which) {
-            case 0: v = u.at(r, c); break;
-            case 1: v = u.at(r, c - 1); break;
-            case 2: v = u.at(r, c + 1); break;
-            case 3: v = u.at(r - 1, c); break;
-            default: v = u.at(r + 1, c); break;
-          }
-          const bfloat16_t term = bfloat16_t{w} * v;
-          acc = first ? term : acc + term;
-          first = false;
-        }
-        unew.at(r, c) = acc;
-      }
-    }
-    std::swap(u, unew);
-  }
-  return interior(u);
 }
 
 }  // namespace ttsim::cpu

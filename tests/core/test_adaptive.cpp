@@ -36,6 +36,31 @@ TEST(AdaptiveJacobi, ConvergesAndStopsEarly) {
   EXPECT_EQ(r.iterations_run % opt.check_every, 0);
 }
 
+TEST(AdaptiveJacobi, VerifiesTheSweepsItRan) {
+  // An early stop leaves the solution of iterations_run sweeps, not of the
+  // requested maximum: verification checks it against that reference.
+  auto p = wide_problem(16, 10000);
+  AdaptiveOptions opt;
+  opt.tolerance = 1e-3;
+  opt.check_every = 25;
+  DeviceRunConfig cfg;
+  cfg.cores_y = 2;
+  cfg.verify = true;
+  const auto r = run_jacobi_adaptive(p, opt, cfg);
+  ASSERT_TRUE(r.converged);
+  ASSERT_LT(r.iterations_run, p.iterations);
+  EXPECT_TRUE(r.verified_ok);
+  EXPECT_EQ(r.cores_used, 2);
+  EXPECT_EQ(r.transfer_retries, 0);
+  EXPECT_TRUE(r.fields.empty());
+  p.iterations = r.iterations_run;
+  const auto ref = cpu::jacobi_reference_bf16(p);
+  ASSERT_EQ(ref.size(), r.solution.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(static_cast<float>(ref[i]), r.solution[i]) << i;
+  }
+}
+
 TEST(AdaptiveJacobi, SolutionMatchesFixedCountRun) {
   auto p = wide_problem(16, 300);
   AdaptiveOptions opt;

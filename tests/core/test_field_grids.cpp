@@ -2,9 +2,9 @@
 /// The grid object's parity rule as an oracle: n sweeps run as several
 /// launches of uneven sizes on one FieldGrids must leave every field
 /// bit-identical to one n-sweep launch (and to the BF16 CPU reference).
-/// Covers the row-chunk, SRAM-resident and temporal lowerings; temporal
-/// chunks of 1, 2, 3 and 4 sweeps at depth 3 give odd, even and partial
-/// epochs. Programs: classic Jacobi, FDTD-2D (three fields, three passes)
+/// Covers a tiled Section IV program and the row-chunk, SRAM-resident and
+/// temporal lowerings; temporal chunks of 1, 2, 3 and 4 sweeps at depth 3
+/// give odd, even and partial epochs. Programs: classic Jacobi, FDTD-2D (three fields, three passes)
 /// and hotspot, whose read-only power field must never flip.
 
 #include <gtest/gtest.h>
@@ -45,6 +45,7 @@ core::GeneralStencilProblem jacobi(std::uint32_t width, std::uint32_t height) {
 
 std::vector<Case> cases() {
   return {
+      {"jacobi-tiled", jacobi(64, 64), DeviceStrategy::kWriteOptimised, 1, {1, 2, 3}},
       {"jacobi-rowchunk", jacobi(64, 32), DeviceStrategy::kRowChunk, 1, {2, 1, 3}},
       {"jacobi-sram", jacobi(64, 32), DeviceStrategy::kSramResident, 1, {1, 3, 2}},
       {"jacobi-temporal-k3", jacobi(64, 48), DeviceStrategy::kTemporal, 3,

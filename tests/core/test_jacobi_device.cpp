@@ -16,7 +16,7 @@ JacobiProblem small_problem(std::uint32_t w = 64, std::uint32_t h = 64, int iter
 }
 
 /// Bit-exact check of a device run against the BF16 CPU reference.
-void expect_matches_reference(const JacobiProblem& p, const DeviceRunResult& r) {
+void expect_bit_exact(const JacobiProblem& p, const DeviceRunResult& r) {
   const auto ref = cpu::jacobi_reference_bf16(p);
   ASSERT_EQ(ref.size(), r.solution.size());
   std::size_t mismatches = 0;
@@ -36,7 +36,7 @@ TEST(JacobiDevice, RowChunkMatchesReferenceBitExact) {
   DeviceRunConfig cfg;
   cfg.strategy = DeviceStrategy::kRowChunk;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
   EXPECT_GT(r.kernel_time, 0);
   EXPECT_GT(r.total_time, r.kernel_time);
 }
@@ -46,7 +46,7 @@ TEST(JacobiDevice, InitialTiledMatchesReferenceBitExact) {
   DeviceRunConfig cfg;
   cfg.strategy = DeviceStrategy::kInitial;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, WriteOptimisedMatchesReferenceBitExact) {
@@ -54,7 +54,7 @@ TEST(JacobiDevice, WriteOptimisedMatchesReferenceBitExact) {
   DeviceRunConfig cfg;
   cfg.strategy = DeviceStrategy::kWriteOptimised;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, DoubleBufferedMatchesReferenceBitExact) {
@@ -62,21 +62,21 @@ TEST(JacobiDevice, DoubleBufferedMatchesReferenceBitExact) {
   DeviceRunConfig cfg;
   cfg.strategy = DeviceStrategy::kDoubleBuffered;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, OddIterationCountLandsInRightBuffer) {
   const auto p = small_problem(64, 64, 5);
   DeviceRunConfig cfg;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, SingleIteration) {
   const auto p = small_problem(32, 32, 1);
   DeviceRunConfig cfg;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, MultiCoreYMatchesReference) {
@@ -84,7 +84,7 @@ TEST(JacobiDevice, MultiCoreYMatchesReference) {
   DeviceRunConfig cfg;
   cfg.cores_y = 4;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
   EXPECT_EQ(r.cores_used, 4);
 }
 
@@ -94,7 +94,7 @@ TEST(JacobiDevice, MultiCoreXYMatchesReference) {
   cfg.cores_x = 2;
   cfg.cores_y = 3;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, UnevenRowSplitMatchesReference) {
@@ -104,7 +104,7 @@ TEST(JacobiDevice, UnevenRowSplitMatchesReference) {
   DeviceRunConfig cfg;
   cfg.cores_y = 7;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, TiledMultiCoreMatchesReference) {
@@ -114,7 +114,7 @@ TEST(JacobiDevice, TiledMultiCoreMatchesReference) {
   cfg.cores_x = 2;
   cfg.cores_y = 2;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, InterleavedBuffersMatchReference) {
@@ -123,7 +123,7 @@ TEST(JacobiDevice, InterleavedBuffersMatchReference) {
   cfg.buffer_layout = ttmetal::BufferLayout::kInterleaved;
   cfg.interleave_page = 4 * KiB;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, StripedBuffersMatchReference) {
@@ -131,7 +131,7 @@ TEST(JacobiDevice, StripedBuffersMatchReference) {
   DeviceRunConfig cfg;
   cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiDevice, RowChunkFasterThanInitial) {
@@ -219,7 +219,7 @@ TEST(JacobiSramResident, MatchesReferenceBitExact) {
   cfg.strategy = DeviceStrategy::kSramResident;
   cfg.cores_y = 4;
   const auto r = run_jacobi_on_device(p, cfg);
-  expect_matches_reference(p, r);
+  expect_bit_exact(p, r);
 }
 
 TEST(JacobiSramResident, RejectsXDecomposition) {
@@ -272,10 +272,17 @@ TEST(JacobiSramResident, SteadyStateBeatsRowChunk) {
 TEST(JacobiMultiCard, MatchesCardSplitReference) {
   auto p = small_problem(64, 64, 6);
   DeviceRunConfig cfg;
+  cfg.verify = true;
   const auto r = run_jacobi_multicard(p, 2, cfg);
-  EXPECT_EQ(r.cards, 2);
+  EXPECT_EQ(r.cores_used, 2);  // one core on each card
+  EXPECT_TRUE(r.verified_ok);
   EXPECT_GT(r.kernel_time, 0);
   EXPECT_GT(r.gpts(p), 0.0);
+  const auto ref = cpu::jacobi_reference_bf16_cards(p, 2);
+  ASSERT_EQ(ref.size(), r.solution.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(static_cast<float>(ref[i]), r.solution[i]) << i;
+  }
 }
 
 TEST(JacobiMultiCard, TwoCardsRoughlyHalveRuntime) {

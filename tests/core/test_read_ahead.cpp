@@ -14,10 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/ir_frontend.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
@@ -103,7 +103,8 @@ TEST(ReadAhead, ReadTagOverflowIsAnApiError) {
   jcfg.cores_y = 16;
   jcfg.chunk_elems = 16;
   jcfg.read_ahead = 64;
-  expect_tag_error([&] { validate_batch_request(p, jcfg); }, "jacobi admission");
+  expect_tag_error([&] { validate_stencil_request(to_general(p), jcfg); },
+                   "jacobi admission");
   expect_tag_error([&] { jacobi_ir_graph(p, jcfg); }, "jacobi graph");
   expect_tag_error([&] { run_jacobi_on_device(p, jcfg); }, "jacobi solve");
 
@@ -141,19 +142,22 @@ TEST(ReadAhead, DeepDepthsBitExactAcrossColumnBoundaries) {
 }
 
 TEST(ReadAhead, StencilDeepDepthBitExact) {
-  StencilProblem p;
+  // FTCS diffusion, u += r*laplacian: one pass of five weighted taps.
+  GeneralStencilProblem p;
   p.width = 128;
   p.height = 48;
   p.iterations = 4;
-  p.stencil = WeightedStencil::diffusion(0.2f);
-  p.bc_left = 1.0f;
-  p.bc_top = 0.5f;
-  p.initial = 0.25f;
+  p.fields.push_back(FieldSpec{"u", 1.0f, 0.0f, 0.5f, 0.0f, 0.25f, {}});
+  const float r = 0.2f;
+  StencilPass pass;
+  pass.terms = {{0, Tap::kC, 1.0f - 4.0f * r}, {0, Tap::kW, r}, {0, Tap::kE, r},
+                {0, Tap::kN, r}, {0, Tap::kS, r}};
+  p.passes.push_back(std::move(pass));
   for (int depth : {2, 8}) {
     DeviceRunConfig cfg;
     cfg.read_ahead = depth;
     cfg.verify = true;
-    const auto r = run_stencil_on_device(p, cfg);
+    const auto r = run_general_stencil_on_device(p, cfg);
     EXPECT_TRUE(r.verified_ok) << "depth " << depth;
   }
 }

@@ -13,6 +13,7 @@
 #include <cfenv>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ttsim/common/check.hpp"
@@ -259,14 +260,18 @@ TEST(Sharded, CardThreadsRunInTheCallersRoundingMode) {
   // math (add, sub and mul of BF16 operands are otherwise exact or round
   // the same way in every mode), so FE_DOWNWARD proves that each card's
   // kernels run under the caller's MXCSR, whichever host thread runs them.
-  core::StencilProblem sp;
-  sp.width = 64;
-  sp.height = 30;
-  sp.iterations = 3;
-  sp.stencil = {1.0f, -0.25f, -0.25f, -0.25f, -0.25f};
-  sp.initial = 0.5f;
-  sp.bc_left = sp.bc_right = sp.bc_top = sp.bc_bottom = 0.5f;
-  const auto g = core::to_general(sp);
+  core::GeneralStencilProblem g;
+  g.width = 64;
+  g.height = 30;
+  g.iterations = 3;
+  g.fields.push_back(core::FieldSpec{"u", 0.5f, 0.5f, 0.5f, 0.5f, 0.5f, {}});
+  core::StencilPass pass;
+  pass.terms = {{0, core::Tap::kC, 1.0f},
+                {0, core::Tap::kW, -0.25f},
+                {0, core::Tap::kE, -0.25f},
+                {0, core::Tap::kN, -0.25f},
+                {0, core::Tap::kS, -0.25f}};
+  g.passes.push_back(std::move(pass));
   core::ShardedRunConfig cfg;
   cfg.run.cores_y = 1;
   struct RestoreNearest {

@@ -39,7 +39,6 @@
 #include "ttsim/common/rng.hpp"
 #include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/gallery.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/sharded.hpp"
 #include "ttsim/sim/trace.hpp"
@@ -470,17 +469,17 @@ bool run_jacobi(const Config& c, const ttmetal::DeviceConfig& dc,
   if (c.batch_slots * ncores > bdev->num_workers()) return true;
   auto& cq = bdev->command_queue(0);
   std::vector<core::FieldGrids> grids;
-  std::vector<core::BatchSlot> slots;
+  std::vector<core::GeneralBatchSlot> slots;
+  const core::GeneralStencilProblem jg = core::to_general(jp);
   for (int g = 0; g < c.batch_slots; ++g) {
-    auto& slot_grids = grids.emplace_back(*bdev, core::to_general(jp), c.cfg);
+    auto& slot_grids = grids.emplace_back(*bdev, jg, c.cfg);
     slot_grids.stage(0, slot_grids.layout().initial_image(jp), cq, /*blocking=*/true);
     std::vector<int> cores;
     for (int i = 0; i < ncores; ++i) cores.push_back(g * ncores + i);
-    auto bound = slot_grids.bind(jp.iterations, std::move(cores));
-    slots.push_back({bound.d1[0], bound.d2[0], std::move(bound.core_ids)});
+    slots.push_back(slot_grids.bind(jp.iterations, std::move(cores)));
   }
   ttmetal::Program prog;
-  core::build_batched_rowchunk_program(prog, jp, c.cfg, slots);
+  core::build_batched_stencil_program(prog, jg, c.cfg, slots);
   bdev->run_program(prog);
   times->push_back(bdev->last_kernel_duration());
   for (int g = 0; g < c.batch_slots; ++g) {

@@ -19,7 +19,6 @@
 #include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/ir_frontend.hpp"
-#include "ttsim/core/jacobi_batch.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/ir/check.hpp"
@@ -147,10 +146,10 @@ TEST(IrCross, IrAndHandWiredPathsAgreeUnderTheRaceDetector) {
   auto& cq = hw_dev->command_queue(0);
   grids.stage(0, grids.layout().initial_image(p), cq, /*blocking=*/true);
   const auto usable = hw_dev->usable_workers();
-  auto bound = grids.bind(p.iterations, {usable.begin(), usable.begin() + cfg.cores_y});
-  core::BatchSlot slot{bound.d1[0], bound.d2[0], std::move(bound.core_ids)};
   ttmetal::Program prog;
-  core::build_batched_rowchunk_program(prog, p, cfg, {slot});
+  core::build_batched_stencil_program(
+      prog, core::to_general(p), cfg,
+      {grids.bind(p.iterations, {usable.begin(), usable.begin() + cfg.cores_y})});
   hw_dev->run_program(prog);
   std::vector<bfloat16_t> out(grids.layout().elems());
   grids.read(0, out, cq, /*blocking=*/true);

@@ -37,7 +37,7 @@ ServiceConfig base_config() {
   return cfg;
 }
 
-void expect_matches_reference(const RequestResult& r, const core::JacobiProblem& p) {
+void expect_bit_exact(const RequestResult& r, const core::JacobiProblem& p) {
   ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
   const auto ref = cpu::jacobi_reference_bf16(p);
   ASSERT_EQ(r.solution.size(), ref.size());
@@ -60,7 +60,7 @@ TEST(ServeResilience, CheckpointedSolveIsBitExact) {
   req.problem = p;
   const Ticket t = svc.submit(req);
   svc.drain();
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 4u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 3u);
   EXPECT_GT(svc.metrics().checkpoint_bytes, 0u);
@@ -106,7 +106,7 @@ TEST(ServeResilience, KilledCardMigratesSessionBitExact) {
   svc.drain();
   const RequestResult& r = svc.result(t.id);
   ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
-  expect_matches_reference(r, p);
+  expect_bit_exact(r, p);
   ASSERT_EQ(r.solution.size(), rc.solution.size());
   for (std::size_t i = 0; i < r.solution.size(); ++i) {
     ASSERT_EQ(r.solution[i], rc.solution[i]) << "diverged at " << i;
@@ -275,7 +275,7 @@ TEST(ServeResilience, TemporalCheckpointedSolveIsBitExact) {
   req.problem = p;
   const Ticket t = svc.submit(req);
   svc.drain();
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 3u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 2u);
 }
@@ -304,7 +304,7 @@ TEST(ServeResilience, FlappingCardIsQuarantinedProbedHealedAndReadmitted) {
   req.problem = p;
   const Ticket t = svc.submit(req);
   svc.drain();
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.result(t.id).retries, 1);
   EXPECT_EQ(svc.metrics().quarantines, 1u);
   EXPECT_EQ(svc.metrics().probes, 1u);

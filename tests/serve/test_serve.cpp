@@ -36,7 +36,7 @@ ServiceConfig base_config() {
   return cfg;
 }
 
-void expect_matches_reference(const RequestResult& r, const core::JacobiProblem& p) {
+void expect_bit_exact(const RequestResult& r, const core::JacobiProblem& p) {
   ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
   const auto ref = cpu::jacobi_reference_bf16(p);
   ASSERT_EQ(r.solution.size(), ref.size());
@@ -53,7 +53,7 @@ TEST(Serve, SingleRequestMatchesCpuReference) {
   const Ticket t = svc.submit(req);
   ASSERT_EQ(t.status, RequestStatus::kQueued);
   svc.drain();
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 1u);
 }
 
@@ -76,7 +76,7 @@ TEST(Serve, SameShapeRequestsBatchWithIndependentData) {
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     const auto& r = svc.result(tickets[i].id);
     EXPECT_EQ(r.batch_size, 4);
-    expect_matches_reference(r, problems[i]);
+    expect_bit_exact(r, problems[i]);
   }
 }
 
@@ -90,8 +90,8 @@ TEST(Serve, SessionCacheReusedAcrossWaves) {
   req.arrival = svc.now();
   const Ticket b = svc.submit(req);
   svc.drain();
-  expect_matches_reference(svc.result(a.id), p);
-  expect_matches_reference(svc.result(b.id), p);
+  expect_bit_exact(svc.result(a.id), p);
+  expect_bit_exact(svc.result(b.id), p);
   EXPECT_EQ(svc.metrics().session_cache_misses, 1u);
   EXPECT_GE(svc.metrics().session_cache_hits, 1u);
 }
@@ -253,7 +253,7 @@ TEST(Serve, CoreKillDegradesCardAndServiceRecovers) {
     const auto& r = svc.result(tickets[i].id);
     ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
     EXPECT_GE(r.retries, 1);
-    expect_matches_reference(r, problems[i]);
+    expect_bit_exact(r, problems[i]);
   }
 }
 
@@ -354,8 +354,8 @@ TEST(Serve, TemporalStrategyRequestsServeBitExact) {
   const Ticket tr = svc.submit(row);
   const Ticket tt = svc.submit(temporal);
   svc.drain();
-  expect_matches_reference(svc.result(tr.id), p);
-  expect_matches_reference(svc.result(tt.id), p);
+  expect_bit_exact(svc.result(tr.id), p);
+  expect_bit_exact(svc.result(tt.id), p);
   EXPECT_EQ(svc.metrics().session_cache_misses, 2u);
   EXPECT_EQ(svc.metrics().batches, 2u);
 }
@@ -377,7 +377,7 @@ TEST(Serve, TemporalServiceDefaultServesJacobiAndGallery) {
   greq.tenant = 1;
   const Ticket tg = svc.submit(greq);
   svc.drain();
-  expect_matches_reference(svc.result(tj.id), p);
+  expect_bit_exact(svc.result(tj.id), p);
   const auto& rg = svc.result(tg.id);
   ASSERT_EQ(rg.status, RequestStatus::kCompleted) << rg.error;
   const auto ref = cpu::general_reference_bf16(*greq.general);
@@ -425,7 +425,7 @@ TEST(Serve, PerRequestStrategyOverridesANonBatchableServiceDefault) {
             std::string::npos)
       << svc.result(tp.id).error;
   svc.drain();
-  expect_matches_reference(svc.result(tr.id), p);
+  expect_bit_exact(svc.result(tr.id), p);
 }
 
 TEST(Serve, InvalidGeneralProgramFailsFast) {
@@ -511,7 +511,7 @@ TEST(Serve, PinnedMixedTrafficOnTwoCards) {
     const RequestResult& r = svc.result(s.ticket.id);
     ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
     if (!s.req.general) {
-      expect_matches_reference(r, s.req.problem);
+      expect_bit_exact(r, s.req.problem);
       continue;
     }
     const auto ref = cpu::general_reference_bf16(*s.req.general);

@@ -61,7 +61,7 @@ ServiceConfig base_config() {
   return cfg;
 }
 
-void expect_matches_reference(const RequestResult& r,
+void expect_bit_exact(const RequestResult& r,
                               const core::JacobiProblem& p) {
   ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
   const auto ref = cpu::jacobi_reference_bf16(p);
@@ -81,7 +81,7 @@ TEST(ServeMultichip, HugeShapeAdmitsAsShardedGroupSession) {
   svc.drain();
 
   const RequestResult& r = svc.result(t.id);
-  expect_matches_reference(r, p);
+  expect_bit_exact(r, p);
   EXPECT_EQ(r.group, (std::vector<int>{0, 1}));
   EXPECT_EQ(r.card, 0);  // the group head
   EXPECT_EQ(svc.metrics().sharded_sessions, 1u);
@@ -99,7 +99,7 @@ TEST(ServeMultichip, SmallShapeOnTheSamePoolStaysSingleCard) {
   const Ticket t = svc.submit(req);
   svc.drain();
   const RequestResult& r = svc.result(t.id);
-  expect_matches_reference(r, p);
+  expect_bit_exact(r, p);
   EXPECT_TRUE(r.group.empty());
   EXPECT_EQ(svc.metrics().sharded_sessions, 0u);
   EXPECT_EQ(svc.metrics().batches, 1u);
@@ -118,7 +118,7 @@ TEST(ServeMultichip, ShardedSessionCheckpointsAcrossSegments) {
   const Ticket t = svc.submit(req);
   svc.drain();
 
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().sharded_sessions, 1u);
   EXPECT_EQ(svc.metrics().sharded_segments, 3u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 2u);
@@ -198,7 +198,7 @@ TEST(ServeMultichip, MixedDevicePoolKeysCostPerSpec) {
   bool used[2] = {false, false};
   for (const Ticket& t : tickets) {
     const RequestResult& r = svc.result(t.id);
-    expect_matches_reference(r, p);
+    expect_bit_exact(r, p);
     ASSERT_TRUE(r.card == 0 || r.card == 1);
     used[r.card] = true;
   }
@@ -232,7 +232,7 @@ TEST(ServeMultichip, HeterogeneousShardedGroupIsBitExact) {
   req.problem = p;
   const Ticket t = svc.submit(req);
   svc.drain();
-  expect_matches_reference(svc.result(t.id), p);
+  expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.result(t.id).group, (std::vector<int>{0, 1}));
 }
 
@@ -280,7 +280,7 @@ TEST(ServeMultichip, KilledCardOfShardedGroupRecoversBitExact) {
   svc.drain();
   const RequestResult& r = svc.result(t.id);
   ASSERT_EQ(r.status, RequestStatus::kCompleted) << r.error;
-  expect_matches_reference(r, p);
+  expect_bit_exact(r, p);
   ASSERT_EQ(r.solution.size(), rc.solution.size());
   for (std::size_t i = 0; i < r.solution.size(); ++i) {
     ASSERT_EQ(r.solution[i], rc.solution[i]) << "diverged at " << i;
