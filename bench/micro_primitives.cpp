@@ -1,11 +1,11 @@
 /// \file micro_primitives.cpp
 /// google-benchmark microbenchmarks of the simulator's primitives: these
 /// measure *host* cost of the simulation machinery (events/second, fiber
-/// switches, BF16 arithmetic, PCIe staging, a row-chunk batch and its
-/// engine events per point, a solve on a fresh card, a sharded solve over
-/// host threads), which bounds how large an experiment
-/// the reproduction can run. They complement the table benches, which
-/// report *simulated* time.
+/// switches, BF16 arithmetic, PCIe staging, the host grid images, a
+/// row-chunk batch and its engine events per point, a solve on a fresh
+/// card, a sharded solve over host threads), which bounds how large an
+/// experiment the reproduction can run. They complement the table benches,
+/// which report *simulated* time.
 
 #include <benchmark/benchmark.h>
 
@@ -188,6 +188,46 @@ void BM_PcieRoundTrip(benchmark::State& state, bool checksum) {
 }
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_off, false);
 BENCHMARK_CAPTURE(BM_PcieRoundTrip, checksum_on, true);
+
+// The host data path around one Table VIII solve (the padded 9216x1024
+// BF16 image): building the initial image, reading the grid back into an
+// image that already exists (the copy alone, no allocation), and widening
+// the interior to floats. per_elem is the time per padded element for the
+// first two steps and per interior element for the extraction.
+enum class HostImageStep { kInitialImage, kReadback, kExtractInterior };
+
+void BM_HostImage(benchmark::State& state, HostImageStep step) {
+  core::JacobiProblem p;
+  p.width = 9216;
+  p.height = 1024;
+  p.bc_left = 1.0f;
+  const core::PaddedLayout layout(p.width, p.height);
+  auto dev = ttmetal::Device::open();
+  auto buf = dev->create_buffer({.size = layout.bytes()});
+  auto image = layout.initial_image(p);
+  dev->write_buffer(*buf, std::as_bytes(std::span(image)));
+  for (auto _ : state) {
+    if (step == HostImageStep::kInitialImage) {
+      benchmark::DoNotOptimize(layout.initial_image(p).data());
+    } else if (step == HostImageStep::kReadback) {
+      dev->read_buffer(*buf, std::as_writable_bytes(std::span(image)));
+      benchmark::DoNotOptimize(image.data());
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(layout.extract_interior(image).data());
+    }
+  }
+  const double elems = static_cast<double>(
+      step == HostImageStep::kExtractInterior ? p.points() : layout.elems());
+  state.counters["per_elem"] = benchmark::Counter(
+      elems, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_HostImage, initial_image, HostImageStep::kInitialImage)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HostImage, readback, HostImageStep::kReadback)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HostImage, extract_interior, HostImageStep::kExtractInterior)
+    ->Unit(benchmark::kMillisecond);
 
 // Host cost of a solve on a fresh card: open an e150 and run the 108-core
 // row-chunk Jacobi (Table VIII's full-card decomposition) on a grid only 24

@@ -4,7 +4,8 @@
 /// and bottom, open (cold) right edge. Demonstrates convergence monitoring
 /// by re-running the device solver with growing iteration counts, comparing
 /// the accelerator (BF16) against the CPU (FP32) answer, and rendering the
-/// temperature field.
+/// temperature field. Every run is checked bit-exact against the BF16 CPU
+/// reference; a mismatch exits 1.
 ///
 ///   $ ./examples/heat_diffusion [--iters N]
 
@@ -33,9 +34,11 @@ int main(int argc, char** argv) {
   plate.initial = 25.0f;
 
   std::printf("cooling-plate cross section, %ux%u cells\n\n", plate.width, plate.height);
-  std::printf("%8s %14s %16s %12s\n", "iters", "device GPt/s", "max|bf16-f32|", "residual");
+  std::printf("%8s %14s %16s %12s  %s\n", "iters", "device GPt/s", "max|bf16-f32|",
+              "residual", "vs BF16 reference");
 
   std::vector<float> prev;
+  bool all_exact = true;
   for (int iters = 100; iters <= max_iters; iters *= 2) {
     plate.iterations = iters;
 
@@ -43,6 +46,13 @@ int main(int argc, char** argv) {
     cfg.strategy = core::DeviceStrategy::kRowChunk;
     const auto device_run = core::run_jacobi_on_device(plate, cfg);
     const auto cpu_run = cpu::jacobi_reference_f32(plate, cpu::max_host_threads());
+    const auto bf16_ref = cpu::jacobi_reference_bf16(plate);
+
+    bool exact = bf16_ref.size() == device_run.solution.size();
+    for (std::size_t i = 0; exact && i < bf16_ref.size(); ++i) {
+      exact = static_cast<float>(bf16_ref[i]) == device_run.solution[i];
+    }
+    all_exact = all_exact && exact;
 
     // BF16 vs FP32 drift: how much precision the accelerator costs.
     float max_diff = 0.0f;
@@ -57,8 +67,9 @@ int main(int argc, char** argv) {
       }
     }
     prev = device_run.solution;
-    std::printf("%8d %14.3f %16.3f %12.4f\n", iters, device_run.gpts(plate, true),
-                static_cast<double>(max_diff), static_cast<double>(residual));
+    std::printf("%8d %14.3f %16.3f %12.4f  %s\n", iters, device_run.gpts(plate, true),
+                static_cast<double>(max_diff), static_cast<double>(residual),
+                exact ? "bit-exact" : "MISMATCH");
   }
 
   // Render the final temperature field as an ASCII heat map.
@@ -74,5 +85,5 @@ int main(int argc, char** argv) {
     std::putchar('\n');
   }
   std::printf("(@ = %.0fC near the hot wall, ' ' = ambient %.0fC)\n", 90.0, 20.0);
-  return 0;
+  return all_exact ? 0 : 1;
 }

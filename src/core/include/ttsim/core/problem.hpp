@@ -87,11 +87,15 @@ class PaddedLayout {
     return index(row, col) * 2;
   }
 
-  /// Build the initial device image: interior at the initial guess, boundary
-  /// cells on all four sides, dead padding zeroed.
-  std::vector<bfloat16_t> initial_image(const JacobiProblem& p) const;
+  /// Build the initial device image: interior at the initial guess (or at
+  /// `interior`'s row-major width x height values, when given), boundary
+  /// cells on all four sides, dead padding and halo corners zeroed. One
+  /// pass in address order.
+  std::vector<bfloat16_t> initial_image(const JacobiProblem& p,
+                                        std::span<const float> interior = {}) const;
 
-  /// Extract the interior (row-major width x height floats) from a device image.
+  /// Extract the interior (row-major width x height floats) from a device
+  /// image: one widening pass into storage that asks for huge pages.
   std::vector<float> extract_interior(std::span<const bfloat16_t> image) const;
 
  private:

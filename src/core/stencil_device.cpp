@@ -458,20 +458,9 @@ std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
   g.bc_top = f.bc_top;
   g.bc_bottom = f.bc_bottom;
   g.initial = f.initial;
-  auto image = layout.initial_image(g);
-  if (!f.initial_field.empty()) {
-    TTSIM_CHECK_MSG(f.initial_field.size() == p.points(),
-                    "initial_field of field " << field
-                                              << " must be width*height values");
-    for (std::int64_t r = 0; r < p.height; ++r) {
-      for (std::int64_t c = 0; c < p.width; ++c) {
-        image[layout.index(r, c)] =
-            bfloat16_t{f.initial_field[static_cast<std::size_t>(r) * p.width +
-                                       static_cast<std::size_t>(c)]};
-      }
-    }
-  }
-  return image;
+  TTSIM_CHECK_MSG(f.initial_field.empty() || f.initial_field.size() == p.points(),
+                  "initial_field of field " << field << " must be width*height values");
+  return layout.initial_image(g, f.initial_field);
 }
 
 GeneralRunResult run_general_stencil_on_device(ttmetal::Device& device,

@@ -1,5 +1,6 @@
 #include "ttsim/cpu/stencil_cpu.hpp"
 
+#include <optional>
 #include <utility>
 
 namespace ttsim::cpu {
@@ -63,35 +64,58 @@ std::vector<std::vector<T>> run_general(const core::GeneralStencilProblem& p) {
   std::vector<Halo<T>> u;
   u.reserve(p.fields.size());
   for (const auto& f : p.fields) u.push_back(init_field<T>(p, f));
+  // One scratch grid per written field, cloned once so its boundary cells
+  // hold the field's: a pass fills the scratch interior and then trades
+  // places with the field. The pass thus reads its own target's pre-pass
+  // values, and later passes see the update.
+  std::vector<std::optional<Halo<T>>> scratch(p.fields.size());
+  for (const auto& pass : p.passes) {
+    auto& s = scratch[static_cast<std::size_t>(pass.target)];
+    if (!s) s = u[static_cast<std::size_t>(pass.target)];
+  }
 
+  // A term reads its field at a fixed offset from the point: the field's
+  // data shifted by the tap, indexed by the point's halo-grid position.
+  struct Term {
+    const T* base;
+    T weight;
+  };
+  const std::size_t stride = static_cast<std::size_t>(p.width) + 2;
+  auto at_point = [stride](std::int64_t dr, std::int64_t dc) {
+    return static_cast<std::size_t>(1 + dr) * stride + static_cast<std::size_t>(1 + dc);
+  };
+  std::vector<Term> terms;
   for (int it = 0; it < p.iterations; ++it) {
     for (const auto& pass : p.passes) {
-      // Compute into a scratch clone, then swap in: the pass reads its own
-      // target's pre-pass values, and later passes see the update.
-      Halo<T> out = u[static_cast<std::size_t>(pass.target)];
-      for (std::int64_t r = 0; r < p.height; ++r) {
-        for (std::int64_t c = 0; c < p.width; ++c) {
-          bool first = true;
-          T acc{0.0f};
-          for (const auto& term : pass.terms) {
-            const auto& g = u[static_cast<std::size_t>(term.field)];
-            const T v = g.at(r + core::tap_dr(term.tap), c + core::tap_dc(term.tap));
-            const T prod = T{term.weight} * v;
-            acc = first ? prod : acc + prod;
-            first = false;
+      terms.clear();
+      for (const auto& term : pass.terms) {
+        terms.push_back({u[static_cast<std::size_t>(term.field)].d.data() +
+                             at_point(core::tap_dr(term.tap), core::tap_dc(term.tap)),
+                         T{term.weight}});
+      }
+      const T* self = u[static_cast<std::size_t>(pass.post_self_field)].d.data() +
+                      at_point(0, 0);
+      const T post_scale{pass.post_scale};
+      Halo<T>& out = *scratch[static_cast<std::size_t>(pass.target)];
+      T* dst = out.d.data() + at_point(0, 0);
+      for (std::size_t r = 0; r < p.height; ++r) {
+        for (std::size_t c = 0; c < p.width; ++c) {
+          const std::size_t i = r * stride + c;
+          // validate() guarantees a term; the first product seeds the sum.
+          T acc = terms[0].weight * terms[0].base[i];
+          for (std::size_t t = 1; t < terms.size(); ++t) {
+            acc = acc + terms[t].weight * terms[t].base[i];
           }
           if (pass.post == core::PostOp::kLife) {
             // Device order: birth mask, survive mask, survive*self, then
             // birth + survive*self. Exact in BF16 (small integers, 0/1).
             const T birth{static_cast<float>(acc) == 3.0f ? 1.0f : 0.0f};
             const T survive{static_cast<float>(acc) == 2.0f ? 1.0f : 0.0f};
-            const T self =
-                u[static_cast<std::size_t>(pass.post_self_field)].at(r, c);
-            acc = birth + survive * self;
+            acc = birth + survive * self[i];
           } else if (pass.post == core::PostOp::kScale) {
-            acc = T{pass.post_scale} * acc;
+            acc = post_scale * acc;
           }
-          out.at(r, c) = acc;
+          dst[i] = acc;
         }
       }
       std::swap(u[static_cast<std::size_t>(pass.target)], out);
