@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "checkpoint_accounting.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
@@ -63,7 +64,8 @@ TEST(ServeResilience, CheckpointedSolveIsBitExact) {
   expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 4u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 3u);
-  EXPECT_GT(svc.metrics().checkpoint_bytes, 0u);
+  EXPECT_EQ(svc.metrics().checkpoint_bytes,
+            accounting::checkpoint_bytes(3, core::to_general(p)));
   EXPECT_EQ(svc.result(t.id).retries, 0);
 }
 
@@ -101,7 +103,8 @@ TEST(ServeResilience, KilledCardMigratesSessionBitExact) {
   const RequestResult& rc = clean.result(tc.id);
   ASSERT_EQ(rc.status, RequestStatus::kCompleted) << rc.error;
 
-  StencilService svc(make_cfg(true, rc.completed / 2));
+  const SimTime kill_at = rc.completed / 2;
+  StencilService svc(make_cfg(true, kill_at));
   const Ticket t = svc.submit(req);
   svc.drain();
   const RequestResult& r = svc.result(t.id);
@@ -115,7 +118,10 @@ TEST(ServeResilience, KilledCardMigratesSessionBitExact) {
   EXPECT_EQ(r.card, 1);  // finished on the surviving card
   EXPECT_GE(svc.metrics().card_reopens, 1u);
   EXPECT_GE(svc.metrics().migrations, 1u);
-  EXPECT_GE(svc.metrics().iterations_saved, 25u);  // checkpoint paid off
+  // The retry re-runs only the lost segment: every sweep sealed before the
+  // kill is saved.
+  EXPECT_EQ(svc.metrics().iterations_saved,
+            accounting::sweeps_sealed_before(clean.spans(), kill_at, 25));
   EXPECT_EQ(svc.metrics().quarantines, 1u);
   EXPECT_EQ(svc.card_health(0), CardHealth::kQuarantined);
   EXPECT_EQ(svc.card_health(1), CardHealth::kHealthy);
@@ -149,7 +155,7 @@ TEST(ServeResilience, GeneralCheckpointedSolveIsBitExact) {
   expect_matches_general_reference(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 4u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 3u);
-  EXPECT_GT(svc.metrics().checkpoint_bytes, 0u);
+  EXPECT_EQ(svc.metrics().checkpoint_bytes, accounting::checkpoint_bytes(3, p));
 }
 
 TEST(ServeResilience, KilledCardMigratesGeneralSessionBitExact) {
@@ -183,7 +189,8 @@ TEST(ServeResilience, KilledCardMigratesGeneralSessionBitExact) {
   const RequestResult& rc = clean.result(tc.id);
   ASSERT_EQ(rc.status, RequestStatus::kCompleted) << rc.error;
 
-  StencilService svc(make_cfg(true, rc.completed / 2));
+  const SimTime kill_at = rc.completed / 2;
+  StencilService svc(make_cfg(true, kill_at));
   const Ticket t = svc.submit(req);
   svc.drain();
   const RequestResult& r = svc.result(t.id);
@@ -197,7 +204,10 @@ TEST(ServeResilience, KilledCardMigratesGeneralSessionBitExact) {
   EXPECT_EQ(r.card, 1);  // finished on the surviving card
   EXPECT_GE(svc.metrics().card_reopens, 1u);
   EXPECT_GE(svc.metrics().migrations, 1u);
-  EXPECT_GE(svc.metrics().iterations_saved, 25u);  // checkpoint paid off
+  // The retry re-runs only the lost segment: every sweep sealed before the
+  // kill is saved.
+  EXPECT_EQ(svc.metrics().iterations_saved,
+            accounting::sweeps_sealed_before(clean.spans(), kill_at, 25));
   EXPECT_EQ(svc.card_health(0), CardHealth::kQuarantined);
 }
 
@@ -278,6 +288,8 @@ TEST(ServeResilience, TemporalCheckpointedSolveIsBitExact) {
   expect_bit_exact(svc.result(t.id), p);
   EXPECT_EQ(svc.metrics().batches, 3u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 2u);
+  EXPECT_EQ(svc.metrics().checkpoint_bytes,
+            accounting::checkpoint_bytes(2, core::to_general(p)));
 }
 
 TEST(ServeResilience, FlappingCardIsQuarantinedProbedHealedAndReadmitted) {

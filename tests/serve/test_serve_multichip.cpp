@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "checkpoint_accounting.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/cpu/jacobi_cpu.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
@@ -122,7 +123,8 @@ TEST(ServeMultichip, ShardedSessionCheckpointsAcrossSegments) {
   EXPECT_EQ(svc.metrics().sharded_sessions, 1u);
   EXPECT_EQ(svc.metrics().sharded_segments, 3u);
   EXPECT_EQ(svc.metrics().checkpoints_taken, 2u);
-  EXPECT_GT(svc.metrics().checkpoint_bytes, 0u);
+  EXPECT_EQ(svc.metrics().checkpoint_bytes,
+            accounting::checkpoint_bytes(2, core::to_general(p)));
   EXPECT_EQ(svc.result(t.id).retries, 0);
 }
 
@@ -275,7 +277,8 @@ TEST(ServeMultichip, KilledCardOfShardedGroupRecoversBitExact) {
   ASSERT_EQ(rc.status, RequestStatus::kCompleted) << rc.error;
   ASSERT_EQ(rc.group, (std::vector<int>{0, 1}));
 
-  StencilService svc(make_cfg(true, rc.completed / 2));
+  const SimTime kill_at = rc.completed / 2;
+  StencilService svc(make_cfg(true, kill_at));
   const Ticket t = svc.submit(req);
   svc.drain();
   const RequestResult& r = svc.result(t.id);
@@ -293,7 +296,9 @@ TEST(ServeMultichip, KilledCardOfShardedGroupRecoversBitExact) {
   EXPECT_EQ(r.completed, 7559838870);
   EXPECT_EQ(r.latency, 7559838870);
   EXPECT_EQ(svc.metrics().card_reopens, 2u);  // the whole group reopened
-  EXPECT_GE(svc.metrics().iterations_saved, 4u);  // a checkpoint paid off
+  // Only the lost segment re-ran: the sweeps sealed before the kill count.
+  EXPECT_EQ(svc.metrics().iterations_saved,
+            accounting::sweeps_sealed_before(clean.spans(), kill_at, 4));
   EXPECT_EQ(svc.metrics().quarantines, 1u);
   EXPECT_EQ(svc.card_health(0), CardHealth::kQuarantined);
   EXPECT_EQ(svc.card_health(1), CardHealth::kHealthy);
