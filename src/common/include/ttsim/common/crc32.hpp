@@ -2,7 +2,7 @@
 /// \file crc32.hpp
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). It checks
 /// host<->device transfers under DeviceConfig::checksum_transfers and seals
-/// serve::SessionCheckpoint images. Header-only, table-driven; the table is
+/// core::Checkpoint images. Header-only, table-driven; the table is
 /// built once at first use.
 
 #include <array>

@@ -4,10 +4,61 @@
 
 #include "ir_frontend.hpp"
 #include "stencil_internal.hpp"
+#include "ttsim/common/crc32.hpp"
 #include "ttsim/ir/lower.hpp"
 #include "ttsim/ttmetal/command_queue.hpp"
 
 namespace ttsim::core {
+
+std::uint64_t Checkpoint::bytes() const {
+  std::uint64_t n = 0;
+  for (const Sealed& s : fields_) n += s.image.size() * sizeof(bfloat16_t);
+  return n;
+}
+
+void Checkpoint::seal(const GeneralStencilProblem& p,
+                      std::vector<std::vector<bfloat16_t>> images) {
+  TTSIM_CHECK(images.size() == p.fields.size());
+  fields_.assign(images.size(), Sealed{});
+  for (int f = 0; f < static_cast<int>(images.size()); ++f) {
+    if (p.written_pass(f) < 0) continue;
+    Sealed& s = fields_[static_cast<std::size_t>(f)];
+    s.image = std::move(images[static_cast<std::size_t>(f)]);
+    TTSIM_CHECK_MSG(!s.image.empty(), "cannot checkpoint an empty device image");
+    s.crc = crc32(std::as_bytes(std::span{s.image}));
+  }
+}
+
+std::span<const bfloat16_t> Checkpoint::image(int f) const {
+  const Sealed& s = fields_.at(static_cast<std::size_t>(f));
+  TTSIM_CHECK_MSG(!s.image.empty(), "restore from an empty checkpoint");
+  const std::uint32_t seen = crc32(std::as_bytes(std::span{s.image}));
+  TTSIM_CHECK_MSG(seen == s.crc, "checkpoint CRC mismatch: sealed 0x"
+                                     << std::hex << s.crc << " observed 0x" << seen
+                                     << std::dec
+                                     << " — host-side checkpoint corrupted");
+  return s.image;
+}
+
+std::span<const bfloat16_t> Checkpoint::restore(const GeneralStencilProblem& p,
+                                                int f,
+                                                std::vector<bfloat16_t>& built) const {
+  const PaddedLayout layout(p.width, p.height);
+  if (!empty() && p.written_pass(f) >= 0) {
+    if (fields_.size() != p.fields.size()) {
+      TTSIM_THROW_API("resume state has " << fields_.size() << " fields; "
+                      << p.fields.size() << " expected");
+    }
+    const std::size_t have = fields_[static_cast<std::size_t>(f)].image.size();
+    if (have != layout.elems()) {
+      TTSIM_THROW_API("resume state has " << have
+                      << " elements; the padded layout needs " << layout.elems());
+    }
+    return image(f);
+  }
+  built = general_field_image(layout, p, f);
+  return built;
+}
 
 GeneralStencilProblem detail::structure_of(const GeneralStencilProblem& p) {
   GeneralStencilProblem s{p.width, p.height, p.iterations, {}, p.passes};

@@ -5,6 +5,9 @@
 /// and the service's batch slots (one per slot and bank). One allocation
 /// order, one staging/readback path and one parity rule, the kernels' own
 /// (detail::SweepParity), so a run can be cut into launches of any sizes.
+/// A Checkpoint is the one form in which a solve's state leaves a device
+/// and comes back, and Checkpoint::restore the one rule for what each field
+/// stages.
 
 #include <cstdint>
 #include <memory>
@@ -23,6 +26,47 @@ namespace ttsim::core {
 namespace detail {
 struct CoreSelection;
 }
+
+/// The numerical state of a solve between launches: for each field the
+/// program writes, its padded image (PaddedLayout geometry, the Fig. 5
+/// padding included), sealed with its own CRC-32 and verified on every
+/// read, so host-side corruption is caught at the restore instead of
+/// surfacing as a wrong solution. Read-only fields hold no image: they never
+/// change, so a restore rebuilds them from the program. The images are the
+/// whole state, so restoring them on any card or card group and running the
+/// remaining sweeps reproduces the undisturbed solve bit for bit.
+class Checkpoint {
+ public:
+  /// Nothing sealed yet: a restore stages every field from the program.
+  bool empty() const { return fields_.empty(); }
+  /// Bytes across the sealed images.
+  std::uint64_t bytes() const;
+
+  /// Seal `images` (one per field of `p`, at least the written ones
+  /// filled), taking the written fields' images and dropping the rest.
+  void seal(const GeneralStencilProblem& p,
+            std::vector<std::vector<bfloat16_t>> images);
+
+  /// Field `f`'s sealed image, CRC-verified: a CheckError names the sealed
+  /// and the observed CRC on a mismatch.
+  std::span<const bfloat16_t> image(int f) const;
+
+  /// The one restore rule: the image field `f` of `p` stages. A field `p`
+  /// writes restores from this checkpoint's sealed image, unless it is
+  /// empty; any other field, and every field of a fresh start, is built
+  /// from the program (general_field_image) into `built`, which the
+  /// returned view then points into. ApiError when a non-empty checkpoint
+  /// does not fit `p` (field count, image size).
+  std::span<const bfloat16_t> restore(const GeneralStencilProblem& p, int f,
+                                      std::vector<bfloat16_t>& built) const;
+
+ private:
+  struct Sealed {
+    std::vector<bfloat16_t> image;  ///< empty for a read-only field
+    std::uint32_t crc = 0;
+  };
+  std::vector<Sealed> fields_;
+};
 
 class FieldGrids {
  public:

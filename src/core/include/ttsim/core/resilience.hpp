@@ -4,14 +4,15 @@
 /// watchdog, checksummed transfers and faulty-core remapping.
 ///
 /// The solve proceeds in chunks of `checkpoint_every` iterations; after each
-/// chunk the freshest grid is snapshotted to the host. A hang (watchdog
-/// timeout — e.g. a FaultPlan core kill parking a kernel forever) wedges the
-/// simulated card, so recovery opens a *fresh* Device generation, shrinks
-/// the decomposition onto the surviving workers (the FaultPlan remembers
-/// failed silicon across reopens), re-uploads the last checkpoint and
-/// replays from there. Replay is BF16-bit-exact: the checkpoint is the exact
-/// device image, so a recovered solve still verifies against the CPU
-/// reference.
+/// chunk the freshest grid is sealed on the host as a core::Checkpoint
+/// (field_grids.hpp: the exact padded device image, CRC-32'd and verified
+/// when restored). A hang (watchdog timeout — e.g. a FaultPlan core kill
+/// parking a kernel forever) wedges the simulated card, so recovery opens a
+/// *fresh* Device generation, shrinks the decomposition onto the surviving
+/// workers (the FaultPlan remembers failed silicon across reopens),
+/// restores the last checkpoint and replays from there. Replay is
+/// BF16-bit-exact: the checkpoint is the exact device state, so a recovered
+/// solve still verifies against the CPU reference.
 
 #include <memory>
 #include <string>

@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil_spec.hpp"
 #include "ttsim/sim/chiplink.hpp"
@@ -53,7 +54,7 @@ struct ShardedRunConfig {
   /// least k rows.
   int exchange_every = 0;
   /// Compare the assembled solution against the CPU bf16 reference (skipped
-  /// when resuming from a checkpoint state).
+  /// when resuming from a checkpoint).
   bool verify = false;
 };
 
@@ -93,25 +94,28 @@ struct ShardedCluster {
 };
 
 /// Solve the classic Jacobi problem sharded across `cards` (position i in
-/// the span is fabric position i). `state`, when non-null, is the global
-/// padded bf16 image to resume from (empty = start from p's initial guess)
-/// and receives the final padded image — the serving layer's
-/// checkpoint/restore hook. Throws ApiError on infeasible decompositions
-/// (unsupported strategy, a card owning fewer than k rows, too few workers).
+/// the span is fabric position i). `state`, when non-null, is the serving
+/// layer's checkpoint hook: a non-empty checkpoint is resumed from (its
+/// images are global padded images, so any card group may resume it), and
+/// on success `state` holds the sealed final state; a throwing run leaves
+/// it as it was. Throws ApiError on infeasible decompositions (unsupported
+/// strategy, a card owning fewer than k rows, too few workers) and on a
+/// checkpoint that does not fit `p`.
 ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     sim::ChipLinkFabric& fabric,
                                     const JacobiProblem& p,
                                     const ShardedRunConfig& cfg,
-                                    std::vector<bfloat16_t>* state = nullptr);
+                                    Checkpoint* state = nullptr);
 
 /// Sharded run of a general single-pass gallery program (multi-pass
 /// programs would need per-pass exchanges and are rejected). Read-only
-/// fields are staged once and never exchanged; only the written field's
-/// halo crosses the fabric. `state` holds one padded image per field.
-ShardedRunResult run_general_sharded(
-    std::span<ttmetal::Device* const> cards, sim::ChipLinkFabric& fabric,
-    const GeneralStencilProblem& p, const ShardedRunConfig& cfg,
-    std::vector<std::vector<bfloat16_t>>* state = nullptr);
+/// fields are staged from the program, even on a resume, and never
+/// exchanged; only the written field's halo crosses the fabric.
+ShardedRunResult run_general_sharded(std::span<ttmetal::Device* const> cards,
+                                     sim::ChipLinkFabric& fabric,
+                                     const GeneralStencilProblem& p,
+                                     const ShardedRunConfig& cfg,
+                                     Checkpoint* state = nullptr);
 
 /// Convenience overloads: open a fresh homogeneous line-cabled cluster of
 /// `cards` cards, run, and tear it down.

@@ -74,7 +74,8 @@ void validate_stencil_request(const GeneralStencilProblem& p,
 
 /// The per-field device images a run uploads: layout-padded BF16 grids
 /// with boundary cells on all four sides (halo corners zero — part of the
-/// tap-order contract). Exposed for the serving layer's H2D staging.
+/// tap-order contract). Checkpoint::restore (field_grids.hpp) stages this
+/// for every field it does not restore from a checkpoint.
 std::vector<bfloat16_t> general_field_image(const PaddedLayout& layout,
                                             const GeneralStencilProblem& p,
                                             int field);

@@ -7,10 +7,10 @@
 ///      into DeviceTimeoutError; this driver answers by dropping the wedged
 ///      device generation, shrinking the decomposition onto the surviving
 ///      workers and replaying from the last checkpoint.
-/// Checkpoints are exact BF16 device images, so replay — even on a smaller
-/// core grid, which changes nothing about per-element arithmetic — is
-/// bit-identical to an undisturbed run and still verifies against the CPU
-/// reference.
+/// Checkpoints (core::Checkpoint) are exact BF16 device images, CRC-sealed
+/// on the host, so replay — even on a smaller core grid, which changes
+/// nothing about per-element arithmetic — is bit-identical to an
+/// undisturbed run and still verifies against the CPU reference.
 
 #include "ttsim/core/resilience.hpp"
 
@@ -52,12 +52,14 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     TTSIM_THROW_API("resilient solving runs the full pipeline (the Table II "
                     "toggles are a measurement instrument)");
   }
-  const PaddedLayout layout(p.width, p.height);
+  const GeneralStencilProblem g = to_general(p);
+  const int nfields = static_cast<int>(g.fields.size());
 
   ResilientRunResult res;
-  // The running checkpoint: the exact BF16 device image after the sweeps
-  // completed so far. Restarting from it replays bit-exactly.
-  std::vector<bfloat16_t> checkpoint = layout.initial_image(p);
+  // The running checkpoint: the state after the sweeps completed so far.
+  // Until the first seal a generation stages from the program; restarting
+  // from it replays bit-exactly.
+  Checkpoint state;
   int remaining = p.iterations;
 
   for (;;) {
@@ -74,18 +76,26 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
 
     int in_flight = 0;
     try {
-      FieldGrids grids(*device, to_general(p), cfg);
+      FieldGrids grids(*device, g, cfg);
       auto& cq = device->command_queue(0);
-      grids.stage(0, checkpoint, cq, /*blocking=*/true);
+      for (int f = 0; f < nfields; ++f) {
+        std::vector<bfloat16_t> built;
+        grids.stage(f, state.restore(g, f, built), cq, /*blocking=*/true);
+      }
       while (remaining > 0) {
         in_flight = std::min(options.checkpoint_every, remaining);
         res.kernel_time += grids.launch(in_flight, sel);
         remaining -= in_flight;
         in_flight = 0;
-        // Snapshot the freshest grid as the new checkpoint.
-        std::vector<bfloat16_t> image(layout.elems());
-        grids.read(0, image, cq, /*blocking=*/true);
-        checkpoint = std::move(image);
+        // Seal the freshest written grids as the new checkpoint.
+        std::vector<std::vector<bfloat16_t>> images(static_cast<std::size_t>(nfields));
+        for (int f = 0; f < nfields; ++f) {
+          if (g.written_pass(f) < 0) continue;
+          auto& image = images[static_cast<std::size_t>(f)];
+          image.resize(grids.layout().elems());
+          grids.read(f, image, cq, /*blocking=*/true);
+        }
+        state.seal(g, std::move(images));
       }
       res.total_time += device->now();
       res.transfer_retries += static_cast<int>(device->transfer_retries());
@@ -101,11 +111,11 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     }
   }
 
-  res.solution = layout.extract_interior(checkpoint);
+  res.solution =
+      PaddedLayout(p.width, p.height).extract_interior(state.image(g.primary_field()));
   if (fault_plan != nullptr) res.fault_summary = fault_plan->trace_string();
   if (cfg.verify) {
-    res.verified_ok =
-        detail::matches_general_reference(to_general(p), {&res.solution, 1});
+    res.verified_ok = detail::matches_general_reference(g, {&res.solution, 1});
   }
   return res;
 }

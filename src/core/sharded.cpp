@@ -84,14 +84,16 @@ void slab_rows_write(ttmetal::Device& dev, const ttmetal::Buffer& buf,
       static_cast<std::uint64_t>(count) * row_bytes);
 }
 
-/// The epoch loop over a validated single-pass program `p`, from and into
-/// one global padded image per field. The caller extracts the solution
-/// from `images`.
+/// The epoch loop over a validated single-pass program `p`: every field
+/// staged by the restore rule (from `ckpt` when it is non-null and
+/// non-empty), every field's assembled interior returned in `fields` and,
+/// on a fresh start with cfg.verify, checked against the CPU reference. A
+/// non-null `ckpt` receives the sealed final state, and is left as it was
+/// when the run throws.
 ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
                                   sim::ChipLinkFabric& fabric,
                                   const GeneralStencilProblem& p,
-                                  const ShardedRunConfig& cfg,
-                                  std::vector<std::vector<bfloat16_t>>& images) {
+                                  const ShardedRunConfig& cfg, Checkpoint* ckpt) {
   const int cards = static_cast<int>(devices.size());
   if (cards < 1) TTSIM_THROW_API("sharded run needs at least one card");
   if (fabric.cards() < cards) {
@@ -121,7 +123,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto slabs = decompose_slabs(static_cast<int>(p.height), cards, k);
   const int ncores = cfg.run.cores_x * cfg.run.cores_y;
   // The launches compile from the program's structure: the global
-  // initial fields reach the cards through `images` only.
+  // initial fields reach the cards through `staged` only.
   const GeneralStencilProblem structure = detail::structure_of(p);
   auto slab_problem = [&](const Slab& slab, int klaunch) {
     GeneralStencilProblem g = structure;
@@ -131,6 +133,16 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   };
   // A slab is thinner than the domain, so its row-chunk slot ring is wider.
   for (const Slab& slab : slabs) validate_stencil_request(slab_problem(slab, k), launch_cfg(k));
+
+  // Every field's global image, by the restore rule: `images` owns the
+  // ones it builds, and a restored field is viewed in `ckpt`.
+  const Checkpoint fresh;
+  const Checkpoint& from = ckpt != nullptr ? *ckpt : fresh;
+  std::vector<std::vector<bfloat16_t>> images(static_cast<std::size_t>(nfields));
+  std::vector<std::span<const bfloat16_t>> staged;
+  for (int f = 0; f < nfields; ++f) {
+    staged.push_back(from.restore(p, f, images[static_cast<std::size_t>(f)]));
+  }
 
   // --- open slab state: cores, buffers, H2D staging (PCIe, per card) ---
   // Wall clock starts at the cluster's current frontier: fresh clusters sit
@@ -162,8 +174,7 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     const std::size_t slab_elems =
         static_cast<std::size_t>(cs.slab.height + 2) * global.row_elems();
     for (int f = 0; f < nfields; ++f) {
-      const auto& img = images[static_cast<std::size_t>(f)];
-      cs.grids->stage(f, {img.data() + slab_begin, slab_elems},
+      cs.grids->stage(f, staged[static_cast<std::size_t>(f)].subspan(slab_begin, slab_elems),
                       cs.dev->command_queue(0), /*blocking=*/true);
     }
   });
@@ -248,7 +259,15 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   }
 
   // --- readback (PCIe, per card in parallel) and assembly ---
-  // Each card copies its own owned rows: disjoint ranges of the image.
+  // The written field's final image is the staged one with every card's
+  // owned rows replaced: in place when this run built it, in a copy when
+  // it views `ckpt`. Each card copies its own owned rows: disjoint ranges
+  // of the image.
+  auto& img = images[static_cast<std::size_t>(written)];
+  if (img.empty()) {
+    const auto& in = staged[static_cast<std::size_t>(written)];
+    img.assign(in.begin(), in.end());
+  }
   detail::for_each_card(devices, [&](int c) {
     CardState& cs = state[static_cast<std::size_t>(c)];
     cs.dev->hw().engine().run_until(cluster);
@@ -256,7 +275,6 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
     cs.grids->read(written, out, cs.dev->command_queue(0), /*blocking=*/true);
     // Owned stored rows of the slab land on the matching global stored rows.
     const int owned = cs.slab.r1 - cs.slab.r0;
-    auto& img = images[static_cast<std::size_t>(written)];
     std::memcpy(img.data() +
                     static_cast<std::size_t>(cs.slab.r0 + 1) * global.row_elems(),
                 out.data() +
@@ -270,6 +288,16 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto fabric_after = fabric.totals();
   result.link_bytes = fabric_after.bytes - fabric_before.bytes;
 
+  // Free the slab grids' host storage before widening the images, so the
+  // two never take up host memory together.
+  state.clear();
+  for (const auto& image : images) {
+    result.fields.push_back(global.extract_interior(image));
+  }
+  if (cfg.verify && from.empty()) {
+    result.verified_ok = detail::matches_general_reference(p, result.fields);
+  }
+  if (ckpt != nullptr) ckpt->seal(p, std::move(images));
   return result;
 }
 
@@ -297,62 +325,25 @@ std::vector<ttmetal::Device*> ShardedCluster::devices() const {
 ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     sim::ChipLinkFabric& fabric,
                                     const JacobiProblem& p,
-                                    const ShardedRunConfig& cfg,
-                                    std::vector<bfloat16_t>* state) {
-  const PaddedLayout global(p.width, p.height);
-  const bool resuming = state != nullptr && !state->empty();
-  if (resuming && state->size() != global.elems()) {
-    TTSIM_THROW_API("resume state has " << state->size()
-                    << " elements; the padded layout needs " << global.elems());
-  }
-  std::vector<std::vector<bfloat16_t>> images;
-  images.push_back(resuming ? *state : global.initial_image(p));
-  ShardedRunResult result = run_sharded_impl(cards, fabric, to_general(p), cfg, images);
-  // Classic Jacobi returns only its solution: extract just that image.
-  result.solution = global.extract_interior(images[0]);
-  if (state != nullptr) *state = std::move(images[0]);
-
-  if (cfg.verify && !resuming) {
-    result.verified_ok =
-        detail::matches_general_reference(to_general(p), {&result.solution, 1});
-  }
+                                    const ShardedRunConfig& cfg, Checkpoint* state) {
+  ShardedRunResult result = run_sharded_impl(cards, fabric, to_general(p), cfg, state);
+  // Classic Jacobi returns only its solution.
+  result.solution = std::move(result.fields[0]);
+  result.fields.clear();
   return result;
 }
 
-ShardedRunResult run_general_sharded(
-    std::span<ttmetal::Device* const> cards, sim::ChipLinkFabric& fabric,
-    const GeneralStencilProblem& p, const ShardedRunConfig& cfg,
-    std::vector<std::vector<bfloat16_t>>* state) {
+ShardedRunResult run_general_sharded(std::span<ttmetal::Device* const> cards,
+                                     sim::ChipLinkFabric& fabric,
+                                     const GeneralStencilProblem& p,
+                                     const ShardedRunConfig& cfg, Checkpoint* state) {
   p.validate();
   if (p.passes.size() != 1) {
     TTSIM_THROW_API("sharded general runs support single-pass programs only ("
                     << p.passes.size() << " passes)");
   }
-  const PaddedLayout global(p.width, p.height);
-  const bool resuming = state != nullptr && !state->empty();
-  std::vector<std::vector<bfloat16_t>> images;
-  if (resuming) {
-    if (state->size() != p.fields.size()) {
-      TTSIM_THROW_API("resume state has " << state->size() << " fields; "
-                      << p.fields.size() << " expected");
-    }
-    images = *state;
-  } else {
-    for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
-      images.push_back(general_field_image(global, p, f));
-    }
-  }
-
-  ShardedRunResult result = run_sharded_impl(cards, fabric, p, cfg, images);
-  for (const auto& image : images) {
-    result.fields.push_back(global.extract_interior(image));
-  }
+  ShardedRunResult result = run_sharded_impl(cards, fabric, p, cfg, state);
   result.solution = result.fields[static_cast<std::size_t>(p.passes[0].target)];
-  if (state != nullptr) *state = std::move(images);
-
-  if (cfg.verify && !resuming) {
-    result.verified_ok = detail::matches_general_reference(p, result.fields);
-  }
   return result;
 }
 

@@ -420,7 +420,8 @@ DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilPro
 
   const SimTime t_start = device.now();
   for (int f = 0; f < nfields; ++f) {
-    grids.stage(f, general_field_image(layout, p, f), cq, /*blocking=*/true);
+    std::vector<bfloat16_t> built;
+    grids.stage(f, Checkpoint{}.restore(p, f, built), cq, /*blocking=*/true);
   }
   DeviceRunResult result;
   int sweeps = p.iterations;

@@ -31,11 +31,11 @@
 ///
 ///   * **Checkpoint/migration** — with checkpoint_every = k, a solve runs as
 ///     ceil(iterations / k)-sweep segments; each segment's readback is
-///     sealed host-side as a CRC-32'd SessionCheckpoint (the exact padded
-///     BF16 device image, PR 1's resilient-solver format). When a card dies
-///     mid-solve the victim requeues and its next segment uploads the
-///     checkpoint onto whichever card dispatches it — bit-exact resume,
-///     since the image is the whole numerical state.
+///     sealed host-side as a core::Checkpoint (the exact padded BF16 device
+///     image of every written field, each CRC-32'd — the resilient solver's
+///     format). When a card dies mid-solve the victim requeues and its next
+///     segment uploads the checkpoint onto whichever card dispatches it —
+///     bit-exact resume, since the images are the whole numerical state.
 ///   * **Health-tracked pool** — per-card healthy / degraded / quarantined
 ///     states driven by harvest outcomes (health.hpp). The scheduler steers
 ///     work away from degraded cards and gives quarantined ones none;
@@ -60,8 +60,8 @@
 /// single card's DRAM budget is admitted as a **sharded session**: its
 /// segments dispatch synchronously onto a group of idle cards cabled into a
 /// per-group ChipLinkFabric and run through core/sharded.hpp's bit-exact
-/// halo-exchange solver. Segment results are sealed as CRC'd checkpoints of
-/// the GLOBAL padded image, so a card dying mid-group wedges only that
+/// halo-exchange solver. Segment results are sealed as checkpoints of the
+/// GLOBAL padded images, so a card dying mid-group wedges only that
 /// segment: the victims reopen through the health machinery, the group
 /// re-forms around the casualty, and the solve resumes bit-exactly
 /// (migrations are counted when the group changes).
@@ -80,9 +80,7 @@
 
 #include "ttsim/core/jacobi_device.hpp"
 #include "ttsim/core/stencil.hpp"
-#include "ttsim/serve/checkpoint.hpp"
 #include "ttsim/serve/health.hpp"
-#include "ttsim/sim/chiplink.hpp"
 #include "ttsim/sim/trace.hpp"
 
 namespace ttsim::serve {
@@ -189,10 +187,6 @@ struct ServiceConfig {
   /// DRAM budget) and cost (the EWMA admission history is keyed per spec)
   /// are tracked per family member.
   std::vector<sim::DeviceSpec> card_specs;
-  /// Chip-to-chip link parameters for sharded multi-card sessions; nullopt
-  /// derives them from the group head's spec (ChipLinkConfig::from_spec —
-  /// Ethernet on Wormhole, the PCIe-host bounce on Grayskull).
-  std::optional<sim::ChipLinkConfig> link;
   /// Per-card device config. Shared fault_plan spans card reopens, so a
   /// failed core stays failed for the service's lifetime. Set
   /// sim_time_limit to arm the watchdog that converts core kills into
@@ -375,12 +369,9 @@ class StencilService {
   /// Deliver `solution` for `id`, finished at `at` (status, latency, a
   /// missed deadline, tenant stats).
   void complete(std::uint64_t id, SimTime at, std::vector<float> solution);
-  /// Seal a finished segment's state (`images`: one padded image per field,
-  /// read-only ones ignored) as `id`'s checkpoint, taken on `card` at `at`,
-  /// and requeue the rest of the solve at the queue front.
-  void checkpoint_and_requeue(std::uint64_t id,
-                              std::vector<std::vector<bfloat16_t>> images,
-                              SimTime at, int card);
+  /// Count the checkpoint `id`'s segment sealed on `card` at `at`, and
+  /// requeue the rest of the solve at the queue front.
+  void requeue_checkpointed(std::uint64_t id, SimTime at, int card);
   /// A fault at `at` took `id`'s segment down: requeue it at the queue
   /// front, or fail it when the fault is not retryable, its retries are
   /// spent or its deadline has passed.

@@ -71,12 +71,12 @@ struct StencilService::Pending {
   Request req;
   ShapeKey key;  ///< shape of the NEXT segment (tracks remaining sweeps)
   int iterations_done = 0;  ///< sweeps completed across prior segments
-  /// State after iterations_done sweeps, one checkpoint per field;
-  /// read-only fields stay empty, since they restage from the request.
-  /// Sharded sessions seal the GLOBAL padded images here — the
+  /// State after iterations_done sweeps (empty before the first seal): one
+  /// sealed image per written field, while read-only fields restage from
+  /// the request. Sharded sessions hold the GLOBAL padded images here — the
   /// whole-domain numerical state, so the next segment's group may be ANY
   /// set of cards.
-  std::vector<SessionCheckpoint> ckpt;
+  core::Checkpoint ckpt;
   int ckpt_card = -1;  ///< card that produced the checkpoint
   /// Sharded multi-card sessions: cards this request's slabs must spread
   /// over (0 = a normal single-card request), and the group that ran the
@@ -613,25 +613,15 @@ void StencilService::complete(std::uint64_t id, SimTime at, std::vector<float> s
   requests_.erase(id);
 }
 
-void StencilService::checkpoint_and_requeue(
-    std::uint64_t id, std::vector<std::vector<bfloat16_t>> images, SimTime at,
-    int card) {
+void StencilService::requeue_checkpointed(std::uint64_t id, SimTime at, int card) {
   Pending& p = requests_.at(id);
-  const core::GeneralStencilProblem& prog = *p.req.general;
-  const int nf = static_cast<int>(prog.fields.size());
-  p.ckpt.assign(static_cast<std::size_t>(nf), SessionCheckpoint{});
-  for (int f = 0; f < nf; ++f) {
-    if (prog.written_pass(f) < 0) continue;
-    p.ckpt[static_cast<std::size_t>(f)] = SessionCheckpoint::capture(
-        std::move(images[static_cast<std::size_t>(f)]), p.iterations_done, at);
-  }
   p.ckpt_card = card;
   p.key = effective_key(p);
   // Causality across skewed card clocks: the next segment must not
   // dispatch (on any card) before this one's state was read back.
   p.req.arrival = std::max(p.req.arrival, at);
   ++metrics_.checkpoints_taken;
-  for (const auto& c : p.ckpt) metrics_.checkpoint_bytes += c.bytes();
+  metrics_.checkpoint_bytes += p.ckpt.bytes();
   // The front of the queue, so a long solve is not starved by traffic that
   // arrived while its segment ran.
   pending_.push_front(id);
@@ -818,17 +808,12 @@ bool StencilService::dispatch_on(Card& card) {
     auto& rr = results_.at(batch[static_cast<std::size_t>(g)]);
     const core::GeneralStencilProblem& prog = *p.req.general;
     for (int f = 0; f < nf; ++f) {
-      // A written field resumes from its sealed, CRC-verified checkpoint —
-      // the exact padded image after iterations_done sweeps — so the
-      // remaining sweeps continue the solve bit-exactly on whichever card
-      // this is. A fresh start, or a read-only field (it never flips
-      // parity), stages its image from THIS request's physics: boundary
-      // constants and initial fields are per-request data.
-      const bool resume = p.iterations_done > 0 && prog.written_pass(f) >= 0;
-      std::vector<bfloat16_t> fresh;
-      if (!resume) fresh = core::general_field_image(s.layout, prog, f);
-      const auto& image = resume ? p.ckpt[static_cast<std::size_t>(f)].image() : fresh;
-      grids[static_cast<std::size_t>(g)].stage(f, image, cq_write, /*blocking=*/false);
+      // A written field resumes from its checkpoint, so the remaining
+      // sweeps continue the solve bit-exactly on whichever card this is; a
+      // fresh start or a read-only field stages THIS request's physics.
+      std::vector<bfloat16_t> built;
+      grids[static_cast<std::size_t>(g)].stage(f, p.ckpt.restore(prog, f, built),
+                                               cq_write, /*blocking=*/false);
     }
     if (p.iterations_done > 0 && p.ckpt_card != card.index) {
       ++metrics_.migrations;
@@ -973,13 +958,10 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   scfg.verify = false;
 
   // A per-group fabric: positions are group slots, global card ids name the
-  // trace tracks and fault hooks. Link parameters come from the service
-  // config or, by default, from the drafted cards' own family spec.
-  sim::ChipLinkFabric fabric(
-      n,
-      cfg_.link ? *cfg_.link
-                : sim::ChipLinkConfig::from_spec(group.front()->spec),
-      gids);
+  // trace tracks and fault hooks. Link parameters come from the group
+  // head's family spec.
+  sim::ChipLinkFabric fabric(n, sim::ChipLinkConfig::from_spec(group.front()->spec),
+                             gids);
 
   if (p.iterations_done == 0) {
     rr.dispatched = t0;
@@ -993,22 +975,13 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
   }
 
   try {
-    // Resume: written fields from their sealed checkpoints; read-only
-    // fields never change, so their images restage from the request.
+    // The runner resumes from the checkpoint and, on success, seals the
+    // segment's final state into it.
     core::GeneralStencilProblem prog = *p.req.general;
-    std::vector<std::vector<bfloat16_t>> state;
-    if (p.iterations_done > 0) {
-      const core::PaddedLayout global(prog.width, prog.height);
-      for (int f = 0; f < static_cast<int>(prog.fields.size()); ++f) {
-        state.push_back(prog.written_pass(f) >= 0
-                            ? p.ckpt[static_cast<std::size_t>(f)].image()
-                            : core::general_field_image(global, prog, f));
-      }
-    }
     const int total = prog.iterations;
     prog.iterations = key.iterations;
     core::ShardedRunResult res =
-        core::run_general_sharded(devs, fabric, prog, scfg, &state);
+        core::run_general_sharded(devs, fabric, prog, scfg, &p.ckpt);
 
     SimTime end = t0;
     for (ttmetal::Device* d : devs) end = std::max(end, d->now());
@@ -1023,9 +996,9 @@ bool StencilService::dispatch_sharded(std::uint64_t id) {
     rr.group = gids;
     rr.batch_size = 1;
     if (p.iterations_done < total) {
-      // Seal the whole-domain state, so the next segment may run on ANY
-      // group of idle cards.
-      checkpoint_and_requeue(id, std::move(state), end, gids.front());
+      // The whole-domain state is sealed, so the next segment may run on
+      // ANY group of idle cards.
+      requeue_checkpointed(id, end, gids.front());
     } else {
       complete(id, end, std::move(res.solution));
     }
@@ -1116,8 +1089,9 @@ void StencilService::harvest_one(Card& card) {
     complete(id, d2h_end, s.layout.extract_interior(out));
   }
   for (auto it = continuing.rbegin(); it != continuing.rend(); ++it) {
-    checkpoint_and_requeue(fl.members[*it], std::move(fl.outputs[*it]), d2h_end,
-                           card.index);
+    Pending& p = requests_.at(fl.members[*it]);
+    p.ckpt.seal(*p.req.general, std::move(fl.outputs[*it]));
+    requeue_checkpointed(fl.members[*it], d2h_end, card.index);
   }
 }
 

@@ -5,15 +5,19 @@
 /// Covers a tiled Section IV program and the row-chunk, SRAM-resident and
 /// temporal lowerings; temporal chunks of 1, 2, 3 and 4 sweeps at depth 3
 /// give odd, even and partial epochs. Programs: classic Jacobi, FDTD-2D (three fields, three passes)
-/// and hotspot, whose read-only power field must never flip.
+/// and hotspot, whose read-only power field must never flip. Also the
+/// checkpoint type: seal/restore round trip and the CRC check on a read.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "jacobi_internal.hpp"
+#include "ttsim/common/check.hpp"
+#include "ttsim/common/crc32.hpp"
 #include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/stencil.hpp"
@@ -171,6 +175,70 @@ TEST(FieldGrids, BindOrdersThePairSoTheLaunchReadsTheFreshGrid) {
   s = grids.bind(1, {});
   EXPECT_EQ(s.d1[0], a);
   EXPECT_EQ(grids.fresh(0).address(), b);
+}
+
+// The one checkpoint type: a written field's image comes back exactly as
+// sealed, a read-only field holds none and restores from the program, and
+// one flipped bit in a sealed image is caught at the read.
+core::GeneralStencilProblem sealed_hotspot(core::Checkpoint& ckpt) {
+  const auto p = core::gallery::hotspot(64, 24, 1);
+  const core::PaddedLayout layout(p.width, p.height);
+  std::vector<std::vector<bfloat16_t>> images;
+  for (int f = 0; f < static_cast<int>(p.fields.size()); ++f) {
+    images.push_back(core::general_field_image(layout, p, f));
+  }
+  images[0][layout.index(3, 5)] = bfloat16_t{0.75f};  // a state, not the start
+  ckpt.seal(p, std::move(images));
+  return p;
+}
+
+TEST(Checkpoint, SealAndRestoreRoundTrip) {
+  core::Checkpoint ckpt;
+  EXPECT_TRUE(ckpt.empty());
+  const auto p = sealed_hotspot(ckpt);
+  const core::PaddedLayout layout(p.width, p.height);
+  ASSERT_FALSE(ckpt.empty());
+  EXPECT_EQ(ckpt.bytes(), layout.bytes());  // the written field only
+
+  std::vector<bfloat16_t> built;
+  const auto temp = ckpt.restore(p, 0, built);
+  EXPECT_TRUE(built.empty());  // viewed in the checkpoint, not rebuilt
+  ASSERT_EQ(temp.size(), layout.elems());
+  EXPECT_EQ(temp[layout.index(3, 5)].bits(), bfloat16_t{0.75f}.bits());
+
+  const auto power = ckpt.restore(p, 1, built);
+  const auto want = core::general_field_image(layout, p, 1);
+  ASSERT_EQ(power.size(), want.size());
+  EXPECT_EQ(power.data(), built.data());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(power[i].bits(), want[i].bits()) << "at " << i;
+  }
+  EXPECT_THROW(ckpt.image(1), CheckError);  // read-only: nothing sealed
+}
+
+TEST(Checkpoint, FlippedBitFailsTheReadNamingBothCrcs) {
+  core::Checkpoint ckpt;
+  sealed_hotspot(ckpt);
+  const auto image = ckpt.image(0);
+  const std::uint32_t sealed = crc32(std::as_bytes(image));
+  // Host-side corruption of the parked image: one bit of one element.
+  auto* raw = const_cast<bfloat16_t*>(image.data());
+  raw[100] = bfloat16_t::from_bits(static_cast<std::uint16_t>(raw[100].bits() ^ 0x0010u));
+  const std::uint32_t observed = crc32(std::as_bytes(image));
+  ASSERT_NE(sealed, observed);
+  auto hex = [](std::uint32_t v) {
+    std::ostringstream os;
+    os << "0x" << std::hex << v;
+    return os.str();
+  };
+  try {
+    ckpt.image(0);
+    FAIL() << "a corrupted checkpoint was read";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sealed " + hex(sealed)), std::string::npos) << what;
+    EXPECT_NE(what.find("observed " + hex(observed)), std::string::npos) << what;
+  }
 }
 
 }  // namespace

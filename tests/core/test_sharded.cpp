@@ -114,7 +114,7 @@ TEST(Sharded, UnevenRowSplitAndWormholeSpec) {
 
 TEST(Sharded, SegmentResumeMatchesOneShot) {
   // The serve layer's checkpoint path: two 3-iteration segments through the
-  // state in/out parameter must equal one 6-iteration run bit for bit.
+  // checkpoint in/out parameter must equal one 6-iteration run bit for bit.
   const auto p = small_problem(6);
   core::ShardedRunConfig cfg;
   cfg.run.cores_y = 2;
@@ -122,7 +122,7 @@ TEST(Sharded, SegmentResumeMatchesOneShot) {
 
   auto cluster = core::ShardedCluster::open(2);
   const auto devs = cluster.devices();
-  std::vector<bfloat16_t> state;
+  core::Checkpoint state;
   core::JacobiProblem seg = p;
   seg.iterations = 3;
   core::run_jacobi_sharded(devs, *cluster.fabric, seg, cfg, &state);
@@ -132,6 +132,72 @@ TEST(Sharded, SegmentResumeMatchesOneShot) {
   const auto one = core::run_jacobi_sharded(p, 2, cfg);
   EXPECT_EQ(r2.solution, one.solution);
   EXPECT_GT(r2.total_time, 0);
+}
+
+TEST(Sharded, GeneralSegmentResumeMatchesOneShot) {
+  // Hotspot in two 3-iteration segments: the checkpoint holds only the
+  // written temperature field, so the resumed segment restages the
+  // read-only power map from the program. Every field must equal the
+  // one-shot run bit for bit.
+  const auto g = core::gallery::hotspot(64, 24, 6);
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 2;
+  cfg.exchange_every = 2;
+
+  auto cluster = core::ShardedCluster::open(2);
+  const auto devs = cluster.devices();
+  core::Checkpoint state;
+  auto seg = g;
+  seg.iterations = 3;
+  core::run_general_sharded(devs, *cluster.fabric, seg, cfg, &state);
+  EXPECT_EQ(state.bytes(), core::PaddedLayout(g.width, g.height).bytes());
+  const auto r2 = core::run_general_sharded(devs, *cluster.fabric, seg, cfg, &state);
+
+  const auto one = core::run_general_sharded(g, 2, cfg);
+  EXPECT_EQ(r2.fields, one.fields);
+  EXPECT_EQ(r2.solution, one.solution);
+}
+
+TEST(Sharded, ResumeStateThatDoesNotFitIsRejected) {
+  // A checkpoint sealed for another program: a different field count, or
+  // a written image of another size, is an ApiError before any card runs.
+  core::ShardedRunConfig cfg;
+  cfg.run.cores_y = 2;
+  auto cluster = core::ShardedCluster::open(2);
+  const auto devs = cluster.devices();
+  const auto p = small_problem(2);
+
+  core::Checkpoint two_fields;
+  core::run_general_sharded(devs, *cluster.fabric, core::gallery::hotspot(64, 24, 1),
+                            cfg, &two_fields);
+  try {
+    core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg, &two_fields);
+    FAIL() << "a two-field checkpoint resumed a one-field program";
+  } catch (const ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find("resume state has 2 fields; 1 expected"),
+              std::string::npos)
+        << e.what();
+  }
+
+  core::Checkpoint other_size;
+  auto taller = p;
+  taller.height = 32;
+  core::run_jacobi_sharded(devs, *cluster.fabric, taller, cfg, &other_size);
+  const core::PaddedLayout want(p.width, p.height);
+  const core::PaddedLayout have(taller.width, taller.height);
+  try {
+    core::run_jacobi_sharded(devs, *cluster.fabric, p, cfg, &other_size);
+    FAIL() << "a checkpoint of another size resumed";
+  } catch (const ApiError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "resume state has " + std::to_string(have.elems()) +
+                  " elements; the padded layout needs " + std::to_string(want.elems())),
+              std::string::npos)
+        << e.what();
+  }
+  // The rejected runs left the checkpoints as they were.
+  EXPECT_EQ(two_fields.bytes(), core::PaddedLayout(64, 24).bytes());
+  EXPECT_EQ(other_size.bytes(), have.bytes());
 }
 
 TEST(Sharded, GalleryHotspotBitExact) {

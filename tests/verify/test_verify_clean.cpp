@@ -181,6 +181,46 @@ TEST(VerifyClean, ServeBatchedSmoke) {
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
 
+// The same path checkpointed every 2 sweeps, with a hotspot request beside
+// the Jacobi tenants: every later segment restores its written fields from
+// a sealed checkpoint and restages the read-only power map from the
+// request, and those launches must be as clean as fresh ones.
+TEST(VerifyClean, ServeCheckpointedSmoke) {
+  serve::ServiceConfig cfg;
+  cfg.cards = 1;
+  cfg.device.enable_verify = true;
+  cfg.run.strategy = core::DeviceStrategy::kRowChunk;
+  cfg.run.cores_x = 1;
+  cfg.run.cores_y = 4;
+  cfg.max_batch = 8;
+  cfg.checkpoint_every = 2;
+  serve::StencilService svc(cfg);
+  core::JacobiProblem p;
+  p.width = 128;
+  p.height = 128;
+  p.iterations = 5;
+  std::vector<std::uint64_t> ids;
+  for (int tenant = 0; tenant < 4; ++tenant) {
+    serve::Request req;
+    req.problem = p;
+    req.problem.bc_left = 0.25f * static_cast<float>(tenant + 1);
+    req.tenant = tenant;
+    ids.push_back(svc.submit(req).id);
+  }
+  serve::Request hot;
+  hot.general = core::gallery::hotspot(128, 128, 5);
+  hot.tenant = 4;
+  ids.push_back(svc.submit(hot).id);
+  svc.drain();
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(svc.result(id).status, serve::RequestStatus::kCompleted) << id;
+  }
+  // 5 sweeps in segments of 2: two checkpoints per request.
+  EXPECT_EQ(svc.metrics().checkpoints_taken, 2u * ids.size());
+  const auto fs = svc.verify_findings();
+  EXPECT_TRUE(fs.empty()) << render(fs);
+}
+
 // Every gallery workload — hotspot, FDTD-2D, convection, Life — runs the
 // generic-frontend lowering (multi-field CB maps, multi-pass barriers, the
 // Life post-op) and must come back with zero findings: the general reader /

@@ -177,31 +177,57 @@ int run_stream(const Options& opt) {
   return print_findings("stream", dev->verifier()->findings());
 }
 
+/// The batched serving path, run twice: whole solves, then checkpointed
+/// every 2 sweeps with a hotspot request beside the Jacobi tenants, so the
+/// restore path (sealed written fields, the read-only power map restaged
+/// from the request) runs under the detector too.
 int run_serve(const Options& opt) {
-  ttsim::serve::ServiceConfig cfg;
-  cfg.cards = 1;
-  cfg.device.enable_verify = true;
-  cfg.run.strategy = ttsim::core::DeviceStrategy::kRowChunk;
-  cfg.run.cores_x = 1;
-  cfg.run.cores_y = 4;
-  cfg.max_batch = 8;
-  ttsim::serve::StencilService svc(cfg);
-  ttsim::core::JacobiProblem p;
-  p.width = opt.width;
-  p.height = opt.height;
-  p.iterations = opt.iterations;
-  for (int tenant = 0; tenant < 4; ++tenant) {
-    ttsim::serve::Request req;
-    req.problem = p;
-    req.problem.bc_left = 0.25f * static_cast<float>(tenant + 1);
-    req.tenant = tenant;
-    if (svc.submit(req).status != ttsim::serve::RequestStatus::kQueued) {
-      std::cout << "serve: submit rejected\n";
+  int rc = 0;
+  for (const int checkpoint_every : {0, 2}) {
+    const std::string name = checkpoint_every > 0 ? "serve checkpointed" : "serve";
+    ttsim::serve::ServiceConfig cfg;
+    cfg.cards = 1;
+    cfg.device.enable_verify = true;
+    cfg.run.strategy = ttsim::core::DeviceStrategy::kRowChunk;
+    cfg.run.cores_x = 1;
+    cfg.run.cores_y = 4;
+    cfg.max_batch = 8;
+    cfg.checkpoint_every = checkpoint_every;
+    ttsim::serve::StencilService svc(cfg);
+    std::vector<ttsim::serve::Request> requests;
+    ttsim::core::JacobiProblem p;
+    p.width = opt.width;
+    p.height = opt.height;
+    p.iterations = opt.iterations;
+    for (int tenant = 0; tenant < 4; ++tenant) {
+      ttsim::serve::Request req;
+      req.problem = p;
+      req.problem.bc_left = 0.25f * static_cast<float>(tenant + 1);
+      req.tenant = tenant;
+      requests.push_back(req);
+    }
+    if (checkpoint_every > 0) {
+      ttsim::serve::Request req;
+      req.general = ttsim::core::gallery::hotspot(static_cast<std::uint32_t>(opt.width),
+                                                  static_cast<std::uint32_t>(opt.height),
+                                                  std::max(opt.iterations, 3));
+      req.tenant = 4;
+      requests.push_back(req);
+    }
+    for (const auto& req : requests) {
+      if (svc.submit(req).status != ttsim::serve::RequestStatus::kQueued) {
+        std::cout << name << ": submit rejected\n";
+        return 1;
+      }
+    }
+    svc.drain();
+    if (checkpoint_every > 0 && svc.metrics().checkpoints_taken == 0) {
+      std::cout << name << ": no checkpoint was taken\n";
       return 1;
     }
+    rc |= print_findings(name, svc.verify_findings());
   }
-  svc.drain();
-  return print_findings("serve", svc.verify_findings());
+  return rc;
 }
 
 /// Two cards cabled with chip-to-chip links running the deep-halo sharded
