@@ -3,8 +3,8 @@
 /// Fault-tolerant Jacobi driver: checkpoint/restart on top of the Device
 /// watchdog, checksummed transfers and faulty-core remapping.
 ///
-/// The solve proceeds in chunks of `checkpoint_every` iterations; after each
-/// chunk the freshest grid is sealed on the host as a core::Checkpoint
+/// The solve proceeds in chunks of `checkpoint_every` iterations; between
+/// chunks the freshest grid is sealed on the host as a core::Checkpoint
 /// (field_grids.hpp: the exact padded device image, CRC-32'd and verified
 /// when restored). A hang (watchdog timeout — e.g. a FaultPlan core kill
 /// parking a kernel forever) wedges the simulated card, so recovery opens a

@@ -61,8 +61,6 @@ struct ShardedRunConfig {
 struct ShardedRunResult {
   /// Assembled interior of the written (Jacobi: the only) field.
   std::vector<float> solution;
-  /// General runs: every field's assembled interior, in field order.
-  std::vector<std::vector<float>> fields;
   SimTime kernel_time = 0;    ///< sum over epochs of the slowest card's kernels
   SimTime exchange_time = 0;  ///< critical-path link time between epochs
   SimTime total_time = 0;     ///< staging + epochs + exchanges + readback

@@ -7,7 +7,6 @@
 
 #include "card_threads.hpp"
 #include "stencil_internal.hpp"
-#include "ttsim/core/field_grids.hpp"
 
 namespace ttsim::core {
 

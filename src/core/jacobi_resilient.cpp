@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "stencil_internal.hpp"
-#include "ttsim/core/field_grids.hpp"
 
 namespace ttsim::core {
 
@@ -53,7 +52,9 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
                     "toggles are a measurement instrument)");
   }
   const GeneralStencilProblem g = to_general(p);
-  const int nfields = static_cast<int>(g.fields.size());
+  // A generation may resume mid-solve: the whole solve is verified at the end.
+  DeviceRunConfig generation_cfg = cfg;
+  generation_cfg.verify = false;
 
   ResilientRunResult res;
   // The running checkpoint: the state after the sweeps completed so far.
@@ -70,40 +71,40 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     dc.fault_plan = fault_plan;
     auto device = ttmetal::Device::open(spec, dc);
 
-    // Shrink onto the workers that survived earlier generations.
-    const detail::CoreSelection sel = detail::select_cores(*device, p, cfg);
-    res.cores_used = sel.ncores();
-
-    int in_flight = 0;
-    try {
-      FieldGrids grids(*device, g, cfg);
-      auto& cq = device->command_queue(0);
-      for (int f = 0; f < nfields; ++f) {
-        std::vector<bfloat16_t> built;
-        grids.stage(f, state.restore(g, f, built), cq, /*blocking=*/true);
-      }
-      while (remaining > 0) {
-        in_flight = std::min(options.checkpoint_every, remaining);
-        res.kernel_time += grids.launch(in_flight, sel);
-        remaining -= in_flight;
-        in_flight = 0;
-        // Seal the freshest written grids as the new checkpoint.
-        std::vector<std::vector<bfloat16_t>> images(static_cast<std::size_t>(nfields));
-        for (int f = 0; f < nfields; ++f) {
+    // checkpoint_every sweeps per launch, sealed between launches (the solve
+    // body's readback reads the last). Kernel time goes straight into `res`:
+    // the launches a lost generation finished still count.
+    auto segments = [&](auto& grids, const detail::CoreSelection& sel, DeviceRunResult&) {
+      const int sweeps = remaining;
+      for (;;) {
+        const int chunk = std::min(options.checkpoint_every, remaining);
+        res.kernel_time += grids.launch(chunk, sel);
+        remaining -= chunk;
+        if (remaining == 0) return sweeps;
+        std::vector<std::vector<bfloat16_t>> images(g.fields.size());
+        for (int f = 0; f < static_cast<int>(g.fields.size()); ++f) {
           if (g.written_pass(f) < 0) continue;
           auto& image = images[static_cast<std::size_t>(f)];
           image.resize(grids.layout().elems());
-          grids.read(f, image, cq, /*blocking=*/true);
+          grids.read(f, image, device->command_queue(0), /*blocking=*/true);
         }
         state.seal(g, std::move(images));
       }
+    };
+    try {
+      // Shrinks onto the surviving workers and restores the checkpoint.
+      DeviceRunResult run = detail::solve_on_device(
+          *device, g, generation_cfg, detail::Surface::kSolve, segments, state);
+      res.solution = std::move(run.fields[static_cast<std::size_t>(g.primary_field())]);
+      res.cores_used = run.cores_used;
       res.total_time += device->now();
       res.transfer_retries += static_cast<int>(device->transfer_retries());
       break;
     } catch (const ttmetal::DeviceTimeoutError&) {
       res.total_time += device->now();
       res.transfer_retries += static_cast<int>(device->transfer_retries());
-      res.iterations_replayed += in_flight;
+      // Only a launch times out: the one in flight when the watchdog fired.
+      res.iterations_replayed += std::min(options.checkpoint_every, remaining);
       ++res.restarts;
       if (res.restarts > options.max_restarts) throw;
       // The wedged generation (and its buffers) is dropped; the next one
@@ -111,8 +112,6 @@ ResilientRunResult run_jacobi_resilient(const JacobiProblem& p,
     }
   }
 
-  res.solution =
-      PaddedLayout(p.width, p.height).extract_interior(state.image(g.primary_field()));
   if (fault_plan != nullptr) res.fault_summary = fault_plan->trace_string();
   if (cfg.verify) {
     res.verified_ok = detail::matches_general_reference(g, {&res.solution, 1});

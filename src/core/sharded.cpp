@@ -13,7 +13,7 @@
 #include "card_threads.hpp"
 #include "stencil_internal.hpp"
 #include "ttsim/common/check.hpp"
-#include "ttsim/core/field_grids.hpp"
+#include "ttsim/cpu/stencil_cpu.hpp"
 
 namespace ttsim::core {
 namespace {
@@ -86,10 +86,10 @@ void slab_rows_write(ttmetal::Device& dev, const ttmetal::Buffer& buf,
 
 /// The epoch loop over a validated single-pass program `p`: every field
 /// staged by the restore rule (from `ckpt` when it is non-null and
-/// non-empty), every field's assembled interior returned in `fields` and,
-/// on a fresh start with cfg.verify, checked against the CPU reference. A
-/// non-null `ckpt` receives the sealed final state, and is left as it was
-/// when the run throws.
+/// non-empty), the written field's assembled interior returned in
+/// `solution` and, on a fresh start with cfg.verify, checked against the
+/// CPU reference. A non-null `ckpt` receives the sealed final state, and is
+/// left as it was when the run throws.
 ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
                                   sim::ChipLinkFabric& fabric,
                                   const GeneralStencilProblem& p,
@@ -288,14 +288,14 @@ ShardedRunResult run_sharded_impl(std::span<ttmetal::Device* const> devices,
   const auto fabric_after = fabric.totals();
   result.link_bytes = fabric_after.bytes - fabric_before.bytes;
 
-  // Free the slab grids' host storage before widening the images, so the
-  // two never take up host memory together.
+  // Free the slab grids' host storage before widening the image, so the
+  // two never take up host memory together. Only the written field is
+  // widened: the others are the program's own, never read back.
   state.clear();
-  for (const auto& image : images) {
-    result.fields.push_back(global.extract_interior(image));
-  }
+  result.solution = global.extract_interior(img);
   if (cfg.verify && from.empty()) {
-    result.verified_ok = detail::matches_general_reference(p, result.fields);
+    result.verified_ok = detail::matches_reference_field(
+        cpu::general_reference_bf16(p)[static_cast<std::size_t>(written)], result.solution);
   }
   if (ckpt != nullptr) ckpt->seal(p, std::move(images));
   return result;
@@ -326,11 +326,7 @@ ShardedRunResult run_jacobi_sharded(std::span<ttmetal::Device* const> cards,
                                     sim::ChipLinkFabric& fabric,
                                     const JacobiProblem& p,
                                     const ShardedRunConfig& cfg, Checkpoint* state) {
-  ShardedRunResult result = run_sharded_impl(cards, fabric, to_general(p), cfg, state);
-  // Classic Jacobi returns only its solution.
-  result.solution = std::move(result.fields[0]);
-  result.fields.clear();
-  return result;
+  return run_sharded_impl(cards, fabric, to_general(p), cfg, state);
 }
 
 ShardedRunResult run_general_sharded(std::span<ttmetal::Device* const> cards,
@@ -342,9 +338,7 @@ ShardedRunResult run_general_sharded(std::span<ttmetal::Device* const> cards,
     TTSIM_THROW_API("sharded general runs support single-pass programs only ("
                     << p.passes.size() << " passes)");
   }
-  ShardedRunResult result = run_sharded_impl(cards, fabric, p, cfg, state);
-  result.solution = result.fields[static_cast<std::size_t>(p.passes[0].target)];
-  return result;
+  return run_sharded_impl(cards, fabric, p, cfg, state);
 }
 
 ShardedRunResult run_jacobi_sharded(const JacobiProblem& p, int cards,

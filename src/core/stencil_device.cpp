@@ -36,7 +36,6 @@
 #include <utility>
 
 #include "stencil_internal.hpp"
-#include "ttsim/core/field_grids.hpp"
 #include "ttsim/cpu/stencil_cpu.hpp"
 
 namespace ttsim::core {
@@ -384,17 +383,16 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
   return sh;
 }
 
+bool matches_reference_field(std::span<const bfloat16_t> ref, std::span<const float> got) {
+  return std::equal(ref.begin(), ref.end(), got.begin(), got.end(),
+                    [](bfloat16_t r, float g) { return static_cast<float>(r) == g; });
+}
+
 bool matches_general_reference(const GeneralStencilProblem& p,
                                std::span<const std::vector<float>> fields) {
   const auto ref = cpu::general_reference_bf16(p);
-  if (ref.size() != fields.size()) return false;
-  for (std::size_t f = 0; f < ref.size(); ++f) {
-    if (ref[f].size() != fields[f].size()) return false;
-    for (std::size_t i = 0; i < ref[f].size(); ++i) {
-      if (static_cast<float>(ref[f][i]) != fields[f][i]) return false;
-    }
-  }
-  return true;
+  return std::equal(ref.begin(), ref.end(), fields.begin(), fields.end(),
+                    [](const auto& r, const auto& g) { return matches_reference_field(r, g); });
 }
 
 void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared> sh) {
@@ -409,7 +407,7 @@ void build_general_program(ttmetal::Program& prog, std::shared_ptr<GeneralShared
 
 DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilProblem& p,
                                 const DeviceRunConfig& cfg, Surface surface,
-                                const LaunchPlan& plan) {
+                                const LaunchPlan& plan, const Checkpoint& resume) {
   validate_general_launch(p, cfg, surface, device.num_workers());
   const CoreSelection sel = select_cores(device, p.geometry(), cfg);
   FieldGrids grids(device, p, cfg);
@@ -421,7 +419,7 @@ DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilPro
   const SimTime t_start = device.now();
   for (int f = 0; f < nfields; ++f) {
     std::vector<bfloat16_t> built;
-    grids.stage(f, Checkpoint{}.restore(p, f, built), cq, /*blocking=*/true);
+    grids.stage(f, resume.restore(p, f, built), cq, /*blocking=*/true);
   }
   DeviceRunResult result;
   int sweeps = p.iterations;

@@ -30,12 +30,9 @@
 #include <string>
 
 #include "jacobi_internal.hpp"
+#include "ttsim/core/field_grids.hpp"
 #include "ttsim/core/stencil.hpp"
 #include "ttsim/ir/ir.hpp"
-
-namespace ttsim::core {
-class FieldGrids;
-}
 
 namespace ttsim::core::detail {
 
@@ -161,6 +158,9 @@ std::shared_ptr<GeneralShared> resolve_general(const GeneralStencilProblem& p,
                                                std::vector<std::uint64_t> d1,
                                                std::vector<std::uint64_t> d2);
 
+/// Bit-exact comparison of one field's interior with its BF16 reference.
+bool matches_reference_field(std::span<const bfloat16_t> ref, std::span<const float> got);
+
 /// Bit-exact comparison of every field's interior against
 /// cpu::general_reference_bf16.
 bool matches_general_reference(const GeneralStencilProblem& p,
@@ -169,20 +169,25 @@ bool matches_general_reference(const GeneralStencilProblem& p,
 /// `p` without its initial fields: what a launch compiles from.
 GeneralStencilProblem structure_of(const GeneralStencilProblem& p);
 
-/// Runs the sweeps of a solve on its staged grids (adding each launch's
-/// kernel time to `result`) and returns how many sweeps ran.
+/// The one place a driver splits a solve's sweeps into launches and says
+/// what runs between them (adaptive: a residual check; resilient: a seal).
+/// Runs the sweeps on the staged grids, adds each launch's kernel time to
+/// `result` (or to the driver's own) and returns how many sweeps ran.
 using LaunchPlan = std::function<int(FieldGrids& grids, const CoreSelection& sel,
                                      DeviceRunResult& result)>;
 
 /// The one single-device solve body: validate `p` for `surface`, shrink
 /// the requested grid onto the usable workers (select_cores), allocate the
-/// program's grids, stage every field, run `plan` (default: one launch of
-/// p.iterations sweeps), read every field back into `fields` and, with
-/// cfg.verify and the full pipeline, check them against the BF16 reference
-/// at the sweeps that ran. `solution` is left to the caller.
+/// program's grids, stage every field by `resume`'s restore rule (default:
+/// from the program), run `plan` (default: one launch of p.iterations
+/// sweeps), read every field back into `fields` and, with cfg.verify and
+/// the full pipeline, check them against the BF16 reference at the sweeps
+/// that ran (so a resumed solve's caller verifies instead). `solution` is
+/// left to the caller.
 DeviceRunResult solve_on_device(ttmetal::Device& device, const GeneralStencilProblem& p,
                                 const DeviceRunConfig& cfg, Surface surface,
-                                const LaunchPlan& plan = {});
+                                const LaunchPlan& plan = {},
+                                const Checkpoint& resume = Checkpoint{});
 
 /// The one strategy -> builder switch of the general frontend, keyed on
 /// sh->strategy. The IR emit closures and the batched builder call it.

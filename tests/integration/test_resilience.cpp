@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -227,6 +228,64 @@ TEST(Resilience, TemporalSolveVerifiesAndMatchesThePlainDriver) {
   EXPECT_TRUE(r.verified_ok);
   EXPECT_EQ(r.kernel_time, plain.kernel_time);
   EXPECT_EQ(r.solution, plain.solution);
+}
+
+/// Segment law, row-chunk: a fault-free resilient solve cut into launches
+/// of any length sweeps the same grids as one launch of every sweep, and
+/// the launch boundaries are neutral: the segments' kernel times sum to
+/// the one-shot's to the picosecond.
+TEST(Resilience, RowChunkSegmentsSumToTheOneShot) {
+  const auto p = small_problem(1024, 256, 10);
+  DeviceRunConfig cfg;
+  cfg.cores_y = 4;
+  cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
+  cfg.verify = true;
+  const auto plain = run_jacobi_on_device(p, cfg);
+  ASSERT_TRUE(plain.verified_ok);
+  for (const int every : {1, 3, 5}) {
+    ResilienceOptions opts;
+    opts.checkpoint_every = every;
+    const auto r = run_jacobi_resilient(p, cfg, opts, nullptr);
+    EXPECT_TRUE(r.verified_ok) << "checkpoint_every " << every;
+    EXPECT_EQ(r.solution, plain.solution) << "checkpoint_every " << every;
+    EXPECT_EQ(r.kernel_time, plain.kernel_time) << "checkpoint_every " << every;
+  }
+}
+
+/// Segment law, SRAM-resident: every launch loads its slabs into L1 and
+/// writes them back whatever ran before it, so a segmented solve's kernel
+/// time is exactly the sum of one-shot solves of its segment lengths. The
+/// one-shot time is not affine in the sweep count (a launch's first sweeps
+/// run a little slower), so what an extra segment adds depends slightly on
+/// where the cut falls: the even 5 + 5 cut adds 45,317,096 ps.
+TEST(Resilience, SramResidentSegmentsCostTheirOneShots) {
+  const auto p = small_problem(1024, 256, 10);
+  DeviceRunConfig cfg;
+  cfg.strategy = DeviceStrategy::kSramResident;
+  cfg.cores_y = 4;
+  cfg.buffer_layout = ttmetal::BufferLayout::kStriped;
+  cfg.verify = true;
+  const auto plain = run_jacobi_on_device(p, cfg);
+  ASSERT_TRUE(plain.verified_ok);
+  std::map<int, SimTime> one_shot;  // kernel time by sweep count
+  for (const int sweeps : {1, 2, 3, 5}) {
+    auto q = p;
+    q.iterations = sweeps;
+    one_shot[sweeps] = run_jacobi_on_device(q, cfg).kernel_time;
+  }
+  one_shot[p.iterations] = plain.kernel_time;
+  EXPECT_EQ(2 * one_shot[5] - one_shot[10], 45317096);
+  for (const int every : {5, 3, 2, 1}) {
+    ResilienceOptions opts;
+    opts.checkpoint_every = every;
+    const auto r = run_jacobi_resilient(p, cfg, opts, nullptr);
+    const int rest = p.iterations % every;
+    const SimTime segments =
+        p.iterations / every * one_shot[every] + (rest > 0 ? one_shot[rest] : 0);
+    EXPECT_TRUE(r.verified_ok) << "checkpoint_every " << every;
+    EXPECT_EQ(r.solution, plain.solution) << "checkpoint_every " << every;
+    EXPECT_EQ(r.kernel_time, segments) << "checkpoint_every " << every;
+  }
 }
 
 /// Every single-device solve chooses its cores with the one selection rule.

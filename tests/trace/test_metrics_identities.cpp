@@ -5,21 +5,28 @@
 ///
 ///  - the per-bank row misses sum to DramStats::row_misses, and no bank
 ///    re-activates a row more often than it serves requests;
+///  - the per-bank bytes sum to DramStats::bytes_read + bytes_written;
+///  - each NoC's busy time is the hop latency times the hops its transfers
+///    crossed (the trace's hop count per transfer, not its duration: the
+///    simulator keeps no NoC counter outside the trace);
 ///  - each (core, CB) occupancy histogram holds exactly one sample per
 ///    kCbPush / kCbPop event of that pair in the trace;
 ///  - a solve moves exactly its grids over PCIe: one padded image per
 ///    staged buffer (two per written field, one per read-only field) and
-///    one per field read back, each its own transfer.
+///    one per field read back, each its own transfer;
+///  - no kernel accounts more busy and wait time than it lived, on a
+///    temporal solve whose semaphore ring waits.
 ///
-/// A doubled row-miss count, a doubled occupancy sample or doubled PCIe
-/// bytes in the aggregation passes every solution and timing test; these
-/// identities catch all three.
+/// A doubled row-miss count, bank byte count, NoC busy time, semaphore wait,
+/// occupancy sample or PCIe byte count in the aggregation passes every
+/// solution and timing test; these identities catch all six.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "ttsim/core/gallery.hpp"
 #include "ttsim/core/jacobi_device.hpp"
@@ -49,6 +56,19 @@ void expect_identities(ttmetal::Device& dev, const char* what) {
         << what << ": bank " << b;
   }
   EXPECT_EQ(bank_misses, dram.row_misses) << what;
+
+  std::uint64_t bank_bytes = 0;
+  for (const sim::BankMetrics& bm : m.banks) bank_bytes += bm.bytes;
+  EXPECT_EQ(bank_bytes, dram.bytes_read + dram.bytes_written) << what;
+
+  std::vector<SimTime> hop_time(m.noc_busy.size(), 0);
+  for (const sim::TraceEvent& e : dev.trace()->events()) {
+    if (e.kind == sim::TraceEventKind::kNocTransfer) {
+      hop_time.at(static_cast<std::size_t>(e.a)) += e.b * dev.spec().noc_hop_latency;
+    }
+  }
+  ASSERT_FALSE(hop_time.empty()) << what << ": no NoC traffic traced";
+  EXPECT_EQ(m.noc_busy, hop_time) << what;
 
   std::map<std::pair<int, int>, std::uint64_t> transitions;
   for (const sim::TraceEvent& e : dev.trace()->events()) {
@@ -131,6 +151,29 @@ TEST(MetricsIdentities, HotspotSolveStagesOneGridPerReadOnlyField) {
   ASSERT_EQ(staged, 3u);
   expect_pcie(*dev, core::PaddedLayout(p.width, p.height), staged + p.fields.size(),
               "hotspot");
+}
+
+TEST(MetricsIdentities, TemporalSolveAccountsNoMoreThanEachKernelLived) {
+  // Temporal tiling passes each sub-step's skirt rows between neighbouring
+  // cores over a semaphore ring, so its kernels wait on semaphores.
+  auto dev = traced_device();
+  core::JacobiProblem p;
+  p.width = 64;
+  p.height = 64;
+  p.iterations = 8;
+  core::DeviceRunConfig cfg;
+  cfg.strategy = core::DeviceStrategy::kTemporal;
+  cfg.temporal_depth = 4;
+  cfg.cores_y = 4;
+  cfg.verify = true;
+  ASSERT_TRUE(core::run_jacobi_on_device(*dev, p, cfg).verified_ok);
+  const sim::MetricsReport m = dev->metrics();
+  SimTime sem_wait = 0;
+  for (const sim::KernelMetrics& k : m.kernels) {
+    EXPECT_LE(k.self_busy() + k.total_wait(), k.lifetime()) << k.name;
+    sem_wait += k.sem_wait;
+  }
+  ASSERT_GT(sem_wait, 0) << "the bound is vacuous without semaphore waits";
 }
 
 }  // namespace
