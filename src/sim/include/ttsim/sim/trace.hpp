@@ -154,20 +154,25 @@ class TraceSink {
   /// interest, e.g. "after the setup transfers, before the kernel run".
   void clear() { events_.clear(); }
 
-  /// Canonical one-line-per-event rendering in record order. Byte-identical
-  /// across runs of the same workload — the golden-trace property.
+  /// Canonical one-line-per-event rendering, ordered by (timestamp, track
+  /// name, record order within the track). Byte-identical across runs of the
+  /// same workload — the golden-trace property — and independent of the
+  /// host order in which kernels running ahead of the engine record.
   std::string canonical() const;
   /// FNV-1a 64-bit hash of canonical(); what the golden tests pin.
   std::uint64_t hash() const;
 
   /// Chrome trace_event JSON (the format Perfetto / chrome://tracing load):
   /// one named thread per track, "X" complete events for intervals, "i"
-  /// instants, plus CB-occupancy counter tracks.
+  /// instants, plus CB-occupancy counter tracks; events in canonical() order.
   void write_chrome_trace(std::ostream& os) const;
   /// Convenience: write_chrome_trace to a file; throws ApiError on failure.
   void write_chrome_trace_file(const std::string& path) const;
 
  private:
+  /// The events in canonical() order.
+  std::vector<const TraceEvent*> canonical_order() const;
+
   Engine& engine_;
   std::vector<TraceEvent> events_;
   std::vector<std::string> track_names_;

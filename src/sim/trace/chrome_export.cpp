@@ -65,7 +65,8 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
        << ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":" << t
        << "}}";
   }
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent* ep : canonical_order()) {
+    const TraceEvent& e = *ep;
     os << ",\n{\"ph\":\"" << (e.dur > 0 ? 'X' : 'i') << "\",\"pid\":0,\"tid\":"
        << e.track << ",\"ts\":" << to_us(e.ts);
     if (e.dur > 0) os << ",\"dur\":" << to_us(e.dur);

@@ -4,6 +4,7 @@
 
 #include "ttsim/sim/trace.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "ttsim/common/check.hpp"
@@ -62,9 +63,23 @@ int TraceSink::current_track() {
   return track(engine_.current().name());
 }
 
+std::vector<const TraceEvent*> TraceSink::canonical_order() const {
+  std::vector<const TraceEvent*> order;
+  order.reserve(events_.size());
+  for (const TraceEvent& e : events_) order.push_back(&e);
+  // Stable: events of one track at one time keep their record order.
+  std::stable_sort(order.begin(), order.end(),
+                   [this](const TraceEvent* x, const TraceEvent* y) {
+                     if (x->ts != y->ts) return x->ts < y->ts;
+                     return track_name(x->track) < track_name(y->track);
+                   });
+  return order;
+}
+
 std::string TraceSink::canonical() const {
   std::ostringstream os;
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent* ep : canonical_order()) {
+    const TraceEvent& e = *ep;
     os << e.ts << ' ' << e.dur << ' ' << to_string(e.kind) << ' '
        << track_name(e.track) << ' ' << e.core << ' ' << e.a << ' ' << e.b
        << ' ' << e.addr << ' ' << e.bytes << '\n';

@@ -547,7 +547,7 @@ TEST(Serve, PinnedMixedTrafficOnTwoCards) {
   EXPECT_EQ(m.checkpoint_bytes, 102400u);
   EXPECT_EQ(m.session_cache_hits, 2u);
   EXPECT_EQ(m.session_cache_misses, 7u);
-  EXPECT_EQ(svc.spans().hash(), 6570233096896894742u);
+  EXPECT_EQ(svc.spans().hash(), 8583585842677226036u);
 }
 
 // Most requests waiting at once on the simulated timeline, from the

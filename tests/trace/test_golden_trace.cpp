@@ -216,26 +216,26 @@ void expect_golden(const char* name, Workload&& workload, GoldenPin golden) {
 }
 
 // --- pinned hashes and end times in ps (regenerate with TTSIM_REGEN_GOLDEN=1) ---
-constexpr GoldenPin kGoldenJacobiTiled{0xc16762991f5f97cfull, 1385697600};  // 5492 events
-constexpr GoldenPin kGoldenJacobiDoubleBuffered{0x1fbbe715c38f9d40ull, 1172721040};  // 4974 events
-constexpr GoldenPin kGoldenJacobiRowChunk{0x15a6e37ede3a1977ull, 646258290};  // 4901 events
-constexpr GoldenPin kGoldenJacobiRowChunkMulticore{0x340a252b48da8beaull, 591777506};
+constexpr GoldenPin kGoldenJacobiTiled{0xf0150069baae5845ull, 1385697600};  // 5492 events
+constexpr GoldenPin kGoldenJacobiDoubleBuffered{0x5b92c64f66a61666ull, 1172721040};  // 4974 events
+constexpr GoldenPin kGoldenJacobiRowChunk{0x3fbd7489ccbbbeb3ull, 646258290};  // 4901 events
+constexpr GoldenPin kGoldenJacobiRowChunkMulticore{0x8ef113751500cd0aull, 591777506};
     // 4937 events
-constexpr GoldenPin kGoldenStreamSingleCore{0xeca69c538be2aafull, 662916264};  // 521 events
-constexpr GoldenPin kGoldenStreamInterleaved{0x3794630502d0b6f3ull, 620428589};  // 598 events
-constexpr GoldenPin kGoldenFaultyRowChunk{0xa8213a2bb1004b67ull, 835648197};  // 4876 events
-constexpr GoldenPin kGoldenGalleryHotspot{0xdce47c74e2597e20ull, 861750538};  // 21227 events
-constexpr GoldenPin kGoldenGalleryFdtd2d{0x477934d7948f6b0eull, 1160170598};  // 50607 events
-constexpr GoldenPin kGoldenGalleryConvection{0x626b6734c264ad2cull, 993376538};  // 25269 events
-constexpr GoldenPin kGoldenGalleryLife{0x91a57e0b21fbb9cbull, 858016538};  // 19509 events
-constexpr GoldenPin kGoldenJacobiTemporal{0x3a8fe38d0d9b20f3ull, 657230510};  // 6089 events
-constexpr GoldenPin kGoldenJacobiSharded2Card{0x50143837862d8389ull, 1162701536};  // 10176 events
-constexpr GoldenPin kGoldenJacobiSram{0x76d67eb8a4c2b29bull, 600080098};  // 3497 events
-constexpr GoldenPin kGoldenGalleryConvectionSram{0x27af5b4c2f13b578ull, 991412838};  // 20193 events
-constexpr GoldenPin kGoldenGalleryLifeSram{0xfa2a132ca3b63d88ull, 856052838};  // 14433 events
-constexpr GoldenPin kGoldenGalleryConvectionTemporal{0x913dd3b98a840c5full, 1015377957};
+constexpr GoldenPin kGoldenStreamSingleCore{0x4db71d39c8458c27ull, 662916264};  // 521 events
+constexpr GoldenPin kGoldenStreamInterleaved{0x97093303727b3f7ull, 620428589};  // 598 events
+constexpr GoldenPin kGoldenFaultyRowChunk{0xd3207a1926ad338bull, 835648197};  // 4876 events
+constexpr GoldenPin kGoldenGalleryHotspot{0xb6697b492cb198dcull, 861750538};  // 21227 events
+constexpr GoldenPin kGoldenGalleryFdtd2d{0x3120ffc6d1d37890ull, 1160170598};  // 50607 events
+constexpr GoldenPin kGoldenGalleryConvection{0xb5dd71ee35a95ce6ull, 993376538};  // 25269 events
+constexpr GoldenPin kGoldenGalleryLife{0x1b912d3459066343ull, 858016538};  // 19509 events
+constexpr GoldenPin kGoldenJacobiTemporal{0xf4b7ad2716a4ad0full, 657230510};  // 6089 events
+constexpr GoldenPin kGoldenJacobiSharded2Card{0x517f401de712c055ull, 1162701536};  // 10176 events
+constexpr GoldenPin kGoldenJacobiSram{0x85dd53a08c7dbda3ull, 600080098};  // 3497 events
+constexpr GoldenPin kGoldenGalleryConvectionSram{0xb00c725f02bb8314ull, 991412838};  // 20193 events
+constexpr GoldenPin kGoldenGalleryLifeSram{0x7f5e2f5779426968ull, 856052838};  // 14433 events
+constexpr GoldenPin kGoldenGalleryConvectionTemporal{0xd1040fc9c1aa0643ull, 1015377957};
     // 21618 events
-constexpr GoldenPin kGoldenGalleryHotspotTemporal{0x5254e99bdea47320ull, 885695957};
+constexpr GoldenPin kGoldenGalleryHotspotTemporal{0xa8c06383c3afcd52ull, 885695957};
     // 15698 events
 
 TEST(GoldenTrace, JacobiTiled) {
