@@ -63,10 +63,11 @@ void KernelCtxBase::charge(SimTime cost) {
 
 void KernelCtxBase::maybe_halt() {
   sim::FaultPlan* plan = device_.hw().fault_plan();
-  if (plan == nullptr) return;
-  const SimTime t = device_.hw().engine().now();
-  if (!plan->core_dead(core_.id(), t)) return;
-  plan->record_core_failure(t, core_.id());
+  if (plan == nullptr || !plan->core_dead(core_.id(), now())) return;
+  // The kill is checked on this kernel's clock but recorded at engine time,
+  // in engine order with the plan's other records.
+  sync();
+  plan->record_core_failure(device_.hw().engine().now(), core_.id());
   core_.halt_current_process();
 }
 
@@ -300,7 +301,12 @@ void DataMoverCtx::read_impl(std::uint64_t noc_addr, std::uint32_t l1_dst,
   }
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) charge(plan->mover_stall(now(), core_.id()));
+  if (plan != nullptr) {
+    // Realise the stall at once, so the plan's next draw (this transfer's)
+    // falls after it in engine order.
+    charge(plan->mover_stall(now(), core_.id()));
+    sync();
+  }
   const int hops = hw.hops_to_dram(core_, noc_addr, noc_id_);
   SimTime extra = 0;
   if (plan != nullptr) {
@@ -356,7 +362,12 @@ void DataMoverCtx::noc_async_write(std::uint32_t l1_src, std::uint64_t noc_addr,
   verify_read(l1_src, size, "noc_async_write source");
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) charge(plan->mover_stall(now(), core_.id()));
+  if (plan != nullptr) {
+    // Realise the stall at once, so the plan's next draw (this transfer's)
+    // falls after it in engine order.
+    charge(plan->mover_stall(now(), core_.id()));
+    sync();
+  }
   const int hops = hw.hops_to_dram(core_, noc_addr, noc_id_);
   sim::NocFaultDecision fd;
   if (plan != nullptr) {
@@ -473,7 +484,12 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
   sync();
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) charge(plan->mover_stall(now(), core_.id()));
+  if (plan != nullptr) {
+    // Realise the stall at once, so the plan's next draw (this transfer's)
+    // falls after it in engine order.
+    charge(plan->mover_stall(now(), core_.id()));
+    sync();
+  }
   sim::TensixCore& dst = hw.worker(dst_core);
   TTSIM_CHECK_MSG(dst_l1 + size <= dst.sram().capacity(),
                   "core-to-core write past the target core's SRAM");
@@ -482,7 +498,7 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
   auto& engine = hw.engine();
   sim::NocFaultDecision fd;
   if (plan != nullptr) {
-    fd = plan->noc_transaction(engine.now(), core_.id(), noc_id_, dst_l1, size,
+    fd = plan->noc_transaction(now(), core_.id(), noc_id_, dst_l1, size,
                                /*is_write=*/true);
   }
   // Drain through this mover's DMA engine, transit the NoC path, land in
