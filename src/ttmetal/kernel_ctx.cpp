@@ -506,8 +506,12 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
   const SimTime drain = transfer_time(size, spec.dma_write_gbs);
   const SimTime dma_end =
       core_.dma(noc_id_).acquire(engine.now(), drain) + drain;
-  const SimTime complete = dma_end + noc.hop_latency(core_.coord(), dst.coord()) +
-                           spec.write_latency + fd.extra_delay;
+  // A NoC delay holds back the acknowledgement, not the data (as for a DRAM
+  // write): the landing stays ahead of this mover's later semaphore
+  // increments, which are not delayed with it.
+  const SimTime landed = dma_end + noc.hop_latency(core_.coord(), dst.coord()) +
+                         spec.write_latency;
+  const SimTime complete = landed + fd.extra_delay;
   int track = -1;
   if (trace_ != nullptr) {
     track = trace_->current_track();
@@ -542,11 +546,18 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
     verify_->on_write(vtid_, dst_core, dst_l1, size, "noc_async_write_core landing");
   }
   std::vector<std::byte> snapshot(l1_ptr(src_l1), l1_ptr(src_l1) + size);
-  engine.schedule_at(complete, [&dst, dst_l1, data = std::move(snapshot),
-                                t = writes_, complete_event]() mutable {
+  engine.schedule_at(landed, [&dst, dst_l1, data = std::move(snapshot), t = writes_,
+                              &engine, extra = fd.extra_delay, complete_event]() mutable {
     std::memcpy(dst.sram().data(dst_l1), data.data(), data.size());
-    complete_event();
-    t->complete();
+    if (extra > 0) {
+      engine.schedule_after(extra, [t, complete_event] {
+        complete_event();
+        t->complete();
+      });
+    } else {
+      complete_event();
+      t->complete();
+    }
   });
 }
 
