@@ -23,9 +23,10 @@ class CircularBuffer {
  public:
   /// \param storage backing pages in the owning core's SRAM
   ///        (page_size * num_pages bytes).
-  /// \param trace optional sink recording push/pop occupancy and blocked
-  ///        full/empty waits (`core`/`cb_id` label the events); nullptr
-  ///        disables tracing with no behavioural difference.
+  /// \param trace optional sink recording blocked full/empty waits
+  ///        (`core`/`cb_id` label the events; the kernel layer records
+  ///        pushes and pops on its own clock); nullptr disables tracing
+  ///        with no behavioural difference.
   /// \param kernel_local declared for one kernel's private use (see
   ///        kernel_local()).
   CircularBuffer(Engine& engine, std::byte* storage, std::uint32_t page_size,
@@ -86,11 +87,6 @@ class CircularBuffer {
     wr_page_ = ring(wr_page_, pages);
     committed_ += pages;
     override_wr_ptr_ = nullptr;  // an override is only valid for one page
-    if (trace_ != nullptr) {
-      trace_->record(TraceEventKind::kCbPush, trace_->now(), 0,
-                     {core_, cb_id_, static_cast<std::int32_t>(committed_),
-                      0, static_cast<std::uint64_t>(pages) * page_size_});
-    }
     data_.notify_all();
   }
 
@@ -124,11 +120,6 @@ class CircularBuffer {
     for (std::uint32_t p = 0; p < pages; ++p) live_[ring(rd_page_, p)] = 0;
     rd_page_ = ring(rd_page_, pages);
     clear_read_ptr();  // an override is only valid for the front page
-    if (trace_ != nullptr) {
-      trace_->record(TraceEventKind::kCbPop, trace_->now(), 0,
-                     {core_, cb_id_, static_cast<std::int32_t>(committed_),
-                      0, static_cast<std::uint64_t>(pages) * page_size_});
-    }
     space_.notify_all();
   }
 

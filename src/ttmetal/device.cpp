@@ -438,12 +438,6 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
   running_->deadline = config_.sim_time_limit > 0 ? start + config_.sim_time_limit : 0;
   running_->remaining = total_kernels;
   ProgramLaunch* owner = running_.get();
-  // Private work runs ahead of the engine only when nothing can watch a
-  // kernel's clock between shared ops: no trace (record order), no race
-  // detector, no fault plan (its RNG rolls in engine order) and no watchdog
-  // (its partial profiles).
-  const bool run_ahead = hw_.trace() == nullptr && verify_ == nullptr &&
-                         hw_.fault_plan() == nullptr && config_.sim_time_limit == 0;
   for (auto& k : program.kernels_) {
     for (std::size_t i = 0; i < k.cores.size(); ++i) {
       const int core_idx = k.cores[i];
@@ -455,8 +449,7 @@ void Device::launch_kernels(Program& program, CommandQueue& queue) {
       KernelLaunch launch{.name = k.name + "@" + std::to_string(core_idx),
                           .profile = &profile_.back(),
                           .owner = owner,
-                          .start = start,
-                          .run_ahead = run_ahead};
+                          .start = start};
       kernel_core_by_name_.emplace(launch.name, core_idx);
       // Thread ids are assigned here, in spawn order, so the detector's
       // clocks are deterministic regardless of execution interleaving.
@@ -486,7 +479,6 @@ void Device::run_kernel(KernelCtxBase& ctx, const std::function<void()>& body,
                         const KernelLaunch& launch) {
   ctx.set_profile(launch.profile);
   ctx.set_identity(launch.name, verify_.get(), launch.vtid);
-  ctx.set_run_ahead(launch.run_ahead);
   // Kernel start/end markers are recorded inside the process so they land
   // on the kernel's own trace track.
   sim::TraceSink* trace = hw_.trace();

@@ -278,7 +278,6 @@ class Device {
     ProgramLaunch* owner = nullptr;
     SimTime start = 0;
     int vtid = -1;  ///< race-detector thread id, -1 without enable_verify
-    bool run_ahead = false;  ///< see kernel_ctx.hpp
   };
   /// The body of a kernel process: attach `ctx` to its launch, run `body`,
   /// realise the kernel's remaining lag, then record its end and profile.

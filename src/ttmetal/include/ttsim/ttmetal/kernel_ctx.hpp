@@ -15,11 +15,11 @@
 /// as *lag* on the context instead of as an engine delay. The kernel
 /// realises its lag, as one delay, just before any operation another
 /// process could observe: an op on any other CB, a semaphore post or wait,
-/// a global barrier, a NoC issue or barrier, spin(), and at kernel end. Because equal-time wakeups run in
+/// a global barrier, a NoC issue or barrier, spin(), a fault plan's kill or
+/// stall, and at kernel end. Because equal-time wakeups run in
 /// spawn order (engine.hpp), the skipped intermediate wakeups change no
-/// simulated time. A launch never keeps lag when something could watch a
-/// kernel's clock between shared ops: a trace sink, the race detector, a
-/// FaultPlan or a watchdog (Device decides this per launch).
+/// simulated time. Lag never carries a kernel's clock past its launch's
+/// watchdog deadline (see advance()).
 
 #include <cstdint>
 #include <vector>
@@ -122,19 +122,16 @@ class KernelCtxBase {
     verify_ = verifier;
     vtid_ = vtid;
   }
-  /// Whether private work may run ahead as lag (see the file comment); off,
-  /// every charge is synced at once.
-  void set_run_ahead(bool run_ahead) { run_ahead_ = run_ahead; }
 
  protected:
   /// Account `cost` as active work and advance this kernel's clock by it.
   void charge(SimTime cost);
-  /// Advance this kernel's clock by `dt`: as lag when running ahead, else
-  /// by one engine delay now.
-  void advance(SimTime dt) {
-    lag_ += dt;
-    if (!run_ahead_) sync();
-  }
+  /// Advance this kernel's clock by `dt` as lag. A step that would carry
+  /// the clock past the watchdog deadline first realises the lag before it
+  /// and is then realised itself, so the watchdog stops the engine where it
+  /// would stop a kernel that synced every step, and private work that never
+  /// ends still times out.
+  void advance(SimTime dt);
   /// Before an op on `cb`: sync unless the CB is kernel-local and the op
   /// cannot block (`ready`); a local op that would block syncs too.
   void sync_unless_local(const sim::CircularBuffer& cb, bool ready) {
@@ -146,6 +143,9 @@ class KernelCtxBase {
   void maybe_halt();
   /// Account a blocked interval ending now as CB-wait stall.
   void note_cb_wait(SimTime waited);
+  /// Trace a CB push or pop of `pages` (its occupancy after the op).
+  void record_cb(sim::TraceEventKind kind, int cb_id, const sim::CircularBuffer& cb,
+                 std::uint32_t pages);
   SimTime active_ = 0;
   SimTime fpu_busy_ = 0;
   SimTime cb_wait_ = 0;
@@ -176,8 +176,8 @@ class KernelCtxBase {
   int vtid_ = -1;                       ///< detector thread id
   std::uint32_t cb_produced_ = 0;  ///< bit i: CB i already noted as produced
   std::uint32_t cb_consumed_ = 0;  ///< bit i: CB i already noted as consumed
-  SimTime lag_ = 0;         ///< charged work not yet realised as engine time
-  bool run_ahead_ = false;  ///< set per launch by Device
+  SimTime lag_ = 0;  ///< charged work not yet realised as engine time
+  SimTime deadline_;  ///< the launch's watchdog deadline, or never
 };
 
 /// API surface for the two data mover baby cores.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "ttsim/sim/fpu.hpp"
@@ -31,7 +32,10 @@ KernelCtxBase::KernelCtxBase(Device& device, sim::TensixCore& core,
       args_(std::move(args)),
       position_(position),
       group_size_(group_size),
-      trace_(device.hw().trace()) {}
+      trace_(device.hw().trace()),
+      deadline_(device.running_ != nullptr && device.running_->deadline > 0
+                    ? device.running_->deadline
+                    : std::numeric_limits<SimTime>::max()) {}
 
 std::uint32_t KernelCtxBase::arg(std::size_t i) const {
   if (i >= args_.size()) {
@@ -50,6 +54,13 @@ SimTime KernelCtxBase::now() const { return device_.hw().engine().now() + lag_; 
 
 void KernelCtxBase::sync() {
   if (lag_ > 0) device_.hw().engine().delay(std::exchange(lag_, 0));
+}
+
+void KernelCtxBase::advance(SimTime dt) {
+  const bool crosses = now() + dt > deadline_;
+  if (crosses) sync();
+  lag_ += dt;
+  if (crosses) sync();
 }
 
 void KernelCtxBase::charge(SimTime cost) {
@@ -129,6 +140,7 @@ void KernelCtxBase::cb_push_back(int cb_id, std::uint32_t pages) {
     verify_->release(vtid_, verify::Verifier::cb_data_key(core_.id(), cb_id));
   }
   cb.push_back(pages);
+  record_cb(sim::TraceEventKind::kCbPush, cb_id, cb, pages);
 }
 
 void KernelCtxBase::cb_wait_front(int cb_id, std::uint32_t pages) {
@@ -155,6 +167,17 @@ void KernelCtxBase::cb_pop_front(int cb_id, std::uint32_t pages) {
     verify_->release(vtid_, verify::Verifier::cb_space_key(core_.id(), cb_id));
   }
   cb.pop_front(pages);
+  record_cb(sim::TraceEventKind::kCbPop, cb_id, cb, pages);
+}
+
+void KernelCtxBase::record_cb(sim::TraceEventKind kind, int cb_id,
+                              const sim::CircularBuffer& cb, std::uint32_t pages) {
+  // Recorded here, not by the CB, to stamp the kernel's clock: an op on a
+  // kernel-local CB may run ahead of the engine.
+  if (trace_ == nullptr) return;
+  trace_->record(kind, now(), 0,
+                 {core_.id(), cb_id, static_cast<std::int32_t>(cb.pages_available()),
+                  0, static_cast<std::uint64_t>(pages) * cb.page_size()});
 }
 
 std::uint32_t KernelCtxBase::get_write_ptr(int cb_id, std::uint32_t page_offset) {

@@ -11,11 +11,9 @@
 ///     batched, against cpu::jacobi_reference_bf16 (where sampled),
 ///   * verifier cleanliness (every run executes under enable_verify; any
 ///     finding fails the config),
-///   * run-ahead vs eager agreement: the verifier keeps a launch eager, so
-///     each leg of a config without a fault schedule runs again with the
-///     verifier off, where kernels run private work ahead of the engine,
-///     and must match the verified run bit for bit in every field and
-///     every simulated time.
+///   * verifier neutrality: each leg runs again with the verifier off, under
+///     the same fault schedule, and must match the verified run bit for bit
+///     in every field and every simulated time.
 /// Failures shrink to a minimal reproducer (iterations, then height, then
 /// width, then read-ahead/cores) and log a one-line reproducer:
 ///
@@ -293,12 +291,8 @@ ttmetal::DeviceConfig device_config(const Config& c) {
   return dc;
 }
 
-/// Whether the config gets run-ahead twins: a fault plan keeps a launch
-/// eager with the verifier on or off.
-bool runs_ahead(const Config& c) { return !c.faults.any_probabilistic(); }
-
-/// device_config without the verifier: launches run ahead.
-ttmetal::DeviceConfig run_ahead_config(const Config& c) {
+/// device_config without the verifier (a fresh plan on the same schedule).
+ttmetal::DeviceConfig unverified_config(const Config& c) {
   ttmetal::DeviceConfig dc = device_config(c);
   dc.enable_verify = false;
   return dc;
@@ -310,31 +304,31 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   });
 }
 
-/// A leg's run-ahead twin against its eager (verified) run: every field bit
-/// for bit and every simulated time.
+/// A leg's unverified twin against its verified run: every field bit for
+/// bit and every simulated time.
 template <typename Result>
-bool same_run(const Result& eager, const Result& fast, const std::string& leg,
+bool same_run(const Result& verified, const Result& twin, const std::string& leg,
               std::string* why) {
   const auto differs = [&](const std::string& what) {
-    *why = leg + " run-ahead vs eager: " + what;
+    *why = leg + " verifier off vs on: " + what;
     return false;
   };
-  if (fast.kernel_time != eager.kernel_time || fast.total_time != eager.total_time) {
-    return differs("kernel " + std::to_string(fast.kernel_time) + " vs " +
-                   std::to_string(eager.kernel_time) + " ps, total " +
-                   std::to_string(fast.total_time) + " vs " +
-                   std::to_string(eager.total_time) + " ps");
+  if (twin.kernel_time != verified.kernel_time || twin.total_time != verified.total_time) {
+    return differs("kernel " + std::to_string(twin.kernel_time) + " vs " +
+                   std::to_string(verified.kernel_time) + " ps, total " +
+                   std::to_string(twin.total_time) + " vs " +
+                   std::to_string(verified.total_time) + " ps");
   }
-  if (!same_bits(fast.solution, eager.solution)) return differs("solution differs");
-  if constexpr (requires { eager.fields; }) {
-    if (!std::equal(eager.fields.begin(), eager.fields.end(), fast.fields.begin(),
-                    fast.fields.end(), same_bits)) {
+  if (!same_bits(twin.solution, verified.solution)) return differs("solution differs");
+  if constexpr (requires { verified.fields; }) {
+    if (!std::equal(verified.fields.begin(), verified.fields.end(), twin.fields.begin(),
+                    twin.fields.end(), same_bits)) {
       return differs("a field differs");
     }
   }
-  if constexpr (requires { eager.exchange_time; }) {
-    if (fast.exchange_time != eager.exchange_time || fast.link_bytes != eager.link_bytes ||
-        fast.link_messages != eager.link_messages) {
+  if constexpr (requires { verified.exchange_time; }) {
+    if (twin.exchange_time != verified.exchange_time || twin.link_bytes != verified.link_bytes ||
+        twin.link_messages != verified.link_messages) {
       return differs("exchange differs");
     }
   }
@@ -518,10 +512,10 @@ bool check(const Config& c, std::string* why) {
     *why = "row-chunk verifier findings:\n" + render(fs);
     return false;
   }
-  if (runs_ahead(c)) {
-    auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
-    const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, c.cfg);
-    if (!same_run(row, fast, "row-chunk", why)) return false;
+  {
+    auto twin_dev = ttmetal::Device::open({}, unverified_config(c));
+    const auto twin = core::run_general_stencil_on_device(*twin_dev, c.problem, c.cfg);
+    if (!same_run(row, twin, "row-chunk", why)) return false;
   }
 
   // SRAM leg (strategy-vs-strategy agreement is implied by both matching
@@ -547,11 +541,9 @@ bool check(const Config& c, std::string* why) {
       *why = "sram verifier findings:\n" + render(sfs);
       return false;
     }
-    if (runs_ahead(c)) {
-      auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
-      const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, scfg);
-      if (!same_run(sram, fast, "sram", why)) return false;
-    }
+    auto twin_dev = ttmetal::Device::open({}, unverified_config(c));
+    const auto twin = core::run_general_stencil_on_device(*twin_dev, c.problem, scfg);
+    if (!same_run(sram, twin, "sram", why)) return false;
   }
 
   // Temporal leg: the k-deep chain must agree with the reference AND with
@@ -586,12 +578,10 @@ bool check(const Config& c, std::string* why) {
         return false;
       }
     }
-    if (runs_ahead(c)) {
-      tcfg.temporal_depth = c.try_temporal;
-      auto fdev = ttmetal::Device::open({}, run_ahead_config(c));
-      const auto fast = core::run_general_stencil_on_device(*fdev, c.problem, tcfg);
-      if (!same_run(chained, fast, "temporal", why)) return false;
-    }
+    tcfg.temporal_depth = c.try_temporal;
+    auto twin_dev = ttmetal::Device::open({}, unverified_config(c));
+    const auto twin = core::run_general_stencil_on_device(*twin_dev, c.problem, tcfg);
+    if (!same_run(chained, twin, "temporal", why)) return false;
   }
 
   // Multi-card leg: the same problem sharded across shard_cards cards with
@@ -632,45 +622,39 @@ bool check(const Config& c, std::string* why) {
         return false;
       }
     }
-    if (runs_ahead(c)) {
-      auto fast_cluster =
-          core::ShardedCluster::open(c.shard_cards, {}, run_ahead_config(c));
-      const auto fast_devs = fast_cluster.devices();
-      const auto fast =
-          core::run_general_sharded(fast_devs, *fast_cluster.fabric, c.problem, scfg);
-      if (!same_run(sh, fast, "sharded", why)) return false;
-    }
+    auto twin_cluster =
+        core::ShardedCluster::open(c.shard_cards, {}, unverified_config(c));
+    const auto twin_devs = twin_cluster.devices();
+    const auto twin =
+        core::run_general_sharded(twin_devs, *twin_cluster.fabric, c.problem, scfg);
+    if (!same_run(sh, twin, "sharded", why)) return false;
   }
 
   if (c.batch_slots >= 2) {
-    SimTime eager = 0;
-    SimTime fast = 0;
-    if (!run_batched(c, ref, device_config(c), &eager, why)) return false;
-    if (runs_ahead(c)) {
-      if (!run_batched(c, ref, run_ahead_config(c), &fast, why)) {
-        *why = "run-ahead " + *why;
-        return false;
-      }
-      if (fast != eager) {
-        *why = "batched run-ahead vs eager: kernel " + std::to_string(fast) + " vs " +
-               std::to_string(eager) + " ps";
-        return false;
-      }
+    SimTime verified = 0;
+    SimTime twin = 0;
+    if (!run_batched(c, ref, device_config(c), &verified, why)) return false;
+    if (!run_batched(c, ref, unverified_config(c), &twin, why)) {
+      *why = "verifier off: " + *why;
+      return false;
+    }
+    if (twin != verified) {
+      *why = "batched verifier off vs on: kernel " + std::to_string(twin) + " vs " +
+             std::to_string(verified) + " ps";
+      return false;
     }
   }
   if (c.jacobi) {
-    std::vector<SimTime> eager;
-    std::vector<SimTime> fast;
-    if (!run_jacobi(c, device_config(c), &eager, why)) return false;
-    if (runs_ahead(c)) {
-      if (!run_jacobi(c, run_ahead_config(c), &fast, why)) {
-        *why = "run-ahead " + *why;
-        return false;
-      }
-      if (fast != eager) {
-        *why = "jacobi run-ahead vs eager: simulated times differ";
-        return false;
-      }
+    std::vector<SimTime> verified;
+    std::vector<SimTime> twin;
+    if (!run_jacobi(c, device_config(c), &verified, why)) return false;
+    if (!run_jacobi(c, unverified_config(c), &twin, why)) {
+      *why = "verifier off: " + *why;
+      return false;
+    }
+    if (twin != verified) {
+      *why = "jacobi verifier off vs on: simulated times differ";
+      return false;
     }
   }
   return true;

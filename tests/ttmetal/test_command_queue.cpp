@@ -145,6 +145,34 @@ TEST(CommandQueue, EnqueuedProgramTimeoutSurfacesAtFinish) {
   EXPECT_GE(dev->last_profile()[0].lifetime, dev->last_profile()[0].active);
 }
 
+TEST(Watchdog, PrivateWorkThatNeverSyncsTimesOutAtTheDeadline) {
+  // A fault-free kernel looping on private work reaches no shared op, so
+  // only the lag bound makes it yield: the watchdog then stops it at the
+  // deadline like any other stuck kernel. Without the bound the loop never
+  // returns to the engine (the ctest TIMEOUT turns that hang into a failure).
+  const SimTime limit = 10 * kMicrosecond;  // a whole number of loop ticks
+  auto dev = Device::open({}, {.sim_time_limit = limit});
+  Program prog;
+  prog.create_kernel(
+      KernelKind::kDataMover0, {0},
+      [](DataMoverCtx& ctx) {
+        while (true) ctx.loop_tick();
+      },
+      "livelock");
+  try {
+    dev->run_program(prog);
+    FAIL() << "expected watchdog timeout";
+  } catch (const DeviceTimeoutError& e) {
+    EXPECT_NE(std::string(e.what()).find("livelock@0"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(dev->now(), dev->spec().program_dispatch + limit);
+  ASSERT_EQ(dev->last_profile().size(), 1u);
+  const KernelProfile& p = dev->last_profile()[0];
+  EXPECT_FALSE(p.finished);
+  // Every tick up to the deadline, and the one in flight across it.
+  EXPECT_EQ(p.active, limit + dev->spec().loop_overhead);
+}
+
 TEST(CommandQueue, WedgedDeviceRejectsQueuedPrograms) {
   auto dev = Device::open({}, {.sim_time_limit = 50 * kMillisecond});
   Program hang;

@@ -353,20 +353,21 @@ Program private_program(bool fault) {
 
 TEST(RunAhead, KernelFaultAfterPrivateWorkSurfacesAtItsChargedTime) {
   // The throwing kernel realises its lag before the exception leaves it, so
-  // the failure surfaces at start + charged time, as it does eagerly (the
-  // race detector keeps a launch eager) — but in a handful of events.
-  auto fast = Device::open();
-  auto eager = Device::open({}, {.enable_verify = true});
-  const SimTime end = fast->spec().program_dispatch + private_rounds_cost(fast->spec());
-  for (Device* dev : {fast.get(), eager.get()}) {
+  // the failure surfaces at start + charged time, in a handful of events
+  // (one per sync, not one per charged op). The race detector changes
+  // neither.
+  auto plain = Device::open();
+  auto verified = Device::open({}, {.enable_verify = true});
+  const SimTime end = plain->spec().program_dispatch + private_rounds_cost(plain->spec());
+  for (Device* dev : {plain.get(), verified.get()}) {
     Program prog = private_program(/*fault=*/true);
     EXPECT_THROW(dev->run_program(prog), std::runtime_error);
     EXPECT_EQ(dev->now(), end);
+    EXPECT_EQ(dev->now(), 501'220'000);
     ASSERT_EQ(dev->last_profile().size(), 1u);
     EXPECT_FALSE(dev->last_profile()[0].finished);
+    EXPECT_EQ(dev->hw().engine().events_processed(), 3u);
   }
-  EXPECT_LT(fast->hw().engine().events_processed() + 4 * kRounds,
-            eager->hw().engine().events_processed());
 }
 
 TEST(RunAhead, KernelEndingAfterPrivateWorkCountsItInItsLifetime) {
@@ -418,12 +419,12 @@ TEST(RunAhead, SecondKernelOnAKernelLocalCbIsRejectedAtFirstTouch) {
 
 TEST(RunAhead, EqualTimeWakeupsKeepSpawnOrderWhenPrivateWorkRunsAhead) {
   // Two readers on different cores reach their read of one DRAM bank at the
-  // same instant; the bank serves in issue order. Eagerly, `late` was woken
-  // for its last private op by an older wakeup than `early` was, so under
-  // push-order tie-breaking `late` would issue first; running ahead, `early`
-  // syncs first and would. Spawn order decides both ways.
-  const auto run = [](bool eager) {
-    auto dev = Device::open({}, {.enable_trace = eager});
+  // same instant; the bank serves in issue order. `late` pushes the wakeup
+  // that realises its lag for that instant before `early` does (at 10 ns
+  // against 52 ns), so under push-order tie-breaking `late` would issue
+  // first. Spawn order lets `early` issue first, traced or not.
+  const auto run = [](bool traced) {
+    auto dev = Device::open({}, {.enable_trace = traced});
     auto buf = dev->create_buffer({.size = 2 * kTile, .bank = 0});
     Program prog;
     const auto l1 = prog.create_l1_buffer({0, 1}, kTile);
@@ -440,11 +441,11 @@ TEST(RunAhead, EqualTimeWakeupsKeepSpawnOrderWhenPrivateWorkRunsAhead) {
         done[static_cast<std::size_t>(who)] = ctx.now();
       };
     };
-    // 10 + 2 * 40 + 2 ns and 52 + 40 ns: both issue at 92 ns.
+    // 52 + 40 ns and 10 + 2 * 40 + 2 ns: both issue at 92 ns.
     const auto early = prog.create_kernel(KernelKind::kDataMover0, {0},
-                                          reader(0, 10 * kNanosecond, 2, true), "early");
+                                          reader(0, 52 * kNanosecond, 1, false), "early");
     const auto late = prog.create_kernel(KernelKind::kDataMover0, {1},
-                                         reader(1, 52 * kNanosecond, 1, false), "late");
+                                         reader(1, 10 * kNanosecond, 2, true), "late");
     for (const auto k : {early, late}) {
       std::vector<std::uint32_t> args{prog.l1_buffer_address(l1)};
       Program::push_arg64(args, buf->address());
@@ -453,9 +454,12 @@ TEST(RunAhead, EqualTimeWakeupsKeepSpawnOrderWhenPrivateWorkRunsAhead) {
     dev->run_program(prog);
     return done;
   };
-  const std::vector<SimTime> eager = run(true);
-  EXPECT_EQ(run(false), eager);
-  EXPECT_LT(eager[0], eager[1]);  // the first-spawned reader's read is served first
+  // Pinned, so that a push-order tie-break, which serves `late` first,
+  // fails here.
+  const std::vector<SimTime> traced = run(true);
+  EXPECT_EQ(run(false), traced);
+  EXPECT_EQ(traced, (std::vector<SimTime>{501'166'473, 501'369'177}));
+  EXPECT_LT(traced[0], traced[1]);  // the first-spawned reader's read is served first
 }
 
 }  // namespace
