@@ -253,6 +253,10 @@ class DataMoverCtx : public KernelCtxBase {
                  std::shared_ptr<sim::CompletionTracker> tag_tracker, int tag);
   /// Lazily-created per-tag tracker (tags are dense small slot ids).
   const std::shared_ptr<sim::CompletionTracker>& read_tag(int tag);
+  /// Charge the fault plan's mover stall before a transfer and realise it
+  /// at once, so the plan's next draw (the transfer's) falls after it in
+  /// engine order.
+  void fault_stall(sim::FaultPlan& plan);
 
   int noc_id_;
   int noc_track_ = -1;  // trace track for kNocTransfer events

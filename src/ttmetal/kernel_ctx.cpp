@@ -308,6 +308,11 @@ const std::shared_ptr<sim::CompletionTracker>& DataMoverCtx::read_tag(int tag) {
   return tracker;
 }
 
+void DataMoverCtx::fault_stall(sim::FaultPlan& plan) {
+  charge(plan.mover_stall(now(), core_.id()));
+  sync();
+}
+
 void DataMoverCtx::read_impl(std::uint64_t noc_addr, std::uint32_t l1_dst,
                              std::uint32_t size,
                              std::shared_ptr<sim::CompletionTracker> tag_tracker,
@@ -324,12 +329,7 @@ void DataMoverCtx::read_impl(std::uint64_t noc_addr, std::uint32_t l1_dst,
   }
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) {
-    // Realise the stall at once, so the plan's next draw (this transfer's)
-    // falls after it in engine order.
-    charge(plan->mover_stall(now(), core_.id()));
-    sync();
-  }
+  if (plan != nullptr) fault_stall(*plan);
   const int hops = hw.hops_to_dram(core_, noc_addr, noc_id_);
   SimTime extra = 0;
   if (plan != nullptr) {
@@ -385,12 +385,7 @@ void DataMoverCtx::noc_async_write(std::uint32_t l1_src, std::uint64_t noc_addr,
   verify_read(l1_src, size, "noc_async_write source");
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) {
-    // Realise the stall at once, so the plan's next draw (this transfer's)
-    // falls after it in engine order.
-    charge(plan->mover_stall(now(), core_.id()));
-    sync();
-  }
+  if (plan != nullptr) fault_stall(*plan);
   const int hops = hw.hops_to_dram(core_, noc_addr, noc_id_);
   sim::NocFaultDecision fd;
   if (plan != nullptr) {
@@ -507,12 +502,7 @@ void DataMoverCtx::noc_async_write_core(int dst_core, std::uint32_t dst_l1,
   sync();
   auto& hw = device_.hw();
   sim::FaultPlan* plan = hw.fault_plan();
-  if (plan != nullptr) {
-    // Realise the stall at once, so the plan's next draw (this transfer's)
-    // falls after it in engine order.
-    charge(plan->mover_stall(now(), core_.id()));
-    sync();
-  }
+  if (plan != nullptr) fault_stall(*plan);
   sim::TensixCore& dst = hw.worker(dst_core);
   TTSIM_CHECK_MSG(dst_l1 + size <= dst.sram().capacity(),
                   "core-to-core write past the target core's SRAM");

@@ -150,12 +150,15 @@ TEST(Watchdog, PrivateWorkThatNeverSyncsTimesOutAtTheDeadline) {
   // only the lag bound makes it yield: the watchdog then stops it at the
   // deadline like any other stuck kernel. Without the bound the loop never
   // returns to the engine (the ctest TIMEOUT turns that hang into a failure).
+  // The kernel syncs half-way first, so a bound on the lag alone, rather
+  // than on the clock, would let it count work past the deadline.
   const SimTime limit = 10 * kMicrosecond;  // a whole number of loop ticks
   auto dev = Device::open({}, {.sim_time_limit = limit});
   Program prog;
   prog.create_kernel(
       KernelKind::kDataMover0, {0},
-      [](DataMoverCtx& ctx) {
+      [limit](DataMoverCtx& ctx) {
+        ctx.spin(limit / 2);
         while (true) ctx.loop_tick();
       },
       "livelock");
